@@ -1,5 +1,5 @@
-"""Weighted-query benchmarks: counting-based DRed vs the tuple-set
-oracle, and lazy k-best vs exhaustive bounded enumeration.
+"""Weighted-query benchmarks: the weighted closures, DRed deletion, and
+lazy k-best vs exhaustive bounded enumeration.
 
 Two layers:
 
@@ -12,13 +12,11 @@ Two layers:
        PYTHONPATH=src python benchmarks/bench_weighted.py \
            --batch-sizes 200 600 --output weighted.json
 
-   * **DRed support modes** — per batch size, insert the same random
-     reachability batch into two incremental solvers, one running the
-     matrix-granular :class:`CountingSupportIndex`
-     (``support_mode="counting"``, the default) and one the original
-     per-fact tuple sets (``support_mode="tuples"``, the oracle), then
-     delete a tenth of the batch from each and assert identical
-     relations — reporting both deletion wall times and the ratio.
+   * **DRed deletion** — per batch size, insert a random reachability
+     batch into an incremental solver, delete a tenth of it (the first
+     deletion, so the lazy support-index build is inside the timed
+     region) and assert the relations equal a from-scratch
+     ``solve_matrix`` on the remaining graph.
    * **k-best vs exhaustive** — on a layered detour graph with
      ``2^hops`` end-to-end paths, time ``top_k(k=3)`` (lazy best-first
      over the witness forest) against materializing the full bounded
@@ -80,10 +78,10 @@ def test_viterbi_closure_funding(benchmark, query1_cnf):
                for nt in query1_cnf.nonterminals)
 
 
-def test_counting_dred_deletion(benchmark, query1_cnf):
-    """DRed deletion with the counting support index (the default)."""
+def test_dred_deletion(benchmark, query1_cnf):
+    """DRed deletion, support-index build included."""
     graph = build_graph("funding")
-    solver = IncrementalCFPQ(graph, query1_cnf, support_mode="counting")
+    solver = IncrementalCFPQ(graph, query1_cnf)
     batch = [(f"N{k}", "subClassOf", f"Class{k}") for k in range(10)]
     solver.add_edges(batch)
     benchmark.pedantic(solver.remove_edges, args=(batch,),
@@ -130,33 +128,22 @@ def _dred_cell(size: int, grammar, backend: str, strategy: str,
                repeats: int) -> dict:
     edges = _random_batch(size)
     victims = edges[::10]
-    seconds = {"counting": float("inf"), "tuples": float("inf")}
-    solvers: dict = {}
-    removed: dict = {}
+    seconds = float("inf")
     for _ in range(max(1, repeats)):
-        for mode in ("counting", "tuples"):
-            solver = IncrementalCFPQ(LabeledGraph(), grammar,
-                                     backend=backend, strategy=strategy,
-                                     support_mode=mode)
-            solver.add_edges(edges)
-            started = time.perf_counter()
-            removed[mode] = solver.remove_edges(victims)
-            seconds[mode] = min(seconds[mode],
-                                time.perf_counter() - started)
-            solvers[mode] = solver
-    agree = (removed["counting"] == removed["tuples"]
-             and solvers["counting"].relations().same_as(
-                 solvers["tuples"].relations()))
+        solver = IncrementalCFPQ(LabeledGraph(), grammar,
+                                 backend=backend, strategy=strategy)
+        solver.add_edges(edges)
+        started = time.perf_counter()
+        removed = solver.remove_edges(victims)
+        seconds = min(seconds, time.perf_counter() - started)
+    scratch = solve_matrix_relations(solver.graph, grammar, backend=backend,
+                                     normalize=False)
     return {
         "edges": len(edges),
         "deleted": len(victims),
-        "facts_removed": removed["counting"],
-        "counting_delete_wall_time_s": round(seconds["counting"], 6),
-        "tuples_delete_wall_time_s": round(seconds["tuples"], 6),
-        "counting_over_tuples": round(
-            seconds["counting"] / seconds["tuples"], 3)
-        if seconds["tuples"] else float("inf"),
-        "agree": agree,
+        "facts_removed": removed,
+        "delete_wall_time_s": round(seconds, 6),
+        "agree": solver.relations().same_as(scratch),
     }
 
 
@@ -202,10 +189,9 @@ def run_weighted_suite(batch_sizes: tuple[int, ...] = (200, 600),
                        backend: str | None = None,
                        strategy: str = "delta",
                        repeats: int = 2) -> dict:
-    """Time counting vs tuple DRed and lazy k-best vs exhaustive.
+    """Time DRed deletion and lazy k-best vs exhaustive.
 
-    Returns ``{dred: {size: {counting_delete_wall_time_s,
-    tuples_delete_wall_time_s, counting_over_tuples, agree}},
+    Returns ``{dred: {size: {delete_wall_time_s, agree}},
     kbest: {kbest_wall_time_s, exhaustive_wall_time_s, speedup,
     expansions, agree}}``.
     """
@@ -214,7 +200,7 @@ def run_weighted_suite(batch_sizes: tuple[int, ...] = (200, 600),
     grammar = to_cnf(chain_reachability("a"))
     backend = backend or default_backend()
     report: dict = {
-        "benchmark": "weighted semirings: counting DRed + lazy k-best",
+        "benchmark": "weighted semirings: DRed deletion + lazy k-best",
         "workload": "random a-graph deletions; layered detour graph "
                     f"with 2^{hops} paths",
         "backend": backend,

@@ -36,18 +36,13 @@ whose remaining supports are non-empty are exactly the ones one-step
 derivable from the survivors, and one ``initial_frontier`` closure run
 seeded with them restores everything still derivable.
 
-The support index itself is **matrix-granular** by default
-(:class:`CountingSupportIndex`): supports live as counting-semiring
-annotations (:class:`repro.core.semiring.CountingSemiring`, cap 1) on
-per-non-terminal annotated matrices, built by one counting closure on
-the first deletion and maintained by the same ``union_update`` /
-``difference`` / ``mxm_into`` kernels every batch insertion and
-re-derivation already runs — one representation for derivation counting
-and deletion support.  The original tuple-set index survives as
-:class:`TupleSupportIndex` (``support_mode="tuples"``, or the
-``REPRO_SUPPORT_MODE`` environment variable), demoted to a differential
-test oracle.  Either way the index is built lazily on the first
-deletion; insertion-only workloads never pay for it.
+The support index (:class:`SupportIndex`) is one ``dict`` from each fact
+to the set of its supports.  It is built lazily by one recount over the
+current facts on the first deletion — insertion-only workloads never pay
+for it — and from then on every mutator maintains it: the per-tuple
+worklist registers each derivation it enumerates, and a batch closure
+recounts only the facts it added (new or re-derived) from the live
+tuple indexes.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
 annotations on the same engine: batches run the closure over the
@@ -66,7 +61,6 @@ sequence the incremental state must equal a from-scratch solve
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict, deque
 from typing import Hashable, Iterable
 
@@ -77,7 +71,6 @@ from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
 from .relations import ContextFreeRelations
-from .semiring import SUPPORT_SEMIRING, AnnotatedBackend, CountingSemiring
 
 #: A derived fact ``(A, i, j)`` by dense node ids.
 Fact = tuple[Nonterminal, int, int]
@@ -87,52 +80,39 @@ Fact = tuple[Nonterminal, int, int]
 #: ``("split", B, C, r)`` for a pair rule applied at midpoint ``r``.
 Support = tuple
 
-#: Recognized values of ``IncrementalCFPQ(support_mode=...)`` and the
-#: ``REPRO_SUPPORT_MODE`` environment variable.
-SUPPORT_MODES = ("counting", "tuples")
 
+class SupportIndex:
+    """The DRed support index of one :class:`IncrementalCFPQ`: a plain
+    ``dict`` from each fact to the set of its one-step derivation
+    supports.  Inactive (and free) until :meth:`ensure` builds it on the
+    solver's first deletion; while active, every fact of the solver has
+    an entry holding *all* its one-step derivations from the current
+    graph and facts (asserted against a from-scratch recount in
+    ``tests/core/test_incremental.py``)."""
 
-def _default_support_mode() -> str:
-    mode = os.environ.get("REPRO_SUPPORT_MODE", "counting").strip().lower()
-    return mode if mode in SUPPORT_MODES else "counting"
-
-
-class TupleSupportIndex:
-    """The original tuple-set DRed support index, demoted to a
-    differential-test oracle (``support_mode="tuples"``).
-
-    One plain ``dict`` maps each fact to the set of its one-step
-    derivation supports, maintained by per-fact set mutations.  The
-    matrix-granular :class:`CountingSupportIndex` must agree with this
-    index entry-for-entry after any interleaved insert/delete sequence
-    (property-tested in ``tests/core/test_incremental.py``).
-    """
-
-    mode = "tuples"
-
-    def __init__(self) -> None:
+    def __init__(self, solver: "IncrementalCFPQ") -> None:
+        self._solver = solver
         self._supports: dict[Fact, set[Support]] | None = None
 
     @property
     def active(self) -> bool:
         return self._supports is not None
 
-    def ensure(self, solver: "IncrementalCFPQ") -> None:
-        """Build the fact → supports index on first use (one recount
-        over the current facts; later updates maintain it)."""
-        if self._supports is not None:
-            return
-        self._supports = {
-            (nonterminal, i, j): self._compute(solver, nonterminal, i, j)
-            for nonterminal, pairs in solver._facts.items()
-            for (i, j) in pairs
-        }
+    def ensure(self) -> None:
+        """Build the index on first use (one recount over the current
+        facts; later updates maintain it)."""
+        if self._supports is None:
+            self._supports = {
+                (nonterminal, i, j): self._recount(nonterminal, i, j)
+                for nonterminal, pairs in self._solver._facts.items()
+                for (i, j) in pairs
+            }
 
-    @staticmethod
-    def _compute(solver: "IncrementalCFPQ", nonterminal: Nonterminal,
-                 i: int, j: int) -> set[Support]:
+    def _recount(self, nonterminal: Nonterminal, i: int,
+                 j: int) -> set[Support]:
         """All one-step derivations of ``(A, i, j)`` from the current
         graph and fact indexes."""
+        solver = self._solver
         found: set[Support] = set()
         if i == j and nonterminal in solver._nullable:
             found.add(("empty",))
@@ -145,19 +125,9 @@ class TupleSupportIndex:
                     found.add(("split", left, right, r))
         return found
 
-    def supports_of(self, fact: Fact) -> frozenset:
+    def add(self, fact: Fact, support: Support) -> None:
         assert self._supports is not None
-        return frozenset(self._supports.get(fact, ()))
-
-    def seed_fact(self, fact: Fact, support: Support) -> None:
-        assert self._supports is not None
-        self._supports[fact] = {support}
-
-    def add_support(self, fact: Fact, support: Support) -> None:
-        assert self._supports is not None
-        recorded = self._supports.get(fact)
-        if recorded is not None:
-            recorded.add(support)
+        self._supports.setdefault(fact, set()).add(support)
 
     def discard(self, fact: Fact, support: Support) -> None:
         assert self._supports is not None
@@ -165,9 +135,11 @@ class TupleSupportIndex:
         if recorded is not None:
             recorded.discard(support)
 
-    def pop(self, fact: Fact) -> None:
+    def pop(self, fact: Fact) -> set[Support]:
+        """Drop *fact* from the index; returns the supports it still
+        had."""
         assert self._supports is not None
-        self._supports.pop(fact, None)
+        return self._supports.pop(fact, set())
 
     def entry_count(self) -> int:
         if self._supports is None:
@@ -185,188 +157,18 @@ class TupleSupportIndex:
             fact: set(entries) for fact, entries in mapping.items()
         }
 
-    def after_batch(self, solver: "IncrementalCFPQ",
-                    support_seeds: dict | None,
-                    new_facts: list[Fact]) -> None:
-        """After a batch closure added *new_facts*: compute their
-        supports, register the split supports they newly provide to
-        existing consequences, and fold the batch's base-fact seed
-        supports (new edge labels / empty paths) into pre-existing
-        facts."""
+    def after_batch(self, new_facts: list[Fact]) -> None:
+        """After a batch closure added *new_facts* (new, or re-derived
+        by DRed): recount their supports, and register the split
+        supports they newly provide to the consequences that already
+        existed."""
         if self._supports is None:
             return
-        supports = self._supports
         for fact in new_facts:
-            supports[fact] = self._compute(solver, *fact)
-        for nonterminal, i, j in new_facts:
-            for head, right in solver._rules_by_left.get(nonterminal, ()):
-                for k in solver._by_source.get((right, j), ()):
-                    recorded = supports.get((head, i, k))
-                    if recorded is not None:
-                        recorded.add(("split", nonterminal, right, j))
-            for head, left in solver._rules_by_right.get(nonterminal, ()):
-                for k in solver._by_target.get((left, i), ()):
-                    recorded = supports.get((head, k, j))
-                    if recorded is not None:
-                        recorded.add(("split", left, nonterminal, i))
-        for nonterminal, cells in (support_seeds or {}).items():
-            for (i, j), value in cells.items():
-                recorded = supports.get((nonterminal, i, j))
-                if recorded is not None:
-                    recorded.update(entry for entry, _count in value)
-
-
-class CountingSupportIndex:
-    """Matrix-granular DRed supports carried by the counting semiring.
-
-    The support of a fact *is* its counting-semiring annotation: a
-    ``frozenset`` of ``(entry, count)`` pairs whose entry keys are
-    exactly the tuple-set supports (``("edge", label)`` / ``("empty",)``
-    / ``("split", B, C, r)``).  The index is one annotated matrix per
-    non-terminal — built by a single counting-closure solve on the
-    first deletion, and advanced after every batch by the same
-    ``union_update``/``mxm_into`` kernels the relational closure runs,
-    with the batch's base facts (or the re-derivation survivors) as the
-    ``initial_frontier``.  Per-tuple inserts mutate cells directly, so
-    single-edge updates stay O(delta).
-
-    With the default cap-1 semiring (``SUPPORT_SEMIRING``) the values
-    are *value-blind*: a cell gaining an extra derivation entry does not
-    re-enter the semi-naive frontier, which is precisely the tuple-set
-    index's registration semantics.
-    """
-
-    mode = "counting"
-
-    def __init__(self, semiring: CountingSemiring | None = None) -> None:
-        self.semiring = semiring if semiring is not None else SUPPORT_SEMIRING
-        self._cells: dict[Nonterminal, dict[tuple[int, int], frozenset]] | None = None
-
-    @property
-    def active(self) -> bool:
-        return self._cells is not None
-
-    def ensure(self, solver: "IncrementalCFPQ") -> None:
-        """First deletion: one counting-semiring closure over the
-        current graph yields every fact's full one-step support set."""
-        if self._cells is not None:
-            return
-        from .semiring import solve_annotated
-
-        result = solve_annotated(solver.graph, solver.grammar, self.semiring,
-                                 strategy=solver.strategy, normalize=False,
-                                 **solver.strategy_options)
-        self._cells = {
-            nonterminal: {(i, j): value
-                          for i, j, value in matrix.nonzero_cells()}
-            for nonterminal, matrix in result.matrices.items()
-        }
-
-    def supports_of(self, fact: Fact) -> frozenset:
-        assert self._cells is not None
-        nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        value = cells.get((i, j)) if cells is not None else None
-        return self.semiring.supports(value)
-
-    def seed_fact(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
-        nonterminal, i, j = fact
-        self._cells.setdefault(nonterminal, {})[(i, j)] = \
-            frozenset({(support, 1)})
-
-    def add_support(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
-        nonterminal, i, j = fact
-        cells = self._cells.setdefault(nonterminal, {})
-        value = cells.get((i, j))
-        if value is None:
-            return
-        merged, changed = self.semiring.merge(value,
-                                              frozenset({(support, 1)}))
-        if changed:
-            cells[(i, j)] = merged
-
-    def discard(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
-        nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        value = cells.get((i, j)) if cells is not None else None
-        if value is None:
-            return
-        trimmed = frozenset(item for item in value if item[0] != support)
-        if trimmed != value:
-            cells[(i, j)] = trimmed  # type: ignore[index]
-
-    def pop(self, fact: Fact) -> None:
-        assert self._cells is not None
-        nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        if cells is not None:
-            cells.pop((i, j), None)
-
-    def entry_count(self) -> int:
-        if self._cells is None:
-            return 0
-        return sum(len(value)
-                   for cells in self._cells.values()
-                   for value in cells.values())
-
-    def export(self) -> dict[Fact, set[Support]] | None:
-        if self._cells is None:
-            return None
-        return {
-            (nonterminal, i, j): set(self.semiring.supports(value))
-            for nonterminal, cells in self._cells.items()
-            for (i, j), value in cells.items()
-        }
-
-    def load(self, mapping: dict) -> None:
-        cells: dict[Nonterminal, dict[tuple[int, int], frozenset]] = {}
-        for (nonterminal, i, j), entries in mapping.items():
-            cells.setdefault(nonterminal, {})[(i, j)] = \
-                frozenset((entry, 1) for entry in entries)
-        self._cells = cells
-
-    def after_batch(self, solver: "IncrementalCFPQ",
-                    support_seeds: dict | None,
-                    new_facts: list[Fact]) -> None:
-        """Advance the support matrices through the same frontier-seeded
-        closure the relational batch just ran: the seeds' base supports
-        merge into their cells, and every product fired off the
-        presence delta contributes its ``("split", B, C, r)`` entry to
-        the head cell — which is exactly the registration the tuple
-        oracle does one set-mutation at a time."""
-        if self._cells is None or not support_seeds:
-            return
-        backend = AnnotatedBackend(self.semiring)
-        n = solver.graph.node_count
-        matrices = {
-            nonterminal: backend.from_cells(
-                (n, n), self._cells.get(nonterminal, {}), symbol=nonterminal)
-            for nonterminal in solver.grammar.nonterminals
-        }
-        frontier = {
-            nonterminal: backend.from_cells((n, n), dict(cells),
-                                            symbol=nonterminal)
-            for nonterminal, cells in support_seeds.items()
-        }
-        result = run_closure(matrices, solver._pair_rules, backend,
-                             strategy=solver.strategy,
-                             initial_frontier=frontier,
-                             **solver.strategy_options)
-        self._cells = {
-            nonterminal: {(i, j): value
-                          for i, j, value in matrix.nonzero_cells()}
-            for nonterminal, matrix in result.matrices.items()
-        }
-
-
-def _make_support_store(mode: str):
-    if mode not in SUPPORT_MODES:
-        raise ValueError(
-            f"unknown support_mode {mode!r}: expected one of {SUPPORT_MODES}")
-    return TupleSupportIndex() if mode == "tuples" else CountingSupportIndex()
+            self._supports[fact] = self._recount(*fact)
+        for fact in new_facts:
+            for consequence, support in self._solver._consequences(fact):
+                self._supports[consequence].add(support)
 
 
 class IncrementalCFPQ:
@@ -399,7 +201,6 @@ class IncrementalCFPQ:
     def __init__(self, graph: LabeledGraph, grammar: CFG,
                  backend: str = "pyset", strategy: str = "delta",
                  warm_state: "dict | None" = None,
-                 support_mode: str | None = None,
                  **strategy_options):
         self.graph = graph
         self.grammar = ensure_cnf(grammar)
@@ -428,12 +229,9 @@ class IncrementalCFPQ:
             self._terminals_for_head[rule.head].append(rule.body[0].label)  # type: ignore[union-attr]
         self._nullable = self.grammar.nullable_diagonal
 
-        #: DRed support index (counting matrices by default, tuple sets
-        #: as the oracle).  Inactive until the first deletion:
+        #: DRed support index.  Inactive until the first deletion:
         #: insertion-only workloads never build it.
-        self.support_mode = support_mode if support_mode is not None \
-            else _default_support_mode()
-        self._support_store = _make_support_store(self.support_mode)
+        self._support_store = SupportIndex(self)
 
         self._edge_insertions = 0
         self._edge_removals = 0
@@ -496,14 +294,6 @@ class IncrementalCFPQ:
             state["supports"] = supports
         return state
 
-    @property
-    def _supports(self) -> dict[Fact, set[Support]] | None:
-        """Read-only tuple-set view of the DRed support index (None
-        until a deletion activates it) — the snapshot encoding and the
-        differential tests consume this shape regardless of which store
-        maintains the supports."""
-        return self._support_store.export()
-
     # ------------------------------------------------------------------
     # Exact per-call deltas (cache-invalidation feed)
     # ------------------------------------------------------------------
@@ -560,39 +350,24 @@ class IncrementalCFPQ:
             self._commit_change_log()
 
     def _add_edge(self, source: Hashable, label: str, target: Hashable) -> int:
-        store = self._support_store if self._support_store.active else None
         already_present = self.graph.has_edge(source, label, target)
         new_nodes = [node for node in dict.fromkeys((source, target))
                      if not self.graph.has_node(node)]
         self.graph.add_edge(source, label, target)
         self._edge_insertions += 1
 
-        delta: deque[Fact] = deque()
-        seeded = 0
+        base: list[tuple[Fact, Support]] = []
         for node in new_nodes:
             node_id = self.graph.node_id(node)
-            for head in self._nullable:
-                if (node_id, node_id) not in self._facts[head]:
-                    self._record(head, node_id, node_id)
-                    delta.append((head, node_id, node_id))
-                    seeded += 1
-                    if store is not None:
-                        store.seed_fact((head, node_id, node_id), ("empty",))
+            base += [((head, node_id, node_id), ("empty",))
+                     for head in self._nullable]
         if not already_present:
             i = self.graph.node_id(source)
             j = self.graph.node_id(target)
-            for head in self.grammar.heads_for_terminal(Terminal(label)):
-                if (i, j) not in self._facts[head]:
-                    self._record(head, i, j)
-                    delta.append((head, i, j))
-                    seeded += 1
-                    if store is not None:
-                        store.seed_fact((head, i, j), ("edge", label))
-                elif store is not None:
-                    # The fact pre-exists: the fresh edge still becomes
-                    # one of its derivation supports.
-                    store.add_support((head, i, j), ("edge", label))
-        return seeded + self._propagate(delta)
+            base += [((head, i, j), ("edge", label))
+                     for head in self.grammar.heads_for_terminal(
+                         Terminal(label))]
+        return self._propagate(base)
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
         """Insert a batch of edges through the matrix-granular path.
@@ -621,29 +396,23 @@ class IncrementalCFPQ:
             new_edges.append((self.graph.node_id(source), label,
                               self.graph.node_id(target)))
 
+        store = self._support_store
         seeds: dict[Nonterminal, dict[tuple[int, int], object]] = {}
-        support_seeds: dict[Nonterminal, dict[tuple[int, int], frozenset]] | None = (
-            {} if self._support_store.active else None)
         for head in self._nullable:
             for i in range(nodes_before, self.graph.node_count):
-                seeds.setdefault(head, {})[(i, i)] = self._diagonal_seed_value()
-                if support_seeds is not None:
-                    support_seeds.setdefault(head, {})[(i, i)] = \
-                        SUPPORT_SEMIRING.empty_path()
+                seeds.setdefault(head, {})[(i, i)] = \
+                    self._seed_value((head, i, i), (("empty",),))
         for i, label, j in new_edges:
-            value = self._edge_seed_value(label)
             for head in self.grammar.heads_for_terminal(Terminal(label)):
-                seeds.setdefault(head, {}).setdefault((i, j), value)
-                if support_seeds is not None:
-                    cells = support_seeds.setdefault(head, {})
-                    support_value = SUPPORT_SEMIRING.identity(label)
-                    existing = cells.get((i, j))
-                    cells[(i, j)] = (
-                        support_value if existing is None
-                        else SUPPORT_SEMIRING.add(existing, support_value))
+                seeds.setdefault(head, {}).setdefault(
+                    (i, j), self._seed_value((head, i, j), (("edge", label),)))
+                if store.active and (i, j) in self._facts[head]:
+                    # The batch closure recounts only the facts it adds;
+                    # a pre-existing fact gains the fresh edge here.
+                    store.add((head, i, j), ("edge", label))
         if not seeds:
             return 0
-        return self._run_batch(seeds, support_seeds)
+        return self._run_batch(seeds)
 
     # ------------------------------------------------------------------
     # Mutation: deletion (support-counted DRed)
@@ -667,7 +436,7 @@ class IncrementalCFPQ:
         removed from the relations.
         """
         store = self._support_store
-        store.ensure(self)
+        store.ensure()
         self._last_changes = {}
 
         worklist: deque[Fact] = deque()
@@ -695,21 +464,10 @@ class IncrementalCFPQ:
                 if fact in overdeleted:
                     continue
                 overdeleted.add(fact)
-                nonterminal, i, j = fact
-                for head, right in self._rules_by_left.get(nonterminal, ()):
-                    for k in self._by_source.get((right, j), ()):
-                        consequence = (head, i, k)
-                        store.discard(consequence,
-                                      ("split", nonterminal, right, j))
-                        if consequence not in overdeleted:
-                            worklist.append(consequence)
-                for head, left in self._rules_by_right.get(nonterminal, ()):
-                    for k in self._by_target.get((left, i), ()):
-                        consequence = (head, k, j)
-                        store.discard(consequence,
-                                      ("split", left, nonterminal, i))
-                        if consequence not in overdeleted:
-                            worklist.append(consequence)
+                for consequence, support in self._consequences(fact):
+                    store.discard(consequence, support)
+                    if consequence not in overdeleted:
+                        worklist.append(consequence)
             phase_span.set("overdeleted", len(overdeleted))
 
         if not overdeleted:
@@ -719,37 +477,31 @@ class IncrementalCFPQ:
         # re-derived facts whose annotation moved land in last_changes.
         annotation_snapshot = self._annotations_of(overdeleted)
 
-        # Surviving supports of the over-deleted facts, captured before
-        # their cells leave the support index: a surviving support means
-        # the fact is one-step derivable from facts outside the
-        # over-deleted set — exactly the re-derivation seeds.
-        remaining_by_fact = {
-            fact: store.supports_of(fact) for fact in overdeleted
-        }
+        # Surviving supports of the over-deleted facts, taken as their
+        # entries leave the support index: a surviving support means the
+        # fact is one-step derivable from facts outside the over-deleted
+        # set — exactly the re-derivation seeds.
+        remaining_by_fact = {fact: store.pop(fact) for fact in overdeleted}
         for fact in overdeleted:
             nonterminal, i, j = fact
             self._facts[nonterminal].discard((i, j))
             self._by_source[(nonterminal, i)].discard(j)
             self._by_target[(nonterminal, j)].discard(i)
             self._on_fact_removed(fact)
-            store.pop(fact)
 
         # Phase 2: re-derive from the survivors.
         with tracer.span("dred.rederive") as phase_span:
             seeds: dict[Nonterminal, dict[tuple[int, int], object]] = {}
-            support_seeds: dict[Nonterminal, dict[tuple[int, int], frozenset]] = {}
             for fact, remaining in remaining_by_fact.items():
                 if not remaining:
                     continue
                 nonterminal, i, j = fact
                 seeds.setdefault(nonterminal, {})[(i, j)] = \
-                    self._rederive_seed_value(fact, remaining)
-                support_seeds.setdefault(nonterminal, {})[(i, j)] = \
-                    frozenset((entry, 1) for entry in remaining)
+                    self._seed_value(fact, remaining)
             phase_span.set("seeds", sum(len(cells)
                                         for cells in seeds.values()))
             if seeds:
-                self._run_batch(seeds, support_seeds)
+                self._run_batch(seeds)
 
         removed = 0
         changes: dict[Nonterminal, set[tuple[int, int]]] = {}
@@ -810,13 +562,9 @@ class IncrementalCFPQ:
     # ------------------------------------------------------------------
     # Batch engine (shared by add_edges and the re-derive phase)
     # ------------------------------------------------------------------
-    def _run_batch(self, seeds: dict,
-                   support_seeds: dict | None = None) -> int:
+    def _run_batch(self, seeds: dict) -> int:
         """Close the current state with *seeds* as the initial frontier;
-        absorb and return the number of facts that appeared.
-        *support_seeds* (counting-semiring cell values parallel to
-        *seeds*, built only while the support index is active) advances
-        the DRed support store through the same frontier."""
+        absorb and return the number of facts that appeared."""
         n = self.graph.node_count
         with get_tracer().span("frontier.run",
                                strategy=self.strategy) as span:
@@ -830,7 +578,7 @@ class IncrementalCFPQ:
             new_facts = self._absorb(result.matrices)
             span.set("new_facts", len(new_facts))
         self._propagated_facts += len(new_facts)
-        self._support_store.after_batch(self, support_seeds, new_facts)
+        self._support_store.after_batch(new_facts)
         return len(new_facts)
 
     def _batch_backend(self):
@@ -882,13 +630,10 @@ class IncrementalCFPQ:
         for j, sources in cols.items():
             self._by_target[(nonterminal, j)].update(sources)
 
-    def _edge_seed_value(self, label: str):
-        return True
-
-    def _diagonal_seed_value(self):
-        return True
-
-    def _rederive_seed_value(self, fact: Fact, remaining: set):
+    def _seed_value(self, fact: Fact, supports: Iterable[Support]):
+        """The frontier cell value of *fact* seeded through *supports*
+        (presence for the base solver; annotated subclasses fold the
+        supports' annotations)."""
         return True
 
     def _on_fact_removed(self, fact: Fact) -> None:
@@ -914,45 +659,58 @@ class IncrementalCFPQ:
         self._by_target[(nonterminal, j)].add(i)
         self._log_change(nonterminal, (i, j))
 
-    def _propagate(self, worklist: deque[Fact]) -> int:
-        """Tuple-granular consequence propagation.
+    def _consequences(self, fact: Fact):
+        """Every ``(consequence, support)`` that *fact* yields as the
+        left or right operand of a pair rule against the current fact
+        indexes.  The index rows are copied, so the caller may record
+        facts while iterating."""
+        nonterminal, i, j = fact
+        for head, right in self._rules_by_left.get(nonterminal, ()):
+            support = ("split", nonterminal, right, j)
+            for k in tuple(self._by_source.get((right, j), ())):
+                yield (head, i, k), support
+        for head, left in self._rules_by_right.get(nonterminal, ()):
+            support = ("split", left, nonterminal, i)
+            for k in tuple(self._by_target.get((left, i), ())):
+                yield (head, k, j), support
 
-        With the DRed support index active, every enumerated one-step
-        derivation is registered as a support of its consequence —
-        including consequences that already exist, which is what keeps
-        the index exact (every derivation of a delta fact involves at
-        least one delta operand, and each such combination is
-        enumerated when that operand pops)."""
+    def _improve(self, fact: Fact, support: Support) -> tuple[bool, bool]:
+        """Apply one one-step derivation of *fact*; returns ``(added,
+        improved)``.  Presence-only: a fact is added iff absent and
+        never improved — annotated subclasses override the arithmetic."""
+        nonterminal, i, j = fact
+        if (i, j) in self._facts[nonterminal]:
+            return False, False
+        self._record(nonterminal, i, j)
+        return True, False
+
+    def _propagate(self, derivations: Iterable[tuple[Fact, Support]]) -> int:
+        """The tuple-granular worklist: apply the given base
+        ``(fact, support)`` derivations, then every derivation they
+        entail; returns the number of new facts.
+
+        Each enumerated derivation records or refines its fact
+        (:meth:`_improve`) and, with the DRed support index active, is
+        registered as a support — also of a fact that already exists,
+        which is what keeps the index exact (every derivation of a delta
+        fact involves at least one delta operand, and each such
+        combination is enumerated when that operand pops)."""
         store = self._support_store if self._support_store.active else None
-        derived = 0
-        while worklist:
-            nonterminal, i, j = worklist.popleft()
+        improve = self._improve
+        worklist: deque[Fact] = deque()
+        created = 0
+        while True:
+            for fact, support in derivations:
+                added, improved = improve(fact, support)
+                if store is not None:
+                    store.add(fact, support)
+                if added or improved:
+                    worklist.append(fact)
+                    created += added
+            if not worklist:
+                return created
             self._propagated_facts += 1
-            for head, right in self._rules_by_left.get(nonterminal, ()):
-                for k in list(self._by_source.get((right, j), ())):
-                    if (i, k) not in self._facts[head]:
-                        self._record(head, i, k)
-                        worklist.append((head, i, k))
-                        derived += 1
-                        if store is not None:
-                            store.seed_fact((head, i, k),
-                                            ("split", nonterminal, right, j))
-                    elif store is not None:
-                        store.add_support((head, i, k),
-                                          ("split", nonterminal, right, j))
-            for head, left in self._rules_by_right.get(nonterminal, ()):
-                for k in list(self._by_target.get((left, i), ())):
-                    if (k, j) not in self._facts[head]:
-                        self._record(head, k, j)
-                        worklist.append((head, k, j))
-                        derived += 1
-                        if store is not None:
-                            store.seed_fact((head, k, j),
-                                            ("split", left, nonterminal, i))
-                    elif store is not None:
-                        store.add_support((head, k, j),
-                                          ("split", left, nonterminal, i))
-        return derived
+            derivations = self._consequences(worklist.popleft())
 
 
 class IncrementalSinglePathCFPQ(IncrementalCFPQ):
@@ -1039,47 +797,6 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         )
 
     # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def _add_edge(self, source: Hashable, label: str, target: Hashable) -> int:
-        """Insert one edge; returns the number of new facts (length
-        refinements of existing facts propagate but are not counted,
-        matching the base-class contract)."""
-        store = self._support_store if self._support_store.active else None
-        already_present = self.graph.has_edge(source, label, target)
-        new_nodes = [node for node in dict.fromkeys((source, target))
-                     if not self.graph.has_node(node)]
-        self.graph.add_edge(source, label, target)
-        self._edge_insertions += 1
-
-        worklist: deque[Fact] = deque()
-        created = 0
-        for node in new_nodes:
-            node_id = self.graph.node_id(node)
-            for head in self._nullable:
-                added, improved = self._improve(head, node_id, node_id, 0)
-                if added:
-                    created += 1
-                    if store is not None:
-                        store.seed_fact((head, node_id, node_id), ("empty",))
-                if added or improved:
-                    worklist.append((head, node_id, node_id))
-        if not already_present:
-            i = self.graph.node_id(source)
-            j = self.graph.node_id(target)
-            for head in self.grammar.heads_for_terminal(Terminal(label)):
-                added, improved = self._improve(head, i, j, 1)
-                if added:
-                    created += 1
-                    if store is not None:
-                        store.seed_fact((head, i, j), ("edge", label))
-                elif store is not None:
-                    store.add_support((head, i, j), ("edge", label))
-                if added or improved:
-                    worklist.append((head, i, j))
-        return created + self._propagate_lengths(worklist)
-
-    # ------------------------------------------------------------------
     # Batch hooks
     # ------------------------------------------------------------------
     def _batch_backend(self):
@@ -1130,35 +847,25 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
             new_facts.extend((nonterminal, i, j) for i, j in fresh)
         return new_facts
 
-    def _edge_seed_value(self, label: str) -> int:
-        return 1
-
-    def _diagonal_seed_value(self) -> int:
-        return 0
-
-    def _rederive_seed_value(self, fact: Fact, remaining: set) -> int:
-        """Min length over the surviving one-step derivations — their
-        operands are all survivors, so their canonical lengths are
-        available; the closure run then refines downward if a shorter
-        route re-appears through other re-derived facts."""
+    def _derivation_length(self, fact: Fact, support: Support) -> int:
+        """Witness length of *fact* through one one-step derivation
+        (whose operands, for a split, must carry lengths)."""
+        if support[0] == "empty":
+            return 0
+        if support[0] == "edge":
+            return 1
+        _tag, left, right, r = support
         _nonterminal, i, j = fact
-        best: int | None = None
-        for support in remaining:
-            if support[0] == "empty":
-                candidate = 0
-            elif support[0] == "edge":
-                candidate = 1
-            else:
-                _tag, left, right, r = support
-                left_length = self._lengths.get((left, i, r))
-                right_length = self._lengths.get((right, r, j))
-                if left_length is None or right_length is None:
-                    continue
-                candidate = left_length + right_length
-            if best is None or candidate < best:
-                best = candidate
-        assert best is not None, "re-derivation seed without usable support"
-        return best
+        return self._lengths[(left, i, r)] + self._lengths[(right, r, j)]
+
+    def _seed_value(self, fact: Fact, supports: Iterable[Support]) -> int:
+        """Min length over the given derivations.  For a re-derivation
+        seed they are the surviving supports — their operands are all
+        survivors, so their canonical lengths are available; the closure
+        run then refines downward if a shorter route re-appears through
+        other re-derived facts."""
+        return min(self._derivation_length(fact, support)
+                   for support in supports)
 
     def _on_fact_removed(self, fact: Fact) -> None:
         self._lengths.pop(fact, None)
@@ -1172,58 +879,17 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     # ------------------------------------------------------------------
     # Tuple-granular engine
     # ------------------------------------------------------------------
-    def _improve(self, nonterminal: Nonterminal, i: int, j: int,
-                 length: int) -> tuple[bool, bool]:
-        """Record/refine one length; returns ``(added, improved)``."""
-        key = (nonterminal, i, j)
-        current = self._lengths.get(key)
+    def _improve(self, fact: Fact, support: Support) -> tuple[bool, bool]:
+        """Min-refinement: a fact whose recorded length improves counts
+        as improved (it re-enters the worklist), not as new."""
+        length = self._derivation_length(fact, support)
+        current = self._lengths.get(fact)
         if current is None:
-            self._record(nonterminal, i, j)
-            self._lengths[key] = length
+            self._record(*fact)
+            self._lengths[fact] = length
             return True, False
         if length < current:
-            self._lengths[key] = length
-            self._log_change(nonterminal, (i, j))
+            self._lengths[fact] = length
+            self._log_change(fact[0], fact[1:])
             return False, True
         return False, False
-
-    def _propagate_lengths(self, worklist: deque[Fact]) -> int:
-        store = self._support_store if self._support_store.active else None
-        created = 0
-        while worklist:
-            nonterminal, i, j = worklist.popleft()
-            self._propagated_facts += 1
-            base = self._lengths[(nonterminal, i, j)]
-            for head, right in self._rules_by_left.get(nonterminal, ()):
-                for k in list(self._by_source.get((right, j), ())):
-                    other = self._lengths.get((right, j, k))
-                    if other is None:
-                        continue
-                    added, improved = self._improve(head, i, k, base + other)
-                    if added:
-                        created += 1
-                        if store is not None:
-                            store.seed_fact((head, i, k),
-                                            ("split", nonterminal, right, j))
-                    elif store is not None:
-                        store.add_support((head, i, k),
-                                          ("split", nonterminal, right, j))
-                    if added or improved:
-                        worklist.append((head, i, k))
-            for head, left in self._rules_by_right.get(nonterminal, ()):
-                for k in list(self._by_target.get((left, i), ())):
-                    other = self._lengths.get((left, k, i))
-                    if other is None:
-                        continue
-                    added, improved = self._improve(head, k, j, other + base)
-                    if added:
-                        created += 1
-                        if store is not None:
-                            store.seed_fact((head, k, j),
-                                            ("split", left, nonterminal, i))
-                    elif store is not None:
-                        store.add_support((head, k, j),
-                                          ("split", left, nonterminal, i))
-                    if added or improved:
-                        worklist.append((head, k, j))
-        return created

@@ -231,10 +231,9 @@ class CountingSemiring(Semiring):
     the witness semiring records) mapped to the number of distinct
     derivation trees routed through that decomposition, saturating at
     ``cap``.  The cell's total derivation count is the saturating sum
-    over its entries (:meth:`count`) and its *support set* is the entry
-    keys (:meth:`supports`) — which is exactly the DRed support index of
-    :mod:`repro.core.incremental`, so deletion support and derivation
-    counting share one representation on the same matrix kernels.
+    over its entries (:meth:`count`); the entry keys are the cell's
+    one-step derivation supports, the same sets the DRed support index
+    of :mod:`repro.core.incremental` maintains.
 
     ⊗ emits one ``split`` entry whose count is the saturating product of
     the operand counts; ⊕ and ``merge`` take the *per-entry maximum*.
@@ -257,8 +256,7 @@ class CountingSemiring(Semiring):
 
     With ``cap == 1`` every count is pinned at 1, products can never
     change an entry's value, and the semiring becomes value-blind
-    (``refinement_feeds_products`` is False) — the cheap instantiation
-    the incremental DRed support index runs on.
+    (``refinement_feeds_products`` is False).
     """
 
     def __init__(self, cap: int = DEFAULT_COUNTING_CAP,
@@ -293,10 +291,6 @@ class CountingSemiring(Semiring):
         for _entry, entry_count in value:
             total = self.saturating_add(total, entry_count)
         return total
-
-    def supports(self, value: frozenset | None) -> frozenset:
-        """The entry keys — the cell's one-step derivation supports."""
-        return frozenset(entry for entry, _count in value or ())
 
     # -- semiring operations ------------------------------------------
     def identity(self, label: str | None = None) -> frozenset:
@@ -397,17 +391,13 @@ LENGTH_SEMIRING = LengthSemiring()
 WITNESS_SEMIRING = WitnessSemiring()
 COUNTING_SEMIRING = CountingSemiring()
 VITERBI_SEMIRING = ViterbiSemiring()
-#: The cap-1 counting instance the incremental DRed support index runs
-#: on: entry keys are the supports, counts are pinned at 1, products are
-#: value-blind.
-SUPPORT_SEMIRING = CountingSemiring(cap=1, name="support-count")
 
 #: Name → singleton registry, used by the process tile scheduler to
 #: rebuild annotated tiles on the worker side of the pipe.
 SEMIRINGS: dict[str, Semiring] = {
     semiring.name: semiring
     for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, WITNESS_SEMIRING,
-                     COUNTING_SEMIRING, VITERBI_SEMIRING, SUPPORT_SEMIRING)
+                     COUNTING_SEMIRING, VITERBI_SEMIRING)
 }
 
 

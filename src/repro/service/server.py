@@ -96,6 +96,12 @@ logger = logging.getLogger(__name__)
 #: stream cannot be resynchronized mid-frame.
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 
+#: Stream limit on the leader's connections to its replicas (bytes).  A
+#: forwarded reply is one line holding a whole answer — up to a full
+#: relation — so asyncio's 64 KiB default is far too small; beyond this
+#: the replica is treated as dead and the leader answers locally.
+REPLICA_REPLY_LIMIT_BYTES = 1 << 30
+
 #: How often a follower server polls the WAL for new ticks (seconds).
 DEFAULT_FOLLOWER_POLL_SECONDS = 0.05
 
@@ -527,8 +533,10 @@ class _ReplicaPool:
 
     One persistent connection per replica, serialized by a per-replica
     lock (concurrent queries parallelize *across* replicas).  A dead
-    replica is skipped — its connection is dropped and the next replica
-    tried; when every replica fails the caller answers locally."""
+    replica — unreachable, closed mid-reply, or replying past
+    ``REPLICA_REPLY_LIMIT_BYTES`` — is skipped: its connection is
+    dropped and the next replica tried; when every replica fails the
+    caller answers locally."""
 
     def __init__(self, addresses: Iterable[tuple[str, int]]):
         self.addresses = list(addresses)
@@ -548,11 +556,9 @@ class _ReplicaPool:
                     reader, writer = await self._connect(address)
                     writer.write(line.encode("utf-8") + b"\n")
                     await writer.drain()
-                    raw = await reader.readline()
-                if raw:
-                    return raw
-                await self._drop(address)
-            except OSError as error:
+                    return await reader.readuntil(b"\n")
+            except (OSError, asyncio.IncompleteReadError,
+                    asyncio.LimitOverrunError) as error:
                 logger.warning("replica %s:%s unreachable: %s",
                                address[0], address[1], error)
                 await self._drop(address)
@@ -561,7 +567,8 @@ class _ReplicaPool:
     async def _connect(self, address):
         connection = self._connections.get(address)
         if connection is None:
-            connection = await asyncio.open_connection(*address)
+            connection = await asyncio.open_connection(
+                *address, limit=REPLICA_REPLY_LIMIT_BYTES)
             self._connections[address] = connection
         return connection
 

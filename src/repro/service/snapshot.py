@@ -327,10 +327,9 @@ def _decode_entry(entry: list) -> tuple:
 
 
 def _is_counting_name(semiring_name: str) -> bool:
-    """Counting-family semirings (including the cap-1 ``support-count``
-    instance and capped ``counting[N]`` variants) all carry frozensets
-    of ``(entry, count)`` pairs."""
-    return (semiring_name in ("counting", "support-count")
+    """Counting-family semirings (including capped ``counting[N]``
+    variants) all carry frozensets of ``(entry, count)`` pairs."""
+    return (semiring_name == "counting"
             or semiring_name.startswith("counting["))
 
 

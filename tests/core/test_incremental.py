@@ -14,6 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from repro.core.matrix_cfpq import solve_matrix_relations
+from repro.core.semiring import (
+    LENGTH_SEMIRING,
+    WITNESS_SEMIRING,
+    solve_annotated,
+)
 from repro.core.single_path import build_single_path_index
 from repro.grammar.parser import parse_grammar
 from repro.graph.generators import two_cycles, word_chain
@@ -484,118 +489,123 @@ def test_incremental_equals_scratch_property(seed, initial_edges,
     )
 
 
-class TestSupportStoreDifferential:
-    """The matrix-granular counting support index (default) against the
-    tuple-set oracle: after any interleaved insert/delete sequence the
-    two stores must export **byte-identical** state — same facts, same
-    support entries per fact, same lengths."""
+def _scratch_state(solver) -> dict:
+    """What ``solver.export_state()`` must equal, recounted from scratch
+    on the solver's current graph by an engine that shares no code with
+    the maintained index: the witness semiring's entry sets *are* the
+    one-step derivation supports of every fact, and the length semiring
+    gives the canonical witness lengths."""
+    witness = solve_annotated(solver.graph, solver.grammar, WITNESS_SEMIRING,
+                              normalize=False)
+    facts: dict = {}
+    supports: dict = {}
+    for nonterminal, matrix in witness.matrices.items():
+        for i, j, entries in matrix.nonzero_cells():
+            facts.setdefault(nonterminal, set()).add((i, j))
+            supports[(nonterminal, i, j)] = set(entries)
+    state: dict = {"facts": facts}
+    if solver._support_store.active:
+        state["supports"] = supports
+    if isinstance(solver, IncrementalSinglePathCFPQ):
+        lengths = solve_annotated(solver.graph, solver.grammar,
+                                  LENGTH_SEMIRING, normalize=False)
+        state["lengths"] = {
+            (nonterminal, i, j): length
+            for nonterminal, matrix in lengths.matrices.items()
+            for i, j, length in matrix.nonzero_cells()
+        }
+    return state
 
-    def _pair(self, cls, strategy="delta", **options):
+
+class TestSupportIndexDifferential:
+    """The maintained DRed support index against an independent oracle:
+    after every step of any interleaved insert/delete sequence the
+    solver must export exactly the state a from-scratch recount on the
+    current graph yields — same facts, same support entries per fact,
+    same lengths."""
+
+    def _solver(self, cls, strategy="delta", **options):
         grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
-        graph_edges = [(0, "a", 1), (1, "b", 2), (2, "a", 3)]
-        nodes = list(range(5))
-        counting = cls(LabeledGraph.from_edges(graph_edges, nodes=nodes),
-                       grammar, strategy=strategy,
-                       support_mode="counting", **options)
-        tuples = cls(LabeledGraph.from_edges(graph_edges, nodes=nodes),
-                     grammar, strategy=strategy,
-                     support_mode="tuples", **options)
-        assert isinstance(counting._support_store.__class__.__name__, str)
-        assert counting.support_mode == "counting"
-        assert tuples.support_mode == "tuples"
-        return counting, tuples
+        graph = LabeledGraph.from_edges(
+            [(0, "a", 1), (1, "b", 2), (2, "a", 3)], nodes=list(range(5)))
+        return cls(graph, grammar, strategy=strategy, **options)
+
+    def _step(self, solver, mutator, *arguments, context=None):
+        """Run one mutator by name; its return value must be the
+        fact-count delta and the exported state the from-scratch
+        recount."""
+        before = solver.stats["total_facts"]
+        returned = getattr(solver, mutator)(*arguments)
+        grown = solver.stats["total_facts"] - before
+        assert returned == (-grown if mutator.startswith("remove")
+                            else grown), context
+        scratch = _scratch_state(solver)
+        assert solver.export_state() == scratch, context
+        assert solver.stats["support_entries"] == sum(
+            len(entries) for entries in scratch.get("supports", {}).values()
+        ), context
 
     @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(4))
     def test_interleaved_exports_identical(self, strategy, seed):
-        counting, tuples = self._pair(IncrementalCFPQ, strategy=strategy,
-                                      tile_size=2)
+        solver = self._solver(IncrementalCFPQ, strategy=strategy,
+                              tile_size=2)
         rng = random.Random(0x5EED ^ seed)
         for step, (delete, edge) in enumerate(_random_sequence(rng, 5, 16)):
-            if delete:
-                assert counting.remove_edge(*edge) == \
-                    tuples.remove_edge(*edge), (strategy, seed, step)
-            else:
-                assert counting.add_edge(*edge) == \
-                    tuples.add_edge(*edge), (strategy, seed, step)
-            assert counting.export_state() == tuples.export_state(), \
-                (strategy, seed, step)
-            assert counting.stats["support_entries"] == \
-                tuples.stats["support_entries"], (strategy, seed, step)
+            self._step(solver, "remove_edge" if delete else "add_edge",
+                       *edge, context=(strategy, seed, step))
+        assert solver.stats["support_entries"] > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_interleavings_identical(self, seed):
-        counting, tuples = self._pair(IncrementalCFPQ)
+        solver = self._solver(IncrementalCFPQ)
         rng = random.Random(0xFACE ^ seed)
         pending: list = []
         for delete, edge in _random_sequence(rng, 5, 14):
             if delete:
                 batch = pending and [pending.pop()] or [edge]
-                assert counting.remove_edges(batch) == \
-                    tuples.remove_edges(batch)
+                self._step(solver, "remove_edges", batch)
             else:
                 pending.append(edge)
                 if len(pending) >= 3:
-                    assert counting.add_edges(pending) == \
-                        tuples.add_edges(pending)
+                    self._step(solver, "add_edges", list(pending))
                     pending.clear()
-            assert counting.export_state() == tuples.export_state()
-        counting.add_edges(pending)
-        tuples.add_edges(pending)
-        assert counting.export_state() == tuples.export_state()
+        self._step(solver, "add_edges", pending)
 
+    @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_single_path_exports_identical(self, seed):
-        counting, tuples = self._pair(IncrementalSinglePathCFPQ)
+    def test_single_path_exports_identical(self, strategy, seed):
+        solver = self._solver(IncrementalSinglePathCFPQ, strategy=strategy,
+                              tile_size=2)
         rng = random.Random(0x1E57 ^ seed)
         for step, (delete, edge) in enumerate(_random_sequence(rng, 4, 12)):
-            if delete:
-                counting.remove_edge(*edge)
-                tuples.remove_edge(*edge)
-            else:
-                counting.add_edge(*edge)
-                tuples.add_edge(*edge)
-            assert counting.export_state() == tuples.export_state(), \
-                (seed, step)
+            self._step(solver, "remove_edge" if delete else "add_edge",
+                       *edge, context=(strategy, seed, step))
 
     def test_first_deletion_recount_matches_oracle(self):
-        """The one-shot counting-closure build on first deletion must
-        equal the oracle's per-fact recount exactly."""
-        counting, tuples = self._pair(IncrementalCFPQ)
-        counting.add_edges([(3, "b", 4), (4, "a", 0), (0, "a", 0)])
-        tuples.add_edges([(3, "b", 4), (4, "a", 0), (0, "a", 0)])
-        counting.remove_edge(9, "a", 9)  # no-op: activates the index
-        tuples.remove_edge(9, "a", 9)
-        assert counting._supports == tuples._supports
-        assert counting.stats["support_entries"] > 0
+        """The one-shot build on first deletion must equal the
+        from-scratch recount exactly."""
+        solver = self._solver(IncrementalCFPQ)
+        solver.add_edges([(3, "b", 4), (4, "a", 0), (0, "a", 0)])
+        assert "supports" not in solver.export_state()
+        solver.remove_edge(9, "a", 9)  # no-op: activates the index
+        assert solver.export_state()["supports"] == \
+            _scratch_state(solver)["supports"]
+        assert solver.stats["support_entries"] > 0
 
-    def test_warm_state_roundtrips_between_stores(self):
-        """A snapshot exported by one store warm-starts the other."""
-        counting, tuples = self._pair(IncrementalCFPQ)
-        counting.remove_edge(1, "b", 2)
-        tuples.remove_edge(1, "b", 2)
-        grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
+    def test_warm_state_roundtrips(self):
+        """An exported state (supports included) warm-starts a solver
+        that continues updating exactly like the original."""
+        solver = self._solver(IncrementalCFPQ)
+        solver.remove_edge(1, "b", 2)
         graph_copy = LabeledGraph.from_edges(
-            list(counting.graph.edges()), nodes=list(counting.graph.nodes))
-        adopted = IncrementalCFPQ(graph_copy, grammar,
-                                  warm_state=tuples.export_state(),
-                                  support_mode="counting")
-        assert adopted.export_state() == counting.export_state()
-        adopted.remove_edge(0, "a", 1)
-        counting.remove_edge(0, "a", 1)
-        assert adopted.export_state() == counting.export_state()
-
-    def test_env_default_mode(self, monkeypatch):
-        grammar = parse_grammar("S -> a", terminals=["a"])
-        monkeypatch.setenv("REPRO_SUPPORT_MODE", "tuples")
-        solver = IncrementalCFPQ(word_chain(["a"]), grammar)
-        assert solver.support_mode == "tuples"
-        monkeypatch.delenv("REPRO_SUPPORT_MODE")
-        solver = IncrementalCFPQ(word_chain(["a"]), grammar)
-        assert solver.support_mode == "counting"
-        with pytest.raises(ValueError):
-            IncrementalCFPQ(word_chain(["a"]), grammar,
-                            support_mode="nope")
+            list(solver.graph.edges()), nodes=list(solver.graph.nodes))
+        adopted = IncrementalCFPQ(graph_copy, solver.grammar,
+                                  warm_state=solver.export_state())
+        assert adopted.initial_closure_iterations == 0
+        assert adopted.export_state() == solver.export_state()
+        self._step(adopted, "remove_edge", 0, "a", 1)
+        self._step(adopted, "add_edges", [(0, "a", 1), (1, "b", 2)])
 
 
 @given(

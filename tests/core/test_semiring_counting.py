@@ -36,7 +36,6 @@ from test_semiring_differential import (  # noqa: E402
 from repro.core.path_index import AllPathIndex  # noqa: E402
 from repro.core.semiring import (  # noqa: E402
     COUNTING_SEMIRING,
-    SUPPORT_SEMIRING,
     WITNESS_SEMIRING,
     CountingSemiring,
     solve_annotated,
@@ -205,17 +204,20 @@ class TestClosureCountsAgainstBruteForce:
         assert counts
         assert max(counts) == COUNTING_SEMIRING.cap  # cyclic: saturated
 
-    def test_support_instance_matches_witness_entry_sets(self):
+    def test_cap_one_entries_match_witness_entry_sets(self):
+        """The entry keys of a counting cell are its one-step derivation
+        supports — with cap 1 the value-blind closure still collects
+        exactly the witness semiring's entry sets."""
         graph, grammar = make_case(3)
         witness = solve_annotated(graph, grammar, WITNESS_SEMIRING)
-        support = solve_annotated(graph, grammar, SUPPORT_SEMIRING)
+        support = solve_annotated(graph, grammar, CountingSemiring(cap=1))
         witness_cells = {
             (nt, i, j): value
             for nt, matrix in witness.matrices.items()
             for i, j, value in matrix.nonzero_cells()
         }
         support_cells = {
-            (nt, i, j): SUPPORT_SEMIRING.supports(value)
+            (nt, i, j): frozenset(entry for entry, _count in value)
             for nt, matrix in support.matrices.items()
             for i, j, value in matrix.nonzero_cells()
         }

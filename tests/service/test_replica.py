@@ -16,7 +16,7 @@ import pytest
 
 from repro import QueryService, parse_grammar
 from repro.errors import ReadOnlyReplicaError, WALError
-from repro.graph.generators import two_cycles
+from repro.graph.generators import two_cycles, word_chain
 from repro.service.replica import (
     FollowerService,
     ReplicatedService,
@@ -236,7 +236,7 @@ class TestCrossProcessDeterminism:
         script = textwrap.dedent("""
             import sys
             from repro import QueryService, parse_grammar
-            from repro.graph.generators import two_cycles
+            from repro.graph.generators import two_cycles, word_chain
 
             grammar = parse_grammar("S -> a S b | a b",
                                     terminals=["a", "b"])
@@ -387,6 +387,58 @@ class TestReplicatedServing:
                 "op": "query", "start": "S", "source": 0, "target": 0,
             })
             assert answer["ok"] and answer["result"] is True
+
+    def test_leader_relays_reply_longer_than_64k(self, tmp_path):
+        """Regression: a forwarded whole-relation reply longer than
+        asyncio's default 64 KiB stream limit used to raise out of the
+        leader's connection task (the client read EOF).  It must come
+        back whole, and the same client connection must stay usable."""
+        chain = word_chain(["a"] * 160)
+        leader = ReplicatedService(
+            QueryService(chain, parse_grammar("S -> a | a S",
+                                              terminals=["a"])),
+            TickLog(str(tmp_path / "wal")))
+        snapshot = str(tmp_path / "index.snapshot")
+        leader.save_snapshot(snapshot)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        with ServerThread(follower) as f0, \
+                ServerThread(leader, replicas=[f0.address]) as front, \
+                socket.create_connection(front.address, timeout=30) as sock:
+            stream = sock.makefile("rw", encoding="utf-8")
+            stream.write(json.dumps({"op": "query", "start": "S"}) + "\n")
+            stream.flush()
+            line = stream.readline()
+            assert len(line) > 64 * 1024
+            answer = json.loads(line)
+            assert answer["ok"], answer
+            assert len(answer["result"]) == 160 * 161 // 2
+            stream.write(json.dumps({"op": "ping"}) + "\n")
+            stream.flush()
+            assert json.loads(stream.readline())["ok"]
+        leader.close()
+        assert follower.stats["queries"] == 1  # the follower answered
+
+    def test_leader_answers_locally_when_reply_overruns_limit(
+            self, tmp_path, monkeypatch):
+        """A reply past the replica stream limit is a dead replica, not
+        a dead leader: the connection is dropped and the leader serves
+        the read itself."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "REPLICA_REPLY_LIMIT_BYTES", 256)
+        leader = _leader(tmp_path)
+        snapshot = str(tmp_path / "index.snapshot")
+        leader.save_snapshot(snapshot)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        with ServerThread(follower) as f0, \
+                ServerThread(leader, replicas=[f0.address]) as front:
+            query = {"op": "batch",
+                     "queries": [{"start": "S"} for _ in range(40)]}
+            answer = _request(front.address, query)
+            assert answer["ok"] and len(answer["result"]) == 40
+            assert _request(front.address, {"op": "ping"})["ok"]
+        leader.close()
+        assert leader.stats["queries"] == 40  # served by the leader
 
     def test_shutdown_flushes_leader_wal(self, tmp_path):
         leader = ReplicatedService(

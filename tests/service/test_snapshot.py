@@ -209,7 +209,7 @@ def test_incremental_state_round_trip(tmp_path):
     twin = IncrementalCFPQ(twin_graph, ANBN, warm_state=state)
     assert twin.initial_closure_iterations == 0
     assert twin.relations().same_as(solver.relations())
-    assert twin._supports == solver._supports
+    assert twin.export_state() == solver.export_state()
 
     # Updates after the warm start stay in lockstep.
     batch = [("p", "a", "q"), ("q", "b", "p")]
@@ -218,26 +218,34 @@ def test_incremental_state_round_trip(tmp_path):
     assert twin.relations().same_as(solver.relations())
 
 
-def test_counting_and_tuple_dred_snapshots_byte_identical(tmp_path):
-    """The acceptance contract for counting-based DRed: after an
-    interleaved insert/delete sequence, services running the counting
-    support index and the tuple-set oracle save **byte-identical**
-    snapshot files."""
+def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path):
+    """The acceptance contract for the maintained DRed support index:
+    after an interleaved insert/delete sequence a service saves the
+    **byte-identical** snapshot file of a service cold-started on the
+    final graph whose index was activated by a no-op deletion — i.e.
+    incremental maintenance equals the from-scratch recount."""
     import filecmp
     import random
 
-    from repro import QueryService
+    from repro import LabeledGraph, QueryService
 
-    paths = {}
-    for mode in ("counting", "tuples"):
-        service = QueryService(two_cycles(2, 3), ANBN,
-                               support_mode=mode)
-        rng = random.Random(0xD1FF)
-        for _ in range(6):
-            edge = (rng.randrange(8), rng.choice("ab"), rng.randrange(8))
-            service.update(inserts=[edge])
-            if rng.random() < 0.5:
-                service.update(deletes=[edge])
-        paths[mode] = str(tmp_path / f"{mode}.snapshot")
-        assert service.save_snapshot(paths[mode]) > 0
-    assert filecmp.cmp(paths["counting"], paths["tuples"], shallow=False)
+    updated = QueryService(two_cycles(2, 3), ANBN)
+    rng = random.Random(0xD1FF)
+    for _ in range(6):
+        edge = (rng.randrange(8), rng.choice("ab"), rng.randrange(8))
+        updated.update(inserts=[edge])
+        if rng.random() < 0.5:
+            updated.update(deletes=[edge])
+    final = updated.solver.graph
+    cold = QueryService(
+        LabeledGraph.from_edges(list(final.edges()), nodes=list(final.nodes)),
+        ANBN)
+    # Activate the index; the service itself filters absent-edge deletes.
+    cold.solver.remove_edge("absent", "a", "absent")
+    assert cold.solver.stats["support_entries"] > 0
+
+    updated_path = str(tmp_path / "updated.snapshot")
+    cold_path = str(tmp_path / "cold.snapshot")
+    assert updated.save_snapshot(updated_path) > 0
+    assert cold.save_snapshot(cold_path) > 0
+    assert filecmp.cmp(updated_path, cold_path, shallow=False)
