@@ -15,9 +15,12 @@ Two layers:
 
    For each batch size the sweep inserts the same random-reachability
    edge batch twice — once through the per-tuple ``add_edge`` loop,
-   once through the matrix-granular ``add_edges`` frontier — and
-   reports wall time, derived facts/s and the batch-over-per-tuple
-   speedup, plus the DRed wall time for deleting a tenth of the batch.
+   once through ``add_edges`` (the matrix-granular frontier from
+   ``SMALL_BATCH_EDGES`` = 100 new edges up, one worklist run below;
+   this sweep's 70–100 edge crossover is where that constant comes
+   from) — and reports wall time, derived facts/s and the
+   batch-over-per-tuple speedup, plus the DRed wall time for deleting
+   a tenth of the batch.
    The workload (S -> a | a S over a random graph with ~3 edges per
    node) makes insertions *interact* heavily — the regime a
    graph-database bulk load lives in: per-tuple pays one worklist pop

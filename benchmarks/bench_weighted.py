@@ -13,9 +13,9 @@ Two layers:
            --batch-sizes 200 600 --output weighted.json
 
    * **DRed deletion** — per batch size, insert a random reachability
-     batch into an incremental solver, delete a tenth of it (the first
-     deletion, so the lazy support-index build is inside the timed
-     region) and assert the relations equal a from-scratch
+     batch into an incremental solver, delete a tenth of it (the
+     solver's first deletion) and assert the relations equal a
+     from-scratch
      ``solve_matrix`` on the remaining graph.
    * **k-best vs exhaustive** — on a layered detour graph with
      ``2^hops`` end-to-end paths, time ``top_k(k=3)`` (lazy best-first
@@ -79,7 +79,7 @@ def test_viterbi_closure_funding(benchmark, query1_cnf):
 
 
 def test_dred_deletion(benchmark, query1_cnf):
-    """DRed deletion, support-index build included."""
+    """DRed deletion (the solver's first)."""
     graph = build_graph("funding")
     solver = IncrementalCFPQ(graph, query1_cnf)
     batch = [(f"N{k}", "subClassOf", f"Class{k}") for k in range(10)]

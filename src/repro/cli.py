@@ -640,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(applied after --insert)")
     update.add_argument("--json", action="store_true")
     update.add_argument("--stats", action="store_true",
-                        help="print incremental-solver stats (facts "
-                             "propagated/removed, support index size)")
+                        help="print incremental-solver stats (updates "
+                             "seen, facts propagated/removed)")
     update.set_defaults(handler=cmd_update)
 
     snapshot = subparsers.add_parser(

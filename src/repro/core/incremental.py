@@ -24,31 +24,29 @@ the closure supports semi-naive delta propagation at two granularities:
   frontier on the parallel tile engine of :mod:`repro.core.tiles`.
 
 **Deletions** break monotonicity, so :meth:`IncrementalCFPQ.remove_edges`
-runs support-counted **delete-and-rederive** (DRed) over the same
-machinery: every fact carries its *derivation supports* (the terminal
-edges, ``("empty",)`` nullability marks and binary ``(rule, midpoint)``
-splits that derive it in one step).  Removing edges (1) **over-deletes**
-the downward closure of the touched facts — count-blind, which is what
-makes the phase sound on cyclic derivations where support counts alone
-would keep self-supporting facts alive — while discarding the
-invalidated supports, then (2) **re-derives**: the over-deleted facts
-whose remaining supports are non-empty are exactly the ones one-step
-derivable from the survivors, and one ``initial_frontier`` closure run
-seeded with them restores everything still derivable.
+runs plain **delete-and-rederive** (DRed) — with no support store.
+Removing edges (1) **over-deletes** the downward closure of the touched
+facts — count-blind, which is what makes the phase sound on cyclic
+derivations where support counts would keep self-supporting facts
+alive — and drops those facts from the tuple indexes, then (2)
+**re-derives**: each over-deleted fact is *probed* for its one-step
+derivations from the survivors (a terminal edge, an ``("empty",)``
+nullability mark or a binary ``(rule, midpoint)`` split whose operands
+are still facts), and the derivations found re-enter the same
+tuple-granular worklist insertions use, which restores everything still
+derivable.  A deletion therefore costs what it over-deletes, never the
+size of the relations, and insertions carry no bookkeeping for it.
 
-The support index (:class:`SupportIndex`) is one ``dict`` from each fact
-to the set of its supports.  It is built lazily by one recount over the
-current facts on the first deletion — insertion-only workloads never pay
-for it — and from then on every mutator maintains it: the per-tuple
-worklist registers each derivation it enumerates, and a batch closure
-recounts only the facts it added (new or re-derived) from the live
-tuple indexes.
+A batch of fewer than :data:`SMALL_BATCH_EDGES` new edges takes the
+tuple-granular worklist as well: the matrix path pays O(|facts|) to
+build its operand matrices before the first product, which a small
+batch never earns back.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
-annotations on the same engine: batches run the closure over the
-length-semiring adapter (:mod:`repro.core.semiring`), and deletions
-recompute the lengths of the affected facts from the surviving
-canonical lengths, so :meth:`~IncrementalSinglePathCFPQ.length_of`
+annotations on the same engine: large batches run the closure over the
+length-semiring adapter (:mod:`repro.core.semiring`), and the worklist
+min-merges lengths — on re-derivation from the survivors' canonical
+lengths — so :meth:`~IncrementalSinglePathCFPQ.length_of`
 equals a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
 after every update.
 
@@ -81,94 +79,11 @@ Fact = tuple[Nonterminal, int, int]
 Support = tuple
 
 
-class SupportIndex:
-    """The DRed support index of one :class:`IncrementalCFPQ`: a plain
-    ``dict`` from each fact to the set of its one-step derivation
-    supports.  Inactive (and free) until :meth:`ensure` builds it on the
-    solver's first deletion; while active, every fact of the solver has
-    an entry holding *all* its one-step derivations from the current
-    graph and facts (asserted against a from-scratch recount in
-    ``tests/core/test_incremental.py``)."""
-
-    def __init__(self, solver: "IncrementalCFPQ") -> None:
-        self._solver = solver
-        self._supports: dict[Fact, set[Support]] | None = None
-
-    @property
-    def active(self) -> bool:
-        return self._supports is not None
-
-    def ensure(self) -> None:
-        """Build the index on first use (one recount over the current
-        facts; later updates maintain it)."""
-        if self._supports is None:
-            self._supports = {
-                (nonterminal, i, j): self._recount(nonterminal, i, j)
-                for nonterminal, pairs in self._solver._facts.items()
-                for (i, j) in pairs
-            }
-
-    def _recount(self, nonterminal: Nonterminal, i: int,
-                 j: int) -> set[Support]:
-        """All one-step derivations of ``(A, i, j)`` from the current
-        graph and fact indexes."""
-        solver = self._solver
-        found: set[Support] = set()
-        if i == j and nonterminal in solver._nullable:
-            found.add(("empty",))
-        for label in solver._terminals_for_head.get(nonterminal, ()):
-            if solver.graph.has_edge_id(i, label, j):
-                found.add(("edge", label))
-        for left, right in solver._bodies_for_head.get(nonterminal, ()):
-            for r in solver._by_source.get((left, i), ()):
-                if j in solver._by_source.get((right, r), ()):
-                    found.add(("split", left, right, r))
-        return found
-
-    def add(self, fact: Fact, support: Support) -> None:
-        assert self._supports is not None
-        self._supports.setdefault(fact, set()).add(support)
-
-    def discard(self, fact: Fact, support: Support) -> None:
-        assert self._supports is not None
-        recorded = self._supports.get(fact)
-        if recorded is not None:
-            recorded.discard(support)
-
-    def pop(self, fact: Fact) -> set[Support]:
-        """Drop *fact* from the index; returns the supports it still
-        had."""
-        assert self._supports is not None
-        return self._supports.pop(fact, set())
-
-    def entry_count(self) -> int:
-        if self._supports is None:
-            return 0
-        return sum(len(entries) for entries in self._supports.values())
-
-    def export(self) -> dict[Fact, set[Support]] | None:
-        if self._supports is None:
-            return None
-        return {fact: set(entries)
-                for fact, entries in self._supports.items()}
-
-    def load(self, mapping: dict) -> None:
-        self._supports = {
-            fact: set(entries) for fact, entries in mapping.items()
-        }
-
-    def after_batch(self, new_facts: list[Fact]) -> None:
-        """After a batch closure added *new_facts* (new, or re-derived
-        by DRed): recount their supports, and register the split
-        supports they newly provide to the consequences that already
-        existed."""
-        if self._supports is None:
-            return
-        for fact in new_facts:
-            self._supports[fact] = self._recount(*fact)
-        for fact in new_facts:
-            for consequence, support in self._solver._consequences(fact):
-                self._supports[consequence].add(support)
+#: ``add_edges`` batches with fewer new edges than this run the
+#: tuple-granular worklist; at or above it, the matrix frontier.  The
+#: measured crossover of ``benchmarks/bench_incremental.py`` (see
+#: README, *Incremental updates*).
+SMALL_BATCH_EDGES = 100
 
 
 class IncrementalCFPQ:
@@ -177,7 +92,7 @@ class IncrementalCFPQ:
     >>> solver = IncrementalCFPQ(graph, grammar)
     >>> solver.relations().pairs("S")
     >>> solver.add_edge("u", "a", "v")       # tuple-granular propagation
-    >>> solver.add_edges(batch)              # matrix-granular batch
+    >>> solver.add_edges(batch)              # matrix-granular when large
     >>> solver.remove_edges(batch)           # DRed delete + re-derive
     >>> solver.relations().pairs("S")        # always at the fixpoint
 
@@ -229,10 +144,6 @@ class IncrementalCFPQ:
             self._terminals_for_head[rule.head].append(rule.body[0].label)  # type: ignore[union-attr]
         self._nullable = self.grammar.nullable_diagonal
 
-        #: DRed support index.  Inactive until the first deletion:
-        #: insertion-only workloads never build it.
-        self._support_store = SupportIndex(self)
-
         self._edge_insertions = 0
         self._edge_removals = 0
         self._batch_updates = 0
@@ -270,29 +181,22 @@ class IncrementalCFPQ:
                 self._record(nonterminal, i, j)
 
     def _seed_from_state(self, state: dict) -> None:
-        """Warm start: adopt an already-closed fact set (and, when
-        present, the DRed support index) without running any closure."""
+        """Warm start: adopt an already-closed fact set without running
+        any closure."""
         for nonterminal, pairs in state.get("facts", {}).items():
             for i, j in pairs:
                 self._record(nonterminal, i, j)
-        supports = state.get("supports")
-        if supports is not None:
-            self._support_store.load(supports)
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
         of the ``warm_state`` constructor argument (used by the
         snapshot store)."""
-        state: dict = {
+        return {
             "facts": {
                 nonterminal: set(pairs)
                 for nonterminal, pairs in self._facts.items() if pairs
             },
         }
-        supports = self._support_store.export()
-        if supports is not None:
-            state["supports"] = supports
-        return state
 
     # ------------------------------------------------------------------
     # Exact per-call deltas (cache-invalidation feed)
@@ -313,17 +217,6 @@ class IncrementalCFPQ:
         start from ``warm_state``)."""
         return self._initial_iterations
 
-    def _begin_change_log(self) -> None:
-        self._change_recorder = {}
-
-    def _commit_change_log(self) -> None:
-        recorder = self._change_recorder or {}
-        self._change_recorder = None
-        self._last_changes = {
-            nonterminal: frozenset(pairs)
-            for nonterminal, pairs in recorder.items()
-        }
-
     def _log_change(self, nonterminal: Nonterminal,
                     pair: tuple[int, int]) -> None:
         if self._change_recorder is not None:
@@ -339,53 +232,32 @@ class IncrementalCFPQ:
         Returns the number of **new facts** — seeded base facts,
         nullable-diagonal facts of freshly created nodes and everything
         derived from them (0 when the edge adds nothing, e.g. a
-        duplicate).  Once deletion support is active the propagation
-        additionally maintains the derivation supports, so single-edge
-        inserts stay O(delta) instead of re-running the batch path.
+        duplicate).
         """
-        self._begin_change_log()
-        try:
-            return self._add_edge(source, label, target)
-        finally:
-            self._commit_change_log()
-
-    def _add_edge(self, source: Hashable, label: str, target: Hashable) -> int:
-        already_present = self.graph.has_edge(source, label, target)
-        new_nodes = [node for node in dict.fromkeys((source, target))
-                     if not self.graph.has_node(node)]
-        self.graph.add_edge(source, label, target)
-        self._edge_insertions += 1
-
-        base: list[tuple[Fact, Support]] = []
-        for node in new_nodes:
-            node_id = self.graph.node_id(node)
-            base += [((head, node_id, node_id), ("empty",))
-                     for head in self._nullable]
-        if not already_present:
-            i = self.graph.node_id(source)
-            j = self.graph.node_id(target)
-            base += [((head, i, j), ("edge", label))
-                     for head in self.grammar.heads_for_terminal(
-                         Terminal(label))]
-        return self._propagate(base)
+        return self.add_edges([(source, label, target)])
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
-        """Insert a batch of edges through the matrix-granular path.
+        """Insert a batch of edges; returns the number of new facts.
 
-        The batch is converted into per-non-terminal seed matrices (base
-        facts of the new edges plus nullable diagonals of new nodes) and
-        closed by one ``initial_frontier`` run of the configured closure
-        strategy — no per-tuple worklist.  Returns the number of new
-        facts.
+        The batch's base derivations (base facts of the new edges plus
+        nullable diagonals of new nodes) enter the tuple-granular
+        worklist when the batch has fewer than
+        :data:`SMALL_BATCH_EDGES` new edges.  A larger batch is
+        converted into per-non-terminal seed matrices and closed by one
+        ``initial_frontier`` run of the configured closure strategy —
+        no per-tuple worklist.
         """
-        self._begin_change_log()
+        recorder = self._change_recorder = {}
         try:
             return self._add_edges(edges)
         finally:
-            self._commit_change_log()
+            self._change_recorder = None
+            self._last_changes = {
+                nonterminal: frozenset(pairs)
+                for nonterminal, pairs in recorder.items()
+            }
 
     def _add_edges(self, edges: Iterable[Edge]) -> int:
-        edges = list(edges)
         nodes_before = self.graph.node_count
         new_edges: list[tuple[int, str, int]] = []
         for source, label, target in edges:
@@ -396,26 +268,21 @@ class IncrementalCFPQ:
             new_edges.append((self.graph.node_id(source), label,
                               self.graph.node_id(target)))
 
-        store = self._support_store
-        seeds: dict[Nonterminal, dict[tuple[int, int], object]] = {}
-        for head in self._nullable:
-            for i in range(nodes_before, self.graph.node_count):
-                seeds.setdefault(head, {})[(i, i)] = \
-                    self._seed_value((head, i, i), (("empty",),))
+        base: list[tuple[Fact, Support]] = [
+            ((head, i, i), ("empty",))
+            for head in self._nullable
+            for i in range(nodes_before, self.graph.node_count)
+        ]
         for i, label, j in new_edges:
-            for head in self.grammar.heads_for_terminal(Terminal(label)):
-                seeds.setdefault(head, {}).setdefault(
-                    (i, j), self._seed_value((head, i, j), (("edge", label),)))
-                if store.active and (i, j) in self._facts[head]:
-                    # The batch closure recounts only the facts it adds;
-                    # a pre-existing fact gains the fresh edge here.
-                    store.add((head, i, j), ("edge", label))
-        if not seeds:
-            return 0
-        return self._run_batch(seeds)
+            base += [((head, i, j), ("edge", label))
+                     for head in self.grammar.heads_for_terminal(
+                         Terminal(label))]
+        if len(new_edges) < SMALL_BATCH_EDGES:
+            return self._propagate(base)
+        return self._run_batch(base) if base else 0
 
     # ------------------------------------------------------------------
-    # Mutation: deletion (support-counted DRed)
+    # Mutation: deletion (DRed)
     # ------------------------------------------------------------------
     def remove_edge(self, source: Hashable, label: str,
                     target: Hashable) -> int:
@@ -427,46 +294,40 @@ class IncrementalCFPQ:
         """Remove a batch of edges with delete-and-rederive.
 
         Phase 1 *over-deletes* the downward closure of every fact a
-        removed edge supported (count-blind — sound even when facts
-        support each other in cycles), discarding the invalidated
-        supports along the way.  Phase 2 *re-derives*: over-deleted
-        facts whose surviving supports are non-empty re-enter as the
-        ``initial_frontier`` of one closure run, which restores every
-        fact still derivable.  Returns the number of facts permanently
-        removed from the relations.
+        removed edge derived (count-blind — sound even when facts
+        support each other in cycles).  Phase 2 *re-derives*: each
+        over-deleted fact is probed for its one-step derivations from
+        the survivors (:meth:`_derivations`), and those re-enter the
+        tuple-granular worklist, which restores every fact still
+        derivable.  The work is proportional to the over-deleted set,
+        not to the relations.  Returns the number of facts permanently
+        removed.
         """
-        store = self._support_store
-        store.ensure()
         self._last_changes = {}
 
-        worklist: deque[Fact] = deque()
+        overdeleted: set[Fact] = set()
         for source, label, target in edges:
             self._edge_removals += 1
             if not self.graph.remove_edge(source, label, target):
                 continue
             i = self.graph.node_id(source)
             j = self.graph.node_id(target)
-            for head in self.grammar.heads_for_terminal(Terminal(label)):
-                fact = (head, i, j)
-                store.discard(fact, ("edge", label))
-                if (i, j) in self._facts.get(head, ()):
-                    worklist.append(fact)
+            overdeleted.update(
+                (head, i, j)
+                for head in self.grammar.heads_for_terminal(Terminal(label))
+                if (i, j) in self._facts.get(head, ()))
 
-        # Phase 1: over-delete the downward closure, invalidating every
-        # support an over-deleted fact provided.  The tuple indexes
+        # Phase 1: over-delete the downward closure.  The tuple indexes
         # still reflect the pre-deletion database, which is exactly the
         # over-approximation DRed's deletion phase needs.
         tracer = get_tracer()
-        overdeleted: set[Fact] = set()
         with tracer.span("dred.overdelete") as phase_span:
+            worklist = deque(overdeleted)
             while worklist:
-                fact = worklist.popleft()
-                if fact in overdeleted:
-                    continue
-                overdeleted.add(fact)
-                for consequence, support in self._consequences(fact):
-                    store.discard(consequence, support)
+                for consequence, _support in self._consequences(
+                        worklist.popleft()):
                     if consequence not in overdeleted:
+                        overdeleted.add(consequence)
                         worklist.append(consequence)
             phase_span.set("overdeleted", len(overdeleted))
 
@@ -475,13 +336,7 @@ class IncrementalCFPQ:
 
         # Annotation values before the delete (single-path: lengths) so
         # re-derived facts whose annotation moved land in last_changes.
-        annotation_snapshot = self._annotations_of(overdeleted)
-
-        # Surviving supports of the over-deleted facts, taken as their
-        # entries leave the support index: a surviving support means the
-        # fact is one-step derivable from facts outside the over-deleted
-        # set — exactly the re-derivation seeds.
-        remaining_by_fact = {fact: store.pop(fact) for fact in overdeleted}
+        before = {fact: self._annotation(fact) for fact in overdeleted}
         for fact in overdeleted:
             nonterminal, i, j = fact
             self._facts[nonterminal].discard((i, j))
@@ -489,29 +344,25 @@ class IncrementalCFPQ:
             self._by_target[(nonterminal, j)].discard(i)
             self._on_fact_removed(fact)
 
-        # Phase 2: re-derive from the survivors.
-        with tracer.span("dred.rederive") as phase_span:
-            seeds: dict[Nonterminal, dict[tuple[int, int], object]] = {}
-            for fact, remaining in remaining_by_fact.items():
-                if not remaining:
-                    continue
-                nonterminal, i, j = fact
-                seeds.setdefault(nonterminal, {})[(i, j)] = \
-                    self._seed_value(fact, remaining)
-            phase_span.set("seeds", sum(len(cells)
-                                        for cells in seeds.values()))
-            if seeds:
-                self._run_batch(seeds)
+        # Phase 2: re-derive from the survivors.  A probe that runs
+        # after an earlier one's fact re-entered may already see it as
+        # an operand; that derivation is just as valid, and the worklist
+        # refines any annotation it carried too high.
+        with tracer.span("dred.rederive"):
+            self._propagate(
+                (fact, support)
+                for fact in overdeleted
+                for support in self._derivations(fact))
 
         removed = 0
         changes: dict[Nonterminal, set[tuple[int, int]]] = {}
-        for fact in overdeleted:
+        for fact, annotation in before.items():
             nonterminal, i, j = fact
-            if (i, j) not in self._facts.get(nonterminal, ()):
+            if (i, j) not in self._facts[nonterminal]:
                 removed += 1
-                changes.setdefault(nonterminal, set()).add((i, j))
-            elif self._annotation_changed(fact, annotation_snapshot):
-                changes.setdefault(nonterminal, set()).add((i, j))
+            elif self._annotation(fact) == annotation:
+                continue
+            changes.setdefault(nonterminal, set()).add((i, j))
         self._last_changes = {
             nonterminal: frozenset(pairs)
             for nonterminal, pairs in changes.items()
@@ -546,9 +397,7 @@ class IncrementalCFPQ:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Instrumentation: updates seen, facts propagated/removed, and
-        the size of the DRed support index (0 until a deletion
-        activates it)."""
+        """Instrumentation: updates seen and facts propagated/removed."""
         return {
             "edge_insertions": self._edge_insertions,
             "edge_removals": self._edge_removals,
@@ -556,15 +405,15 @@ class IncrementalCFPQ:
             "propagated_facts": self._propagated_facts,
             "facts_removed": self._facts_removed,
             "total_facts": sum(len(pairs) for pairs in self._facts.values()),
-            "support_entries": self._support_store.entry_count(),
         }
 
     # ------------------------------------------------------------------
-    # Batch engine (shared by add_edges and the re-derive phase)
+    # Batch engine (large add_edges batches)
     # ------------------------------------------------------------------
-    def _run_batch(self, seeds: dict) -> int:
-        """Close the current state with *seeds* as the initial frontier;
-        absorb and return the number of facts that appeared."""
+    def _run_batch(self, base: list[tuple[Fact, Support]]) -> int:
+        """Close the current state with the *base* derivations as the
+        initial frontier; absorb and return the number of facts that
+        appeared."""
         n = self.graph.node_count
         with get_tracer().span("frontier.run",
                                strategy=self.strategy) as span:
@@ -572,13 +421,12 @@ class IncrementalCFPQ:
             result = run_closure(
                 matrices, self._pair_rules, self._batch_backend(),
                 strategy=self.strategy,
-                initial_frontier=self._seed_matrices(n, seeds),
+                initial_frontier=self._seed_matrices(n, base),
                 **self.strategy_options)
             self._batch_updates += 1
             new_facts = self._absorb(result.matrices)
             span.set("new_facts", len(new_facts))
         self._propagated_facts += len(new_facts)
-        self._support_store.after_batch(new_facts)
         return len(new_facts)
 
     def _batch_backend(self):
@@ -593,12 +441,14 @@ class IncrementalCFPQ:
             for nt in self.grammar.nonterminals
         }
 
-    def _seed_matrices(self, n: int, seeds: dict) -> dict:
+    def _seed_matrices(self, n: int,
+                       base: list[tuple[Fact, Support]]) -> dict:
         backend = self._batch_backend()
-        return {
-            nt: backend.from_pairs(n, cells.keys())
-            for nt, cells in seeds.items()
-        }
+        pairs: dict[Nonterminal, set[tuple[int, int]]] = {}
+        for (nonterminal, i, j), _support in base:
+            pairs.setdefault(nonterminal, set()).add((i, j))
+        return {nt: backend.from_pairs(n, cells)
+                for nt, cells in pairs.items()}
 
     def _absorb(self, matrices: dict) -> list[Fact]:
         """Record the closed matrices into the tuple indexes; returns
@@ -630,25 +480,13 @@ class IncrementalCFPQ:
         for j, sources in cols.items():
             self._by_target[(nonterminal, j)].update(sources)
 
-    def _seed_value(self, fact: Fact, supports: Iterable[Support]):
-        """The frontier cell value of *fact* seeded through *supports*
-        (presence for the base solver; annotated subclasses fold the
-        supports' annotations)."""
-        return True
-
     def _on_fact_removed(self, fact: Fact) -> None:
         """Hook for annotated subclasses (drop per-fact annotations)."""
 
-    def _annotations_of(self, facts: set[Fact]) -> dict:
-        """Pre-deletion annotation values of *facts* (empty for the
-        presence-only base solver — re-derived boolean cells cannot
-        change value)."""
-        return {}
-
-    def _annotation_changed(self, fact: Fact, snapshot: dict) -> bool:
-        """Did the DRed pass leave *fact* present with a different
-        annotation than *snapshot* recorded?"""
-        return False
+    def _annotation(self, fact: Fact):
+        """The annotation *fact* carries (none on the presence-only base
+        solver — a re-derived boolean cell cannot change value)."""
+        return None
 
     # ------------------------------------------------------------------
     # Tuple-granular engine
@@ -674,6 +512,24 @@ class IncrementalCFPQ:
             for k in tuple(self._by_target.get((left, i), ())):
                 yield (head, k, j), support
 
+    def _derivations(self, fact: Fact):
+        """Every one-step derivation (support) of *fact* from the
+        current graph and fact indexes — the DRed re-derivation probe.
+        It iterates no live index row, so the caller may record facts
+        while consuming it."""
+        nonterminal, i, j = fact
+        if i == j and nonterminal in self._nullable:
+            yield ("empty",)
+        for label in self._terminals_for_head.get(nonterminal, ()):
+            if self.graph.has_edge_id(i, label, j):
+                yield ("edge", label)
+        for left, right in self._bodies_for_head.get(nonterminal, ()):
+            midpoints = self._by_source.get((left, i))
+            if midpoints:
+                for r in midpoints.intersection(
+                        self._by_target.get((right, j), ())):
+                    yield ("split", left, right, r)
+
     def _improve(self, fact: Fact, support: Support) -> tuple[bool, bool]:
         """Apply one one-step derivation of *fact*; returns ``(added,
         improved)``.  Presence-only: a fact is added iff absent and
@@ -685,25 +541,16 @@ class IncrementalCFPQ:
         return True, False
 
     def _propagate(self, derivations: Iterable[tuple[Fact, Support]]) -> int:
-        """The tuple-granular worklist: apply the given base
+        """The tuple-granular worklist: apply the given
         ``(fact, support)`` derivations, then every derivation they
-        entail; returns the number of new facts.
-
-        Each enumerated derivation records or refines its fact
-        (:meth:`_improve`) and, with the DRed support index active, is
-        registered as a support — also of a fact that already exists,
-        which is what keeps the index exact (every derivation of a delta
-        fact involves at least one delta operand, and each such
-        combination is enumerated when that operand pops)."""
-        store = self._support_store if self._support_store.active else None
+        entail; returns the number of new facts.  Each enumerated
+        derivation records or refines its fact (:meth:`_improve`)."""
         improve = self._improve
         worklist: deque[Fact] = deque()
         created = 0
         while True:
             for fact, support in derivations:
                 added, improved = improve(fact, support)
-                if store is not None:
-                    store.add(fact, support)
                 if added or improved:
                     worklist.append(fact)
                     created += added
@@ -726,12 +573,12 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     * :meth:`add_edge` propagates at tuple granularity with the min-merge
       rule: a fact whose recorded length *improves* re-enters the
       worklist.
-    * :meth:`add_edges` runs the batch closure over the length-semiring
-      matrix adapter, whose ``union_update`` feeds refinements back into
-      the semi-naive frontier.
+    * :meth:`add_edges` runs a large batch's closure over the
+      length-semiring matrix adapter, whose ``union_update`` feeds
+      refinements back into the semi-naive frontier.
     * :meth:`remove_edges` (inherited DRed) drops the lengths of the
-      over-deleted facts and recomputes the affected submatrix from the
-      surviving canonical lengths — survivors outside the downward
+      over-deleted facts and re-derives them on the same worklist from
+      the surviving canonical lengths — survivors outside the downward
       closure cannot change, so their annotations are reused as-is.
 
     ``length_of`` therefore equals a from-scratch
@@ -816,12 +663,16 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
             for nt in self.grammar.nonterminals
         }
 
-    def _seed_matrices(self, n: int, seeds: dict) -> dict:
+    def _seed_matrices(self, n: int,
+                       base: list[tuple[Fact, Support]]) -> dict:
         backend = self._batch_backend()
-        return {
-            nt: backend.from_cells((n, n), cells, symbol=nt)
-            for nt, cells in seeds.items()
-        }
+        cells: dict[Nonterminal, dict[tuple[int, int], int]] = {}
+        for fact, support in base:
+            row = cells.setdefault(fact[0], {})
+            length = self._derivation_length(fact, support)
+            row[fact[1:]] = min(length, row.get(fact[1:], length))
+        return {nt: backend.from_cells((n, n), row, symbol=nt)
+                for nt, row in cells.items()}
 
     def _absorb(self, matrices: dict) -> list[Fact]:
         new_facts: list[Fact] = []
@@ -858,23 +709,11 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         _nonterminal, i, j = fact
         return self._lengths[(left, i, r)] + self._lengths[(right, r, j)]
 
-    def _seed_value(self, fact: Fact, supports: Iterable[Support]) -> int:
-        """Min length over the given derivations.  For a re-derivation
-        seed they are the surviving supports — their operands are all
-        survivors, so their canonical lengths are available; the closure
-        run then refines downward if a shorter route re-appears through
-        other re-derived facts."""
-        return min(self._derivation_length(fact, support)
-                   for support in supports)
-
     def _on_fact_removed(self, fact: Fact) -> None:
         self._lengths.pop(fact, None)
 
-    def _annotations_of(self, facts: set[Fact]) -> dict:
-        return {fact: self._lengths.get(fact) for fact in facts}
-
-    def _annotation_changed(self, fact: Fact, snapshot: dict) -> bool:
-        return self._lengths.get(fact) != snapshot.get(fact)
+    def _annotation(self, fact: Fact) -> int | None:
+        return self._lengths.get(fact)
 
     # ------------------------------------------------------------------
     # Tuple-granular engine

@@ -232,8 +232,8 @@ class CountingSemiring(Semiring):
     derivation trees routed through that decomposition, saturating at
     ``cap``.  The cell's total derivation count is the saturating sum
     over its entries (:meth:`count`); the entry keys are the cell's
-    one-step derivation supports, the same sets the DRed support index
-    of :mod:`repro.core.incremental` maintains.
+    one-step derivations, the same ones the DRed re-derivation probe of
+    :mod:`repro.core.incremental` enumerates.
 
     ⊗ emits one ``split`` entry whose count is the saturating product of
     the operand counts; ⊕ and ``merge`` take the *per-entry maximum*.

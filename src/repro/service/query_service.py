@@ -249,8 +249,11 @@ class QueryService:
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._cache_lock = threading.Lock()
-        self._sp_index = None
-        self._forest = None
+        # Path indexes over the current fixpoint ("single-path",
+        # "forest"): dropped by tick(), rebuilt by the first path query
+        # after it — by one reader; the others wait on the mutex.
+        self._path_indexes: dict[str, object] = {}
+        self._path_index_lock = threading.Lock()
         self._kbest_cache: OrderedDict[tuple, _KBestStream] = OrderedDict()
         self._kbest_lock = threading.Lock()
         self._topk_queries = 0
@@ -378,8 +381,8 @@ class QueryService:
         return dict(self._snapshot_meta)
 
     def save_snapshot(self, path: str, extra: "dict | None" = None) -> int:
-        """Persist the current fixpoint (facts, lengths, DRed supports)
-        plus the relational matrices, so both :meth:`from_snapshot` and
+        """Persist the current fixpoint (facts, lengths) plus the
+        relational matrices, so both :meth:`from_snapshot` and
         :meth:`CFPQEngine.from_snapshot <repro.core.engine.CFPQEngine.from_snapshot>`
         can warm-start from it.  Returns the snapshot size in bytes.
 
@@ -672,10 +675,22 @@ class QueryService:
             f"{SERVICE_SEMANTICS}"
         )
 
+    def _path_index(self, name: str, build):
+        """The lazily built path index *name*, single-flight: callers
+        hold the shared read lock, so after a tick several can find it
+        missing at once — one builds, the rest re-check under the mutex
+        and reuse it."""
+        index = self._path_indexes.get(name)
+        if index is None:
+            with self._path_index_lock:
+                index = self._path_indexes.get(name)
+                if index is None:
+                    index = self._path_indexes[name] = build()
+        return index
+
     def _single_path_index(self):
-        if self._sp_index is None:
-            self._sp_index = self.solver.single_path_index()
-        return self._sp_index
+        return self._path_index("single-path",
+                                self.solver.single_path_index)
 
     # ------------------------------------------------------------------
     # k-best paths
@@ -684,11 +699,9 @@ class QueryService:
         """The witness forest over the current fixpoint, built lazily
         after a tick (like the single-path index) and shared by every
         cached k-best stream."""
-        if self._forest is None:
-            self._forest = AllPathIndex.build(
-                self.solver.graph, self.solver.grammar,
-                strategy=self.strategy, **self.strategy_options)
-        return self._forest
+        return self._path_index("forest", lambda: AllPathIndex.build(
+            self.solver.graph, self.solver.grammar,
+            strategy=self.strategy, **self.strategy_options))
 
     def _rank_adapter(self):
         if self.semiring == "viterbi":
@@ -807,7 +820,7 @@ class QueryService:
             solver = self.solver
             # Deleting an absent edge is a no-op; filtering here keeps a
             # retract-in-tick pattern from triggering a pointless DRed
-            # pass (and the lazy support-index build that comes with it).
+            # pass.
             deletes = [edge for edge in deletes
                        if solver.graph.has_edge(*edge)]
             changed: set[Nonterminal] = set()
@@ -821,8 +834,7 @@ class QueryService:
                 facts_added = solver.add_edges(inserts)
                 frontier_runs = 1
                 changed.update(solver.last_changes)
-            self._sp_index = None
-            self._forest = None
+            self._path_indexes.clear()
             # The padded batch matrices mirror the closed facts per
             # nonterminal; drop exactly the changed ones (a node-count
             # change is caught by the rebuild check at next build).

@@ -4,7 +4,7 @@ Every process that loads a graph re-pays the closure before it can
 answer a single query.  A snapshot persists the *solved* state — the
 graph node map, the CNF grammar (with its nullable diagonal), the
 per-non-terminal boolean matrices, the length/witness annotations and,
-when available, the incremental solver's fact/support sets — so a
+when available, the incremental solver's fact sets — so a
 server restart costs O(load) instead of O(solve).
 
 Format
@@ -295,9 +295,8 @@ def decode_boolean_matrices(doc: dict, backend: "str | None" = None,
 # ----------------------------------------------------------------------
 
 def _encode_entry(entry: tuple) -> list:
-    """Flatten one witness/support entry to plain data.  The shapes are
-    shared between the witness semiring and the DRed support index:
-    ``("edge", label)``, ``("empty",)``, ``("split", B, C, r)``."""
+    """Flatten one witness entry to plain data: ``("edge", label)``,
+    ``("empty",)`` or ``("split", B, C, r)``."""
     tag = entry[0]
     if tag == "split":
         return ["split", entry[1].name, entry[2].name, entry[3]]
@@ -408,7 +407,7 @@ def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, AnnotatedMatrix]:
 
 
 # ----------------------------------------------------------------------
-# Incremental solver state (facts / supports / lengths)
+# Incremental solver state (facts / lengths)
 # ----------------------------------------------------------------------
 
 def encode_incremental_state(state: dict) -> dict:
@@ -428,18 +427,13 @@ def encode_incremental_state(state: dict) -> dict:
             ([nonterminal.name, i, j, length]
              for (nonterminal, i, j), length in state["lengths"].items()),
         )
-    if "supports" in state:
-        doc["supports"] = sorted(
-            ([[nonterminal.name, i, j],
-              sorted((_encode_entry(entry) for entry in entries),
-                     key=_entry_sort_key)]
-             for (nonterminal, i, j), entries in state["supports"].items()),
-            key=lambda item: item[0],
-        )
     return doc
 
 
 def decode_incremental_state(doc: dict) -> dict:
+    """Inverse of :func:`encode_incremental_state`.  Other sections are
+    ignored: snapshots written before DRed went store-free also carry
+    the per-fact derivation sets it no longer needs."""
     state: dict = {
         "facts": {
             Nonterminal(name): {tuple(pair) for pair in pairs}
@@ -450,12 +444,6 @@ def decode_incremental_state(doc: dict) -> dict:
         state["lengths"] = {
             (Nonterminal(name), i, j): length
             for name, i, j, length in doc["lengths"]
-        }
-    if "supports" in doc:
-        state["supports"] = {
-            (Nonterminal(name), i, j):
-                {_decode_entry(entry) for entry in entries}
-            for (name, i, j), entries in doc["supports"]
         }
     return state
 

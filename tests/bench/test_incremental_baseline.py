@@ -41,6 +41,17 @@ def test_batch_speedup_at_least_2x():
     assert cell["per_tuple_wall_time_s"] >= 2.0 * cell["batch_wall_time_s"]
 
 
+def test_small_batch_and_delete_ratios():
+    """ROADMAP [3b], as pinned (CI's bench-smoke asserts the same on its
+    fresh run): a 10-edge batch is no slower than the per-tuple loop —
+    both run the worklist — and the DRed delete of a tenth of the
+    1000-edge load stays within 10× of loading it."""
+    cells = _load()["batch_sizes"]
+    assert cells["10"]["speedup"] >= 0.8
+    assert cells["1000"]["delete_wall_time_s"] \
+        <= 10 * cells["1000"]["batch_wall_time_s"]
+
+
 def test_batch_speedup_live():
     """Live guard: re-measure the 1000-edge cell so a regression of the
     batch path cannot hide behind the pinned JSON.  Best-of-repeats

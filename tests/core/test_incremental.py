@@ -3,26 +3,48 @@
 Core invariant: after any interleaved insert/delete sequence the
 incremental state (relations *and* single-path lengths) equals a
 from-scratch solve on the final graph — checked across closure
-strategies × matrix backends.
+strategies × matrix backends, and across both ``add_edges`` routes (the
+batches here are far below ``SMALL_BATCH_EDGES``, so the matrix frontier
+only runs where a test forces it).
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
-from repro.core.matrix_cfpq import solve_matrix_relations
-from repro.core.semiring import (
-    LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
-    solve_annotated,
+from repro.core import incremental as incremental_module
+from repro.core.incremental import (
+    SMALL_BATCH_EDGES,
+    IncrementalCFPQ,
+    IncrementalSinglePathCFPQ,
 )
+from repro.core.matrix_cfpq import solve_matrix_relations
+from repro.core.semiring import LENGTH_SEMIRING, solve_annotated
 from repro.core.single_path import build_single_path_index
 from repro.grammar.parser import parse_grammar
 from repro.graph.generators import two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
+
+
+def _force_route(monkeypatch, route: str) -> None:
+    """``"matrix"``: every insertion with a new edge — ``add_edge``
+    included — runs the matrix frontier; ``"tuples"``: none does."""
+    monkeypatch.setattr(incremental_module, "SMALL_BATCH_EDGES",
+                        {"matrix": 1, "tuples": sys.maxsize}[route])
+
+
+@pytest.fixture
+def matrix_route(monkeypatch):
+    _force_route(monkeypatch, "matrix")
+
+
+@pytest.fixture(params=["tuples", "matrix"])
+def route(request, monkeypatch):
+    _force_route(monkeypatch, request.param)
+    return request.param
 
 
 class TestBasics:
@@ -64,7 +86,9 @@ class TestBasics:
         assert stats["edge_insertions"] == 1
         assert stats["edge_removals"] == 0
         assert stats["total_facts"] >= 3
-        assert stats["support_entries"] == 0  # insertion-only: lazy
+        assert set(stats) == {
+            "edge_insertions", "edge_removals", "batch_updates",
+            "propagated_facts", "facts_removed", "total_facts"}
 
 
 class TestCountContract:
@@ -125,6 +149,7 @@ class TestInsertionOrder:
         assert incremental.pairs("S") == batch.pairs("S")
 
 
+@pytest.mark.usefixtures("matrix_route")
 class TestBatchInsert:
     """The matrix-granular add_edges path."""
 
@@ -140,14 +165,18 @@ class TestBatchInsert:
         scratch = solve_matrix_relations(incremental.graph, dyck_grammar)
         assert incremental.relations().same_as(scratch), strategy
 
-    def test_batch_equals_per_tuple(self, dyck_grammar, backend_name):
+    def test_batch_equals_per_tuple(self, dyck_grammar, backend_name,
+                                    monkeypatch):
         edges = [(0, "a", 1), (1, "b", 2), (2, "a", 3), (3, "b", 0),
                  (0, "a", 4), (4, "b", 0)]
         batched = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar,
                                   backend=backend_name)
         tupled = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar)
         count_batch = batched.add_edges(edges)
+        assert batched.stats["batch_updates"] == 1
+        _force_route(monkeypatch, "tuples")
         count_tuple = sum(tupled.add_edge(*edge) for edge in edges)
+        assert tupled.stats["batch_updates"] == 0
         assert count_batch == count_tuple
         assert batched.relations().same_as(tupled.relations())
 
@@ -233,30 +262,28 @@ class TestDeletion:
         stats = incremental.stats
         assert stats["edge_removals"] == 1
         assert stats["facts_removed"] >= 1
-        assert stats["support_entries"] >= 0
 
-    def test_inserted_edge_supports_pre_existing_fact(self):
-        """Regression: inserting an edge whose head fact already exists
-        must register the edge as a support — otherwise the next
-        deletion over-deletes a still-derivable fact."""
+    def test_inserted_edge_supports_pre_existing_fact(self, route):
+        """Regression: an inserted edge whose head fact already exists
+        adds no fact, yet the next deletion must find it as a surviving
+        derivation — not over-delete a still-derivable fact."""
         grammar = parse_grammar("S -> a | b", terminals=["a", "b"])
         incremental = IncrementalCFPQ(
             LabeledGraph.from_edges([(0, "a", 1)]), grammar)
-        incremental.remove_edge(9, "a", 9)   # no-op; activates supports
+        incremental.remove_edge(9, "a", 9)   # no-op
         incremental.add_edges([(0, "b", 1)])  # S(0,1) already exists
         assert incremental.remove_edges([(0, "a", 1)]) == 0
         assert incremental.pairs("S") == {(0, 1)}
         scratch = solve_matrix_relations(incremental.graph, grammar)
         assert incremental.relations().same_as(scratch)
 
-    def test_per_tuple_inserts_maintain_supports(self):
-        """Same scenario through add_edge: with supports active the
-        per-tuple path must keep the index exact (it no longer routes
-        through the batch engine)."""
+    def test_per_tuple_inserts_then_deletion(self):
+        """Same scenario through add_edge, with split derivations in
+        play."""
         grammar = parse_grammar("S -> a | b | S S", terminals=["a", "b"])
         incremental = IncrementalCFPQ(
             LabeledGraph.from_edges([(0, "a", 1), (1, "a", 2)]), grammar)
-        incremental.remove_edge(9, "a", 9)   # activates supports
+        incremental.remove_edge(9, "a", 9)   # no-op
         incremental.add_edge(0, "b", 1)      # base fact pre-exists
         incremental.add_edge(2, "b", 0)      # new facts via S S
         assert incremental.remove_edges([(0, "a", 1), (1, "a", 2)]) > 0
@@ -265,21 +292,21 @@ class TestDeletion:
         # S(0,1) must have survived through the b-edge.
         assert (0, 1) in incremental.pairs("S")
 
-    def test_single_path_per_tuple_supports_after_deletion(self):
+    def test_single_path_per_tuple_inserts_then_deletion(self):
         grammar = parse_grammar("S -> a | b | S S", terminals=["a", "b"])
         incremental = IncrementalSinglePathCFPQ(
             LabeledGraph.from_edges([(0, "a", 1), (1, "a", 2)]), grammar)
-        incremental.remove_edge(9, "a", 9)   # activates supports
+        incremental.remove_edge(9, "a", 9)   # no-op
         incremental.add_edge(0, "b", 1)
         incremental.add_edge(2, "a", 0)
         incremental.remove_edge(0, "a", 1)
         index = build_single_path_index(incremental.graph, grammar)
         assert index.cells == _cells_of(incremental)
 
-    def test_insertions_after_deletion_maintain_supports(self, dyck_grammar):
+    def test_insertions_after_deletion(self, dyck_grammar, route):
         incremental = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar)
-        incremental.remove_edge(0, "a", 1)       # activates supports
-        incremental.add_edge(0, "a", 1)          # routed through batch
+        incremental.remove_edge(0, "a", 1)
+        incremental.add_edge(0, "a", 1)
         incremental.add_edges([(0, "a", 3), (3, "b", 0)])
         incremental.remove_edges([(0, "a", 3), (2, "b", 3)])
         scratch = solve_matrix_relations(incremental.graph, dyck_grammar)
@@ -297,6 +324,13 @@ class TestDeletion:
         # only the a-proxy fact at (0, 3) dies; S(0, 3) survives longer
         assert incremental.remove_edge(0, "a", 3) == 1
         assert incremental.length_of("S", 0, 3) == 3
+        # ...and the re-derived cell counts as changed, next to the
+        # removed one.
+        cell = (graph.node_id(0), graph.node_id(3))
+        changed = {nonterminal.name: pairs for nonterminal, pairs
+                   in incremental.last_changes.items()}
+        assert changed.pop("S") == {cell}
+        assert list(changed.values()) == [{cell}]
         index = build_single_path_index(incremental.graph, grammar)
         assert index.cells == _cells_of(incremental)
 
@@ -326,7 +360,7 @@ class TestNullableDiagonal:
         assert (fresh, fresh) in incremental.pairs("S")
         assert count >= 1  # at least the diagonal fact
 
-    def test_new_node_gets_diagonal_in_batch(self):
+    def test_new_node_gets_diagonal_in_batch(self, route):
         incremental = IncrementalCFPQ(word_chain(["a", "b"]), self._grammar())
         incremental.add_edges([("p", "a", "q"), ("q", "b", "r")])
         for node in ("p", "q", "r"):
@@ -348,7 +382,7 @@ class TestNullableDiagonal:
         assert incremental.pairs("S") == {(0, 0), (1, 1), (2, 2)}
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_growing_node_set_property(self, seed):
+    def test_growing_node_set_property(self, seed, monkeypatch):
         """Insertion sequences that keep introducing new nodes must
         resize cleanly and pick up the nullable diagonals (property
         test, per-tuple and batch paths compared to scratch)."""
@@ -358,6 +392,8 @@ class TestNullableDiagonal:
         per_tuple = IncrementalCFPQ(LabeledGraph(), grammar)
         batched = IncrementalCFPQ(LabeledGraph(), grammar,
                                   strategy="delta")
+        # Two or more new edges: the matrix frontier.
+        monkeypatch.setattr(incremental_module, "SMALL_BATCH_EDGES", 2)
         next_node = 0
         for step in range(8):
             edges = []
@@ -401,6 +437,7 @@ def _random_sequence(rng: random.Random, nodes: int, steps: int):
 @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked",
                                       "autotune"])
 @pytest.mark.parametrize("seed", range(4))
+@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_updates_equal_scratch_across_strategies(strategy, seed):
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
     rng = random.Random(0xDE1E7E ^ seed)
@@ -420,6 +457,7 @@ def test_interleaved_updates_equal_scratch_across_strategies(strategy, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_updates_equal_scratch_across_backends(backend_name,
                                                            seed):
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -443,6 +481,7 @@ def test_interleaved_updates_equal_scratch_across_backends(backend_name,
 
 @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
 @pytest.mark.parametrize("seed", range(3))
+@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_single_path_equals_scratch(strategy, seed):
     """relations() and length_of must both match a from-scratch
     SinglePathIndex after every interleaved batch."""
@@ -490,39 +529,55 @@ def test_incremental_equals_scratch_property(seed, initial_edges,
 
 
 def _scratch_state(solver) -> dict:
-    """What ``solver.export_state()`` must equal, recounted from scratch
-    on the solver's current graph by an engine that shares no code with
-    the maintained index: the witness semiring's entry sets *are* the
-    one-step derivation supports of every fact, and the length semiring
-    gives the canonical witness lengths."""
-    witness = solve_annotated(solver.graph, solver.grammar, WITNESS_SEMIRING,
-                              normalize=False)
+    """What ``solver.export_state()`` must equal, solved from scratch on
+    the solver's current graph by an engine that shares no code with the
+    incremental one: the length-semiring closure gives the facts and
+    their canonical witness lengths."""
+    closed = solve_annotated(solver.graph, solver.grammar, LENGTH_SEMIRING,
+                             normalize=False)
+    lengths = {
+        (nonterminal, i, j): length
+        for nonterminal, matrix in closed.matrices.items()
+        for i, j, length in matrix.nonzero_cells()
+    }
     facts: dict = {}
-    supports: dict = {}
-    for nonterminal, matrix in witness.matrices.items():
-        for i, j, entries in matrix.nonzero_cells():
-            facts.setdefault(nonterminal, set()).add((i, j))
-            supports[(nonterminal, i, j)] = set(entries)
+    for nonterminal, i, j in lengths:
+        facts.setdefault(nonterminal, set()).add((i, j))
     state: dict = {"facts": facts}
-    if solver._support_store.active:
-        state["supports"] = supports
     if isinstance(solver, IncrementalSinglePathCFPQ):
-        lengths = solve_annotated(solver.graph, solver.grammar,
-                                  LENGTH_SEMIRING, normalize=False)
-        state["lengths"] = {
-            (nonterminal, i, j): length
-            for nonterminal, matrix in lengths.matrices.items()
-            for i, j, length in matrix.nonzero_cells()
-        }
+        state["lengths"] = lengths
     return state
 
 
-class TestSupportIndexDifferential:
-    """The maintained DRed support index against an independent oracle:
-    after every step of any interleaved insert/delete sequence the
-    solver must export exactly the state a from-scratch recount on the
-    current graph yields — same facts, same support entries per fact,
-    same lengths."""
+def _state_delta(before: dict, after: dict) -> dict:
+    """The cells whose content differs between two scratch states —
+    what ``last_changes`` must report for the call that led from one to
+    the other (presence, and on the single-path solver the length)."""
+    def cells(state):
+        if "lengths" in state:
+            return state["lengths"]
+        return {(nonterminal, i, j): True
+                for nonterminal, pairs in state["facts"].items()
+                for i, j in pairs}
+
+    old, new = cells(before), cells(after)
+    changed: dict = {}
+    for fact in old.keys() | new.keys():
+        if old.get(fact) != new.get(fact):
+            changed.setdefault(fact[0], set()).add(fact[1:])
+    return {nonterminal: frozenset(pairs)
+            for nonterminal, pairs in changed.items()}
+
+
+SOLVER_CLASSES = [IncrementalCFPQ, IncrementalSinglePathCFPQ]
+
+
+class TestDRedDifferential:
+    """Store-free DRed against an independent oracle: after every step
+    of any interleaved insert/delete sequence the solver must export
+    exactly the state a from-scratch solve of the current graph yields
+    (same facts, same lengths), return the fact-count delta and report
+    the exact cell delta in ``last_changes``."""
 
     def _solver(self, cls, strategy="delta", **options):
         grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -531,34 +586,33 @@ class TestSupportIndexDifferential:
         return cls(graph, grammar, strategy=strategy, **options)
 
     def _step(self, solver, mutator, *arguments, context=None):
-        """Run one mutator by name; its return value must be the
-        fact-count delta and the exported state the from-scratch
-        recount."""
-        before = solver.stats["total_facts"]
+        """Run one mutator by name and hold it to the oracle."""
+        before = _scratch_state(solver)
+        count_before = solver.stats["total_facts"]
         returned = getattr(solver, mutator)(*arguments)
-        grown = solver.stats["total_facts"] - before
+        grown = solver.stats["total_facts"] - count_before
         assert returned == (-grown if mutator.startswith("remove")
                             else grown), context
         scratch = _scratch_state(solver)
         assert solver.export_state() == scratch, context
-        assert solver.stats["support_entries"] == sum(
-            len(entries) for entries in scratch.get("supports", {}).values()
-        ), context
+        assert solver.last_changes == _state_delta(before, scratch), context
 
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_interleaved_exports_identical(self, strategy, seed):
-        solver = self._solver(IncrementalCFPQ, strategy=strategy,
-                              tile_size=2)
+    def test_per_tuple_interleavings(self, cls, strategy, seed, route):
+        solver = self._solver(cls, strategy=strategy, tile_size=2)
         rng = random.Random(0x5EED ^ seed)
         for step, (delete, edge) in enumerate(_random_sequence(rng, 5, 16)):
             self._step(solver, "remove_edge" if delete else "add_edge",
                        *edge, context=(strategy, seed, step))
-        assert solver.stats["support_entries"] > 0
+        assert solver.stats["edge_removals"] > 0
 
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_batched_interleavings_identical(self, seed):
-        solver = self._solver(IncrementalCFPQ)
+    def test_batched_interleavings(self, cls, strategy, seed, route):
+        solver = self._solver(cls, strategy=strategy, tile_size=2)
         rng = random.Random(0xFACE ^ seed)
         pending: list = []
         for delete, edge in _random_sequence(rng, 5, 14):
@@ -571,37 +625,95 @@ class TestSupportIndexDifferential:
                     self._step(solver, "add_edges", list(pending))
                     pending.clear()
         self._step(solver, "add_edges", pending)
+        assert bool(solver.stats["batch_updates"]) == (route == "matrix")
 
-    @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_single_path_exports_identical(self, strategy, seed):
-        solver = self._solver(IncrementalSinglePathCFPQ, strategy=strategy,
-                              tile_size=2)
-        rng = random.Random(0x1E57 ^ seed)
-        for step, (delete, edge) in enumerate(_random_sequence(rng, 4, 12)):
-            self._step(solver, "remove_edge" if delete else "add_edge",
-                       *edge, context=(strategy, seed, step))
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_mutual_support_through_the_deleted_edge(self, cls):
+        """On an x-cycle every S fact is derivable from the others
+        (``S -> S S``), and the facts around the cycle support each
+        other *only* through paths that use every edge: support counts
+        would never reach zero.  Cutting one edge must remove all but
+        the three facts of the remaining chain."""
+        grammar = parse_grammar("S -> x | S S", terminals=["x"])
+        solver = cls(LabeledGraph.from_edges(
+            [(0, "x", 1), (1, "x", 2), (2, "x", 0)]), grammar)
+        assert len(solver.pairs("S")) == 9
+        self._step(solver, "remove_edge", 0, "x", 1)
+        assert solver.pairs("S") == {(1, 2), (2, 0), (1, 0)}
+        self._step(solver, "remove_edges", [(1, "x", 2), (2, "x", 0)])
+        assert solver.pairs("S") == frozenset()
+        assert solver.export_state()["facts"] == {}
 
-    def test_first_deletion_recount_matches_oracle(self):
-        """The one-shot build on first deletion must equal the
-        from-scratch recount exactly."""
-        solver = self._solver(IncrementalCFPQ)
-        solver.add_edges([(3, "b", 4), (4, "a", 0), (0, "a", 0)])
-        assert "supports" not in solver.export_state()
-        solver.remove_edge(9, "a", 9)  # no-op: activates the index
-        assert solver.export_state()["supports"] == \
-            _scratch_state(solver)["supports"]
-        assert solver.stats["support_entries"] > 0
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_deletion_probes_only_the_overdeleted_facts(self, cls):
+        """Deleting a leaf edge costs what it over-deletes: the
+        derivation probe runs once per over-deleted fact and the
+        worklist pops only those — the same handful whether the rest of
+        the graph holds hundreds of facts or thousands."""
+        grammar = parse_grammar("S -> a S b | a b | S S",
+                                terminals=["a", "b"])
+        work = {}
+        for cycle in (3, 12):
+            graph = two_cycles(cycle, cycle + 1)
+            graph.add_edges([("p", "a", "q"), ("q", "b", "leaf")])
+            solver = cls(graph, grammar)
+            probed: list = []
+            probe = solver._derivations
+            solver._derivations = lambda fact: (probed.append(fact),
+                                                probe(fact))[1]
+            pops = solver.stats["propagated_facts"]
+            assert solver.remove_edge("q", "b", "leaf") == 2
+            assert solver.export_state() == _scratch_state(solver)
+            assert len(probed) == len(set(probed)) == 2
+            work[cycle] = (len(probed),
+                           solver.stats["propagated_facts"] - pops,
+                           solver.stats["total_facts"])
+        assert work[3][:2] == work[12][:2] == (2, 0)
+        assert work[12][2] > 10 * work[3][2]
 
-    def test_warm_state_roundtrips(self):
-        """An exported state (supports included) warm-starts a solver
-        that continues updating exactly like the original."""
-        solver = self._solver(IncrementalCFPQ)
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    @pytest.mark.parametrize("size", [SMALL_BATCH_EDGES - 1,
+                                      SMALL_BATCH_EDGES])
+    def test_route_boundary(self, cls, size, monkeypatch):
+        """One edge below the constant ``add_edges`` runs the worklist,
+        at the constant the matrix frontier — and on either side of it
+        the other route would have produced the same state,
+        ``last_changes`` and return value."""
+        rng = random.Random(0xB0DE)
+        batch: list = []
+        while len(batch) < size:
+            edge = (rng.randrange(40), rng.choice("ab"), rng.randrange(40))
+            if edge not in batch:
+                batch.append(edge)
+        batch.append(batch[0])  # a duplicate is not a new edge
+
+        def run():
+            solver = self._solver(cls)
+            returned = solver.add_edges(batch)
+            return (solver.stats["batch_updates"], returned,
+                    solver.last_changes, solver.export_state(),
+                    _scratch_state(solver))
+
+        matrix_runs, *taken, scratch = run()
+        assert matrix_runs == (size >= SMALL_BATCH_EDGES)
+        _force_route(monkeypatch, "tuples" if matrix_runs else "matrix")
+        other_runs, *other, _scratch = run()
+        assert other_runs != matrix_runs
+        assert taken == other
+        assert taken[2] == scratch
+
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_warm_state_roundtrips(self, cls):
+        """An exported state warm-starts a solver that continues
+        updating exactly like the original — there is no deletion state
+        to carry over."""
+        solver = self._solver(cls)
         solver.remove_edge(1, "b", 2)
+        assert set(solver.export_state()) <= {"facts", "lengths"}
         graph_copy = LabeledGraph.from_edges(
             list(solver.graph.edges()), nodes=list(solver.graph.nodes))
-        adopted = IncrementalCFPQ(graph_copy, solver.grammar,
-                                  warm_state=solver.export_state())
+        adopted = cls(graph_copy, solver.grammar,
+                      warm_state=solver.export_state())
         assert adopted.initial_closure_iterations == 0
         assert adopted.export_state() == solver.export_state()
         self._step(adopted, "remove_edge", 0, "a", 1)

@@ -139,8 +139,7 @@ class TestInvalidation:
         report = service.update(deletes=[("ghost", "a", "edge")])
         assert report.dred_passes == 0
         assert report.deletes_applied == 0
-        # No support index was built for the no-op.
-        assert service.solver.stats["support_entries"] == 0
+        assert service.solver.stats["edge_removals"] == 0
 
     def test_deletion_invalidates_and_raises(self):
         service = _service(single_path=True)
@@ -432,3 +431,74 @@ class TestConcurrency:
                 thread.join()
         assert not errors
         assert service.query("S", 0, 30) is True
+
+    def test_path_indexes_build_once_after_a_tick(self, monkeypatch):
+        """Regression: the lazy single-path index and witness forest had
+        no single-flight guard — every path query in flight after a tick
+        saw them missing and rebuilt the whole index.  N concurrent
+        reads must cost one build each."""
+        import sys
+        import time
+
+        from repro.core.path_index import AllPathIndex
+
+        service = QueryService(
+            LabeledGraph.from_edges([(i, "a", i + 1) for i in range(12)]),
+            to_cnf(chain_reachability("a")), single_path=True)
+        service.update(inserts=[(12, "a", 13)])
+
+        builds = {"forest": 0, "single-path": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                builds[name] += 1
+                time.sleep(0.05)  # keep the build open while others arrive
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(AllPathIndex, "build",
+                            counted("forest", AllPathIndex.build))
+        monkeypatch.setattr(service.solver, "single_path_index",
+                            counted("single-path",
+                                    service.solver.single_path_index))
+
+        readers = 6
+        barrier = threading.Barrier(readers)
+        answers: list = []
+        errors: list[BaseException] = []
+
+        def reader(index: int):
+            try:
+                barrier.wait(timeout=10)
+                # Distinct keys: no reader is served by another's cached
+                # answer or k-best stream.
+                if index % 2:
+                    answers.append(len(service.top_k(
+                        "S", 0, 13, 1, max_length=20 + index)))
+                else:
+                    answers.append(len(service.query(
+                        "S", index, 13, semantics="single-path")))
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(index,))
+                   for index in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(answers) == [1, 1, 1, 9, 11, 13]
+        assert builds == {"forest": 1, "single-path": 1}
+
+        # The next tick drops both; they come back once more, not never.
+        service.update(inserts=[(13, "a", 14)])
+        assert len(service.top_k("S", 0, 14, 1)) == 1
+        assert len(service.query("S", 0, 14, semantics="single-path")) == 14
+        assert builds == {"forest": 2, "single-path": 2}

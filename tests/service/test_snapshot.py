@@ -194,12 +194,12 @@ def test_envelope_records_version(tmp_path):
 
 
 def test_incremental_state_round_trip(tmp_path):
-    """Facts, lengths and DRed supports survive encode→decode, and a
-    warm solver continues updating exactly like the original."""
+    """Facts and lengths survive encode→decode, and a warm solver
+    continues updating exactly like the original."""
     graph = two_cycles(2, 3)
     solver = IncrementalCFPQ(graph, ANBN)
     solver.add_edges([("x", "a", "y"), ("y", "b", "x")])
-    solver.remove_edges([("x", "a", "y")])  # activates the support index
+    solver.remove_edges([("x", "a", "y")])
 
     doc = snapshot_store.encode_incremental_state(solver.export_state())
     state = snapshot_store.decode_incremental_state(doc)
@@ -218,18 +218,57 @@ def test_incremental_state_round_trip(tmp_path):
     assert twin.relations().same_as(solver.relations())
 
 
-def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path):
-    """The acceptance contract for the maintained DRed support index:
-    after an interleaved insert/delete sequence a service saves the
+def test_decode_ignores_supports_section_of_older_snapshots():
+    """A snapshot written while DRed still kept a support store carries
+    a ``supports`` section next to facts and lengths.  The format
+    version did not move (today's documents are a subset), so such a
+    document must decode — to exactly the state without that section —
+    and warm-start a solver."""
+    document = {
+        "facts": {"S": [[0, 2]], "A": [[0, 1]], "B": [[1, 2]]},
+        "lengths": [["A", 0, 1, 1], ["B", 1, 2, 1], ["S", 0, 2, 2]],
+        "supports": [
+            [["A", 0, 1], [["edge", "a"]]],
+            [["B", 1, 2], [["edge", "b"]]],
+            [["S", 0, 2], [["split", "A", "B", 1]]],
+        ],
+    }
+    state = snapshot_store.decode_incremental_state(document)
+    current = {key: value for key, value in document.items()
+               if key != "supports"}
+    assert state == snapshot_store.decode_incremental_state(current)
+    assert set(state) == {"facts", "lengths"}
+    assert snapshot_store.encode_incremental_state(state) == {
+        "facts": {"A": [(0, 1)], "B": [(1, 2)], "S": [(0, 2)]},
+        "lengths": document["lengths"],
+    }
+
+    from repro.core.incremental import IncrementalSinglePathCFPQ
+    from repro.grammar.symbols import Nonterminal
+
+    grammar = parse_grammar("S -> A B\nA -> a\nB -> b",
+                            terminals=["a", "b"])
+    solver = IncrementalSinglePathCFPQ(word_chain(["a", "b"]), grammar,
+                                       warm_state=state)
+    assert solver.initial_closure_iterations == 0
+    assert solver.length_of("S", 0, 2) == 2
+    assert solver.remove_edge(0, "a", 1) == 2
+    assert solver.pairs(Nonterminal("B")) == {(1, 2)}
+
+
+@pytest.mark.parametrize("single_path", [False, True])
+def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path,
+                                                                single_path):
+    """After an interleaved insert/delete sequence a service saves the
     **byte-identical** snapshot file of a service cold-started on the
-    final graph whose index was activated by a no-op deletion — i.e.
-    incremental maintenance equals the from-scratch recount."""
+    final graph — DRed leaves no state behind that a from-scratch solve
+    would not have."""
     import filecmp
     import random
 
     from repro import LabeledGraph, QueryService
 
-    updated = QueryService(two_cycles(2, 3), ANBN)
+    updated = QueryService(two_cycles(2, 3), ANBN, single_path=single_path)
     rng = random.Random(0xD1FF)
     for _ in range(6):
         edge = (rng.randrange(8), rng.choice("ab"), rng.randrange(8))
@@ -239,10 +278,8 @@ def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path):
     final = updated.solver.graph
     cold = QueryService(
         LabeledGraph.from_edges(list(final.edges()), nodes=list(final.nodes)),
-        ANBN)
-    # Activate the index; the service itself filters absent-edge deletes.
-    cold.solver.remove_edge("absent", "a", "absent")
-    assert cold.solver.stats["support_entries"] > 0
+        ANBN, single_path=single_path)
+    assert updated.solver.stats["edge_removals"] > 0
 
     updated_path = str(tmp_path / "updated.snapshot")
     cold_path = str(tmp_path / "cold.snapshot")

@@ -134,7 +134,8 @@ class TestUpdateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["edge_insertions"] == 2
         assert payload["stats"]["edge_removals"] == 1
-        assert payload["stats"]["support_entries"] > 0
+        assert payload["stats"]["facts_removed"] > 0
+        assert "support_entries" not in payload["stats"]
         assert ["4", "6"] not in payload["pairs"]
 
     def test_update_matches_fresh_query(self, chain_file, tmp_path,
