@@ -129,12 +129,15 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
     """Time the annotated closures per (dataset, strategy).
 
     Per cell: single-path index build + witness extraction for the
-    first *extraction_pairs* pairs of ``R_S``, and the ``bench_allpath``
-    case — witness-forest build + bounded enumeration.  An ``agree``
-    flag per dataset asserts every strategy produced identical
-    annotations (the differential property, re-checked on the real
-    workloads).
+    first *extraction_pairs* pairs of ``R_S``, the ``bench_allpath``
+    case — witness-forest build + bounded enumeration — and the
+    ``relational`` boolean closure of the same graph and strategy, the
+    base of the "single-path at the price of relational" ratio CI
+    gates.  An ``agree`` flag per dataset asserts every strategy
+    produced identical annotations (the differential property,
+    re-checked on the real workloads).
     """
+    from repro.core.matrix_cfpq import solve_matrix
     from repro.grammar.builders import same_generation_query1
     from repro.grammar.cnf import to_cnf
 
@@ -150,6 +153,7 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
         graph = build_graph(dataset)
         single_cells: dict = {}
         allpath_cells: dict = {}
+        relational_cells: dict = {}
         reference_lengths = None
         reference_forest = None
         agree = True
@@ -181,6 +185,15 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
             }
 
             started = time.perf_counter()
+            relational = solve_matrix(graph, grammar, normalize=False,
+                                      strategy=strategy)
+            relational_cells[strategy] = {
+                "wall_time_s": round(time.perf_counter() - started, 6),
+                "iterations": relational.stats.iterations,
+                "relation_size": relational.relations.count(S),
+            }
+
+            started = time.perf_counter()
             forest = AllPathIndex.build(graph, grammar, strategy=strategy)
             forest_elapsed = time.perf_counter() - started
             enum_pairs = sorted(forest.relations.pairs(S))[:10]
@@ -207,6 +220,7 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
             "nodes": graph.node_count,
             "edges": graph.edge_count,
             "agree": agree,
+            "relational": relational_cells,
             "single_path": single_cells,
             "bench_allpath": allpath_cells,
         }

@@ -17,6 +17,9 @@ Two layers:
      solver's first deletion) and assert the relations equal a
      from-scratch
      ``solve_matrix`` on the remaining graph.
+   * **weighted closures** — the Viterbi (array-native) and counting
+     (dict-of-cells) closures of funding · Q1, each checked against the
+     relational fixpoint.
    * **k-best vs exhaustive** — on a layered detour graph with
      ``2^hops`` end-to-end paths, time ``top_k(k=3)`` (lazy best-first
      over the witness forest) against materializing the full bounded
@@ -184,16 +187,45 @@ def _kbest_cell(hops: int, k: int, repeats: int) -> dict:
     }
 
 
+def _closure_cells(repeats: int) -> dict:
+    """The weighted closures on funding · Q1, each checked against the
+    relational fixpoint (Viterbi runs on the array-native layout,
+    counting on the dict of cells)."""
+    from repro.grammar.builders import same_generation_query1
+
+    graph = build_graph("funding")
+    grammar = to_cnf(same_generation_query1())
+    relational = solve_matrix_relations(graph, grammar, normalize=False)
+    cells: dict = {}
+    for semiring in (ViterbiSemiring(), COUNTING_SEMIRING):
+        seconds = float("inf")
+        for _ in range(max(1, repeats)):
+            started = time.perf_counter()
+            result = solve_annotated(graph, grammar, semiring,
+                                     normalize=False)
+            seconds = min(seconds, time.perf_counter() - started)
+        cells[semiring.name] = {
+            "wall_time_s": round(seconds, 6),
+            "iterations": result.iterations,
+            "entries": sum(m.nnz() for m in result.matrices.values()),
+            "agree": all(
+                set(matrix.nonzero_pairs()) == relational.pairs(nonterminal)
+                for nonterminal, matrix in result.matrices.items()),
+        }
+    return cells
+
+
 def run_weighted_suite(batch_sizes: tuple[int, ...] = (200, 600),
                        hops: int = 12, k: int = 3,
                        backend: str | None = None,
                        strategy: str = "delta",
                        repeats: int = 2) -> dict:
-    """Time DRed deletion and lazy k-best vs exhaustive.
+    """Time DRed deletion, lazy k-best vs exhaustive, and the
+    weighted closures.
 
     Returns ``{dred: {size: {delete_wall_time_s, agree}},
     kbest: {kbest_wall_time_s, exhaustive_wall_time_s, speedup,
-    expansions, agree}}``.
+    expansions, agree}, closures: {semiring: {wall_time_s, agree}}}``.
     """
     from repro.matrices.base import default_backend
 
@@ -211,6 +243,7 @@ def run_weighted_suite(batch_sizes: tuple[int, ...] = (200, 600),
         report["dred"][str(size)] = _dred_cell(size, grammar, backend,
                                                strategy, repeats)
     report["kbest"] = _kbest_cell(hops, k, repeats)
+    report["closures"] = _closure_cells(repeats)
     return report
 
 

@@ -258,10 +258,13 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     if matrix is None:
         raise SystemExit(f"unknown start non-terminal {args.start!r}")
     counting = isinstance(semiring, CountingSemiring)
+    sources, targets, values = matrix.columns()
+    if counting:
+        values = map(semiring.count, values)
+    names = [str(node) for node in graph.nodes]
     rows = sorted(
-        ([str(graph.node_at(i)), str(graph.node_at(j)),
-          semiring.count(value) if counting else value]
-         for i, j, value in matrix.nonzero_cells()),
+        ([names[i], names[j], value]
+         for i, j, value in zip(sources, targets, values)),
         key=lambda row: (row[0], row[1]),
     )
     if args.json:

@@ -271,8 +271,7 @@ class CFPQEngine:
                 (self.graph.node_at(i), self.graph.node_at(j)):
                     extract_path(index, start_nt, self.graph.node_at(i),
                                  self.graph.node_at(j))
-                for (i, j), entries in index.cells.items()
-                if start_nt in entries
+                for i, j in index.pairs(start_nt)
             }
         if semantics == "all-path":
             max_length = kwargs.get("max_length")

@@ -69,6 +69,7 @@ from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
 from .relations import ContextFreeRelations
+from .single_path import SinglePathIndex, lengths_by_fact
 
 #: A derived fact ``(A, i, j)`` by dense node ids.
 Fact = tuple[Nonterminal, int, int]
@@ -177,15 +178,21 @@ class IncrementalCFPQ:
                               **self.strategy_options)
         self._initial_iterations = result.stats.iterations
         for nonterminal, matrix in result.matrices.items():
-            for i, j in matrix.nonzero_pairs():
-                self._record(nonterminal, i, j)
+            self._adopt_pairs(nonterminal, matrix.nonzero_pairs())
 
     def _seed_from_state(self, state: dict) -> None:
         """Warm start: adopt an already-closed fact set without running
         any closure."""
         for nonterminal, pairs in state.get("facts", {}).items():
-            for i, j in pairs:
-                self._record(nonterminal, i, j)
+            self._adopt_pairs(nonterminal, pairs)
+
+    def _adopt_pairs(self, nonterminal: Nonterminal,
+                     pairs: Iterable[tuple[int, int]]) -> None:
+        """Bulk-record already-closed facts of one non-terminal (the
+        seeding paths: nothing to log, no consequences to chase)."""
+        pairs = list(pairs)
+        self._facts[nonterminal].update(pairs)
+        self._index_pairs(nonterminal, pairs)
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
@@ -596,15 +603,13 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
 
     def _seed_from_engine(self, backend: str, strategy: str) -> None:
         from .semiring import LENGTH_SEMIRING, solve_annotated
-
         result = solve_annotated(self.graph, self.grammar, LENGTH_SEMIRING,
                                  strategy=strategy, normalize=False,
                                  **self.strategy_options)
         self._initial_iterations = result.iterations
         for nonterminal, matrix in result.matrices.items():
-            for i, j, length in matrix.nonzero_cells():
-                self._record(nonterminal, i, j)
-                self._lengths[(nonterminal, i, j)] = length
+            self._adopt_pairs(nonterminal, matrix.nonzero_pairs())
+        self._lengths = lengths_by_fact(result.matrices)
 
     def _seed_from_state(self, state: dict) -> None:
         super()._seed_from_state(state)
@@ -624,13 +629,9 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         :func:`~repro.core.single_path.extract_path` runs on the live
         incremental state (the query service rebuilds this after every
         update tick)."""
-        from .single_path import SinglePathIndex
-
-        cells: dict[tuple[int, int], dict] = {}
-        for (nonterminal, i, j), length in self._lengths.items():
-            cells.setdefault((i, j), {})[nonterminal] = length
-        return SinglePathIndex(graph=self.graph, grammar=self.grammar,
-                               cells=cells, iterations=0)
+        return SinglePathIndex(
+            graph=self.graph, grammar=self.grammar,
+            matrices=self._matrices_from_state(self.graph.node_count))
 
     def length_of(self, nonterminal: Nonterminal | str, source: Hashable,
                   target: Hashable) -> int | None:
@@ -675,27 +676,25 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
                 for nt, row in cells.items()}
 
     def _absorb(self, matrices: dict) -> list[Fact]:
-        new_facts: list[Fact] = []
+        """Record the closed length matrices; only the cells whose
+        length is new or refined (a C-level dict-items difference) are
+        walked."""
         lengths = self._lengths
-        for nonterminal, matrix in matrices.items():
-            known = self._facts[nonterminal]
-            fresh: list[tuple[int, int]] = []
-            for i, j, length in matrix.nonzero_cells():
-                previous = lengths.get((nonterminal, i, j))
-                lengths[(nonterminal, i, j)] = length
-                if (i, j) not in known:
-                    fresh.append((i, j))
-                elif previous != length:
-                    # Length refinement of an existing fact: the matrix
-                    # content changed even though the relation did not.
-                    self._log_change(nonterminal, (i, j))
-            if not fresh:
-                continue
-            known.update(fresh)
-            self._index_pairs(nonterminal, fresh)
-            if self._change_recorder is not None:
-                self._change_recorder.setdefault(nonterminal, set()).update(fresh)
-            new_facts.extend((nonterminal, i, j) for i, j in fresh)
+        fresh: dict[Nonterminal, list[tuple[int, int]]] = {}
+        for fact, length in (lengths_by_fact(matrices).items()
+                             - lengths.items()):
+            nonterminal, i, j = fact
+            if fact not in lengths:
+                fresh.setdefault(nonterminal, []).append((i, j))
+            # A refined length changes the matrix content even though
+            # the relation did not.
+            lengths[fact] = length
+            self._log_change(nonterminal, (i, j))
+        new_facts: list[Fact] = []
+        for nonterminal, pairs in fresh.items():
+            self._facts[nonterminal].update(pairs)
+            self._index_pairs(nonterminal, pairs)
+            new_facts.extend((nonterminal, i, j) for i, j in pairs)
         return new_facts
 
     def _derivation_length(self, fact: Fact, support: Support) -> int:

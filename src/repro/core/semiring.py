@@ -41,6 +41,11 @@ CFPQ) makes explicit.  This module supplies:
   ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
   :func:`repro.core.closure.run_closure` — including the ``delta`` and
   ``blocked`` strategies — runs unchanged on all three semirings.
+  Semirings that declare ``array_ops`` (length, Viterbi) get the
+  array layout of :mod:`repro.core.scalar_matrix` when NumPy imports;
+  the dict-of-cells :class:`AnnotatedMatrix` serves the set-valued
+  semirings, third-party subclasses and NumPy-less hosts, and is the
+  differential oracle of the array layout.
 
 Termination: ``merge`` must be monotone w.r.t. a well-founded order
 (absorb: no change ever; length: non-negative integers decrease;
@@ -81,6 +86,15 @@ class Semiring(abc.ABC):
     #: this False — their refinements are merged in place but re-firing
     #: rules over them is provably a no-op, so the engine skips it.
     refinement_feeds_products: bool = True
+
+    #: ``(dtype, ⊗ ufunc, ⊕ ufunc)`` by NumPy name when annotations are
+    #: machine scalars and ``multiply``/``add``/``merge`` are exactly
+    #: those ufuncs (``merge`` keeps ``⊕(existing, incoming)`` and
+    #: reports a change iff it differs from ``existing``).  Declaring
+    #: it lets :class:`AnnotatedBackend` store the cells in arrays
+    #: (:mod:`repro.core.scalar_matrix`); a subclass that changes the
+    #: algebra must reset it to None.
+    array_ops: "tuple[str, str, str] | None" = None
 
     @abc.abstractmethod
     def identity(self, label: str | None = None):
@@ -153,6 +167,7 @@ class LengthSemiring(Semiring):
     """
 
     name = "length"
+    array_ops = ("int64", "add", "minimum")
 
     def identity(self, label: str | None = None) -> int:
         return 1
@@ -344,6 +359,7 @@ class ViterbiSemiring(Semiring):
     """
 
     name = "viterbi"
+    array_ops = ("float64", "multiply", "maximum")
 
     def __init__(self, weights: "Mapping[str, float] | None" = None,
                  default_weight: float = 0.5,
@@ -491,8 +507,29 @@ class AnnotatedMatrix(BooleanMatrix):
         for (i, j), value in self._cells.items():
             yield (i, j, value)
 
+    def columns(self) -> tuple[list[int], list[int], list]:
+        """All True cells as parallel ``(i, j, annotation)`` lists."""
+        return ([i for i, _j in self._cells], [j for _i, j in self._cells],
+                list(self._cells.values()))
+
+    def row_cells(self, i: int) -> tuple[list[int], list]:
+        """Row *i* as ``(columns, annotations)``, columns ascending."""
+        cols = sorted(self._rows_index.get(i, ()))
+        return cols, [self._cells[(i, j)] for j in cols]
+
+    def values_at(self, rows, col: int) -> list:
+        """The annotations at ``(r, col)`` for each ``r`` of *rows*
+        (None where the cell is False)."""
+        return [self._cells.get((r, col)) for r in rows]
+
     def nnz(self) -> int:
         return len(self._cells)
+
+    def copy(self) -> "AnnotatedMatrix":
+        return AnnotatedMatrix(self.semiring, self._shape, self._cells,
+                               symbol=self.symbol,
+                               row_offset=self.row_offset,
+                               col_offset=self.col_offset)
 
     # -- algebra ----------------------------------------------------------
     def multiply(self, other: BooleanMatrix) -> "AnnotatedMatrix":
@@ -592,132 +629,178 @@ class AnnotatedMatrix(BooleanMatrix):
         result.refined_in_place = refined_silently
         return result
 
+    # -- tiling and payloads ----------------------------------------------
+    def payload(self) -> tuple:
+        """The tile as a plain tuple: cells plus the provenance fields
+        (symbol, offsets) and the semiring name."""
+        return ("annotated", self.semiring.name, self._shape, self.symbol,
+                self.row_offset, self.col_offset, tuple(self._cells.items()))
+
+    def split_tiles(self, tile_size: int,
+                    ) -> dict[tuple[int, int], "AnnotatedMatrix"]:
+        """Partition into ceil(n / tile_size)² padded tiles that keep
+        annotations and tags and record their offsets, so tiled products
+        report global midpoints."""
+        n = self._shape[0]
+        grid = (n + tile_size - 1) // tile_size
+        buckets: dict[tuple[int, int], dict[Pair, object]] = {
+            (bi, bj): {} for bi in range(grid) for bj in range(grid)
+        }
+        for (i, j), value in self._cells.items():
+            buckets[(i // tile_size, j // tile_size)][
+                (i % tile_size, j % tile_size)] = value
+        return {
+            (bi, bj): AnnotatedMatrix(
+                self.semiring, (tile_size, tile_size), cells,
+                symbol=self.symbol,
+                row_offset=bi * tile_size, col_offset=bj * tile_size,
+            )
+            for (bi, bj), cells in buckets.items()
+        }
+
+    @classmethod
+    def assemble(cls, semiring: Semiring, items, size: int, tile_size: int,
+                 ) -> "AnnotatedMatrix":
+        """Inverse of :meth:`split_tiles` over a one-shot iterable of
+        ``((bi, bj), tile)`` (drops the padding)."""
+        cells: dict[Pair, object] = {}
+        symbol = None
+        for (bi, bj), tile in items:
+            symbol = symbol if symbol is not None else getattr(tile, "symbol", None)
+            base_i, base_j = bi * tile_size, bj * tile_size
+            tile_cells, _rows = _cells_of(tile, semiring)
+            for (ti, tj), value in tile_cells.items():
+                i, j = base_i + ti, base_j + tj
+                if i < size and j < size:
+                    cells[(i, j)] = value
+        return cls(semiring, (size, size), cells, symbol=symbol)
+
 
 def _cells_of(matrix: BooleanMatrix, semiring: Semiring,
               ) -> tuple[dict[Pair, object], dict[int, set[int]]]:
     """The (cells, rows-index) view of any operand matrix.
 
-    Plain boolean operands (interoperability with the relational
-    backends) are lifted by annotating every True cell with the semiring
-    identity.
+    Operands of another layout are lifted: annotated cells keep their
+    values, plain boolean cells (interoperability with the relational
+    backends) take the semiring identity.
     """
     if isinstance(matrix, AnnotatedMatrix):
         return matrix._cells, matrix._rows_index
-    cells: dict[Pair, object] = {}
-    rows: dict[int, set[int]] = {}
+    lifted = AnnotatedMatrix(semiring, matrix.shape,
+                             _annotated_cells(matrix, semiring))
+    return lifted._cells, lifted._rows_index
+
+
+def _annotated_cells(matrix: BooleanMatrix, semiring: Semiring):
+    """``(i, j, annotation)`` over any matrix: its own annotations when
+    it has them, the semiring identity per True cell otherwise."""
+    if hasattr(matrix, "nonzero_cells"):
+        return matrix.nonzero_cells()
     unit = semiring.identity()
-    for i, j in matrix.nonzero_pairs():
-        cells[(i, j)] = unit
-        rows.setdefault(i, set()).add(j)
-    return cells, rows
+    return ((i, j, unit) for i, j in matrix.nonzero_pairs())
+
+
+try:
+    from .scalar_matrix import ScalarAnnotatedMatrix
+except ImportError:  # NumPy missing: every semiring takes the dict layout
+    ScalarAnnotatedMatrix = None  # type: ignore[assignment,misc]
 
 
 class AnnotatedBackend(MatrixBackend):
     """Factory adapting one :class:`Semiring` to the kernel API.
 
     ``run_closure`` treats this exactly like the boolean backends; the
-    tiling hooks preserve annotations, tags and tile offsets so the
-    ``blocked`` strategy reports correct global midpoints.
+    tiling hooks preserve annotations and tags so the ``blocked``
+    strategy closes the same cells.
+
+    The cell layout follows from what the backend can observe: a
+    semiring that declares ``array_ops`` runs on
+    :class:`repro.core.scalar_matrix.ScalarAnnotatedMatrix` when NumPy
+    imports, everything else on the dict-of-cells
+    :class:`AnnotatedMatrix`.
     """
 
     def __init__(self, semiring: Semiring):
         self.semiring = semiring
         self.name = f"annotated[{semiring.name}]"
+        self.matrix_type = (
+            ScalarAnnotatedMatrix
+            if semiring.array_ops and ScalarAnnotatedMatrix is not None
+            else AnnotatedMatrix
+        )
 
-    def zeros(self, rows: int, cols: int | None = None) -> AnnotatedMatrix:
-        return AnnotatedMatrix(
+    def zeros(self, rows: int, cols: int | None = None) -> BooleanMatrix:
+        return self.matrix_type(
             self.semiring, (rows, cols if cols is not None else rows)
         )
 
     def from_pairs(self, size: int, pairs: Iterable[Pair],
-                   cols: int | None = None) -> AnnotatedMatrix:
+                   cols: int | None = None) -> BooleanMatrix:
         unit = self.semiring.identity()
-        return AnnotatedMatrix(
+        return self.matrix_type(
             self.semiring, (size, cols if cols is not None else size),
             {(i, j): unit for i, j in pairs},
         )
 
     def from_cells(self, shape: tuple[int, int],
-                   cells: Mapping[Pair, object],
-                   symbol: Hashable = None) -> AnnotatedMatrix:
-        """Build a matrix from explicit ``(i, j) -> annotation`` cells."""
-        return AnnotatedMatrix(self.semiring, shape, cells, symbol=symbol)
+                   cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]",
+                   symbol: Hashable = None) -> BooleanMatrix:
+        """Build a matrix from explicit cells: an ``(i, j) ->
+        annotation`` mapping or ``(i, j, annotation)`` triples."""
+        return self.matrix_type(self.semiring, shape, cells, symbol=symbol)
 
-    def clone(self, matrix: BooleanMatrix) -> AnnotatedMatrix:
-        if isinstance(matrix, AnnotatedMatrix):
-            return AnnotatedMatrix(matrix.semiring, matrix.shape,
-                                   matrix._cells, symbol=matrix.symbol,
-                                   row_offset=matrix.row_offset,
-                                   col_offset=matrix.col_offset)
-        rows, cols = matrix.shape
-        return self.from_pairs(rows, matrix.nonzero_pairs(), cols=cols)
+    def _native(self, matrix: BooleanMatrix) -> BooleanMatrix:
+        """*matrix* in this backend's layout (other layouts and plain
+        boolean matrices are lifted into a fresh matrix)."""
+        if isinstance(matrix, self.matrix_type):
+            return matrix
+        return self.matrix_type(
+            self.semiring, matrix.shape,
+            _annotated_cells(matrix, self.semiring),
+            symbol=getattr(matrix, "symbol", None),
+        )
+
+    def clone(self, matrix: BooleanMatrix) -> BooleanMatrix:
+        native = self._native(matrix)
+        return native.copy() if native is matrix else native
 
     # -- tiling hooks (the blocked strategy) ------------------------------
     def split_into_tiles(self, matrix: BooleanMatrix, tile_size: int,
-                         ) -> dict[tuple[int, int], AnnotatedMatrix]:
+                         ) -> dict[tuple[int, int], BooleanMatrix]:
         if tile_size < 1:
             raise ValueError("tile_size must be positive")
-        if not isinstance(matrix, AnnotatedMatrix):
-            return super().split_into_tiles(matrix, tile_size)
-        n = matrix.shape[0]
-        grid = (n + tile_size - 1) // tile_size
-        buckets: dict[tuple[int, int], dict[Pair, object]] = {
-            (bi, bj): {} for bi in range(grid) for bj in range(grid)
-        }
-        for i, j, value in matrix.nonzero_cells():
-            buckets[(i // tile_size, j // tile_size)][
-                (i % tile_size, j % tile_size)] = value
-        return {
-            (bi, bj): AnnotatedMatrix(
-                self.semiring, (tile_size, tile_size), cells,
-                symbol=matrix.symbol,
-                row_offset=bi * tile_size, col_offset=bj * tile_size,
-            )
-            for (bi, bj), cells in buckets.items()
-        }
+        return self._native(matrix).split_tiles(tile_size)
+
+    def assemble_from_tile_iter(self, items, size: int, tile_size: int,
+                                ) -> BooleanMatrix:
+        return self.matrix_type.assemble(self.semiring, items, size,
+                                         tile_size)
 
     # -- tile payloads (process-pool scheduler) ---------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
-        """Annotated tiles travel as their cell dict plus the provenance
-        fields (symbol, offsets) and the semiring *name* — the worker
-        resolves the semiring from the registry instead of unpickling
-        backend objects."""
-        if not isinstance(matrix, AnnotatedMatrix):
-            return ("annotated", self.semiring.name, matrix.shape, None,
-                    0, 0, tuple(
-                        (pair, self.semiring.identity())
-                        for pair in matrix.nonzero_pairs()
-                    ))
-        return ("annotated", matrix.semiring.name, matrix.shape,
-                matrix.symbol, matrix.row_offset, matrix.col_offset,
-                tuple(matrix._cells.items()))
+        """Annotated tiles travel as their cells (a cell tuple, or the
+        two arrays) plus the provenance fields and the semiring *name* —
+        the worker resolves the semiring from the registry instead of
+        unpickling backend objects."""
+        return self._native(matrix).payload()
 
-    def tile_from_payload(self, payload: tuple) -> AnnotatedMatrix:
+    def tile_from_payload(self, payload: tuple) -> BooleanMatrix:
         return annotated_tile_from_payload(payload)
 
     def matrix_nbytes(self, matrix: BooleanMatrix) -> int:
-        # Annotated cells are dict entries carrying boxed values
-        # (lengths, witness tuples): budget them generously.
-        return 112 + 200 * matrix.nnz()
-
-    def assemble_from_tile_iter(self, items, size: int, tile_size: int,
-                                ) -> AnnotatedMatrix:
-        cells: dict[Pair, object] = {}
-        symbol = None
-        for (bi, bj), tile in items:
-            symbol = symbol if symbol is not None else getattr(tile, "symbol", None)
-            base_i, base_j = bi * tile_size, bj * tile_size
-            tile_cells, _rows = _cells_of(tile, self.semiring)
-            for (ti, tj), value in tile_cells.items():
-                i, j = base_i + ti, base_j + tj
-                if i < size and j < size:
-                    cells[(i, j)] = value
-        return AnnotatedMatrix(self.semiring, (size, size), cells,
-                               symbol=symbol)
+        """The array layout's measured bytes; dict cells are entries
+        carrying boxed values (witness tuples, entry sets), budgeted by
+        a generous per-cell guess."""
+        return getattr(matrix, "nbytes", 112 + 200 * matrix.nnz())
 
 
-def annotated_tile_from_payload(payload: tuple) -> AnnotatedMatrix:
-    """Rebuild an annotated tile from its :meth:`AnnotatedBackend.tile_payload`."""
+def annotated_tile_from_payload(payload: tuple) -> BooleanMatrix:
+    """Rebuild an annotated tile from its :meth:`AnnotatedBackend.tile_payload`
+    (six fields: array layout; seven: dict layout)."""
+    if len(payload) == 6:
+        _kind, semiring_name, shape, symbol, keys, values = payload
+        return ScalarAnnotatedMatrix.from_arrays(
+            get_semiring(semiring_name), shape, keys, values, symbol=symbol)
     _kind, semiring_name, shape, symbol, row_offset, col_offset, cells = payload
     return AnnotatedMatrix(get_semiring(semiring_name), shape, dict(cells),
                            symbol=symbol, row_offset=row_offset,
@@ -736,11 +819,22 @@ class AnnotatedClosureResult:
 
     def cells(self) -> dict[tuple[int, int], dict]:
         """The Section-5 cell view: ``(i, j) -> {symbol: annotation}``."""
-        merged: dict[tuple[int, int], dict] = {}
-        for symbol, matrix in self.matrices.items():
-            for i, j, value in matrix.nonzero_cells():
-                merged.setdefault((i, j), {})[symbol] = value
-        return merged
+        return merged_cells(self.matrices)
+
+
+def merged_cells(matrices: Mapping) -> dict[tuple[int, int], dict]:
+    """Merge ``symbol -> annotated matrix`` into the paper's cell view
+    ``(i, j) -> {symbol: annotation}``."""
+    merged: dict[tuple[int, int], dict] = {}
+    for symbol, matrix in matrices.items():
+        rows, cols, values = matrix.columns()
+        for pair, value in zip(zip(rows, cols), values):
+            entries = merged.get(pair)
+            if entries is None:
+                merged[pair] = {symbol: value}
+            else:
+                entries[symbol] = value
+    return merged
 
 
 def initial_annotated_matrices(graph, grammar, semiring: Semiring,
@@ -762,18 +856,22 @@ def initial_annotated_matrices(graph, grammar, semiring: Semiring,
         empty = semiring.empty_path()
         for i in range(n):
             cells[(i, i)] = empty
+    seeded: dict[str, tuple] = {}  # label -> (seed, cells of its heads)
     for i, label, j in graph.edges_by_id():
-        heads = grammar.heads_for_terminal(Terminal(label))
-        if not heads:
-            continue
-        seed = semiring.identity(label)
-        for head in heads:
-            cells = matrices[head]
+        target = seeded.get(label)
+        if target is None:
+            target = seeded[label] = (semiring.identity(label), [
+                matrices[head]
+                for head in grammar.heads_for_terminal(Terminal(label))
+            ])
+        seed, head_cells = target
+        for cells in head_cells:
             existing = cells.get((i, j))
             cells[(i, j)] = (seed if existing is None
                              else semiring.add(existing, seed))
+    backend = AnnotatedBackend(semiring)
     return {
-        nt: AnnotatedMatrix(semiring, (n, n), cells, symbol=nt)
+        nt: backend.from_cells((n, n), cells, symbol=nt)
         for nt, cells in matrices.items()
     }
 

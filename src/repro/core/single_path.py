@@ -25,46 +25,98 @@ A concrete path of exactly the recorded length is recovered by the
 simple recursive search the paper sketches after Theorem 5: split on
 the midpoint ``r`` and rule ``A → B C`` whose recorded lengths add up.
 
-:class:`SinglePathIndex` holds the annotated closure;
+:class:`SinglePathIndex` holds the annotated closure (the closed
+length matrices, array-native where NumPy is present);
 :func:`extract_path` performs the search, and
 :func:`repro.core.engine.CFPQEngine.single_path` wires it up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterator
+from itertools import repeat
+from typing import Hashable, Iterator, Mapping
 
 from ..errors import PathNotFoundError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from .relations import ContextFreeRelations
-from .semiring import LENGTH_SEMIRING, solve_annotated
+from .semiring import (
+    LENGTH_SEMIRING,
+    AnnotatedBackend,
+    merged_cells,
+    solve_annotated,
+)
 
 #: A path is a sequence of labeled edges (source_id, label, target_id).
 PathEdge = tuple[int, str, int]
 Path = tuple[PathEdge, ...]
 
-#: Cell storage: (i, j) -> {A: recorded length}.
+#: The Section-5 cell view: (i, j) -> {A: recorded length}.
 _Cells = dict[tuple[int, int], dict[Nonterminal, int]]
 
 
-@dataclass(frozen=True)
-class SinglePathIndex:
-    """The length-annotated closure ``a_cf`` of Section 5."""
+def lengths_by_fact(matrices: Mapping) -> dict[tuple[Nonterminal, int, int], int]:
+    """``(A, i, j) -> l_A`` over length-annotated matrices — the
+    ``lengths`` warm state of
+    :class:`repro.core.incremental.IncrementalSinglePathCFPQ`."""
+    lengths: dict[tuple[Nonterminal, int, int], int] = {}
+    for nonterminal, matrix in matrices.items():
+        rows, cols, values = matrix.columns()
+        lengths.update(zip(zip(repeat(nonterminal), rows, cols), values))
+    return lengths
 
-    graph: LabeledGraph
-    grammar: CFG
-    cells: _Cells
-    iterations: int
+
+class SinglePathIndex:
+    """The length-annotated closure ``a_cf`` of Section 5.
+
+    Holds the closed length matrices per non-terminal as the closure
+    engine left them (``matrices``); ``cells`` is the paper's merged
+    cell view ``(i, j) -> {A: l_A}``, built on first use for callers
+    that iterate it.  Constructing from *cells* instead builds the
+    matrices from that view.
+    """
+
+    def __init__(self, graph: LabeledGraph, grammar: CFG,
+                 cells: "_Cells | None" = None, iterations: int = 0,
+                 matrices: "Mapping | None" = None):
+        self.graph = graph
+        self.grammar = grammar
+        self.iterations = iterations
+        self._cells = cells
+        if matrices is None:
+            n = graph.node_count
+            per_nonterminal: dict[Nonterminal, dict] = {}
+            for pair, entries in (cells or {}).items():
+                for nonterminal, length in entries.items():
+                    per_nonterminal.setdefault(nonterminal, {})[pair] = length
+            backend = AnnotatedBackend(LENGTH_SEMIRING)
+            matrices = {
+                nonterminal: backend.from_cells((n, n), lengths,
+                                                symbol=nonterminal)
+                for nonterminal, lengths in per_nonterminal.items()
+            }
+        self.matrices = matrices
+
+    @property
+    def cells(self) -> _Cells:
+        if self._cells is None:
+            self._cells = merged_cells(self.matrices)
+        return self._cells
+
+    def pairs(self, nonterminal: Nonterminal) -> list[tuple[int, int]]:
+        """``R_A`` as sorted dense-id pairs."""
+        matrix = self.matrices.get(nonterminal)
+        return [] if matrix is None else sorted(matrix.nonzero_pairs())
 
     def length_of(self, nonterminal: Nonterminal, source_id: int,
                   target_id: int) -> int | None:
         """The recorded length ``l_A`` for ``(A, i, j)``, or None when
         ``(i, j) ∉ R_A``."""
-        return self.cells.get((source_id, target_id), {}).get(nonterminal)
+        matrix = self.matrices.get(nonterminal)
+        return None if matrix is None else matrix.value_at(source_id,
+                                                           target_id)
 
     def relations(self) -> ContextFreeRelations:
         """Project the annotation away — by Theorem 2 this is the
@@ -72,14 +124,13 @@ class SinglePathIndex:
         by_nonterminal: dict[Nonterminal, set[tuple[int, int]]] = {
             nt: set() for nt in self.grammar.nonterminals
         }
-        for (i, j), entries in self.cells.items():
-            for nonterminal in entries:
-                by_nonterminal[nonterminal].add((i, j))
+        for nonterminal, matrix in self.matrices.items():
+            by_nonterminal[nonterminal] = set(matrix.nonzero_pairs())
         return ContextFreeRelations(self.graph, by_nonterminal)
 
     def entry_count(self) -> int:
         """Total (cell, non-terminal) entries."""
-        return sum(len(entries) for entries in self.cells.values())
+        return sum(matrix.nnz() for matrix in self.matrices.values())
 
 
 def build_single_path_index(graph: LabeledGraph, grammar: CFG,
@@ -100,7 +151,7 @@ def build_single_path_index(graph: LabeledGraph, grammar: CFG,
                              strategy=strategy, normalize=False,
                              **strategy_options)
     return SinglePathIndex(graph=graph, grammar=working_grammar,
-                           cells=result.cells(),
+                           matrices=result.matrices,
                            iterations=result.iterations)
 
 
@@ -108,6 +159,10 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
                  source: Hashable, target: Hashable) -> Path:
     """Find one path ``source π target`` with ``A ⇒* l(π)`` whose length
     equals the recorded ``l_A`` — the paper's "simple search".
+
+    Each step reads one row of the left operand and probes the right
+    operand's column; rules are tried in grammar order and midpoints in
+    ascending order, so the path is a function of the index alone.
 
     Raises :class:`PathNotFoundError` when ``(source, target) ∉ R_A``.
     """
@@ -126,15 +181,14 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
         return ()
 
     grammar = index.grammar
-    edge_labels: dict[tuple[int, int], list[str]] = {}
-    for i, label, j in graph.edges_by_id():
-        edge_labels.setdefault((i, j), []).append(label)
+    matrices = index.matrices
 
     def search(head: Nonterminal, i: int, j: int, needed: int) -> Path:
         if needed == 1:
-            for label in edge_labels.get((i, j), ()):
-                if head in grammar.heads_for_terminal(Terminal(label)):
-                    return ((i, label, j),)
+            for rule in grammar.productions_for(head):
+                if rule.is_terminal_rule and graph.has_edge_id(
+                        i, rule.body[0].label, j):  # type: ignore[union-attr]
+                    return ((i, rule.body[0].label, j),)  # type: ignore[union-attr]
             raise PathNotFoundError(
                 f"inconsistent index: no terminal edge for {head} at ({i}, {j})"
             )
@@ -142,22 +196,21 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
             if not rule.is_binary_rule:
                 continue
             left, right = rule.body  # type: ignore[misc]
-            # Scan midpoints r with (left, l_B) ∈ a[i,r], (right, l_C) ∈ a[r,j]
+            left_matrix, right_matrix = matrices.get(left), matrices.get(right)
+            if left_matrix is None or right_matrix is None:
+                continue
+            # Midpoints r with (left, l_B) ∈ a[i,r], (right, l_C) ∈ a[r,j]
             # and l_B + l_C == needed.  Zero-length (nullable-diagonal)
             # operands are skipped: ε-elimination guarantees an
             # equivalent strict split, and restricting to l_B >= 1 keeps
             # the recursion well-founded on cyclic closures.
-            for (row, r), entries in index.cells.items():
-                if row != i:
-                    continue
-                left_length = entries.get(left)  # type: ignore[arg-type]
-                if left_length is None or left_length < 1 or left_length >= needed:
-                    continue
-                right_length = index.cells.get((r, j), {}).get(right)  # type: ignore[arg-type]
-                if right_length is None or left_length + right_length != needed:
-                    continue
-                return (search(left, i, r, left_length)  # type: ignore[arg-type]
-                        + search(right, r, j, right_length))  # type: ignore[arg-type]
+            mids, left_lengths = left_matrix.row_cells(i)
+            for r, left_length, right_length in zip(
+                    mids, left_lengths, right_matrix.values_at(mids, j)):
+                if (right_length is not None and 1 <= left_length < needed
+                        and left_length + right_length == needed):
+                    return (search(left, i, r, left_length)  # type: ignore[arg-type]
+                            + search(right, r, j, right_length))  # type: ignore[arg-type]
         raise PathNotFoundError(
             f"inconsistent index: cannot split ({i}, {j}) for {head} at length {needed}"
         )
@@ -192,8 +245,7 @@ def iter_single_paths(index: SinglePathIndex, nonterminal: Nonterminal | str,
     single-path semantics answer for one non-terminal."""
     if isinstance(nonterminal, str):
         nonterminal = Nonterminal(nonterminal)
-    for (i, j), entries in sorted(index.cells.items()):
-        if nonterminal in entries:
-            yield (i, j, extract_path(index, nonterminal,
-                                      index.graph.node_at(i),
-                                      index.graph.node_at(j)))
+    for i, j in index.pairs(nonterminal):
+        yield (i, j, extract_path(index, nonterminal,
+                                  index.graph.node_at(i),
+                                  index.graph.node_at(j)))

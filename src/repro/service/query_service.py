@@ -40,7 +40,7 @@ from ..core.batch import BatchQuery, solve_batch
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import AllPathIndex, LengthRank, ViterbiRank
-from ..core.single_path import extract_path
+from ..core.single_path import extract_path, lengths_by_fact
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal, Terminal
 from ..graph.labeled_graph import Edge, LabeledGraph
@@ -306,12 +306,8 @@ class QueryService:
             },
         }
         if single_path:
-            index = engine.single_path_index()
-            warm_state["lengths"] = {
-                (nonterminal, i, j): length
-                for (i, j), entries in index.cells.items()
-                for nonterminal, length in entries.items()
-            }
+            warm_state["lengths"] = lengths_by_fact(
+                engine.single_path_index().matrices)
         return cls(engine.graph, engine.grammar, backend=engine.backend,
                    strategy=engine.strategy, cache_size=cache_size,
                    single_path=single_path, warm_state=warm_state,
@@ -350,13 +346,9 @@ class QueryService:
                 facts[nonterminal] = set(matrix.nonzero_pairs())
             warm_state = {"facts": facts}
             if "length" in payload:
-                warm_state["lengths"] = {
-                    (nonterminal, i, j): length
-                    for nonterminal, matrix in
+                warm_state["lengths"] = lengths_by_fact(
                     snapshot_store.decode_annotated_matrices(
-                        payload["length"]).items()
-                    for i, j, length in matrix.nonzero_cells()
-                }
+                        payload["length"]))
         if single_path is None:
             single_path = bool(warm_state) and "lengths" in warm_state
         if single_path and warm_state is not None \

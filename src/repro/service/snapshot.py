@@ -35,9 +35,9 @@ registry key.  Loading under a *different* backend re-materializes
 through the codec and converts via the coordinate round-trip
 (:meth:`~repro.matrices.base.MatrixBackend.clone`), so a snapshot saved
 with ``sparse`` warm-starts a ``bitset`` engine and vice versa.
-Annotated (length/witness/counting/viterbi) matrices travel as
-:meth:`repro.core.semiring.AnnotatedBackend.tile_payload` cells with
-symbols flattened to names.
+Annotated (length/witness/counting/viterbi) matrices travel as sorted
+``[i, j, value]`` cell lists with symbols flattened to names, whichever
+layout (arrays or dict of cells) holds them in memory.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from ..core.semiring import (
     WITNESS_SEMIRING,
     AnnotatedBackend,
     AnnotatedMatrix,
-    annotated_tile_from_payload,
     get_semiring,
 )
 
@@ -363,46 +362,40 @@ def _decode_value(semiring_name: str, value):
     return value
 
 
-def encode_annotated_matrices(matrices: dict[Nonterminal, AnnotatedMatrix],
-                              semiring) -> dict:
-    backend = AnnotatedBackend(semiring)
+def encode_annotated_matrices(matrices: dict, semiring) -> dict:
+    """Encode ``nonterminal -> annotated matrix`` as ``[i, j, value]``
+    cell lists in ``(i, j)`` order (set-valued cells in canonical entry
+    order), whatever layout the matrices have."""
+    name = semiring.name
     out: dict = {}
     for nonterminal, matrix in sorted(matrices.items(),
                                       key=lambda item: item[0].name):
-        (_kind, name, shape, _symbol, _ro, _co,
-         cells) = backend.tile_payload(matrix)
-        encoded = [[i, j, _encode_value(name, value)]
-                   for (i, j), value in cells]
+        rows, cols, values = matrix.columns()
         if _set_valued(name):
-            # Set-valued cells iterate in hash order: sort the cell
-            # list too so the encoding is process-independent; decode
-            # rebuilds frozensets.
-            encoded.sort(key=lambda cell: (cell[0], cell[1]))
+            values = [_encode_value(name, value) for value in values]
         out[nonterminal.name] = {
             "semiring": name,
-            "shape": list(shape),
-            "cells": encoded,
+            "shape": list(matrix.shape),
+            # (i, j) is unique, so the list order never reaches the value.
+            "cells": sorted(map(list, zip(rows, cols, values))),
         }
     return out
 
 
-def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, AnnotatedMatrix]:
-    out: dict[Nonterminal, AnnotatedMatrix] = {}
+def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
+    out: dict[Nonterminal, BooleanMatrix] = {}
     for name, entry in doc.items():
         semiring_name = entry["semiring"]
         try:
-            get_semiring(semiring_name)
+            semiring = get_semiring(semiring_name)
         except KeyError as error:
             raise SnapshotError(str(error)) from error
-        payload = (
-            "annotated", semiring_name, tuple(entry["shape"]),
-            Nonterminal(name), 0, 0,
-            tuple(
-                ((i, j), _decode_value(semiring_name, value))
-                for i, j, value in entry["cells"]
-            ),
-        )
-        out[Nonterminal(name)] = annotated_tile_from_payload(payload)
+        cells = entry["cells"]
+        if _set_valued(semiring_name):
+            cells = [(i, j, _decode_value(semiring_name, value))
+                     for i, j, value in cells]
+        out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
+            tuple(entry["shape"]), cells, symbol=Nonterminal(name))
     return out
 
 
@@ -473,24 +466,8 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
             },
         }
     if "single-path" in semantics:
-        index = engine.single_path_index()
-        n = engine.graph.node_count
-        per_nonterminal: dict[Nonterminal, dict] = {}
-        for (i, j), entries in index.cells.items():
-            for nonterminal, length in entries.items():
-                per_nonterminal.setdefault(nonterminal, {})[(i, j)] = length
         payload["length"] = encode_annotated_matrices(
-            {
-                nonterminal: AnnotatedMatrix(
-                    LENGTH_SEMIRING, (n, n), cells, symbol=nonterminal
-                )
-                for nonterminal, cells in per_nonterminal.items()
-            },
-            LENGTH_SEMIRING,
-        )
-        # extract_path picks the first midpoint in cell order, so the
-        # merged cell-key order must survive the round trip exactly.
-        payload["length_cell_order"] = [list(pair) for pair in index.cells]
+            engine.single_path_index().matrices, LENGTH_SEMIRING)
     if "all-path" in semantics:
         forest = engine.all_path_enumerator().index
         n = engine.graph.node_count
@@ -523,15 +500,9 @@ def restore_single_path_index(payload: dict, graph: LabeledGraph,
     """Rebuild the Section-5 index from a snapshot's length payloads."""
     from ..core.single_path import SinglePathIndex
 
-    matrices = decode_annotated_matrices(payload["length"])
-    cells: dict[tuple[int, int], dict] = {
-        tuple(pair): {} for pair in payload.get("length_cell_order", ())
-    }
-    for nonterminal, matrix in matrices.items():
-        for i, j, length in matrix.nonzero_cells():
-            cells.setdefault((i, j), {})[nonterminal] = length
-    return SinglePathIndex(graph=graph, grammar=grammar, cells=cells,
-                           iterations=0)
+    return SinglePathIndex(
+        graph=graph, grammar=grammar,
+        matrices=decode_annotated_matrices(payload["length"]))
 
 
 def load_engine_snapshot(path: str, backend: "str | None" = None,

@@ -43,6 +43,13 @@ from repro.core.semiring import (
     BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
     WITNESS_SEMIRING,
+    AnnotatedBackend,
+    AnnotatedMatrix,
+    LengthSemiring,
+    ScalarAnnotatedMatrix,
+    ViterbiSemiring,
+    initial_annotated_matrices,
+    register_semiring,
     solve_annotated,
 )
 from repro.core.single_path import (
@@ -53,10 +60,12 @@ from repro.core.single_path import (
 )
 from repro.grammar.cfg import CFG
 from repro.grammar.cnf import to_cnf
+from repro.grammar.parser import parse_grammar
 from repro.grammar.production import Production
 from repro.grammar.recognizer import cyk_recognize
 from repro.grammar.symbols import Nonterminal, Terminal
 from repro.graph.generators import random_graph
+from repro.graph.labeled_graph import LabeledGraph
 from repro.matrices.base import available_backends
 
 STRATEGIES = ("naive", "delta", "blocked")
@@ -322,3 +331,239 @@ def test_incremental_lengths_track_from_scratch_index(seed):
             for nt, length in entries.items()
         }
         assert solver._lengths == expected
+
+
+# ----------------------------------------------------------------------
+# Array layout vs dict-of-cells layout (length, Viterbi)
+# ----------------------------------------------------------------------
+#
+# The scalar semirings run on the array-native kernels of
+# :mod:`repro.core.scalar_matrix`.  A subclass that withdraws the
+# ``array_ops`` declaration keeps the same algebra on the dict-of-cells
+# ``AnnotatedMatrix`` — the differential oracle.  Both are registered at
+# import (collection) time, before any process pool forks, so the
+# ``process`` scheduler's workers resolve them by name.
+
+class DictLength(LengthSemiring):
+    name = "length[dict-oracle]"
+    array_ops = None
+
+
+class DictViterbi(ViterbiSemiring):
+    array_ops = None
+
+
+_WEIGHTS = {"a": 0.9, "b": 0.3}
+#: (array-native semiring, dict-of-cells oracle) per scalar semiring.
+LAYOUT_PAIRS = {
+    "length": (LENGTH_SEMIRING, register_semiring(DictLength())),
+    "viterbi": (
+        register_semiring(ViterbiSemiring(
+            weights=_WEIGHTS, name="viterbi[weighted-test]")),
+        register_semiring(DictViterbi(
+            weights=_WEIGHTS, name="viterbi[dict-oracle]")),
+    ),
+}
+
+requires_arrays = pytest.mark.skipif(
+    ScalarAnnotatedMatrix is None, reason="array layout needs NumPy")
+
+
+def _closed(graph, grammar, semiring, strategy, **options):
+    return solve_annotated(graph, grammar, semiring, strategy=strategy,
+                           normalize=False, **options)
+
+
+def _assert_layouts_agree(graph, grammar, strategy, **options):
+    """Close under both layouts of both scalar semirings; returns the
+    array-layout length result."""
+    results = {}
+    for name, (array_semiring, dict_semiring) in LAYOUT_PAIRS.items():
+        arrays = _closed(graph, grammar, array_semiring, strategy, **options)
+        oracle = _closed(graph, grammar, dict_semiring, strategy, **options)
+        for matrix in arrays.matrices.values():
+            assert isinstance(matrix, ScalarAnnotatedMatrix), name
+        for matrix in oracle.matrices.values():
+            assert isinstance(matrix, AnnotatedMatrix), name
+        assert arrays.cells() == oracle.cells(), (name, strategy, options)
+        assert arrays.multiplications == oracle.multiplications, name
+        assert arrays.iterations == oracle.iterations, name
+        assert arrays.delta_nnz_per_round == oracle.delta_nnz_per_round, name
+        results[name] = arrays
+    return results["length"]
+
+
+@requires_arrays
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("strategy", ("naive", "delta"))
+def test_array_layout_equals_dict_layout(seed, strategy):
+    graph, grammar = make_case(seed)
+    _assert_layouts_agree(graph, grammar, strategy)
+
+
+@requires_arrays
+@pytest.mark.parametrize("seed", SEEDS[:5])
+@pytest.mark.parametrize("scheduler", ("serial", "threads", "process"))
+def test_array_layout_equals_dict_layout_blocked(seed, scheduler):
+    """Tiled runs: tile_size 2 leaves a ragged edge tile on every
+    odd-sized graph, and the process scheduler ships the arrays through
+    the payload codec."""
+    graph, grammar = make_case(seed)
+    _assert_layouts_agree(graph, grammar, "blocked", tile_size=2,
+                          scheduler=scheduler)
+
+
+@requires_arrays
+def test_ragged_edge_tiles_keep_every_cell():
+    graph, grammar = make_case(3, max_nodes=7, max_edges=16)
+    reference = _closed(graph, grammar, LENGTH_SEMIRING, "naive").cells()
+    assert graph.node_count == 6
+    for tile_size in (4, 5):
+        tiled = _assert_layouts_agree(graph, grammar, "blocked",
+                                      tile_size=tile_size)
+        assert tiled.cells() == reference, tile_size
+
+
+@requires_arrays
+def test_nullable_diagonal_has_length_zero():
+    grammar = to_cnf(parse_grammar("S -> a S b | eps", terminals=["a", "b"]))
+    graph = random_graph(4, 6, list(_LABELS), seed=11)
+    start = Nonterminal("S")
+    for strategy in STRATEGIES:
+        result = _assert_layouts_agree(graph, grammar, strategy)
+        matrix = result.matrices[start]
+        assert [matrix.value_at(i, i) for i in range(4)] == [0] * 4
+
+
+@requires_arrays
+def test_shorter_witness_found_later_reenters_the_frontier():
+    """``S → S S`` doubles its reach per round and spans 0..8 with eight
+    ``a`` edges by round 3; the left-linear ``Y`` route of six edges
+    needs five rounds.  The cell must be refined 8 → 6, and the
+    refinement must ride the delta: the rounds merge one entry more
+    than the matrices gain cells."""
+    grammar = to_cnf(parse_grammar("S -> S S | a | Y\nY -> Y c | d",
+                                   terminals=["a", "c", "d"]))
+    route = [0, 10, 11, 12, 13, 14, 8]
+    graph = LabeledGraph.from_edges(
+        [(i, "a", i + 1) for i in range(8)]
+        + [(route[k], "d" if k == 0 else "c", route[k + 1])
+           for k in range(6)])
+    seeded = sum(matrix.nnz() for matrix in initial_annotated_matrices(
+        graph, grammar, LENGTH_SEMIRING).values())
+    for strategy in STRATEGIES:
+        result = _assert_layouts_agree(graph, grammar, strategy, tile_size=4)
+        assert result.matrices[Nonterminal("S")].value_at(
+            0, graph.node_id(8)) == 6
+        closed = sum(matrix.nnz() for matrix in result.matrices.values())
+        if strategy != "delta":  # delta's first round re-merges the seeds
+            assert sum(result.delta_nnz_per_round) == closed - seeded + 1
+
+
+@requires_arrays
+def test_parallel_edges_keep_the_best_viterbi_weight():
+    grammar = to_cnf(parse_grammar("S -> A A\nA -> a | b",
+                                   terminals=["a", "b"]))
+    graph = LabeledGraph.from_edges(
+        [(0, "a", 1), (0, "b", 1), (1, "b", 2)])
+    for strategy in STRATEGIES:
+        result = _assert_layouts_agree(graph, grammar, strategy)
+    array_semiring, _oracle = LAYOUT_PAIRS["viterbi"]
+    result = _closed(graph, grammar, array_semiring, "delta")
+    assert result.matrices[Nonterminal("A")].value_at(0, 1) == 0.9
+    assert result.matrices[Nonterminal("S")].value_at(0, 2) == 0.9 * 0.3
+
+
+# -- kernel properties ---------------------------------------------------
+
+def _random_cells(rng, shape, density, value):
+    return {
+        (i, j): value(rng)
+        for i in range(shape[0]) for j in range(shape[1])
+        if rng.random() < density
+    }
+
+
+def _layout_operands(kind, shape, cells):
+    array_semiring, dict_semiring = LAYOUT_PAIRS[kind]
+    return (ScalarAnnotatedMatrix(array_semiring, shape, cells),
+            AnnotatedMatrix(dict_semiring, shape, cells))
+
+
+_VALUES = {
+    "length": lambda rng: rng.randint(0, 9),
+    "viterbi": lambda rng: rng.choice((1.0, 0.9, 0.5, 0.3, 0.27)),
+}
+
+
+def _cells(matrix):
+    return {(i, j): value for i, j, value in matrix.nonzero_cells()}
+
+
+@requires_arrays
+@pytest.mark.parametrize("kind", sorted(LAYOUT_PAIRS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multiply_matches_dict_reference_on_rectangles(kind, seed):
+    rng = random.Random(0xA77A1 ^ seed)
+    rows, inner, cols = (rng.randint(1, 7) for _ in range(3))
+    density = rng.choice((0.0, 0.2, 0.6, 1.0))
+    left = _layout_operands(kind, (rows, inner), _random_cells(
+        rng, (rows, inner), density, _VALUES[kind]))
+    right = _layout_operands(kind, (inner, cols), _random_cells(
+        rng, (inner, cols), rng.choice((0.0, 0.3, 1.0)), _VALUES[kind]))
+    product = left[0].multiply(right[0])
+    assert product.shape == (rows, cols)
+    assert _cells(product) == _cells(left[1].multiply(right[1]))
+
+
+@requires_arrays
+@pytest.mark.parametrize("kind", sorted(LAYOUT_PAIRS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_union_update_delta_is_new_plus_improved(kind, seed):
+    rng = random.Random(0x0DE17A ^ seed)
+    shape = (rng.randint(1, 6), rng.randint(1, 6))
+    before = _random_cells(rng, shape, 0.5, _VALUES[kind])
+    incoming = _random_cells(rng, shape, rng.choice((0.0, 0.5, 1.0)),
+                             _VALUES[kind])
+    target, oracle = _layout_operands(kind, shape, before)
+    other, oracle_other = _layout_operands(kind, shape, incoming)
+    better = min if kind == "length" else max
+    expected_delta = {
+        pair: value for pair, value in incoming.items()
+        if pair not in before or better(value, before[pair]) != before[pair]
+    }
+    delta = target.union_update(other)
+    assert _cells(delta) == expected_delta
+    assert _cells(delta) == _cells(oracle.union_update(oracle_other))
+    # Mutated in place, to the ⊕ of both operands.
+    assert _cells(target) == _cells(oracle) == {
+        pair: (better(before[pair], incoming[pair])
+               if pair in before and pair in incoming
+               else before.get(pair, incoming.get(pair)))
+        for pair in before.keys() | incoming.keys()
+    }
+    assert _cells(other) == incoming
+    assert _cells(target.difference(other)) == {
+        pair: value for pair, value in _cells(target).items()
+        if pair not in incoming
+    }
+
+
+@requires_arrays
+@pytest.mark.parametrize("kind", sorted(LAYOUT_PAIRS))
+def test_empty_operands(kind):
+    array_semiring, _oracle = LAYOUT_PAIRS[kind]
+    backend = AnnotatedBackend(array_semiring)
+    empty = backend.zeros(3, 4)
+    full = backend.from_pairs(4, [(0, 0), (3, 1)], cols=2)
+    assert empty.multiply(full).nnz() == 0
+    assert empty.multiply(full).shape == (3, 2)
+    assert backend.zeros(2, 3).multiply(empty).nnz() == 0
+    assert full.union_update(backend.zeros(4, 2)).nnz() == 0
+    assert full.nnz() == 2
+    delta = backend.zeros(4, 2).union_update(full)
+    assert _cells(delta) == _cells(full)
+    assert backend.clone(empty).nnz() == 0
+    tiles = backend.split_into_tiles(backend.zeros(5), 2)
+    assert len(tiles) == 9 and not any(t.nnz() for t in tiles.values())
+    assert backend.assemble_from_tiles(tiles, 5, 2).nnz() == 0

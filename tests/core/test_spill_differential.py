@@ -114,3 +114,44 @@ def test_spill_dir_cleaned_up_on_success(tmp_path):
                  strategy="blocked", tile_size=2,
                  memory_budget=TINY_BUDGET, spill_dir=str(tmp_path))
     assert not list(tmp_path.iterdir())
+
+
+def test_length_semiring_budget_spills_on_measured_bytes(tmp_path):
+    """The array-native length tiles are budgeted by their arrays' real
+    bytes (16 per cell), not a per-cell guess: a third of the unbounded
+    peak forces spilling, stays ``within_budget`` by the store's own
+    accounting, and closes to the unbounded answer."""
+    np = pytest.importorskip("numpy")
+    from repro.core.tilestore import TileStore, matrix_nbytes
+    from repro.graph.generators import random_graph
+
+    from test_semiring_differential import make_case
+
+    _graph, grammar = make_case(2)
+    graph = random_graph(24, 70, ["a", "b"], seed=5)
+
+    def closed(store):
+        return solve_annotated(graph, grammar, LENGTH_SEMIRING,
+                               strategy="blocked", normalize=False,
+                               tile_size=4, tile_store=store)
+
+    unbounded_store = TileStore()
+    unbounded = closed(unbounded_store)
+    for matrix in unbounded.matrices.values():
+        assert matrix_nbytes(matrix) == matrix.nnz() * (
+            np.dtype("int64").itemsize * 2)
+    peak = unbounded_store.stats.peak_resident_bytes
+    unbounded_store.close()
+    assert peak > 0
+
+    budget = peak // 3
+    store = TileStore(budget_bytes=budget, spill_dir=str(tmp_path))
+    try:
+        bounded = closed(store)
+        stats = store.stats
+        assert stats.tiles_spilled > 0 and stats.tiles_reloaded > 0
+        assert stats.peak_resident_bytes <= budget  # within_budget
+    finally:
+        store.close()
+    assert bounded.cells() == unbounded.cells()
+    assert bounded.multiplications == unbounded.multiplications

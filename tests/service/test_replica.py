@@ -157,6 +157,39 @@ class TestFollower:
         assert filecmp.cmp(a, b, shallow=False)
         assert follower.query("S", "p", "p") is leader.query("S", "p", "p")
 
+    def test_engine_snapshot_pair_stays_byte_identical(self, tmp_path):
+        """Both roles warm-start from one *engine* snapshot (the
+        ``snapshot`` CLI's format, length section included) and stay
+        byte-identical through worklist ticks and a batch large enough
+        to run the length-semiring matrix frontier."""
+        from repro import CFPQEngine
+        from repro.core.incremental import SMALL_BATCH_EDGES
+        from repro.service.snapshot import save_engine_snapshot
+
+        snapshot = str(tmp_path / "engine.snapshot")
+        save_engine_snapshot(
+            snapshot, CFPQEngine(two_cycles(2, 3), ANBN),
+            semantics=("relational", "single-path"))
+        wal = str(tmp_path / "wal")
+        leader = ReplicatedService.recover(snapshot, wal)
+        follower = FollowerService.from_snapshot(snapshot, wal)
+        assert leader.single_path and follower.single_path
+
+        chain = [("insert", (f"n{k}", "ab"[k % 2], f"n{k + 1}"))
+                 for k in range(SMALL_BATCH_EDGES + 10)]
+        for ops in [*TICKS, chain]:
+            leader.tick(ops)
+        assert leader.stats["frontier_runs"] >= 1
+        follower.replay()
+
+        a = str(tmp_path / "leader.snapshot")
+        b = str(tmp_path / "follower.snapshot")
+        leader.save_snapshot(a)
+        follower.save_snapshot(b)
+        assert filecmp.cmp(a, b, shallow=False)
+        assert (follower.query("S", "n0", "n2", semantics="length")
+                == leader.query("S", "n0", "n2", semantics="length") == 2)
+
     def test_reads_serve_at_replay_horizon(self, tmp_path):
         leader, follower = self._pair(tmp_path)
         leader.tick(TICKS[0])

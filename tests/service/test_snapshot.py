@@ -47,7 +47,8 @@ def _relational_answer(engine):
 
 def _single_path_answers(engine):
     """Every recorded (pair → path), byte-identical across engines
-    because extraction scans the index cells in storage order."""
+    because extraction tries rules in grammar order and midpoints in
+    ascending order."""
     index = engine.single_path_index()
     out = {}
     for (i, j), entries in index.cells.items():
@@ -91,9 +92,9 @@ def test_round_trip_same_backend(tmp_path, backend, grammar):
     assert warm.relational("S") == relational
     assert _single_path_answers(warm) == single
     assert _all_path_answers(warm) == allp
-    # The length index round-trips *exactly* (cells, values and order).
-    assert list(warm.single_path_index().cells.items()) \
-        == list(engine.single_path_index().cells.items())
+    # The length index round-trips exactly; paths no longer depend on
+    # cell order (extract_path reads rows in midpoint order).
+    assert warm.single_path_index().cells == engine.single_path_index().cells
 
 
 @pytest.mark.parametrize("save_backend", BACKENDS)
@@ -125,6 +126,87 @@ def test_snapshot_paths_stay_valid(tmp_path):
     witness = extract_path(index, "S", 0, 4)
     assert path_is_valid(index, witness)
     assert len(witness) == 4
+
+
+def _parent_format_payload(engine, seed=7):
+    """The engine's snapshot as the parent commit wrote it: length cells
+    in dict insertion order (here: shuffled) plus ``length_cell_order``,
+    the merged cell-key order its ``extract_path`` depended on."""
+    import random
+
+    payload = snapshot_store.build_engine_payload(
+        engine, ("relational", "single-path"))
+    rng = random.Random(seed)
+    for entry in payload["length"].values():
+        rng.shuffle(entry["cells"])
+    order = sorted({(i, j) for entry in payload["length"].values()
+                    for i, j, _length in entry["cells"]})
+    rng.shuffle(order)
+    payload["length_cell_order"] = [list(pair) for pair in order]
+    return payload
+
+
+@pytest.mark.parametrize("grammar", [ANBN, ANBN_EPS],
+                         ids=["anbn", "anbn-nullable"])
+def test_parent_format_snapshot_warm_starts_single_path(tmp_path, grammar):
+    """Files written before the arrays (list cells in any order, a
+    ``length_cell_order`` section) still load: same lengths, zero
+    closure rounds, valid minimal paths."""
+    from repro import QueryService
+
+    engine = CFPQEngine(_graph(), grammar)
+    index = engine.single_path_index()
+    path = str(tmp_path / "parent.snapshot")
+    write_snapshot(path, _parent_format_payload(engine))
+
+    warm_engine = load_engine_snapshot(path)
+    assert warm_engine.single_path_index().cells == index.cells
+    assert warm_engine.single_path_index().iterations == 0
+
+    service = QueryService.from_snapshot(path)
+    assert service.single_path is True
+    assert service.stats["startup"]["closure_iterations"] == 0
+    graph = service.graph
+    for (i, j), entries in index.cells.items():
+        for nonterminal, length in entries.items():
+            source, target = graph.node_at(i), graph.node_at(j)
+            assert service.query(nonterminal, source, target,
+                                 semantics="length") == length
+            found = service.query(nonterminal, source, target,
+                                  semantics="single-path")
+            assert len(found) == length
+            assert path_is_valid(index, tuple(
+                (graph.node_id(a), label, graph.node_id(b))
+                for a, label, b in found))
+
+
+def test_snapshot_drops_cell_order_and_does_not_grow(tmp_path):
+    """The writer no longer emits ``length_cell_order`` (paths are a
+    function of the index alone), the file loads on both warm-start
+    entry points, and it is smaller than the parent-format file of the
+    same engine."""
+    from repro import QueryService
+
+    engine = CFPQEngine(_graph(), ANBN)
+    new = str(tmp_path / "new.snapshot")
+    size = save_engine_snapshot(new, engine,
+                                semantics=("relational", "single-path"))
+    payload = read_snapshot(new)
+    assert "length_cell_order" not in payload
+    for entry in payload["length"].values():
+        assert entry["cells"] == sorted(entry["cells"])
+        assert all(type(x) is int for cell in entry["cells"] for x in cell)
+    old = str(tmp_path / "parent.snapshot")
+    assert size < write_snapshot(old, _parent_format_payload(engine))
+
+    cells = engine.single_path_index().cells
+    assert load_engine_snapshot(new).single_path_index().cells == cells
+    service = QueryService.from_snapshot(new)
+    assert service.solver.export_state()["lengths"] == {
+        (nonterminal, i, j): length
+        for (i, j), entries in cells.items()
+        for nonterminal, length in entries.items()
+    }
 
 
 def test_partial_snapshot_solves_missing_sections(tmp_path):
