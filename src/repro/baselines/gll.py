@@ -25,7 +25,7 @@ from typing import Iterable
 
 from ..core.relations import ContextFreeRelations
 from ..grammar.cfg import CFG
-from ..grammar.symbols import Nonterminal, Symbol, Terminal
+from ..grammar.symbols import Nonterminal, Symbol, Terminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 
 #: A paused/running production traversal.
@@ -138,10 +138,7 @@ def solve_gll(graph: LabeledGraph, grammar: CFG,
     if nonterminals is None:
         wanted = sorted(grammar.nonterminals, key=lambda nt: nt.name)
     else:
-        wanted = [
-            nt if isinstance(nt, Nonterminal) else Nonterminal(nt)
-            for nt in nonterminals
-        ]
+        wanted = [as_nonterminal(nt) for nt in nonterminals]
     return ContextFreeRelations(
         graph, {nt: solver.relation(nt) for nt in wanted}
     )

@@ -16,10 +16,11 @@ and loses on the large g1–g3 graphs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import chain, repeat
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..core.relations import ContextFreeRelations
 
@@ -30,48 +31,69 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the Hellings baseline")
 
-    # result[A] = set of (i, j); plus adjacency views for fast extension.
-    result: dict[Nonterminal, set[tuple[int, int]]] = defaultdict(set)
-    by_source: dict[tuple[Nonterminal, int], set[int]] = defaultdict(set)
-    by_target: dict[tuple[Nonterminal, int], set[int]] = defaultdict(set)
-    worklist: deque[tuple[Nonterminal, int, int]] = deque()
-
-    def add_fact(nonterminal: Nonterminal, i: int, j: int) -> None:
-        if (i, j) not in result[nonterminal]:
-            result[nonterminal].add((i, j))
-            by_source[(nonterminal, i)].add(j)
-            by_target[(nonterminal, j)].add(i)
-            worklist.append((nonterminal, i, j))
+    # rows[A][i] = {j} and cols[A][j] = {i} for every fact (A, i, j):
+    # symbols are interned, so a non-terminal addresses its two maps at
+    # the price of a pointer and no (A, node) key is built per lookup.
+    nonterminals = working_grammar.nonterminals
+    rows: dict[Nonterminal, dict[int, set[int]]] = {
+        nonterminal: defaultdict(set) for nonterminal in nonterminals}
+    cols: dict[Nonterminal, dict[int, set[int]]] = {
+        nonterminal: defaultdict(set) for nonterminal in nonterminals}
 
     # Base facts from terminal rules (Algorithm 1's initialization),
     # plus the empty-path diagonal for originally-nullable symbols.
     for nonterminal in working_grammar.nullable_diagonal:
         for i in range(graph.node_count):
-            add_fact(nonterminal, i, i)
+            rows[nonterminal][i].add(i)
+            cols[nonterminal][i].add(i)
     for i, label, j in graph.edges_by_id():
-        for head in working_grammar.heads_for_terminal(Terminal(label)):
-            add_fact(head, i, j)
+        for head in working_grammar.heads_for_label(label):
+            rows[head][i].add(j)
+            cols[head][j].add(i)
+    worklist: deque[tuple[Nonterminal, int, int]] = deque(
+        (nonterminal, i, j) for nonterminal, row_map in rows.items()
+        for i, targets in row_map.items() for j in targets)
 
-    # Pair rules indexed both ways.
-    rules_by_left: dict[Nonterminal, list[tuple[Nonterminal, Nonterminal]]] = defaultdict(list)
-    rules_by_right: dict[Nonterminal, list[tuple[Nonterminal, Nonterminal]]] = defaultdict(list)
+    # Pair rules indexed both ways, each bound once to the maps it
+    # reads (the other operand's) and writes (the head's).
+    as_left: dict[Nonterminal, list[tuple]] = {a: [] for a in nonterminals}
+    as_right: dict[Nonterminal, list[tuple]] = {a: [] for a in nonterminals}
     for rule in working_grammar.binary_rules:
+        head = rule.head
         left, right = rule.body  # type: ignore[misc]
-        rules_by_left[left].append((rule.head, right))     # type: ignore[index,arg-type]
-        rules_by_right[right].append((rule.head, left))    # type: ignore[index,arg-type]
+        as_left[left].append((head, rows[head], cols[head], rows[right]))  # type: ignore[index]
+        as_right[right].append((head, rows[head], cols[head], cols[left]))  # type: ignore[index]
 
     while worklist:
         nonterminal, i, j = worklist.popleft()
         # Popped fact as the LEFT part: A -> nonterminal C needs (C, j, k).
-        for head, right in rules_by_left.get(nonterminal, ()):
-            for k in list(by_source.get((right, j), ())):
-                add_fact(head, i, k)
+        # Consequences the head already holds drop out in one set
+        # difference against its row, before any per-fact work.
+        for head, head_rows, head_cols, right_rows in as_left[nonterminal]:
+            targets = right_rows.get(j)
+            if targets:
+                known = head_rows[i]
+                fresh = targets - known
+                if fresh:
+                    known |= fresh
+                    for k in fresh:
+                        head_cols[k].add(i)
+                    worklist.extend([(head, i, k) for k in fresh])
         # Popped fact as the RIGHT part: A -> B nonterminal needs (B, k, i).
-        for head, left in rules_by_right.get(nonterminal, ()):
-            for k in list(by_target.get((left, i), ())):
-                add_fact(head, k, j)
+        for head, head_rows, head_cols, left_cols in as_right[nonterminal]:
+            sources = left_cols.get(i)
+            if sources:
+                known = head_cols[j]
+                fresh = sources - known
+                if fresh:
+                    known |= fresh
+                    for k in fresh:
+                        head_rows[k].add(j)
+                    worklist.extend([(head, k, j) for k in fresh])
 
     return ContextFreeRelations(
         graph,
-        {nt: result.get(nt, set()) for nt in working_grammar.nonterminals},
+        {nonterminal: frozenset(chain.from_iterable(
+            zip(repeat(i), targets) for i, targets in row_map.items()))
+         for nonterminal, row_map in rows.items()},
     )

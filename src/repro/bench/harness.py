@@ -26,7 +26,7 @@ from ..core.matrix_cfpq import solve_matrix
 from ..core.naive_closure import solve_naive
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer, stopwatch
@@ -91,7 +91,7 @@ def measure(solver_name: str, graph: LabeledGraph, grammar: CFG,
         raise KeyError(
             f"unknown solver {solver_name!r}; known: {', '.join(sorted(SOLVERS))}"
         )
-    start_nt = start if isinstance(start, Nonterminal) else Nonterminal(start)
+    start_nt = as_nonterminal(start)
     prepared = grammar if solver_name == "gll" else ensure_cnf(grammar)
     solver = SOLVERS[solver_name]
 

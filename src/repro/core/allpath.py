@@ -36,7 +36,7 @@ from typing import Hashable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from .path_index import AllPathIndex
 from .single_path import Path
@@ -67,8 +67,7 @@ class AllPathEnumerator:
               target: Hashable, max_length: int) -> frozenset[Path]:
         """All paths ``source π target`` with ``A ⇒* l(π)`` and
         ``|π| ≤ max_length``."""
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         self.grammar.require_nonterminal(nonterminal)
         return frozenset(
             self.index.iter_paths(nonterminal, source, target, max_length)
@@ -83,8 +82,7 @@ class AllPathEnumerator:
         so this reads the forest's shortest-witness lengths instead of
         enumerating.
         """
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         self.grammar.require_nonterminal(nonterminal)
         pairs: set[tuple[int, int]] = set()
         for i, j in self.index.relations.pairs(nonterminal):
@@ -98,8 +96,7 @@ class AllPathEnumerator:
     def iter_paths(self, nonterminal: Nonterminal | str, max_length: int,
                    ) -> Iterator[tuple[int, int, Path]]:
         """Yield every (i, j, path) with ``|path| ≤ max_length``."""
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         self.grammar.require_nonterminal(nonterminal)
         for i in range(self.graph.node_count):
             for j in range(self.graph.node_count):

@@ -25,7 +25,7 @@ from typing import Hashable
 from ..errors import SemanticsError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import default_backend
 from .allpath import AllPathEnumerator
@@ -104,7 +104,7 @@ class CFPQEngine:
                    ) -> frozenset[tuple[Hashable, Hashable]]:
         """``R_S`` for the queried start non-terminal, as node objects —
         the paper's relational query semantics."""
-        start_nt = _as_nonterminal(start)
+        start_nt = as_nonterminal(start)
         self.grammar.require_nonterminal(start_nt)
         return self.relations(backend, strategy).node_pairs(start_nt)
 
@@ -138,7 +138,7 @@ class CFPQEngine:
         """One witness path for ``(start, source, target)``; raises
         :class:`~repro.errors.PathNotFoundError` when the pair is not in
         the relation."""
-        start_nt = _as_nonterminal(start)
+        start_nt = as_nonterminal(start)
         self.grammar.require_nonterminal(start_nt)
         return extract_path(self.single_path_index(strategy), start_nt,
                             source, target)
@@ -147,7 +147,7 @@ class CFPQEngine:
                     target: Hashable, strategy: str | None = None,
                     ) -> int | None:
         """The recorded witness-path length ``l_A``, or None."""
-        start_nt = _as_nonterminal(start)
+        start_nt = as_nonterminal(start)
         index = self.single_path_index(strategy)
         return index.length_of(
             start_nt, self.graph.node_id(source), self.graph.node_id(target)
@@ -172,7 +172,7 @@ class CFPQEngine:
                   strategy: str | None = None) -> frozenset[Path]:
         """All witness paths of length ≤ *max_length*."""
         return self.all_path_enumerator(strategy).paths(
-            _as_nonterminal(start), source, target, max_length
+            as_nonterminal(start), source, target, max_length
         )
 
     # ------------------------------------------------------------------
@@ -266,7 +266,7 @@ class CFPQEngine:
                                    strategy=kwargs.get("strategy"))
         if semantics == "single-path":
             index = self.single_path_index(kwargs.get("strategy"))
-            start_nt = _as_nonterminal(start)
+            start_nt = as_nonterminal(start)
             return {
                 (self.graph.node_at(i), self.graph.node_at(j)):
                     extract_path(index, start_nt, self.graph.node_at(i),
@@ -277,7 +277,7 @@ class CFPQEngine:
             max_length = kwargs.get("max_length")
             if max_length is None:
                 raise SemanticsError("all-path semantics requires max_length=")
-            start_nt = _as_nonterminal(start)
+            start_nt = as_nonterminal(start)
             enumerator = self.all_path_enumerator(kwargs.get("strategy"))
             return {
                 (self.graph.node_at(i), self.graph.node_at(j)): paths
@@ -299,6 +299,3 @@ def cfpq(graph: LabeledGraph, grammar: CFG, start: Nonterminal | str,
     return CFPQEngine(graph, grammar, backend=backend,
                       strategy=strategy).relational(start)
 
-
-def _as_nonterminal(value: Nonterminal | str) -> Nonterminal:
-    return value if isinstance(value, Nonterminal) else Nonterminal(value)

@@ -28,7 +28,7 @@ runs plain **delete-and-rederive** (DRed) — with no support store.
 Removing edges (1) **over-deletes** the downward closure of the touched
 facts — count-blind, which is what makes the phase sound on cyclic
 derivations where support counts would keep self-supporting facts
-alive — and drops those facts from the tuple indexes, then (2)
+alive — and drops those facts from the fact maps, then (2)
 **re-derives**: each over-deleted fact is *probed* for its one-step
 derivations from the survivors (a terminal edge, an ``("empty",)``
 nullability mark or a binary ``(rule, midpoint)`` split whose operands
@@ -41,6 +41,15 @@ A batch of fewer than :data:`SMALL_BATCH_EDGES` new edges takes the
 tuple-granular worklist as well: the matrix path pays O(|facts|) to
 build its operand matrices before the first product, which a small
 batch never earns back.
+
+**Layout.**  Each relation is held as its pair set ``facts[A]`` (what
+:meth:`~IncrementalCFPQ.relations`, snapshots and the matrix route
+read) and as the row and column maps the joins walk, ``rows[A][i] =
+{j}`` and ``cols[A][j] = {i}``; symbols are interned, so ``rows[A]``
+costs a pointer hash.  One worklist serves both solvers and both
+directions: a popped fact yields one consequence *group* per pair rule
+(a whole row or column of the other operand), and the presence-only
+step drops what is known by one set difference against the head's row.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
 annotations on the same engine: large batches run the closure over the
@@ -60,11 +69,12 @@ sequence the incremental state must equal a from-scratch solve
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Hashable, Iterable
+from itertools import chain, repeat
+from typing import Hashable, Iterable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
@@ -79,12 +89,36 @@ Fact = tuple[Nonterminal, int, int]
 #: ``("split", B, C, r)`` for a pair rule applied at midpoint ``r``.
 Support = tuple
 
+#: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``.
+FactMaps = dict[Nonterminal, "defaultdict[int, set[int]]"]
+
+#: Per-non-terminal pair sets: the relations themselves, a change log.
+PairSets = dict[Nonterminal, set[tuple[int, int]]]
+
+#: Facts sharing a head and a support: ``(head, i, None, targets,
+#: support)`` is every ``(head, i, k)``, ``k`` in *targets*; ``(head,
+#: None, j, sources, support)`` every ``(head, k, j)``.
+Group = tuple
+
+_NO_NODES: frozenset[int] = frozenset()
 
 #: ``add_edges`` batches with fewer new edges than this run the
 #: tuple-granular worklist; at or above it, the matrix frontier.  The
 #: measured crossover of ``benchmarks/bench_incremental.py`` (see
 #: README, *Incremental updates*).
-SMALL_BATCH_EDGES = 100
+SMALL_BATCH_EDGES = 200
+
+
+def _fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
+    return {nonterminal: defaultdict(set) for nonterminal in nonterminals}
+
+
+def _facts_in(rows: FactMaps) -> Iterator[Fact]:
+    """Every fact ``(A, i, j)`` held by row maps."""
+    return chain.from_iterable(
+        zip(repeat(nonterminal), repeat(i), targets)
+        for nonterminal, row_map in rows.items()
+        for i, targets in row_map.items())
 
 
 class IncrementalCFPQ:
@@ -124,22 +158,28 @@ class IncrementalCFPQ:
         self.strategy = strategy
         self.strategy_options = strategy_options
 
-        self._facts: dict[Nonterminal, set[tuple[int, int]]] = defaultdict(set)
-        self._by_source: dict[tuple[Nonterminal, int], set[int]] = defaultdict(set)
-        self._by_target: dict[tuple[Nonterminal, int], set[int]] = defaultdict(set)
-        self._rules_by_left: dict[Nonterminal, list[tuple[Nonterminal, Nonterminal]]] = \
-            defaultdict(list)
-        self._rules_by_right: dict[Nonterminal, list[tuple[Nonterminal, Nonterminal]]] = \
-            defaultdict(list)
-        self._bodies_for_head: dict[Nonterminal, list[tuple[Nonterminal, Nonterminal]]] = \
-            defaultdict(list)
+        nonterminals = self.grammar.nonterminals
+        self._facts: PairSets = {nt: set() for nt in nonterminals}
+        self._rows = _fact_maps(nonterminals)
+        self._cols = _fact_maps(nonterminals)
+        self._live = (self._rows, self._cols)
+        # Pair rules indexed by operand, each bound once to the map its
+        # join reads: a fact (B, i, r) as the LEFT part of A -> B C
+        # meets the row r of C, a fact (C, r, j) as the RIGHT part the
+        # column r of B; a probe of (A, i, j) meets both.
+        self._as_left: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
+        self._as_right: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
+        self._bodies_for_head: dict[Nonterminal, list] = \
+            {nt: [] for nt in nonterminals}
         self._pair_rules: list[tuple[Nonterminal, Nonterminal, Nonterminal]] = []
         for rule in self.grammar.binary_rules:
+            head = rule.head
             left, right = rule.body  # type: ignore[misc]
-            self._rules_by_left[left].append((rule.head, right))   # type: ignore[index,arg-type]
-            self._rules_by_right[right].append((rule.head, left))  # type: ignore[index,arg-type]
-            self._bodies_for_head[rule.head].append((left, right))  # type: ignore[arg-type]
-            self._pair_rules.append((rule.head, left, right))       # type: ignore[arg-type]
+            self._as_left[left].append((head, right, self._rows[right]))   # type: ignore[index]
+            self._as_right[right].append((head, left, self._cols[left]))   # type: ignore[index]
+            self._bodies_for_head[head].append(
+                (left, right, self._rows[left], self._cols[right]))  # type: ignore[index]
+            self._pair_rules.append((head, left, right))  # type: ignore[arg-type]
         self._terminals_for_head: dict[Nonterminal, list[str]] = defaultdict(list)
         for rule in self.grammar.terminal_rules:
             self._terminals_for_head[rule.head].append(rule.body[0].label)  # type: ignore[union-attr]
@@ -152,7 +192,7 @@ class IncrementalCFPQ:
         self._facts_removed = 0
 
         #: Active per-call change recorder (None outside a mutator).
-        self._change_recorder: dict[Nonterminal, set[tuple[int, int]]] | None = None
+        self._change_recorder: PairSets | None = None
         self._last_changes: dict[Nonterminal, frozenset[tuple[int, int]]] = {}
         self._initial_iterations = 0
 
@@ -162,13 +202,11 @@ class IncrementalCFPQ:
             self._seed_from_engine(backend, strategy)
         # Keep the stats contract of the worklist-seeded version: every
         # initially derived fact counts as one propagation.
-        self._propagated_facts = sum(
-            len(pairs) for pairs in self._facts.values()
-        )
+        self._propagated_facts = self._total_facts()
 
     def _seed_from_engine(self, backend: str, strategy: str) -> None:
         """Initial solve: run the matrix closure engine to the fixpoint
-        and seed the tuple-level indexes from the closed matrices.
+        and seed the fact maps from the closed matrices.
         Annotated subclasses override this to seed from the semiring
         engine instead."""
         from .matrix_cfpq import solve_matrix
@@ -188,21 +226,23 @@ class IncrementalCFPQ:
 
     def _adopt_pairs(self, nonterminal: Nonterminal,
                      pairs: Iterable[tuple[int, int]]) -> None:
-        """Bulk-record already-closed facts of one non-terminal (the
-        seeding paths: nothing to log, no consequences to chase)."""
+        """Record facts of one non-terminal that are already closed
+        (seeding, an absorbed batch): nothing to log, no consequences
+        to chase."""
         pairs = list(pairs)
         self._facts[nonterminal].update(pairs)
-        self._index_pairs(nonterminal, pairs)
+        row_map, col_map = self._rows[nonterminal], self._cols[nonterminal]
+        for i, j in pairs:
+            row_map[i].add(j)
+            col_map[j].add(i)
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
         of the ``warm_state`` constructor argument (used by the
         snapshot store)."""
         return {
-            "facts": {
-                nonterminal: set(pairs)
-                for nonterminal, pairs in self._facts.items() if pairs
-            },
+            "facts": {nonterminal: set(pairs)
+                      for nonterminal, pairs in self._facts.items() if pairs},
         }
 
     # ------------------------------------------------------------------
@@ -281,11 +321,12 @@ class IncrementalCFPQ:
             for i in range(nodes_before, self.graph.node_count)
         ]
         for i, label, j in new_edges:
-            base += [((head, i, j), ("edge", label))
-                     for head in self.grammar.heads_for_terminal(
-                         Terminal(label))]
+            support = ("edge", label)
+            base += [((head, i, j), support)
+                     for head in self.grammar.heads_for_label(label)]
         if len(new_edges) < SMALL_BATCH_EDGES:
-            return self._propagate(base)
+            return self._insert((head, i, None, {j}, support)
+                                for (head, i, j), support in base)
         return self._run_batch(base) if base else 0
 
     # ------------------------------------------------------------------
@@ -311,64 +352,73 @@ class IncrementalCFPQ:
         removed.
         """
         self._last_changes = {}
-
-        overdeleted: set[Fact] = set()
+        rows = self._rows
+        seeds: list[Group] = []
         for source, label, target in edges:
             self._edge_removals += 1
             if not self.graph.remove_edge(source, label, target):
                 continue
             i = self.graph.node_id(source)
             j = self.graph.node_id(target)
-            overdeleted.update(
-                (head, i, j)
-                for head in self.grammar.heads_for_terminal(Terminal(label))
-                if (i, j) in self._facts.get(head, ()))
+            seeds += [(head, i, None, {j}, None)
+                      for head in self.grammar.heads_for_label(label)
+                      if j in rows[head].get(i, _NO_NODES)]
 
-        # Phase 1: over-delete the downward closure.  The tuple indexes
-        # still reflect the pre-deletion database, which is exactly the
-        # over-approximation DRed's deletion phase needs.
+        # Phase 1: over-delete the downward closure into scratch maps.
+        # The live maps the joins read still reflect the pre-deletion
+        # database, which is exactly the over-approximation DRed's
+        # deletion phase needs.
+        gone_rows, gone_cols = _fact_maps(rows), _fact_maps(rows)
+        scratch = (gone_rows, gone_cols)
+        mark = IncrementalCFPQ._improve  # presence-only on both solvers
         tracer = get_tracer()
         with tracer.span("dred.overdelete") as phase_span:
-            worklist = deque(overdeleted)
-            while worklist:
-                for consequence, _support in self._consequences(
-                        worklist.popleft()):
-                    if consequence not in overdeleted:
-                        overdeleted.add(consequence)
-                        worklist.append(consequence)
-            phase_span.set("overdeleted", len(overdeleted))
+            overdeleted = self._propagate(
+                seeds, lambda head, i, j, others, support: mark(
+                    self, head, i, j, others, support, scratch))
+            phase_span.set("overdeleted", overdeleted)
 
         if not overdeleted:
             return 0
 
+        # One in-place difference per touched relation, row and column.
+        for nonterminal, entries in gone_rows.items():
+            for i, targets in entries.items():
+                self._facts[nonterminal].difference_update(
+                    zip(repeat(i), targets))
+        for live, marked in ((rows, gone_rows), (self._cols, gone_cols)):
+            for nonterminal, entries in marked.items():
+                index = live[nonterminal]
+                for node, others in entries.items():
+                    remaining = index[node]
+                    remaining -= others
+                    if not remaining:
+                        del index[node]
         # Annotation values before the delete (single-path: lengths) so
         # re-derived facts whose annotation moved land in last_changes.
-        before = {fact: self._annotation(fact) for fact in overdeleted}
-        for fact in overdeleted:
-            nonterminal, i, j = fact
-            self._facts[nonterminal].discard((i, j))
-            self._by_source[(nonterminal, i)].discard(j)
-            self._by_target[(nonterminal, j)].discard(i)
-            self._on_fact_removed(fact)
+        before = self._forget(_facts_in(gone_rows))
 
         # Phase 2: re-derive from the survivors.  A probe that runs
         # after an earlier one's fact re-entered may already see it as
         # an operand; that derivation is just as valid, and the worklist
         # refines any annotation it carried too high.
         with tracer.span("dred.rederive"):
-            self._propagate(
-                (fact, support)
-                for fact in overdeleted
-                for support in self._derivations(fact))
+            self._insert(
+                (head, i, None, {j}, support)
+                for head, i, j in _facts_in(gone_rows)
+                for support in self._derivations((head, i, j)))
 
         removed = 0
-        changes: dict[Nonterminal, set[tuple[int, int]]] = {}
-        for fact, annotation in before.items():
-            nonterminal, i, j = fact
-            if (i, j) not in self._facts[nonterminal]:
-                removed += 1
-            elif self._annotation(fact) == annotation:
-                continue
+        changes: PairSets = {}
+        for nonterminal, entries in gone_rows.items():
+            index = rows[nonterminal]
+            for i, targets in entries.items():
+                lost = targets - index.get(i, _NO_NODES)
+                if lost:
+                    removed += len(lost)
+                    changes.setdefault(nonterminal, set()).update(
+                        zip(repeat(i), lost))
+        for nonterminal, i, j in self._reannotated(before):
             changes.setdefault(nonterminal, set()).add((i, j))
         self._last_changes = {
             nonterminal: frozenset(pairs)
@@ -382,25 +432,22 @@ class IncrementalCFPQ:
     # ------------------------------------------------------------------
     def relations(self) -> ContextFreeRelations:
         """The current relations ``R_A`` (always at fixpoint)."""
-        return ContextFreeRelations(
-            self.graph,
-            {nt: set(self._facts.get(nt, ())) for nt in self.grammar.nonterminals},
-        )
+        return ContextFreeRelations(self.graph, self._facts)
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:
         """``R_A`` as dense-id pairs."""
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
-        return frozenset(self._facts.get(nonterminal, ()))
+        return frozenset(self._facts.get(as_nonterminal(nonterminal), ()))
 
     def targets_from(self, nonterminal: Nonterminal | str,
                      source: int) -> frozenset[int]:
         """The targets reachable from one source: ``{j : (source, j) ∈
-        R_A}``.  One row of the by-source index — a membership probe
-        never has to materialize (or copy) the full relation."""
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
-        return frozenset(self._by_source.get((nonterminal, source), ()))
+        R_A}``.  One row of the fact maps — a membership probe never
+        has to materialize (or copy) the full relation."""
+        row_map = self._rows.get(as_nonterminal(nonterminal), {})
+        return frozenset(row_map.get(source, ()))
+
+    def _total_facts(self) -> int:
+        return sum(map(len, self._facts.values()))
 
     @property
     def stats(self) -> dict[str, int]:
@@ -411,7 +458,7 @@ class IncrementalCFPQ:
             "batch_updates": self._batch_updates,
             "propagated_facts": self._propagated_facts,
             "facts_removed": self._facts_removed,
-            "total_facts": sum(len(pairs) for pairs in self._facts.values()),
+            "total_facts": self._total_facts(),
         }
 
     # ------------------------------------------------------------------
@@ -432,9 +479,9 @@ class IncrementalCFPQ:
                 **self.strategy_options)
             self._batch_updates += 1
             new_facts = self._absorb(result.matrices)
-            span.set("new_facts", len(new_facts))
-        self._propagated_facts += len(new_facts)
-        return len(new_facts)
+            span.set("new_facts", new_facts)
+        self._propagated_facts += new_facts
+        return new_facts
 
     def _batch_backend(self):
         from ..matrices.base import get_backend
@@ -443,128 +490,129 @@ class IncrementalCFPQ:
 
     def _matrices_from_state(self, n: int) -> dict:
         backend = self._batch_backend()
-        return {
-            nt: backend.from_pairs(n, self._facts.get(nt, ()))
-            for nt in self.grammar.nonterminals
-        }
+        return {nt: backend.from_pairs(n, pairs)
+                for nt, pairs in self._facts.items()}
 
     def _seed_matrices(self, n: int,
                        base: list[tuple[Fact, Support]]) -> dict:
         backend = self._batch_backend()
-        pairs: dict[Nonterminal, set[tuple[int, int]]] = {}
+        pairs: PairSets = {}
         for (nonterminal, i, j), _support in base:
             pairs.setdefault(nonterminal, set()).add((i, j))
         return {nt: backend.from_pairs(n, cells)
                 for nt, cells in pairs.items()}
 
-    def _absorb(self, matrices: dict) -> list[Fact]:
-        """Record the closed matrices into the tuple indexes; returns
-        the facts that were not present before.  Index updates are
-        bulk-grouped by row/column so absorbing a large batch costs set
-        operations, not one ``_record`` call per fact."""
-        new_facts: list[Fact] = []
+    def _absorb(self, matrices: dict) -> int:
+        """Record the closed matrices into the fact maps; returns the
+        number of facts that were not present before."""
+        new_facts = 0
         for nonterminal, matrix in matrices.items():
-            known = self._facts[nonterminal]
-            fresh = matrix.to_pair_set() - known
+            fresh = matrix.to_pair_set() - self._facts[nonterminal]
             if not fresh:
                 continue
-            known |= fresh
-            self._index_pairs(nonterminal, fresh)
+            self._adopt_pairs(nonterminal, fresh)
             if self._change_recorder is not None:
                 self._change_recorder.setdefault(nonterminal, set()).update(fresh)
-            new_facts.extend((nonterminal, i, j) for i, j in fresh)
+            new_facts += len(fresh)
         return new_facts
 
-    def _index_pairs(self, nonterminal: Nonterminal,
-                     pairs: Iterable[tuple[int, int]]) -> None:
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for i, j in pairs:
-            rows.setdefault(i, []).append(j)
-            cols.setdefault(j, []).append(i)
-        for i, targets in rows.items():
-            self._by_source[(nonterminal, i)].update(targets)
-        for j, sources in cols.items():
-            self._by_target[(nonterminal, j)].update(sources)
+    def _forget(self, facts: Iterable[Fact]) -> dict:
+        """Drop and return the annotations of just-deleted *facts* (none
+        on the presence-only base solver — a re-derived boolean cell
+        cannot change value)."""
+        return {}
 
-    def _on_fact_removed(self, fact: Fact) -> None:
-        """Hook for annotated subclasses (drop per-fact annotations)."""
-
-    def _annotation(self, fact: Fact):
-        """The annotation *fact* carries (none on the presence-only base
-        solver — a re-derived boolean cell cannot change value)."""
-        return None
+    def _reannotated(self, before: dict) -> Iterable[Fact]:
+        """The facts of *before* (a :meth:`_forget` result) that are
+        back with a different annotation."""
+        return ()
 
     # ------------------------------------------------------------------
     # Tuple-granular engine
     # ------------------------------------------------------------------
-    def _record(self, nonterminal: Nonterminal, i: int, j: int) -> None:
-        self._facts[nonterminal].add((i, j))
-        self._by_source[(nonterminal, i)].add(j)
-        self._by_target[(nonterminal, j)].add(i)
-        self._log_change(nonterminal, (i, j))
-
-    def _consequences(self, fact: Fact):
-        """Every ``(consequence, support)`` that *fact* yields as the
-        left or right operand of a pair rule against the current fact
-        indexes.  The index rows are copied, so the caller may record
-        facts while iterating."""
-        nonterminal, i, j = fact
-        for head, right in self._rules_by_left.get(nonterminal, ()):
-            support = ("split", nonterminal, right, j)
-            for k in tuple(self._by_source.get((right, j), ())):
-                yield (head, i, k), support
-        for head, left in self._rules_by_right.get(nonterminal, ()):
-            support = ("split", left, nonterminal, i)
-            for k in tuple(self._by_target.get((left, i), ())):
-                yield (head, k, j), support
-
     def _derivations(self, fact: Fact):
         """Every one-step derivation (support) of *fact* from the
-        current graph and fact indexes — the DRed re-derivation probe.
-        It iterates no live index row, so the caller may record facts
-        while consuming it."""
+        current graph and fact maps — the DRed re-derivation probe.
+        It iterates no live row, so the caller may record facts while
+        consuming it."""
         nonterminal, i, j = fact
         if i == j and nonterminal in self._nullable:
             yield ("empty",)
         for label in self._terminals_for_head.get(nonterminal, ()):
             if self.graph.has_edge_id(i, label, j):
                 yield ("edge", label)
-        for left, right in self._bodies_for_head.get(nonterminal, ()):
-            midpoints = self._by_source.get((left, i))
+        for left, right, left_rows, right_cols in \
+                self._bodies_for_head[nonterminal]:
+            midpoints = left_rows.get(i)
             if midpoints:
-                for r in midpoints.intersection(
-                        self._by_target.get((right, j), ())):
+                for r in midpoints.intersection(right_cols.get(j, ())):
                     yield ("split", left, right, r)
 
-    def _improve(self, fact: Fact, support: Support) -> tuple[bool, bool]:
-        """Apply one one-step derivation of *fact*; returns ``(added,
-        improved)``.  Presence-only: a fact is added iff absent and
-        never improved — annotated subclasses override the arithmetic."""
-        nonterminal, i, j = fact
-        if (i, j) in self._facts[nonterminal]:
-            return False, False
-        self._record(nonterminal, i, j)
-        return True, False
+    def _improve(self, head: Nonterminal, i: int | None, j: int | None,
+                 others: set[int], _support: Support | None,
+                 scratch: tuple[FactMaps, FactMaps] | None = None,
+                 ) -> Iterable[Fact]:
+        """Apply one consequence group; returns the facts that must
+        (re-)enter the worklist.  Presence-only here — annotated
+        subclasses override the arithmetic: what is already known drops
+        out by one set difference against the head's row (or column),
+        and the rest is recorded in the solver's state, or only in the
+        *scratch* row and column maps when given (over-deletion marks
+        there)."""
+        rows, cols = scratch or self._live
+        if j is None:
+            known, across, node = rows[head][i], cols[head], i
+        else:
+            known, across, node = cols[head][j], rows[head], j
+        fresh = others - known
+        if not fresh:
+            return ()
+        known |= fresh
+        for k in fresh:
+            across[k].add(node)
+        if scratch is None:
+            pairs = list(zip(repeat(i), fresh) if j is None
+                         else zip(fresh, repeat(j)))
+            self._facts[head].update(pairs)
+            if self._change_recorder is not None:
+                self._change_recorder.setdefault(head, set()).update(pairs)
+        return (zip(repeat(head), repeat(i), fresh) if j is None
+                else zip(repeat(head), fresh, repeat(j)))
 
-    def _propagate(self, derivations: Iterable[tuple[Fact, Support]]) -> int:
-        """The tuple-granular worklist: apply the given
-        ``(fact, support)`` derivations, then every derivation they
-        entail; returns the number of new facts.  Each enumerated
-        derivation records or refines its fact (:meth:`_improve`)."""
-        improve = self._improve
+    def _propagate(self, groups: Iterable[Group], improve) -> int:
+        """The tuple-granular worklist: *improve* applies each group
+        and returns the facts to enqueue.  Every popped fact is joined
+        once, as left and as right operand of the pair rules, against
+        the live fact maps: one group per rule, the whole row (or
+        column) of the other operand, not copied.  Returns the number
+        of facts popped."""
+        as_left, as_right = self._as_left, self._as_right
         worklist: deque[Fact] = deque()
-        created = 0
-        while True:
-            for fact, support in derivations:
-                added, improved = improve(fact, support)
-                if added or improved:
-                    worklist.append(fact)
-                    created += added
-            if not worklist:
-                return created
-            self._propagated_facts += 1
-            derivations = self._consequences(worklist.popleft())
+        enqueue = worklist.extend
+        for group in groups:
+            enqueue(improve(*group))
+        popped = 0
+        while worklist:
+            nonterminal, i, j = worklist.popleft()
+            popped += 1
+            for head, right, right_rows in as_left[nonterminal]:
+                targets = right_rows.get(j)
+                if targets:
+                    enqueue(improve(head, i, None, targets,
+                                    ("split", nonterminal, right, j)))
+            for head, left, left_cols in as_right[nonterminal]:
+                sources = left_cols.get(i)
+                if sources:
+                    enqueue(improve(head, None, j, sources,
+                                    ("split", left, nonterminal, i)))
+        return popped
+
+    def _insert(self, groups: Iterable[Group]) -> int:
+        """Record the facts of the given derivation groups and
+        everything they entail; returns the number of new facts."""
+        before = self._total_facts()
+        self._propagated_facts += self._propagate(groups, self._improve)
+        return self._total_facts() - before
 
 
 class IncrementalSinglePathCFPQ(IncrementalCFPQ):
@@ -637,10 +685,8 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
                   target: Hashable) -> int | None:
         """The maintained witness length for ``(A, source, target)``, or
         None when the pair is not in ``R_A``."""
-        if isinstance(nonterminal, str):
-            nonterminal = Nonterminal(nonterminal)
         return self._lengths.get(
-            (nonterminal, self.graph.node_id(source),
+            (as_nonterminal(nonterminal), self.graph.node_id(source),
              self.graph.node_id(target))
         )
 
@@ -654,14 +700,12 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
 
     def _matrices_from_state(self, n: int) -> dict:
         backend = self._batch_backend()
+        lengths = self._lengths
         return {
             nt: backend.from_cells(
-                (n, n),
-                {(i, j): self._lengths[(nt, i, j)]
-                 for (i, j) in self._facts.get(nt, ())},
-                symbol=nt,
-            )
-            for nt in self.grammar.nonterminals
+                (n, n), {pair: lengths[(nt, *pair)] for pair in pairs},
+                symbol=nt)
+            for nt, pairs in self._facts.items()
         }
 
     def _seed_matrices(self, n: int,
@@ -675,26 +719,22 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         return {nt: backend.from_cells((n, n), row, symbol=nt)
                 for nt, row in cells.items()}
 
-    def _absorb(self, matrices: dict) -> list[Fact]:
+    def _absorb(self, matrices: dict) -> int:
         """Record the closed length matrices; only the cells whose
         length is new or refined (a C-level dict-items difference) are
         walked."""
         lengths = self._lengths
-        fresh: dict[Nonterminal, list[tuple[int, int]]] = {}
+        new_facts = 0
         for fact, length in (lengths_by_fact(matrices).items()
                              - lengths.items()):
             nonterminal, i, j = fact
             if fact not in lengths:
-                fresh.setdefault(nonterminal, []).append((i, j))
+                self._adopt_pairs(nonterminal, ((i, j),))
+                new_facts += 1
             # A refined length changes the matrix content even though
             # the relation did not.
             lengths[fact] = length
             self._log_change(nonterminal, (i, j))
-        new_facts: list[Fact] = []
-        for nonterminal, pairs in fresh.items():
-            self._facts[nonterminal].update(pairs)
-            self._index_pairs(nonterminal, pairs)
-            new_facts.extend((nonterminal, i, j) for i, j in pairs)
         return new_facts
 
     def _derivation_length(self, fact: Fact, support: Support) -> int:
@@ -708,26 +748,31 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         _nonterminal, i, j = fact
         return self._lengths[(left, i, r)] + self._lengths[(right, r, j)]
 
-    def _on_fact_removed(self, fact: Fact) -> None:
-        self._lengths.pop(fact, None)
+    def _forget(self, facts: Iterable[Fact]) -> dict[Fact, int]:
+        forget = self._lengths.pop
+        return {fact: forget(fact) for fact in facts}
 
-    def _annotation(self, fact: Fact) -> int | None:
-        return self._lengths.get(fact)
+    def _reannotated(self, before: dict[Fact, int]) -> Iterable[Fact]:
+        lengths = self._lengths
+        return [fact for fact, length in before.items()
+                if lengths.get(fact, length) != length]
 
-    # ------------------------------------------------------------------
-    # Tuple-granular engine
-    # ------------------------------------------------------------------
-    def _improve(self, fact: Fact, support: Support) -> tuple[bool, bool]:
-        """Min-refinement: a fact whose recorded length improves counts
-        as improved (it re-enters the worklist), not as new."""
-        length = self._derivation_length(fact, support)
-        current = self._lengths.get(fact)
-        if current is None:
-            self._record(*fact)
-            self._lengths[fact] = length
-            return True, False
-        if length < current:
-            self._lengths[fact] = length
-            self._log_change(fact[0], fact[1:])
-            return False, True
-        return False, False
+    def _improve(self, head: Nonterminal, i: int | None, j: int | None,
+                 others: set[int], support: Support) -> list[Fact]:
+        """Min-refinement over one group: a fact is recorded when new,
+        and re-enters the worklist when new or when its recorded length
+        improves."""
+        lengths = self._lengths
+        entered: list[Fact] = []
+        for k in tuple(others):
+            fact = (head, i, k) if j is None else (head, k, j)
+            length = self._derivation_length(fact, support)
+            current = lengths.get(fact)
+            if current is None:
+                self._adopt_pairs(head, (fact[1:],))
+            elif length >= current:
+                continue
+            lengths[fact] = length
+            self._log_change(head, fact[1:])
+            entered.append(fact)
+        return entered

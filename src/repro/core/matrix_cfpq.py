@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import (
     BooleanMatrix,
@@ -96,7 +96,7 @@ def initial_pair_sets(graph: LabeledGraph, grammar: CFG,
         if nt in pair_sets:
             pair_sets[nt] |= diagonal
     for label in graph.labels:
-        heads = grammar.heads_for_terminal(Terminal(label))
+        heads = grammar.heads_for_label(label)
         if not heads:
             continue
         pairs = graph.edge_pairs(label)

@@ -40,7 +40,7 @@ from typing import Hashable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from .relations import ContextFreeRelations
 from .semiring import (
@@ -202,7 +202,7 @@ class AllPathIndex:
         """Labels x with ``(i, x, j) ∈ E`` and ``(A → x) ∈ P``."""
         return [
             label for label in self._edge_labels.get((i, j), ())
-            if nonterminal in self.grammar.heads_for_terminal(Terminal(label))
+            if nonterminal in self.grammar.heads_for_label(label)
         ]
 
     def splits(self, nonterminal: Nonterminal, i: int, j: int) -> list[Split]:
@@ -252,7 +252,7 @@ class AllPathIndex:
         unambiguous grammars the DP is exact and O(nodes · max_length²).
         """
         semiring = semiring or COUNTING_SEMIRING
-        nonterminal = _as_nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         i = self.graph.node_id(source)
         j = self.graph.node_id(target)
         if self._grammar_is_ambiguous():
@@ -327,7 +327,7 @@ class AllPathIndex:
         Terminates on cyclic graphs: the recursion is on *exact* path
         lengths, which strictly decrease at every split.
         """
-        nonterminal = _as_nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         i = self.graph.node_id(source)
         j = self.graph.node_id(target)
         if not self.node_exists(nonterminal, i, j):
@@ -435,7 +435,7 @@ class AllPathIndex:
         matching :meth:`iter_paths`.
         """
         rank = rank or LengthRank()
-        nonterminal = _as_nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         i = self.graph.node_id(source)
         j = self.graph.node_id(target)
         if not self.node_exists(nonterminal, i, j):
@@ -520,7 +520,7 @@ class AllPathIndex:
         """The minimal witness length for ``(source, target) ∈ R_A`` —
         Dijkstra over forest nodes (every node's cost = min over its
         terminal edges and splits)."""
-        nonterminal = _as_nonterminal(nonterminal)
+        nonterminal = as_nonterminal(nonterminal)
         i = self.graph.node_id(source)
         j = self.graph.node_id(target)
         if not self.node_exists(nonterminal, i, j):
@@ -608,6 +608,3 @@ def _node_key(node: tuple[Nonterminal, int, int]) -> tuple[str, int, int]:
     head, i, j = node
     return (head.name, i, j)
 
-
-def _as_nonterminal(value: Nonterminal | str) -> Nonterminal:
-    return value if isinstance(value, Nonterminal) else Nonterminal(value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from ..grammar.symbols import Nonterminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 
 #: A node pair, by dense node id.
@@ -50,7 +50,7 @@ class ContextFreeRelations:
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
         """``R_A`` as dense-id pairs (empty when nothing was derived)."""
-        return self._relations.get(_as_nonterminal(nonterminal), frozenset())
+        return self._relations.get(as_nonterminal(nonterminal), frozenset())
 
     def node_pairs(self, nonterminal: Nonterminal | str,
                    ) -> frozenset[tuple[Hashable, Hashable]]:
@@ -81,7 +81,7 @@ class ContextFreeRelations:
                     ) -> "ContextFreeRelations":
         """Keep only the requested relations (e.g. original grammar
         non-terminals, hiding CNF helper symbols)."""
-        wanted = {_as_nonterminal(nt) for nt in nonterminals}
+        wanted = {as_nonterminal(nt) for nt in nonterminals}
         return ContextFreeRelations(
             self._graph,
             {nt: pairs for nt, pairs in self._relations.items() if nt in wanted},
@@ -100,7 +100,7 @@ class ContextFreeRelations:
         if nonterminals is None:
             names = self.nonterminals | other.nonterminals
         else:
-            names = {_as_nonterminal(nt) for nt in nonterminals}
+            names = {as_nonterminal(nt) for nt in nonterminals}
         return all(self.pairs(nt) == other.pairs(nt) for nt in names)
 
     def diff(self, other: "ContextFreeRelations",
@@ -125,6 +125,3 @@ class ContextFreeRelations:
         )
         return f"ContextFreeRelations({sizes})"
 
-
-def _as_nonterminal(value: Nonterminal | str) -> Nonterminal:
-    return value if isinstance(value, Nonterminal) else Nonterminal(value)

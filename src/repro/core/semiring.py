@@ -58,7 +58,6 @@ import abc
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from ..grammar.symbols import Terminal
 from ..matrices.base import BooleanMatrix, MatrixBackend, Pair
 
 #: A witness-set entry: ``("edge", label)`` for a terminal derivation or
@@ -862,7 +861,7 @@ def initial_annotated_matrices(graph, grammar, semiring: Semiring,
         if target is None:
             target = seeded[label] = (semiring.identity(label), [
                 matrices[head]
-                for head in grammar.heads_for_terminal(Terminal(label))
+                for head in grammar.heads_for_label(label)
             ])
         seed, head_cells = target
         for cells in head_cells:

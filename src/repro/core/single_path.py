@@ -39,7 +39,7 @@ from typing import Hashable, Iterator, Mapping
 from ..errors import PathNotFoundError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal
+from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from .relations import ContextFreeRelations
 from .semiring import (
@@ -166,8 +166,7 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
 
     Raises :class:`PathNotFoundError` when ``(source, target) ∉ R_A``.
     """
-    if isinstance(nonterminal, str):
-        nonterminal = Nonterminal(nonterminal)
+    nonterminal = as_nonterminal(nonterminal)
     graph = index.graph
     source_id = graph.node_id(source)
     target_id = graph.node_id(target)
@@ -243,8 +242,7 @@ def iter_single_paths(index: SinglePathIndex, nonterminal: Nonterminal | str,
                       ) -> Iterator[tuple[int, int, Path]]:
     """Yield ``(i, j, path)`` for every pair of ``R_A`` — the full
     single-path semantics answer for one non-terminal."""
-    if isinstance(nonterminal, str):
-        nonterminal = Nonterminal(nonterminal)
+    nonterminal = as_nonterminal(nonterminal)
     for i, j in index.pairs(nonterminal):
         yield (i, j, extract_path(index, nonterminal,
                                   index.graph.node_at(i),

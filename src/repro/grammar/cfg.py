@@ -47,17 +47,17 @@ class CFG:
         }
 
         # Index used pervasively by the CFPQ algorithms:
-        #   terminal x  ->  {A | (A -> x) in P}
+        #   label of x  ->  {A | (A -> x) in P}
         #   (B, C)      ->  {A | (A -> B C) in P}
-        heads_by_terminal: dict[Terminal, set[Nonterminal]] = defaultdict(set)
+        heads_by_label: dict[str, set[Nonterminal]] = defaultdict(set)
         heads_by_pair: dict[tuple[Nonterminal, Nonterminal], set[Nonterminal]] = defaultdict(set)
         for prod in self._productions:
             if prod.is_terminal_rule:
-                heads_by_terminal[prod.body[0]].add(prod.head)  # type: ignore[index]
+                heads_by_label[prod.body[0].label].add(prod.head)  # type: ignore[union-attr]
             elif prod.is_binary_rule:
                 heads_by_pair[(prod.body[0], prod.body[1])].add(prod.head)  # type: ignore[index]
-        self._heads_by_terminal: dict[Terminal, frozenset[Nonterminal]] = {
-            t: frozenset(heads) for t, heads in heads_by_terminal.items()
+        self._heads_by_label: dict[str, frozenset[Nonterminal]] = {
+            label: frozenset(heads) for label, heads in heads_by_label.items()
         }
         self._heads_by_pair: dict[tuple[Nonterminal, Nonterminal], frozenset[Nonterminal]] = {
             pair: frozenset(heads) for pair, heads in heads_by_pair.items()
@@ -101,7 +101,13 @@ class CFG:
 
     def heads_for_terminal(self, terminal: Terminal) -> frozenset[Nonterminal]:
         """``{A | (A -> x) ∈ P}`` — the matrix-initialization index."""
-        return self._heads_by_terminal.get(terminal, frozenset())
+        return self.heads_for_label(terminal.label)
+
+    def heads_for_label(self, label: str) -> frozenset[Nonterminal]:
+        """:meth:`heads_for_terminal` by label text — what graph-side
+        code asks with: an edge label the grammar does not mention is
+        never interned as a :class:`Terminal`."""
+        return self._heads_by_label.get(label, frozenset())
 
     def heads_for_pair(self, left: Nonterminal,
                        right: Nonterminal) -> frozenset[Nonterminal]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cfg import CFG
-from .symbols import Nonterminal, Terminal
+from .symbols import Nonterminal
 
 
 def cyk_recognize(grammar: CFG, start: Nonterminal,
@@ -36,7 +36,7 @@ def cyk_recognize(grammar: CFG, start: Nonterminal,
         [set() for _ in range(n)] for _ in range(n)
     ]
     for i, label in enumerate(word):
-        table[i][0] = set(grammar.heads_for_terminal(Terminal(label)))
+        table[i][0] = set(grammar.heads_for_label(label))
 
     for span in range(2, n + 1):            # substring length
         for i in range(n - span + 1):        # start position

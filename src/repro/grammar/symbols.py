@@ -1,8 +1,10 @@
 """Grammar symbols: terminals, non-terminals and the empty string.
 
 The paper works over an alphabet of *edge labels* (terminals) and a set of
-*non-terminals*.  Symbols are small immutable value objects so they can be
-dictionary keys, set members and matrix-element members.
+*non-terminals*.  Symbols are small immutable **interned** objects — one
+object per ``(class, name)`` per process — so they are dictionary keys,
+set members and matrix-element members at the cost of a pointer: a fact
+``(A, i, j)`` hashes like a tuple of machine words.
 
 Edge labels in the paper frequently come in inverse pairs
 (``subClassOf`` / ``subClassOf⁻¹``).  We provide :func:`inverse_label`
@@ -12,22 +14,58 @@ implementing the paper's textual convention: inverting a label appends
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 #: Suffix used for inverse edge labels, e.g. ``subClassOf`` -> ``subClassOf_r``.
 INVERSE_SUFFIX = "_r"
 
+#: The intern table: one symbol object per ``(class, text)`` for the
+#: life of the process.  Written only through ``dict.setdefault``, which
+#: is atomic, so two threads racing on a fresh name agree on one object.
+#: Entries are never dropped, so code that meets arbitrary strings (edge
+#: labels of a graph or an update) asks ``CFG.heads_for_label`` instead
+#: of constructing a ``Terminal``.  Hashing by identity also means the
+#: iteration order of a symbol set follows addresses, not
+#: ``PYTHONHASHSEED``: writers sort by name.
+_INTERNED: dict[tuple[type, str], "Terminal | Nonterminal"] = {}
 
-@dataclass(frozen=True, slots=True)
+
+def _interned(cls: type, attribute: str, text: str, what: str):
+    """The one *cls* symbol spelled *text*, created on first use."""
+    key = (cls, text)
+    symbol = _INTERNED.get(key)
+    if symbol is None:
+        if not text:
+            raise ValueError(f"{what} must be a non-empty string")
+        symbol = object.__new__(cls)
+        object.__setattr__(symbol, attribute, text)
+        symbol = _INTERNED.setdefault(key, symbol)
+    return symbol
+
+
+def _frozen(self, *_args) -> None:
+    raise AttributeError(
+        f"{type(self).__name__} symbols are immutable")
+
+
 class Terminal:
-    """A terminal symbol — an edge label of the graph alphabet ``Σ``."""
+    """A terminal symbol — an edge label of the graph alphabet ``Σ``.
 
-    label: str
+    Interned: ``Terminal("a") is Terminal("a")``, so ``==`` and ``hash``
+    are ``object``'s identity slots — no Python-level call per set or
+    dictionary operation — and stay so across ``pickle``, ``copy`` and
+    worker processes (:meth:`__reduce__` re-interns).
+    """
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("terminal label must be a non-empty string")
+    __slots__ = ("label",)
+
+    def __new__(cls, label: str) -> "Terminal":
+        return _interned(cls, "label", label, "terminal label")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return type(self), (self.label,)
 
     @property
     def inverse(self) -> "Terminal":
@@ -41,15 +79,22 @@ class Terminal:
         return f"Terminal({self.label!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Nonterminal:
-    """A non-terminal symbol of the grammar (an element of ``N``)."""
+    """A non-terminal symbol of the grammar (an element of ``N``).
 
-    name: str
+    Interned like :class:`Terminal`; the two classes intern apart, so
+    ``Terminal("a") != Nonterminal("a")``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("non-terminal name must be a non-empty string")
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Nonterminal":
+        return _interned(cls, "name", name, "non-terminal name")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -68,17 +113,14 @@ class _Epsilon:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __reduce__(self) -> str:
+        return "EPSILON"  # pickle by reference to the module global
+
     def __str__(self) -> str:
         return "eps"
 
     def __repr__(self) -> str:
         return "EPSILON"
-
-    def __hash__(self) -> int:
-        return hash("__epsilon__")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Epsilon)
 
 
 #: The unique empty-string symbol.
@@ -86,6 +128,12 @@ EPSILON = _Epsilon()
 
 #: Any symbol that may appear on the right-hand side of a production.
 Symbol = Union[Terminal, Nonterminal]
+
+
+def as_nonterminal(value: "Nonterminal | str") -> Nonterminal:
+    """*value* itself when it is a non-terminal, else the non-terminal
+    of that name (public entry points accept either)."""
+    return value if isinstance(value, Nonterminal) else Nonterminal(value)
 
 
 def inverse_label(label: str) -> str:

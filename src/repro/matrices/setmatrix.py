@@ -354,14 +354,13 @@ def initial_matrix(graph_size: int, grammar: CFG,
     (:attr:`repro.grammar.cfg.CFG.nullable_diagonal`) additionally seed
     every diagonal cell — the empty path ``iπi`` is a witness.
     """
-    from ..grammar.symbols import Terminal
 
     cells: dict[Pair, set[Nonterminal]] = {}
     if grammar.nullable_diagonal:
         for i in range(graph_size):
             cells.setdefault((i, i), set()).update(grammar.nullable_diagonal)
     for i, label, j in edges:
-        heads = grammar.heads_for_terminal(Terminal(label))
+        heads = grammar.heads_for_label(label)
         if heads:
             cells.setdefault((i, j), set()).update(heads)
     return SetMatrix(graph_size, grammar, cells)

@@ -42,7 +42,7 @@ from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import AllPathIndex, LengthRank, ViterbiRank
 from ..core.single_path import extract_path, lengths_by_fact
 from ..errors import ReproError, SemanticsError
-from ..grammar.symbols import Nonterminal, Terminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..matrices.base import default_backend, get_backend
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
@@ -839,9 +839,8 @@ class QueryService:
             # grows.  Widen the path-entry invalidation with the heads
             # of every inserted label.
             path_changed = set(changed)
-            for _source, label, _target in inserts:
-                path_changed.update(
-                    solver.grammar.heads_for_terminal(Terminal(label)))
+            for label in {label for _source, label, _target in inserts}:
+                path_changed.update(solver.grammar.heads_for_label(label))
             # Cached witness paths reference concrete graph edges, so a
             # deletion can invalidate them even when DRed re-derived
             # every fact with identical annotations (same pair, same

@@ -62,3 +62,83 @@ def test_dense_result_on_coprime_cycles(dyck_grammar):
     # reaches itself through a^6k b^6k circuits via node 0.
     assert (0, 0) in relations.pairs(S)
     assert len(relations.pairs(S)) >= n
+
+
+# ----------------------------------------------------------------------
+# Row/column layout vs the naive Algorithm 1 oracle
+# ----------------------------------------------------------------------
+
+def _grammars():
+    from repro.grammar.builders import get_grammar
+
+    return {
+        "query1": get_grammar("query1"),
+        "query2": get_grammar("query2"),
+        "dyck1": get_grammar("dyck1"),
+        "nullable": parse_grammar("S -> a S b | S S | eps",
+                                  terminals=["a", "b"]),
+    }
+
+
+def _random_graph(rng, grammar, nodes: int, edges: int,
+                  isolated: int = 0) -> LabeledGraph:
+    labels = sorted(t.label for t in grammar.terminals)
+    triples = [(rng.randrange(nodes), rng.choice(labels),
+                rng.randrange(nodes)) for _ in range(edges)] if nodes else []
+    names = list(range(nodes)) + [f"alone{k}" for k in range(isolated)]
+    return LabeledGraph.from_edges(triples, nodes=names)
+
+
+@pytest.mark.parametrize("name", ["query1", "query2", "dyck1", "nullable"])
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_naive_algorithm_1(name, seed):
+    """Every ``R_A`` — helper non-terminals of the CNF included — equals
+    the set-matrix closure run literally, on random graphs with
+    isolated nodes mixed in."""
+    import random
+
+    from repro.core.naive_closure import solve_naive
+
+    grammar = _grammars()[name]
+    rng = random.Random(1000 * seed + len(name))
+    graph = _random_graph(rng, grammar, nodes=rng.randrange(1, 9),
+                          edges=rng.randrange(0, 20), isolated=seed % 3)
+    expected = solve_naive(graph, grammar).relations
+    actual = solve_hellings(graph, grammar)
+    assert actual.nonterminals == expected.nonterminals
+    assert actual.same_as(expected)
+
+
+@pytest.mark.parametrize("name", ["query1", "query2", "dyck1", "nullable"])
+def test_zero_node_graph_reports_every_nonterminal_empty(name):
+    from repro.core.naive_closure import solve_naive
+
+    grammar = _grammars()[name]
+    relations = solve_hellings(LabeledGraph(), grammar)
+    assert relations.nonterminals \
+        == solve_naive(LabeledGraph(), grammar).relations.nonterminals
+    assert all(not relations.pairs(nt) for nt in relations.nonterminals)
+
+
+def test_isolated_nodes_carry_only_the_nullable_diagonal():
+    graph = LabeledGraph.from_edges([(0, "a", 1), (1, "b", 2)],
+                                    nodes=[0, 1, 2, "x", "y"])
+    relations = solve_hellings(graph, _grammars()["nullable"])
+    diagonal = {(i, i) for i in range(graph.node_count)}
+    assert relations.pairs(S) == diagonal | {(0, 2)}
+
+
+def test_nonterminal_without_facts_stays_empty_beside_full_ones():
+    """Only ``type`` edges: the ``subClassOf`` helpers of query1 have
+    no facts, their rows and columns are never created, and the rules
+    through them derive nothing."""
+    from repro.core.naive_closure import solve_naive
+
+    grammar = _grammars()["query1"]
+    graph = LabeledGraph.from_edges(
+        [(0, "type", 1), (1, "type_r", 0), (2, "type", 1), (1, "type_r", 2)])
+    relations = solve_hellings(graph, grammar)
+    assert relations.same_as(solve_naive(graph, grammar).relations)
+    assert relations.pairs(S) == {(1, 1)}
+    empty = [nt for nt in relations.nonterminals if not relations.pairs(nt)]
+    assert any("subClassOf" in nt.name for nt in empty)

@@ -1,9 +1,12 @@
 """Guards on the committed ``BENCH_incremental.json`` baseline.
 
-The baseline is the acceptance record for the batch-insertion engine:
-``add_edges`` on a 1000-edge batch must beat the per-tuple ``add_edge``
-loop by at least 2× (pinned numbers), and the sweep cells CI's
-bench-smoke gate compares against must stay present and consistent.
+The baseline is the acceptance record for the incremental engine's two
+insertion routes and its DRed delete: ``add_edges`` must never lose to
+the per-tuple ``add_edge`` loop it replaces (on either side of the
+route constant), the 1000-edge batch must stay within the wall time
+its 2× criterion was set on, the delete of a tenth of a 1000-edge load
+must stay within 6× of loading it, and the sweep cells CI's bench-smoke
+gate compares against must stay present and consistent.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def _load() -> dict:
 def test_baseline_committed_and_well_formed():
     report = _load()
     assert report["benchmark"] == "incremental batch vs per-tuple insertion"
-    for size in ("10", "100", "1000"):
+    for size in ("10", "100", "300", "1000"):
         cell = report["batch_sizes"][size]
         assert cell["agree"] is True, size
         assert cell["edges"] == int(size)
@@ -33,38 +36,96 @@ def test_baseline_committed_and_well_formed():
         assert cell["delete_wall_time_s"] > 0
 
 
+#: ``per_tuple_wall_time_s`` of the 1000-edge cell when the 2× criterion
+#: was set (the committed baseline before symbols were interned).
+PER_TUPLE_S_WHEN_CRITERION_SET = 0.427516
+
+
 def test_batch_speedup_at_least_2x():
-    """Acceptance criterion: the matrix-granular batch path ≥2× over
-    the per-tuple worklist on a 1000-edge batch (pinned numbers)."""
+    """Acceptance criterion of the batch route, as pinned: the
+    matrix-granular path is ≥2× over the per-tuple worklist it was
+    measured against on a 1000-edge batch.  That worklist has since
+    become ~2.5× faster (interned symbols, row maps), which lowers the
+    live ratio with the batch path no slower — so the 2× is held
+    against the worklist's wall time at the time, i.e. as an absolute
+    bound on the batch path, and against today's loop the route must
+    still win."""
     cell = _load()["batch_sizes"]["1000"]
-    assert cell["speedup"] >= 2.0
-    assert cell["per_tuple_wall_time_s"] >= 2.0 * cell["batch_wall_time_s"]
+    assert 2.0 * cell["batch_wall_time_s"] <= PER_TUPLE_S_WHEN_CRITERION_SET
+    assert cell["speedup"] >= 1.0
 
 
 def test_small_batch_and_delete_ratios():
     """ROADMAP [3b], as pinned (CI's bench-smoke asserts the same on its
-    fresh run): a 10-edge batch is no slower than the per-tuple loop —
-    both run the worklist — and the DRed delete of a tenth of the
-    1000-edge load stays within 10× of loading it."""
+    fresh run): ``add_edges`` is no slower than the per-tuple loop in
+    any cell of the sweep — 10 and 100 edges share the worklist with
+    it, 300 and 1000 sit on the matrix side of ``SMALL_BATCH_EDGES``
+    (0.8 is the tolerance of one timing, not a licence to lose) — and
+    the DRed delete of a tenth of the 1000-edge load stays within 6× of
+    loading it."""
     cells = _load()["batch_sizes"]
-    assert cells["10"]["speedup"] >= 0.8
+    for size in ("10", "100", "300", "1000"):
+        assert cells[size]["speedup"] >= 0.8, size
     assert cells["1000"]["delete_wall_time_s"] \
-        <= 10 * cells["1000"]["batch_wall_time_s"]
+        <= 6 * cells["1000"]["batch_wall_time_s"]
 
 
 def test_batch_speedup_live():
     """Live guard: re-measure the 1000-edge cell so a regression of the
-    batch path cannot hide behind the pinned JSON.  Best-of-repeats
-    with a relaxed 1.4× bar keeps this robust on noisy CI runners — the
-    real margin is ~2.3×."""
+    batch path cannot hide behind the pinned JSON.  It guards what the
+    route is for — the same answer, no slower than the loop it
+    replaces, and wall times inside the calibrated band of the pinned
+    cell — not a batch ÷ per-tuple ratio, which a faster worklist
+    lowers with the batch path no slower."""
     import sys
 
     sys.path.insert(0, str(BASELINE.parent))
     try:
         from bench_incremental import run_incremental_suite
+        from check_bench_regression import compare
     finally:
         sys.path.pop(0)
     report = run_incremental_suite(batch_sizes=(1000,), repeats=3)
     cell = report["batch_sizes"]["1000"]
     assert cell["agree"] is True
-    assert cell["speedup"] >= 1.4, cell
+    assert cell["speedup"] >= 0.8, cell
+    pinned = {"batch_sizes": {"1000": _load()["batch_sizes"]["1000"]}}
+    assert not compare(pinned, report, factor=2.0, min_seconds=0.02)
+
+
+def test_worklists_enumerate_the_same_facts_as_before():
+    """The fact layout may change what a fact costs, never which facts
+    the worklists visit: ``stats`` on the benchmark's workload (100 of
+    its edges, per-tuple and batch, then the DRed delete of a tenth)
+    holds the counts recorded before the row/column maps."""
+    import sys
+
+    sys.path.insert(0, str(BASELINE.parent))
+    try:
+        from bench_incremental import _random_batch
+    finally:
+        sys.path.pop(0)
+    from repro.core.incremental import SMALL_BATCH_EDGES, IncrementalCFPQ
+    from repro.grammar.builders import chain_reachability
+    from repro.grammar.cnf import to_cnf
+    from repro.graph.labeled_graph import LabeledGraph
+
+    grammar = to_cnf(chain_reachability("a"))
+    edges = _random_batch(100, edges_per_node=3)
+    per_tuple = IncrementalCFPQ(LabeledGraph(), grammar)
+    for edge in edges:
+        per_tuple.add_edge(*edge)
+    batched = IncrementalCFPQ(LabeledGraph(), grammar)
+    batched.add_edges(edges)
+    loaded = {"edge_insertions": 100, "edge_removals": 0,
+              "propagated_facts": 1091, "facts_removed": 0,
+              "total_facts": 1091}
+    matrix_runs = int(len(edges) >= SMALL_BATCH_EDGES)
+    assert per_tuple.stats == {**loaded, "batch_updates": 0}
+    assert batched.stats == {**loaded, "batch_updates": matrix_runs}
+    for solver in (per_tuple, batched):
+        assert solver.remove_edges(edges[::10]) == 69
+    deleted = {**loaded, "edge_removals": 10, "propagated_facts": 2022,
+               "facts_removed": 69, "total_facts": 1022}
+    assert per_tuple.stats == {**deleted, "batch_updates": 0}
+    assert batched.stats == {**deleted, "batch_updates": matrix_runs}

@@ -47,6 +47,13 @@ def test_heads_for_terminal(cnf_grammar):
     assert cnf_grammar.heads_for_terminal(Terminal("zzz")) == frozenset()
 
 
+def test_heads_for_label_is_heads_for_terminal_by_text(cnf_grammar):
+    for label in ("a", "b", "zzz"):
+        assert cnf_grammar.heads_for_label(label) \
+            == cnf_grammar.heads_for_terminal(Terminal(label))
+    assert cnf_grammar.heads_for_label("a") == {Nonterminal("A")}
+
+
 def test_heads_for_pair(cnf_grammar):
     assert cnf_grammar.heads_for_pair(Nonterminal("A"), Nonterminal("B")) == {
         Nonterminal("S")
