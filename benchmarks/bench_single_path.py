@@ -4,10 +4,11 @@ The paper reports no timings for these semantics ("depends
 significantly on the implementation of the path searching"), so these
 benchmarks are shape-only: they establish the cost of (a) building the
 length-annotated closure, (b) extracting one witness path per related
-pair, and (c) building the witness forest and enumerating bounded
-all-path answers, relative to the plain relational closure on the same
-graph.  Both annotated closures run on the unified semiring engine, so
-the per-strategy sweep below doubles as the regression surface for the
+pair, and (c) building the all-path forest — the boolean closure plus
+a view of its relations — and enumerating bounded all-path answers,
+relative to the plain relational closure on the same graph.  The
+length closure runs on the unified semiring engine, so the
+per-strategy sweep below doubles as the regression surface for the
 ``delta`` / ``blocked`` speedups on annotated workloads.
 
 Two modes:
@@ -91,7 +92,7 @@ def test_extract_one_path(benchmark, query1_cnf):
 
 @pytest.mark.parametrize("dataset", ("skos", "travel"))
 def test_build_allpath_forest(benchmark, query1_cnf, dataset):
-    """Witness-semiring closure: the §7 parse forest as one engine run."""
+    """The §7 parse forest: one boolean closure, then a view of it."""
     graph = build_graph(dataset)
     forest = benchmark.pedantic(
         AllPathIndex.build, args=(graph, query1_cnf), iterations=1, rounds=1,
@@ -121,6 +122,19 @@ def test_enumerate_bounded_paths(benchmark, query1_cnf):
 # Machine-readable semantics × strategy sweep
 # ----------------------------------------------------------------------
 
+def _best_of(repeats: int, build):
+    """``(seconds, result)`` of the fastest of *repeats* calls: the
+    builds allocate tens of thousands of containers, so a single shot
+    times the collector as often as the closure, and CI gates ratios
+    between these cells."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = build()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
 def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
                                                      "funding"),
                         strategies: tuple[str, ...] | None = None,
@@ -130,10 +144,10 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
 
     Per cell: single-path index build + witness extraction for the
     first *extraction_pairs* pairs of ``R_S``, the ``bench_allpath``
-    case — witness-forest build + bounded enumeration — and the
-    ``relational`` boolean closure of the same graph and strategy, the
-    base of the "single-path at the price of relational" ratio CI
-    gates.  An ``agree`` flag per dataset asserts every strategy
+    case — boolean closure + forest view, then bounded enumeration —
+    and the ``relational`` boolean closure of the same graph and
+    strategy, the base of the "single-path / all-path at the price of
+    relational" ratios CI gates.  An ``agree`` flag per dataset asserts every strategy
     produced identical annotations (the differential property,
     re-checked on the real workloads).
     """
@@ -158,10 +172,8 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
         reference_forest = None
         agree = True
         for strategy in names:
-            started = time.perf_counter()
-            index = build_single_path_index(graph, grammar, normalize=False,
-                                            strategy=strategy)
-            build_elapsed = time.perf_counter() - started
+            build_elapsed, index = _best_of(3, lambda: build_single_path_index(
+                graph, grammar, normalize=False, strategy=strategy))
             pairs = sorted(
                 pair for pair, entries in index.cells.items()
                 if S in entries
@@ -184,18 +196,16 @@ def run_semantics_suite(datasets: tuple[str, ...] = ("skos", "travel",
                 "extraction_wall_time_s": round(extract_elapsed, 6),
             }
 
-            started = time.perf_counter()
-            relational = solve_matrix(graph, grammar, normalize=False,
-                                      strategy=strategy)
+            relational_elapsed, relational = _best_of(3, lambda: solve_matrix(
+                graph, grammar, normalize=False, strategy=strategy))
             relational_cells[strategy] = {
-                "wall_time_s": round(time.perf_counter() - started, 6),
+                "wall_time_s": round(relational_elapsed, 6),
                 "iterations": relational.stats.iterations,
                 "relation_size": relational.relations.count(S),
             }
 
-            started = time.perf_counter()
-            forest = AllPathIndex.build(graph, grammar, strategy=strategy)
-            forest_elapsed = time.perf_counter() - started
+            forest_elapsed, forest = _best_of(3, lambda: AllPathIndex.build(
+                graph, grammar, strategy=strategy))
             enum_pairs = sorted(forest.relations.pairs(S))[:10]
             started = time.perf_counter()
             enumerated = sum(

@@ -30,7 +30,6 @@ from .core.naive_closure import solve_naive
 from .core.relations import ContextFreeRelations
 from .core.semiring import (
     LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
     AnnotatedBackend,
     AnnotatedMatrix,
     Semiring,
@@ -75,7 +74,6 @@ __all__ = [
     "Semiring",
     "Terminal",
     "Tracer",
-    "WITNESS_SEMIRING",
     "__version__",
     "available_strategies",
     "build_single_path_index",

@@ -12,18 +12,17 @@ implement enumerates all paths **up to a length bound**:
                      p1 ∈ paths(B, i, r, =l1), p2 ∈ paths(C, r, j, =l2),
                      l1 + l2 ≤ L }
 
-In semiring terms, the candidate rules ``(A → B C, r)`` per triple are
-exactly the **witness semiring** annotation computed by
-:func:`repro.core.closure.run_closure`
-(:class:`repro.core.semiring.WitnessSemiring`: ⊕ = set union, so the
-fixpoint cell holds every decomposition — the paper's "midpoint index"
-reading of §7).  :class:`AllPathEnumerator` therefore wraps
-:class:`repro.core.path_index.AllPathIndex` — the engine-built parse
-forest — and enumerates from it by *exact* path length, which strictly
-decreases at every split: termination on cyclic graphs is structural,
-not guarded by a memo (the pre-semiring recursive enumerator seeded its
-memo with partial results and could return incomplete path sets when
-re-entered on a cycle).
+The candidate rules ``(A → B C, r)`` per triple are the one-step
+derivations of the fact ``(A, i, j)`` — at the fixpoint of the boolean
+closure, every ``r`` with ``(i, r) ∈ R_B`` and ``(r, j) ∈ R_C`` (the
+paper's "midpoint index" reading of §7, recovered from the closed
+relations on demand).  :class:`AllPathEnumerator` therefore wraps
+:class:`repro.core.path_index.AllPathIndex` — that view of the
+relations as a parse forest — and enumerates from it by *exact* path
+length, which strictly decreases at every split: termination on cyclic
+graphs is structural, not guarded by a memo (the pre-semiring recursive
+enumerator seeded its memo with partial results and could return
+incomplete path sets when re-entered on a cycle).
 
 The relational projection of the bounded answer converges to ``R_A`` as
 L grows (test-checked), which is how the module doubles as an
@@ -45,9 +44,10 @@ from .single_path import Path
 class AllPathEnumerator:
     """Enumerates all derivation paths up to a length bound.
 
-    Built on the witness-semiring closure: construction runs the
-    unified engine once (any *strategy*: ``delta`` default, ``naive``,
-    ``blocked``); enumeration walks the resulting midpoint index.
+    Built on the boolean closure: construction runs it once (any
+    *strategy*: ``delta`` default, ``naive``, ``blocked``) unless a
+    forest *index* over already-solved relations is handed in;
+    enumeration walks the forest view of the relations.
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
@@ -57,8 +57,6 @@ class AllPathEnumerator:
         self.graph = graph
         self.grammar = ensure_cnf(grammar) if normalize else grammar
         self.grammar.require_cnf("all-path enumeration")
-        # A pre-built forest (e.g. restored from a snapshot) skips the
-        # witness-semiring closure entirely.
         self.index = index if index is not None else AllPathIndex.build(
             graph, self.grammar, strategy=strategy, **strategy_options
         )

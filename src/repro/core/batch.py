@@ -152,9 +152,7 @@ class _Plan:
 
 
 def _validate(query: BatchQuery, grammar: CFG) -> Nonterminal:
-    start = query.start if isinstance(query.start, Nonterminal) \
-        else Nonterminal(str(query.start))
-    grammar.require_nonterminal(start)
+    start = grammar.resolve_nonterminal(query.start)
     if query.semantics not in BATCH_SEMANTICS:
         raise SemanticsError(
             f"unknown batch semantics {query.semantics!r}; expected one "

@@ -37,9 +37,10 @@ kernel API (``MatrixBackend.union_update`` / ``mxm_into``), which falls
 back to value semantics for backends without in-place support.  The
 backend need not be boolean: the semiring-annotated adapter
 (:mod:`repro.core.semiring`) implements the same kernels over
-length- and witness-annotated cells, which is how the single-path and
-all-path semantics run on this exact loop — a strategy improvement
-lands on every query semantics at once.
+length-, count- and probability-annotated cells, which is how the
+single-path and weighted semantics run on this exact loop — a strategy
+improvement lands on every query semantics at once (the all-path
+forest is a view of the boolean fixpoint).
 
 Strategies are registered by name so downstream code can plug in its
 own; ``run_closure`` is the single entry point the solvers route
@@ -127,7 +128,19 @@ def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
     only their consequences instead of re-deriving from scratch; this
     is the batch-incremental entry point (:mod:`repro.core.incremental`
     seeds it with the facts contributed by an edge-insertion batch).
+
+    Both mappings are first re-keyed in symbol-name order (in place):
+    callers build them by iterating symbol *sets*, whose order follows
+    object addresses, and the strategies drain their frontiers in
+    mapping order — so rounds, multiplications and the element order
+    inside the closed matrices are a function of the input, not of
+    where the symbols happen to live.
     """
+    for mapping in (matrices, options.get("initial_frontier")):
+        if mapping:
+            ordered = sorted(mapping.items(), key=lambda item: str(item[0]))
+            mapping.clear()
+            mapping.update(ordered)
     backend_obj = get_backend(backend)
     tracer = get_tracer()
     with tracer.span("closure", strategy=strategy,
@@ -621,7 +634,7 @@ def _closure_blocked_on_store(store, matrices: dict,
                             store.get(out_key), store.get(stage_key)
                         )
                         new_entries = delta.nnz()
-                        # Value-blind semirings (witness) may refine
+                        # Value-blind semirings may refine
                         # annotations in place without surfacing them in
                         # the delta; the tile content still changed, so
                         # its spill/payload version must move even

@@ -30,6 +30,7 @@ from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import default_backend
 from .allpath import AllPathEnumerator
 from .matrix_cfpq import DEFAULT_STRATEGY, MatrixCFPQResult, solve_matrix
+from .path_index import AllPathIndex
 from .relations import ContextFreeRelations
 from .single_path import (
     Path,
@@ -76,7 +77,7 @@ class CFPQEngine:
         self.strategy = strategy
         self.strategy_options = strategy_options
         self._matrix_results: dict[tuple[str, str], MatrixCFPQResult] = {}
-        self._single_path_indexes: dict[str, SinglePathIndex] = {}
+        self._single_path_by_strategy: dict[str, SinglePathIndex] = {}
         self._all_path_enumerators: dict[str, AllPathEnumerator] = {}
 
     # ------------------------------------------------------------------
@@ -126,12 +127,12 @@ class CFPQEngine:
         iterated.
         """
         key = strategy or self.strategy
-        if key not in self._single_path_indexes:
-            self._single_path_indexes[key] = build_single_path_index(
+        if key not in self._single_path_by_strategy:
+            self._single_path_by_strategy[key] = build_single_path_index(
                 self.graph, self.grammar, normalize=False, strategy=key,
                 **self.strategy_options,
             )
-        return self._single_path_indexes[key]
+        return self._single_path_by_strategy[key]
 
     def single_path(self, start: Nonterminal | str, source: Hashable,
                     target: Hashable, strategy: str | None = None) -> Path:
@@ -158,12 +159,15 @@ class CFPQEngine:
     # ------------------------------------------------------------------
     def all_path_enumerator(self, strategy: str | None = None,
                             ) -> AllPathEnumerator:
-        """The all-path enumerator, built once per strategy and cached."""
+        """The all-path enumerator, built once per strategy and cached:
+        a forest view of the (cached) relational solve, so all-path
+        queries never close a second time."""
         key = strategy or self.strategy
         if key not in self._all_path_enumerators:
             self._all_path_enumerators[key] = AllPathEnumerator(
-                self.graph, self.grammar, normalize=False, strategy=key,
-                **self.strategy_options,
+                self.graph, self.grammar, normalize=False,
+                index=AllPathIndex(self.graph, self.grammar,
+                                   self.relations(strategy=key)),
             )
         return self._all_path_enumerators[key]
 
@@ -193,13 +197,7 @@ class CFPQEngine:
                                 strategy: str | None = None) -> None:
         """Install a pre-computed length-annotated index (see
         :meth:`adopt_solution`)."""
-        self._single_path_indexes[strategy or self.strategy] = index
-
-    def adopt_all_path_enumerator(self, enumerator: AllPathEnumerator,
-                                  strategy: str | None = None) -> None:
-        """Install a pre-computed all-path enumerator (see
-        :meth:`adopt_solution`)."""
-        self._all_path_enumerators[strategy or self.strategy] = enumerator
+        self._single_path_by_strategy[strategy or self.strategy] = index
 
     def save_snapshot(self, path: str,
                       semantics: tuple[str, ...] = SEMANTICS) -> int:

@@ -59,6 +59,16 @@ lengths — so :meth:`~IncrementalSinglePathCFPQ.length_of`
 equals a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
 after every update.
 
+**Path views.**  The same derivation reader that serves DRed is all a
+path answer needs, so the solvers hand out *views* of their live state
+instead of index copies: :meth:`IncrementalCFPQ.all_path_index` (the
+parse forest, :class:`~repro.core.path_index.AllPathIndex`, over the
+fact maps) and :meth:`IncrementalSinglePathCFPQ.single_path_index`
+(what :func:`~repro.core.single_path.extract_path` reads, over the fact
+maps and the maintained lengths).  Both cost O(|rules|) to make and stay
+current across updates; only the forest's memo tables need dropping
+after one.
+
 This realizes the dynamic-graph direction implied by the paper's
 "graph databases" motivation, and it doubles as yet another
 differential-testing angle: after any interleaved insert/delete
@@ -68,7 +78,7 @@ sequence the incremental state must equal a from-scratch solve
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from itertools import chain, repeat
 from typing import Hashable, Iterable, Iterator
 
@@ -78,19 +88,11 @@ from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
+from .derivations import (Fact, FactMaps, Support, fact_maps,
+                          one_step_derivations)
+from .path_index import AllPathIndex
 from .relations import ContextFreeRelations
-from .single_path import SinglePathIndex, lengths_by_fact
-
-#: A derived fact ``(A, i, j)`` by dense node ids.
-Fact = tuple[Nonterminal, int, int]
-
-#: One one-step derivation of a fact: ``("edge", label)`` for a base
-#: edge, ``("empty",)`` for the empty path of a nullable non-terminal,
-#: ``("split", B, C, r)`` for a pair rule applied at midpoint ``r``.
-Support = tuple
-
-#: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``.
-FactMaps = dict[Nonterminal, "defaultdict[int, set[int]]"]
+from .single_path import SinglePathView, lengths_by_fact
 
 #: Per-non-terminal pair sets: the relations themselves, a change log.
 PairSets = dict[Nonterminal, set[tuple[int, int]]]
@@ -107,10 +109,6 @@ _NO_NODES: frozenset[int] = frozenset()
 #: measured crossover of ``benchmarks/bench_incremental.py`` (see
 #: README, *Incremental updates*).
 SMALL_BATCH_EDGES = 200
-
-
-def _fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
-    return {nonterminal: defaultdict(set) for nonterminal in nonterminals}
 
 
 def _facts_in(rows: FactMaps) -> Iterator[Fact]:
@@ -160,29 +158,27 @@ class IncrementalCFPQ:
 
         nonterminals = self.grammar.nonterminals
         self._facts: PairSets = {nt: set() for nt in nonterminals}
-        self._rows = _fact_maps(nonterminals)
-        self._cols = _fact_maps(nonterminals)
+        self._rows = fact_maps(nonterminals)
+        self._cols = fact_maps(nonterminals)
         self._live = (self._rows, self._cols)
         # Pair rules indexed by operand, each bound once to the map its
         # join reads: a fact (B, i, r) as the LEFT part of A -> B C
         # meets the row r of C, a fact (C, r, j) as the RIGHT part the
-        # column r of B; a probe of (A, i, j) meets both.
+        # column r of B.
         self._as_left: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
         self._as_right: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
-        self._bodies_for_head: dict[Nonterminal, list] = \
-            {nt: [] for nt in nonterminals}
         self._pair_rules: list[tuple[Nonterminal, Nonterminal, Nonterminal]] = []
         for rule in self.grammar.binary_rules:
             head = rule.head
             left, right = rule.body  # type: ignore[misc]
             self._as_left[left].append((head, right, self._rows[right]))   # type: ignore[index]
             self._as_right[right].append((head, left, self._cols[left]))   # type: ignore[index]
-            self._bodies_for_head[head].append(
-                (left, right, self._rows[left], self._cols[right]))  # type: ignore[index]
             self._pair_rules.append((head, left, right))  # type: ignore[arg-type]
-        self._terminals_for_head: dict[Nonterminal, list[str]] = defaultdict(list)
-        for rule in self.grammar.terminal_rules:
-            self._terminals_for_head[rule.head].append(rule.body[0].label)  # type: ignore[union-attr]
+        #: Every one-step derivation of a fact from the current graph
+        #: and fact maps — the DRed re-derivation probe, and what the
+        #: path views of this solver read.
+        self._derivations = one_step_derivations(
+            graph, self.grammar, self._rows, self._cols)
         self._nullable = self.grammar.nullable_diagonal
 
         self._edge_insertions = 0
@@ -345,7 +341,8 @@ class IncrementalCFPQ:
         removed edge derived (count-blind — sound even when facts
         support each other in cycles).  Phase 2 *re-derives*: each
         over-deleted fact is probed for its one-step derivations from
-        the survivors (:meth:`_derivations`), and those re-enter the
+        the survivors (:func:`~repro.core.derivations.one_step_derivations`),
+        and those re-enter the
         tuple-granular worklist, which restores every fact still
         derivable.  The work is proportional to the over-deleted set,
         not to the relations.  Returns the number of facts permanently
@@ -368,7 +365,7 @@ class IncrementalCFPQ:
         # The live maps the joins read still reflect the pre-deletion
         # database, which is exactly the over-approximation DRed's
         # deletion phase needs.
-        gone_rows, gone_cols = _fact_maps(rows), _fact_maps(rows)
+        gone_rows, gone_cols = fact_maps(rows), fact_maps(rows)
         scratch = (gone_rows, gone_cols)
         mark = IncrementalCFPQ._improve  # presence-only on both solvers
         tracer = get_tracer()
@@ -445,6 +442,14 @@ class IncrementalCFPQ:
         has to materialize (or copy) the full relation."""
         row_map = self._rows.get(as_nonterminal(nonterminal), {})
         return frozenset(row_map.get(source, ()))
+
+    def all_path_index(self) -> AllPathIndex:
+        """The all-path parse forest as a **view** of the live fact
+        maps: built in O(|rules|), never rebuilt.  After a mutator call
+        its memo tables are stale — :meth:`AllPathIndex.drop_memos`
+        (the query service does it once per tick)."""
+        return AllPathIndex.over_fact_maps(self.graph, self.grammar,
+                                           self._rows, self._cols)
 
     def _total_facts(self) -> int:
         return sum(map(len, self._facts.values()))
@@ -530,24 +535,6 @@ class IncrementalCFPQ:
     # ------------------------------------------------------------------
     # Tuple-granular engine
     # ------------------------------------------------------------------
-    def _derivations(self, fact: Fact):
-        """Every one-step derivation (support) of *fact* from the
-        current graph and fact maps — the DRed re-derivation probe.
-        It iterates no live row, so the caller may record facts while
-        consuming it."""
-        nonterminal, i, j = fact
-        if i == j and nonterminal in self._nullable:
-            yield ("empty",)
-        for label in self._terminals_for_head.get(nonterminal, ()):
-            if self.graph.has_edge_id(i, label, j):
-                yield ("edge", label)
-        for left, right, left_rows, right_cols in \
-                self._bodies_for_head[nonterminal]:
-            midpoints = left_rows.get(i)
-            if midpoints:
-                for r in midpoints.intersection(right_cols.get(j, ())):
-                    yield ("split", left, right, r)
-
     def _improve(self, head: Nonterminal, i: int | None, j: int | None,
                  others: set[int], _support: Support | None,
                  scratch: tuple[FactMaps, FactMaps] | None = None,
@@ -671,15 +658,13 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def single_path_index(self):
-        """The maintained lengths as a
-        :class:`~repro.core.single_path.SinglePathIndex`, so
+    def single_path_index(self) -> SinglePathView:
+        """The maintained lengths and fact maps as a **view**, so
         :func:`~repro.core.single_path.extract_path` runs on the live
-        incremental state (the query service rebuilds this after every
-        update tick)."""
-        return SinglePathIndex(
-            graph=self.graph, grammar=self.grammar,
-            matrices=self._matrices_from_state(self.graph.node_count))
+        incremental state: nothing is copied, and the view stays
+        current across updates."""
+        return SinglePathView(self.graph, self.grammar, self._lengths,
+                              self._derivations)
 
     def length_of(self, nonterminal: Nonterminal | str, source: Hashable,
                   target: Hashable) -> int | None:

@@ -1,24 +1,27 @@
-"""Derivation index: the all-path parse forest over the closed matrices.
+"""Derivation index: the all-path parse forest, read off the closed
+relations.
 
 The paper's §7 asks whether parse forests — the natural answer
 representation for the *all-path* semantics — can be built by matrix
-multiplication on graphs, as Okhotin [19] does for linear inputs.  The
-semiring-generalized closure answers it directly: running
-:func:`repro.core.closure.run_closure` over the **witness semiring**
-(:class:`repro.core.semiring.WitnessSemiring`) annotates every cell
-``(A, i, j)`` with its complete *midpoint index* — every terminal edge
-``(i, x, j)`` with ``(A → x) ∈ P`` and every binary split
-``(A → B C, r)`` with ``(i, r) ∈ R_B`` and ``(r, j) ∈ R_C``.  That is
-the shared packed forest (an SPPF in parsing terms: nodes ``(A, i, j)``,
-packed children per split), computed by the same strategy-pluggable
-engine (``naive`` / ``delta`` / ``blocked``) as the relational answer.
+multiplication on graphs, as Okhotin [19] does for linear inputs.  They
+need no second closure: at the fixpoint of the boolean closure the
+forest is implicit in the relations.  Node ``(A, i, j)`` has a terminal
+child for every edge ``(i, x, j)`` with ``(A → x) ∈ P`` and a packed
+binary child ``(A → B C, r)`` for every ``r`` with ``(i, r) ∈ R_B`` and
+``(r, j) ∈ R_C`` — the one-step derivations of the fact
+(:func:`repro.core.derivations.one_step_derivations`), recovered by one
+set intersection per rule, the way a chart parser reads its chart.
+That is the shared packed forest (an SPPF in parsing terms), and it is
+the same for every closure strategy and backend because the relations
+are.
 
-:class:`AllPathIndex` wraps the annotated closure and supports:
+:class:`AllPathIndex` is that view plus memo tables, and supports:
 
 * :meth:`splits` / :meth:`terminal_edges` — forest inspection;
 * :meth:`count_paths` — the number of distinct derivation paths up to a
   length bound, by dynamic programming over the forest (no enumeration);
 * :meth:`iter_paths` — lazy enumeration in order of increasing length;
+* :meth:`iter_k_best` / :meth:`top_k` — lazy best-first enumeration;
 * :meth:`shortest_path_length` — minimal witness length per pair (the
   quantity Hellings' single-path algorithm computes [12], and exactly
   the length-semiring annotation of
@@ -42,14 +45,14 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
+from .derivations import FactMaps, closed_fact_maps, one_step_derivations
+from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
 from .relations import ContextFreeRelations
 from .semiring import (
     COUNTING_SEMIRING,
     VITERBI_SEMIRING,
-    WITNESS_SEMIRING,
     CountingSemiring,
     ViterbiSemiring,
-    solve_annotated,
 )
 from .single_path import Path
 
@@ -110,33 +113,26 @@ class ViterbiRank:
 class AllPathIndex:
     """The implicit parse forest of one CFPQ evaluation.
 
-    Build it with :meth:`build` (runs the witness-semiring closure and
-    stores the midpoint index per forest node) or construct it directly
-    from pre-computed relations, in which case splits are derived on
-    demand from the row views — both paths yield the same forest.
+    A view of the closed relations: construct it from pre-computed
+    relations, :meth:`build` it (boolean closure, then wrap), or lay it
+    over fact maps someone else maintains (:meth:`over_fact_maps`).
+    Only memo tables are stored; :meth:`drop_memos` forgets them.
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 relations: ContextFreeRelations,
-                 splits_index: dict[tuple[Nonterminal, int, int],
-                                    tuple[Split, ...]] | None = None):
+                 relations: ContextFreeRelations):
+        self._bind(graph, grammar, *closed_fact_maps(
+            grammar.nonterminals,
+            {nonterminal: relations.pairs(nonterminal)
+             for nonterminal in grammar.nonterminals}))
+
+    def _bind(self, graph: LabeledGraph, grammar: CFG,
+              rows: FactMaps, cols: FactMaps) -> None:
         self.graph = graph
         self.grammar = grammar
-        self.relations = relations
-        #: Midpoint index from the witness closure; None when built from
-        #: bare relations (splits computed on demand instead).
-        self._splits_index = splits_index
-        # (i, j) -> labels of edges i -> j (for terminal derivations)
-        self._edge_labels: dict[tuple[int, int], list[str]] = defaultdict(list)
-        for i, label, j in graph.edges_by_id():
-            self._edge_labels[(i, j)].append(label)
-        # per non-terminal: i -> set of j (row view of R_A)
-        self._rows: dict[Nonterminal, dict[int, set[int]]] = {}
-        for nonterminal in grammar.nonterminals:
-            rows: dict[int, set[int]] = defaultdict(set)
-            for i, j in relations.pairs(nonterminal):
-                rows[i].add(j)
-            self._rows[nonterminal] = dict(rows)
+        #: ``rows[A][i] = {j}``: the row view of ``R_A``.
+        self._rows = rows
+        self._derivations = one_step_derivations(graph, grammar, rows, cols)
         # Exact-length enumeration memo: (A, i, j, length) -> paths.
         self._length_memo: dict[tuple[Nonterminal, int, int, int],
                                 tuple[Path, ...]] = {}
@@ -146,7 +142,6 @@ class AllPathIndex:
         # those optima are globally correct and reusable.
         self._rank_cache: dict[str, dict[tuple[Nonterminal, int, int],
                                          object]] = {}
-        self._shortest_cache = self._rank_cache.setdefault("length", {})
         # Ranked-alternative cache per forest node (k-best expansion).
         self._alternatives_cache: dict[tuple[str, Nonterminal, int, int],
                                        tuple] = {}
@@ -161,65 +156,69 @@ class AllPathIndex:
     def build(cls, graph: LabeledGraph, grammar: CFG,
               strategy: str | None = None,
               **strategy_options) -> "AllPathIndex":
-        """Run the witness-semiring closure engine and wrap its forest.
+        """Run the boolean closure and wrap its relations.
 
         *strategy* selects the closure strategy (engine default when
         None; extra keyword options such as ``tile_size`` / ``scheduler``
-        are forwarded); every strategy produces the identical forest.
+        are forwarded); the forest depends on the relations alone, so
+        every strategy produces the identical one.
         """
         cnf = ensure_cnf(grammar)
-        result = solve_annotated(graph, cnf, WITNESS_SEMIRING,
-                                 strategy=strategy, normalize=False,
-                                 **strategy_options)
-        return cls.from_witness_matrices(graph, cnf, result.matrices)
+        result = solve_matrix(graph, cnf, normalize=False,
+                              strategy=strategy or DEFAULT_STRATEGY,
+                              **strategy_options)
+        return cls(graph, cnf, result.relations)
 
     @classmethod
-    def from_witness_matrices(cls, graph: LabeledGraph, grammar: CFG,
-                              matrices: dict) -> "AllPathIndex":
-        """Wrap already-closed witness-semiring matrices (a finished
-        :func:`solve_annotated` run, or matrices re-materialized from a
-        snapshot payload) as a forest index."""
-        pairs_by_nonterminal: dict[Nonterminal, set[tuple[int, int]]] = {}
-        splits_index: dict[tuple[Nonterminal, int, int], tuple[Split, ...]] = {}
-        for nonterminal, matrix in matrices.items():
-            pairs_by_nonterminal[nonterminal] = set(matrix.nonzero_pairs())
-            for i, j, witnesses in matrix.nonzero_cells():
-                splits = sorted(
-                    ((entry[1], entry[2], entry[3])
-                     for entry in witnesses if entry[0] == "split"),
-                    key=lambda split: (split[0].name, split[1].name, split[2]),
-                )
-                if splits:
-                    splits_index[(nonterminal, i, j)] = tuple(splits)
-        relations = ContextFreeRelations(graph, pairs_by_nonterminal)
-        return cls(graph, grammar, relations, splits_index=splits_index)
+    def over_fact_maps(cls, graph: LabeledGraph, grammar: CFG,
+                       rows: FactMaps, cols: FactMaps) -> "AllPathIndex":
+        """A forest over *rows* / *cols* as they are — read live, never
+        copied.  Whoever mutates the maps calls :meth:`drop_memos`."""
+        index = cls.__new__(cls)
+        index._bind(graph, grammar, rows, cols)
+        return index
+
+    def drop_memos(self) -> None:
+        """Forget everything memoized about the forest (the tables
+        refill lazily).  Required after the relations or the graph
+        under a view changed."""
+        self._length_memo.clear()
+        self._rank_cache.clear()
+        self._alternatives_cache.clear()
+
+    @property
+    def relations(self) -> ContextFreeRelations:
+        """The relations the forest is a view of."""
+        return ContextFreeRelations(self.graph, {
+            nonterminal: [(i, j) for i, targets in row_map.items()
+                          for j in targets]
+            for nonterminal, row_map in self._rows.items()
+        })
 
     # ------------------------------------------------------------------
     # Forest structure
     # ------------------------------------------------------------------
+    def _children(self, nonterminal: Nonterminal, i: int, j: int,
+                  ) -> tuple[list[str], list[Split]]:
+        """The terminal labels and the binary splits of one node."""
+        labels: list[str] = []
+        splits: list[Split] = []
+        for support in self._derivations((nonterminal, i, j)):
+            if support[0] == "edge":
+                labels.append(support[1])
+            elif support[0] == "split":
+                splits.append(support[1:])
+        return labels, splits
+
     def terminal_edges(self, nonterminal: Nonterminal, i: int,
                        j: int) -> list[str]:
         """Labels x with ``(i, x, j) ∈ E`` and ``(A → x) ∈ P``."""
-        return [
-            label for label in self._edge_labels.get((i, j), ())
-            if nonterminal in self.grammar.heads_for_label(label)
-        ]
+        return self._children(nonterminal, i, j)[0]
 
     def splits(self, nonterminal: Nonterminal, i: int, j: int) -> list[Split]:
-        """All binary decompositions of the forest node ``(A, i, j)``."""
-        if self._splits_index is not None:
-            return list(self._splits_index.get((nonterminal, i, j), ()))
-        found: list[Split] = []
-        for rule in self.grammar.productions_for(nonterminal):
-            if not rule.is_binary_rule:
-                continue
-            left, right = rule.body  # type: ignore[misc]
-            left_row = self._rows.get(left, {}).get(i, ())
-            right_rows = self._rows.get(right, {})
-            for r in left_row:
-                if j in right_rows.get(r, ()):
-                    found.append((left, right, r))  # type: ignore[arg-type]
-        return found
+        """All binary decompositions of the forest node ``(A, i, j)``,
+        ordered by ``(B.name, C.name, r)``."""
+        return self._children(nonterminal, i, j)[1]
 
     def node_exists(self, nonterminal: Nonterminal, i: int, j: int) -> bool:
         """``(i, j) ∈ R_A``."""
@@ -287,10 +286,10 @@ class AllPathIndex:
                 return memo[key]
             vector = [0] * (max_length + 1)
             memo[key] = vector  # cycle guard: zeros while computing
-            if 1 <= max_length and self.terminal_edges(head, a, b):
-                vector[1] = sat_add(vector[1],
-                                    len(self.terminal_edges(head, a, b)))
-            for left, right, r in self.splits(head, a, b):
+            labels, splits = self._children(head, a, b)
+            if 1 <= max_length and labels:
+                vector[1] = sat_add(vector[1], len(labels))
+            for left, right, r in splits:
                 left_counts = counts(left, a, r)
                 right_counts = counts(right, r, b)
                 for l1 in range(1, max_length):
@@ -394,12 +393,13 @@ class AllPathIndex:
         if cached is not None:
             return cached
         head, a, b = node
+        labels, splits = self._children(head, a, b)
         ranked: list = []
-        for label in sorted(self.terminal_edges(head, a, b)):
+        for label in labels:
             value = rank.edge_value(label)
             ranked.append((rank.heap_key(value), 0, label,
                            (("edge", label, value), value)))
-        for left, right, r in self.splits(head, a, b):
+        for left, right, r in splits:
             left_node = (left, a, r)
             right_node = (right, r, b)
             left_best = self._best_completion(left_node, rank)
@@ -547,15 +547,15 @@ class AllPathIndex:
 
         best: dict[tuple[Nonterminal, int, int], object] = {}
         dependents: dict[tuple, list[tuple]] = defaultdict(list)
-        nodes: set[tuple[Nonterminal, int, int]] = set()
+        nodes: dict[tuple[Nonterminal, int, int], list[str]] = {}
         stack = [root]
         while stack:
             node = stack.pop()
             if node in nodes:
                 continue
-            nodes.add(node)
             head, a, b = node
-            for left, right, r in self.splits(head, a, b):
+            nodes[node], splits = self._children(head, a, b)
+            for left, right, r in splits:
                 left_node = (left, a, r)
                 right_node = (right, r, b)
                 dependents[left_node].append((node, left_node, right_node))
@@ -563,9 +563,7 @@ class AllPathIndex:
                 stack.extend((left_node, right_node))
 
         heap: list = []
-        for node in nodes:
-            head, a, b = node
-            labels = self.terminal_edges(head, a, b)
+        for node, labels in nodes.items():
             if labels:
                 cost = None
                 for label in labels:

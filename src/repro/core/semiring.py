@@ -1,15 +1,17 @@
-"""Semiring-generalized closure: one engine, three query semantics.
+"""Semiring-generalized closure: one engine, several annotations.
 
-The paper computes three answers with three bespoke fixpoint loops:
-relational (Algorithm 1), single-path (Section 5: cells annotated with
-a path length), and all-path (Section 7: cells must expose every
-derivation).  All three are the *same* least fixpoint
+The paper computes its relational (Algorithm 1) and single-path
+(Section 5: cells annotated with a path length) answers with two
+bespoke fixpoint loops.  Both — and the weighted variants — are the
+*same* least fixpoint
 
     M_A  ←  M_A ⊕ (M_B ⊗ M_C)        for every pair rule A → B C
 
 over different annotation **semirings** — the shape the GraphBLAS line
 of CFPQ work (Azimov et al.'s later Kronecker/matrix engines, GraphBLAS
-CFPQ) makes explicit.  This module supplies:
+CFPQ) makes explicit.  (The all-path answer of Section 7 needs no
+annotation at all: its forest is a view of the boolean fixpoint,
+:mod:`repro.core.path_index`.)  This module supplies:
 
 * :class:`Semiring` — the annotation algebra: ``identity`` (the seed a
   terminal edge contributes), ``multiply`` (⊗ — combine a left and a
@@ -31,16 +33,14 @@ CFPQ) makes explicit.  This module supplies:
   lengths remain exactly what Theorem 5 needs: each admits a concrete
   path recoverable by the midpoint search of
   :func:`repro.core.single_path.extract_path`.
-* :class:`WitnessSemiring` — all-path semantics.  A cell's annotation
-  is the *midpoint index*: the set of terminal edges and binary splits
-  ``(B, C, r)`` that derive it.  ⊕/merge is set union, so the fixpoint
-  holds every decomposition and the parse forest
-  (:class:`repro.core.path_index.AllPathIndex`) is read off directly.
+* :class:`CountingSemiring` / :class:`ViterbiSemiring` — weighted
+  relational semantics: saturating derivation counts and max-product
+  probabilities.
 * :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the adapter
   implementing the mutable kernel API (``union_update`` /
   ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
   :func:`repro.core.closure.run_closure` — including the ``delta`` and
-  ``blocked`` strategies — runs unchanged on all three semirings.
+  ``blocked`` strategies — runs unchanged on every semiring.
   Semirings that declare ``array_ops`` (length, Viterbi) get the
   array layout of :mod:`repro.core.scalar_matrix` when NumPy imports;
   the dict-of-cells :class:`AnnotatedMatrix` serves the set-valued
@@ -49,7 +49,7 @@ CFPQ) makes explicit.  This module supplies:
 
 Termination: ``merge`` must be monotone w.r.t. a well-founded order
 (absorb: no change ever; length: non-negative integers decrease;
-witness: finite sets grow), so every strategy's worklist drains.
+counting: capped counts grow), so every strategy's worklist drains.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from ..matrices.base import BooleanMatrix, MatrixBackend, Pair
-
-#: A witness-set entry: ``("edge", label)`` for a terminal derivation or
-#: ``("split", left_symbol, right_symbol, midpoint)`` for a binary one.
-WitnessEntry = tuple
 
 
 class Semiring(abc.ABC):
@@ -74,16 +70,17 @@ class Semiring(abc.ABC):
     and tiles).
     """
 
-    #: Registry-style display name (``boolean`` / ``length`` / ``witness``).
+    #: Registry-style display name (``boolean`` / ``length`` / ...).
     name: str = "abstract"
 
     #: True when ``multiply`` reads operand annotation *values*, so a
     #: refined annotation must re-enter the semi-naive frontier (the
     #: length semiring: shorter operands produce shorter products).
-    #: Semirings whose ⊗ depends only on cell *presence* (witness:
-    #: products emit the rule/midpoint, never the operand sets) leave
-    #: this False — their refinements are merged in place but re-firing
-    #: rules over them is provably a no-op, so the engine skips it.
+    #: Semirings whose ⊗ depends only on cell *presence* (counting
+    #: with cap 1: products emit the rule/midpoint, every count is 1)
+    #: leave this False — their refinements are merged in place but
+    #: re-firing rules over them is provably a no-op, so the engine
+    #: skips it.
     refinement_feeds_products: bool = True
 
     #: ``(dtype, ⊗ ufunc, ⊕ ufunc)`` by NumPy name when annotations are
@@ -98,12 +95,12 @@ class Semiring(abc.ABC):
     @abc.abstractmethod
     def identity(self, label: str | None = None):
         """The ⊗-unit seed a single terminal edge contributes (length 1,
-        an ``("edge", label)`` witness, ...)."""
+        an ``("edge", label)`` entry of count 1, ...)."""
 
     def empty_path(self):
         """The annotation of the *empty* path ``iπi`` — the seed of the
         diagonal cell ``(i, i)`` of a nullable non-terminal (``A ⇒* ε``):
-        length 0, an ``("empty",)`` witness, plain presence for the
+        length 0, an ``("empty",)`` entry, plain presence for the
         boolean semiring.  Default: the edge identity (correct for
         presence-only semirings)."""
         return self.identity()
@@ -115,7 +112,7 @@ class Semiring(abc.ABC):
 
         *left_symbol* / *right_symbol* are the body non-terminals of the
         rule being fired (the tags of the operand matrices) — provenance
-        the witness semiring records and the others ignore.
+        the counting semiring records and the others ignore.
         """
 
     @abc.abstractmethod
@@ -187,48 +184,6 @@ class LengthSemiring(Semiring):
         return existing, False
 
 
-class WitnessSemiring(Semiring):
-    """All-path semantics: the annotation is the cell's midpoint index.
-
-    A value is a frozenset of :data:`WitnessEntry` — every terminal
-    edge and every binary split ``(left, right, midpoint)`` that derives
-    the cell.  ⊕ and ``merge`` are set union (monotone and finite, so
-    every strategy terminates at the complete index); at the fixpoint a
-    cell's set holds *all* decompositions, i.e. the packed parse-forest
-    node of the paper's Section 7 question.
-
-    ⊗ emits the firing rule's provenance and never reads the operand
-    sets, so growing a cell's witness set cannot change any downstream
-    product: completeness only needs every rule to fire once after both
-    operand *cells* exist, which cell-presence deltas already guarantee.
-    ``refinement_feeds_products`` is False accordingly.
-    """
-
-    name = "witness"
-    refinement_feeds_products = False
-
-    def identity(self, label: str | None = None) -> frozenset:
-        if label is None:
-            return frozenset()
-        return frozenset({("edge", label)})
-
-    def empty_path(self) -> frozenset:
-        return frozenset({("empty",)})
-
-    def multiply(self, left, right, midpoint: int, left_symbol,
-                 right_symbol) -> frozenset:
-        return frozenset({("split", left_symbol, right_symbol, midpoint)})
-
-    def add(self, left: frozenset, right: frozenset) -> frozenset:
-        return left | right
-
-    def merge(self, existing: frozenset,
-              incoming: frozenset) -> tuple[frozenset, bool]:
-        if incoming <= existing:
-            return existing, False
-        return existing | incoming, True
-
-
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
 #: purpose: saturating a pump cycle costs O(cap) refinement rounds (see
 #: the class docstring), so a huge default turns cyclic graphs into
@@ -240,14 +195,12 @@ class CountingSemiring(Semiring):
     """Derivation counting with saturation — one value type for two jobs.
 
     A cell's annotation is a frozenset of ``(entry, count)`` pairs: one
-    entry per *one-step derivation* of the cell (the same
+    entry per *one-step derivation* of the cell (the
     ``("edge", label)`` / ``("empty",)`` / ``("split", B, C, r)`` shapes
-    the witness semiring records) mapped to the number of distinct
+    of :mod:`repro.core.derivations`) mapped to the number of distinct
     derivation trees routed through that decomposition, saturating at
     ``cap``.  The cell's total derivation count is the saturating sum
-    over its entries (:meth:`count`); the entry keys are the cell's
-    one-step derivations, the same ones the DRed re-derivation probe of
-    :mod:`repro.core.incremental` enumerates.
+    over its entries (:meth:`count`).
 
     ⊗ emits one ``split`` entry whose count is the saturating product of
     the operand counts; ⊕ and ``merge`` take the *per-entry maximum*.
@@ -403,7 +356,6 @@ class ViterbiSemiring(Semiring):
 #: Shared singleton instances (the semirings are stateless).
 BOOLEAN_SEMIRING = BooleanSemiring()
 LENGTH_SEMIRING = LengthSemiring()
-WITNESS_SEMIRING = WitnessSemiring()
 COUNTING_SEMIRING = CountingSemiring()
 VITERBI_SEMIRING = ViterbiSemiring()
 
@@ -411,8 +363,8 @@ VITERBI_SEMIRING = ViterbiSemiring()
 #: rebuild annotated tiles on the worker side of the pipe.
 SEMIRINGS: dict[str, Semiring] = {
     semiring.name: semiring
-    for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, WITNESS_SEMIRING,
-                     COUNTING_SEMIRING, VITERBI_SEMIRING)
+    for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, COUNTING_SEMIRING,
+                     VITERBI_SEMIRING)
 }
 
 
@@ -598,9 +550,9 @@ class AnnotatedMatrix(BooleanMatrix):
         plus — when the semiring's products read annotation values
         (``refinement_feeds_products``) — every cell whose annotation
         the semiring ``merge`` refined, so such refinements re-enter the
-        semi-naive frontier.  Value-blind semirings (witness) merge
-        refinements in place but keep them out of the delta: re-firing
-        rules over them cannot change any product."""
+        semi-naive frontier.  Value-blind semirings merge refinements
+        in place but keep them out of the delta: re-firing rules over
+        them cannot change any product."""
         self._require_same_shape(other)
         semiring = self.semiring
         propagate_refinements = semiring.refinement_feeds_products
@@ -788,8 +740,8 @@ class AnnotatedBackend(MatrixBackend):
 
     def matrix_nbytes(self, matrix: BooleanMatrix) -> int:
         """The array layout's measured bytes; dict cells are entries
-        carrying boxed values (witness tuples, entry sets), budgeted by
-        a generous per-cell guess."""
+        carrying boxed values (entry sets), budgeted by a generous
+        per-cell guess."""
         return getattr(matrix, "nbytes", 112 + 200 * matrix.nnz())
 
 
@@ -881,7 +833,7 @@ def solve_annotated(graph, grammar, semiring: Semiring,
                     **strategy_options) -> AnnotatedClosureResult:
     """Run the unified closure engine over *semiring*-annotated matrices.
 
-    This is the single code path behind the single-path and all-path
+    This is the single code path behind the single-path and weighted
     semantics: any registered strategy (``naive`` / ``delta`` /
     ``blocked`` / plug-ins) closes the annotated matrices through
     exactly the same kernels the relational solver uses.

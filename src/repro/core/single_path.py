@@ -24,23 +24,31 @@ the relational answer: ``naive``, semi-naive ``delta`` and tiled
 A concrete path of exactly the recorded length is recovered by the
 simple recursive search the paper sketches after Theorem 5: split on
 the midpoint ``r`` and rule ``A → B C`` whose recorded lengths add up.
+The search stores nothing of its own: it reads the recorded lengths
+and the one-step derivations of each fact
+(:func:`repro.core.derivations.one_step_derivations`).
 
 :class:`SinglePathIndex` holds the annotated closure (the closed
 length matrices, array-native where NumPy is present);
-:func:`extract_path` performs the search, and
+:class:`SinglePathView` is the same pair of reads over the live state
+of :class:`repro.core.incremental.IncrementalSinglePathCFPQ`;
+:func:`extract_path` performs the search on either, and
 :func:`repro.core.engine.CFPQEngine.single_path` wires it up.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
-from typing import Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping
 
 from ..errors import PathNotFoundError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
+from .derivations import (Fact, Support, closed_fact_maps,
+                          one_step_derivations)
 from .relations import ContextFreeRelations
 from .semiring import (
     LENGTH_SEMIRING,
@@ -66,6 +74,28 @@ def lengths_by_fact(matrices: Mapping) -> dict[tuple[Nonterminal, int, int], int
         rows, cols, values = matrix.columns()
         lengths.update(zip(zip(repeat(nonterminal), rows, cols), values))
     return lengths
+
+
+class SinglePathView:
+    """What :func:`extract_path` reads — the recorded length of a fact
+    and its one-step derivations — over state owned by someone else
+    (the incremental solver's ``_lengths`` and fact maps).  Nothing is
+    copied, so the view is current whenever its owner is at the
+    fixpoint."""
+
+    def __init__(self, graph: LabeledGraph, grammar: CFG,
+                 lengths: Mapping[Fact, int],
+                 derivations: Callable[[Fact], Iterator[Support]]):
+        self.graph = graph
+        self.grammar = grammar
+        self._lengths = lengths
+        self.derivations = derivations
+
+    def length_of(self, nonterminal: Nonterminal, source_id: int,
+                  target_id: int) -> int | None:
+        """The recorded length ``l_A`` for ``(A, i, j)``, or None when
+        ``(i, j) ∉ R_A``."""
+        return self._lengths.get((nonterminal, source_id, target_id))
 
 
 class SinglePathIndex:
@@ -118,6 +148,15 @@ class SinglePathIndex:
         return None if matrix is None else matrix.value_at(source_id,
                                                            target_id)
 
+    @cached_property
+    def derivations(self) -> Callable[[Fact], Iterator[Support]]:
+        """The one-step derivations of a fact, over row/column maps of
+        the closed matrices (built on the first extraction)."""
+        return one_step_derivations(self.graph, self.grammar, *closed_fact_maps(
+            self.grammar.nonterminals,
+            {nonterminal: matrix.nonzero_pairs()
+             for nonterminal, matrix in self.matrices.items()}))
+
     def relations(self) -> ContextFreeRelations:
         """Project the annotation away — by Theorem 2 this is the
         relational-semantics answer."""
@@ -155,14 +194,16 @@ def build_single_path_index(graph: LabeledGraph, grammar: CFG,
                            iterations=result.iterations)
 
 
-def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
+def extract_path(index: "SinglePathIndex | SinglePathView",
+                 nonterminal: Nonterminal | str,
                  source: Hashable, target: Hashable) -> Path:
     """Find one path ``source π target`` with ``A ⇒* l(π)`` whose length
     equals the recorded ``l_A`` — the paper's "simple search".
 
-    Each step reads one row of the left operand and probes the right
-    operand's column; rules are tried in grammar order and midpoints in
-    ascending order, so the path is a function of the index alone.
+    Each step reads the one-step derivations of a fact and keeps the
+    first split whose recorded lengths add up, rules in grammar order
+    and midpoints ascending, so the path is a function of the index
+    alone.
 
     Raises :class:`PathNotFoundError` when ``(source, target) ∉ R_A``.
     """
@@ -180,39 +221,43 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
         return ()
 
     grammar = index.grammar
-    matrices = index.matrices
+    derivations = index.derivations
+    length_of = index.length_of
 
     def search(head: Nonterminal, i: int, j: int, needed: int) -> Path:
+        supports = derivations((head, i, j))
         if needed == 1:
-            for rule in grammar.productions_for(head):
-                if rule.is_terminal_rule and graph.has_edge_id(
-                        i, rule.body[0].label, j):  # type: ignore[union-attr]
-                    return ((i, rule.body[0].label, j),)  # type: ignore[union-attr]
+            for support in supports:
+                if support[0] == "edge":
+                    return ((i, support[1], j),)
             raise PathNotFoundError(
                 f"inconsistent index: no terminal edge for {head} at ({i}, {j})"
             )
-        for rule in grammar.productions_for(head):
-            if not rule.is_binary_rule:
+        rule_order = {rule.body: position for position, rule
+                      in enumerate(grammar.productions_for(head))}
+        # Zero-length (nullable-diagonal) operands are skipped:
+        # ε-elimination guarantees an equivalent strict split, and
+        # restricting to l_B >= 1 keeps the recursion well-founded on
+        # cyclic closures.
+        fitting = []
+        for support in supports:
+            if support[0] != "split":
                 continue
-            left, right = rule.body  # type: ignore[misc]
-            left_matrix, right_matrix = matrices.get(left), matrices.get(right)
-            if left_matrix is None or right_matrix is None:
-                continue
-            # Midpoints r with (left, l_B) ∈ a[i,r], (right, l_C) ∈ a[r,j]
-            # and l_B + l_C == needed.  Zero-length (nullable-diagonal)
-            # operands are skipped: ε-elimination guarantees an
-            # equivalent strict split, and restricting to l_B >= 1 keeps
-            # the recursion well-founded on cyclic closures.
-            mids, left_lengths = left_matrix.row_cells(i)
-            for r, left_length, right_length in zip(
-                    mids, left_lengths, right_matrix.values_at(mids, j)):
-                if (right_length is not None and 1 <= left_length < needed
-                        and left_length + right_length == needed):
-                    return (search(left, i, r, left_length)  # type: ignore[arg-type]
-                            + search(right, r, j, right_length))  # type: ignore[arg-type]
-        raise PathNotFoundError(
-            f"inconsistent index: cannot split ({i}, {j}) for {head} at length {needed}"
-        )
+            _tag, left, right, r = support
+            left_length = length_of(left, i, r)
+            if (1 <= left_length < needed
+                    and left_length + length_of(right, r, j) == needed):
+                fitting.append((rule_order[(left, right)], r, left, right,
+                                left_length))
+        if not fitting:
+            raise PathNotFoundError(
+                f"inconsistent index: cannot split ({i}, {j}) for {head} at length {needed}"
+            )
+        # Grammar order, then midpoint: (rule, midpoint) is unique, so
+        # the comparison never reaches the symbols.
+        _order, r, left, right, left_length = min(fitting)
+        return (search(left, i, r, left_length)
+                + search(right, r, j, needed - left_length))
 
     return search(nonterminal, source_id, target_id, length)
 

@@ -37,6 +37,7 @@ class CFG:
             nonterminals.update(prod.nonterminals())
             terminals.update(prod.terminals())
         self._nonterminals = frozenset(nonterminals)
+        self._nonterminal_by_name = {nt.name: nt for nt in nonterminals}
         self._terminals = frozenset(terminals)
 
         by_head: dict[Nonterminal, list[Production]] = defaultdict(list)
@@ -163,11 +164,25 @@ class CFG:
 
     def require_nonterminal(self, symbol: Nonterminal) -> None:
         """Raise :class:`UnknownSymbolError` when *symbol* is not in ``N``."""
-        if symbol not in self._nonterminals:
-            known = ", ".join(sorted(str(n) for n in self._nonterminals))
+        self.resolve_nonterminal(symbol)
+
+    def resolve_nonterminal(self, symbol: "Nonterminal | str") -> Nonterminal:
+        """The element of ``N`` that *symbol* (or its name) denotes.
+
+        Looked up in the grammar's own table, so a name it does not
+        know — arbitrary text off the wire — is rejected with
+        :class:`UnknownSymbolError` without ever being interned
+        (interned symbols are never dropped)."""
+        if isinstance(symbol, Nonterminal):
+            found = symbol if symbol in self._nonterminals else None
+        else:
+            found = self._nonterminal_by_name.get(str(symbol))
+        if found is None:
+            known = ", ".join(sorted(self._nonterminal_by_name))
             raise UnknownSymbolError(
                 f"non-terminal {symbol} is not part of the grammar (knows: {known})"
             )
+        return found
 
     # ------------------------------------------------------------------
     # Dunder plumbing

@@ -152,8 +152,13 @@ class SparseBackend(MatrixBackend):
 
     # -- tile payloads (process-pool scheduler) ---------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
-        """CSR structure as raw index buffers (bool data is implicit)."""
+        """CSR structure as raw index buffers (bool data is implicit),
+        column indices ascending within each row: products and unions
+        leave them in operation order, and equal matrices must encode
+        to equal bytes (snapshots are compared byte for byte)."""
         csr = _as_csr(matrix)
+        if not csr.has_sorted_indices:
+            csr = csr.sorted_indices()
         rows, cols = csr.shape
         return ("sparse", rows, cols,
                 csr.indptr.astype(np.int64).tobytes(),

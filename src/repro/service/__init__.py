@@ -5,7 +5,7 @@ package turns it into something a process can *serve*:
 
 * :mod:`repro.service.snapshot` — save/load a fully solved index (graph
   node map, grammar, per-non-terminal matrices via the backend payload
-  codec, length/witness annotations, incremental fact sets) in a
+  codec, length annotations, incremental fact sets) in a
   versioned on-disk format, so engines warm-start in O(load) instead of
   O(solve);
 * :mod:`repro.service.query_service` — a session object wrapping the

@@ -19,7 +19,10 @@ and the solver alone does not give:
   frontier run;
 * a **reader/writer lock**: any number of queries run concurrently and
   always see the fixpoint of a completed tick, never a half-applied
-  update.
+  update.  That is also what lets path answers be *views*: the
+  single-path index and the all-path forest read the solver's live
+  fact maps (made once, never rebuilt — a tick only drops the forest's
+  memo tables), and no reader can observe the maps mid-update.
 
 Construction is cold (one initial closure) unless a ``warm_state`` is
 supplied — :meth:`QueryService.from_snapshot` restores one from the
@@ -39,7 +42,7 @@ from typing import Hashable, Iterable
 from ..core.batch import BatchQuery, solve_batch
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
-from ..core.path_index import AllPathIndex, LengthRank, ViterbiRank
+from ..core.path_index import LengthRank, ViterbiRank
 from ..core.single_path import extract_path, lengths_by_fact
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
@@ -249,11 +252,13 @@ class QueryService:
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._cache_size = max(1, cache_size)
         self._cache_lock = threading.Lock()
-        # Path indexes over the current fixpoint ("single-path",
-        # "forest"): dropped by tick(), rebuilt by the first path query
-        # after it — by one reader; the others wait on the mutex.
-        self._path_indexes: dict[str, object] = {}
-        self._path_index_lock = threading.Lock()
+        # Path answers are views of the solver's live state, made once:
+        # readers hold the read lock and ticks the write lock, so a
+        # view is always read at a fixpoint.  tick() only drops the
+        # forest's memo tables.
+        self._forest = self.solver.all_path_index()
+        self._single_path_view = (self.solver.single_path_index()
+                                  if single_path else None)
         self._kbest_cache: OrderedDict[tuple, _KBestStream] = OrderedDict()
         self._kbest_lock = threading.Lock()
         self._topk_queries = 0
@@ -528,9 +533,8 @@ class QueryService:
                 if (semantics == "relational" and source is not None
                         and target is not None):
                     try:
-                        start_nt = start if isinstance(start, Nonterminal) \
-                            else Nonterminal(str(start))
-                        self.solver.grammar.require_nonterminal(start_nt)
+                        start_nt = self.solver.grammar.resolve_nonterminal(
+                            start)
                     except BATCH_ITEM_ERRORS as exc:
                         results[index] = exc
                         continue
@@ -623,10 +627,8 @@ class QueryService:
             return dict(self._batch_matrices)
 
     def _evaluate(self, start, source, target, semantics: str):
-        start_nt = start if isinstance(start, Nonterminal) \
-            else Nonterminal(str(start))
         solver = self.solver
-        solver.grammar.require_nonterminal(start_nt)
+        start_nt = solver.grammar.resolve_nonterminal(start)
         graph = solver.graph
         if semantics == "relational":
             if source is None and target is None:
@@ -656,7 +658,7 @@ class QueryService:
                 if not (graph.has_node(source) and graph.has_node(target)):
                     return None
                 return solver.length_of(start_nt, source, target)
-            path = extract_path(self._single_path_index(), start_nt,
+            path = extract_path(self._single_path_view, start_nt,
                                 source, target)
             return tuple(
                 (graph.node_at(i), label, graph.node_at(j))
@@ -667,34 +669,9 @@ class QueryService:
             f"{SERVICE_SEMANTICS}"
         )
 
-    def _path_index(self, name: str, build):
-        """The lazily built path index *name*, single-flight: callers
-        hold the shared read lock, so after a tick several can find it
-        missing at once — one builds, the rest re-check under the mutex
-        and reuse it."""
-        index = self._path_indexes.get(name)
-        if index is None:
-            with self._path_index_lock:
-                index = self._path_indexes.get(name)
-                if index is None:
-                    index = self._path_indexes[name] = build()
-        return index
-
-    def _single_path_index(self):
-        return self._path_index("single-path",
-                                self.solver.single_path_index)
-
     # ------------------------------------------------------------------
     # k-best paths
     # ------------------------------------------------------------------
-    def _forest_index(self) -> AllPathIndex:
-        """The witness forest over the current fixpoint, built lazily
-        after a tick (like the single-path index) and shared by every
-        cached k-best stream."""
-        return self._path_index("forest", lambda: AllPathIndex.build(
-            self.solver.graph, self.solver.grammar,
-            strategy=self.strategy, **self.strategy_options))
-
     def _rank_adapter(self):
         if self.semiring == "viterbi":
             return ViterbiRank()
@@ -702,11 +679,10 @@ class QueryService:
 
     def _kbest_iterator(self, start_nt: Nonterminal, source, target,
                         max_length):
-        forest = self._forest_index()
         graph = self.solver.graph
-        for path in forest.iter_k_best(start_nt, source, target,
-                                       max_length=max_length,
-                                       rank=self._rank_adapter()):
+        for path in self._forest.iter_k_best(start_nt, source, target,
+                                             max_length=max_length,
+                                             rank=self._rank_adapter()):
             yield tuple(
                 (graph.node_at(i), label, graph.node_at(j))
                 for i, label, j in path
@@ -736,11 +712,9 @@ class QueryService:
             raise ValueError("k must be non-negative")
         if cursor < 0:
             raise ValueError("cursor must be non-negative")
-        start_nt = start if isinstance(start, Nonterminal) \
-            else Nonterminal(str(start))
         with self._lock.reading():
             solver = self.solver
-            solver.grammar.require_nonterminal(start_nt)
+            start_nt = solver.grammar.resolve_nonterminal(start)
             graph = solver.graph
             with self._cache_lock:
                 self._queries += 1
@@ -826,7 +800,7 @@ class QueryService:
                 facts_added = solver.add_edges(inserts)
                 frontier_runs = 1
                 changed.update(solver.last_changes)
-            self._path_indexes.clear()
+            self._forest.drop_memos()
             # The padded batch matrices mirror the closed facts per
             # nonterminal; drop exactly the changed ones (a node-count
             # change is caught by the rebuild check at next build).

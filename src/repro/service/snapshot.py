@@ -3,9 +3,12 @@
 Every process that loads a graph re-pays the closure before it can
 answer a single query.  A snapshot persists the *solved* state — the
 graph node map, the CNF grammar (with its nullable diagonal), the
-per-non-terminal boolean matrices, the length/witness annotations and,
-when available, the incremental solver's fact sets — so a
-server restart costs O(load) instead of O(solve).
+per-non-terminal boolean matrices, the length annotations and, when
+available, the incremental solver's fact sets — so a server restart
+costs O(load) instead of O(solve).  The all-path forest is a view of
+the relational section (:mod:`repro.core.path_index`) and is made at
+load; snapshots carry no section for it (a ``witness`` section written
+by an older version is ignored).
 
 Format
 ------
@@ -35,14 +38,13 @@ registry key.  Loading under a *different* backend re-materializes
 through the codec and converts via the coordinate round-trip
 (:meth:`~repro.matrices.base.MatrixBackend.clone`), so a snapshot saved
 with ``sparse`` warm-starts a ``bitset`` engine and vice versa.
-Annotated (length/witness/counting/viterbi) matrices travel as sorted
-``[i, j, value]`` cell lists with symbols flattened to names, whichever
-layout (arrays or dict of cells) holds them in memory.
+Scalar-annotated (length/viterbi) matrices travel as sorted
+``[i, j, value]`` cell lists, whichever layout (arrays or dict of
+cells) holds them in memory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 from typing import Hashable
@@ -55,9 +57,7 @@ from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import BooleanMatrix, default_backend, get_backend
 from ..core.semiring import (
     LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
     AnnotatedBackend,
-    AnnotatedMatrix,
     get_semiring,
 )
 
@@ -290,91 +290,19 @@ def decode_boolean_matrices(doc: dict, backend: "str | None" = None,
 
 
 # ----------------------------------------------------------------------
-# Annotated matrices (length / witness payloads)
+# Annotated matrices (length / viterbi payloads)
 # ----------------------------------------------------------------------
-
-def _encode_entry(entry: tuple) -> list:
-    """Flatten one witness entry to plain data: ``("edge", label)``,
-    ``("empty",)`` or ``("split", B, C, r)``."""
-    tag = entry[0]
-    if tag == "split":
-        return ["split", entry[1].name, entry[2].name, entry[3]]
-    if tag == "edge":
-        return ["edge", entry[1]]
-    if tag == "empty":
-        return ["empty"]
-    raise SnapshotError(f"cannot encode annotation entry {entry!r}")
-
-
-def _entry_sort_key(entry: list) -> str:
-    """Canonical order for encoded annotation entries (they are
-    heterogeneous lists, so compare their JSON text)."""
-    return json.dumps(entry)
-
-
-def _decode_entry(entry: list) -> tuple:
-    tag = entry[0]
-    if tag == "split":
-        return ("split", Nonterminal(entry[1]), Nonterminal(entry[2]),
-                entry[3])
-    if tag == "edge":
-        return ("edge", entry[1])
-    if tag == "empty":
-        return ("empty",)
-    raise SnapshotError(f"cannot decode annotation entry {entry!r}")
-
-
-def _is_counting_name(semiring_name: str) -> bool:
-    """Counting-family semirings (including capped ``counting[N]``
-    variants) all carry frozensets of ``(entry, count)`` pairs."""
-    return (semiring_name == "counting"
-            or semiring_name.startswith("counting["))
-
-
-def _set_valued(semiring_name: str) -> bool:
-    return semiring_name == "witness" or _is_counting_name(semiring_name)
-
-
-def _encode_value(semiring_name: str, value):
-    """Set-valued annotations (witness entry sets, counting entry-count
-    sets) are emitted in canonical entry order — frozenset iteration
-    follows per-process hash randomization, and replicated serving
-    asserts snapshots byte-identical across processes.  Scalar
-    annotations (length, viterbi) pass through."""
-    if semiring_name == "witness":
-        return sorted((_encode_entry(entry) for entry in value),
-                      key=_entry_sort_key)
-    if _is_counting_name(semiring_name):
-        return sorted(
-            ([_encode_entry(entry), count] for entry, count in value),
-            key=_entry_sort_key,
-        )
-    return value
-
-
-def _decode_value(semiring_name: str, value):
-    if semiring_name == "witness":
-        return frozenset(_decode_entry(entry) for entry in value)
-    if _is_counting_name(semiring_name):
-        return frozenset(
-            (_decode_entry(entry), count) for entry, count in value
-        )
-    return value
-
 
 def encode_annotated_matrices(matrices: dict, semiring) -> dict:
     """Encode ``nonterminal -> annotated matrix`` as ``[i, j, value]``
-    cell lists in ``(i, j)`` order (set-valued cells in canonical entry
-    order), whatever layout the matrices have."""
-    name = semiring.name
+    cell lists in ``(i, j)`` order, whatever layout the matrices have.
+    Values must be plain scalars (length, viterbi)."""
     out: dict = {}
     for nonterminal, matrix in sorted(matrices.items(),
                                       key=lambda item: item[0].name):
         rows, cols, values = matrix.columns()
-        if _set_valued(name):
-            values = [_encode_value(name, value) for value in values]
         out[nonterminal.name] = {
-            "semiring": name,
+            "semiring": semiring.name,
             "shape": list(matrix.shape),
             # (i, j) is unique, so the list order never reaches the value.
             "cells": sorted(map(list, zip(rows, cols, values))),
@@ -385,17 +313,12 @@ def encode_annotated_matrices(matrices: dict, semiring) -> dict:
 def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
     out: dict[Nonterminal, BooleanMatrix] = {}
     for name, entry in doc.items():
-        semiring_name = entry["semiring"]
         try:
-            semiring = get_semiring(semiring_name)
+            semiring = get_semiring(entry["semiring"])
         except KeyError as error:
             raise SnapshotError(str(error)) from error
-        cells = entry["cells"]
-        if _set_valued(semiring_name):
-            cells = [(i, j, _decode_value(semiring_name, value))
-                     for i, j, value in cells]
         out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
-            tuple(entry["shape"]), cells, symbol=Nonterminal(name))
+            tuple(entry["shape"]), entry["cells"], symbol=Nonterminal(name))
     return out
 
 
@@ -447,14 +370,16 @@ def decode_incremental_state(doc: dict) -> dict:
 
 def build_engine_payload(engine, semantics: tuple[str, ...] = (
         "relational", "single-path", "all-path")) -> dict:
-    """Snapshot *engine* (solving any missing *semantics* first)."""
+    """Snapshot *engine* (solving any missing *semantics* first).  The
+    ``all-path`` forest is a view of the relations, so asking for it
+    stores the relational section."""
     payload: dict = {
         "graph": encode_graph(engine.graph),
         "grammar": encode_grammar(engine.grammar),
         "backend": engine.backend,
         "strategy": engine.strategy,
     }
-    if "relational" in semantics:
+    if "relational" in semantics or "all-path" in semantics:
         result = engine.solve()
         payload["relational"] = {
             "matrices": encode_boolean_matrices(
@@ -468,24 +393,6 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
     if "single-path" in semantics:
         payload["length"] = encode_annotated_matrices(
             engine.single_path_index().matrices, LENGTH_SEMIRING)
-    if "all-path" in semantics:
-        forest = engine.all_path_enumerator().index
-        n = engine.graph.node_count
-        witness_matrices: dict[Nonterminal, AnnotatedMatrix] = {}
-        for nonterminal in engine.grammar.nonterminals:
-            cells = {
-                (i, j): frozenset(
-                    ("split",) + tuple(split)
-                    for split in forest.splits(nonterminal, i, j)
-                )
-                for i, j in forest.relations.pairs(nonterminal)
-            }
-            witness_matrices[nonterminal] = AnnotatedMatrix(
-                WITNESS_SEMIRING, (n, n), cells, symbol=nonterminal
-            )
-        payload["witness"] = encode_annotated_matrices(
-            witness_matrices, WITNESS_SEMIRING
-        )
     return payload
 
 
@@ -512,8 +419,9 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
 
     Every semantics section the snapshot carries is installed into the
     engine's caches, so the corresponding queries run with **zero**
-    closure rounds; missing sections simply solve lazily as usual.
-    *backend* re-materializes the relational matrices on a different
+    closure rounds; missing sections simply solve lazily as usual (the
+    all-path forest is a view of the relational solution, so it costs
+    no closure either).  *backend* re-materializes the relational matrices on a different
     backend than the snapshot was saved with.
 
     With a *memory_budget* (or ``$REPRO_MEMORY_BUDGET``) the relational
@@ -525,9 +433,7 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
     engine's strategy options so later closures honour it.
     """
     from ..core.engine import CFPQEngine
-    from ..core.allpath import AllPathEnumerator
     from ..core.matrix_cfpq import MatrixCFPQResult, MatrixCFPQStats
-    from ..core.path_index import AllPathIndex
     from ..core.relations import ContextFreeRelations
     from ..core.tilestore import (
         SpillableMatrixMap,
@@ -593,12 +499,4 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
         engine.adopt_single_path_index(
             restore_single_path_index(payload, graph, engine.grammar)
         )
-    if "witness" in payload:
-        forest = AllPathIndex.from_witness_matrices(
-            graph, engine.grammar,
-            decode_annotated_matrices(payload["witness"]),
-        )
-        engine.adopt_all_path_enumerator(AllPathEnumerator(
-            graph, engine.grammar, normalize=False, index=forest
-        ))
     return engine

@@ -3,7 +3,9 @@
 The baseline is the acceptance record for the array-native length
 closure (ROADMAP [2]): on funding, the single-path ``delta`` build must
 cost at most twice the relational ``delta`` closure timed in the same
-sweep, and every strategy must still agree on the annotations.
+sweep, and every strategy must still agree on the annotations.  The
+same holds for the all-path forest since it became a view of the
+closed relations (ROADMAP [1]).
 """
 
 from __future__ import annotations
@@ -35,3 +37,10 @@ def test_single_path_within_2x_of_relational_on_funding():
     single = funding["single_path"]["delta"]
     relational = funding["relational"]["delta"]
     assert single["wall_time_s"] <= 2 * relational["wall_time_s"]
+
+
+def test_all_path_within_2x_of_relational_on_funding():
+    funding = _load()["workloads"]["funding"]
+    all_path = funding["bench_allpath"]["delta"]
+    relational = funding["relational"]["delta"]
+    assert all_path["wall_time_s"] <= 2 * relational["wall_time_s"]

@@ -160,6 +160,40 @@ class TestDeltaEfficiency:
         assert result.stats.delta_nnz_per_round[-1] == 0
 
 
+class TestOrderIsAFunctionOfTheInput:
+    """Callers build the symbol → matrix mapping by iterating symbol
+    *sets*, whose order follows object addresses; the closure must not
+    inherit it.  (``autotune`` is left out: under a parallel scheduler
+    a *timed* probe picks its route, so its counts follow the clock.)"""
+
+    @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
+    def test_counts_and_payload_bytes_ignore_dict_order(self, strategy):
+        from repro.core.matrix_cfpq import initial_boolean_matrices
+        from repro.grammar.builders import same_generation_query1
+        from repro.grammar.cnf import to_cnf
+        from repro.matrices.base import default_backend, get_backend
+
+        grammar = to_cnf(same_generation_query1())
+        graph = random_graph(
+            30, 90, sorted(t.label for t in grammar.terminals), seed=5)
+        rules = [(rule.head, *rule.body) for rule in grammar.binary_rules]
+        backend = get_backend(default_backend())
+        outcomes = []
+        for reverse in (False, True):
+            matrices = dict(sorted(
+                initial_boolean_matrices(graph, grammar, backend).items(),
+                key=lambda item: item[0].name, reverse=reverse))
+            result = run_closure(matrices, rules, backend, strategy=strategy)
+            outcomes.append((
+                result.iterations, result.multiplications,
+                result.delta_nnz_per_round,
+                {symbol.name: backend.tile_payload(matrix)
+                 for symbol, matrix in result.matrices.items()},
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] > 1  # the frontier was really drained
+
+
 class TestEngineThreading:
     def test_engine_accepts_strategy(self, dyck_grammar):
         graph = two_cycles(2, 3)

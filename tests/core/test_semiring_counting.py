@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles.witness import WITNESS_SEMIRING  # noqa: E402
 from test_semiring_differential import (  # noqa: E402
     STRATEGIES,
     brute_force_paths,
@@ -36,8 +37,8 @@ from test_semiring_differential import (  # noqa: E402
 from repro.core.path_index import AllPathIndex  # noqa: E402
 from repro.core.semiring import (  # noqa: E402
     COUNTING_SEMIRING,
-    WITNESS_SEMIRING,
     CountingSemiring,
+    register_semiring,
     solve_annotated,
 )
 from repro.grammar.cfg import CFG  # noqa: E402
@@ -48,6 +49,14 @@ from repro.graph.labeled_graph import LabeledGraph  # noqa: E402
 
 SEEDS = tuple(range(8))
 _LABELS = ("a", "b")
+
+#: A small cap keeps cyclic seeds fast: saturation is reached in O(cap)
+#: refinement rounds when counts grow linearly (the same hazard that
+#: keeps DEFAULT_COUNTING_CAP small).  Registered at import (collection)
+#: time, before any process pool forks, so the ``process`` scheduler's
+#: workers resolve it by name.
+COUNTING_64 = register_semiring(
+    CountingSemiring(cap=64, name="counting[test-64]"))
 _NONTERMINALS = ("S", "A", "B")
 
 
@@ -150,10 +159,7 @@ class TestClosureCountsAgainstBruteForce:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_counts_identical_across_strategies(self, seed):
-        # A small cap keeps cyclic seeds fast: saturation is reached in
-        # O(cap) refinement rounds when counts grow linearly (the same
-        # hazard that keeps DEFAULT_COUNTING_CAP small).
-        semiring = CountingSemiring(cap=64, name="counting[test-64]")
+        semiring = COUNTING_64
         graph, grammar = make_case(seed)
         baseline = None
         for strategy in STRATEGIES:

@@ -16,8 +16,11 @@ with a tile smaller than the graph) and every boolean backend:
 * every **extracted path** is a real path of exactly the recorded
   length whose labeling derives from the queried non-terminal;
 * the bounded **all-path answer** equals brute-force walk enumeration
-  filtered by CYK, and the midpoint index is identical across
-  strategies;
+  filtered by CYK, the midpoint index is identical across strategies,
+  and the forest *view* of the closed relations equals the forest the
+  witness-semiring closure builds (``tests/oracles/witness.py``) —
+  splits, ``top_k`` order, path sets, counts and expansion counts — on
+  every backend × strategy;
 * the **incremental annotated solver** stays equal to a from-scratch
   index after every insertion.
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.witness import WITNESS_SEMIRING, forest_from_witness_closure
 
 from repro.core.allpath import AllPathEnumerator
 from repro.core.incremental import IncrementalSinglePathCFPQ
@@ -42,7 +46,6 @@ from repro.core.path_index import AllPathIndex
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
     AnnotatedBackend,
     AnnotatedMatrix,
     LengthSemiring,
@@ -290,24 +293,37 @@ def test_midpoint_index_identical_across_strategies(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_engine_forest_matches_on_demand_splits(seed):
-    """The witness annotation must equal the splits derived on demand
-    from the bare relations (the pre-semiring computation path)."""
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_forest_view_equals_closure_built_forest(seed, strategy):
+    """The forest is a view of the closed relations; the oracle stores
+    what the witness closure computed.  Same structure, same ranked
+    streams (ties included), same path sets, counts and search effort —
+    whichever backend closed the relations."""
     graph, grammar = make_case(seed)
-    engine_index = AllPathIndex.build(graph, grammar)
-    legacy_index = AllPathIndex(graph, grammar, engine_index.relations)
-    assert legacy_index._splits_index is None
-    for nonterminal in grammar.nonterminals:
-        for i, j in engine_index.relations.pairs(nonterminal):
-            assert (sorted(engine_index.splits(nonterminal, i, j),
-                           key=_split_key)
-                    == sorted(legacy_index.splits(nonterminal, i, j),
-                              key=_split_key)), (nonterminal, i, j)
-
-
-def _split_key(split):
-    left, right, mid = split
-    return (left.name, right.name, mid)
+    oracle = forest_from_witness_closure(graph, grammar, strategy=strategy)
+    nodes = [(nonterminal, i, j)
+             for nonterminal in sorted(grammar.nonterminals,
+                                       key=lambda nt: nt.name)
+             for i, j in sorted(oracle.relations.pairs(nonterminal))]
+    for backend in available_backends():
+        oracle.drop_memos()
+        oracle.kbest_stats.update(expansions=0, yielded=0)
+        view = AllPathIndex(graph, grammar, solve_matrix_relations(
+            graph, grammar, backend=backend, normalize=False,
+            strategy=strategy))
+        assert view.relations.same_as(oracle.relations), backend
+        for node in nodes:
+            assert view.splits(*node) == oracle.splits(*node), node
+            assert sorted(view.terminal_edges(*node)) \
+                == oracle.terminal_edges(*node), node
+        for node in nodes[:12]:
+            assert view.top_k(*node, 6, max_length=5) \
+                == oracle.top_k(*node, 6, max_length=5), (backend, node)
+            assert set(view.iter_paths(*node, 4)) \
+                == set(oracle.iter_paths(*node, 4)), (backend, node)
+            assert view.count_paths(*node, 4) \
+                == oracle.count_paths(*node, 4), (backend, node)
+        assert view.kbest_stats == oracle.kbest_stats, backend
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,11 @@ semirings.  These tests are the out-of-core analogue of
 from __future__ import annotations
 
 import pytest
+from oracles.witness import WITNESS_SEMIRING
 
 from repro.core.matrix_cfpq import solve_matrix
 from repro.core.semiring import (
     LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
     solve_annotated,
 )
 from repro.core.tiles import SCHEDULERS

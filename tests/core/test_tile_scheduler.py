@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.witness import WITNESS_SEMIRING
 
 from repro.core.closure import run_closure
 from repro.core.matrix_cfpq import solve_matrix
 from repro.core.semiring import (
     LENGTH_SEMIRING,
-    WITNESS_SEMIRING,
     solve_annotated,
 )
 from repro.core.tiles import (
@@ -70,6 +70,27 @@ def test_payload_round_trip(backend_name):
     rebuilt = matrix_from_payload(payload)
     assert rebuilt.shape == matrix.shape
     assert rebuilt.same_pairs(matrix)
+
+
+def test_sparse_payload_is_canonical():
+    """Equal matrices encode to equal bytes: CSR column order follows
+    the operations that produced the matrix, the payload must not."""
+    sp = pytest.importorskip("scipy.sparse")
+    import numpy as np
+
+    backend = get_backend("sparse")
+    data = np.ones(3, dtype=bool)
+    indptr = np.array([0, 3, 3])
+    ascending = sp.csr_matrix((data, np.array([0, 2, 4]), indptr),
+                              shape=(2, 5))
+    shuffled = sp.csr_matrix((data, np.array([4, 0, 2]), indptr),
+                             shape=(2, 5))
+    assert not shuffled.has_sorted_indices
+    payload = backend.tile_payload(backend.from_scipy(shuffled))
+    assert payload == backend.tile_payload(backend.from_scipy(ascending))
+    assert not shuffled.has_sorted_indices  # encoded from a sorted copy
+    assert matrix_from_payload(payload).to_pair_set() \
+        == {(0, 0), (0, 2), (0, 4)}
 
 
 def test_annotated_payload_round_trip():

@@ -399,6 +399,142 @@ class TestTopK:
         assert warm.top_k("S", "s", "t", 3) == expected
 
 
+#: Two relations that share no non-terminal: Dyck words over a/b (many
+#: derivations per pair) and c-chains (many routes on a layered graph).
+PATHS_GRAMMAR = to_cnf(parse_grammar(
+    "S -> a S b | a b | S S\nT -> c | c T", terminals=["a", "b", "c"]))
+
+
+class TestPathViewsUnderTicks:
+    """Path answers are views of the solver's live state: after any
+    interleaving of ticks every ``single-path`` / ``length`` /
+    ``top_k_page`` answer equals a from-scratch build on the current
+    graph, and the service constructs no index after its first."""
+
+    NODES = 7
+
+    def _scratch(self, service):
+        from repro.core.path_index import AllPathIndex
+        from repro.core.single_path import extract_path
+
+        graph = service.graph
+        lengths = build_single_path_index(graph, PATHS_GRAMMAR,
+                                          normalize=False)
+        forest = AllPathIndex(graph, PATHS_GRAMMAR, solve_matrix_relations(
+            graph, PATHS_GRAMMAR, normalize=False))
+
+        def named(path):
+            return tuple((graph.node_at(i), label, graph.node_at(j))
+                         for i, label, j in path)
+
+        def single_path(start, source, target):
+            return named(extract_path(lengths, start, source, target))
+
+        def length(start, source, target):
+            return lengths.length_of(lengths.grammar.resolve_nonterminal(
+                start), graph.node_id(source), graph.node_id(target))
+
+        def page(start, source, target, k, cursor):
+            """(paths, next cursor) — the exhaustion flag is lazy (set
+            once the stream has been asked past its end), so not
+            compared."""
+            ranked = [named(path) for path in forest.top_k(
+                start, source, target, cursor + k, max_length=6,
+                rank=service._rank_adapter())]
+            return ranked[cursor:], max(cursor, len(ranked))
+
+        return single_path, length, page
+
+    def _check_reads(self, service, rng):
+        single_path, length, page = self._scratch(service)
+        for _ in range(12):
+            start = rng.choice(("S", "T"))
+            source, target = (rng.randrange(self.NODES) for _ in range(2))
+            expected = length(start, source, target)
+            assert service.query(start, source, target,
+                                 semantics="length") == expected
+            if expected is None:
+                with pytest.raises(PathNotFoundError):
+                    service.query(start, source, target,
+                                  semantics="single-path")
+            else:
+                assert service.query(
+                    start, source, target, semantics="single-path",
+                ) == single_path(start, source, target)
+            cursor = rng.randrange(3)
+            assert service.top_k_page(
+                start, source, target, 2, cursor=cursor, max_length=6,
+            )[:2] == page(start, source, target, 2, cursor)
+
+    @pytest.mark.parametrize("seed", [1, 7, 19, 42])
+    def test_reads_equal_scratch_and_nothing_is_rebuilt(self, seed,
+                                                        monkeypatch):
+        rng = random.Random(seed)
+        labels = ("a", "b", "c")
+        service = QueryService(
+            LabeledGraph.from_edges(
+                [(rng.randrange(self.NODES), rng.choice(labels),
+                  rng.randrange(self.NODES)) for _ in range(14)],
+                nodes=range(self.NODES)),
+            PATHS_GRAMMAR, single_path=True)
+        views = (service._forest, service._single_path_view)
+        built = []
+        for name in ("all_path_index", "single_path_index"):
+            monkeypatch.setattr(service.solver, name,
+                                lambda name=name: built.append(name))
+        self._check_reads(service, rng)
+        for _tick in range(8):
+            present = sorted(service.graph.edges())
+            fresh = [(rng.randrange(self.NODES), rng.choice(labels),
+                      rng.randrange(self.NODES)) for _ in range(3)]
+            kind = rng.choice(("insert", "delete", "both", "no-op"))
+            inserts = fresh if kind in ("insert", "both") \
+                else present[:1] if kind == "no-op" else []
+            deletes = rng.sample(present, min(2, len(present))) \
+                if kind in ("delete", "both") \
+                else [(0, "no-such-label", 1)] if kind == "no-op" else []
+            report = service.update(inserts=inserts, deletes=deletes)
+            if kind == "no-op":
+                assert (report.facts_added, report.facts_removed) == (0, 0)
+            self._check_reads(service, rng)
+        assert (service._forest, service._single_path_view) == views
+        assert built == []
+
+    def test_cursor_continues_across_a_tick_that_spares_its_symbols(self):
+        """A k-best stream survives a tick only when nothing it can
+        reach changed — and then reads the live rows mid-stream."""
+        layered = [(s, "c", m) for s in (0,) for m in (1, 2, 3)] \
+            + [(m, "c", 4) for m in (1, 2, 3)] + [(0, "c", 4)] \
+            + [(4, "a", 5), (5, "b", 6)]
+        service = QueryService(
+            LabeledGraph.from_edges(layered, nodes=range(self.NODES)),
+            PATHS_GRAMMAR, single_path=True)
+        first, cursor, exhausted = service.top_k_page("T", 0, 4, 2,
+                                                      max_length=6)
+        assert [len(path) for path in first] == [1, 2] and not exhausted
+
+        # a/b edges touch S only: T's stream and cursor stay valid.
+        service.update(inserts=[(5, "a", 6), (6, "b", 4), (4, "a", 4)])
+        _single, _length, page = self._scratch(service)
+        assert service.top_k_page(
+            "T", 0, 4, 2, cursor=cursor, max_length=6,
+        )[:2] == page("T", 0, 4, 2, cursor)
+        stats = service.stats["top_k"]
+        assert (stats["stream_hits"], stats["cached_streams"]) == (1, 1)
+
+        # A c edge reaches T: the stream is dropped, and the same cursor
+        # continues over the re-ranked forest of the new graph.
+        service.update(inserts=[(0, "c", 5), (5, "c", 4)])
+        assert service.stats["top_k"]["cached_streams"] == 0
+        _single, _length, page = self._scratch(service)
+        assert service.top_k_page(
+            "T", 0, 4, 2, cursor=cursor, max_length=6,
+        )[:2] == page("T", 0, 4, 2, cursor)
+        assert service.stats["top_k"]["stream_hits"] == 1  # a new stream
+        assert ((0, "c", 5), (5, "c", 4)) in \
+            service.top_k("T", 0, 4, 6, max_length=6)
+
+
 class TestConcurrency:
     def test_queries_during_ticks_see_consistent_snapshots(self):
         grammar = to_cnf(chain_reachability("a"))
@@ -432,15 +568,17 @@ class TestConcurrency:
         assert not errors
         assert service.query("S", 0, 30) is True
 
-    def test_path_indexes_build_once_after_a_tick(self, monkeypatch):
-        """Regression: the lazy single-path index and witness forest had
-        no single-flight guard — every path query in flight after a tick
-        saw them missing and rebuilt the whole index.  N concurrent
-        reads must cost one build each."""
+    def test_concurrent_path_reads_after_a_tick_build_nothing(
+            self, monkeypatch):
+        """The single-path index and the forest are views of the
+        solver's live state, made with the service: N concurrent path
+        reads after a tick share them (and refill the forest's dropped
+        memo tables together) and construct no index — where each tick
+        used to cost one rebuild of both."""
         import sys
-        import time
 
         from repro.core.path_index import AllPathIndex
+        from repro.core.single_path import SinglePathIndex, SinglePathView
 
         service = QueryService(
             LabeledGraph.from_edges([(i, "a", i + 1) for i in range(12)]),
@@ -452,15 +590,14 @@ class TestConcurrency:
         def counted(name, build):
             def wrapper(*args, **kwargs):
                 builds[name] += 1
-                time.sleep(0.05)  # keep the build open while others arrive
                 return build(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(AllPathIndex, "build",
-                            counted("forest", AllPathIndex.build))
-        monkeypatch.setattr(service.solver, "single_path_index",
-                            counted("single-path",
-                                    service.solver.single_path_index))
+        monkeypatch.setattr(AllPathIndex, "_bind",
+                            counted("forest", AllPathIndex._bind))
+        for cls in (SinglePathIndex, SinglePathView):
+            monkeypatch.setattr(cls, "__init__",
+                                counted("single-path", cls.__init__))
 
         readers = 6
         barrier = threading.Barrier(readers)
@@ -495,10 +632,9 @@ class TestConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert sorted(answers) == [1, 1, 1, 9, 11, 13]
-        assert builds == {"forest": 1, "single-path": 1}
 
-        # The next tick drops both; they come back once more, not never.
+        # The next tick is seen through the same views.
         service.update(inserts=[(13, "a", 14)])
         assert len(service.top_k("S", 0, 14, 1)) == 1
         assert len(service.query("S", 0, 14, semantics="single-path")) == 14
-        assert builds == {"forest": 2, "single-path": 2}
+        assert builds == {"forest": 0, "single-path": 0}

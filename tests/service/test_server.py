@@ -245,6 +245,42 @@ class TestStdioLoop:
         assert [r["ok"] for r in responses] == [True, True, False, True]
         assert responses[3]["result"]["cache_hits"] == 1
 
+    def test_unknown_start_names_are_rejected_without_interning(
+            self, service):
+        """Symbols are interned for the life of the process, so a name
+        the grammar rejects must never become one: 1 000 requests with
+        distinct bogus ``start`` names — every op that takes one — get
+        in-band errors and leave the intern table as it was."""
+        from repro.grammar.symbols import _INTERNED
+
+        shapes = (
+            {"op": "query"},
+            {"op": "query", "source": 0, "target": 1},
+            {"op": "query", "source": 0, "target": 1,
+             "semantics": "single-path"},
+            {"op": "top_k", "source": 0, "target": 1, "k": 2},
+        )
+        requests = [dict(shapes[n % len(shapes)], start=f"Bogus{n}")
+                    for n in range(1000)]
+        batch = {"op": "batch", "queries": [
+            {"start": f"BatchBogus{n}", "source": 0, "target": 1}
+            for n in range(8)]}
+        stdin = io.StringIO("".join(
+            json.dumps(request) + "\n" for request in requests + [batch]))
+        stdout = io.StringIO()
+        interned = len(_INTERNED)
+        assert serve_stream(service, stdin, stdout) == 1001
+        responses = [json.loads(line)
+                     for line in stdout.getvalue().splitlines()]
+        assert len(_INTERNED) == interned
+        for response in responses[:1000]:
+            assert response["ok"] is False
+            assert "not part of the grammar" in response["error"]
+        assert responses[1000]["ok"] is True
+        for item in responses[1000]["result"]:
+            assert item["ok"] is False
+            assert "not part of the grammar" in item["error"]
+
     def test_shutdown_op_ends_loop(self, service):
         stdin = io.StringIO(
             json.dumps({"op": "shutdown"}) + "\n"

@@ -10,6 +10,8 @@ closure rounds.  Plus the format guardrails: magic and version checks.
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
 
 import pytest
@@ -219,6 +221,57 @@ def test_partial_snapshot_solves_missing_sections(tmp_path):
     assert warm.solve().stats.iterations == 0
     assert warm.single_path("S", 0, 0)  # lazily solved
     assert warm.single_path_index().iterations > 0
+
+
+def test_all_path_snapshot_is_its_relational_section(tmp_path):
+    """The forest is a view of the relations: asking for ``all-path``
+    stores the relational section and nothing else, and the loaded
+    engine enumerates with zero closure rounds."""
+    engine = CFPQEngine(_graph(), ANBN)
+    path = str(tmp_path / "index.snapshot")
+    save_engine_snapshot(path, engine, semantics=("all-path",))
+    payload = read_snapshot(path)
+    assert "relational" in payload
+    assert "witness" not in payload and "length" not in payload
+    warm = load_engine_snapshot(path)
+    assert _all_path_answers(warm) == _all_path_answers(engine)
+    assert warm.solve().stats.iterations == 0
+
+
+def test_parent_snapshot_with_witness_section_still_loads():
+    """``fixtures/engine_allpath_parent.snapshot`` was written by the
+    last commit whose ``all-path`` snapshots stored the witness closure
+    (``CFPQEngine(two_cycles(2, 3), dyck, backend="pyset")``, all three
+    semantics), beside the answers that commit gave.  The section is
+    ignored; every answer is unchanged."""
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    snapshot = os.path.join(fixtures, "engine_allpath_parent.snapshot")
+    with open(os.path.join(fixtures, "engine_allpath_parent.json")) as stream:
+        expected = json.load(stream)
+    assert "witness" in read_snapshot(snapshot)
+
+    warm = load_engine_snapshot(snapshot)
+    graph = warm.graph
+    forest = warm.all_path_enumerator().index
+    assert warm.solve().stats.iterations == 0
+    assert warm.single_path_index().iterations == 0
+
+    def plain(path):
+        return [list(edge) for edge in path]
+
+    pairs = sorted(warm.relations().pairs("S"))
+    assert [list(pair) for pair in pairs] == expected["relational"]
+    for i, j in pairs:
+        key = f"{i},{j}"
+        source, target = graph.node_at(i), graph.node_at(j)
+        assert [plain(path) for path in forest.top_k(
+            "S", source, target, 6)] == expected["top_k"][key]
+        assert sorted(plain(path) for path in warm.all_paths(
+            "S", source, target, 8)) == expected["all_paths"][key]
+        assert forest.count_paths("S", source, target, 8) \
+            == expected["count_paths"][key]
+        assert plain(warm.single_path("S", source, target)) \
+            == expected["single_path"][key]
 
 
 def _header(version) -> bytes:
