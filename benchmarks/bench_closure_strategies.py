@@ -9,7 +9,6 @@ Two layers of comparison:
    * ``incremental`` — a ← a ∪ a·a₀ (more, cheaper multiplications)
    * ``delta``       — semi-naive frontier propagation (Δ×T ∪ T×Δ)
    * ``warshall``    — the O(|V|³) Floyd–Warshall reference
-   * ``blocked``     — the tiled (out-of-core style) squaring closure
 
 2. the full CFPQ closure engine strategies (``naive`` / ``delta`` /
    ``blocked`` from :mod:`repro.core.closure`) on the bench_scaling.py
@@ -27,8 +26,8 @@ Expected shape: squaring needs O(log d) multiplications (d = graph
 diameter) and wins on long chains; delta fires only rules whose bodies
 changed, so its multiplication count drops as the frontier shrinks;
 Warshall's dense triple loop is uncompetitive in pure Python beyond
-tiny graphs; blocking adds a bounded overhead over flat squaring (the
-price of a bounded working set).
+tiny graphs; the CFPQ engine's ``blocked`` strategy adds a bounded
+overhead over ``delta`` (the price of a bounded working set).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import time
 
 import pytest
 
-from repro.core.blocked import boolean_closure_blocked
 from repro.core.closure import available_strategies
 from repro.core.matrix_cfpq import solve_matrix
 from repro.core.transitive_closure import (
@@ -53,17 +51,11 @@ from repro.graph.generators import chain, random_graph
 from repro.graph.matrices import boolean_adjacency
 
 
-def _blocked(matrix):
-    closed, _stats = boolean_closure_blocked(matrix, tile_size=64)
-    return closed
-
-
 STRATEGIES = {
     "naive": boolean_closure_naive,
     "incremental": boolean_closure_incremental,
     "delta": boolean_closure_delta,
     "warshall": boolean_closure_warshall,
-    "blocked": _blocked,
 }
 
 

@@ -17,9 +17,10 @@ Two layers:
      solver's first deletion) and assert the relations equal a
      from-scratch
      ``solve_matrix`` on the remaining graph.
-   * **weighted closures** — the Viterbi (array-native) and counting
-     (dict-of-cells) closures of funding · Q1, each checked against the
-     relational fixpoint.
+   * **weighted closures** — the Viterbi and counting closures of
+     funding · Q1 (both array-native: max-times under the ``delta``
+     strategy, saturating plus-times under the Kleene loop), each
+     checked against the relational fixpoint.
    * **k-best vs exhaustive** — on a layered detour graph with
      ``2^hops`` end-to-end paths, time ``top_k(k=3)`` (lazy best-first
      over the witness forest) against materializing the full bounded
@@ -189,8 +190,7 @@ def _kbest_cell(hops: int, k: int, repeats: int) -> dict:
 
 def _closure_cells(repeats: int) -> dict:
     """The weighted closures on funding · Q1, each checked against the
-    relational fixpoint (Viterbi runs on the array-native layout,
-    counting on the dict of cells)."""
+    relational fixpoint."""
     from repro.grammar.builders import same_generation_query1
 
     graph = build_graph("funding")

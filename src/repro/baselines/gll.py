@@ -21,6 +21,7 @@ directly, matching how the paper's F# GLL baseline consumes queries.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import partial
 from typing import Iterable
 
 from ..core.relations import ContextFreeRelations
@@ -58,11 +59,15 @@ class GLLSolver:
         self._run()
         return frozenset(self._results.get((start, origin), ()))
 
-    def relation(self, start: Nonterminal) -> frozenset[tuple[int, int]]:
-        """``R_start`` over all origins."""
+    def close(self, start: Nonterminal) -> None:
+        """Run every descriptor ``R_start`` depends on, from all origins."""
         for origin in range(self.graph.node_count):
             self._demand_call(start, origin)
         self._run()
+
+    def relation(self, start: Nonterminal) -> frozenset[tuple[int, int]]:
+        """``R_start`` over all origins."""
+        self.close(start)
         return frozenset(
             (origin, j)
             for origin in range(self.graph.node_count)
@@ -139,6 +144,8 @@ def solve_gll(graph: LabeledGraph, grammar: CFG,
         wanted = sorted(grammar.nonterminals, key=lambda nt: nt.name)
     else:
         wanted = [as_nonterminal(nt) for nt in nonterminals]
+    for nt in wanted:
+        solver.close(nt)
     return ContextFreeRelations(
-        graph, {nt: solver.relation(nt) for nt in wanted}
+        graph, {nt: partial(solver.relation, nt) for nt in wanted}
     )

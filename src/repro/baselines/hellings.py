@@ -16,6 +16,7 @@ and loses on the large g1–g3 graphs.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import partial
 from itertools import chain, repeat
 
 from ..grammar.cfg import CFG
@@ -93,7 +94,12 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
 
     return ContextFreeRelations(
         graph,
-        {nonterminal: frozenset(chain.from_iterable(
-            zip(repeat(i), targets) for i, targets in row_map.items()))
+        {nonterminal: partial(_row_map_pairs, row_map)
          for nonterminal, row_map in rows.items()},
     )
+
+
+def _row_map_pairs(row_map: dict[int, set[int]]):
+    """The pairs ``(i, j)`` of one ``rows[A]`` map."""
+    return chain.from_iterable(
+        zip(repeat(i), targets) for i, targets in row_map.items())

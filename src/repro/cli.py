@@ -80,7 +80,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="closure strategy (delta = semi-naive, "
                              "naive = full re-multiplication, "
                              "blocked = frontier-aware tiled products, "
-                             "autotune = pick per round)")
+                             "autotune = pick per round); does not apply "
+                             "to --semiring counting, whose + is not "
+                             "idempotent and always closes by Kleene "
+                             "iteration")
     parser.add_argument("--scheduler", default=None,
                         choices=available_schedulers(),
                         help="tile scheduler for the blocked strategy "
@@ -246,7 +249,7 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     semiring and report each reachable pair's annotation — shortest
     derivation length, best derivation probability, or (saturating)
     derivation count."""
-    from .core.semiring import CountingSemiring, get_semiring, solve_annotated
+    from .core.semiring import get_semiring, solve_annotated
     from .grammar.symbols import Nonterminal
 
     graph = _load_graph(args)
@@ -257,10 +260,7 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     matrix = result.matrices.get(Nonterminal(args.start))
     if matrix is None:
         raise SystemExit(f"unknown start non-terminal {args.start!r}")
-    counting = isinstance(semiring, CountingSemiring)
     sources, targets, values = matrix.columns()
-    if counting:
-        values = map(semiring.count, values)
     names = [str(node) for node in graph.nodes]
     rows = sorted(
         ([names[i], names[j], value]

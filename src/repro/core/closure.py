@@ -49,7 +49,7 @@ through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable
 
 from ..errors import UnknownStrategyError
@@ -78,10 +78,51 @@ class ClosureResult:
     delta_nnz_per_round: tuple[int, ...] = ()
     #: Strategy-specific instrumentation: every bundled strategy stores
     #: per-round wall clock under ``"round_seconds"``; ``blocked``
-    #: additionally stores a :class:`repro.core.blocked.BlockedStats`
-    #: under ``"blocked"``, ``autotune`` its per-round decisions under
-    #: ``"autotune"``.
+    #: additionally stores a :class:`BlockedStats` under ``"blocked"``,
+    #: ``autotune`` its per-round decisions under ``"autotune"``.
     details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class BlockedStats:
+    """Instrumentation of a blocked closure run.
+
+    ``tiles_skipped_by_frontier`` counts tile products whose operands
+    were both nonzero but which the frontier-aware strategy proved
+    redundant (neither operand tile changed last round); the
+    all-tiles-every-round behavior would have multiplied exactly
+    ``tile_products + tiles_skipped_by_frontier`` tiles.
+    ``scheduler_wall_time_s`` is the wall time spent inside the named
+    tile scheduler's ``run`` (compute only — merging is excluded).
+
+    The spill counters describe the run's out-of-core traffic through
+    the :class:`repro.core.tilestore.TileStore`: ``tiles_spilled`` /
+    ``spill_bytes`` count evicted-tile writes to the spill directory,
+    ``tiles_reloaded`` counts cold tiles brought back (mmap or pickle),
+    ``payload_encodes`` counts tile→payload serializations (the
+    version-keyed payload cache makes unchanged tiles encode once), and
+    ``peak_resident_bytes`` is the high-water mark of resident tile
+    bytes — with a ``budget_bytes`` set, peak stays ≤ budget except for
+    transiently pinned working sets.
+    """
+
+    tile_size: int
+    grid: int
+    tile_products: int
+    iterations: int
+    tiles_skipped_by_frontier: int = 0
+    scheduler: str = "serial"
+    scheduler_wall_time_s: float = 0.0
+    tiles_spilled: int = 0
+    tiles_reloaded: int = 0
+    spill_bytes: int = 0
+    payload_encodes: int = 0
+    peak_resident_bytes: int = 0
+    budget_bytes: "int | None" = None
+
+    def as_dict(self) -> dict:
+        """Plain-JSON view (the CLI ``--stats`` rendering)."""
+        return asdict(self)
 
 
 #: A closure strategy: closes *matrices* (mutating the mapping and/or
@@ -113,9 +154,10 @@ def available_strategies() -> list[str]:
 
 def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
                 backend: "str | MatrixBackend",
-                strategy: str = "delta",
+                strategy: "str | ClosureStrategy" = "delta",
                 **options) -> ClosureResult:
-    """Close *matrices* under *pair_rules* with the named strategy.
+    """Close *matrices* under *pair_rules* with the named strategy (or
+    an unregistered strategy function, traced under its ``__name__``).
 
     The matrices mapping is updated in place (and, for mutation-capable
     backends, the matrices themselves are grown in place).  Extra
@@ -142,12 +184,15 @@ def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
             mapping.clear()
             mapping.update(ordered)
     backend_obj = get_backend(backend)
+    if isinstance(strategy, str):
+        run = get_strategy(strategy)
+    else:
+        run, strategy = strategy, strategy.__name__
     tracer = get_tracer()
     with tracer.span("closure", strategy=strategy,
                      backend=type(backend_obj).__name__) as span, \
             stopwatch() as timer:
-        result = get_strategy(strategy)(matrices, list(pair_rules),
-                                        backend_obj, **options)
+        result = run(matrices, list(pair_rules), backend_obj, **options)
         span.set("iterations", result.iterations)
         span.set("multiplications", result.multiplications)
     _publish_closure_metrics(strategy, result, timer.elapsed)
@@ -450,11 +495,8 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     argument at tile granularity; monotone growth bounds the rounds.
 
     ``multiplications`` counts *tile* products — the unit of work a
-    device would schedule.  ``details["blocked"]`` carries a
-    :class:`repro.core.blocked.BlockedStats` with the frontier savings
-    (``tiles_skipped_by_frontier``), the scheduler wall time, and the
-    spill counters (``tiles_spilled`` / ``tiles_reloaded`` /
-    ``spill_bytes`` / ``payload_encodes`` / ``peak_resident_bytes``).
+    device would schedule.  ``details["blocked"]`` carries the run's
+    :class:`BlockedStats`.
     """
     from .tiles import resolve_scheduler
     from .tilestore import TileStore, resolve_memory_budget, resolve_spill_dir
@@ -499,11 +541,9 @@ def _closure_blocked_on_store(store, matrices: dict,
                               frontier: bool,
                               task_order: "Callable | None",
                               seed_deltas: "dict | None") -> ClosureResult:
-    from .blocked import BlockedStats, split_into_tiles
-
     nonzero: dict[Hashable, set] = {}
     for symbol in list(matrices):
-        symbol_tiles = split_into_tiles(matrices[symbol], tile_size, backend)
+        symbol_tiles = backend.split_into_tiles(matrices[symbol], tile_size)
         matrices[symbol] = None  # the store holds the working copy now
         indexes = set()
         # Pop as we insert so the budget governs the split too: a tile
@@ -634,14 +674,7 @@ def _closure_blocked_on_store(store, matrices: dict,
                             store.get(out_key), store.get(stage_key)
                         )
                         new_entries = delta.nnz()
-                        # Value-blind semirings may refine
-                        # annotations in place without surfacing them in
-                        # the delta; the tile content still changed, so
-                        # its spill/payload version must move even
-                        # though the frontier does not.
-                        mutated = bool(new_entries) or getattr(
-                            delta, "refined_in_place", False)
-                        store.put(out_key, merged, changed=mutated)
+                        store.put(out_key, merged, changed=bool(new_entries))
                     store.discard(stage_key)
                     if new_entries:
                         round_new += new_entries
@@ -749,7 +782,6 @@ def _probe_scheduler_seconds(matrices: dict, pair_rules: list[PairRule],
     :data:`AUTOTUNE_PROBE_GROUPS` output tiles).  Runs each candidate
     twice and keeps the best so pool start-up doesn't skew the
     comparison; results are discarded (probing never mutates)."""
-    from .blocked import split_into_tiles
     from .tiles import MappingTileSource, resolve_scheduler
 
     heaviest = None
@@ -760,8 +792,8 @@ def _probe_scheduler_seconds(matrices: dict, pair_rules: list[PairRule],
     if heaviest is None:
         return {}
     _weight, left, right = heaviest
-    left_tiles = split_into_tiles(matrices[left], tile_size, backend)
-    right_tiles = split_into_tiles(matrices[right], tile_size, backend)
+    left_tiles = backend.split_into_tiles(matrices[left], tile_size)
+    right_tiles = backend.split_into_tiles(matrices[right], tile_size)
     sample = {}
     left_by_row: dict[int, list[int]] = {}
     right_by_col: dict[int, list[int]] = {}

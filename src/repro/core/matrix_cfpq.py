@@ -159,9 +159,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
     matrices = closure.matrices
 
     relations = ContextFreeRelations(
-        graph,
-        {nt: matrix.to_pair_set() for nt, matrix in matrices.items()},
-    )
+        graph, {nt: matrix.to_pair_set for nt, matrix in matrices.items()})
     stats = MatrixCFPQStats(
         iterations=closure.iterations,
         multiplications=closure.multiplications,

@@ -9,7 +9,7 @@ directly comparable in tests.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
@@ -23,15 +23,23 @@ class ContextFreeRelations:
 
     Node pairs are stored by dense node id; presentation methods map
     them back through the graph's node enumeration.
+
+    A relation is given as an iterable of pairs or as a zero-argument
+    callable producing one; the callable runs on the first read of its
+    symbol (``pairs`` and everything built on it), so a solver that
+    closed seven matrices for a caller who reads ``R_S`` materializes
+    one pair set, not seven.
     """
 
     __slots__ = ("_graph", "_relations")
 
     def __init__(self, graph: LabeledGraph,
-                 relations: Mapping[Nonterminal, Iterable[IdPair]]):
+                 relations: Mapping[
+                     Nonterminal,
+                     "Iterable[IdPair] | Callable[[], Iterable[IdPair]]"]):
         self._graph = graph
-        self._relations: dict[Nonterminal, frozenset[IdPair]] = {
-            nonterminal: frozenset(pairs)
+        self._relations: dict = {
+            nonterminal: pairs if callable(pairs) else frozenset(pairs)
             for nonterminal, pairs in relations.items()
         }
 
@@ -50,7 +58,11 @@ class ContextFreeRelations:
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
         """``R_A`` as dense-id pairs (empty when nothing was derived)."""
-        return self._relations.get(as_nonterminal(nonterminal), frozenset())
+        nonterminal = as_nonterminal(nonterminal)
+        pairs = self._relations.get(nonterminal, frozenset())
+        if callable(pairs):
+            pairs = self._relations[nonterminal] = frozenset(pairs())
+        return pairs
 
     def node_pairs(self, nonterminal: Nonterminal | str,
                    ) -> frozenset[tuple[Hashable, Hashable]]:
@@ -74,7 +86,7 @@ class ContextFreeRelations:
         """All result triples ``(A, m, n)`` — the relational semantics
         answer as defined in the paper's introduction."""
         for nonterminal in sorted(self._relations, key=lambda nt: nt.name):
-            for i, j in sorted(self._relations[nonterminal]):
+            for i, j in sorted(self.pairs(nonterminal)):
                 yield (nonterminal, i, j)
 
     def restrict_to(self, nonterminals: Iterable[Nonterminal | str],
@@ -114,14 +126,14 @@ class ContextFreeRelations:
     def as_dict(self) -> dict[str, list[IdPair]]:
         """JSON-friendly form: name -> sorted pair list."""
         return {
-            nt.name: sorted(pairs)
-            for nt, pairs in sorted(self._relations.items(), key=lambda kv: kv[0].name)
+            nt.name: sorted(self.pairs(nt))
+            for nt in sorted(self._relations, key=lambda nt: nt.name)
         }
 
     def __repr__(self) -> str:
         sizes = ", ".join(
-            f"{nt.name}:{len(pairs)}"
-            for nt, pairs in sorted(self._relations.items(), key=lambda kv: kv[0].name)
+            f"{nt.name}:{len(self.pairs(nt))}"
+            for nt in sorted(self._relations, key=lambda nt: nt.name)
         )
         return f"ContextFreeRelations({sizes})"
 

@@ -3,9 +3,10 @@
 The dict-of-cells :class:`repro.core.semiring.AnnotatedMatrix` pays one
 Python object and one interpreter step per cell.  For the semirings
 whose annotation is a single machine scalar (length: int64 min-plus;
-Viterbi: float64 max-times — each declares its dtype and ⊗/⊕ ufuncs in
-``Semiring.array_ops``) the same kernel API runs on two parallel NumPy
-arrays per matrix instead:
+Viterbi: float64 max-times; counting: int64 plus-times clipped to the
+cap — each declares its dtype and ⊗/⊕ ufuncs in ``Semiring.array_ops``)
+the same kernel API runs on two parallel NumPy arrays per matrix
+instead:
 
 * ``_keys``   — the flat cell addresses ``i * cols + j``, sorted and
   unique (disco-dop's ``DenseCFGChart`` addressing, kept sparse);
@@ -14,9 +15,10 @@ arrays per matrix instead:
 ``multiply`` is one gather over the right operand's row pointers, ⊗ on
 the gathered values and a sort + ``⊕.reduceat`` over each run of equal
 output addresses; ``union_update`` is a ``searchsorted`` merge whose
-delta holds the new *and the strictly improved* cells, so refinements
-re-enter the semi-naive frontier exactly as the dict layout's
-``Semiring.merge`` makes them.  Candidates, products and the ⊕ fold are
+delta holds the new *and the strictly improved* cells (under a
+counting ⊕: the cells the addition moved), so refinements re-enter the
+semi-naive frontier exactly as the dict layout's ``Semiring.merge``
+makes them.  Candidates, products and the ⊕ fold are
 the same IEEE/integer operations the scalar semiring methods perform,
 so every strategy reaches the bit-identical fixpoint on either layout.
 
@@ -24,7 +26,9 @@ The arrays are **never written after they are bound**: every kernel
 rebinds fresh arrays, so clones, tiles, payloads and deltas may share
 them freely.  Lengths are int64 and would wrap where Python ints grow;
 a minimal witness that long (2⁶³ edges) is out of reach of any graph
-this stores.
+this stores.  Counts are clipped to the cap at the end of every kernel,
+and the counting semiring only declares ``array_ops`` for caps whose
+un-clipped product rows cannot wrap.
 
 This module needs NumPy; :class:`repro.core.semiring.AnnotatedBackend`
 falls back to the dict layout when the import fails.
@@ -43,9 +47,12 @@ _INDEX = np.int64
 
 
 @lru_cache(maxsize=None)
-def _resolve_ops(array_ops: tuple[str, str, str]):
-    dtype, multiply, add = array_ops
-    return np.dtype(dtype), getattr(np, multiply), getattr(np, add)
+def _resolve_ops(array_ops: tuple):
+    """``(dtype, ⊗, ⊕, cap)`` of a ``Semiring.array_ops`` declaration;
+    *cap* is None unless the semiring saturates."""
+    dtype, multiply, add, *cap = array_ops
+    return (np.dtype(dtype), getattr(np, multiply), getattr(np, add),
+            cap[0] if cap else None)
 
 
 class ScalarAnnotatedMatrix(BooleanMatrix):
@@ -58,9 +65,6 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
 
     backend_name = "annotated"
     supports_inplace = True
-    #: Scalar refinements always surface in the delta (their products
-    #: read values), so a merge never mutates silently.
-    refined_in_place = False
 
     def __init__(self, semiring, shape: tuple[int, int],
                  cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = (),
@@ -144,26 +148,6 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         position = self._position(i, j)
         return None if position < 0 else self._values[position].item()
 
-    def values_at(self, rows, col: int) -> list:
-        """The annotations at ``(r, col)`` for each ``r`` of *rows*
-        (None where the cell is False) — one probe for a whole column
-        of candidate midpoints."""
-        if not len(self._keys):
-            return [None] * len(rows)
-        keys = np.asarray(rows, dtype=_INDEX) * self._shape[1] + col
-        positions = np.searchsorted(self._keys, keys)
-        positions[positions == len(self._keys)] = 0
-        hits = (self._keys[positions] == keys).tolist()
-        return [value if hit else None for value, hit
-                in zip(self._values[positions].tolist(), hits)]
-
-    def row_cells(self, i: int) -> tuple[list[int], list]:
-        """Row *i* as ``(columns, annotations)``, columns ascending."""
-        cols = self._shape[1]
-        start, stop = np.searchsorted(self._keys, (i * cols, (i + 1) * cols))
-        return ((self._keys[start:stop] - i * cols).tolist(),
-                self._values[start:stop].tolist())
-
     def columns(self) -> tuple[list[int], list[int], list]:
         """All True cells as parallel ``(i, j, annotation)`` lists of
         Python scalars, in ``(i, j)`` order."""
@@ -189,7 +173,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
     # -- algebra ----------------------------------------------------------
     def multiply(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
         self._require_chainable(other)
-        _dtype, times, plus = _resolve_ops(self.semiring.array_ops)
+        _dtype, times, plus, cap = _resolve_ops(self.semiring.array_ops)
         right_keys, right_values = _arrays_of(other, self.semiring)
         inner, out_cols = other.shape
         out_shape = (self._shape[0], out_cols)
@@ -217,9 +201,10 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         keys = keys[order]
         run_starts = np.flatnonzero(
             np.append(True, keys[1:] != keys[:-1]))
-        return self._like(keys[run_starts],
-                          plus.reduceat(values[order], run_starts),
-                          out_shape)
+        values = plus.reduceat(values[order], run_starts)
+        if cap is not None:
+            np.minimum(values, cap, out=values)
+        return self._like(keys[run_starts], values, out_shape)
 
     def copy(self) -> "ScalarAnnotatedMatrix":
         """An independent matrix over the same (never written) arrays."""
@@ -250,7 +235,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         and every cell whose annotation ⊕ strictly improved, with the
         merged value."""
         self._require_same_shape(other)
-        plus = _resolve_ops(self.semiring.array_ops)[2]
+        _dtype, _times, plus, cap = _resolve_ops(self.semiring.array_ops)
         keys, values = _arrays_of(other, self.semiring)
         if not len(keys):
             return self._empty(symbol=self.symbol)
@@ -261,6 +246,8 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
             held = positions[present]
             existing = self._values[held]
             merged = plus(existing, values[present])
+            if cap is not None:
+                np.minimum(merged, cap, out=merged)
             improved = merged != existing
             changed = ~present
             changed[present] = improved

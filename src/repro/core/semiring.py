@@ -40,16 +40,25 @@ annotation at all: its forest is a view of the boolean fixpoint,
   implementing the mutable kernel API (``union_update`` /
   ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
   :func:`repro.core.closure.run_closure` — including the ``delta`` and
-  ``blocked`` strategies — runs unchanged on every semiring.
-  Semirings that declare ``array_ops`` (length, Viterbi) get the
+  ``blocked`` strategies — runs unchanged on every semiring whose ⊕ is
+  idempotent.  Every semiring here annotates a cell with one machine
+  scalar and declares it (``array_ops``), so its cells live in the
   array layout of :mod:`repro.core.scalar_matrix` when NumPy imports;
-  the dict-of-cells :class:`AnnotatedMatrix` serves the set-valued
-  semirings, third-party subclasses and NumPy-less hosts, and is the
+  the dict-of-cells :class:`AnnotatedMatrix` serves NumPy-less hosts,
+  third-party subclasses, counting caps too large for int64 and the
+  set-valued reference semirings under ``tests/oracles/``, and is the
   differential oracle of the array layout.
+* :func:`kleene_closure` — the one loop for a semiring whose ⊕ is *not*
+  idempotent (:attr:`Semiring.idempotent_add`; counting's saturating
+  +), written against the same ``multiply`` / ``union_update`` kernels
+  of either layout.
 
 Termination: ``merge`` must be monotone w.r.t. a well-founded order
 (absorb: no change ever; length: non-negative integers decrease;
-counting: capped counts grow), so every strategy's worklist drains.
+Viterbi: probabilities ascend through a finite set), so every
+strategy's worklist drains; the Kleene loop climbs a finite lattice
+(counts saturate at the cap).  A pump cycle still costs it O(cap)
+rounds — each as cheap as the handful of cells still moving.
 """
 
 from __future__ import annotations
@@ -73,36 +82,38 @@ class Semiring(abc.ABC):
     #: Registry-style display name (``boolean`` / ``length`` / ...).
     name: str = "abstract"
 
-    #: True when ``multiply`` reads operand annotation *values*, so a
-    #: refined annotation must re-enter the semi-naive frontier (the
-    #: length semiring: shorter operands produce shorter products).
-    #: Semirings whose ⊗ depends only on cell *presence* (counting
-    #: with cap 1: products emit the rule/midpoint, every count is 1)
-    #: leave this False — their refinements are merged in place but
-    #: re-firing rules over them is provably a no-op, so the engine
-    #: skips it.
-    refinement_feeds_products: bool = True
+    #: False when ``x ⊕ x ≠ x`` (counting: ⊕ is a saturating +).  The
+    #: strategies of :func:`repro.core.closure.run_closure` merge a
+    #: product into a cell that may already hold it, which only an
+    #: idempotent ⊕ forgives, so :func:`solve_annotated` closes such a
+    #: semiring with :func:`kleene_closure` instead, which counts every
+    #: derivation once.  ⊕ and ⊗ must then be monotone over a finite
+    #: value set (saturation) and ``merge`` must be ⊕ itself, reporting
+    #: whether the cell moved.
+    idempotent_add: bool = True
 
     #: ``(dtype, ⊗ ufunc, ⊕ ufunc)`` by NumPy name when annotations are
     #: machine scalars and ``multiply``/``add``/``merge`` are exactly
     #: those ufuncs (``merge`` keeps ``⊕(existing, incoming)`` and
-    #: reports a change iff it differs from ``existing``).  Declaring
-    #: it lets :class:`AnnotatedBackend` store the cells in arrays
+    #: reports a change iff it differs from ``existing``); a saturating
+    #: semiring appends its cap as a fourth element and every ⊗/⊕
+    #: result is clipped to it.  Declaring it lets
+    #: :class:`AnnotatedBackend` store the cells in arrays
     #: (:mod:`repro.core.scalar_matrix`); a subclass that changes the
     #: algebra must reset it to None.
-    array_ops: "tuple[str, str, str] | None" = None
+    array_ops: "tuple | None" = None
 
     @abc.abstractmethod
     def identity(self, label: str | None = None):
         """The ⊗-unit seed a single terminal edge contributes (length 1,
-        an ``("edge", label)`` entry of count 1, ...)."""
+        count 1, the label's weight, ...)."""
 
     def empty_path(self):
         """The annotation of the *empty* path ``iπi`` — the seed of the
         diagonal cell ``(i, i)`` of a nullable non-terminal (``A ⇒* ε``):
-        length 0, an ``("empty",)`` entry, plain presence for the
-        boolean semiring.  Default: the edge identity (correct for
-        presence-only semirings)."""
+        length 0, count 1, plain presence for the boolean semiring.
+        Default: the edge identity (correct for presence-only
+        semirings)."""
         return self.identity()
 
     @abc.abstractmethod
@@ -112,14 +123,16 @@ class Semiring(abc.ABC):
 
         *left_symbol* / *right_symbol* are the body non-terminals of the
         rule being fired (the tags of the operand matrices) — provenance
-        the counting semiring records and the others ignore.
+        no semiring in ``src/`` reads; the witness and counting-set
+        oracles under ``tests/oracles/`` record it.
         """
 
     @abc.abstractmethod
     def add(self, left, right):
         """⊕: fold two candidate annotations for the same output cell of
-        one product.  Must be associative, commutative and idempotent so
-        the fold order inside a product cannot leak into the result."""
+        one product.  Must be associative and commutative so the fold
+        order inside a product cannot leak into the result; whether it
+        is also idempotent is declared by :attr:`idempotent_add`."""
 
     def merge(self, existing, incoming) -> tuple[object, bool]:
         """Cell-level merge when a product lands on an occupied cell;
@@ -185,46 +198,40 @@ class LengthSemiring(Semiring):
 
 
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
-#: purpose: saturating a pump cycle costs O(cap) refinement rounds (see
-#: the class docstring), so a huge default turns cyclic graphs into
+#: purpose: saturating a pump cycle costs O(cap) Kleene rounds (see the
+#: class docstring), so a huge default turns cyclic graphs into
 #: effective hangs.
 DEFAULT_COUNTING_CAP = 1 << 10
 
+#: Largest cap the int64 array layout takes.  A product cell sums, over
+#: at most 2³¹ midpoints (the flat ``i·n + j`` cell keys are int64 too),
+#: products of two counts ≤ cap before it is clipped: 2³¹ · (2¹⁵)² = 2⁶¹
+#: cannot wrap.  Larger caps count on Python ints in the dict layout.
+_MAX_ARRAY_COUNTING_CAP = 1 << 15
+
 
 class CountingSemiring(Semiring):
-    """Derivation counting with saturation — one value type for two jobs.
+    """Derivation counting over (ℕ≤cap, +, ×): the annotation of a cell
+    is the number of distinct derivation trees of its fact, saturating
+    at ``cap`` — a plain scalar semiring like length and Viterbi, except
+    that its ⊕ is not idempotent (:attr:`Semiring.idempotent_add`), so
+    :func:`solve_annotated` closes it with the Kleene loop.
 
-    A cell's annotation is a frozenset of ``(entry, count)`` pairs: one
-    entry per *one-step derivation* of the cell (the
-    ``("edge", label)`` / ``("empty",)`` / ``("split", B, C, r)`` shapes
-    of :mod:`repro.core.derivations`) mapped to the number of distinct
-    derivation trees routed through that decomposition, saturating at
-    ``cap``.  The cell's total derivation count is the saturating sum
-    over its entries (:meth:`count`).
-
-    ⊗ emits one ``split`` entry whose count is the saturating product of
-    the operand counts; ⊕ and ``merge`` take the *per-entry maximum*.
-    Candidates inside one product carry distinct midpoints (distinct
-    entries), so the per-entry max degenerates to disjoint union there
-    and the fold is exact; across rounds an entry's recomputed count
-    only grows (operand counts are non-decreasing), so max is the
-    monotone confluent merge and every strategy converges to the same
-    least fixpoint.  Counts are bounded by ``cap`` and entries are
-    finite, so the refinement order is well-founded — saturation is what
-    keeps cyclic forests (infinitely many derivations) terminating.
+    Saturating + and × are monotone and the value set is finite, so
+    Kleene iteration from the edge matrices climbs to the least fixpoint
+    of ``X_A = E_A ⊕ Σ_{A→BC} X_B ⊗ X_C``; saturation is what keeps
+    cyclic forests (infinitely many derivations) terminating.  Counts
+    below the cap are exact; a cell at the cap reads as "≥ cap" — its
+    true count is unbounded or astronomically large.
 
     The default cap is deliberately small: a pump cycle routed through a
-    count-1 cell grows its count by a *constant* per refinement round,
-    so saturating a cyclic forest costs O(cap) closure rounds in the
-    worst case.  Counts below the cap are always exact; cells that would
-    exceed it are exactly the ones whose true count is unbounded or
-    astronomically large, and they read as "≥ cap".  Pass a larger
-    ``cap`` when exact counts matter more than cyclic-graph wall time.
-
-    With ``cap == 1`` every count is pinned at 1, products can never
-    change an entry's value, and the semiring becomes value-blind
-    (``refinement_feeds_products`` is False).
+    count-1 cell grows a count by a *constant* per round, so saturating
+    a cyclic forest costs O(cap) rounds in the worst case.  Pass a
+    larger ``cap`` when exact counts matter more than cyclic-graph wall
+    time.
     """
+
+    idempotent_add = False
 
     def __init__(self, cap: int = DEFAULT_COUNTING_CAP,
                  name: str | None = None):
@@ -235,10 +242,8 @@ class CountingSemiring(Semiring):
             "counting" if cap == DEFAULT_COUNTING_CAP
             else f"counting[{cap}]"
         )
-
-    @property
-    def refinement_feeds_products(self) -> bool:  # type: ignore[override]
-        return self.cap > 1
+        if cap <= _MAX_ARRAY_COUNTING_CAP:
+            self.array_ops = ("int64", "multiply", "add", cap)
 
     # -- saturating scalar arithmetic (shared with the path-count DP) --
     def saturating_add(self, left: int, right: int) -> int:
@@ -249,46 +254,23 @@ class CountingSemiring(Semiring):
         product = left * right
         return product if product < self.cap else self.cap
 
-    def count(self, value: frozenset | None) -> int:
-        """Total derivation count of a cell value (saturating sum over
-        entries; 1 for the empty value a lifted boolean cell carries)."""
-        if not value:
-            return 1
-        total = 0
-        for _entry, entry_count in value:
-            total = self.saturating_add(total, entry_count)
-        return total
+    def count(self, value: int) -> int:
+        """The derivation count of a cell value — the value itself."""
+        return value
 
     # -- semiring operations ------------------------------------------
-    def identity(self, label: str | None = None) -> frozenset:
-        if label is None:
-            return frozenset()
-        return frozenset({(("edge", label), 1)})
+    def identity(self, label: str | None = None) -> int:
+        return 1
 
-    def empty_path(self) -> frozenset:
-        return frozenset({(("empty",), 1)})
+    def multiply(self, left: int, right: int, midpoint, left_symbol,
+                 right_symbol) -> int:
+        return self.saturating_multiply(left, right)
 
-    def multiply(self, left, right, midpoint: int, left_symbol,
-                 right_symbol) -> frozenset:
-        trees = self.saturating_multiply(self.count(left), self.count(right))
-        return frozenset(
-            {(("split", left_symbol, right_symbol, midpoint), trees)}
-        )
+    add = saturating_add
 
-    def add(self, left: frozenset, right: frozenset) -> frozenset:
-        merged = dict(left)
-        for entry, entry_count in right:
-            existing = merged.get(entry)
-            if existing is None or entry_count > existing:
-                merged[entry] = entry_count
-        return frozenset(merged.items())
-
-    def merge(self, existing: frozenset,
-              incoming: frozenset) -> tuple[frozenset, bool]:
-        merged = self.add(existing, incoming)
-        if merged == existing:
-            return existing, False
-        return merged, True
+    def merge(self, existing: int, incoming: int) -> tuple[int, bool]:
+        merged = self.saturating_add(existing, incoming)
+        return merged, merged != existing
 
 
 class ViterbiSemiring(Semiring):
@@ -406,7 +388,7 @@ class AnnotatedMatrix(BooleanMatrix):
     """
 
     __slots__ = ("semiring", "_shape", "_cells", "_rows_index", "symbol",
-                 "row_offset", "col_offset", "refined_in_place")
+                 "row_offset", "col_offset")
 
     backend_name = "annotated"
     supports_inplace = True
@@ -420,11 +402,6 @@ class AnnotatedMatrix(BooleanMatrix):
         self.symbol = symbol
         self.row_offset = row_offset
         self.col_offset = col_offset
-        #: Set on deltas returned by :meth:`union_update` when the merge
-        #: refined annotations beyond what the delta itself records —
-        #: the target mutated even though the frontier sees no new
-        #: cells, so caches keyed on tile content must invalidate.
-        self.refined_in_place = False
         if isinstance(cells, Mapping):
             cell_map = dict(cells)
         else:
@@ -463,16 +440,6 @@ class AnnotatedMatrix(BooleanMatrix):
         return ([i for i, _j in self._cells], [j for _i, j in self._cells],
                 list(self._cells.values()))
 
-    def row_cells(self, i: int) -> tuple[list[int], list]:
-        """Row *i* as ``(columns, annotations)``, columns ascending."""
-        cols = sorted(self._rows_index.get(i, ()))
-        return cols, [self._cells[(i, j)] for j in cols]
-
-    def values_at(self, rows, col: int) -> list:
-        """The annotations at ``(r, col)`` for each ``r`` of *rows*
-        (None where the cell is False)."""
-        return [self._cells.get((r, col)) for r in rows]
-
     def nnz(self) -> int:
         return len(self._cells)
 
@@ -510,20 +477,9 @@ class AnnotatedMatrix(BooleanMatrix):
         )
 
     def union(self, other: BooleanMatrix) -> "AnnotatedMatrix":
-        self._require_same_shape(other)
-        semiring = self.semiring
-        merged = dict(self._cells)
-        other_cells, _rows = _cells_of(other, semiring)
-        for pair, incoming in other_cells.items():
-            existing = merged.get(pair)
-            if existing is None:
-                merged[pair] = incoming
-            else:
-                merged[pair], _changed = semiring.merge(existing, incoming)
-        return AnnotatedMatrix(semiring, self._shape, merged,
-                               symbol=self.symbol,
-                               row_offset=self.row_offset,
-                               col_offset=self.col_offset)
+        merged = self.copy()
+        merged.union_update(other)
+        return merged
 
     def transpose(self) -> "AnnotatedMatrix":
         return AnnotatedMatrix(
@@ -546,19 +502,13 @@ class AnnotatedMatrix(BooleanMatrix):
         )
 
     def union_update(self, other: BooleanMatrix) -> "AnnotatedMatrix":
-        """In-place ⊕-merge; the returned delta holds every new cell,
-        plus — when the semiring's products read annotation values
-        (``refinement_feeds_products``) — every cell whose annotation
-        the semiring ``merge`` refined, so such refinements re-enter the
-        semi-naive frontier.  Value-blind semirings merge refinements
-        in place but keep them out of the delta: re-firing rules over
-        them cannot change any product."""
+        """In-place ⊕-merge; the returned delta holds every new cell
+        and every cell whose annotation the semiring ``merge`` refined,
+        so refinements re-enter the semi-naive frontier."""
         self._require_same_shape(other)
         semiring = self.semiring
-        propagate_refinements = semiring.refinement_feeds_products
         other_cells, _rows = _cells_of(other, semiring)
         delta: dict[Pair, object] = {}
-        refined_silently = False
         for pair, incoming in other_cells.items():
             existing = self._cells.get(pair)
             if existing is None:
@@ -568,17 +518,11 @@ class AnnotatedMatrix(BooleanMatrix):
             else:
                 merged, changed = semiring.merge(existing, incoming)
                 if changed:
-                    self._cells[pair] = merged
-                    if propagate_refinements:
-                        delta[pair] = merged
-                    else:
-                        refined_silently = True
-        result = AnnotatedMatrix(semiring, self._shape, delta,
-                                 symbol=self.symbol,
-                                 row_offset=self.row_offset,
-                                 col_offset=self.col_offset)
-        result.refined_in_place = refined_silently
-        return result
+                    self._cells[pair] = delta[pair] = merged
+        return AnnotatedMatrix(semiring, self._shape, delta,
+                               symbol=self.symbol,
+                               row_offset=self.row_offset,
+                               col_offset=self.col_offset)
 
     # -- tiling and payloads ----------------------------------------------
     def payload(self) -> tuple:
@@ -740,8 +684,7 @@ class AnnotatedBackend(MatrixBackend):
 
     def matrix_nbytes(self, matrix: BooleanMatrix) -> int:
         """The array layout's measured bytes; dict cells are entries
-        carrying boxed values (entry sets), budgeted by a generous
-        per-cell guess."""
+        carrying boxed values, budgeted by a generous per-cell guess."""
         return getattr(matrix, "nbytes", 112 + 200 * matrix.nnz())
 
 
@@ -827,6 +770,74 @@ def initial_annotated_matrices(graph, grammar, semiring: Semiring,
     }
 
 
+def kleene_closure(matrices: dict, pair_rules: list, backend):
+    """Kleene iteration ``X₀ = E, Xₜ₊₁ = E ⊕ Σ_{A→BC} Xₜ[B] ⊗ Xₜ[C]`` —
+    the paper's ``T ← T ∪ T×T`` — for a semiring whose ⊕ is not
+    idempotent, evaluated by increments.
+
+    The worklist strategies ⊕-merge a product into a cell that may
+    already hold an earlier version of it, which double-counts under a
+    counting ⊕.  Here a round holds the closed-so-far matrices ``X``
+    and, beside them, the *increments* ``Δ`` the previous round derived
+    (round 1: ``X`` empty, ``Δ = E``).  ⊗ distributes over ⊕, so the
+    next iterate exceeds this one by exactly
+
+        Δ'[A] = Σ_{A→BC}  Δ[B]⊗X[C]  ⊕  X[B]⊗Δ[C]  ⊕  Δ[B]⊗Δ[C]
+
+    — every product read off the matrices *before* ``Δ`` is merged into
+    them (Jacobi order), so each derivation tree is counted once and a
+    round costs what its increments cost, not what the matrices do.
+    Saturation needs no subtraction: a cell stuck at the cap keeps
+    receiving increments, but everything such a cell feeds is at the cap
+    one round later and stays there, so stale increments are harmless
+    and the loop stops at the first round whose merge moves no cell.
+    ⊕ and ⊗ are monotone over a finite value set, so that round comes
+    and the matrices are then the least fixpoint.
+
+    A strategy-shaped function (:func:`repro.core.closure.run_closure`
+    traces it and publishes its metrics), deliberately not registered:
+    the algebra picks it, not the caller.
+    """
+    from ..obs.trace import get_tracer
+    from .closure import ClosureResult
+
+    pending = {symbol: matrix for symbol, matrix in matrices.items()
+               if matrix.nnz()}
+    for symbol, matrix in matrices.items():
+        matrices[symbol] = matrix.difference(matrix)  # empty, same tags
+    tracer = get_tracer()
+    iterations = multiplications = 0
+    growth: list[int] = []
+    while pending:
+        iterations += 1
+        with tracer.span("closure.round", strategy="kleene",
+                         round=iterations) as round_span:
+            following: dict = {}
+            for head, left, right in pair_rules:
+                new_left, new_right = pending.get(left), pending.get(right)
+                for first, second in ((new_left, matrices[right]),
+                                      (matrices[left], new_right),
+                                      (new_left, new_right)):
+                    if (first is None or second is None
+                            or not first.nnz() or not second.nnz()):
+                        continue
+                    product = first.multiply(second)
+                    multiplications += 1
+                    if head in following:
+                        following[head].union_update(product)
+                    else:
+                        following[head] = product
+            round_new = sum(
+                matrices[symbol].union_update(increment).nnz()
+                for symbol, increment in pending.items())
+            pending = following if round_new else {}
+            round_span.set("new_entries", round_new)
+        growth.append(round_new)
+    return ClosureResult(matrices=matrices, iterations=iterations,
+                         multiplications=multiplications,
+                         delta_nnz_per_round=tuple(growth))
+
+
 def solve_annotated(graph, grammar, semiring: Semiring,
                     strategy: str | None = None,
                     normalize: bool = True,
@@ -836,7 +847,9 @@ def solve_annotated(graph, grammar, semiring: Semiring,
     This is the single code path behind the single-path and weighted
     semantics: any registered strategy (``naive`` / ``delta`` /
     ``blocked`` / plug-ins) closes the annotated matrices through
-    exactly the same kernels the relational solver uses.
+    exactly the same kernels the relational solver uses.  *strategy*
+    and its options do not apply to a semiring whose ⊕ is not
+    idempotent (counting): :func:`kleene_closure` closes it.
     """
     from ..grammar.cnf import ensure_cnf
     from .closure import run_closure
@@ -850,9 +863,13 @@ def solve_annotated(graph, grammar, semiring: Semiring,
         (rule.head, rule.body[0], rule.body[1])
         for rule in working_grammar.binary_rules
     ]
-    closure = run_closure(matrices, pair_rules, backend,
-                          strategy=strategy or DEFAULT_STRATEGY,
-                          **strategy_options)
+    if semiring.idempotent_add:
+        closure = run_closure(matrices, pair_rules, backend,
+                              strategy=strategy or DEFAULT_STRATEGY,
+                              **strategy_options)
+    else:
+        closure = run_closure(matrices, pair_rules, backend,
+                              strategy=kleene_closure)
     return AnnotatedClosureResult(
         matrices=closure.matrices,
         iterations=closure.iterations,

@@ -67,8 +67,7 @@ def compute_group(pairs) -> BooleanMatrix:
     """Run one group's mul-accumulate chain; returns the product tile.
 
     Accumulation uses ``union_update`` on the freshly-owned first
-    product (matching the historical ``blocked_multiply`` accumulator
-    semantics — for annotated tiles that is the semiring cell merge).
+    product (for annotated tiles that is the semiring cell merge).
     """
     accumulator = None
     for left, right in pairs:

@@ -1,133 +1,22 @@
-"""Tests for the blocked/out-of-core closure (§7 future work)."""
+"""Tests for the tiling hooks under the blocked closure (§7 future
+work); the engine itself is covered by ``test_closure_strategies`` and
+``test_tile_scheduler``."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.blocked import (
-    TileDeviceSimulator,
-    assemble_from_tiles,
-    blocked_multiply,
-    boolean_closure_blocked,
-    split_into_tiles,
-)
-from repro.core.transitive_closure import boolean_closure_naive
-from repro.graph.generators import chain, random_graph
-from repro.graph.matrices import boolean_adjacency
-from repro.matrices.base import get_backend
 
 
 class TestTiling:
     def test_split_round_trip(self, backend):
         matrix = backend.from_pairs(7, [(0, 6), (3, 3), (6, 0), (5, 2)])
-        tiles = split_into_tiles(matrix, 3, backend)
+        tiles = backend.split_into_tiles(matrix, 3)
         assert len(tiles) == 9  # ceil(7/3)² = 3²
-        back = assemble_from_tiles(tiles, 7, 3, backend)
+        back = backend.assemble_from_tiles(tiles, 7, 3)
         assert back.same_pairs(matrix)
 
     def test_tiles_are_uniform_size(self, backend):
-        tiles = split_into_tiles(backend.from_pairs(5, [(4, 4)]), 2, backend)
+        tiles = backend.split_into_tiles(backend.from_pairs(5, [(4, 4)]), 2)
         assert all(tile.shape == (2, 2) for tile in tiles.values())
 
     def test_invalid_tile_size(self, backend):
         with pytest.raises(ValueError):
-            split_into_tiles(backend.zeros(4), 0, backend)
-
-
-class TestBlockedMultiply:
-    def test_matches_flat_multiply(self, backend):
-        matrix = backend.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
-        tiles = split_into_tiles(matrix, 2, backend)
-        product_tiles, products = blocked_multiply(tiles, tiles, grid=3)
-        product = assemble_from_tiles(product_tiles, 6, 2, backend)
-        assert product.same_pairs(matrix.multiply(matrix))
-        assert products > 0
-
-    def test_zero_tiles_skipped(self, backend):
-        matrix = backend.from_pairs(4, [(0, 1)])
-        tiles = split_into_tiles(matrix, 2, backend)
-        _result, products = blocked_multiply(tiles, tiles, grid=2)
-        # only tile products with non-empty operands execute
-        assert products <= 2
-
-
-class TestDeviceSimulator:
-    def test_minimum_capacity(self):
-        with pytest.raises(ValueError):
-            TileDeviceSimulator(2)
-
-    def test_lru_eviction(self):
-        device = TileDeviceSimulator(3)
-        for tag in ["a", "b", "c", "d"]:
-            device.touch((tag,))
-        assert device.loads == 4
-        assert device.evictions == 1
-        device.touch(("d",))
-        assert device.hits == 1
-
-    def test_resident_bounded(self):
-        device = TileDeviceSimulator(3)
-        for k in range(20):
-            device.touch((k,))
-        assert device.resident_count == 3
-
-
-class TestBlockedClosure:
-    def test_matches_unblocked_closure(self, backend_name):
-        matrix = boolean_adjacency(
-            random_graph(12, 40, ["e"], seed=2), backend=backend_name
-        )
-        expected = boolean_closure_naive(matrix)
-        for tile_size in [3, 5, 12, 20]:
-            closed, stats = boolean_closure_blocked(
-                matrix, tile_size, backend=backend_name
-            )
-            assert closed.same_pairs(expected), tile_size
-            assert stats.tile_products >= 0
-
-    def test_working_set_bounded_by_capacity(self):
-        """The out-of-core property: resident tiles never exceed the
-        simulated device capacity, regardless of matrix size."""
-        matrix = boolean_adjacency(chain(30), backend="sparse")
-        _closed, stats = boolean_closure_blocked(
-            matrix, tile_size=4, device_capacity_tiles=3
-        )
-        # with capacity 3 every distinct touch beyond the first 3 loads
-        # must evict — loads-evictions never exceeds capacity
-        assert stats.device_loads - stats.device_evictions <= 3
-        assert stats.grid == 8
-
-    def test_multi_device_task_spread(self):
-        matrix = boolean_adjacency(
-            random_graph(16, 60, ["e"], seed=9), backend="sparse"
-        )
-        _closed, stats = boolean_closure_blocked(
-            matrix, tile_size=4, device_count=4
-        )
-        assert set(stats.tasks_per_device) <= {0, 1, 2, 3}
-        assert sum(stats.tasks_per_device.values()) == stats.tile_products
-        # round-robin: no device owns everything (grid 4x4 = 16 owners)
-        assert len(stats.tasks_per_device) > 1
-
-    def test_single_tile_degenerates_to_flat(self, backend_name):
-        matrix = boolean_adjacency(chain(5), backend=backend_name)
-        closed, stats = boolean_closure_blocked(matrix, tile_size=10,
-                                                backend=backend_name)
-        assert stats.grid == 1
-        assert closed.same_pairs(boolean_closure_naive(matrix))
-
-
-pair_sets = st.sets(
-    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14
-)
-
-
-@given(pairs=pair_sets, tile_size=st.integers(1, 8))
-@settings(max_examples=60, deadline=None)
-def test_blocked_closure_equals_naive_property(pairs, tile_size):
-    backend = get_backend("pyset")
-    matrix = backend.from_pairs(7, pairs)
-    expected = boolean_closure_naive(matrix)
-    closed, _stats = boolean_closure_blocked(matrix, tile_size,
-                                             backend="pyset")
-    assert closed.same_pairs(expected)
+            backend.split_into_tiles(backend.zeros(4), 0)

@@ -84,3 +84,46 @@ def test_as_dict_sorted():
 def test_repr_shows_sizes():
     relations = ContextFreeRelations(make_graph(), {S: [(0, 1)]})
     assert "S:1" in repr(relations)
+
+
+def test_callable_relation_runs_once_on_first_read_of_its_symbol():
+    calls = []
+
+    def producer(name, pairs):
+        def produce():
+            calls.append(name)
+            return iter(pairs)
+        return produce
+
+    relations = ContextFreeRelations(make_graph(), {
+        S: producer("S", [(0, 1), (1, 2)]), A: producer("A", [(2, 2)])})
+    assert relations.nonterminals == {S, A}
+    assert relations.restrict_to(["A"]).nonterminals == {A}
+    assert calls == []
+    assert relations.pairs("S") == {(0, 1), (1, 2)}
+    assert relations.count(S) == 2 and relations.contains(S, "x", "y")
+    assert calls == ["S"]
+    eager = ContextFreeRelations(make_graph(),
+                                 {S: [(0, 1), (1, 2)], A: [(2, 2)]})
+    assert relations.same_as(eager)
+    assert list(relations.triples()) == list(eager.triples())
+    assert relations.as_dict() == eager.as_dict()
+    assert calls == ["S", "A"]
+
+
+def test_solvers_materialize_only_the_relations_read(monkeypatch):
+    from repro.core.matrix_cfpq import solve_matrix
+    from repro.grammar.builders import dyck1
+    from repro.graph.generators import two_cycles
+    from repro.matrices.pyset import PySetMatrix
+
+    extracted = []
+    to_pair_set = PySetMatrix.to_pair_set
+    monkeypatch.setattr(
+        PySetMatrix, "to_pair_set",
+        lambda matrix: extracted.append(matrix) or to_pair_set(matrix))
+    result = solve_matrix(two_cycles(2, 3), dyck1(), backend="pyset")
+    assert len(result.matrices) > 1 and extracted == []
+    assert result.relations.pairs("S") == \
+        set(result.matrices[S].nonzero_pairs())
+    assert extracted == [result.matrices[S]]

@@ -1,13 +1,14 @@
 """Differential tests for the counting semiring.
 
-Three independent oracles pin the counting closure down:
+Three independent references pin the counting closure down:
 
 * a **brute-force derivation-tree enumerator** (recursive over the
   grammar and graph, no closure machinery) on DAG inputs, where the
   derivation forest is acyclic and tree counts are finite;
-* the **witness semiring**: the cap-1 support instance must record
-  exactly the witness entry sets (same one-step decomposition universe,
-  counts pinned at 1);
+* the **set-valued counting algebra** of ``tests/oracles/counting_sets``
+  — counts keyed on one-step derivations so that ⊕ is idempotent and
+  the worklist strategies may close it — on DAG, cyclic and pump-cycle
+  inputs, every cap and both cell layouts;
 * the **length-stratified path-counting DP**
   (:meth:`repro.core.path_index.AllPathIndex.count_paths`), which runs
   the same saturating scalar arithmetic over the forest and must agree
@@ -27,37 +28,55 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import counting_sets  # noqa: E402
 from oracles.witness import WITNESS_SEMIRING  # noqa: E402
 from test_semiring_differential import (  # noqa: E402
-    STRATEGIES,
     brute_force_paths,
     make_case,
 )
 
+from repro.core import semiring as semiring_module  # noqa: E402
+from repro.core.matrix_cfpq import solve_matrix_relations  # noqa: E402
 from repro.core.path_index import AllPathIndex  # noqa: E402
 from repro.core.semiring import (  # noqa: E402
     COUNTING_SEMIRING,
+    DEFAULT_COUNTING_CAP,
+    AnnotatedMatrix,
     CountingSemiring,
-    register_semiring,
     solve_annotated,
 )
+from repro.datasets.registry import build_graph  # noqa: E402
+from repro.grammar.builders import same_generation_query1  # noqa: E402
 from repro.grammar.cfg import CFG  # noqa: E402
 from repro.grammar.cnf import to_cnf  # noqa: E402
 from repro.grammar.production import Production  # noqa: E402
+from repro.grammar.parser import parse_grammar  # noqa: E402
 from repro.grammar.symbols import Nonterminal, Terminal  # noqa: E402
+from repro.graph.generators import chain, two_cycles  # noqa: E402
 from repro.graph.labeled_graph import LabeledGraph  # noqa: E402
 
 SEEDS = tuple(range(8))
+CAPS = (1, 7, 64, DEFAULT_COUNTING_CAP)
+LAYOUTS = ("array", "dict")
 _LABELS = ("a", "b")
-
-#: A small cap keeps cyclic seeds fast: saturation is reached in O(cap)
-#: refinement rounds when counts grow linearly (the same hazard that
-#: keeps DEFAULT_COUNTING_CAP small).  Registered at import (collection)
-#: time, before any process pool forks, so the ``process`` scheduler's
-#: workers resolve it by name.
-COUNTING_64 = register_semiring(
-    CountingSemiring(cap=64, name="counting[test-64]"))
 _NONTERMINALS = ("S", "A", "B")
+
+
+def closure_counts(graph, grammar, cap: int, layout: str,
+                   monkeypatch) -> dict:
+    """``(nonterminal, i, j) -> count`` from the library's closure on
+    the requested cell layout (``dict`` is what a NumPy-less host
+    runs)."""
+    if layout == "dict":
+        monkeypatch.setattr(semiring_module, "ScalarAnnotatedMatrix", None)
+    elif semiring_module.ScalarAnnotatedMatrix is None:
+        pytest.skip("the array layout needs NumPy")
+    result = solve_annotated(graph, grammar, CountingSemiring(cap=cap),
+                             normalize=False)
+    dict_cells = [isinstance(matrix, AnnotatedMatrix)
+                  for matrix in result.matrices.values()]
+    assert all(dict_cells) if layout == "dict" else not any(dict_cells)
+    return counting_sets.closed_cells(result)
 
 
 def make_dag_case(seed: int, max_nodes: int = 6, max_edges: int = 10):
@@ -157,24 +176,6 @@ class TestClosureCountsAgainstBruteForce:
         if checked == 0:
             pytest.skip("seed produced an empty relation")
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_counts_identical_across_strategies(self, seed):
-        semiring = COUNTING_64
-        graph, grammar = make_case(seed)
-        baseline = None
-        for strategy in STRATEGIES:
-            result = solve_annotated(graph, grammar, semiring,
-                                     strategy=strategy)
-            cells = {
-                (nt, i, j): value
-                for nt, matrix in result.matrices.items()
-                for i, j, value in matrix.nonzero_cells()
-            }
-            if baseline is None:
-                baseline = cells
-            else:
-                assert cells == baseline, strategy
-
     def test_saturation_pins_cyclic_cells_at_cap(self):
         semiring = CountingSemiring(cap=7, name="counting[test-7]")
         grammar = to_cnf(CFG.from_mapping(
@@ -210,25 +211,131 @@ class TestClosureCountsAgainstBruteForce:
         assert counts
         assert max(counts) == COUNTING_SEMIRING.cap  # cyclic: saturated
 
-    def test_cap_one_entries_match_witness_entry_sets(self):
-        """The entry keys of a counting cell are its one-step derivation
-        supports — with cap 1 the value-blind closure still collects
-        exactly the witness semiring's entry sets."""
+
+
+def _funding_with_pump():
+    """funding · Q1 plus ``S -> S L``, ``L -> loop`` and one ``loop``
+    self-loop on the node most ``S`` facts end in: those facts' counts
+    creep to the cap by a constant per round."""
+    graph = build_graph("funding", use_cache=False)  # mutated below
+    incoming: dict = {}
+    for _i, j in solve_matrix_relations(
+            graph, same_generation_query1()).pairs("S"):
+        incoming[j] = incoming.get(j, 0) + 1
+    busiest = graph.node_at(max(sorted(incoming), key=incoming.__getitem__))
+    graph.add_edge(busiest, "loop", busiest)
+    grammar = parse_grammar(
+        """
+        S -> subClassOf_r S subClassOf | type_r S type
+        S -> subClassOf_r subClassOf | type_r type
+        S -> S L
+        L -> loop
+        """,
+        terminals=["subClassOf", "subClassOf_r", "type", "type_r", "loop"])
+    return graph, to_cnf(grammar)
+
+
+def _chain_with_loop():
+    graph = chain(2000)
+    graph.add_edge(1000, "b", 1000)
+    return graph, to_cnf(parse_grammar("S -> S b | a",
+                                       terminals=["a", "b"]))
+
+
+def _anbn_two_cycles():
+    return two_cycles(2, 3), to_cnf(parse_grammar(
+        "S -> a S b | a b", terminals=["a", "b"]))
+
+
+#: Pump cycles: counts grow by a constant (or periodic) amount per
+#: round, so the closure runs O(cap) rounds of small increments.
+PUMP_INPUTS = {
+    "funding+pump": _funding_with_pump,
+    "chain+loop": _chain_with_loop,
+    "anbn-two-cycles": _anbn_two_cycles,
+}
+
+
+class TestClosureCountsAgainstSetValuedOracle:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("make", [make_dag_case, make_case],
+                             ids=["dag", "cyclic"])
+    def test_random_cases_match_cell_for_cell(self, make, seed, cap, layout,
+                                              monkeypatch):
+        graph, grammar = make(seed)
+        expected = counting_sets.derivation_counts(graph, grammar, cap)
+        assert closure_counts(graph, grammar, cap, layout,
+                              monkeypatch) == expected
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("name", sorted(PUMP_INPUTS))
+    def test_pump_inputs_match_cell_for_cell(self, name, layout,
+                                             monkeypatch):
+        graph, grammar = PUMP_INPUTS[name]()
+        expected = counting_sets.derivation_counts(graph, grammar)
+        assert max(expected.values()) == DEFAULT_COUNTING_CAP
+        assert closure_counts(graph, grammar, DEFAULT_COUNTING_CAP, layout,
+                              monkeypatch) == expected
+
+    def test_cap_one_entries_match_witness_entry_sets(self, monkeypatch):
+        """The entry keys of a set-valued counting cell are its one-step
+        derivation supports: at cap 1 the oracle collects exactly the
+        witness semiring's entry sets, and the library's closure pins
+        every one of those cells at 1."""
         graph, grammar = make_case(3)
-        witness = solve_annotated(graph, grammar, WITNESS_SEMIRING)
-        support = solve_annotated(graph, grammar, CountingSemiring(cap=1))
-        witness_cells = {
-            (nt, i, j): value
-            for nt, matrix in witness.matrices.items()
-            for i, j, value in matrix.nonzero_cells()
-        }
+        witness_cells = counting_sets.closed_cells(
+            solve_annotated(graph, grammar, WITNESS_SEMIRING))
         support_cells = {
-            (nt, i, j): frozenset(entry for entry, _count in value)
-            for nt, matrix in support.matrices.items()
-            for i, j, value in matrix.nonzero_cells()
+            cell: frozenset(entry for entry, _count in value)
+            for cell, value in
+            counting_sets.entry_sets(graph, grammar, cap=1).items()
         }
         assert witness_cells == support_cells
         assert witness_cells  # non-vacuous on this seed
+        assert closure_counts(graph, grammar, 1, "array", monkeypatch) \
+            == dict.fromkeys(witness_cells, 1)
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_counts_identical_across_layouts(self, seed, monkeypatch):
+        graph, grammar = make_case(seed)
+        on_arrays = closure_counts(graph, grammar, 64, "array", monkeypatch)
+        assert closure_counts(graph, grammar, 64, "dict",
+                              monkeypatch) == on_arrays
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cap_beyond_int64_products_counts_on_python_ints(self, seed):
+        """A cap whose squared counts could wrap int64 takes the dict
+        layout on its own; DAG counts are far below either cap, so the
+        totals must not notice."""
+        if semiring_module.ScalarAnnotatedMatrix is None:
+            pytest.skip("the array layout needs NumPy")
+        graph, grammar = make_dag_case(seed)
+        huge = solve_annotated(graph, grammar, CountingSemiring(cap=1 << 40))
+        default = solve_annotated(graph, grammar, COUNTING_SEMIRING)
+        assert all(isinstance(matrix, AnnotatedMatrix)
+                   for matrix in huge.matrices.values())
+        assert not any(isinstance(matrix, AnnotatedMatrix)
+                       for matrix in default.matrices.values())
+        for nonterminal, matrix in default.matrices.items():
+            assert (sorted(huge.matrices[nonterminal].nonzero_cells())
+                    == sorted(matrix.nonzero_cells()))
+
+    def test_strategy_does_not_apply(self):
+        """⊕ is not idempotent, so no worklist strategy may close the
+        counts: whatever ``strategy`` says, the Kleene loop runs."""
+        graph, grammar = make_case(5)
+        default = solve_annotated(graph, grammar, COUNTING_SEMIRING)
+        blocked = solve_annotated(graph, grammar, COUNTING_SEMIRING,
+                                  strategy="blocked", tile_size=2)
+        assert blocked.iterations == default.iterations
+        assert blocked.multiplications == default.multiplications
+        for nonterminal, matrix in default.matrices.items():
+            assert (list(blocked.matrices[nonterminal].nonzero_cells())
+                    == list(matrix.nonzero_cells()))
 
 
 class TestPathCountDP:

@@ -28,15 +28,11 @@ class WitnessSemiring(Semiring):
     ``("edge", label)``, the empty path ``("empty",)`` and every binary
     split ``("split", left, right, midpoint)`` that derives the cell.
     ⊕ and ``merge`` are set union (monotone and finite, so every
-    strategy terminates at the complete index).
-
-    ⊗ emits the firing rule's provenance and never reads the operand
-    sets, so growing a cell's witness set cannot change any downstream
-    product; ``refinement_feeds_products`` is False accordingly.
+    strategy terminates at the complete index).  ⊗ emits the firing
+    rule's provenance and never reads the operand sets.
     """
 
     name = "witness"
-    refinement_feeds_products = False
 
     def identity(self, label: str | None = None) -> frozenset:
         if label is None:
