@@ -44,9 +44,6 @@ from repro.graph.generators import repeat_graph
 
 COPIES = (1, 2, 4, 8)
 
-#: The worklist baseline is the slowest; larger workloads skip it.
-HELLINGS_MAX_COPIES = 4
-
 
 @pytest.mark.parametrize("copies", COPIES)
 def test_scaling_sparse(benchmark, query1_cnf, copies):
@@ -70,9 +67,8 @@ def test_scaling_gll(benchmark, query1_grammar, copies):
     assert relations.count("S") > 0
 
 
-@pytest.mark.parametrize("copies", (1, 2, 4))
+@pytest.mark.parametrize("copies", COPIES)
 def test_scaling_hellings(benchmark, query1_cnf, copies):
-    """The worklist baseline; capped at 4 copies (it is the slowest)."""
     graph = _repeated(copies)
     relations = benchmark.pedantic(
         solve_hellings, args=(graph, query1_cnf, False),
@@ -113,8 +109,6 @@ def run_scaling_suite(copies: tuple[int, ...] = (1, 2, 4),
         cells: dict = {}
         counts: set[int] = set()
         for solver in solvers:
-            if solver == "hellings" and k > HELLINGS_MAX_COPIES:
-                continue
             measurement = measure(solver, graph, grammar, start="S",
                                   repeats=repeats)
             counts.add(measurement.results)

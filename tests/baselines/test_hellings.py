@@ -89,24 +89,81 @@ def _random_graph(rng, grammar, nodes: int, edges: int,
     return LabeledGraph.from_edges(triples, nodes=names)
 
 
+def _assert_matches_naive(graph, grammar, normalize: bool = True) -> None:
+    from repro.core.naive_closure import solve_naive
+
+    expected = solve_naive(graph, grammar, normalize).relations
+    actual = solve_hellings(graph, grammar, normalize)
+    assert actual.nonterminals == expected.nonterminals
+    assert actual.same_as(expected)
+
+
 @pytest.mark.parametrize("name", ["query1", "query2", "dyck1", "nullable"])
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(20))
 def test_matches_naive_algorithm_1(name, seed):
     """Every ``R_A`` — helper non-terminals of the CNF included — equals
     the set-matrix closure run literally, on random graphs with
     isolated nodes mixed in."""
     import random
 
-    from repro.core.naive_closure import solve_naive
-
     grammar = _grammars()[name]
     rng = random.Random(1000 * seed + len(name))
     graph = _random_graph(rng, grammar, nodes=rng.randrange(1, 9),
                           edges=rng.randrange(0, 20), isolated=seed % 3)
-    expected = solve_naive(graph, grammar).relations
-    actual = solve_hellings(graph, grammar)
-    assert actual.nonterminals == expected.nonterminals
-    assert actual.same_as(expected)
+    _assert_matches_naive(graph, grammar)
+
+
+# ----------------------------------------------------------------------
+# Row groups: the cases where a pop joins a whole pending set
+# ----------------------------------------------------------------------
+
+#: Rules whose operand is their own head, on either side: popping a row
+#: of S extends cols[S] while the right join walks cols[S][i].
+HEAD_OPERAND = "S -> S S | S A | A S | a\nA -> b"
+#: Two rules with the same head and left operand: one pop of (A, i)
+#: hands row (S, i) two fresh sets, which must merge before it is popped.
+SHARED_LEFT = "S -> A B | A C | S S\nA -> a\nB -> b\nC -> c | S C"
+
+#: Cycles sharing node 0, a self-loop on each label at one node, and a
+#: two-node graph whose every node carries a self-loop.
+LOOPY_GRAPHS = {
+    "two_cycles_2_3": two_cycles(2, 3),
+    "two_cycles_1_1": two_cycles(1, 1),
+    "self_loops": LabeledGraph.from_edges(
+        [(0, "a", 0), (0, "b", 1), (1, "b", 1), (1, "a", 0), (1, "c", 1)]),
+}
+
+
+@pytest.mark.parametrize("graph_name", sorted(LOOPY_GRAPHS))
+@pytest.mark.parametrize("rules", [HEAD_OPERAND, SHARED_LEFT],
+                         ids=["head_operand", "shared_left"])
+def test_row_groups_on_cycles_and_self_loops(rules, graph_name):
+    grammar = parse_grammar(rules, terminals=["a", "b", "c"])
+    _assert_matches_naive(LOOPY_GRAPHS[graph_name], grammar)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("rules", [HEAD_OPERAND, SHARED_LEFT],
+                         ids=["head_operand", "shared_left"])
+def test_row_groups_on_random_graphs(rules, seed):
+    import random
+
+    grammar = parse_grammar(rules, terminals=["a", "b", "c"])
+    rng = random.Random(seed)
+    graph = _random_graph(rng, grammar, nodes=rng.randrange(1, 7),
+                          edges=rng.randrange(0, 16))
+    _assert_matches_naive(graph, grammar)
+
+
+@pytest.mark.parametrize("graph_name", sorted(LOOPY_GRAPHS))
+def test_prenormalized_grammar_keeps_its_nullable_diagonal(graph_name):
+    """``normalize=False`` on a CNF grammar that carries the empty-path
+    diagonal: the diagonal seeds rows and pending sets like any fact."""
+    from repro.grammar.cnf import ensure_cnf
+
+    grammar = ensure_cnf(_grammars()["nullable"])
+    assert grammar.nullable_diagonal
+    _assert_matches_naive(LOOPY_GRAPHS[graph_name], grammar, normalize=False)
 
 
 @pytest.mark.parametrize("name", ["query1", "query2", "dyck1", "nullable"])
