@@ -8,20 +8,28 @@ so the two must produce identical relations — the cross-implementation
 property tests rely on that.
 
 The unit of work is a row group, not a single fact.  A derived fact is
-recorded in ``rows[A][i]`` / ``cols[A][j]`` at once and enters exactly
-one pending set ``pending[A][i]`` (the ``j`` recorded but not yet
-joined); the queue holds ``(A, i)`` keys, enqueued only when their
-pending set is created, so what a row gains before it is popped merges
-into one set ``J``.  A pop joins all of ``J`` as the left operand of
-``H → A C`` and as the right operand of ``H → B A``, and what the head
-already holds drops out in one set difference.  Two facts that combine
-always meet: when the later of the two is popped, the earlier one is
-already in the maps.
+recorded in ``rows[A][i]`` at once and enters exactly one pending set
+``pending[A][i]`` (the ``j`` recorded but not yet joined); the queue
+holds ``(A, i)`` keys, enqueued only when their pending set is created,
+so what a row gains before it is popped merges into one set ``J``.  A
+pop joins all of ``J`` as the left operand of ``H → A C`` and as the
+right operand of ``H → B A``, and what the head already holds drops out
+in one set difference.  Two facts that combine always meet: when the
+later of the two is popped, the earlier one is already in the maps.
+
+Joins run only from an operand that can still grow.  A non-terminal
+that heads no pair rule is *static*: every fact of it is a base fact,
+recorded before the first pop.  For ``H → B C`` with a static ``C``,
+every pop of ``B`` already meets all of ``C``, so ``C``'s rows join
+nothing as a right operand and ``cols`` — which only that join reads —
+is kept just for the left operands of rules whose right operand is
+derived.
 
 Complexity is unchanged, O(|N|²·|V|³) worst case: grouping batches the
-same joins, it skips none.  It stays an independent oracle for the
-matrix engine — a fact-driven fixpoint on plain Python sets, sharing no
-code with the matrix backends.
+same joins, and the joins skipped are exactly the ones that cannot
+find a new pair.  It stays an independent oracle for the matrix engine
+— a fact-driven fixpoint on plain Python sets, sharing no code with the
+matrix backends.
 """
 
 from __future__ import annotations
@@ -42,26 +50,39 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
     """Compute every ``R_A`` with the worklist algorithm."""
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the Hellings baseline")
+    pair_rules = [(rule.head, *rule.body)
+                  for rule in working_grammar.binary_rules]
+    derived = {head for head, _left, _right in pair_rules}
 
-    # rows[A][i] = {j} and cols[A][j] = {i} for every fact (A, i, j):
-    # symbols are interned, so a non-terminal addresses its two maps at
-    # the price of a pointer and no (A, node) key is built per lookup.
+    # rows[A][i] = {j} for every fact (A, i, j), and cols[A][j] = {i}
+    # for the left operands of rules whose right operand is derived:
+    # symbols are interned, so a non-terminal addresses its maps at the
+    # price of a pointer and no (A, node) key is built per lookup.
     nonterminals = working_grammar.nonterminals
     rows: dict[Nonterminal, dict[int, set[int]]] = {
         nonterminal: defaultdict(set) for nonterminal in nonterminals}
     cols: dict[Nonterminal, dict[int, set[int]]] = {
-        nonterminal: defaultdict(set) for nonterminal in nonterminals}
+        left: defaultdict(set) for _head, left, right in pair_rules
+        if right in derived}
 
     # Base facts from terminal rules (Algorithm 1's initialization),
     # plus the empty-path diagonal for originally-nullable symbols.
     for nonterminal in working_grammar.nullable_diagonal:
         for i in range(graph.node_count):
             rows[nonterminal][i].add(i)
-            cols[nonterminal][i].add(i)
-    for i, label, j in graph.edges_by_id():
-        for head in working_grammar.heads_for_label(label):
-            rows[head][i].add(j)
-            cols[head][j].add(i)
+            if nonterminal in cols:
+                cols[nonterminal][i].add(i)
+    for label in sorted(graph.labels):
+        heads = working_grammar.heads_for_label(label)
+        pairs = graph.edge_pairs(label) if heads else ()
+        for head in heads:
+            head_rows = rows[head]
+            for i, j in pairs:
+                head_rows[i].add(j)
+            if head in cols:
+                head_cols = cols[head]
+                for i, j in pairs:
+                    head_cols[j].add(i)
     # Pending sets are copies: one holds only what is still to join and
     # must not grow with the row set it was seeded from.
     pending: dict[Nonterminal, dict[int, set[int]]] = {
@@ -72,16 +93,16 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
         for i in row_pending)
 
     # Pair rules indexed both ways, each bound once to the maps it
-    # reads (the other operand's) and writes (the head's).
+    # reads (the other operand's) and writes (the head's; None for a
+    # head whose columns no join reads).
     as_left: dict[Nonterminal, list[tuple]] = {a: [] for a in nonterminals}
     as_right: dict[Nonterminal, list[tuple]] = {a: [] for a in nonterminals}
-    for rule in working_grammar.binary_rules:
-        head = rule.head
-        left, right = rule.body  # type: ignore[misc]
-        as_left[left].append((head, rows[head], cols[head], pending[head],
-                              rows[right]))  # type: ignore[index]
-        as_right[right].append((head, rows[head], cols[head], pending[head],
-                                cols[left]))  # type: ignore[index]
+    for head, left, right in pair_rules:
+        as_left[left].append((head, rows[head], cols.get(head),
+                              pending[head], rows[right]))
+        if right in derived:
+            as_right[right].append((head, rows[head], cols.get(head),
+                                    pending[head], cols[left]))
 
     while queue:
         nonterminal, i = queue.popleft()
@@ -97,8 +118,9 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
             fresh -= known
             if fresh:
                 known |= fresh
-                for k in fresh:
-                    head_cols[k].add(i)
+                if head_cols is not None:
+                    for k in fresh:
+                        head_cols[k].add(i)
                 waiting = head_pending.get(i)
                 if waiting is None:
                     head_pending[i] = fresh
@@ -118,8 +140,9 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
                 fresh = joined - known
                 if fresh:
                     known |= fresh
-                    for j in fresh:
-                        head_cols[j].add(k)
+                    if head_cols is not None:
+                        for j in fresh:
+                            head_cols[j].add(k)
                     waiting = head_pending.get(k)
                     if waiting is None:
                         head_pending[k] = fresh

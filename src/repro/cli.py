@@ -43,7 +43,7 @@ from .core.tilestore import parse_memory_budget
 from .errors import ReproError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
-from .graph.io import load_graph_file
+from .graph.io import load_graph_file, node_from_token
 from .graph.rdf import load_rdf_graph
 from .matrices.base import available_backends, default_backend
 
@@ -278,12 +278,9 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
 
 
 def _coerce_node(graph, token: str):
-    """Interpret a CLI node token as an int node when the graph knows it
-    as one, falling back to the raw string."""
-    try:
-        candidate = int(token)
-    except ValueError:
-        candidate = token
+    """Interpret a CLI node token as an int node when it is a canonical
+    integer the graph knows as one, falling back to the raw string."""
+    candidate = node_from_token(token)
     return candidate if graph.has_node(candidate) else token
 
 

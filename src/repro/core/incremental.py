@@ -688,8 +688,7 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         lengths = self._lengths
         return {
             nt: backend.from_cells(
-                (n, n), {pair: lengths[(nt, *pair)] for pair in pairs},
-                symbol=nt)
+                (n, n), {pair: lengths[(nt, *pair)] for pair in pairs})
             for nt, pairs in self._facts.items()
         }
 
@@ -701,7 +700,7 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
             row = cells.setdefault(fact[0], {})
             length = self._derivation_length(fact, support)
             row[fact[1:]] = min(length, row.get(fact[1:], length))
-        return {nt: backend.from_cells((n, n), row, symbol=nt)
+        return {nt: backend.from_cells((n, n), row)
                 for nt, row in cells.items()}
 
     def _absorb(self, matrices: dict) -> int:

@@ -15,12 +15,13 @@ instead:
 ``multiply`` is one gather over the right operand's row pointers, ⊗ on
 the gathered values and a sort + ``⊕.reduceat`` over each run of equal
 output addresses; ``union_update`` is a ``searchsorted`` merge whose
-delta holds the new *and the strictly improved* cells (under a
-counting ⊕: the cells the addition moved), so refinements re-enter the
-semi-naive frontier exactly as the dict layout's ``Semiring.merge``
-makes them.  Candidates, products and the ⊕ fold are
-the same IEEE/integer operations the scalar semiring methods perform,
-so every strategy reaches the bit-identical fixpoint on either layout.
+delta holds the new cells and the cells ⊕ moved (min/max: the
+strictly improved ones; counting: the ones the addition raised), so
+refinements re-enter the semi-naive frontier exactly as the dict
+layout's ``union_update`` makes them.  Candidates, products and the ⊕
+fold are the same IEEE/integer operations the scalar semiring methods
+perform, so every strategy reaches the bit-identical fixpoint on either
+layout.
 
 The arrays are **never written after they are bound**: every kernel
 rebinds fresh arrays, so clones, tiles, payloads and deltas may share
@@ -37,7 +38,7 @@ falls back to the dict layout when the import fails.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -58,17 +59,15 @@ def _resolve_ops(array_ops: tuple):
 class ScalarAnnotatedMatrix(BooleanMatrix):
     """Sorted flat keys plus a parallel value array; the full mutable
     kernel API of :class:`repro.matrices.base.BooleanMatrix` with the
-    semiring's ⊗/⊕ ufuncs in place of ∧/∨.  ``symbol`` tags the matrix
-    with the non-terminal it represents."""
+    semiring's ⊗/⊕ ufuncs in place of ∧/∨."""
 
-    __slots__ = ("semiring", "_shape", "_keys", "_values", "symbol")
+    __slots__ = ("semiring", "_shape", "_keys", "_values")
 
     backend_name = "annotated"
     supports_inplace = True
 
     def __init__(self, semiring, shape: tuple[int, int],
-                 cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = (),
-                 symbol: Hashable = None):
+                 cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = ()):
         if isinstance(cells, Mapping):
             count = len(cells)
             flat = np.fromiter((x for pair in cells for x in pair),
@@ -77,7 +76,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
             values = np.fromiter(cells.values(), self._dtype(semiring), count)
         else:
             rows, cols, values = tuple(zip(*cells)) or ((), (), ())
-        self._bind(semiring, shape, symbol, *self._canonical(
+        self._bind(semiring, shape, *self._canonical(
             shape, np.asarray(rows, dtype=_INDEX),
             np.asarray(cols, dtype=_INDEX),
             np.asarray(values, dtype=self._dtype(semiring))))
@@ -86,20 +85,19 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
     def _dtype(semiring):
         return _resolve_ops(semiring.array_ops)[0]
 
-    def _bind(self, semiring, shape, symbol, keys, values) -> None:
+    def _bind(self, semiring, shape, keys, values) -> None:
         self.semiring = semiring
         self._shape = shape
-        self.symbol = symbol
         self._keys = keys
         self._values = values
 
     @classmethod
     def from_arrays(cls, semiring, shape: tuple[int, int], keys, values,
-                    symbol: Hashable = None) -> "ScalarAnnotatedMatrix":
+                    ) -> "ScalarAnnotatedMatrix":
         """Adopt already-canonical arrays (sorted unique in-range keys,
         values of the semiring's dtype) without copying."""
         matrix = cls.__new__(cls)
-        matrix._bind(semiring, shape, symbol, keys, values)
+        matrix._bind(semiring, shape, keys, values)
         return matrix
 
     @staticmethod
@@ -117,15 +115,14 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
             keys, values = keys[last], values[last]
         return keys, values
 
-    def _like(self, keys, values, shape=None, symbol=None,
-              ) -> "ScalarAnnotatedMatrix":
+    def _like(self, keys, values, shape=None) -> "ScalarAnnotatedMatrix":
         return self.from_arrays(self.semiring,
                                 self._shape if shape is None else shape,
-                                keys, values, symbol=symbol)
+                                keys, values)
 
-    def _empty(self, shape=None, symbol=None) -> "ScalarAnnotatedMatrix":
+    def _empty(self, shape=None) -> "ScalarAnnotatedMatrix":
         return self._like(np.empty(0, _INDEX),
-                          np.empty(0, self._values.dtype), shape, symbol)
+                          np.empty(0, self._values.dtype), shape)
 
     # -- shape / element access -------------------------------------------
     @property
@@ -208,7 +205,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
 
     def copy(self) -> "ScalarAnnotatedMatrix":
         """An independent matrix over the same (never written) arrays."""
-        return self._like(self._keys, self._values, symbol=self.symbol)
+        return self._like(self._keys, self._values)
 
     def union(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
         merged = self.copy()
@@ -220,25 +217,23 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         keys = cols * self._shape[0] + rows
         order = np.argsort(keys)
         return self._like(keys[order], self._values[order],
-                          (self._shape[1], self._shape[0]), self.symbol)
+                          (self._shape[1], self._shape[0]))
 
     # -- mutable kernels --------------------------------------------------
     def difference(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
         self._require_same_shape(other)
         other_keys, _values = _arrays_of(other, self.semiring)
         keep = ~np.isin(self._keys, other_keys, assume_unique=True)
-        return self._like(self._keys[keep], self._values[keep],
-                          symbol=self.symbol)
+        return self._like(self._keys[keep], self._values[keep])
 
     def union_update(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
         """In-place ⊕-merge; the returned delta holds every new cell
-        and every cell whose annotation ⊕ strictly improved, with the
-        merged value."""
+        and every cell ⊕ moved, with the merged value."""
         self._require_same_shape(other)
         _dtype, _times, plus, cap = _resolve_ops(self.semiring.array_ops)
         keys, values = _arrays_of(other, self.semiring)
         if not len(keys):
-            return self._empty(symbol=self.symbol)
+            return self._empty()
         positions = np.searchsorted(self._keys, keys)
         present = positions < len(self._keys)
         present[present] = self._keys[positions[present]] == keys[present]
@@ -265,14 +260,14 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
             self._keys = np.insert(self._keys, positions[fresh], keys[fresh])
             self._values = np.insert(self._values, positions[fresh],
                                      values[fresh])
-        return self._like(keys, values, symbol=self.symbol)
+        return self._like(keys, values)
 
     # -- tiling and payloads ----------------------------------------------
     def payload(self) -> tuple:
-        """The tile as a plain tuple around its two arrays (six fields;
-        the dict layout's payload has seven)."""
-        return ("annotated", self.semiring.name, self._shape, self.symbol,
-                self._keys, self._values)
+        """The tile as a plain tuple around its two arrays (five
+        fields; the dict layout's payload has four)."""
+        return ("annotated", self.semiring.name, self._shape, self._keys,
+                self._values)
 
     def split_tiles(self, tile_size: int,
                     ) -> dict[tuple[int, int], "ScalarAnnotatedMatrix"]:
@@ -296,7 +291,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
                 # bytes without waiting for its siblings.
                 tiles[(bi, bj)] = self._like(local[start:stop].copy(),
                                              values[start:stop].copy(),
-                                             shape, self.symbol)
+                                             shape)
         return tiles
 
     @classmethod
@@ -305,10 +300,7 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         """Inverse of :meth:`split_tiles` over a one-shot iterable of
         ``((bi, bj), tile)`` (drops the padding)."""
         key_parts, value_parts = [], []
-        symbol = None
         for (bi, bj), tile in items:
-            if symbol is None:
-                symbol = getattr(tile, "symbol", None)
             tile_keys, tile_values = _arrays_of(tile, semiring)
             rows, cols = np.divmod(tile_keys, tile.shape[1])
             rows += bi * tile_size
@@ -317,12 +309,11 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
             key_parts.append((rows * size + cols)[inside])
             value_parts.append(tile_values[inside])
         if not key_parts:
-            return cls(semiring, (size, size), symbol=symbol)
+            return cls(semiring, (size, size))
         keys = np.concatenate(key_parts)
         order = np.argsort(keys)
         return cls.from_arrays(semiring, (size, size), keys[order],
-                               np.concatenate(value_parts)[order],
-                               symbol=symbol)
+                               np.concatenate(value_parts)[order])
 
 
 def _arrays_of(matrix: BooleanMatrix, semiring) -> tuple:

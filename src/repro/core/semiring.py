@@ -14,24 +14,21 @@ annotation at all: its forest is a view of the boolean fixpoint,
 :mod:`repro.core.path_index`.)  This module supplies:
 
 * :class:`Semiring` — the annotation algebra: ``identity`` (the seed a
-  terminal edge contributes), ``multiply`` (⊗ — combine a left and a
-  right sub-derivation across a midpoint), ``add`` (⊕ — fold competing
-  candidates for one cell inside a product) and ``merge`` — the
-  cell-level rule applied when a product lands on an occupied cell.
-  The default ``merge`` is **absorb-on-first-write**: the recorded
-  annotation is kept untouched, matching the paper's Section 5 rule
-  that "the non-terminal A is not added ... with an associated path
-  length l2 for all l2 ≠ l1".
+  terminal edge contributes), ``empty_path`` (the seed of a nullable
+  diagonal cell), ``multiply`` (⊗ — combine a left and a right
+  sub-derivation) and ``add`` (⊕ — fold competing candidates for one
+  cell).  A product landing on an occupied cell is folded by ⊕ too;
+  the cell re-enters the frontier iff the fold moved it.
 * :class:`BooleanSemiring` — relational semantics (presence only).
-* :class:`LengthSemiring` — single-path semantics.  Strengthens the
-  never-update rule to its canonical, confluent form: a strictly
-  *shorter* candidate replaces the recorded length and re-enters the
-  frontier.  Every strategy (naive / delta / blocked) then converges to
-  the identical least fixpoint — the minimal witness length per cell —
-  instead of an iteration-order-dependent one, which is what makes the
-  cross-strategy differential tests byte-for-byte exact.  Recorded
-  lengths remain exactly what Theorem 5 needs: each admits a concrete
-  path recoverable by the midpoint search of
+* :class:`LengthSemiring` — single-path semantics.  ⊕ = min is the
+  canonical, confluent form of the paper's never-update rule: a
+  strictly *shorter* candidate replaces the recorded length and
+  re-enters the frontier.  Every strategy (naive / delta / blocked)
+  then converges to the identical least fixpoint — the minimal witness
+  length per cell — instead of an iteration-order-dependent one, which
+  is what makes the cross-strategy differential tests byte-for-byte
+  exact.  Recorded lengths remain exactly what Theorem 5 needs: each
+  admits a concrete path recoverable by the midpoint search of
   :func:`repro.core.single_path.extract_path`.
 * :class:`CountingSemiring` / :class:`ViterbiSemiring` — weighted
   relational semantics: saturating derivation counts and max-product
@@ -44,28 +41,28 @@ annotation at all: its forest is a view of the boolean fixpoint,
   idempotent.  Every semiring here annotates a cell with one machine
   scalar and declares it (``array_ops``), so its cells live in the
   array layout of :mod:`repro.core.scalar_matrix` when NumPy imports;
-  the dict-of-cells :class:`AnnotatedMatrix` serves NumPy-less hosts,
-  third-party subclasses, counting caps too large for int64 and the
-  set-valued reference semirings under ``tests/oracles/``, and is the
-  differential oracle of the array layout.
+  the dict-of-cells :class:`AnnotatedMatrix` is the NumPy-less layout
+  (and the one for semirings without ``array_ops`` and counting caps
+  too large for int64), and the differential oracle of the array
+  layout.
 * :func:`kleene_closure` — the one loop for a semiring whose ⊕ is *not*
   idempotent (:attr:`Semiring.idempotent_add`; counting's saturating
   +), written against the same ``multiply`` / ``union_update`` kernels
   of either layout.
 
-Termination: ``merge`` must be monotone w.r.t. a well-founded order
-(absorb: no change ever; length: non-negative integers decrease;
-Viterbi: probabilities ascend through a finite set), so every
-strategy's worklist drains; the Kleene loop climbs a finite lattice
-(counts saturate at the cap).  A pump cycle still costs it O(cap)
-rounds — each as cheap as the handful of cells still moving.
+Termination: ⊕ must move a cell monotonically w.r.t. a well-founded
+order (boolean: never; length: non-negative integers decrease; Viterbi:
+probabilities ascend through a finite set), so every strategy's
+worklist drains; the Kleene loop climbs a finite lattice (counts
+saturate at the cap).  A pump cycle still costs it O(cap) rounds — each
+as cheap as the handful of cells still moving.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..matrices.base import BooleanMatrix, MatrixBackend, Pair
 
@@ -73,10 +70,8 @@ from ..matrices.base import BooleanMatrix, MatrixBackend, Pair
 class Semiring(abc.ABC):
     """The annotation algebra threaded through the closure kernels.
 
-    ``add``/``multiply``/``identity`` are the semiring operations; the
-    extra ``merge`` hook is the paper's cell-update rule.  Annotation
-    values must be immutable (they are shared between matrices, deltas
-    and tiles).
+    Annotation values must be immutable (they are shared between
+    matrices, deltas and tiles).
     """
 
     #: Registry-style display name (``boolean`` / ``length`` / ...).
@@ -88,16 +83,13 @@ class Semiring(abc.ABC):
     #: idempotent ⊕ forgives, so :func:`solve_annotated` closes such a
     #: semiring with :func:`kleene_closure` instead, which counts every
     #: derivation once.  ⊕ and ⊗ must then be monotone over a finite
-    #: value set (saturation) and ``merge`` must be ⊕ itself, reporting
-    #: whether the cell moved.
+    #: value set (saturation).
     idempotent_add: bool = True
 
     #: ``(dtype, ⊗ ufunc, ⊕ ufunc)`` by NumPy name when annotations are
-    #: machine scalars and ``multiply``/``add``/``merge`` are exactly
-    #: those ufuncs (``merge`` keeps ``⊕(existing, incoming)`` and
-    #: reports a change iff it differs from ``existing``); a saturating
-    #: semiring appends its cap as a fourth element and every ⊗/⊕
-    #: result is clipped to it.  Declaring it lets
+    #: machine scalars and ``multiply``/``add`` are exactly those
+    #: ufuncs; a saturating semiring appends its cap as a fourth element
+    #: and every ⊗/⊕ result is clipped to it.  Declaring it lets
     #: :class:`AnnotatedBackend` store the cells in arrays
     #: (:mod:`repro.core.scalar_matrix`); a subclass that changes the
     #: algebra must reset it to None.
@@ -117,33 +109,15 @@ class Semiring(abc.ABC):
         return self.identity()
 
     @abc.abstractmethod
-    def multiply(self, left, right, midpoint: int,
-                 left_symbol: Hashable, right_symbol: Hashable):
-        """⊗: combine a left and a right annotation across *midpoint*.
-
-        *left_symbol* / *right_symbol* are the body non-terminals of the
-        rule being fired (the tags of the operand matrices) — provenance
-        no semiring in ``src/`` reads; the witness and counting-set
-        oracles under ``tests/oracles/`` record it.
-        """
+    def multiply(self, left, right):
+        """⊗: combine a left and a right sub-derivation's annotations."""
 
     @abc.abstractmethod
     def add(self, left, right):
-        """⊕: fold two candidate annotations for the same output cell of
-        one product.  Must be associative and commutative so the fold
-        order inside a product cannot leak into the result; whether it
-        is also idempotent is declared by :attr:`idempotent_add`."""
-
-    def merge(self, existing, incoming) -> tuple[object, bool]:
-        """Cell-level merge when a product lands on an occupied cell;
-        returns ``(value, changed)``.
-
-        Default: **absorb-on-first-write** — keep the recorded
-        annotation untouched (the paper's never-update rule).  Override
-        only with a monotone refinement (see :class:`LengthSemiring`);
-        a ``changed`` result re-enters the semi-naive frontier.
-        """
-        return existing, False
+        """⊕: fold two candidate annotations for the same cell.  Must be
+        associative and commutative so the fold order cannot leak into
+        the result; whether it is also idempotent is declared by
+        :attr:`idempotent_add`."""
 
 
 class BooleanSemiring(Semiring):
@@ -154,7 +128,7 @@ class BooleanSemiring(Semiring):
     def identity(self, label: str | None = None) -> bool:
         return True
 
-    def multiply(self, left, right, midpoint, left_symbol, right_symbol) -> bool:
+    def multiply(self, left, right) -> bool:
         return True
 
     def add(self, left, right) -> bool:
@@ -164,15 +138,15 @@ class BooleanSemiring(Semiring):
 class LengthSemiring(Semiring):
     """Single-path semantics: the annotation is a witness-path length.
 
-    ⊗ adds lengths (concatenating the sub-paths), ⊕ keeps the minimum.
-    ``merge`` keeps the minimum too: a strictly shorter candidate
-    replaces the recorded length and is re-propagated, so the fixpoint
-    is the canonical minimal witness length — identical for every
-    closure strategy and backend.  (The paper's plain first-write rule
-    also terminates but records whichever length the iteration order
-    happened to find first; the min refinement is the confluent closure
-    of that rule and still satisfies Theorem 5: every recorded length
-    admits a concrete path, recovered by the same midpoint search.)
+    ⊗ adds lengths (concatenating the sub-paths), ⊕ keeps the minimum:
+    a strictly shorter candidate replaces the recorded length and is
+    re-propagated, so the fixpoint is the canonical minimal witness
+    length — identical for every closure strategy and backend.  (The
+    paper's plain first-write rule also terminates but records whichever
+    length the iteration order happened to find first; the min
+    refinement is the confluent closure of that rule and still satisfies
+    Theorem 5: every recorded length admits a concrete path, recovered
+    by the same midpoint search.)
     """
 
     name = "length"
@@ -181,8 +155,7 @@ class LengthSemiring(Semiring):
     def identity(self, label: str | None = None) -> int:
         return 1
 
-    def multiply(self, left: int, right: int, midpoint, left_symbol,
-                 right_symbol) -> int:
+    def multiply(self, left: int, right: int) -> int:
         return left + right
 
     def add(self, left: int, right: int) -> int:
@@ -190,11 +163,6 @@ class LengthSemiring(Semiring):
 
     def empty_path(self) -> int:
         return 0
-
-    def merge(self, existing: int, incoming: int) -> tuple[int, bool]:
-        if incoming < existing:
-            return incoming, True
-        return existing, False
 
 
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
@@ -262,15 +230,8 @@ class CountingSemiring(Semiring):
     def identity(self, label: str | None = None) -> int:
         return 1
 
-    def multiply(self, left: int, right: int, midpoint, left_symbol,
-                 right_symbol) -> int:
-        return self.saturating_multiply(left, right)
-
+    multiply = saturating_multiply
     add = saturating_add
-
-    def merge(self, existing: int, incoming: int) -> tuple[int, bool]:
-        merged = self.saturating_add(existing, incoming)
-        return merged, merged != existing
 
 
 class ViterbiSemiring(Semiring):
@@ -278,11 +239,11 @@ class ViterbiSemiring(Semiring):
 
     Terminal edges carry per-label weights in ``(0, 1]`` (the
     ``weights`` mapping, ``default_weight`` for unlisted labels); ⊗
-    multiplies sub-derivation probabilities and ⊕/``merge`` keep the
-    maximum, reusing the length semiring's refinement re-entry: a
-    strictly more probable candidate replaces the recorded value and
-    re-enters the frontier, so the fixpoint is the best derivation
-    probability per cell — identical across strategies and backends
+    multiplies sub-derivation probabilities and ⊕ keeps the maximum,
+    reusing the length semiring's refinement re-entry: a strictly more
+    probable candidate replaces the recorded value and re-enters the
+    frontier, so the fixpoint is the best derivation probability per
+    cell — identical across strategies and backends
     (each derivation's value is fixed by its own tree shape, and max
     picks from the same candidate set everywhere).
 
@@ -321,18 +282,11 @@ class ViterbiSemiring(Semiring):
     def empty_path(self) -> float:
         return 1.0
 
-    def multiply(self, left: float, right: float, midpoint, left_symbol,
-                 right_symbol) -> float:
+    def multiply(self, left: float, right: float) -> float:
         return left * right
 
     def add(self, left: float, right: float) -> float:
         return left if left >= right else right
-
-    def merge(self, existing: float,
-              incoming: float) -> tuple[float, bool]:
-        if incoming > existing:
-            return incoming, True
-        return existing, False
 
 
 #: Shared singleton instances (the semirings are stateless).
@@ -378,30 +332,19 @@ class AnnotatedMatrix(BooleanMatrix):
     Implements the full mutable kernel API of
     :class:`repro.matrices.base.BooleanMatrix`, so the closure engine
     cannot tell it apart from a plain boolean backend; ``multiply`` runs
-    the semiring ⊗/⊕ instead of ∧/∨ and ``union_update`` applies the
-    semiring ``merge`` per cell.
-
-    ``symbol`` tags the matrix with the non-terminal it represents (the
-    provenance ⊗ receives); ``row_offset``/``col_offset`` locate a tile
-    inside the full matrix so tiled products still report *global*
-    midpoints to the semiring.
+    the semiring ⊗/⊕ instead of ∧/∨ and ``union_update`` folds each
+    incoming cell into the held one with ⊕.
     """
 
-    __slots__ = ("semiring", "_shape", "_cells", "_rows_index", "symbol",
-                 "row_offset", "col_offset")
+    __slots__ = ("semiring", "_shape", "_cells", "_rows_index")
 
     backend_name = "annotated"
     supports_inplace = True
 
     def __init__(self, semiring: Semiring, shape: tuple[int, int],
-                 cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = (),
-                 symbol: Hashable = None,
-                 row_offset: int = 0, col_offset: int = 0):
+                 cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = ()):
         self.semiring = semiring
         self._shape = shape
-        self.symbol = symbol
-        self.row_offset = row_offset
-        self.col_offset = col_offset
         if isinstance(cells, Mapping):
             cell_map = dict(cells)
         else:
@@ -444,10 +387,7 @@ class AnnotatedMatrix(BooleanMatrix):
         return len(self._cells)
 
     def copy(self) -> "AnnotatedMatrix":
-        return AnnotatedMatrix(self.semiring, self._shape, self._cells,
-                               symbol=self.symbol,
-                               row_offset=self.row_offset,
-                               col_offset=self.col_offset)
+        return AnnotatedMatrix(self.semiring, self._shape, self._cells)
 
     # -- algebra ----------------------------------------------------------
     def multiply(self, other: BooleanMatrix) -> "AnnotatedMatrix":
@@ -461,20 +401,14 @@ class AnnotatedMatrix(BooleanMatrix):
                 if not row:
                     continue
                 left_value = self._cells[(i, k)]
-                midpoint = self.col_offset + k
                 for j in row:
-                    candidate = semiring.multiply(
-                        left_value, other_cells[(k, j)], midpoint,
-                        self.symbol, getattr(other, "symbol", None),
-                    )
+                    candidate = semiring.multiply(left_value,
+                                                  other_cells[(k, j)])
                     current = out.get((i, j))
                     out[(i, j)] = (candidate if current is None
                                    else semiring.add(current, candidate))
-        return AnnotatedMatrix(
-            semiring, (self._shape[0], other.shape[1]), out,
-            symbol=None, row_offset=self.row_offset,
-            col_offset=getattr(other, "col_offset", 0),
-        )
+        return AnnotatedMatrix(semiring, (self._shape[0], other.shape[1]),
+                               out)
 
     def union(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         merged = self.copy()
@@ -485,8 +419,6 @@ class AnnotatedMatrix(BooleanMatrix):
         return AnnotatedMatrix(
             self.semiring, (self._shape[1], self._shape[0]),
             {(j, i): value for (i, j), value in self._cells.items()},
-            symbol=self.symbol, row_offset=self.col_offset,
-            col_offset=self.row_offset,
         )
 
     # -- mutable kernels --------------------------------------------------
@@ -497,45 +429,39 @@ class AnnotatedMatrix(BooleanMatrix):
             self.semiring, self._shape,
             {pair: value for pair, value in self._cells.items()
              if pair not in other_pairs},
-            symbol=self.symbol, row_offset=self.row_offset,
-            col_offset=self.col_offset,
         )
 
     def union_update(self, other: BooleanMatrix) -> "AnnotatedMatrix":
-        """In-place ⊕-merge; the returned delta holds every new cell
-        and every cell whose annotation the semiring ``merge`` refined,
-        so refinements re-enter the semi-naive frontier."""
+        """In-place ⊕-merge; the returned delta holds every new cell and
+        every cell ⊕ moved (``⊕(held, incoming) != held``), with the
+        merged value, so refinements re-enter the semi-naive
+        frontier."""
         self._require_same_shape(other)
-        semiring = self.semiring
-        other_cells, _rows = _cells_of(other, semiring)
+        add = self.semiring.add
+        other_cells, _rows = _cells_of(other, self.semiring)
         delta: dict[Pair, object] = {}
         for pair, incoming in other_cells.items():
             existing = self._cells.get(pair)
             if existing is None:
-                self._cells[pair] = incoming
+                self._cells[pair] = delta[pair] = incoming
                 self._rows_index.setdefault(pair[0], set()).add(pair[1])
-                delta[pair] = incoming
             else:
-                merged, changed = semiring.merge(existing, incoming)
-                if changed:
+                merged = add(existing, incoming)
+                if merged != existing:
                     self._cells[pair] = delta[pair] = merged
-        return AnnotatedMatrix(semiring, self._shape, delta,
-                               symbol=self.symbol,
-                               row_offset=self.row_offset,
-                               col_offset=self.col_offset)
+        return AnnotatedMatrix(self.semiring, self._shape, delta)
 
     # -- tiling and payloads ----------------------------------------------
     def payload(self) -> tuple:
-        """The tile as a plain tuple: cells plus the provenance fields
-        (symbol, offsets) and the semiring name."""
-        return ("annotated", self.semiring.name, self._shape, self.symbol,
-                self.row_offset, self.col_offset, tuple(self._cells.items()))
+        """The tile as a plain tuple: the semiring name, the shape and
+        the cells (four fields; the array layout's payload has five)."""
+        return ("annotated", self.semiring.name, self._shape,
+                tuple(self._cells.items()))
 
     def split_tiles(self, tile_size: int,
                     ) -> dict[tuple[int, int], "AnnotatedMatrix"]:
         """Partition into ceil(n / tile_size)² padded tiles that keep
-        annotations and tags and record their offsets, so tiled products
-        report global midpoints."""
+        their annotations."""
         n = self._shape[0]
         grid = (n + tile_size - 1) // tile_size
         buckets: dict[tuple[int, int], dict[Pair, object]] = {
@@ -544,14 +470,9 @@ class AnnotatedMatrix(BooleanMatrix):
         for (i, j), value in self._cells.items():
             buckets[(i // tile_size, j // tile_size)][
                 (i % tile_size, j % tile_size)] = value
-        return {
-            (bi, bj): AnnotatedMatrix(
-                self.semiring, (tile_size, tile_size), cells,
-                symbol=self.symbol,
-                row_offset=bi * tile_size, col_offset=bj * tile_size,
-            )
-            for (bi, bj), cells in buckets.items()
-        }
+        shape = (tile_size, tile_size)
+        return {index: AnnotatedMatrix(self.semiring, shape, cells)
+                for index, cells in buckets.items()}
 
     @classmethod
     def assemble(cls, semiring: Semiring, items, size: int, tile_size: int,
@@ -559,16 +480,14 @@ class AnnotatedMatrix(BooleanMatrix):
         """Inverse of :meth:`split_tiles` over a one-shot iterable of
         ``((bi, bj), tile)`` (drops the padding)."""
         cells: dict[Pair, object] = {}
-        symbol = None
         for (bi, bj), tile in items:
-            symbol = symbol if symbol is not None else getattr(tile, "symbol", None)
             base_i, base_j = bi * tile_size, bj * tile_size
             tile_cells, _rows = _cells_of(tile, semiring)
             for (ti, tj), value in tile_cells.items():
                 i, j = base_i + ti, base_j + tj
                 if i < size and j < size:
                     cells[(i, j)] = value
-        return cls(semiring, (size, size), cells, symbol=symbol)
+        return cls(semiring, (size, size), cells)
 
 
 def _cells_of(matrix: BooleanMatrix, semiring: Semiring,
@@ -605,8 +524,8 @@ class AnnotatedBackend(MatrixBackend):
     """Factory adapting one :class:`Semiring` to the kernel API.
 
     ``run_closure`` treats this exactly like the boolean backends; the
-    tiling hooks preserve annotations and tags so the ``blocked``
-    strategy closes the same cells.
+    tiling hooks preserve annotations so the ``blocked`` strategy closes
+    the same cells.
 
     The cell layout follows from what the backend can observe: a
     semiring that declares ``array_ops`` runs on
@@ -639,32 +558,25 @@ class AnnotatedBackend(MatrixBackend):
 
     def from_cells(self, shape: tuple[int, int],
                    cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]",
-                   symbol: Hashable = None) -> BooleanMatrix:
+                   ) -> BooleanMatrix:
         """Build a matrix from explicit cells: an ``(i, j) ->
         annotation`` mapping or ``(i, j, annotation)`` triples."""
-        return self.matrix_type(self.semiring, shape, cells, symbol=symbol)
-
-    def _native(self, matrix: BooleanMatrix) -> BooleanMatrix:
-        """*matrix* in this backend's layout (other layouts and plain
-        boolean matrices are lifted into a fresh matrix)."""
-        if isinstance(matrix, self.matrix_type):
-            return matrix
-        return self.matrix_type(
-            self.semiring, matrix.shape,
-            _annotated_cells(matrix, self.semiring),
-            symbol=getattr(matrix, "symbol", None),
-        )
+        return self.matrix_type(self.semiring, shape, cells)
 
     def clone(self, matrix: BooleanMatrix) -> BooleanMatrix:
-        native = self._native(matrix)
-        return native.copy() if native is matrix else native
+        """A copy in this backend's layout (other layouts and plain
+        boolean matrices are lifted)."""
+        if isinstance(matrix, self.matrix_type):
+            return matrix.copy()
+        return self.from_cells(matrix.shape,
+                               _annotated_cells(matrix, self.semiring))
 
     # -- tiling hooks (the blocked strategy) ------------------------------
     def split_into_tiles(self, matrix: BooleanMatrix, tile_size: int,
                          ) -> dict[tuple[int, int], BooleanMatrix]:
         if tile_size < 1:
             raise ValueError("tile_size must be positive")
-        return self._native(matrix).split_tiles(tile_size)
+        return matrix.split_tiles(tile_size)
 
     def assemble_from_tile_iter(self, items, size: int, tile_size: int,
                                 ) -> BooleanMatrix:
@@ -674,10 +586,10 @@ class AnnotatedBackend(MatrixBackend):
     # -- tile payloads (process-pool scheduler) ---------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         """Annotated tiles travel as their cells (a cell tuple, or the
-        two arrays) plus the provenance fields and the semiring *name* —
-        the worker resolves the semiring from the registry instead of
-        unpickling backend objects."""
-        return self._native(matrix).payload()
+        two arrays) plus the semiring *name* — the worker resolves the
+        semiring from the registry instead of unpickling backend
+        objects."""
+        return matrix.payload()
 
     def tile_from_payload(self, payload: tuple) -> BooleanMatrix:
         return annotated_tile_from_payload(payload)
@@ -690,15 +602,12 @@ class AnnotatedBackend(MatrixBackend):
 
 def annotated_tile_from_payload(payload: tuple) -> BooleanMatrix:
     """Rebuild an annotated tile from its :meth:`AnnotatedBackend.tile_payload`
-    (six fields: array layout; seven: dict layout)."""
-    if len(payload) == 6:
-        _kind, semiring_name, shape, symbol, keys, values = payload
-        return ScalarAnnotatedMatrix.from_arrays(
-            get_semiring(semiring_name), shape, keys, values, symbol=symbol)
-    _kind, semiring_name, shape, symbol, row_offset, col_offset, cells = payload
-    return AnnotatedMatrix(get_semiring(semiring_name), shape, dict(cells),
-                           symbol=symbol, row_offset=row_offset,
-                           col_offset=col_offset)
+    (five fields: array layout; four: dict layout)."""
+    semiring = get_semiring(payload[1])
+    if len(payload) == 5:
+        return ScalarAnnotatedMatrix.from_arrays(semiring, *payload[2:])
+    _kind, _name, shape, cells = payload
+    return AnnotatedMatrix(semiring, shape, dict(cells))
 
 
 @dataclass
@@ -764,10 +673,8 @@ def initial_annotated_matrices(graph, grammar, semiring: Semiring,
             cells[(i, j)] = (seed if existing is None
                              else semiring.add(existing, seed))
     backend = AnnotatedBackend(semiring)
-    return {
-        nt: backend.from_cells((n, n), cells, symbol=nt)
-        for nt, cells in matrices.items()
-    }
+    return {nt: backend.from_cells((n, n), cells)
+            for nt, cells in matrices.items()}
 
 
 def kleene_closure(matrices: dict, pair_rules: list, backend):
@@ -804,7 +711,7 @@ def kleene_closure(matrices: dict, pair_rules: list, backend):
     pending = {symbol: matrix for symbol, matrix in matrices.items()
                if matrix.nnz()}
     for symbol, matrix in matrices.items():
-        matrices[symbol] = matrix.difference(matrix)  # empty, same tags
+        matrices[symbol] = backend.zeros(*matrix.shape)
     tracer = get_tracer()
     iterations = multiplications = 0
     growth: list[int] = []

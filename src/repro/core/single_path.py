@@ -14,7 +14,7 @@ not added ... with an associated path length l2 for all l2 ≠ l1").
 In semiring terms (this module's formulation) that is exactly the
 closure ``M_A ← M_A ⊕ (M_B ⊗ M_C)`` over the **length semiring**
 (:class:`repro.core.semiring.LengthSemiring`): ⊗ adds sub-path lengths
-across the midpoint, ⊕/merge keeps the minimum — the canonical,
+across the midpoint, ⊕ keeps the minimum — the canonical,
 iteration-order-free form of the paper's no-update rule (see the
 semiring module docstring).  The index is therefore built by the same
 strategy-pluggable engine (:func:`repro.core.closure.run_closure`) as
@@ -123,8 +123,7 @@ class SinglePathIndex:
                     per_nonterminal.setdefault(nonterminal, {})[pair] = length
             backend = AnnotatedBackend(LENGTH_SEMIRING)
             matrices = {
-                nonterminal: backend.from_cells((n, n), lengths,
-                                                symbol=nonterminal)
+                nonterminal: backend.from_cells((n, n), lengths)
                 for nonterminal, lengths in per_nonterminal.items()
             }
         self.matrices = matrices

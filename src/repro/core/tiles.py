@@ -67,7 +67,7 @@ def compute_group(pairs) -> BooleanMatrix:
     """Run one group's mul-accumulate chain; returns the product tile.
 
     Accumulation uses ``union_update`` on the freshly-owned first
-    product (for annotated tiles that is the semiring cell merge).
+    product (for annotated tiles that is the cell-wise ⊕ fold).
     """
     accumulator = None
     for left, right in pairs:
@@ -85,9 +85,7 @@ def tile_payload_of(matrix: BooleanMatrix) -> tuple:
     """Serialize *matrix* through its backend's payload hook."""
     backend_name = matrix.backend_name
     if backend_name == "annotated":
-        from .semiring import AnnotatedBackend
-
-        return AnnotatedBackend(matrix.semiring).tile_payload(matrix)
+        return matrix.payload()
     if backend_name == "abstract":
         # Third-party matrix types without a registered backend travel
         # as generic coordinate payloads (rebuilt on the pyset backend).

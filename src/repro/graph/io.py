@@ -6,9 +6,10 @@ Edge-list format (one edge per line)::
     0 subClassOf 1
     1 type 2
 
-Values are treated as opaque strings; :func:`load_graph` optionally
-coerces integer-looking node names to ``int`` so round-trips through the
-generators' integer node ids are stable.
+Labels are opaque strings.  A canonical decimal node name (``7``,
+``-3``) loads as that ``int`` unless ``integer_nodes=False``; ``07``,
+``+3`` and ``1_0`` stay strings, distinct from node ``7``.  The CLI and
+the JSONL server resolve node tokens by the same :func:`node_from_token`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,18 @@ from ..errors import GraphParseError
 from .labeled_graph import LabeledGraph
 
 
+def node_from_token(token: str) -> Hashable:
+    """*token* as an ``int`` when it is a canonical decimal integer
+    (``str(int(token)) == token``), else *token* unchanged."""
+    try:
+        number = int(token)
+    except ValueError:
+        return token
+    return number if str(number) == token else token
+
+
 def _coerce_node(token: str, integer_nodes: bool) -> Hashable:
-    if integer_nodes:
-        try:
-            return int(token)
-        except ValueError:
-            return token
-    return token
+    return node_from_token(token) if integer_nodes else token
 
 
 def dump_graph(graph: LabeledGraph, stream: TextIO) -> None:

@@ -85,6 +85,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Iterable
 
 from ..errors import ReproError
+from ..graph.io import node_from_token
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import get_tracer, stopwatch
 from .query_service import QueryService, TickReport
@@ -352,14 +353,12 @@ def _batch_item_envelope(answer) -> dict:
 def _coerce_node(graph, token):
     """Interpret a JSON node token against the graph's node objects:
     JSON cannot distinguish the node ``"0"`` from the node ``0``, so try
-    the literal value first and the int/str twin second."""
+    the literal value first and the int/str twin second (a string's
+    twin is its canonical integer only: ``"07"`` has none)."""
     if token is None or graph.has_node(token):
         return token
     if isinstance(token, str):
-        try:
-            twin: object = int(token)
-        except ValueError:
-            return token
+        twin: object = node_from_token(token)
     elif isinstance(token, int):
         twin = str(token)
     else:

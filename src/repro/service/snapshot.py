@@ -318,7 +318,7 @@ def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
         except KeyError as error:
             raise SnapshotError(str(error)) from error
         out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
-            tuple(entry["shape"]), entry["cells"], symbol=Nonterminal(name))
+            tuple(entry["shape"]), entry["cells"])
     return out
 
 

@@ -155,6 +155,51 @@ def test_row_groups_on_random_graphs(rules, seed):
     _assert_matches_naive(graph, grammar)
 
 
+# ----------------------------------------------------------------------
+# Static operands: joins run only from an operand that can still grow
+# ----------------------------------------------------------------------
+
+#: One grammar per way a pair rule's operands can be static (heading no
+#: pair rule, so every fact of theirs is a base fact) or derived.
+OPERAND_KINDS = {
+    "static_right": "S -> S B | A B\nA -> a\nB -> b",
+    "static_left": "S -> A S | A B\nA -> a\nB -> b",
+    "both_static": "S -> A B\nA -> a\nB -> b",
+    "static_nullable": "S -> S N | N S | a\nN -> b | eps",
+    "derived_both": "S -> S S | a",
+}
+
+
+def _operand_grammar(kind: str):
+    grammar = parse_grammar(OPERAND_KINDS[kind], terminals=["a", "b", "c"])
+    if kind == "static_nullable":
+        from repro.grammar.cnf import ensure_cnf
+
+        cnf = ensure_cnf(grammar)
+        nullable = Nonterminal("N")
+        assert nullable in cnf.nullable_diagonal
+        assert all(rule.head != nullable for rule in cnf.binary_rules)
+    return grammar
+
+
+@pytest.mark.parametrize("graph_name", sorted(LOOPY_GRAPHS))
+@pytest.mark.parametrize("kind", sorted(OPERAND_KINDS))
+def test_static_operands_on_cycles_and_self_loops(kind, graph_name):
+    _assert_matches_naive(LOOPY_GRAPHS[graph_name], _operand_grammar(kind))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", sorted(OPERAND_KINDS))
+def test_static_operands_on_random_graphs(kind, seed):
+    import random
+
+    grammar = _operand_grammar(kind)
+    rng = random.Random(0x57A7 + seed)
+    graph = _random_graph(rng, grammar, nodes=rng.randrange(1, 8),
+                          edges=rng.randrange(0, 18), isolated=seed % 2)
+    _assert_matches_naive(graph, grammar)
+
+
 @pytest.mark.parametrize("graph_name", sorted(LOOPY_GRAPHS))
 def test_prenormalized_grammar_keeps_its_nullable_diagonal(graph_name):
     """``normalize=False`` on a CNF grammar that carries the empty-path

@@ -4,11 +4,13 @@ Three independent references pin the counting closure down:
 
 * a **brute-force derivation-tree enumerator** (recursive over the
   grammar and graph, no closure machinery) on DAG inputs, where the
-  derivation forest is acyclic and tree counts are finite;
-* the **set-valued counting algebra** of ``tests/oracles/counting_sets``
-  — counts keyed on one-step derivations so that ⊕ is idempotent and
-  the worklist strategies may close it — on DAG, cyclic and pump-cycle
-  inputs, every cap and both cell layouts;
+  derivation forest is acyclic and tree counts are finite — at every
+  cap and on both cell layouts, since a saturated count is the true
+  count clipped to the cap;
+* **hand-checked pump cycles** at small caps, plus, on random cyclic
+  inputs, Algorithm 1's relation as the cell set and the clipping
+  identity between caps (cap ``c`` counts are the default cap's counts
+  clipped to ``c``);
 * the **length-stratified path-counting DP**
   (:meth:`repro.core.path_index.AllPathIndex.count_paths`), which runs
   the same saturating scalar arithmetic over the forest and must agree
@@ -23,13 +25,12 @@ from __future__ import annotations
 import random
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import counting_sets  # noqa: E402
-from oracles.witness import WITNESS_SEMIRING  # noqa: E402
 from test_semiring_differential import (  # noqa: E402
     brute_force_paths,
     make_case,
@@ -37,6 +38,7 @@ from test_semiring_differential import (  # noqa: E402
 
 from repro.core import semiring as semiring_module  # noqa: E402
 from repro.core.matrix_cfpq import solve_matrix_relations  # noqa: E402
+from repro.core.naive_closure import solve_naive  # noqa: E402
 from repro.core.path_index import AllPathIndex  # noqa: E402
 from repro.core.semiring import (  # noqa: E402
     COUNTING_SEMIRING,
@@ -76,7 +78,11 @@ def closure_counts(graph, grammar, cap: int, layout: str,
     dict_cells = [isinstance(matrix, AnnotatedMatrix)
                   for matrix in result.matrices.values()]
     assert all(dict_cells) if layout == "dict" else not any(dict_cells)
-    return counting_sets.closed_cells(result)
+    return {
+        (nonterminal, i, j): value
+        for nonterminal, matrix in result.matrices.items()
+        for i, j, value in matrix.nonzero_cells()
+    }
 
 
 def make_dag_case(seed: int, max_nodes: int = 6, max_edges: int = 10):
@@ -155,6 +161,20 @@ def brute_force_tree_count(graph, grammar, nonterminal: Nonterminal,
         return memo[key]
 
     return len(trees(nonterminal, i, j))
+
+
+@lru_cache(maxsize=None)
+def dag_tree_counts(seed: int) -> dict:
+    """``(nonterminal, i, j) -> tree count`` over every cell of
+    :func:`make_dag_case` *seed* that has a derivation."""
+    graph, grammar = make_dag_case(seed)
+    nodes = range(graph.node_count)
+    counts = {
+        (nonterminal, i, j): brute_force_tree_count(graph, grammar,
+                                                    nonterminal, i, j)
+        for nonterminal in grammar.nonterminals for i in nodes for j in nodes
+    }
+    return {cell: count for cell, count in counts.items() if count}
 
 
 class TestClosureCountsAgainstBruteForce:
@@ -256,46 +276,93 @@ PUMP_INPUTS = {
 }
 
 
-class TestClosureCountsAgainstSetValuedOracle:
+def _cnf(rules: str, terminals: list[str]):
+    return to_cnf(parse_grammar(rules, terminals=terminals))
+
+
+def _small_chain_with_loop():
+    graph = chain(4)
+    graph.add_edge(2, "b", 2)
+    return graph, _cnf("S -> S b | a", ["a", "b"])
+
+
+def _self_loop():
+    return (LabeledGraph.from_edges([(0, "a", 0)]),
+            _cnf("S -> S S | a", ["a"]))
+
+
+#: Pump cycles small enough to count by hand: ``(graph, CNF grammar,
+#: (relations, cap) -> expected S counts)``.
+SMALL_PUMPS = {
+    # Each a-edge is one S fact with one derivation, except S(1, 2):
+    # the b-loop at 2 rederives it from itself, S(1, 2) ⇐ S(1, 2) b,
+    # so it has infinitely many derivations.
+    "chain+loop": (*_small_chain_with_loop(), lambda relations, cap: {
+        (0, 1): 1, (1, 2): cap, (2, 3): 1, (3, 4): 1}),
+    # a^n b^n must turn at node 0 (the only node on both cycles); n
+    # and n + 6 reach the same pair, so every S fact has infinitely
+    # many derivations.
+    "anbn-two-cycles": (*_anbn_two_cycles(), lambda relations, cap: {
+        pair: cap for pair in relations.pairs("S")}),
+    # S(0, 0) ⇐ S(0, 0) S(0, 0): one node, unboundedly many trees.
+    "self-loop": (*_self_loop(), lambda relations, cap: {(0, 0): cap}),
+}
+
+
+class TestClosureCountsAtEveryCap:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("make", [make_dag_case, make_case],
-                             ids=["dag", "cyclic"])
-    def test_random_cases_match_cell_for_cell(self, make, seed, cap, layout,
-                                              monkeypatch):
-        graph, grammar = make(seed)
-        expected = counting_sets.derivation_counts(graph, grammar, cap)
+    def test_dag_counts_are_tree_counts_clipped_to_the_cap(
+            self, seed, cap, layout, monkeypatch):
+        graph, grammar = make_dag_case(seed)
+        expected = {cell: min(count, cap)
+                    for cell, count in dag_tree_counts(seed).items()}
         assert closure_counts(graph, grammar, cap, layout,
                               monkeypatch) == expected
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("name", sorted(PUMP_INPUTS))
-    def test_pump_inputs_match_cell_for_cell(self, name, layout,
-                                             monkeypatch):
-        graph, grammar = PUMP_INPUTS[name]()
-        expected = counting_sets.derivation_counts(graph, grammar)
-        assert max(expected.values()) == DEFAULT_COUNTING_CAP
-        assert closure_counts(graph, grammar, DEFAULT_COUNTING_CAP, layout,
-                              monkeypatch) == expected
+    @pytest.mark.parametrize("cap", CAPS[:-1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cyclic_counts_clip_the_default_caps_counts(
+            self, seed, cap, layout, monkeypatch):
+        """Clipping to a cap is a semiring homomorphism, so the least
+        fixpoint at a small cap is the default cap's fixpoint clipped;
+        either way the cells are exactly Algorithm 1's facts."""
+        graph, grammar = make_case(seed)
+        default = closure_counts(graph, grammar, DEFAULT_COUNTING_CAP,
+                                 layout, monkeypatch)
+        relations = solve_naive(graph, grammar, normalize=False).relations
+        assert set(default) == {
+            (nonterminal, i, j) for nonterminal in grammar.nonterminals
+            for i, j in relations.pairs(nonterminal)}
+        assert closure_counts(graph, grammar, cap, layout, monkeypatch) \
+            == {cell: min(count, cap) for cell, count in default.items()}
 
-    def test_cap_one_entries_match_witness_entry_sets(self, monkeypatch):
-        """The entry keys of a set-valued counting cell are its one-step
-        derivation supports: at cap 1 the oracle collects exactly the
-        witness semiring's entry sets, and the library's closure pins
-        every one of those cells at 1."""
-        graph, grammar = make_case(3)
-        witness_cells = counting_sets.closed_cells(
-            solve_annotated(graph, grammar, WITNESS_SEMIRING))
-        support_cells = {
-            cell: frozenset(entry for entry, _count in value)
-            for cell, value in
-            counting_sets.entry_sets(graph, grammar, cap=1).items()
-        }
-        assert witness_cells == support_cells
-        assert witness_cells  # non-vacuous on this seed
-        assert closure_counts(graph, grammar, 1, "array", monkeypatch) \
-            == dict.fromkeys(witness_cells, 1)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("cap", (1, 2, 7))
+    @pytest.mark.parametrize("name", sorted(SMALL_PUMPS))
+    def test_small_pumps_match_hand_counts(self, name, cap, layout,
+                                           monkeypatch):
+        graph, grammar, expected_s = SMALL_PUMPS[name]
+        counts = closure_counts(graph, grammar, cap, layout, monkeypatch)
+        relations = solve_naive(graph, grammar, normalize=False).relations
+        assert set(counts) == {
+            (nonterminal, i, j) for nonterminal in grammar.nonterminals
+            for i, j in relations.pairs(nonterminal)}
+        start = Nonterminal("S")
+        assert {(i, j): count for (nonterminal, i, j), count in counts.items()
+                if nonterminal == start} == expected_s(relations, cap)
+
+    @pytest.mark.parametrize("name", sorted(PUMP_INPUTS))
+    def test_pump_inputs_saturate_alike_on_both_layouts(self, name,
+                                                        monkeypatch):
+        graph, grammar = PUMP_INPUTS[name]()
+        on_arrays = closure_counts(graph, grammar, DEFAULT_COUNTING_CAP,
+                                   "array", monkeypatch)
+        assert max(on_arrays.values()) == DEFAULT_COUNTING_CAP
+        assert closure_counts(graph, grammar, DEFAULT_COUNTING_CAP, "dict",
+                              monkeypatch) == on_arrays
 
 
 class TestLayouts:

@@ -17,10 +17,10 @@ with a tile smaller than the graph) and every boolean backend:
   length whose labeling derives from the queried non-terminal;
 * the bounded **all-path answer** equals brute-force walk enumeration
   filtered by CYK, the midpoint index is identical across strategies,
-  and the forest *view* of the closed relations equals the forest the
-  witness-semiring closure builds (``tests/oracles/witness.py``) —
-  splits, ``top_k`` order, path sets, counts and expansion counts — on
-  every backend × strategy;
+  and the forest *view* of the closed relations equals a forest whose
+  children are enumerated over Algorithm 1's pair sets
+  (``tests/oracles/witness.py``) — splits, ``top_k`` order, path sets,
+  counts and expansion counts — on every backend × strategy;
 * the **incremental annotated solver** stays equal to a from-scratch
   index after every insertion.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles.witness import WITNESS_SEMIRING, forest_from_witness_closure
+from oracles.witness import naive_forest
 
 from repro.core.allpath import AllPathEnumerator
 from repro.core.incremental import IncrementalSinglePathCFPQ
@@ -46,8 +46,10 @@ from repro.core.path_index import AllPathIndex
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
+    VITERBI_SEMIRING,
     AnnotatedBackend,
     AnnotatedMatrix,
+    CountingSemiring,
     LengthSemiring,
     ScalarAnnotatedMatrix,
     ViterbiSemiring,
@@ -234,7 +236,7 @@ def test_extracted_paths_realize_recorded_lengths(seed, strategy):
 def test_relational_projection_matches_all_backends_and_strategies(seed):
     graph, grammar = make_case(seed)
     projections = {}
-    for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, WITNESS_SEMIRING):
+    for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, DICT_LENGTH):
         for strategy in STRATEGIES:
             result = solve_annotated(graph, grammar, semiring,
                                      strategy=strategy, normalize=False)
@@ -295,12 +297,13 @@ def test_midpoint_index_identical_across_strategies(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_forest_view_equals_closure_built_forest(seed, strategy):
-    """The forest is a view of the closed relations; the oracle stores
-    what the witness closure computed.  Same structure, same ranked
-    streams (ties included), same path sets, counts and search effort —
-    whichever backend closed the relations."""
+    """The forest is a view of the closed relations; the oracle
+    enumerates each node's children over Algorithm 1's pair sets.  Same
+    structure, same ranked streams (ties included), same path sets,
+    counts and search effort — whichever backend and strategy closed the
+    relations."""
     graph, grammar = make_case(seed)
-    oracle = forest_from_witness_closure(graph, grammar, strategy=strategy)
+    oracle = naive_forest(graph, grammar)
     nodes = [(nonterminal, i, j)
              for nonterminal in sorted(grammar.nonterminals,
                                        key=lambda nt: nt.name)
@@ -369,10 +372,11 @@ class DictViterbi(ViterbiSemiring):
     array_ops = None
 
 
+DICT_LENGTH = register_semiring(DictLength())
 _WEIGHTS = {"a": 0.9, "b": 0.3}
 #: (array-native semiring, dict-of-cells oracle) per scalar semiring.
 LAYOUT_PAIRS = {
-    "length": (LENGTH_SEMIRING, register_semiring(DictLength())),
+    "length": (LENGTH_SEMIRING, DICT_LENGTH),
     "viterbi": (
         register_semiring(ViterbiSemiring(
             weights=_WEIGHTS, name="viterbi[weighted-test]")),
@@ -583,3 +587,45 @@ def test_empty_operands(kind):
     tiles = backend.split_into_tiles(backend.zeros(5), 2)
     assert len(tiles) == 9 and not any(t.nnz() for t in tiles.values())
     assert backend.assemble_from_tiles(tiles, 5, 2).nnz() == 0
+
+
+# -- the cell merge: ⊕, and whether it moved the cell --------------------
+
+_CAPPED = CountingSemiring(cap=7, name="counting[merge-test]")
+#: Per ``src/`` semiring, ``(held, incoming, merged)`` for one cell each:
+#: a new cell (held None), an equal value, an improved and a worse one;
+#: counting's ⊕ always moves a cell below the cap, so its cases are a
+#: sum below, a sum reaching and a cell already at the cap.
+_MERGE_CASES = {
+    "boolean": (BOOLEAN_SEMIRING, [(None, True, True), (True, True, True)]),
+    "length": (LENGTH_SEMIRING,
+               [(None, 4, 4), (4, 4, 4), (5, 3, 3), (3, 5, 3)]),
+    "viterbi": (VITERBI_SEMIRING,
+                [(None, 0.5, 0.5), (0.5, 0.5, 0.5), (0.3, 0.9, 0.9),
+                 (0.9, 0.3, 0.9)]),
+    "counting": (_CAPPED,
+                 [(None, 2, 2), (2, 3, 5), (5, 3, 7), (7, 1, 7)]),
+}
+_LAYOUTS = {"dict": AnnotatedMatrix, "array": ScalarAnnotatedMatrix}
+
+
+@pytest.mark.parametrize("name, layout", [
+    (name, layout) for name, (semiring, _cases) in sorted(_MERGE_CASES.items())
+    for layout in ("dict", "array") if layout == "dict" or semiring.array_ops
+])
+def test_union_update_delta_is_what_add_moved(name, layout):
+    """Both layouts fold an incoming cell into the held one with ⊕ and
+    report it in the delta iff it is new or ⊕ moved it."""
+    if _LAYOUTS[layout] is None:
+        pytest.skip("the array layout needs NumPy")
+    semiring, cases = _MERGE_CASES[name]
+    shape = (1, len(cases))
+    held = {(0, k): value for k, (value, _in, _out) in enumerate(cases)
+            if value is not None}
+    incoming = {(0, k): value for k, (_held, value, _out) in enumerate(cases)}
+    merged = {(0, k): value for k, (_held, _in, value) in enumerate(cases)}
+    target = _LAYOUTS[layout](semiring, shape, held)
+    delta = target.union_update(_LAYOUTS[layout](semiring, shape, incoming))
+    assert _cells(delta) == {pair: value for pair, value in merged.items()
+                             if held.get(pair) != value}
+    assert _cells(target) == merged

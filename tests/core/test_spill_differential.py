@@ -3,25 +3,25 @@
 A closure run under a tiny memory budget — forcing tiles to shuttle
 through the spill files constantly — must produce byte-identical
 results to the unbounded in-memory run, across every strategy ×
-backend × scheduler combination and under the Length/Witness
-semirings.  These tests are the out-of-core analogue of
+backend × scheduler combination and under the boolean and length
+semirings on either cell layout.  These tests are the out-of-core analogue of
 :mod:`tests.core.test_tile_scheduler`'s scheduler differentials.
 """
 
 from __future__ import annotations
 
 import pytest
-from oracles.witness import WITNESS_SEMIRING
 
 from repro.core.matrix_cfpq import solve_matrix
 from repro.core.semiring import (
+    BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
     solve_annotated,
 )
 from repro.core.tiles import SCHEDULERS
 from repro.matrices.base import available_backends
 
-from test_semiring_differential import make_case
+from test_semiring_differential import DICT_LENGTH, make_case
 
 SEEDS = tuple(range(6))
 
@@ -75,12 +75,13 @@ def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
         assert result.stats.details["autotune"]["mode"] == "blocked-spill"
 
 
-@pytest.mark.parametrize("semiring", (LENGTH_SEMIRING, WITNESS_SEMIRING),
+@pytest.mark.parametrize("semiring",
+                         (LENGTH_SEMIRING, BOOLEAN_SEMIRING, DICT_LENGTH),
                          ids=lambda s: s.name)
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_tiny_budget_annotations_byte_identical(seed, semiring, tmp_path):
-    """Length/Witness annotations survive the pickle spill path (the
-    annotated backend has no raw-buffer format) exactly."""
+    """Annotations survive the pickle spill path (the annotated
+    backend has no raw-buffer format) exactly, on either layout."""
     graph, grammar = make_case(seed)
     reference = solve_annotated(graph, grammar, semiring,
                                 strategy="naive", normalize=False)

@@ -15,6 +15,7 @@ from repro.graph.io import (
     loads_graph,
     save_graph_file,
 )
+from repro.graph.labeled_graph import LabeledGraph
 
 
 def test_round_trip_text():
@@ -40,6 +41,24 @@ def test_integer_node_coercion():
     assert graph.has_edge(0, "a", 1)
     graph_str = loads_graph("0 a 1", integer_nodes=False)
     assert graph_str.has_edge("0", "a", "1")
+
+
+def test_only_canonical_integers_become_int_nodes():
+    """``int()`` also accepts ``07``, ``1_0`` and ``+3``; read that way
+    each line would be a self-loop on one node."""
+    graph = loads_graph("07 a 7\n1_0 b 10\n+3 c 3\n-4 d 0\n")
+    assert graph.node_count == 8
+    assert graph.has_edge("07", "a", 7)
+    assert graph.has_edge("1_0", "b", 10)
+    assert graph.has_edge("+3", "c", 3)
+    assert graph.has_edge(-4, "d", 0)
+
+
+def test_round_trip_keeps_leading_zero_names_apart():
+    graph = LabeledGraph.from_edges([("07", "a", 7), (7, "b", "x")])
+    loaded = loads_graph(dumps_graph(graph))
+    assert loaded == graph
+    assert loaded.has_node("07") and loaded.node_count == 3
 
 
 def test_mixed_node_names():

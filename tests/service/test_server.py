@@ -58,6 +58,16 @@ class TestHandleRequest:
         })
         assert response["result"] is True
 
+    def test_non_canonical_string_tokens_have_no_int_twin(self, service):
+        """``"00"`` is a name of its own, as in a graph file: it does not
+        fall back to the int node 0."""
+        query = {"op": "query", "start": "S", "source": "00", "target": "0"}
+        assert handle_request(service, query)["result"] is False
+        response = handle_request(service, {**query,
+                                            "semantics": "single-path"})
+        assert response["ok"] is False
+        assert "'00'" in response["error"]
+
     def test_update_coerces_node_tokens_like_queries(self, service):
         """String tokens in updates must attach to the existing integer
         nodes, not silently create twin nodes."""

@@ -75,6 +75,16 @@ class TestPathCommand:
         edges = json.loads(capsys.readouterr().out)
         assert edges == [["1", "a", "2"], ["2", "b", "3"]]
 
+    def test_source_token_resolves_by_the_loader_rule(self, tmp_path,
+                                                       capsys):
+        """``07`` names the string node ``07``, not the int node 7."""
+        path = tmp_path / "zeros.txt"
+        path.write_text("07 a 1\n1 b 7\n7 a 8\n8 b 9\n")
+        assert main(["path", "--graph", str(path), "--grammar-name", "dyck1",
+                     "--source", "07", "--target", "7", "--json"]) == 0
+        edges = json.loads(capsys.readouterr().out)
+        assert edges == [["07", "a", "1"], ["1", "b", "7"]]
+
     def test_no_path_is_error(self, chain_file, capsys):
         code = main(["path", "--graph", chain_file,
                      "--grammar-name", "dyck1",
