@@ -38,7 +38,6 @@ import sys
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
 from .core.matrix_cfpq import DEFAULT_STRATEGY
-from .core.tiles import available_schedulers
 from .core.tilestore import parse_memory_budget
 from .errors import ReproError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
@@ -63,6 +62,27 @@ def _load_graph(args: argparse.Namespace):
     return load_graph_file(args.graph)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _memory_budget(text: str) -> "int | None":
+    """argparse type for ``--memory-budget``: a malformed size is a
+    usage error, not a traceback."""
+    try:
+        return parse_memory_budget(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge-list graph file")
     parser.add_argument("--rdf", action="store_true",
@@ -84,14 +104,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "to --semiring counting, whose + is not "
                              "idempotent and always closes by Kleene "
                              "iteration")
-    parser.add_argument("--scheduler", default=None,
-                        choices=available_schedulers(),
-                        help="tile scheduler for the blocked strategy "
-                             "(default: $REPRO_SCHEDULER or serial)")
-    parser.add_argument("--tile-size", type=int, default=None,
+    parser.add_argument("--tile-size", type=_positive_int, default=None,
                         help="tile edge for the blocked strategy "
-                             "(default 64)")
-    parser.add_argument("--memory-budget", default=None,
+                             "(default: the largest edge whose 16-tile "
+                             "working set fits the budget)")
+    parser.add_argument("--memory-budget", type=_memory_budget,
+                        default=None,
                         help="resident tile byte budget for the blocked/"
                              "autotune strategies, e.g. 65536, '64K', '8M' "
                              "(default: $REPRO_MEMORY_BUDGET or unbounded; "
@@ -140,13 +158,10 @@ def _configure_observability(args: argparse.Namespace) -> None:
 def _strategy_options(args: argparse.Namespace) -> dict:
     """The closure options implied by the CLI flags."""
     options = {}
-    if getattr(args, "scheduler", None) is not None:
-        options["scheduler"] = args.scheduler
     if getattr(args, "tile_size", None) is not None:
         options["tile_size"] = args.tile_size
     if getattr(args, "memory_budget", None) is not None:
-        # Parse eagerly so a malformed value fails at the CLI boundary.
-        options["memory_budget"] = parse_memory_budget(args.memory_budget)
+        options["memory_budget"] = args.memory_budget
     if getattr(args, "spill_dir", None) is not None:
         options["spill_dir"] = args.spill_dir
     return options
@@ -591,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--json", action="store_true")
     query.add_argument("--stats", action="store_true",
                        help="print solver stats (iterations, per-round "
-                            "frontier sizes, per-tile/scheduler stats)")
+                            "frontier sizes, per-tile stats)")
     query.set_defaults(handler=cmd_query)
 
     path = subparsers.add_parser("path", help="single-path semantics")
@@ -688,10 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "or the best installed)")
     serve.add_argument("--strategy", default=None,
                        choices=available_strategies())
-    serve.add_argument("--scheduler", default=None,
-                       choices=available_schedulers())
-    serve.add_argument("--tile-size", type=int, default=None)
-    serve.add_argument("--memory-budget", default=None,
+    serve.add_argument("--tile-size", type=_positive_int, default=None)
+    serve.add_argument("--memory-budget", type=_memory_budget, default=None,
                        help="resident tile byte budget (e.g. '8M'); also "
                             "bounds snapshot warm-start residency")
     serve.add_argument("--spill-dir", default=None,

@@ -14,23 +14,21 @@ iteration *strategy* vary independently of the matrix *backend*:
   instead of full products.  The least fixpoint is identical (the
   closure is monotone — Theorem 3's argument); the work per round
   shrinks with the frontier.
-* ``blocked`` — a **frontier-aware parallel tile engine**: matrices are
-  partitioned once into tiles, the frontier is tracked at *tile*
-  granularity, and a round only schedules the (rule, I, J, K) tasks
-  whose K-side or I-side input tile changed last round.  Each round's
-  independent tile tasks form an explicit DAG executed on a pluggable
-  scheduler (``serial`` / ``threads`` / ``process`` — see
-  :mod:`repro.core.tiles`); merging happens in canonical key order, so
-  the closure is byte-identical across schedulers and task orderings.
-  This is the paper's §7 multi-GPU / out-of-core direction with the
-  semi-naive trick pushed down to the device-task grain.
+* ``blocked`` — a **frontier-aware tile engine**: matrices are
+  partitioned once into tiles held in a budgeted, spillable
+  :class:`repro.core.tilestore.TileStore`, the frontier is tracked at
+  *tile* granularity, and a round only computes the (rule, I, J, K)
+  tasks whose K-side or I-side input tile changed last round.  Every
+  product of a round is computed before any is merged, and merging
+  happens in canonical key order, so the closure is byte-identical for
+  every memory budget.  This is the paper's §7 out-of-core direction
+  with the semi-naive trick pushed down to the tile grain.
 * ``autotune`` — picks the executor from live measurements: the
   matrices' measured bytes vs the memory budget (or the host's
   ``MemAvailable``) route oversized workloads to the blocked engine
-  out-of-core, a timed scheduler probe on sampled tile groups decides
-  whether a configured parallel scheduler actually wins, and per round
-  the frontier density (``delta_nnz_per_round`` vs total nnz) chooses
-  between a semi-naive delta round and a full naive round.
+  out-of-core, and per round the frontier density
+  (``delta_nnz_per_round`` vs total nnz) chooses between a semi-naive
+  delta round and a full naive round.
 
 All strategies run on any registered matrix backend through the mutable
 kernel API (``MatrixBackend.union_update`` / ``mxm_into``), which falls
@@ -62,9 +60,6 @@ from ..obs.trace import get_tracer, stopwatch
 #: practice).
 PairRule = tuple[Hashable, Hashable, Hashable]
 
-#: Default tile edge for the blocked strategy.
-DEFAULT_TILE_SIZE = 64
-
 
 @dataclass
 class ClosureResult:
@@ -92,16 +87,15 @@ class BlockedStats:
     redundant (neither operand tile changed last round); the
     all-tiles-every-round behavior would have multiplied exactly
     ``tile_products + tiles_skipped_by_frontier`` tiles.
-    ``scheduler_wall_time_s`` is the wall time spent inside the named
-    tile scheduler's ``run`` (compute only — merging is excluded).
+    ``tile_size`` is the edge the run used (picked from the budget when
+    the caller gave none).  ``scheduler_wall_time_s`` is the wall time
+    spent computing the rounds' tile products (merging is excluded).
 
     The spill counters describe the run's out-of-core traffic through
     the :class:`repro.core.tilestore.TileStore`: ``tiles_spilled`` /
     ``spill_bytes`` count evicted-tile writes to the spill directory,
     ``tiles_reloaded`` counts cold tiles brought back (mmap or pickle),
-    ``payload_encodes`` counts tile→payload serializations (the
-    version-keyed payload cache makes unchanged tiles encode once), and
-    ``peak_resident_bytes`` is the high-water mark of resident tile
+    and ``peak_resident_bytes`` is the high-water mark of resident tile
     bytes — with a ``budget_bytes`` set, peak stays ≤ budget except for
     transiently pinned working sets.
     """
@@ -111,12 +105,10 @@ class BlockedStats:
     tile_products: int
     iterations: int
     tiles_skipped_by_frontier: int = 0
-    scheduler: str = "serial"
     scheduler_wall_time_s: float = 0.0
     tiles_spilled: int = 0
     tiles_reloaded: int = 0
     spill_bytes: int = 0
-    payload_encodes: int = 0
     peak_resident_bytes: int = 0
     budget_bytes: "int | None" = None
 
@@ -161,8 +153,8 @@ def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
 
     The matrices mapping is updated in place (and, for mutation-capable
     backends, the matrices themselves are grown in place).  Extra
-    keyword options are strategy-specific (``tile_size`` for
-    ``blocked``).
+    keyword options are strategy-specific (``tile_size`` and
+    ``memory_budget`` for ``blocked``).
 
     All bundled strategies accept ``initial_frontier`` — a mapping
     ``symbol -> delta matrix`` of entries *not yet merged* into
@@ -441,6 +433,38 @@ def closure_delta(matrices: dict, pair_rules: list[PairRule],
                          details={"round_seconds": tuple(round_seconds)})
 
 
+#: Candidate tile edges, largest first (64-multiples keep the bitset
+#: backend on its word-aligned split/assemble fast paths).
+TILE_SIZE_CANDIDATES = (512, 256, 128, 64)
+
+#: How many tiles of the picked edge the budget must hold at once: a
+#: group's operand pairs, its staged product and the merge's output
+#: tile, with headroom.
+WORKING_SET_TILES = 16
+
+
+def _estimated_matrix_bytes(matrices: dict) -> int:
+    from .tilestore import matrix_nbytes
+
+    return sum(matrix_nbytes(matrix) for matrix in matrices.values())
+
+
+def _pick_tile_size(size: int, budget: "int | None",
+                    total_bytes: int, matrix_count: int) -> int:
+    """Largest candidate tile edge whose working set
+    (:data:`WORKING_SET_TILES` tiles at the *measured* bytes per cell)
+    fits the budget; unbounded runs take the largest."""
+    candidates = [edge for edge in TILE_SIZE_CANDIDATES
+                  if edge <= max(size, TILE_SIZE_CANDIDATES[-1])]
+    if budget is None or not size or not matrix_count:
+        return candidates[0]
+    bytes_per_cell = max(total_bytes / (matrix_count * size * size), 0.125)
+    for edge in candidates:
+        if WORKING_SET_TILES * bytes_per_cell * edge * edge <= budget:
+            return edge
+    return candidates[-1]
+
+
 #: Prefix for the staging keys of un-merged group products inside the
 #: tile store (disjoint from ``(symbol, I, J)`` tile keys).
 _STAGE = "__stage__"
@@ -448,35 +472,31 @@ _STAGE = "__stage__"
 
 def closure_blocked(matrices: dict, pair_rules: list[PairRule],
                     backend: MatrixBackend,
-                    tile_size: int = DEFAULT_TILE_SIZE,
-                    scheduler: "str | None" = None,
+                    tile_size: "int | None" = None,
                     frontier: bool = True,
-                    task_order: "Callable | None" = None,
                     initial_frontier: "dict | None" = None,
                     memory_budget=None,
                     spill_dir: "str | None" = None,
                     tile_store=None,
-                    payload_cache: bool = True,
                     **_options) -> ClosureResult:
-    """Frontier-aware tiled closure on a pluggable scheduler, with an
-    out-of-core spillable working set.
+    """Frontier-aware tiled closure with an out-of-core spillable
+    working set.
 
     Every matrix is partitioned into ``tile_size``-square tiles once —
     into a :class:`repro.core.tilestore.TileStore` keyed ``(symbol, I,
-    J)``.  Per round, a (rule, I, J, K) tile task is generated only when
-    the K-side input tile ``left[I, K]`` or the I-side input tile
-    ``right[K, J]`` changed last round (round 1: every nonzero tile
-    counts as changed, reproducing the full first round).  Tasks
-    targeting the same output tile form one mul-accumulate group; the
-    groups of a round are independent and run on *scheduler*
-    (``serial`` / ``threads`` / ``process``; None honours
-    ``$REPRO_SCHEDULER``), which reads operands from the store by key
-    and pins only the tiles of the group in flight.  All group products
-    are computed (staged in the store) before any merge, and merging
-    walks the groups in canonical key order pinning just the output and
-    staged tile, so the result is byte-identical for every scheduler,
-    any task permutation (*task_order* may reorder the group list
-    before scheduling) — and every memory budget.
+    J)``.  With ``tile_size=None`` the edge is the largest of
+    :data:`TILE_SIZE_CANDIDATES` whose :data:`WORKING_SET_TILES`-tile
+    working set, at the matrices' measured bytes per cell, fits the
+    budget (the largest when unbounded).  Per round, a (rule, I, J, K)
+    tile task is generated only when the K-side input tile ``left[I,
+    K]`` or the I-side input tile ``right[K, J]`` changed last round
+    (round 1: every nonzero tile counts as changed, reproducing the
+    full first round).  Tasks targeting the same output tile form one
+    mul-accumulate group, which reads its operands from the store by
+    key and pins only its own tiles.  All group products are computed
+    (staged in the store) before any merge, and merging walks the
+    groups in canonical key order pinning just the output and staged
+    tile, so the result is byte-identical for every memory budget.
 
     ``memory_budget`` (bytes; int or ``"64K"``-style string; None
     honours ``$REPRO_MEMORY_BUDGET``) bounds the resident tile bytes:
@@ -484,10 +504,8 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     else a fresh temporary directory) through the backend payload codec,
     and bitset/dense tiles reload zero-copy via ``mmap``.  The spill
     directory is cleaned up on success and kept on a crash.  A
-    caller-owned store can be passed as ``tile_store`` (it is then not
-    closed here); ``payload_cache=False`` disables the version-keyed
-    payload memoization (measurement hook for the re-serialization
-    regression test).
+    caller-owned store can be passed as ``tile_store`` (its budget then
+    governs, and it is not closed here).
 
     The least fixpoint equals ``naive``'s: whenever an input tile
     changes at round r, every task reading it re-fires at round r+1
@@ -498,31 +516,35 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     device would schedule.  ``details["blocked"]`` carries the run's
     :class:`BlockedStats`.
     """
-    from .tiles import resolve_scheduler
     from .tilestore import TileStore, resolve_memory_budget, resolve_spill_dir
 
+    if tile_size is not None and tile_size < 1:
+        raise ValueError(f"tile_size must be a positive integer, "
+                         f"got {tile_size!r}")
     if not matrices:
         return ClosureResult(matrices=matrices, iterations=0,
                              multiplications=0)
-    scheduler_obj = resolve_scheduler(scheduler)
     seed_deltas = None
     if initial_frontier is not None:
         # Merge the seeds before tiling so the tiles hold the seeded
         # state; the exact deltas locate the initially-changed tiles.
         seed_deltas = seed_frontier(matrices, initial_frontier, backend)
     size = next(iter(matrices.values())).shape[0]
-    grid = max(1, (size + tile_size - 1) // tile_size)
 
     owns_store = tile_store is None
     store = tile_store if tile_store is not None else TileStore(
         budget_bytes=resolve_memory_budget(memory_budget),
         spill_dir=resolve_spill_dir(spill_dir),
-        payload_cache=payload_cache,
     )
+    if tile_size is None:
+        tile_size = _pick_tile_size(size, store.budget_bytes,
+                                    _estimated_matrix_bytes(matrices),
+                                    len(matrices))
+    grid = max(1, (size + tile_size - 1) // tile_size)
     try:
         result = _closure_blocked_on_store(
             store, matrices, pair_rules, backend, tile_size, grid, size,
-            scheduler_obj, frontier, task_order, seed_deltas,
+            frontier, seed_deltas,
         )
     except BaseException:
         if owns_store:
@@ -534,12 +556,28 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     return result
 
 
+def _group_product(store, pair_keys) -> BooleanMatrix:
+    """One output tile's mul-accumulate chain ``⋁_K left[I, K] ×
+    right[K, J]``, reading each operand pair from *store* as it goes.
+
+    Accumulation uses ``union_update`` on the freshly-owned first
+    product (for annotated tiles that is the cell-wise ⊕ fold)."""
+    accumulator = None
+    for left_key, right_key in pair_keys:
+        product = store.get(left_key).multiply(store.get(right_key))
+        if accumulator is None:
+            accumulator = product
+        elif accumulator.supports_inplace:
+            accumulator.union_update(product)
+        else:
+            accumulator = accumulator.union(product)
+    return accumulator
+
+
 def _closure_blocked_on_store(store, matrices: dict,
                               pair_rules: list[PairRule],
                               backend: MatrixBackend, tile_size: int,
-                              grid: int, size: int, scheduler_obj,
-                              frontier: bool,
-                              task_order: "Callable | None",
+                              grid: int, size: int, frontier: bool,
                               seed_deltas: "dict | None") -> ClosureResult:
     nonzero: dict[Hashable, set] = {}
     for symbol in list(matrices):
@@ -576,7 +614,7 @@ def _closure_blocked_on_store(store, matrices: dict,
     iterations = 0
     tile_products = 0
     tiles_skipped = 0
-    scheduler_seconds = 0.0
+    compute_seconds = 0.0
     growth: list[int] = []
     round_seconds: list[float] = []
 
@@ -626,40 +664,29 @@ def _closure_blocked_on_store(store, matrices: dict,
                 for (i, j, k) in fired:
                     groups.setdefault((rule_index, i, j), set()).add(k)
 
-            # Groups reference operand tiles by store key; the scheduler
-            # materializes (and pins) only what it is computing with.
-            ordered = [
-                (key, [
-                    ((pair_rules[key[0]][1], key[1], k),
-                     (pair_rules[key[0]][2], k, key[2]))
-                    for k in sorted(ks)
-                ])
-                for key, ks in sorted(groups.items())
-            ]
-            round_products = sum(len(pairs) for _key, pairs in ordered)
+            round_products = sum(len(ks) for ks in groups.values())
             tile_products += round_products
             tiles_skipped += full_products - round_products
             round_span.set("tile_products", round_products)
             round_span.set("tiles_skipped",
                            full_products - round_products)
-            if task_order is not None:
-                ordered = task_order(ordered)
 
-            def stage(key, result):
-                # Process-scheduler results arrive as payload tuples and
-                # are staged without materializing in this process.
-                stage_key = (_STAGE,) + key
-                if isinstance(result, tuple):
-                    store.put_payload(stage_key, result)
-                else:
-                    store.put(stage_key, result)
-
-            with tracer.span("closure.scheduler",
-                             scheduler=scheduler_obj.name,
-                             groups=len(ordered)), \
-                    stopwatch() as scheduler_timer:
-                scheduler_obj.run(ordered, store, stage)
-            scheduler_seconds += scheduler_timer.elapsed
+            # Groups read operand tiles by store key, so only the group
+            # in flight is pinned resident; its product is staged in the
+            # store until the merge below.
+            with tracer.span("closure.compute", groups=len(groups)), \
+                    stopwatch() as compute_timer:
+                for key in sorted(groups):
+                    rule_index, i, j = key
+                    _head, left, right = pair_rules[rule_index]
+                    pair_keys = [((left, i, k), (right, k, j))
+                                 for k in sorted(groups[key])]
+                    with tracer.span("tile.group", tasks=len(pair_keys)), \
+                            store.pinned([operand for pair in pair_keys
+                                          for operand in pair]):
+                        product = _group_product(store, pair_keys)
+                    store.put((_STAGE,) + key, product)
+            compute_seconds += compute_timer.elapsed
 
             next_changed: dict[Hashable, set] = {}
             round_new = 0
@@ -685,7 +712,7 @@ def _closure_blocked_on_store(store, matrices: dict,
         round_seconds.append(round_timer.elapsed)
         changed = next_changed
         # Round barrier: let cold tiles spill before the next round's
-        # task DAG pins a fresh working set.
+        # groups pin a fresh working set.
         store.evict_to_budget()
 
     for symbol in nonzero:
@@ -699,12 +726,10 @@ def _closure_blocked_on_store(store, matrices: dict,
         tile_products=tile_products,
         iterations=iterations,
         tiles_skipped_by_frontier=tiles_skipped,
-        scheduler=scheduler_obj.name,
-        scheduler_wall_time_s=scheduler_seconds,
+        scheduler_wall_time_s=compute_seconds,
         tiles_spilled=store_stats.tiles_spilled,
         tiles_reloaded=store_stats.tiles_reloaded,
         spill_bytes=store_stats.spill_bytes,
-        payload_encodes=store_stats.payload_encodes,
         peak_resident_bytes=store_stats.peak_resident_bytes,
         budget_bytes=store.budget_bytes,
     )
@@ -738,136 +763,29 @@ AUTOTUNE_DENSE_FRONTIER_RATIO = 0.5
 #: budget of that fraction.
 AUTOTUNE_AVAILABLE_FRACTION = 0.5
 
-#: Autotune: candidate tile edges, largest first (64-multiples keep the
-#: bitset backend on its word-aligned split/assemble fast paths).
-AUTOTUNE_TILE_CANDIDATES = (512, 256, 128, 64)
-
-#: Autotune: how many tiles the picked tile size should fit in the
-#: budget — room for several concurrent groups' operands plus outputs.
-AUTOTUNE_WORKING_SET_TILES = 16
-
-#: Autotune: cap on the sample groups a scheduler probe executes.
-AUTOTUNE_PROBE_GROUPS = 16
-
-
-def _estimated_matrix_bytes(matrices: dict) -> int:
-    from .tilestore import matrix_nbytes
-
-    return sum(matrix_nbytes(matrix) for matrix in matrices.values())
-
-
-def _pick_tile_size(size: int, budget: "int | None",
-                    total_bytes: int, matrix_count: int) -> int:
-    """Largest candidate tile edge whose working set
-    (:data:`AUTOTUNE_WORKING_SET_TILES` tiles at the *measured* bytes
-    per cell) fits the budget; unbounded runs take the largest."""
-    candidates = [edge for edge in AUTOTUNE_TILE_CANDIDATES
-                  if edge <= max(size, AUTOTUNE_TILE_CANDIDATES[-1])]
-    if not candidates:
-        candidates = [AUTOTUNE_TILE_CANDIDATES[-1]]
-    if budget is None or not size or not matrix_count:
-        return candidates[0]
-    bytes_per_cell = max(total_bytes / (matrix_count * size * size), 0.125)
-    for edge in candidates:
-        if AUTOTUNE_WORKING_SET_TILES * bytes_per_cell * edge * edge <= budget:
-            return edge
-    return candidates[-1]
-
-
-def _probe_scheduler_seconds(matrices: dict, pair_rules: list[PairRule],
-                             backend: MatrixBackend, tile_size: int,
-                             candidates) -> dict:
-    """Measure each candidate scheduler's wall time on a sample of real
-    tile groups (the heaviest rule's product, capped at
-    :data:`AUTOTUNE_PROBE_GROUPS` output tiles).  Runs each candidate
-    twice and keeps the best so pool start-up doesn't skew the
-    comparison; results are discarded (probing never mutates)."""
-    from .tiles import MappingTileSource, resolve_scheduler
-
-    heaviest = None
-    for head, left, right in pair_rules:
-        weight = matrices[left].nnz() * matrices[right].nnz()
-        if weight and (heaviest is None or weight > heaviest[0]):
-            heaviest = (weight, left, right)
-    if heaviest is None:
-        return {}
-    _weight, left, right = heaviest
-    left_tiles = backend.split_into_tiles(matrices[left], tile_size)
-    right_tiles = backend.split_into_tiles(matrices[right], tile_size)
-    sample = {}
-    left_by_row: dict[int, list[int]] = {}
-    right_by_col: dict[int, list[int]] = {}
-    for (i, k), tile in left_tiles.items():
-        if tile.nnz():
-            sample[("L", i, k)] = tile
-            left_by_row.setdefault(i, []).append(k)
-    for (k, j), tile in right_tiles.items():
-        if tile.nnz():
-            sample[("R", k, j)] = tile
-            right_by_col.setdefault(j, []).append(k)
-    groups = []
-    for i in sorted(left_by_row):
-        for j in sorted(right_by_col):
-            ks = sorted(set(left_by_row[i]) & set(right_by_col[j]))
-            if not ks:
-                continue
-            groups.append(((i, j), [(("L", i, k), ("R", k, j))
-                                    for k in ks]))
-            if len(groups) >= AUTOTUNE_PROBE_GROUPS:
-                break
-        if len(groups) >= AUTOTUNE_PROBE_GROUPS:
-            break
-    if not groups:
-        return {}
-    source = MappingTileSource(sample)
-    tracer = get_tracer()
-    timings: dict[str, float] = {}
-    for name in candidates:
-        scheduler_obj = resolve_scheduler(name)
-        best = None
-        with tracer.span("closure.autotune.probe",
-                         scheduler=scheduler_obj.name,
-                         groups=len(groups)):
-            for _attempt in range(2):
-                with stopwatch() as attempt_timer:
-                    scheduler_obj.run(list(groups), source)
-                elapsed = attempt_timer.elapsed
-                best = elapsed if best is None else min(best, elapsed)
-        timings[scheduler_obj.name] = best
-    return timings
-
 
 def closure_autotune(matrices: dict, pair_rules: list[PairRule],
                      backend: MatrixBackend,
                      tile_size: "int | None" = None,
-                     scheduler: "str | None" = None,
                      memory_budget=None,
                      spill_dir: "str | None" = None,
                      dense_frontier_ratio: float = AUTOTUNE_DENSE_FRONTIER_RATIO,
-                     probe: bool = True,
                      initial_frontier: "dict | None" = None,
                      **options) -> ClosureResult:
     """Measurement-driven autotuning: every routing decision comes from
     a live measurement, never a fixed node-count threshold.
 
-    Three measured signals drive the choice:
+    Two measured signals drive the choice:
 
     * **working set vs memory** — the matrices' measured storage bytes
       (:func:`repro.core.tilestore.matrix_nbytes`) are compared against
       the budget (``memory_budget=`` / ``$REPRO_MEMORY_BUDGET``, else
       :data:`AUTOTUNE_AVAILABLE_FRACTION` of the host's measured
       ``MemAvailable`` when the estimate exceeds it).  A working set
-      over budget routes to the blocked engine **out-of-core**, with
-      the tile size picked so :data:`AUTOTUNE_WORKING_SET_TILES` tiles
-      (at the measured bytes/cell) fit the budget;
-    * **scheduler probe** — when a parallel scheduler is configured
-      (``scheduler=`` or ``$REPRO_SCHEDULER``), a sample of real tile
-      groups is executed on both ``serial`` and the configured
-      scheduler and their measured wall times compared
-      (``probe=False`` trusts the configuration without measuring).
-      The parallel scheduler only wins the route when it is measurably
-      faster — pool overhead on small workloads loses the probe and
-      the run stays on whole-matrix rounds;
+      over budget routes to the blocked engine **out-of-core**;
+      ``tile_size`` is forwarded unchanged, so with None the blocked
+      engine picks the edge whose :data:`WORKING_SET_TILES` tiles fit
+      the budget;
     * **frontier density** (``delta_nnz_per_round`` of the previous
       round vs the total stored entries) — a dense frontier means a
       delta round would multiply nearly-full matrices *twice* per rule
@@ -878,17 +796,15 @@ def closure_autotune(matrices: dict, pair_rules: list[PairRule],
     Every mix of round executors converges to the same least fixpoint
     (each round's merge is monotone, and both round types propagate
     every frontier entry through every rule mentioning its symbol).
-    The decisions — including probe timings and, for blocked routes,
-    the run's spill/reload counters — land in ``details["autotune"]``.
+    The decisions — for the blocked route including the tile edge the
+    run used and its spill/reload counters — land in
+    ``details["autotune"]``.
     """
-    from .tiles import resolve_scheduler
     from .tilestore import available_memory_bytes, resolve_memory_budget
 
     if not matrices:
         return ClosureResult(matrices=matrices, iterations=0,
                              multiplications=0)
-    size = next(iter(matrices.values())).shape[0]
-    scheduler_obj = resolve_scheduler(scheduler)
 
     estimated_bytes = _estimated_matrix_bytes(matrices)
     budget = resolve_memory_budget(memory_budget)
@@ -899,61 +815,27 @@ def closure_autotune(matrices: dict, pair_rules: list[PairRule],
                 and estimated_bytes > available * AUTOTUNE_AVAILABLE_FRACTION):
             budget = int(available * AUTOTUNE_AVAILABLE_FRACTION)
             budget_source = "measured MemAvailable"
-    over_budget = budget is not None and estimated_bytes > budget
 
-    chosen_tile_size = tile_size if tile_size is not None else \
-        _pick_tile_size(size, budget, estimated_bytes, len(matrices))
-    probe_timings: dict = {}
-    parallel_wins = False
-    if scheduler_obj.name != "serial":
-        if probe:
-            probe_timings = _probe_scheduler_seconds(
-                matrices, pair_rules, backend, chosen_tile_size,
-                ("serial", scheduler_obj),
-            )
-            serial_s = probe_timings.get("serial")
-            parallel_s = probe_timings.get(scheduler_obj.name)
-            parallel_wins = (serial_s is not None and parallel_s is not None
-                            and parallel_s < serial_s)
-        else:
-            parallel_wins = True
-
-    if over_budget or parallel_wins:
-        if over_budget:
-            mode = "blocked-spill"
-            reason = (f"measured working set {estimated_bytes}B exceeds "
-                      f"budget {budget}B ({budget_source}); tile_size "
-                      f"{chosen_tile_size} fits "
-                      f"{AUTOTUNE_WORKING_SET_TILES} tiles in budget")
-        else:
-            mode = "blocked-parallel"
-            if probe_timings:
-                reason = (f"scheduler {scheduler_obj.name!r} measured "
-                          f"{probe_timings[scheduler_obj.name]:.6f}s vs "
-                          f"serial {probe_timings['serial']:.6f}s on "
-                          "sampled tile groups")
-            else:
-                reason = (f"scheduler {scheduler_obj.name!r} configured, "
-                          "probe disabled")
+    if budget is not None and estimated_bytes > budget:
         result = closure_blocked(matrices, pair_rules, backend,
-                                 tile_size=chosen_tile_size,
-                                 scheduler=scheduler_obj,
+                                 tile_size=tile_size,
                                  memory_budget=budget,
                                  spill_dir=spill_dir,
                                  initial_frontier=initial_frontier,
                                  **options)
-        blocked_stats = result.details.get("blocked")
+        blocked_stats = result.details["blocked"]
         result.details["autotune"] = {
-            "mode": mode,
-            "reason": reason,
+            "mode": "blocked-spill",
+            "reason": (f"measured working set {estimated_bytes}B exceeds "
+                       f"budget {budget}B ({budget_source}); tile_size "
+                       f"{blocked_stats.tile_size}"),
             "rounds": ["blocked"] * result.iterations,
-            "probe_seconds": probe_timings,
             "estimated_bytes": estimated_bytes,
             "budget_bytes": budget,
-            "tile_size": chosen_tile_size,
-            "tiles_spilled": getattr(blocked_stats, "tiles_spilled", 0),
-            "tiles_reloaded": getattr(blocked_stats, "tiles_reloaded", 0),
-            "spill_bytes": getattr(blocked_stats, "spill_bytes", 0),
+            "tile_size": blocked_stats.tile_size,
+            "tiles_spilled": blocked_stats.tiles_spilled,
+            "tiles_reloaded": blocked_stats.tiles_reloaded,
+            "spill_bytes": blocked_stats.spill_bytes,
         }
         return result
 

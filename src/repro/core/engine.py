@@ -62,7 +62,7 @@ class CFPQEngine:
         ``"blocked"`` / ``"autotune"``); overridable per call.
     strategy_options:
         Extra keyword options forwarded to every closure run — e.g.
-        ``tile_size=128, scheduler="process"`` for the blocked tile
+        ``tile_size=128, memory_budget="8M"`` for the blocked tile
         engine.
     """
 

@@ -19,9 +19,10 @@ the closure supports semi-naive delta propagation at two granularities:
   ``initial_frontier`` (:func:`repro.core.closure.run_closure`), so a
   bulk load runs as a handful of frontier × matrix products instead of
   one worklist pop per derived fact.  The solver's ``strategy`` /
-  ``scheduler`` / ``tile_size`` options apply: with
+  ``tile_size`` / ``memory_budget`` options apply: with
   ``strategy="blocked"`` the inserted edges become a *tile-granular*
-  frontier on the parallel tile engine of :mod:`repro.core.tiles`.
+  frontier on the blocked tile engine
+  (:func:`repro.core.closure.closure_blocked`).
 
 **Deletions** break monotonicity, so :meth:`IncrementalCFPQ.remove_edges`
 runs plain **delete-and-rederive** (DRed) — with no support store.

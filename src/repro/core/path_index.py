@@ -159,7 +159,7 @@ class AllPathIndex:
         """Run the boolean closure and wrap its relations.
 
         *strategy* selects the closure strategy (engine default when
-        None; extra keyword options such as ``tile_size`` / ``scheduler``
+        None; extra keyword options such as ``tile_size`` / ``memory_budget``
         are forwarded); the forest depends on the relations alone, so
         every strategy produces the identical one.
         """

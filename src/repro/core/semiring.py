@@ -295,8 +295,8 @@ LENGTH_SEMIRING = LengthSemiring()
 COUNTING_SEMIRING = CountingSemiring()
 VITERBI_SEMIRING = ViterbiSemiring()
 
-#: Name → singleton registry, used by the process tile scheduler to
-#: rebuild annotated tiles on the worker side of the pipe.
+#: Name → singleton registry, used by the spill codec to rebuild
+#: annotated tiles from their payloads (which carry the name only).
 SEMIRINGS: dict[str, Semiring] = {
     semiring.name: semiring
     for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, COUNTING_SEMIRING,
@@ -306,10 +306,8 @@ SEMIRINGS: dict[str, Semiring] = {
 
 def register_semiring(semiring: Semiring) -> Semiring:
     """Register *semiring* under its name (required for third-party
-    semirings to work with the ``process`` tile scheduler; note the
-    workers inherit runtime registrations only under the ``fork`` start
-    method — under ``spawn`` the registration must happen at import
-    time of a module the workers also import)."""
+    semirings whose annotated tiles spill to disk, since a reload
+    resolves the semiring by name)."""
     SEMIRINGS[semiring.name] = semiring
     return semiring
 
@@ -321,8 +319,8 @@ def get_semiring(name: str) -> Semiring:
     except KeyError:
         raise KeyError(
             f"unknown semiring {name!r}; registered: {sorted(SEMIRINGS)} "
-            "(register custom semirings with register_semiring to use "
-            "the process tile scheduler)"
+            "(register custom semirings with register_semiring so "
+            "their spilled tiles reload)"
         ) from None
 
 
@@ -583,10 +581,10 @@ class AnnotatedBackend(MatrixBackend):
         return self.matrix_type.assemble(self.semiring, items, size,
                                          tile_size)
 
-    # -- tile payloads (process-pool scheduler) ---------------------------
+    # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         """Annotated tiles travel as their cells (a cell tuple, or the
-        two arrays) plus the semiring *name* — the worker resolves the
+        two arrays) plus the semiring *name* — a reload resolves the
         semiring from the registry instead of unpickling backend
         objects."""
         return matrix.payload()

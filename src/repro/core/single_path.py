@@ -180,7 +180,7 @@ def build_single_path_index(graph: LabeledGraph, grammar: CFG,
     The fixpoint runs on :func:`repro.core.closure.run_closure` over the
     length semiring, so any registered closure *strategy* (``delta`` by
     default, ``naive``, ``blocked``, plug-ins) applies — extra keyword
-    options (``tile_size``, ``scheduler``) are forwarded to it; all
+    options (``tile_size``, ``memory_budget``) are forwarded to it; all
     strategies produce identical annotations.
     """
     working_grammar = ensure_cnf(grammar) if normalize else grammar

@@ -20,17 +20,16 @@ set.  This module provides it as a first-class store:
   the payload tuple.  Spill files are private to this store (written
   and read by the same process), so the pickle path needs no restricted
   unpickler.
-* **Version-keyed payload cache** — ``payload(key)`` memoizes the
-  encoded payload per content version, so the process scheduler only
-  re-encodes tiles that actually changed last round, and spilled tiles
-  ship to workers straight from their file bytes without ever being
-  re-materialized in the parent.
+* **Payloads on demand** — ``payload(key)`` encodes a resident tile,
+  and rebuilds a spilled one's payload from its file bytes without
+  materializing a matrix; snapshot saves stream spilled matrices out
+  this way.
 * **Pinning** — ``pinned(keys)`` marks a task's operand tiles
-  non-evictable for the duration of the computation, so concurrent
-  schedulers never thrash the exact tiles in flight.
-* **Accounting** — :class:`TileStoreStats` counts spills/reloads/bytes/
-  encodes and tracks ``peak_resident_bytes``, the number the
-  out-of-core acceptance tests assert stays under the budget.
+  non-evictable for the duration of the computation, so the budget
+  never evicts the exact tiles in flight.
+* **Accounting** — :class:`TileStoreStats` counts spills/reloads/bytes
+  and tracks ``peak_resident_bytes``, the number the out-of-core
+  acceptance tests assert stays under the budget.
 
 Spill-file lifecycle: each spill writes a **fresh** file and unlinks the
 previous one (POSIX keeps the inode alive for any still-open mapping, so
@@ -56,7 +55,6 @@ from typing import Hashable, Iterable, Iterator
 
 from ..errors import UnknownBackendError
 from ..matrices.base import BooleanMatrix, get_backend
-from .tiles import matrix_from_payload, tile_payload_of
 
 #: Environment variable supplying the default working-set budget
 #: (bytes, with optional K/M/G suffix); empty/unset means unbounded.
@@ -132,6 +130,31 @@ def available_memory_bytes() -> "int | None":
     return None
 
 
+def tile_payload_of(matrix: BooleanMatrix) -> tuple:
+    """Encode *matrix* through its backend's payload hook (the spill
+    and snapshot codec)."""
+    backend_name = matrix.backend_name
+    if backend_name == "annotated":
+        return matrix.payload()
+    if backend_name == "abstract":
+        # Third-party matrix types without a registered backend travel
+        # as generic coordinate payloads (rebuilt on the pyset backend).
+        rows, cols = matrix.shape
+        return ("pyset", rows, cols, tuple(matrix.nonzero_pairs()))
+    return get_backend(backend_name).tile_payload(matrix)
+
+
+def matrix_from_payload(payload: tuple) -> BooleanMatrix:
+    """Rebuild a tile from any backend's payload (inverse of
+    :func:`tile_payload_of`)."""
+    kind = payload[0]
+    if kind == "annotated":
+        from .semiring import annotated_tile_from_payload
+
+        return annotated_tile_from_payload(payload)
+    return get_backend(kind).tile_from_payload(payload)
+
+
 def matrix_nbytes(matrix: BooleanMatrix) -> int:
     """Approximate resident bytes of any matrix, dispatching to its
     backend's :meth:`MatrixBackend.matrix_nbytes` (with a coordinate
@@ -155,43 +178,29 @@ class TileStoreStats:
     ``tiles_spilled`` counts spill-file *writes* (an unchanged tile
     evicted twice writes once), ``tiles_reloaded`` counts
     materializations from disk, ``spill_bytes`` sums the bytes written,
-    ``payload_encodes`` counts :func:`tile_payload_of` invocations (the
-    process-scheduler re-serialization cost), ``evictions`` counts
-    residency drops, and ``peak_resident_bytes`` is the high-water mark
-    of the accounted working set.
+    ``evictions`` counts residency drops, and ``peak_resident_bytes`` is
+    the high-water mark of the accounted working set.
     """
 
     tiles_spilled: int = 0
     tiles_reloaded: int = 0
     spill_bytes: int = 0
-    payload_encodes: int = 0
     evictions: int = 0
     peak_resident_bytes: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "tiles_spilled": self.tiles_spilled,
-            "tiles_reloaded": self.tiles_reloaded,
-            "spill_bytes": self.spill_bytes,
-            "payload_encodes": self.payload_encodes,
-            "evictions": self.evictions,
-            "peak_resident_bytes": self.peak_resident_bytes,
-        }
 
 
 class _Entry:
     """Per-key state: the resident tile (if any), its content version,
-    the version-tagged payload cache, and the spill-file bookkeeping."""
+    and the spill-file bookkeeping.  A non-resident entry always has a
+    spill file of its current version."""
 
-    __slots__ = ("tile", "nbytes", "version", "payload", "payload_version",
-                 "spill_path", "spill_version", "spill_meta", "spill_raw")
+    __slots__ = ("tile", "nbytes", "version", "spill_path", "spill_version",
+                 "spill_meta", "spill_raw")
 
     def __init__(self) -> None:
         self.tile: "BooleanMatrix | None" = None
         self.nbytes = 0
         self.version = 0
-        self.payload: "tuple | None" = None
-        self.payload_version = -1
         self.spill_path: "str | None" = None
         self.spill_version = -1
         self.spill_meta: "tuple | None" = None
@@ -201,20 +210,17 @@ class _Entry:
 class TileStore:
     """A budgeted, spillable, LRU cache of matrix tiles.
 
-    Thread-safe (one re-entrant lock guards all state), so the thread
-    tile scheduler can fetch operands concurrently.  ``budget_bytes``
-    None means nothing ever spills — the store still provides the
-    version-keyed payload cache the process scheduler relies on.
+    Thread-safe (one re-entrant lock guards all state), because the
+    server's thread pool reads a :class:`SpillableMatrixMap` over it
+    concurrently.  ``budget_bytes`` None means nothing ever spills.
     Pinned keys (see :meth:`pinned`) are never evicted, so a working
     set larger than the budget keeps the run correct: the budget is
     enforced against every *unpinned* tile.
     """
 
-    def __init__(self, budget_bytes=None, spill_dir: "str | None" = None,
-                 payload_cache: bool = True):
+    def __init__(self, budget_bytes=None, spill_dir: "str | None" = None):
         self._budget = parse_memory_budget(budget_bytes)
         self._requested_dir = spill_dir
-        self._cache_payloads = payload_cache
         self._lock = threading.RLock()
         self._entries: dict[Hashable, _Entry] = {}
         self._lru: OrderedDict[Hashable, bool] = OrderedDict()
@@ -260,8 +266,8 @@ class TileStore:
 
         ``changed=False`` declares the content identical to what the
         store already holds (e.g. a merge whose delta was empty): the
-        version — and with it the payload cache and any current spill
-        file — stays valid, so nothing is re-encoded or re-spilled.
+        version — and with it any current spill file — stays valid, so
+        nothing is re-spilled.
         """
         nbytes = matrix_nbytes(tile)
         with self._lock:
@@ -276,8 +282,6 @@ class TileStore:
                 entry.tile = None
             if changed:
                 entry.version += 1
-                entry.payload = None
-                entry.payload_version = -1
             # Make room *before* the tile becomes resident, so the
             # accounted peak stays within the budget whenever the pinned
             # working set allows it (a single tile larger than the whole
@@ -287,35 +291,8 @@ class TileStore:
             entry.nbytes = nbytes
             self._make_resident(key, entry)
 
-    def put_payload(self, key: Hashable, payload: tuple) -> None:
-        """Store an already-encoded tile without materializing it here.
-
-        This is how process-scheduler results and snapshot loads enter
-        the store: the payload is the content; a matrix is only built
-        on the first :meth:`get`.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Entry()
-                self._entries[key] = entry
-            if entry.tile is not None:
-                self._drop_resident(key, entry)
-            entry.version += 1
-            entry.payload = payload
-            entry.payload_version = entry.version
-
-    def mark_changed(self, key: Hashable) -> None:
-        """Bump *key*'s content version after an external in-place
-        mutation of its tile (invalidates payload cache and spill)."""
-        with self._lock:
-            entry = self._entries[key]
-            entry.version += 1
-            entry.payload = None
-            entry.payload_version = -1
-
     def discard(self, key: Hashable) -> None:
-        """Drop *key* entirely (residency, payload cache, spill file)."""
+        """Drop *key* entirely (residency and spill file)."""
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
@@ -327,13 +304,13 @@ class TileStore:
 
     # -- reads ------------------------------------------------------------
     def get(self, key: Hashable) -> BooleanMatrix:
-        """The tile under *key*, reloading from payload/spill if cold."""
+        """The tile under *key*, reloading from its spill file if cold."""
         with self._lock:
             entry = self._entries[key]
             if entry.tile is not None:
                 self._lru.move_to_end(key)
                 return entry.tile
-            tile = self._materialize(key, entry)
+            tile = self._reload(entry)
             nbytes = matrix_nbytes(tile)
             self._evict_over_budget(protect=key, headroom=nbytes)
             entry.tile = tile
@@ -341,36 +318,18 @@ class TileStore:
             self._make_resident(key, entry)
             return tile
 
-    #: :class:`repro.core.tiles.TileSource` protocol — schedulers read
-    #: operand tiles via ``source.tile(key)``.
-    def tile(self, key: Hashable) -> BooleanMatrix:
-        return self.get(key)
-
     def payload(self, key: Hashable) -> tuple:
         """The encoded payload of *key*'s current content.
 
-        Cached per content version; a spilled-clean tile rebuilds its
-        payload from the file bytes without materializing a matrix —
-        this is the parent-side path the process scheduler ships to
-        workers.
+        A resident tile is encoded on demand; a spilled one rebuilds
+        its payload from the file bytes without materializing a matrix.
         """
         with self._lock:
             entry = self._entries[key]
-            if (entry.payload is not None
-                    and entry.payload_version == entry.version):
-                return entry.payload
             if entry.tile is not None:
                 self._lru.move_to_end(key)
-                self.stats.payload_encodes += 1
-                payload = tile_payload_of(entry.tile)
-            elif entry.spill_path and entry.spill_version == entry.version:
-                payload = self._payload_from_spill(entry)
-            else:
-                raise KeyError(f"tile {key!r} has no current content")
-            if self._cache_payloads:
-                entry.payload = payload
-                entry.payload_version = entry.version
-            return payload
+                return tile_payload_of(entry.tile)
+            return self._payload_from_spill(entry)
 
     # -- pinning ----------------------------------------------------------
     @contextlib.contextmanager
@@ -468,21 +427,11 @@ class TileStore:
             return
         if entry.spill_version != entry.version:
             self._write_spill(entry)
-        # The payload cache goes cold with the tile: a raw spill
-        # rebuilds it from the file for the price of one read, and
-        # keeping it would hide bytes from the budget.
-        entry.payload = None
-        entry.payload_version = -1
         self._drop_resident(key, entry)
         self.stats.evictions += 1
 
     def _write_spill(self, entry: _Entry) -> None:
-        if (entry.payload is not None
-                and entry.payload_version == entry.version):
-            payload = entry.payload
-        else:
-            self.stats.payload_encodes += 1
-            payload = tile_payload_of(entry.tile)
+        payload = tile_payload_of(entry.tile)
         backend = None
         kind = payload[0]
         if isinstance(kind, str):
@@ -514,14 +463,6 @@ class TileStore:
             # inode lives until the mapping dies).
             with contextlib.suppress(OSError):
                 os.unlink(previous)
-
-    def _materialize(self, key: Hashable, entry: _Entry) -> BooleanMatrix:
-        if (entry.payload is not None
-                and entry.payload_version == entry.version):
-            return matrix_from_payload(entry.payload)
-        if entry.spill_path and entry.spill_version == entry.version:
-            return self._reload(entry)
-        raise KeyError(f"tile {key!r} has no current content")
 
     def _reload(self, entry: _Entry) -> BooleanMatrix:
         self.stats.tiles_reloaded += 1

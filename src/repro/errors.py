@@ -100,18 +100,6 @@ class UnknownStrategyError(EngineError):
         )
 
 
-class UnknownSchedulerError(EngineError):
-    """Raised when a tile scheduler name is not registered."""
-
-    def __init__(self, name: str, available: list[str]):
-        self.name = name
-        self.available = sorted(available)
-        super().__init__(
-            f"unknown tile scheduler {name!r}; "
-            f"available: {', '.join(self.available)}"
-        )
-
-
 class SemanticsError(EngineError):
     """Raised when an unsupported query semantics is requested."""
 

@@ -336,14 +336,14 @@ class MatrixBackend(abc.ABC):
                     pairs.append((i, j))
         return self.from_pairs(size, pairs)
 
-    # -- tile payloads (process-pool scheduler) ---------------------------
+    # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         """Serialize a tile as a plain tuple of raw buffers/coordinates.
 
-        Payloads cross the process boundary of the ``process`` tile
-        scheduler, so they must be cheap to pickle: no matrix objects,
-        only primitive containers.  The first element is the backend
-        registry key the worker resolves to deserialize.  The generic
+        Payloads are what spill files and snapshots store, so they
+        must be cheap to pickle: no matrix objects, only primitive
+        containers.  The first element is the backend registry key a
+        reload resolves to deserialize.  The generic
         form ships the coordinate list; array-storage backends override
         with their raw word/bool/index buffers.
         """

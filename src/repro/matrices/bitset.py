@@ -377,7 +377,7 @@ class BitsetBackend(MatrixBackend):
         np.bitwise_or(accum._words, product, out=accum._words)
         return accum, BitsetMatrix._wrap(product, accum._cols)
 
-    # -- tile payloads (process-pool scheduler) ---------------------------
+    # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         bits = _as_bitset(matrix)
         rows, cols = bits.shape

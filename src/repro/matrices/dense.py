@@ -237,7 +237,7 @@ class DenseBackend(MatrixBackend):
         accum._array |= product
         return accum, DenseMatrix._wrap(product)
 
-    # -- tile payloads (process-pool scheduler) ---------------------------
+    # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         array = _as_array(matrix)
         rows, cols = array.shape

@@ -150,7 +150,7 @@ class SparseBackend(MatrixBackend):
                        + csr.indptr.nbytes)
         return super().matrix_nbytes(matrix)
 
-    # -- tile payloads (process-pool scheduler) ---------------------------
+    # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
         """CSR structure as raw index buffers (bool data is implicit),
         column indices ascending within each row: products and unions

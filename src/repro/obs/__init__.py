@@ -1,13 +1,12 @@
 """Unified observability: structured tracing, metrics, export.
 
 Three dependency-free pillars, shared by every layer of the engine
-(closure strategies, tile scheduler + spillable store, incremental
-DRed, the replicated serving tier):
+(closure strategies, the spillable tile store, incremental DRed, the
+replicated serving tier):
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing nested spans
   (context-manager + decorator API, contextvars-based so spans nest
-  correctly across threads and the tile schedulers' pools), a rotating
-  JSONL sink (``REPRO_TRACE_FILE`` / ``--trace-file``), and the shared
+  correctly across asyncio tasks and threads), a rotating JSONL sink (``REPRO_TRACE_FILE`` / ``--trace-file``), and the shared
   :func:`stopwatch` timer primitive that replaced the ad-hoc
   ``time.perf_counter`` call sites.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,

@@ -7,22 +7,6 @@ plus a decorator (:func:`traced`); the current span is tracked with
 :mod:`contextvars` so nesting is correct across ``asyncio`` tasks and
 plain threads that inherit a copied context.
 
-Two situations break implicit contextvar parenting, and both have an
-explicit escape hatch:
-
-* **thread pools** — a ``ThreadPoolExecutor`` worker runs in its own
-  long-lived context, and a single ``contextvars.Context`` object
-  cannot be entered concurrently, so copying the submitter's context
-  per task is not an option for fan-out.  Callers capture
-  ``tracer.current_ref()`` *before* submitting and pass it as
-  ``tracer.span(..., parent_ref=ref)`` inside the worker.
-* **process pools** — spans cannot cross a pipe live.  Workers build a
-  throwaway :class:`Tracer` with a :class:`MemorySink`, do their work,
-  and return the drained records next to their normal payload; the
-  parent calls :meth:`Tracer.ingest` to splice them into its own sink.
-  Records carry the parent's ``(trace_id, span_id)`` ref, so the tree
-  reconstructs exactly.
-
 Disabled tracing is a different *type*, not a flag check per field:
 :data:`NULL_TRACER` returns one shared no-op context manager from
 ``span()``, so an un-traced closure pays a single attribute lookup and
@@ -128,11 +112,6 @@ class Span:
         """Attach/overwrite one attribute on the live span."""
         self.attrs[key] = value
 
-    @property
-    def ref(self) -> tuple:
-        """The ``(trace_id, span_id)`` handle children parent onto."""
-        return (self.trace_id, self.span_id)
-
     def finish(self) -> dict:
         self.dur_s = time.perf_counter() - self._t0
         return self.record()
@@ -156,7 +135,6 @@ class _NullSpan:
     name = trace_id = span_id = parent_id = None
     dur_s = None
     attrs: dict = {}
-    ref = None
 
     def set(self, key: str, value) -> None:
         pass
@@ -190,7 +168,7 @@ _SUPPRESSED = _NullSpan()
 
 
 class MemorySink:
-    """Buffers records in memory; process workers drain and ship them."""
+    """Buffers records in memory until :meth:`drain` takes them."""
 
     def __init__(self) -> None:
         self._records: list[dict] = []
@@ -262,7 +240,8 @@ class Tracer:
         self._current = contextvars.ContextVar("repro_obs_span",
                                                default=None)
         # itertools.count.__next__ is atomic under the GIL; the pid
-        # component keeps ids distinct across process-pool workers.
+        # component keeps ids distinct across processes that share a
+        # trace file.
         self._ids = itertools.count()
         self._roots = itertools.count()
         self._pid = os.getpid()
@@ -274,33 +253,21 @@ class Tracer:
     def _next_id(self) -> str:
         return f"{self._pid:x}.{next(self._ids):x}"
 
-    def current_ref(self) -> "tuple | None":
-        """The ``(trace_id, span_id)`` of the innermost live span, or
-        None.  Capture this *before* handing work to a pool and pass it
-        as ``parent_ref`` inside the worker."""
-        span = self._current.get()
-        if span is None or span is _SUPPRESSED:
-            return None
-        return span.ref
-
     # -- span lifecycle ---------------------------------------------------
 
     @contextmanager
-    def span(self, name: str, parent_ref: "tuple | None" = None, **attrs):
-        """Open a child of the current span (or of ``parent_ref``).
+    def span(self, name: str, **attrs):
+        """Open a child of the current span.
 
-        A span with neither an implicit nor an explicit parent starts a
-        new trace and is subject to root sampling: with
-        ``sample_every=N`` only every Nth root — and its entire subtree
-        — is recorded.
+        A span without a parent starts a new trace and is subject to
+        root sampling: with ``sample_every=N`` only every Nth root — and
+        its entire subtree — is recorded.
         """
         current = self._current.get()
-        if current is _SUPPRESSED and parent_ref is None:
+        if current is _SUPPRESSED:
             yield NULL_SPAN
             return
-        if parent_ref is not None:
-            trace_id, parent_id = parent_ref
-        elif current is not None:
+        if current is not None:
             trace_id, parent_id = current.trace_id, current.span_id
         else:
             if self.sample_every > 1 \
@@ -328,13 +295,6 @@ class Tracer:
                 for buffer in self._collectors:
                     buffer.append(record)
 
-    def ingest(self, records) -> None:
-        """Splice externally produced span records (e.g. shipped back
-        from a process-pool worker) into this tracer's sink and any
-        active collectors."""
-        for record in records:
-            self._emit(record)
-
     @contextmanager
     def collect(self):
         """Capture every record finished anywhere while the block is
@@ -359,14 +319,8 @@ class _NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__(sink=None)
 
-    def span(self, name: str, parent_ref=None, **attrs):
+    def span(self, name: str, **attrs):
         return _NULL_SPAN_CONTEXT
-
-    def current_ref(self) -> None:
-        return None
-
-    def ingest(self, records) -> None:
-        pass
 
 
 NULL_TRACER = _NullTracer()

@@ -30,8 +30,8 @@ cannot reach a callable to execute.  The plain-container rule is also
 why graph *nodes* must be plain values (ints, strings, tuples...) for a
 graph to be snapshottable.
 
-Matrices travel through the same **payload codec** the process tile
-scheduler uses (:meth:`repro.matrices.base.MatrixBackend.tile_payload` /
+Matrices travel through the same **payload codec** the tile store
+spills with (:meth:`repro.matrices.base.MatrixBackend.tile_payload` /
 ``tile_from_payload``): dense bool buffers, bitset words, CSR index
 arrays, or coordinate lists, tagged with the producing backend's
 registry key.  Loading under a *different* backend re-materializes
@@ -230,9 +230,9 @@ def encode_boolean_matrices(matrices, backend) -> dict:
 
     A :class:`repro.core.tilestore.SpillableMatrixMap` is encoded
     straight against its tile store: spilled matrices stream their
-    encoded form from the spill files and resident ones use the store's
-    version-keyed payload cache — the save path never re-materializes a
-    cold matrix (no double-buffering).
+    encoded form from the spill files and resident ones are encoded in
+    place — the save path never re-materializes a cold matrix (no
+    double-buffering).
 
     Keys are emitted in sorted-name order so the encoding is canonical:
     non-terminal sets iterate in hash order, which `PYTHONHASHSEED`

@@ -360,8 +360,8 @@ def test_incremental_lengths_track_from_scratch_index(seed):
 # :mod:`repro.core.scalar_matrix`.  A subclass that withdraws the
 # ``array_ops`` declaration keeps the same algebra on the dict-of-cells
 # ``AnnotatedMatrix`` — the differential oracle.  Both are registered at
-# import (collection) time, before any process pool forks, so the
-# ``process`` scheduler's workers resolve them by name.
+# import (collection) time, so a spilled tile's reload resolves them by
+# name.
 
 class DictLength(LengthSemiring):
     name = "length[dict-oracle]"
@@ -423,14 +423,11 @@ def test_array_layout_equals_dict_layout(seed, strategy):
 
 @requires_arrays
 @pytest.mark.parametrize("seed", SEEDS[:5])
-@pytest.mark.parametrize("scheduler", ("serial", "threads", "process"))
-def test_array_layout_equals_dict_layout_blocked(seed, scheduler):
+def test_array_layout_equals_dict_layout_blocked(seed):
     """Tiled runs: tile_size 2 leaves a ragged edge tile on every
-    odd-sized graph, and the process scheduler ships the arrays through
-    the payload codec."""
+    odd-sized graph."""
     graph, grammar = make_case(seed)
-    _assert_layouts_agree(graph, grammar, "blocked", tile_size=2,
-                          scheduler=scheduler)
+    _assert_layouts_agree(graph, grammar, "blocked", tile_size=2)
 
 
 @requires_arrays

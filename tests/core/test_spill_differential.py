@@ -3,9 +3,9 @@
 A closure run under a tiny memory budget — forcing tiles to shuttle
 through the spill files constantly — must produce byte-identical
 results to the unbounded in-memory run, across every strategy ×
-backend × scheduler combination and under the boolean and length
-semirings on either cell layout.  These tests are the out-of-core analogue of
-:mod:`tests.core.test_tile_scheduler`'s scheduler differentials.
+backend combination and under the boolean and length semirings on
+either cell layout.  These tests are the out-of-core analogue of
+:mod:`tests.core.test_blocked`'s differentials.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.semiring import (
     LENGTH_SEMIRING,
     solve_annotated,
 )
-from repro.core.tiles import SCHEDULERS
 from repro.matrices.base import available_backends
 
 from test_semiring_differential import DICT_LENGTH, make_case
@@ -42,23 +41,6 @@ def test_tiny_budget_blocked_matches_oracle_all_backends(seed, tmp_path):
         assert result.relations.same_as(oracle.relations), backend
         assert (result.stats.nnz_per_nonterminal
                 == oracle.stats.nnz_per_nonterminal), backend
-
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_tiny_budget_schedulers_byte_identical(seed, scheduler, tmp_path):
-    """Spilling composes with every scheduler, including the process
-    pool (spilled payloads ship from the file bytes)."""
-    graph, grammar = make_case(seed)
-    oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
-    result = solve_matrix(graph, grammar, backend="bitset",
-                          normalize=False, strategy="blocked",
-                          tile_size=2, scheduler=scheduler,
-                          memory_budget=TINY_BUDGET,
-                          spill_dir=str(tmp_path))
-    assert result.relations.same_as(oracle.relations), scheduler
-    assert (result.stats.nnz_per_nonterminal
-            == oracle.stats.nnz_per_nonterminal), scheduler
 
 
 @pytest.mark.parametrize("strategy", ("blocked", "autotune"))

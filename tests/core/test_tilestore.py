@@ -1,8 +1,8 @@
 """Unit tests for the spillable tile store (out-of-core working set).
 
 Covers budget parsing, LRU spill/reload round-trips on both spill
-formats (raw buffer + mmap for bitset/dense, pickle for the rest), the
-version-keyed payload cache, pinning, the spill-file lifecycle, the
+formats (raw buffer + mmap for bitset/dense, pickle for the rest),
+payloads of spilled tiles, pinning, the spill-file lifecycle, the
 ``SpillableMatrixMap`` wrapper — and the out-of-core acceptance
 property: a closure whose tiles exceed the budget completes with the
 store's accounted peak resident bytes within the budget.
@@ -18,6 +18,7 @@ from repro.core.tilestore import (
     SpillableMatrixMap,
     TileStore,
     available_memory_bytes,
+    matrix_from_payload,
     matrix_nbytes,
     parse_memory_budget,
     resolve_memory_budget,
@@ -149,37 +150,8 @@ def test_reloaded_tile_is_mutable_and_private(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Version-keyed payload cache (the re-serialization regression)
+# Payloads (the snapshot save path)
 # ----------------------------------------------------------------------
-
-def test_payload_cached_per_version():
-    backend = get_backend("bitset")
-    store = TileStore()
-    store.put(("A", 0, 0), backend.from_pairs(8, [(0, 1)]))
-    first = store.payload(("A", 0, 0))
-    assert store.stats.payload_encodes == 1
-    assert store.payload(("A", 0, 0)) is first
-    assert store.stats.payload_encodes == 1  # cache hit, no re-encode
-    store.mark_changed(("A", 0, 0))
-    store.payload(("A", 0, 0))
-    assert store.stats.payload_encodes == 2  # version bump re-encodes
-    store.close()
-
-
-def test_put_unchanged_keeps_payload_valid():
-    backend = get_backend("bitset")
-    store = TileStore()
-    tile = backend.from_pairs(8, [(0, 1)])
-    store.put(("A", 0, 0), tile)
-    store.payload(("A", 0, 0))
-    store.put(("A", 0, 0), tile, changed=False)
-    store.payload(("A", 0, 0))
-    assert store.stats.payload_encodes == 1
-    store.put(("A", 0, 0), tile, changed=True)
-    store.payload(("A", 0, 0))
-    assert store.stats.payload_encodes == 2
-    store.close()
-
 
 def test_spilled_tile_ships_payload_without_materializing(tmp_path):
     """A spilled-clean tile's payload comes from the file bytes; no
@@ -192,19 +164,7 @@ def test_spilled_tile_ships_payload_without_materializing(tmp_path):
     payload = store.payload(("A", 0, 0))
     assert payload[0] == "bitset"
     assert store.stats.tiles_reloaded == reloads_before
-    from repro.core.tiles import matrix_from_payload
-
     assert matrix_from_payload(payload).to_pair_set() == {(2, 3)}
-    store.close()
-
-
-def test_payload_cache_disabled_reencodes():
-    backend = get_backend("bitset")
-    store = TileStore(payload_cache=False)
-    store.put(("A", 0, 0), backend.from_pairs(8, [(0, 1)]))
-    store.payload(("A", 0, 0))
-    store.payload(("A", 0, 0))
-    assert store.stats.payload_encodes == 2
     store.close()
 
 
@@ -302,23 +262,6 @@ def test_respill_unlinks_superseded_file(tmp_path):
                    (str(f) for f in tmp_path.iterdir()))
     assert len(files) == 2  # one live file per spilled tile, no leaks
     assert store.get(("A", 0, 0)).to_pair_set() == {(0, 1), (5, 5)}
-    store.close()
-
-
-# ----------------------------------------------------------------------
-# put_payload (process-scheduler staging)
-# ----------------------------------------------------------------------
-
-def test_put_payload_materializes_lazily():
-    backend = get_backend("bitset")
-    from repro.core.tiles import tile_payload_of
-
-    payload = tile_payload_of(backend.from_pairs(8, [(6, 1)]))
-    store = TileStore()
-    store.put_payload(("S", 0, 0), payload)
-    assert store.resident_bytes == 0  # staged, not materialized
-    assert store.get(("S", 0, 0)).to_pair_set() == {(6, 1)}
-    assert store.resident_bytes > 0
     store.close()
 
 

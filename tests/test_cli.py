@@ -177,10 +177,39 @@ class TestUpdateCommand:
         assert main(["update", "--graph", chain_file,
                      "--grammar-name", "dyck1", "--start", "S",
                      "--insert", str(insert), "--strategy", "blocked",
-                     "--tile-size", "2", "--scheduler", "serial",
-                     "--json"]) == 0
+                     "--tile-size", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert ["4", "6"] in payload["pairs"]
+
+
+class TestSizeFlags:
+    """A bad ``--tile-size`` or ``--memory-budget`` is a usage error
+    (exit 2) on every subcommand that takes one, not a traceback from
+    inside the closure."""
+
+    COMMANDS = ("query", "path", "paths", "update", "snapshot", "serve")
+
+    @pytest.mark.parametrize("flags", [
+        ("--strategy", "blocked", "--tile-size", "0"),
+        ("--strategy", "autotune", "--memory-budget", "1",
+         "--tile-size", "0"),
+        ("--tile-size", "-3"),
+        ("--memory-budget", "12Q"),
+    ], ids=["tile-0", "autotune-tile-0", "tile-negative", "budget-12Q"])
+    def test_exits_with_usage_error(self, flags, chain_file, capsys):
+        for command in self.COMMANDS:
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--graph", chain_file,
+                      "--grammar-name", "dyck1", *flags])
+            assert excinfo.value.code == 2, command
+            assert "usage:" in capsys.readouterr().err, command
+
+    def test_budget_suffix_still_parses(self, chain_file, capsys):
+        assert main(["query", "--graph", chain_file,
+                     "--grammar-name", "dyck1", "--strategy", "blocked",
+                     "--memory-budget", "64K", "--json", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["blocked"]["budget_bytes"] == 64 * 1024
 
 
 class TestTablesCommand:
