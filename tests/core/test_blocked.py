@@ -12,6 +12,7 @@ cases of the semiring differential harness
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -28,6 +29,11 @@ from repro.matrices.base import available_backends, get_backend
 from test_semiring_differential import DICT_LENGTH, make_case
 
 SEEDS = tuple(range(6))
+
+#: Tile edges for the differentials (the random cases have 2–5 nodes):
+#: one cell per tile, the even split, a ragged edge tile on most
+#: graphs, and a single tile larger than every graph.
+TILE_EDGES = (1, 2, 3, 8)
 
 
 class TestTiling:
@@ -99,21 +105,24 @@ def test_annotated_payload_round_trip():
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_blocked_byte_identical_boolean(seed):
+@pytest.mark.parametrize("tile_size", TILE_EDGES)
+def test_blocked_byte_identical_boolean(seed, tile_size):
     """Every backend's blocked run equals the naive oracle."""
     graph, grammar = make_case(seed)
     oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
     for backend in available_backends():
         result = solve_matrix(graph, grammar, backend=backend,
                               normalize=False, strategy="blocked",
-                              tile_size=2)
+                              tile_size=tile_size)
         assert result.relations.same_as(oracle.relations), backend
         assert (result.stats.nnz_per_nonterminal
                 == oracle.stats.nnz_per_nonterminal), backend
+        assert result.stats.details["blocked"].tile_size == tile_size
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
-def test_blocked_byte_identical_annotations(seed):
+@pytest.mark.parametrize("tile_size", TILE_EDGES)
+def test_blocked_byte_identical_annotations(seed, tile_size):
     """Annotations survive tiling exactly, for array tiles and for dict
     tiles whose min-plus refinements cross tiles."""
     graph, grammar = make_case(seed)
@@ -122,8 +131,42 @@ def test_blocked_byte_identical_annotations(seed):
                                     strategy="naive", normalize=False)
         tiled = solve_annotated(graph, grammar, semiring,
                                 strategy="blocked", normalize=False,
-                                tile_size=2)
+                                tile_size=tile_size)
         assert tiled.cells() == reference.cells(), semiring.name
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_blocked_independent_of_rule_order(seed):
+    """Groups are computed and merged in canonical key order, so any
+    permutation of the rule list yields the identical closure, tile
+    products and per-round growth.  Dyck-1 has three rules sharing the
+    head ``S``, so their products merge into the same output tiles."""
+    from repro.core.matrix_cfpq import initial_boolean_matrices
+    from repro.grammar.builders import get_grammar
+    from repro.grammar.cnf import to_cnf
+    from repro.graph.generators import random_graph
+
+    graph = random_graph(9, 24, ["a", "b"], seed=seed)
+    grammar = to_cnf(get_grammar("dyck1"))
+    backend = get_backend("pyset")
+    rules = [(rule.head, *rule.body) for rule in grammar.binary_rules]
+
+    def close(rule_order):
+        matrices = initial_boolean_matrices(graph, grammar, backend)
+        return run_closure(matrices, rule_order, backend,
+                           strategy="blocked", tile_size=2)
+
+    reference = close(rules)
+    assert reference.multiplications > 0
+    for shuffle_seed in range(3):
+        shuffled = list(rules)
+        random.Random(shuffle_seed).shuffle(shuffled)
+        result = close(shuffled)
+        for symbol, matrix in reference.matrices.items():
+            assert result.matrices[symbol].same_pairs(matrix), shuffle_seed
+        assert result.multiplications == reference.multiplications
+        assert result.iterations == reference.iterations
+        assert result.delta_nnz_per_round == reference.delta_nnz_per_round
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])

@@ -423,11 +423,12 @@ def test_array_layout_equals_dict_layout(seed, strategy):
 
 @requires_arrays
 @pytest.mark.parametrize("seed", SEEDS[:5])
-def test_array_layout_equals_dict_layout_blocked(seed):
-    """Tiled runs: tile_size 2 leaves a ragged edge tile on every
-    odd-sized graph."""
+@pytest.mark.parametrize("tile_size", (1, 2, 3))
+def test_array_layout_equals_dict_layout_blocked(seed, tile_size):
+    """Tiled runs: tile_size 1 puts one cell in each tile, and 2 or 3
+    leave a ragged edge tile on graphs their edge does not divide."""
     graph, grammar = make_case(seed)
-    _assert_layouts_agree(graph, grammar, "blocked", tile_size=2)
+    _assert_layouts_agree(graph, grammar, "blocked", tile_size=tile_size)
 
 
 @requires_arrays

@@ -43,6 +43,23 @@ def test_tiny_budget_blocked_matches_oracle_all_backends(seed, tmp_path):
                 == oracle.stats.nnz_per_nonterminal), backend
 
 
+@pytest.mark.parametrize("tile_size", (1, 3, 8))
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_tiny_budget_tile_edges_byte_identical(seed, tile_size, tmp_path):
+    """Spilling composes with every tile edge: single-cell tiles, a
+    ragged edge tile, and one tile larger than the graph."""
+    graph, grammar = make_case(seed)
+    oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
+    result = solve_matrix(graph, grammar, backend="bitset",
+                          normalize=False, strategy="blocked",
+                          tile_size=tile_size, memory_budget=TINY_BUDGET,
+                          spill_dir=str(tmp_path))
+    assert result.relations.same_as(oracle.relations), tile_size
+    assert (result.stats.nnz_per_nonterminal
+            == oracle.stats.nnz_per_nonterminal), tile_size
+    assert result.stats.details["blocked"].tiles_spilled > 0
+
+
 @pytest.mark.parametrize("strategy", ("blocked", "autotune"))
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
