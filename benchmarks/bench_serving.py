@@ -10,7 +10,11 @@ the client side.  Reported per workload:
 * ``queries_per_s`` — completed requests / wall time;
 * ``wall_time_s`` — the whole workload (the regression-gated cell);
 * ``agree`` — every response well-formed and, for replicated
-  workloads, leader and follower snapshots byte-identical at the end.
+  workloads, leader and follower snapshots byte-identical at the end;
+* ``replica_lag_p95_ms`` (replicated workloads) — after the stream,
+  ``LAG_TICKS`` quiet ticks one at a time: from the leader's ``update``
+  reply until every follower has applied the tick, which the leader's
+  pushed ``sync`` alone brings about (no client syncs a follower).
 
 Workloads:
 
@@ -32,12 +36,17 @@ import argparse
 import filecmp
 import json
 import os
+import socket
 import tempfile
+import time
 
-from bench_workloads import drive_mixed_stream, make_service
+from bench_workloads import drive_mixed_stream, make_service, percentile
 from repro.service.replica import FollowerService, ReplicatedService
 from repro.service.server import ServerThread
 from repro.service.wal import TickLog
+
+#: Quiet ticks timed for ``replica_lag_p95_ms``.
+LAG_TICKS = 20
 
 
 def bench_single(clients: int, requests_per_client: int,
@@ -49,6 +58,36 @@ def bench_single(clients: int, requests_per_client: int,
                                      batch_size=batch_size)
     metrics["agree"] = metrics.pop("ok")
     return metrics
+
+
+def replica_lag_ms(address, leader, followers) -> list:
+    """Milliseconds from each quiet tick's ``update`` reply until every
+    follower has applied it.  A follower started from a seq-0 snapshot
+    has applied tick *s* once it has replayed *s* ticks."""
+
+    def replayed(follower) -> int:
+        return follower.stats["replication"]["ticks_replayed"]
+
+    lags = []
+    with socket.create_connection(address, timeout=30) as sock:
+        stream = sock.makefile("rw", encoding="utf-8")
+        for index in range(LAG_TICKS):
+            node = f"lag-{index}"
+            stream.write(json.dumps({
+                "op": "update", "insert": [[node, "a", node + "'"]],
+                "delete": [[node, "a", node + "'"]]}) + "\n")
+            stream.flush()
+            if not json.loads(stream.readline()).get("ok"):
+                raise RuntimeError("lag tick failed")
+            acked = time.perf_counter()
+            seq = leader.applied_seq
+            deadline = acked + 30
+            while any(replayed(follower) < seq for follower in followers):
+                if time.perf_counter() > deadline:
+                    raise RuntimeError("a follower never replayed")
+                time.sleep(0.0002)
+            lags.append((time.perf_counter() - acked) * 1e3)
+    return lags
 
 
 def bench_replicated(replicas: int, clients: int,
@@ -63,9 +102,7 @@ def bench_replicated(replicas: int, clients: int,
         followers = [FollowerService.from_snapshot(snapshot, wal)
                      for _ in range(replicas)]
 
-        follower_servers = [ServerThread(follower,
-                                         follower_poll_seconds=0.005)
-                            for follower in followers]
+        follower_servers = [ServerThread(follower) for follower in followers]
         for server in follower_servers:
             server.__enter__()
         try:
@@ -76,6 +113,7 @@ def bench_replicated(replicas: int, clients: int,
                 metrics = drive_mixed_stream(front.address, clients,
                                              requests_per_client,
                                              update_every)
+                lags = replica_lag_ms(front.address, leader, followers)
         finally:
             for server in follower_servers:
                 server.__exit__(None, None, None)
@@ -92,6 +130,7 @@ def bench_replicated(replicas: int, clients: int,
         leader.close()
         metrics["agree"] = metrics.pop("ok") and converged
         metrics["replicas"] = replicas
+        metrics["replica_lag_p95_ms"] = percentile(lags, 0.95)
         return metrics
 
 

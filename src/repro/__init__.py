@@ -20,36 +20,32 @@ Quickstart::
     print(engine.single_path("S", 0, 0))
 """
 
-from .core.batch import BatchQuery, solve_batch
-from .core.closure import available_strategies, run_closure
-from .core.engine import CFPQEngine, cfpq
-from .core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
-from .core.path_index import AllPathIndex, PathIndex
-from .core.matrix_cfpq import solve_matrix, solve_matrix_relations
-from .core.naive_closure import solve_naive
-from .core.relations import ContextFreeRelations
-from .core.semiring import (
-    LENGTH_SEMIRING,
-    AnnotatedBackend,
-    AnnotatedMatrix,
-    Semiring,
-    solve_annotated,
-)
-from .core.single_path import build_single_path_index, extract_path
-from .errors import ReproError
-from .grammar import CFG, Nonterminal, Production, Terminal, parse_grammar, to_cnf
-from .graph import LabeledGraph, load_graph_file, load_rdf_graph, triples_to_graph
-from .obs import (
-    MetricsRegistry,
-    Tracer,
-    configure_tracing,
-    get_registry,
-    get_tracer,
-    render_prometheus,
-    summarize_trace,
-)
-from .regular import solve_rpq
-from .service import QueryService, load_engine_snapshot, save_engine_snapshot
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.batch": ("BatchQuery", "solve_batch"),
+    ".core.closure": ("available_strategies", "run_closure"),
+    ".core.engine": ("CFPQEngine", "cfpq"),
+    ".core.incremental": ("IncrementalCFPQ", "IncrementalSinglePathCFPQ"),
+    ".core.path_index": ("AllPathIndex", "PathIndex"),
+    ".core.matrix_cfpq": ("solve_matrix", "solve_matrix_relations"),
+    ".core.naive_closure": ("solve_naive",),
+    ".core.relations": ("ContextFreeRelations",),
+    ".core.semiring": ("LENGTH_SEMIRING", "AnnotatedBackend",
+                       "AnnotatedMatrix", "Semiring", "solve_annotated"),
+    ".core.single_path": ("build_single_path_index", "extract_path"),
+    ".errors": ("ReproError",),
+    ".grammar": ("CFG", "Nonterminal", "Production", "Terminal",
+                 "parse_grammar", "to_cnf"),
+    ".graph": ("LabeledGraph", "load_graph_file", "load_rdf_graph",
+               "triples_to_graph"),
+    ".obs": ("MetricsRegistry", "Tracer", "configure_tracing",
+             "get_registry", "get_tracer", "render_prometheus",
+             "summarize_trace"),
+    ".regular": ("solve_rpq",),
+    ".service": ("QueryService", "load_engine_snapshot",
+                 "save_engine_snapshot"),
+})
 
 __version__ = "1.1.0"
 

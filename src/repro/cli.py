@@ -38,13 +38,11 @@ import sys
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
 from .core.matrix_cfpq import DEFAULT_STRATEGY
-from .core.tilestore import parse_memory_budget
 from .errors import ReproError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
-from .graph.io import load_graph_file, node_from_token
-from .graph.rdf import load_rdf_graph
-from .matrices.base import available_backends, default_backend
+from .graph.io import coerce_json_node, load_graph_file, node_from_token
+from .matrices.base import BACKEND_NAMES, backend_installed, default_backend
 
 
 def _load_grammar(args: argparse.Namespace):
@@ -56,10 +54,15 @@ def _load_grammar(args: argparse.Namespace):
     raise SystemExit("one of --grammar or --grammar-name is required")
 
 
-def _load_graph(args: argparse.Namespace):
+def _load_graph(args: argparse.Namespace, path: "str | None" = None):
+    """The graph at *path* (default ``--graph``), read as RDF triples
+    under ``--rdf``."""
+    path = path or args.graph
     if args.rdf:
-        return load_rdf_graph(args.graph)
-    return load_graph_file(args.graph)
+        from .graph.rdf import load_rdf_graph
+
+        return load_rdf_graph(path)
+    return load_graph_file(path)
 
 
 def _positive_int(text: str) -> int:
@@ -74,9 +77,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _backend(name: str) -> str:
+    """argparse type for ``--backend``: a bundled backend whose
+    dependency is not installed is a usage error (unknown names fall
+    through to ``choices``)."""
+    if name in BACKEND_NAMES and not backend_installed(name):
+        raise argparse.ArgumentTypeError(
+            f"backend {name!r} needs NumPy/SciPy, which are not installed "
+            "(pip install 'repro-cfpq[backends]')")
+    return name
+
+
 def _memory_budget(text: str) -> "int | None":
     """argparse type for ``--memory-budget``: a malformed size is a
     usage error, not a traceback."""
+    from .core.tilestore import parse_memory_budget
+
     try:
         return parse_memory_budget(text)
     except ValueError as error:
@@ -93,8 +109,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=sorted(GRAMMAR_REGISTRY),
                         help="built-in grammar")
     parser.add_argument("--start", default="S", help="start non-terminal")
-    parser.add_argument("--backend", default=default_backend(),
-                        choices=available_backends())
+    parser.add_argument("--backend", type=_backend, default=default_backend(),
+                        choices=BACKEND_NAMES)
     parser.add_argument("--strategy", default=DEFAULT_STRATEGY,
                         choices=available_strategies(),
                         help="closure strategy (delta = semi-naive, "
@@ -221,7 +237,6 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
     (:func:`repro.core.batch.solve_batch`) instead of one solve per
     line."""
     from .core.batch import solve_batch
-    from .service.server import _coerce_node as _coerce_json_node
 
     graph = _load_graph(args)
     grammar = _load_grammar(args)
@@ -237,10 +252,10 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
                 spec.setdefault("start", args.start)
                 for key in ("source", "target"):
                     if spec.get(key) is not None:
-                        spec[key] = _coerce_json_node(graph, spec[key])
+                        spec[key] = coerce_json_node(graph, spec[key])
                 for key in ("sources", "targets"):
                     if spec.get(key) is not None:
-                        spec[key] = [_coerce_json_node(graph, node)
+                        spec[key] = [coerce_json_node(graph, node)
                                      for node in spec[key]]
             specs.append(spec)
     answers = solve_batch(graph, grammar, specs, backend=args.backend,
@@ -400,9 +415,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         # conversion; the update files must be parsed and converted by
         # the same rule or the maintained relation silently diverges
         # from a fresh `query --rdf` on the merged triples.
-        if args.rdf:
-            return load_rdf_graph(path).edges()
-        return load_graph_file(path).edges()
+        return _load_graph(args, path).edges()
 
     added = removed = 0
     if args.insert:
@@ -460,19 +473,12 @@ def _parse_replicas(spec: "str | None") -> list:
     return replicas
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve JSONL queries/updates over stdio or TCP."""
+def serve_service(args: argparse.Namespace):
+    """The service ``serve`` runs for *args*: loaded or solved, and
+    wrapped for its replication role (a follower caught up to the end
+    of the WAL)."""
     from .service.query_service import QueryService
     from .service.replica import open_role
-    from .service.server import serve_stream, serve_tcp
-
-    metrics_server = None
-    if args.metrics_addr:
-        from .obs.export import start_metrics_server
-        metrics_server = start_metrics_server(args.metrics_addr)
-        host, port = metrics_server.address
-        print(f"metrics on http://{host}:{port}/metrics",
-              file=sys.stderr)
 
     options = _strategy_options(args)
     service_kwargs = dict(
@@ -503,9 +509,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.role != "single" and not args.wal:
         raise SystemExit(f"serve --role {args.role} requires --wal PATH")
-    service = open_role(args.role, service, snapshot=args.snapshot,
-                        wal=args.wal, fsync=args.wal_fsync,
-                        **service_kwargs)
+    return open_role(args.role, service, snapshot=args.snapshot,
+                     wal=args.wal, fsync=args.wal_fsync, **service_kwargs)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Serve JSONL queries/updates over stdio or TCP."""
+    from .service.server import serve_stream, serve_tcp
+
+    metrics_server = None
+    if args.metrics_addr:
+        from .obs.export import start_metrics_server
+        metrics_server = start_metrics_server(args.metrics_addr)
+        host, port = metrics_server.address
+        print(f"metrics on http://{host}:{port}/metrics",
+              file=sys.stderr)
+
+    service = serve_service(args)
     replicas = _parse_replicas(args.replicas)
     if replicas and args.role != "leader":
         raise SystemExit("--replicas is a leader feature (the leader "
@@ -697,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--grammar", help="grammar file in the text DSL")
     serve.add_argument("--grammar-name", choices=sorted(GRAMMAR_REGISTRY),
                        help="built-in grammar")
-    serve.add_argument("--backend", default=None,
-                       choices=available_backends(),
+    serve.add_argument("--backend", type=_backend, default=None,
+                       choices=BACKEND_NAMES,
                        help="matrix backend (default: the snapshot's, "
                             "or the best installed)")
     serve.add_argument("--strategy", default=None,
@@ -793,8 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="treat the graph file as RDF triples")
     rpq.add_argument("--regex", required=True,
                      help="label regex, e.g. 'subClassOf_r+ subClassOf+'")
-    rpq.add_argument("--backend", default=default_backend(),
-                     choices=available_backends())
+    rpq.add_argument("--backend", type=_backend, default=default_backend(),
+                     choices=BACKEND_NAMES)
     rpq.add_argument("--json", action="store_true")
     rpq.set_defaults(handler=cmd_rpq)
 

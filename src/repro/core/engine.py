@@ -20,7 +20,7 @@ node objects.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from ..errors import SemanticsError
 from ..grammar.cfg import CFG
@@ -28,16 +28,12 @@ from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import default_backend
-from .allpath import AllPathEnumerator
 from .matrix_cfpq import DEFAULT_STRATEGY, MatrixCFPQResult, solve_matrix
-from .path_index import AllPathIndex
 from .relations import ContextFreeRelations
-from .single_path import (
-    Path,
-    SinglePathIndex,
-    build_single_path_index,
-    extract_path,
-)
+
+if TYPE_CHECKING:
+    from .allpath import AllPathEnumerator
+    from .single_path import Path, SinglePathIndex
 
 #: The query semantics understood by :meth:`CFPQEngine.evaluate`.
 SEMANTICS = ("relational", "single-path", "all-path")
@@ -126,6 +122,8 @@ class CFPQEngine:
         so overriding *strategy* only changes how the fixpoint is
         iterated.
         """
+        from .single_path import build_single_path_index
+
         key = strategy or self.strategy
         if key not in self._single_path_by_strategy:
             self._single_path_by_strategy[key] = build_single_path_index(
@@ -139,6 +137,8 @@ class CFPQEngine:
         """One witness path for ``(start, source, target)``; raises
         :class:`~repro.errors.PathNotFoundError` when the pair is not in
         the relation."""
+        from .single_path import extract_path
+
         start_nt = as_nonterminal(start)
         self.grammar.require_nonterminal(start_nt)
         return extract_path(self.single_path_index(strategy), start_nt,
@@ -162,6 +162,9 @@ class CFPQEngine:
         """The all-path enumerator, built once per strategy and cached:
         a forest view of the (cached) relational solve, so all-path
         queries never close a second time."""
+        from .allpath import AllPathEnumerator
+        from .path_index import AllPathIndex
+
         key = strategy or self.strategy
         if key not in self._all_path_enumerators:
             self._all_path_enumerators[key] = AllPathEnumerator(
@@ -263,6 +266,8 @@ class CFPQEngine:
             return self.relational(start, backend=kwargs.get("backend"),
                                    strategy=kwargs.get("strategy"))
         if semantics == "single-path":
+            from .single_path import extract_path
+
             index = self.single_path_index(kwargs.get("strategy"))
             start_nt = as_nonterminal(start)
             return {

@@ -74,13 +74,17 @@ class DimensionMismatchError(MatrixError):
 
 
 class UnknownBackendError(MatrixError):
-    """Raised when a backend name is not registered."""
+    """Raised when a backend name is not registered, or its module
+    fails to import (*reason* then says why)."""
 
-    def __init__(self, name: str, available: list[str]):
+    def __init__(self, name: str, available: list[str],
+                 reason: "str | None" = None):
         self.name = name
         self.available = sorted(available)
+        problem = (f"unknown matrix backend {name!r}" if reason is None
+                   else f"matrix backend {name!r} failed to load: {reason}")
         super().__init__(
-            f"unknown matrix backend {name!r}; available: {', '.join(self.available)}"
+            f"{problem}; available: {', '.join(self.available)}"
         )
 
 

@@ -8,42 +8,27 @@ Public surface::
     )
 """
 
-from .analysis import (
-    derives_any_terminal_string,
-    generating_nonterminals,
-    grammar_signature,
-    nullable_nonterminals,
-    reachable_symbols,
-    remove_useless,
-    unit_pairs,
-)
-from .builders import (
-    GRAMMAR_REGISTRY,
-    chain_reachability,
-    dyck,
-    dyck1,
-    get_grammar,
-    points_to_grammar,
-    rna_hairpin_grammar,
-    same_generation_query1,
-    same_generation_query1_cnf,
-    same_generation_query2,
-)
-from .cfg import CFG
-from .cnf import binarize, eliminate_epsilon, eliminate_unit_rules, ensure_cnf, lift_terminals, to_cnf
-from .parser import parse_grammar, parse_production
-from .production import Production, production
-from .recognizer import EarleyRecognizer, cyk_recognize, derives, language_sample
-from .symbols import (
-    EPSILON,
-    INVERSE_SUFFIX,
-    Nonterminal,
-    Symbol,
-    Terminal,
-    fresh_nonterminal,
-    inverse_label,
-    is_inverse_label,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".analysis": ("derives_any_terminal_string", "generating_nonterminals",
+                  "grammar_signature", "nullable_nonterminals",
+                  "reachable_symbols", "remove_useless", "unit_pairs"),
+    ".builders": ("GRAMMAR_REGISTRY", "chain_reachability", "dyck", "dyck1",
+                  "get_grammar", "points_to_grammar", "rna_hairpin_grammar",
+                  "same_generation_query1", "same_generation_query1_cnf",
+                  "same_generation_query2"),
+    ".cfg": ("CFG",),
+    ".cnf": ("binarize", "eliminate_epsilon", "eliminate_unit_rules",
+             "ensure_cnf", "lift_terminals", "to_cnf"),
+    ".parser": ("parse_grammar", "parse_production"),
+    ".production": ("Production", "production"),
+    ".recognizer": ("EarleyRecognizer", "cyk_recognize", "derives",
+                    "language_sample"),
+    ".symbols": ("EPSILON", "INVERSE_SUFFIX", "Nonterminal", "Symbol",
+                 "Terminal", "fresh_nonterminal", "inverse_label",
+                 "is_inverse_label"),
+})
 
 __all__ = [
     "CFG",

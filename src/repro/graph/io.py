@@ -32,6 +32,22 @@ def node_from_token(token: str) -> Hashable:
     return number if str(number) == token else token
 
 
+def coerce_json_node(graph: LabeledGraph, token):
+    """Interpret a JSON node token against the graph's node objects:
+    JSON cannot distinguish the node ``"0"`` from the node ``0``, so try
+    the literal value first and the int/str twin second (a string's
+    twin is its canonical integer only: ``"07"`` has none)."""
+    if token is None or graph.has_node(token):
+        return token
+    if isinstance(token, str):
+        twin: object = node_from_token(token)
+    elif isinstance(token, int):
+        twin = str(token)
+    else:
+        return token
+    return twin if graph.has_node(twin) else token
+
+
 def _coerce_node(token: str, integer_nodes: bool) -> Hashable:
     return node_from_token(token) if integer_nodes else token
 

@@ -2,11 +2,15 @@
 
 The pure-Python backends (``pyset``, ``setmatrix``) are always
 available; the NumPy/SciPy-backed ones (``dense``, ``bitset``,
-``sparse``) are optional extras and simply stay unregistered when their
-dependency is missing (install ``repro-cfpq[backends]`` to get all
-five).
+``sparse``) are optional extras (install ``repro-cfpq[backends]`` to get
+all five).  :mod:`repro.matrices.base` knows the five names and the
+dependency each needs, and imports a backend's module only when that
+backend is asked for, so a run loads NumPy and SciPy only if its backend
+uses them.  A backend class re-exported here is None when its dependency
+is missing.
 """
 
+from .._lazy import lazy_exports
 from .base import (
     BooleanMatrix,
     MatrixBackend,
@@ -15,28 +19,24 @@ from .base import (
     get_backend,
     register_backend,
 )
-from .pyset import PySetBackend, PySetMatrix
-from .setmatrix import (
-    RowSetMatrix,
-    SetMatrix,
-    SetMatrixBackend,
-    initial_matrix,
-)
 
-try:
-    from .dense import DenseBackend, DenseMatrix
-except ImportError:  # pragma: no cover - numpy missing
-    DenseBackend = DenseMatrix = None  # type: ignore[assignment,misc]
+_resolve, __dir__ = lazy_exports(globals(), {
+    ".pyset": ("PySetBackend", "PySetMatrix"),
+    ".setmatrix": ("RowSetMatrix", "SetMatrix", "SetMatrixBackend",
+                   "initial_matrix"),
+    ".dense": ("DenseBackend", "DenseMatrix"),
+    ".bitset": ("BitsetBackend", "BitsetMatrix"),
+    ".sparse": ("SparseBackend", "SparseMatrix"),
+})
 
-try:
-    from .bitset import BitsetBackend, BitsetMatrix
-except ImportError:  # pragma: no cover - numpy missing
-    BitsetBackend = BitsetMatrix = None  # type: ignore[assignment,misc]
 
-try:
-    from .sparse import SparseBackend, SparseMatrix
-except ImportError:  # pragma: no cover - scipy missing
-    SparseBackend = SparseMatrix = None  # type: ignore[assignment,misc]
+def __getattr__(name: str):
+    try:
+        return _resolve(name)
+    except ImportError:  # NumPy or SciPy missing
+        globals()[name] = None
+        return None
+
 
 __all__ = [
     "BitsetBackend",

@@ -31,11 +31,20 @@ Every bundled backend implements the kernels natively; third-party
 backends that only provide the immutable API keep working because
 :meth:`MatrixBackend.union_update` / :meth:`MatrixBackend.mxm_into`
 fall back to value semantics when ``supports_inplace`` is False.
+
+The registry at the end of this module knows the five bundled names and
+the third-party imports each needs.  :func:`get_backend` imports one
+backend's module, which registers itself, the first time that backend
+is asked for; :func:`available_backends` and :func:`default_backend`
+decide from whether NumPy and SciPy can be *found*, without importing
+them.  A process therefore loads only the backend it runs.
 """
 
 from __future__ import annotations
 
 import abc
+import importlib
+import importlib.util
 from typing import Iterable, Iterator, Sequence
 
 from ..errors import DimensionMismatchError, UnknownBackendError
@@ -410,6 +419,23 @@ class MatrixBackend(abc.ABC):
 
 _REGISTRY: dict[str, MatrixBackend] = {}
 
+#: The bundled backends: registry key (also the module name under
+#: :mod:`repro.matrices`) -> the third-party imports it needs.
+_BUNDLED: dict[str, tuple[str, ...]] = {
+    "dense": ("numpy",),
+    "sparse": ("numpy", "scipy"),
+    "pyset": (),
+    "bitset": ("numpy",),
+    "setmatrix": (),
+}
+
+#: Every bundled backend name, whether or not its dependency is
+#: installed: the CLI's ``--backend`` choices.
+BACKEND_NAMES: tuple[str, ...] = tuple(sorted(_BUNDLED))
+
+#: Preference order for :func:`default_backend`.
+_DEFAULT_PREFERENCE = ("sparse", "dense", "bitset", "setmatrix", "pyset")
+
 
 def register_backend(backend: MatrixBackend) -> MatrixBackend:
     """Register *backend* under ``backend.name`` (idempotent overwrite)."""
@@ -418,57 +444,46 @@ def register_backend(backend: MatrixBackend) -> MatrixBackend:
 
 
 def get_backend(name: "str | MatrixBackend") -> MatrixBackend:
-    """Resolve a backend by name (or pass an instance through)."""
+    """Resolve a backend by name (or pass an instance through).  A
+    bundled backend's module is imported on first use; one whose
+    dependency is missing, or found but failing to import (say, SciPy
+    built against another NumPy), is unknown."""
     if isinstance(name, MatrixBackend):
         return name
-    _ensure_default_backends()
+    if name not in _REGISTRY and backend_installed(name):
+        try:
+            importlib.import_module(f".{name}", __package__)
+        except ImportError as error:
+            others = [other for other in available_backends()
+                      if other != name]
+            raise UnknownBackendError(name, others, str(error)) from error
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise UnknownBackendError(name, list(_REGISTRY)) from None
+        raise UnknownBackendError(name, available_backends()) from None
+
+
+def backend_installed(name: str) -> bool:
+    """True when *name* is registered, or is a bundled backend whose
+    dependencies can be found (found, not imported)."""
+    return name in _REGISTRY or (
+        name in _BUNDLED and all(map(_findable, _BUNDLED[name])))
 
 
 def available_backends() -> list[str]:
-    """Names of all registered backends."""
-    _ensure_default_backends()
-    return sorted(_REGISTRY)
-
-
-#: Preference order for :func:`default_backend`.
-_DEFAULT_PREFERENCE = ("sparse", "dense", "bitset", "setmatrix", "pyset")
+    """Names of every registered or installable backend."""
+    return sorted(set(_REGISTRY) | set(filter(backend_installed, _BUNDLED)))
 
 
 def default_backend() -> str:
-    """The best registered backend: ``sparse`` when SciPy is present,
+    """The best installed backend: ``sparse`` when SciPy is present,
     degrading through the NumPy and pure-Python backends otherwise, so
     entry-point defaults keep working on a dependency-free install."""
-    _ensure_default_backends()
-    for name in _DEFAULT_PREFERENCE:
-        if name in _REGISTRY:
-            return name
-    return next(iter(_REGISTRY))
+    return next(filter(backend_installed, _DEFAULT_PREFERENCE))
 
 
-def _ensure_default_backends() -> None:
-    # Imported lazily to avoid import cycles; modules self-register.
-    # NumPy/SciPy-backed modules are optional extras: when the import
-    # fails the pure-Python backends (pyset, setmatrix) remain usable.
-    if "dense" not in _REGISTRY:
-        try:
-            from . import dense  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy missing
-            pass
-    if "sparse" not in _REGISTRY:
-        try:
-            from . import sparse  # noqa: F401
-        except ImportError:  # pragma: no cover - scipy missing
-            pass
-    if "pyset" not in _REGISTRY:
-        from . import pyset  # noqa: F401
-    if "bitset" not in _REGISTRY:
-        try:
-            from . import bitset  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy missing
-            pass
-    if "setmatrix" not in _REGISTRY:
-        from . import setmatrix  # noqa: F401
+def _findable(module: str) -> bool:
+    try:
+        return importlib.util.find_spec(module) is not None
+    except (ImportError, ValueError):
+        return False

@@ -21,26 +21,15 @@ non-semantic: closures are byte-identical with tracing on or off
 (``tests/obs/test_trace_differential.py``).
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    render_prometheus,
-    reset_metrics,
-)
-from .trace import (
-    NULL_TRACER,
-    Span,
-    Tracer,
-    configure_tracing,
-    get_tracer,
-    reset_tracing,
-    stopwatch,
-    traced,
-)
-from .summarize import summarize_trace, render_summary
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "get_registry", "render_prometheus", "reset_metrics"),
+    ".trace": ("NULL_TRACER", "Span", "Tracer", "configure_tracing",
+               "get_tracer", "reset_tracing", "stopwatch", "traced"),
+    ".summarize": ("summarize_trace", "render_summary"),
+})
 
 __all__ = [
     "Counter",

@@ -1,18 +1,13 @@
 """Regular path queries: the regular-language sibling of CFPQ."""
 
-from .automaton import NFA, regex_to_nfa
-from .regex import (
-    Concat,
-    Label,
-    Optional_,
-    Plus,
-    RegexNode,
-    Star,
-    Union,
-    parse_regex,
-    regex_labels,
-)
-from .rpq import product_adjacency, rpq_pairs_by_id, solve_rpq
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".automaton": ("NFA", "regex_to_nfa"),
+    ".regex": ("Concat", "Label", "Optional_", "Plus", "RegexNode", "Star",
+               "Union", "parse_regex", "regex_labels"),
+    ".rpq": ("product_adjacency", "rpq_pairs_by_id", "solve_rpq"),
+})
 
 __all__ = [
     "Concat",

@@ -22,16 +22,16 @@ package turns it into something a process can *serve*:
   across replicas while the leader owns writes.
 """
 
-from .query_service import QueryService, TickReport
-from .replica import FollowerService, ReplicatedService, open_role
-from .wal import TickLog, TickLogReader
-from .snapshot import (
-    SNAPSHOT_VERSION,
-    load_engine_snapshot,
-    read_snapshot,
-    save_engine_snapshot,
-    write_snapshot,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".query_service": ("QueryService", "TickReport"),
+    ".replica": ("FollowerService", "ReplicatedService", "open_role"),
+    ".wal": ("TickLog", "TickLogReader"),
+    ".snapshot": ("SNAPSHOT_VERSION", "load_engine_snapshot",
+                  "read_snapshot", "save_engine_snapshot",
+                  "write_snapshot"),
+})
 
 __all__ = [
     "QueryService",

@@ -222,6 +222,9 @@ class QueryService:
                  semiring: str | None = None,
                  **strategy_options):
         self.backend = backend or default_backend()
+        # Import the backend now, not on the first batch or tick: a
+        # server loads what its requests reach before it listens.
+        get_backend(self.backend)
         self.strategy = strategy
         self.single_path = single_path
         self.strategy_options = strategy_options

@@ -21,7 +21,8 @@ replication is pure serving-layer plumbing:
   fork the replica from the replicated history.  Reads are served at
   the **replay horizon**: whatever prefix of the log the follower has
   applied (eventual consistency; :meth:`FollowerService.replay` — the
-  protocol's ``sync`` op — fast-forwards on demand).
+  protocol's ``sync`` op, which a leader server pushes after every tick
+  — fast-forwards to the end of the log).
 
 Both wrap a :class:`QueryService` and duck-type its serving surface
 (``graph``/``query``/``tick``/``stats``/``save_snapshot``/
@@ -211,8 +212,8 @@ class ReplicatedService(_ServiceProxy):
 class FollowerService(_ServiceProxy):
     """A read replica: snapshot + WAL tail + deterministic replay.
 
-    Replay is guarded by a mutex (the server's poll task and an explicit
-    ``sync`` op may race); each replayed tick takes the service's writer
+    Replay is guarded by a mutex (a leader's pushed ``sync`` and a
+    client's may race); each replayed tick takes the service's writer
     lock exactly like a leader tick, so queries interleave safely and
     always see a completed tick's fixpoint.
     """
@@ -232,8 +233,8 @@ class FollowerService(_ServiceProxy):
     def from_snapshot(cls, snapshot_path: str, wal_path: str,
                       **service_kwargs) -> "FollowerService":
         """Load the leader's snapshot and position the WAL tail at its
-        ``wal_seq``; call :meth:`replay` (or let the server's poll task)
-        to catch up."""
+        ``wal_seq``; call :meth:`replay` (or let a leader's pushed
+        ``sync``) to catch up."""
         service = QueryService.from_snapshot(snapshot_path,
                                              **service_kwargs)
         return cls(service, wal_path)

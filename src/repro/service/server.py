@@ -65,9 +65,11 @@ last one stopped.
 With ``replicas=[(host, port), ...]`` the server is a read fan-out
 front door: ``query``, ``batch`` and ``top_k`` ops are forwarded round-robin to
 follower replicas (their responses relayed verbatim), every other op
-runs locally — the leader owns writes.  With a follower service, a
-background task tails the WAL so the replica converges without client
-involvement.
+runs locally — the leader owns writes.  After each ``update`` tick the
+leader also *pushes* a ``sync`` op to every replica over a connection of
+its own, so a follower replays the shared WAL as soon as the tick is
+logged, with no poll and no client involvement; a push that fails is
+retried on a new connection until one gets through.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Iterable
 
 from ..errors import ReproError
-from ..graph.io import node_from_token
+from ..graph.io import coerce_json_node
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import get_tracer, stopwatch
 from .query_service import QueryService, TickReport
@@ -103,11 +105,13 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 #: the replica is treated as dead and the leader answers locally.
 REPLICA_REPLY_LIMIT_BYTES = 1 << 30
 
-#: How often a follower server polls the WAL for new ticks (seconds).
-DEFAULT_FOLLOWER_POLL_SECONDS = 0.05
-
 #: Concurrent request executions across all connections.
 DEFAULT_EXECUTOR_WORKERS = 32
+
+#: Pauses between retries of a failed sync push (seconds): the first
+#: retry goes out at once, later ones wait from the first bound, doubling
+#: up to the second, while the replica stays unreachable.
+PUSH_RETRY_SECONDS = (0.05, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +262,8 @@ def _dispatch(service: QueryService, op: str, request: dict):
         graph = service.graph
         result = service.query(
             start,
-            source=_coerce_node(graph, request.get("source")),
-            target=_coerce_node(graph, request.get("target")),
+            source=coerce_json_node(graph, request.get("source")),
+            target=coerce_json_node(graph, request.get("target")),
             semantics=request.get("semantics", "relational"),
         )
         return _jsonable_result(result)
@@ -272,8 +276,8 @@ def _dispatch(service: QueryService, op: str, request: dict):
         for spec in queries:
             if isinstance(spec, dict):
                 spec = dict(spec)
-                spec["source"] = _coerce_node(graph, spec.get("source"))
-                spec["target"] = _coerce_node(graph, spec.get("target"))
+                spec["source"] = coerce_json_node(graph, spec.get("source"))
+                spec["target"] = coerce_json_node(graph, spec.get("target"))
             items.append(spec)
         return [_batch_item_envelope(answer)
                 for answer in service.query_batch(items)]
@@ -282,8 +286,8 @@ def _dispatch(service: QueryService, op: str, request: dict):
         if start is None:
             raise ValueError("top_k requires 'start'")
         graph = service.graph
-        source = _coerce_node(graph, request.get("source"))
-        target = _coerce_node(graph, request.get("target"))
+        source = coerce_json_node(graph, request.get("source"))
+        target = coerce_json_node(graph, request.get("target"))
         if source is None or target is None:
             raise ValueError("top_k requires 'source' and 'target'")
         max_length = request.get("max_length")
@@ -350,22 +354,6 @@ def _batch_item_envelope(answer) -> dict:
     return {"ok": True, "result": _jsonable_result(answer)}
 
 
-def _coerce_node(graph, token):
-    """Interpret a JSON node token against the graph's node objects:
-    JSON cannot distinguish the node ``"0"`` from the node ``0``, so try
-    the literal value first and the int/str twin second (a string's
-    twin is its canonical integer only: ``"07"`` has none)."""
-    if token is None or graph.has_node(token):
-        return token
-    if isinstance(token, str):
-        twin: object = node_from_token(token)
-    elif isinstance(token, int):
-        twin = str(token)
-    else:
-        return token
-    return twin if graph.has_node(twin) else token
-
-
 def _coerce_edge(graph, edge) -> tuple:
     """Apply the same node coercion to an update edge that queries get,
     so a client sending ``"2"`` for the integer node ``2`` attaches the
@@ -373,8 +361,8 @@ def _coerce_edge(graph, edge) -> tuple:
     a leader this runs *before* the WAL append, so followers replay the
     coerced edges the leader actually applied."""
     source, label, target = edge
-    return (_coerce_node(graph, source), str(label),
-            _coerce_node(graph, target))
+    return (coerce_json_node(graph, source), str(label),
+            coerce_json_node(graph, target))
 
 
 def _json_node(node):
@@ -440,8 +428,8 @@ def _microbatch_responses(service, requests: list,
             continue
         items.append({
             "start": start,
-            "source": _coerce_node(graph, request.get("source")),
-            "target": _coerce_node(graph, request.get("target")),
+            "source": coerce_json_node(graph, request.get("source")),
+            "target": coerce_json_node(graph, request.get("target")),
             "semantics": request.get("semantics", "relational"),
         })
         slots.append(position)
@@ -581,6 +569,71 @@ class _ReplicaPool:
             await self._drop(address)
 
 
+class _ReplicaPush:
+    """Tick notification, leader → followers: after every tick the
+    leader sends ``{"op": "sync"}`` to each replica, and the follower
+    replays the shared WAL through its ``TickLogReader`` at once.
+
+    Each replica has its own connection (never the forwarding one, whose
+    lock is held across a whole read) and its own task, which keeps at
+    most one ``sync`` in flight: ticks that land meanwhile fold into the
+    next one.  A replica that stops reading therefore stalls only its
+    own task, never a tick reply.  A failed push drops the connection
+    and is retried on a new one until a ``sync`` gets through: a
+    restarted follower replayed only up to the end of the log as it was
+    at its start, so the failed push may be its only notice of a tick.
+    Since ``sync`` replays to the end of the log, the first one that
+    gets through catches the follower up."""
+
+    _SYNC = b'{"op": "sync"}\n'
+
+    def __init__(self, addresses: Iterable[tuple[str, int]]):
+        self._due = {address: asyncio.Event() for address in addresses}
+        self._tasks = [asyncio.create_task(self._run(address, due))
+                       for address, due in self._due.items()]
+
+    def notify(self) -> None:
+        """A tick was logged and applied: every replica is due a sync."""
+        for due in self._due.values():
+            due.set()
+
+    async def _run(self, address, due: asyncio.Event) -> None:
+        writer = None
+        retry_in = 0.0
+        try:
+            while True:
+                await due.wait()
+                due.clear()
+                try:
+                    if writer is None:
+                        reader, writer = await asyncio.open_connection(
+                            *address)
+                    writer.write(self._SYNC)
+                    await writer.drain()
+                    await reader.readuntil(b"\n")
+                    retry_in = 0.0
+                except (OSError, asyncio.IncompleteReadError,
+                        asyncio.LimitOverrunError) as error:
+                    log = logger.debug if retry_in else logger.warning
+                    log("replica %s:%s missed a sync push: %s",
+                        address[0], address[1], error)
+                    if writer is not None:
+                        writer.close()
+                    writer = None
+                    await asyncio.sleep(retry_in)
+                    first, last = PUSH_RETRY_SECONDS
+                    retry_in = min(max(2 * retry_in, first), last)
+                    due.set()
+        finally:
+            if writer is not None:
+                writer.close()
+
+    async def close(self) -> None:
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+
+
 # ----------------------------------------------------------------------
 # Asyncio TCP transport
 # ----------------------------------------------------------------------
@@ -592,16 +645,14 @@ class AsyncJSONLServer:
     thread pool (the service's reader/writer lock provides the
     concurrency semantics).  The server stops as a whole on a
     ``shutdown`` op or :meth:`request_shutdown`: the listener closes,
-    every open connection is closed (a blocked client reads EOF), a
-    follower's poll task stops, and a leader's WAL is flushed.
+    every open connection is closed (a blocked client reads EOF), the
+    leader's push tasks stop, and a leader's WAL is flushed.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
                  include_stats: bool = False,
                  replicas: Iterable[tuple[str, int]] = (),
                  max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                 follower_poll_seconds:
-                     "float | None" = DEFAULT_FOLLOWER_POLL_SECONDS,
                  executor_workers: int = DEFAULT_EXECUTOR_WORKERS,
                  batch_window_ms: "float | None" = None):
         self.service = service
@@ -609,7 +660,6 @@ class AsyncJSONLServer:
         self.port = port
         self.include_stats = include_stats
         self.max_line_bytes = max_line_bytes
-        self.follower_poll_seconds = follower_poll_seconds
         self.executor_workers = executor_workers
         if batch_window_ms is None:
             batch_window_ms = float(
@@ -625,13 +675,13 @@ class AsyncJSONLServer:
         self.connections_served = 0
         self._replica_addresses = list(replicas)
         self._replica_pool: "_ReplicaPool | None" = None
+        self._replica_push: "_ReplicaPush | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._executor: "ThreadPoolExecutor | None" = None
         self._shutdown = asyncio.Event()
         self._writers: set = set()
         self._tasks: set = set()
-        self._poll_task: "asyncio.Task | None" = None
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -644,29 +694,23 @@ class AsyncJSONLServer:
         )
         if self._replica_addresses:
             self._replica_pool = _ReplicaPool(self._replica_addresses)
+            self._replica_push = _ReplicaPush(self._replica_addresses)
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port,
             limit=self.max_line_bytes,
         )
         self.address = self._server.sockets[0].getsockname()[:2]
-        if self.follower_poll_seconds is not None \
-                and hasattr(self.service, "replay"):
-            self._poll_task = self._loop.create_task(
-                self._poll_replication()
-            )
 
     async def wait_closed(self) -> None:
         """Block until a shutdown is requested, then tear everything
-        down: listener, open connections, poll task, executor, and the
+        down: listener, open connections, push tasks, executor, and the
         leader's WAL buffer."""
         await self._shutdown.wait()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._poll_task
+        if self._replica_push is not None:
+            await self._replica_push.close()
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -789,6 +833,9 @@ class AsyncJSONLServer:
             )
         if _is_shutdown(response):
             self._shutdown.set()
+        elif self._replica_push is not None and response.get("ok") \
+                and response.get("op") == "update":
+            self._replica_push.notify()
         return _encode(response)
 
     # -- micro-batching ------------------------------------------------
@@ -829,24 +876,11 @@ class AsyncJSONLServer:
             if not future.done():
                 future.set_result(response)
 
-    async def _poll_replication(self) -> None:
-        """Follower mode: tail the WAL so the replica converges without
-        clients issuing explicit ``sync`` ops."""
-        while not self._shutdown.is_set():
-            try:
-                await self._loop.run_in_executor(self._executor,
-                                                 self.service.replay)
-            except Exception as error:
-                logger.warning("WAL replay failed: %s", error)
-            await asyncio.sleep(self.follower_poll_seconds)
-
 
 def serve_tcp(service, host: str = "127.0.0.1", port: int = 0,
               include_stats: bool = False,
               ready_stream: "IO[str] | None" = None,
               replicas: Iterable[tuple[str, int]] = (),
-              follower_poll_seconds:
-                  "float | None" = DEFAULT_FOLLOWER_POLL_SECONDS,
               batch_window_ms: "float | None" = None) -> None:
     """Run the asyncio TCP transport until shutdown.  ``port=0`` binds
     an ephemeral port; the actual address is announced on *ready_stream*
@@ -855,9 +889,7 @@ def serve_tcp(service, host: str = "127.0.0.1", port: int = 0,
     async def main() -> None:
         server = AsyncJSONLServer(
             service, host=host, port=port, include_stats=include_stats,
-            replicas=replicas,
-            follower_poll_seconds=follower_poll_seconds,
-            batch_window_ms=batch_window_ms,
+            replicas=replicas, batch_window_ms=batch_window_ms,
         )
         await server.start()
         bound_host, bound_port = server.address

@@ -239,9 +239,7 @@ def encode_boolean_matrices(matrices, backend) -> dict:
     randomizes *per process*, and replicated serving asserts leader and
     follower snapshots byte-identical across processes.
     """
-    from ..core.tilestore import SpillableMatrixMap
-
-    if isinstance(matrices, SpillableMatrixMap):
+    if hasattr(matrices, "payload"):  # a SpillableMatrixMap
         return {
             nonterminal.name: list(matrices.payload(nonterminal))
             for nonterminal in sorted(matrices, key=lambda nt: nt.name)

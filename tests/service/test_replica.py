@@ -340,23 +340,41 @@ def _request(address, request, timeout=10):
         return json.loads(stream.readline())
 
 
+def _wait_replayed(follower, ticks: int, timeout: float = 10) -> None:
+    """Block until *follower* has applied *ticks* ticks in all."""
+    deadline = time.monotonic() + timeout
+    while follower.stats["replication"]["ticks_replayed"] < ticks:
+        assert time.monotonic() < deadline, follower.stats["replication"]
+        time.sleep(0.005)
+
+
+def _same_snapshot_bytes(leader, follower, tmp_path) -> bool:
+    paths = [str(tmp_path / f"{name}.final") for name in ("lead", "follow")]
+    leader.save_snapshot(paths[0])
+    follower.save_snapshot(paths[1])
+    return filecmp.cmp(*paths, shallow=False)
+
+
+def _update(address, tick) -> dict:
+    return _request(address, {"op": "update", "ops": [
+        [kind, *edge] for kind, edge in tick]})
+
+
 class TestReplicatedServing:
     def test_leader_and_follower_servers_converge(self, tmp_path):
-        """End-to-end over TCP: updates to the leader become visible on
-        the follower through WAL tailing alone."""
+        """End-to-end over TCP: updates to the leader reach the follower
+        through the leader's sync push alone, byte for byte."""
         leader = _leader(tmp_path)
         snapshot = str(tmp_path / "index.snapshot")
         leader.save_snapshot(snapshot)
         follower = FollowerService.from_snapshot(snapshot, leader.log.path)
 
-        with ServerThread(leader) as leader_server, \
-                ServerThread(follower,
-                             follower_poll_seconds=0.01) as follower_server:
-            response = _request(leader_server.address, {
-                "op": "update", "insert": [["p", "a", "q"],
-                                           ["q", "b", "p"]],
-            })
-            assert response["ok"], response
+        with ServerThread(follower) as follower_server, \
+                ServerThread(leader, replicas=[follower_server.address]
+                             ) as leader_server:
+            for tick in TICKS:
+                response = _update(leader_server.address, tick)
+                assert response["ok"], response
             query = {"op": "query", "start": "S",
                      "source": "p", "target": "p"}
             deadline = time.monotonic() + 10
@@ -366,11 +384,14 @@ class TestReplicatedServing:
                     break
                 assert time.monotonic() < deadline, answer
                 time.sleep(0.02)
+            _wait_replayed(follower, len(TICKS))
             # The follower refuses writes even over the wire.
             refused = _request(follower_server.address, {
                 "op": "update", "insert": [["x", "a", "y"]],
             })
             assert refused["error_type"] == "ReadOnlyReplicaError"
+        assert _same_snapshot_bytes(leader, follower, tmp_path)
+        leader.close()
 
     def test_leader_fans_reads_out_to_replicas(self, tmp_path):
         leader = _leader(tmp_path)
@@ -380,8 +401,8 @@ class TestReplicatedServing:
             FollowerService.from_snapshot(snapshot, leader.log.path)
             for _ in range(2)
         ]
-        with ServerThread(followers[0], follower_poll_seconds=0.01) as f0, \
-                ServerThread(followers[1], follower_poll_seconds=0.01) as f1:
+        with ServerThread(followers[0]) as f0, \
+                ServerThread(followers[1]) as f1:
             with ServerThread(leader, include_stats=True,
                               replicas=[f0.address, f1.address]) as front:
                 _request(front.address, {
@@ -406,6 +427,12 @@ class TestReplicatedServing:
                 # Updates still run on the leader itself.
                 stats = leader.stats["replication"]
                 assert stats["wal_seq"] == 1
+                # The push reaches every replica, not just the one the
+                # reads happened to hit.
+                for follower in followers:
+                    _wait_replayed(follower, 1)
+        for follower in followers:
+            assert _same_snapshot_bytes(leader, follower, tmp_path)
 
     def test_leader_falls_back_when_replicas_die(self, tmp_path):
         leader = _leader(tmp_path)
@@ -472,6 +499,93 @@ class TestReplicatedServing:
             assert _request(front.address, {"op": "ping"})["ok"]
         leader.close()
         assert leader.stats["queries"] == 40  # served by the leader
+
+    def test_update_reply_is_followed_by_replay_without_sync(
+            self, tmp_path):
+        """After the leader acknowledges a tick, the follower applies it
+        with no ``sync`` from any client: the leader pushed one."""
+        leader = _leader(tmp_path)
+        snapshot = str(tmp_path / "index.snapshot")
+        leader.save_snapshot(snapshot)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        with ServerThread(follower) as f0, \
+                ServerThread(leader, replicas=[f0.address]) as front:
+            for count, tick in enumerate(TICKS, start=1):
+                assert _update(front.address, tick)["ok"]
+                deadline = time.monotonic() + 10
+                while _request(f0.address, {"op": "stats"})["result"][
+                        "replication"]["ticks_replayed"] < count:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+        assert _same_snapshot_bytes(leader, follower, tmp_path)
+        leader.close()
+
+    def test_follower_down_during_ticks_catches_up(self, tmp_path):
+        """Ticks logged while a follower is down reach it on the first
+        push after it is back: the leader reopens the push connection
+        with a ``sync``, which replays to the end of the log."""
+        leader = _leader(tmp_path)
+        snapshot = str(tmp_path / "index.snapshot")
+        leader.save_snapshot(snapshot)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        with ServerThread(follower) as f0:
+            address = f0.address
+        with ServerThread(leader, replicas=[address]) as front:
+            for tick in TICKS[:2]:
+                assert _update(front.address, tick)["ok"]
+            assert follower.stats["replication"]["ticks_replayed"] == 0
+            with ServerThread(follower, port=address[1]):
+                for tick in TICKS[2:]:
+                    assert _update(front.address, tick)["ok"]
+                _wait_replayed(follower, len(TICKS))
+        assert follower.replay_seq == leader.applied_seq == len(TICKS)
+        assert _same_snapshot_bytes(leader, follower, tmp_path)
+        leader.close()
+
+    def test_follower_restart_receives_the_next_tick(self, tmp_path):
+        """Regression: a follower restart leaves the leader's open push
+        connection dead, so the first push after it fails.  The leader
+        retries on a new connection: that one tick, with no tick after
+        it, still reaches the restarted follower."""
+        leader = _leader(tmp_path)
+        snapshot = str(tmp_path / "index.snapshot")
+        leader.save_snapshot(snapshot)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        first = ServerThread(follower).__enter__()
+        address = first.address
+        try:
+            with ServerThread(leader, replicas=[address]) as front:
+                assert _update(front.address, TICKS[0])["ok"]
+                _wait_replayed(follower, 1)
+                first.stop()
+                with ServerThread(follower, port=address[1]):
+                    assert _update(front.address, TICKS[1])["ok"]
+                    _wait_replayed(follower, 2)
+        finally:
+            first.stop()
+        assert follower.replay_seq == leader.applied_seq == 2
+        assert _same_snapshot_bytes(leader, follower, tmp_path)
+        leader.close()
+
+    def test_stalled_follower_never_delays_the_tick_reply(self, tmp_path):
+        """A replica that accepts the push connection and never reads
+        from it must not hold up the leader's ``update`` reply."""
+        leader = _leader(tmp_path)
+        accepted = []
+        with socket.create_server(("127.0.0.1", 0)) as stalled:
+            stalled.settimeout(10)
+            with ServerThread(leader,
+                              replicas=[stalled.getsockname()]) as front:
+                for tick in TICKS:
+                    started = time.monotonic()
+                    assert _update(front.address, tick)["ok"]
+                    assert time.monotonic() - started < 1.0
+                    if not accepted:
+                        accepted.append(stalled.accept()[0])
+            for connection in accepted:
+                connection.close()
+        assert leader.applied_seq == len(TICKS)
+        leader.close()
 
     def test_shutdown_flushes_leader_wal(self, tmp_path):
         leader = ReplicatedService(

@@ -104,7 +104,7 @@ class TestBatchFanOut:
         snapshot = str(tmp_path / "index.snapshot")
         leader.save_snapshot(snapshot)
         follower = FollowerService.from_snapshot(snapshot, leader.log.path)
-        with ServerThread(follower, follower_poll_seconds=0.01) as f0:
+        with ServerThread(follower) as f0:
             with ServerThread(leader, replicas=[f0.address]) as front:
                 [response] = _session(front.address, [
                     {"op": "batch", "queries": [
