@@ -696,7 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="index sections to solve and persist "
                                "(default: relational only; annotated "
                                "sections cost their closures once here "
-                               "instead of at every process start)")
+                               "instead of at every process start; "
+                               "single-path also yields the relational "
+                               "section from the same closure)")
     snapshot.set_defaults(handler=cmd_snapshot)
 
     serve = subparsers.add_parser(

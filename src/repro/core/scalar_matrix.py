@@ -163,6 +163,12 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
         return len(self._keys)
 
     @property
+    def flat_keys(self):
+        """The sorted unique cell addresses ``i * cols + j`` (do not
+        mutate)."""
+        return self._keys
+
+    @property
     def nbytes(self) -> int:
         """Exact bytes of the two arrays."""
         return self._keys.nbytes + self._values.nbytes

@@ -105,15 +105,18 @@ class SinglePathIndex:
     engine left them (``matrices``); ``cells`` is the paper's merged
     cell view ``(i, j) -> {A: l_A}``, built on first use for callers
     that iterate it.  Constructing from *cells* instead builds the
-    matrices from that view.
+    matrices from that view.  ``iterations`` and ``multiplications``
+    are the closure's rounds and products (0 for a loaded index).
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
                  cells: "_Cells | None" = None, iterations: int = 0,
-                 matrices: "Mapping | None" = None):
+                 matrices: "Mapping | None" = None,
+                 multiplications: int = 0):
         self.graph = graph
         self.grammar = grammar
         self.iterations = iterations
+        self.multiplications = multiplications
         self._cells = cells
         if matrices is None:
             n = graph.node_count
@@ -190,7 +193,8 @@ def build_single_path_index(graph: LabeledGraph, grammar: CFG,
                              **strategy_options)
     return SinglePathIndex(graph=graph, grammar=working_grammar,
                            matrices=result.matrices,
-                           iterations=result.iterations)
+                           iterations=result.iterations,
+                           multiplications=result.multiplications)
 
 
 def extract_path(index: "SinglePathIndex | SinglePathView",

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .base import BooleanMatrix, MatrixBackend, Pair, register_backend
+from .csr import csr_arrays, csr_payload
 
 
 class SparseMatrix(BooleanMatrix):
@@ -152,25 +153,19 @@ class SparseBackend(MatrixBackend):
 
     # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
-        """CSR structure as raw index buffers (bool data is implicit),
-        column indices ascending within each row: products and unions
-        leave them in operation order, and equal matrices must encode
-        to equal bytes (snapshots are compared byte for byte)."""
+        """The :mod:`repro.matrices.csr` payload.  Products and unions
+        leave column indices in operation order, so they are sorted
+        first."""
         csr = _as_csr(matrix)
         if not csr.has_sorted_indices:
             csr = csr.sorted_indices()
-        rows, cols = csr.shape
-        return ("sparse", rows, cols,
-                csr.indptr.astype(np.int64).tobytes(),
-                csr.indices.astype(np.int64).tobytes())
+        return csr_payload(csr.shape, csr.indptr, csr.indices)
 
     def tile_from_payload(self, payload: tuple) -> SparseMatrix:
-        _kind, rows, cols, indptr_raw, indices_raw = payload
-        indptr = np.frombuffer(indptr_raw, dtype=np.int64)
-        indices = np.frombuffer(indices_raw, dtype=np.int64)
+        shape, indptr, indices = csr_arrays(payload)
         data = np.ones(len(indices), dtype=bool)
         return SparseMatrix(
-            sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+            sp.csr_matrix((data, indices, indptr), shape=shape)
         )
 
 

@@ -387,34 +387,27 @@ class QueryService:
         can warm-start from it.  Returns the snapshot size in bytes.
 
         The encoding is canonical (every set/dict iteration sorted,
-        matrices built from sorted pair lists): two processes holding
-        the same logical state write byte-identical files, which is how
-        the replicated tier proves a follower converged.  *extra* merges
-        additional plain-container keys into the payload (the leader
-        stamps ``wal_seq``)."""
-        from ..matrices.base import get_backend
-
+        relations encoded from their pair sets by
+        :func:`~repro.service.snapshot.encode_relations`): two processes
+        holding the same logical state write byte-identical files,
+        which is how the replicated tier proves a follower converged.
+        *extra* merges additional plain-container keys into the payload
+        (the leader stamps ``wal_seq``)."""
         with self._lock.reading():
             solver = self.solver
-            n = solver.graph.node_count
-            backend = get_backend(self.backend)
             payload = {
                 "graph": snapshot_store.encode_graph(solver.graph),
                 "grammar": snapshot_store.encode_grammar(solver.grammar),
-                "backend": backend.name,
+                "backend": self.backend,
                 "strategy": self.strategy,
                 "incremental": snapshot_store.encode_incremental_state(
                     solver.export_state()
                 ),
                 "relational": {
-                    "matrices": snapshot_store.encode_boolean_matrices(
-                        {
-                            nonterminal: backend.from_pairs(
-                                n, sorted(solver.pairs(nonterminal))
-                            )
-                            for nonterminal in solver.grammar.nonterminals
-                        },
-                        backend,
+                    "matrices": snapshot_store.encode_relations(
+                        {nonterminal: solver.pairs(nonterminal)
+                         for nonterminal in solver.grammar.nonterminals},
+                        self.backend, solver.graph.node_count,
                     ),
                 },
             }

@@ -252,6 +252,44 @@ def encode_boolean_matrices(matrices, backend) -> dict:
     }
 
 
+def encode_relations(relations, backend: str, size: int) -> dict:
+    """Encode ``nonterminal -> R_A`` as *backend* payloads, in the
+    sorted-name order of :func:`encode_boolean_matrices`.
+
+    Each ``R_A`` is an iterable of ``(i, j)`` pairs or a matrix whose
+    cells are those pairs (a length matrix, by Theorem 2).  ``sparse``
+    payloads are written by :mod:`repro.matrices.csr` straight from the
+    pairs, or from an array-layout matrix's flat keys, so writing them
+    never imports SciPy.  Any other backend encodes a matrix built from
+    the sorted pairs.
+    """
+    shape = (size, size)
+    if backend == "sparse":
+        from ..matrices.csr import keys_payload, pairs_payload
+
+        def encode(cells) -> tuple:
+            keys = getattr(cells, "flat_keys", None)
+            if keys is not None:
+                return keys_payload(shape, keys)
+            return pairs_payload(shape, _pairs_of(cells))
+    else:
+        matrices = get_backend(backend)
+
+        def encode(cells) -> tuple:
+            return matrices.tile_payload(
+                matrices.from_pairs(size, sorted(_pairs_of(cells))))
+    return {
+        nonterminal.name: list(encode(cells))
+        for nonterminal, cells in sorted(relations.items(),
+                                         key=lambda item: item[0].name)
+    }
+
+
+def _pairs_of(cells):
+    return (cells.nonzero_pairs() if isinstance(cells, BooleanMatrix)
+            else cells)
+
+
 def iter_decoded_matrices(doc: dict, backend: "str | None" = None):
     """Stream ``(nonterminal, matrix)`` pairs decoded one at a time.
 
@@ -370,14 +408,33 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
         "relational", "single-path", "all-path")) -> dict:
     """Snapshot *engine* (solving any missing *semantics* first).  The
     ``all-path`` forest is a view of the relations, so asking for it
-    stores the relational section."""
+    stores the relational section.
+
+    With ``single-path`` one closure serves both sections: by Theorem 2
+    the relations are the length matrices' cells, so the relational
+    section is encoded from them (:func:`encode_relations`) and carries
+    the length closure's counts; no boolean solve runs."""
     payload: dict = {
         "graph": encode_graph(engine.graph),
         "grammar": encode_grammar(engine.grammar),
         "backend": engine.backend,
         "strategy": engine.strategy,
     }
-    if "relational" in semantics or "all-path" in semantics:
+    relational = "relational" in semantics or "all-path" in semantics
+    if "single-path" in semantics:
+        index = engine.single_path_index()
+        if relational:
+            payload["relational"] = {
+                "matrices": encode_relations(
+                    index.matrices, engine.backend, engine.graph.node_count),
+                "stats": {
+                    "iterations": index.iterations,
+                    "multiplications": index.multiplications,
+                },
+            }
+        payload["length"] = encode_annotated_matrices(index.matrices,
+                                                      LENGTH_SEMIRING)
+    elif relational:
         result = engine.solve()
         payload["relational"] = {
             "matrices": encode_boolean_matrices(
@@ -388,9 +445,6 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
                 "multiplications": result.stats.multiplications,
             },
         }
-    if "single-path" in semantics:
-        payload["length"] = encode_annotated_matrices(
-            engine.single_path_index().matrices, LENGTH_SEMIRING)
     return payload
 
 

@@ -84,14 +84,19 @@ class TestCommandImports:
         assert _loaded(modules, "scipy") == []
 
     def test_snapshot_loads_no_server_stack(self, graph_file, tmp_path):
-        modules = _modules_after_cli(
-            "snapshot", "--graph", graph_file, "--grammar-name", "dyck1",
-            "--output", str(tmp_path / "index.snapshot"),
-            "--semantics", "relational", "single-path")
-        assert "repro.service.snapshot" in modules
-        assert _loaded(modules, "repro.service.server",
-                       "repro.service.query_service",
-                       "repro.service.replica", "repro.regular") == []
+        """A ``single-path`` snapshot writes its relational section from
+        the length closure as NumPy CSR, so even on the default
+        ``sparse`` backend it never imports SciPy."""
+        for relations in ("relational", "all-path"):
+            modules = _modules_after_cli(
+                "snapshot", "--graph", graph_file, "--grammar-name", "dyck1",
+                "--output", str(tmp_path / "index.snapshot"),
+                "--semantics", relations, "single-path")
+            assert "repro.service.snapshot" in modules
+            assert _loaded(modules, "repro.service.server",
+                           "repro.service.query_service",
+                           "repro.service.replica", "repro.regular",
+                           "scipy") == []
 
     def test_query_batch_loads_no_service(self, graph_file, tmp_path):
         batch = tmp_path / "batch.jsonl"
