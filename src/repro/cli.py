@@ -533,8 +533,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         if args.port is not None:
             serve_tcp(service, host=args.host, port=args.port,
-                      include_stats=args.stats, replicas=replicas,
-                      batch_window_ms=args.batch_window_ms)
+                      include_stats=args.stats, replicas=replicas)
         else:
             serve_stream(service, sys.stdin, sys.stdout,
                          include_stats=args.stats)
@@ -747,11 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve TCP on this port (0 = ephemeral; the "
                             "bound address is announced on stderr) "
                             "instead of stdio")
-    serve.add_argument("--batch-window-ms", type=float, default=None,
-                       help="micro-batch window in ms: concurrent single "
-                            "query requests within the window coalesce "
-                            "into one batched closure (default: "
-                            "$REPRO_BATCH_WINDOW_MS or off)")
     serve.add_argument("--stats", action="store_true",
                        help="attach cache hit rate / tick latency / "
                             "snapshot size to every response")

@@ -25,20 +25,12 @@ and uniformly sized, which is what ``blocked``/``autotune`` assume).
 Mask symbols only ever appear as rule heads and left operands, so the
 real matrices are never written by a mask rule.
 
-Two modes:
-
-* **cold** (no ``closed_matrices``): the real matrices start empty and
-  the base facts ride in through ``initial_frontier`` alongside the
-  mask seeds; real rules and mask rules run in the same closure.  One
-  closure per *batch* instead of one per *query* — the batched-speedup
-  case ``benchmarks/bench_batch.py`` gates.
-* **warm** (``closed_matrices`` given, e.g. by
-  :meth:`repro.service.query_service.QueryService.query_batch`): the
-  real matrices already hold the closed facts and only the mask rules
-  are included, so the closure derives nothing outside the union of
-  the masks and the caller's matrices are never mutated.  Mask seeds
-  are gathered straight from the closed rows
-  (:meth:`repro.matrices.base.MatrixBackend.gather_rows`).
+The real matrices start empty and the base facts ride in through
+``initial_frontier`` alongside the mask seeds; real rules and mask rules
+run in the same closure.  One closure per *batch* instead of one per
+*query* — the batched-speedup case ``benchmarks/bench_batch.py`` gates.
+A server that already holds the closure answers its batches by lookup
+instead (:meth:`repro.service.query_service.QueryService.query_batch`).
 
 Demultiplexing reads the stacked rows back with ``gather_rows``:
 membership queries get one union row (nonempty intersection with the
@@ -58,12 +50,7 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from ..matrices.base import (
-    BooleanMatrix,
-    MatrixBackend,
-    default_backend,
-    get_backend,
-)
+from ..matrices.base import MatrixBackend, default_backend, get_backend
 from .closure import run_closure
 from .matrix_cfpq import DEFAULT_STRATEGY, initial_pair_sets
 
@@ -178,8 +165,6 @@ def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
                 backend: "str | MatrixBackend | None" = None,
                 strategy: str = DEFAULT_STRATEGY,
                 normalize: bool = True,
-                closed_matrices: "dict[Nonterminal, BooleanMatrix] | None"
-                = None,
                 **strategy_options) -> list:
     """Answer a batch of queries with **one** masked closure.
 
@@ -187,12 +172,6 @@ def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
     (see :func:`as_batch_query`).  Returns one answer per query, in
     order: a ``frozenset`` of ``(source_node, target_node)`` pairs for
     ``relational`` semantics, a ``bool`` for ``membership``.
-
-    With *closed_matrices* — a dict of per-nonterminal matrices already
-    at the closed fixpoint, square, sized at least ``node_count`` (any
-    extra rows must be empty padding) — only the mask rules run (warm
-    mode) and the given matrices are never mutated.  Without it the
-    batch is solved cold from the graph's base facts.
     """
     specs = [as_batch_query(query) for query in queries]
     working = ensure_cnf(grammar) if normalize else grammar
@@ -230,20 +209,9 @@ def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
         for head, left, right in pair_rules
     ]
 
-    if closed_matrices is None:
-        result_matrices = _solve_cold(
-            graph, working, plans, n, k, pair_rules, mask_rules,
-            backend_obj, strategy, strategy_options,
-        )
-        real = result_matrices
-    else:
-        result_matrices = _solve_warm(
-            closed_matrices, working, plans, n, k, mask_rules,
-            backend_obj, strategy, strategy_options,
-        )
-        real = closed_matrices
-
-    return [_demux(plan, graph, n, result_matrices, real, backend_obj)
+    matrices = _solve(graph, working, plans, n, k, pair_rules, mask_rules,
+                      backend_obj, strategy, strategy_options)
+    return [_demux(plan, graph, n, matrices, backend_obj)
             for plan in plans]
 
 
@@ -267,7 +235,7 @@ def _mask_seed_pairs(plans: "list[_Plan]", n: int,
     return seeds
 
 
-def _solve_cold(graph, grammar, plans, n, k, pair_rules, mask_rules,
+def _solve(graph, grammar, plans, n, k, pair_rules, mask_rules,
                 backend, strategy, strategy_options) -> dict:
     """Real rules and mask rules in one closure, everything seeded
     through ``initial_frontier`` (base facts + gathered mask rows)."""
@@ -295,71 +263,7 @@ def _solve_cold(graph, grammar, plans, n, k, pair_rules, mask_rules,
     return closure.matrices
 
 
-def _solve_warm(closed_matrices, grammar, plans, n, k, mask_rules,
-                backend, strategy, strategy_options) -> dict:
-    """Mask rules only, against already-closed real matrices: the
-    closure derives nothing outside the union of the masks and the
-    caller's matrices are not mutated (mask symbols are the only rule
-    heads, and the matrix dict is shallow-copied before the run)."""
-    sizes = {matrix.shape for matrix in closed_matrices.values()}
-    if len(sizes) > 1:
-        raise ValueError(f"closed matrices disagree on shape: {sizes}")
-    provided = sizes.pop()[0] if sizes else n
-    if provided < n + k:
-        # Not enough padding for this batch's stacked rows: re-pad.
-        size = n + k
-        closed_matrices = {
-            nt: backend.from_pairs(
-                size,
-                ((i, j) for i, j in matrix.nonzero_pairs()
-                 if i < n and j < n),
-            )
-            for nt, matrix in closed_matrices.items()
-        }
-    else:
-        size = provided
-
-    # Gather each nonterminal's seed rows straight from the closed
-    # facts — one vectorized gather per nonterminal.
-    flat_rows: list[tuple[int, int]] = []   # (stacked row, source id)
-    for plan in plans:
-        if not plan.rows:
-            continue
-        if plan.query.semantics == "membership":
-            flat_rows.extend((plan.rows[0], source)
-                             for source in plan.source_ids)
-        else:
-            flat_rows.extend(zip(plan.rows, plan.source_ids))
-
-    matrices: dict = dict(closed_matrices)
-    frontier: dict = {}
-    gather_ids = [source for _row, source in flat_rows]
-    missing = [nt for nt in grammar.nonterminals
-               if nt not in closed_matrices]
-    if missing:
-        # Zero-filling here would silently treat a nonterminal's facts
-        # as empty, corrupting every answer derived through it.
-        raise ValueError(
-            f"closed_matrices is missing nonterminals {sorted(map(str, missing))}; "
-            "warm solve_batch needs the closed matrix of every "
-            "nonterminal of the (normalized) grammar"
-        )
-    for nt in grammar.nonterminals:
-        closed = closed_matrices[nt]
-        matrices[mask_symbol(nt)] = backend.zeros(size)
-        gathered = backend.gather_rows(closed, gather_ids)
-        seeds = {
-            (n + flat_rows[position][0], j)
-            for position, j in gathered.nonzero_pairs()
-        }
-        frontier[mask_symbol(nt)] = backend.from_pairs(size, seeds)
-    closure = run_closure(matrices, mask_rules, backend,
-                          strategy=strategy, initial_frontier=frontier,
-                          **strategy_options)
-    return closure.matrices
-
-
-def _demux(plan: _Plan, graph, n: int, matrices: dict, real: dict,
+def _demux(plan: _Plan, graph, n: int, matrices: dict,
            backend) -> object:
     """Read one query's answer back out of the stacked result."""
     query = plan.query
@@ -382,7 +286,7 @@ def _demux(plan: _Plan, graph, n: int, matrices: dict, real: dict,
         return frozenset(pairs)
     # Unrestricted sources: the only case read from the real block.
     pairs = set()
-    for i, j in real[plan.start].nonzero_pairs():
+    for i, j in matrices[plan.start].nonzero_pairs():
         if i >= n or j >= n:
             continue
         if plan.target_ids is not None and j not in plan.target_ids:

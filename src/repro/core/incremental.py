@@ -436,14 +436,6 @@ class IncrementalCFPQ:
         """``R_A`` as dense-id pairs."""
         return frozenset(self._facts.get(as_nonterminal(nonterminal), ()))
 
-    def targets_from(self, nonterminal: Nonterminal | str,
-                     source: int) -> frozenset[int]:
-        """The targets reachable from one source: ``{j : (source, j) ∈
-        R_A}``.  One row of the fact maps — a membership probe never
-        has to materialize (or copy) the full relation."""
-        row_map = self._rows.get(as_nonterminal(nonterminal), {})
-        return frozenset(row_map.get(source, ()))
-
     def all_path_index(self) -> AllPathIndex:
         """The all-path parse forest as a **view** of the live fact
         maps: built in O(|rules|), never rebuilt.  After a mutator call

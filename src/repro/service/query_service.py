@@ -39,7 +39,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from ..core.batch import BatchQuery, solve_batch
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import LengthRank, ViterbiRank
@@ -73,11 +72,6 @@ SERVICE_SEMIRINGS = ("length", "viterbi")
 
 #: Default LRU capacity.
 DEFAULT_CACHE_SIZE = 1024
-
-#: Minimum stacked-row padding of the cached batch matrices: batches up
-#: to this many mask rows reuse the cached padding instead of forcing a
-#: rebuild at a larger size.
-DEFAULT_BATCH_CAPACITY = 64
 
 #: Exceptions :meth:`QueryService.query_batch` converts into per-item
 #: results instead of failing the whole batch (mirrors the server's
@@ -222,8 +216,8 @@ class QueryService:
                  semiring: str | None = None,
                  **strategy_options):
         self.backend = backend or default_backend()
-        # Import the backend now, not on the first batch or tick: a
-        # server loads what its requests reach before it listens.
+        # Import the backend now, not on the first tick: a server loads
+        # what its requests reach before it listens.
         get_backend(self.backend)
         self.strategy = strategy
         self.single_path = single_path
@@ -288,16 +282,7 @@ class QueryService:
         self._tick_seconds_last = 0.0
         self._tick_seconds_total = 0.0
         self._snapshot_bytes = 0
-
-        # Padded per-nonterminal matrices for the warm batched path:
-        # closed facts at size (n + capacity) so a batch's mask rows fit
-        # without rebuilding.  Invalidated per-NT by tick().
-        self._batch_matrices: dict[Nonterminal, object] = {}
-        self._batch_capacity = 0
-        self._batch_nodes = -1
-        self._batch_lock = threading.Lock()
         self._batched_queries = 0
-        self._batch_closures = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -437,29 +422,8 @@ class QueryService:
         * ``length`` (both endpoints): the minimal witness length, or
           None.
         """
-        key = (str(start), source, target, semantics)
         with self._lock.reading():
-            hit = False
-            value: object = None
-            with self._cache_lock:
-                self._queries += 1
-                if key in self._cache:
-                    self._hits += 1
-                    self._cache.move_to_end(key)
-                    value = self._cache[key]
-                    hit = True
-                else:
-                    self._misses += 1
-            _cache_requests_counter().inc(
-                semantics=semantics, outcome="hit" if hit else "miss")
-            if not hit:
-                value = self._evaluate(start, source, target, semantics)
-                with self._cache_lock:
-                    self._cache[key] = value
-                    self._cache.move_to_end(key)
-                    while len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
-                        self._evictions += 1
+            value = self._cached(start, source, target, semantics)
             self._maybe_capture_stats()
             return value
 
@@ -472,19 +436,11 @@ class QueryService:
         nothing — its slot holds the exception instance, so one bad
         query never poisons the batch.
 
-        The batch is partitioned three ways:
-
-        * **cache hits** are served from the LRU directly;
-        * **maskable residue** — relational membership probes (both
-          endpoints given) — is compiled into *one*
-          :func:`~repro.core.batch.solve_batch` warm run over the
-          cached padded closure matrices, one stacked mask row per
-          probe;
-        * everything else evaluates per-item exactly as :meth:`query`.
-
-        Every computed answer populates the LRU under its single-query
-        key, so the existing per-nonterminal tick invalidation applies
-        unchanged.
+        Every item is answered exactly as :meth:`query` answers it —
+        from the LRU, or evaluated against the closed fact maps (a
+        membership probe reads one cell) and cached under its
+        single-query key — so the whole batch sees one fixpoint and the
+        per-nonterminal tick invalidation applies unchanged.
         """
         items: list = []
         for query in queries:
@@ -492,92 +448,51 @@ class QueryService:
                 items.append(self._coerce_batch_item(query))
             except BATCH_ITEM_ERRORS as exc:
                 items.append(exc)
-        results: list = [None] * len(items)
         get_registry().histogram(
             "repro_batch_occupancy", "Queries answered per batch call",
             buckets=DEFAULT_SIZE_BUCKETS,
         ).observe(len(items))
+        results: list = []
         with self._lock.reading():
-            residue: list[tuple[int, tuple, tuple]] = []
-            cache_outcomes: list[tuple[str, str]] = []
+            for item in items:
+                if not isinstance(item, Exception):
+                    try:
+                        item = self._cached(*item)
+                    except BATCH_ITEM_ERRORS as exc:
+                        item = exc
+                results.append(item)
             with self._cache_lock:
-                for index, item in enumerate(items):
-                    if isinstance(item, Exception):
-                        results[index] = item
-                        continue
-                    self._queries += 1
-                    self._batched_queries += 1
-                    key = (str(item[0]), item[1], item[2], item[3])
-                    if key in self._cache:
-                        self._hits += 1
-                        self._cache.move_to_end(key)
-                        results[index] = self._cache[key]
-                        cache_outcomes.append((item[3], "hit"))
-                    else:
-                        self._misses += 1
-                        residue.append((index, key, item))
-                        cache_outcomes.append((item[3], "miss"))
-            requests_counter = _cache_requests_counter()
-            for semantics, outcome in cache_outcomes:
-                requests_counter.inc(semantics=semantics, outcome=outcome)
-
-            maskable: list[tuple[int, tuple, BatchQuery]] = []
-            to_cache: list[tuple[tuple, object]] = []
-            graph = self.solver.graph
-            for index, key, item in residue:
-                start, source, target, semantics = item
-                if (semantics == "relational" and source is not None
-                        and target is not None):
-                    try:
-                        start_nt = self.solver.grammar.resolve_nonterminal(
-                            start)
-                    except BATCH_ITEM_ERRORS as exc:
-                        results[index] = exc
-                        continue
-                    if not (graph.has_node(source) and graph.has_node(target)):
-                        results[index] = False
-                        to_cache.append((key, False))
-                        continue
-                    maskable.append((index, key, BatchQuery(
-                        start_nt,
-                        sources=frozenset((source,)),
-                        targets=frozenset((target,)),
-                        semantics="membership",
-                    )))
-                else:
-                    try:
-                        value = self._evaluate(start, source, target,
-                                               semantics)
-                    except BATCH_ITEM_ERRORS as exc:
-                        results[index] = exc
-                        continue
-                    results[index] = value
-                    to_cache.append((key, value))
-
-            if maskable:
-                closed = self._closed_batch_matrices(len(maskable))
-                answers = solve_batch(
-                    graph, self.solver.grammar,
-                    [query for _index, _key, query in maskable],
-                    backend=self.backend, strategy=self.strategy,
-                    normalize=False, closed_matrices=closed,
-                    **self.strategy_options,
-                )
-                self._batch_closures += 1
-                for (index, key, _query), answer in zip(maskable, answers):
-                    results[index] = answer
-                    to_cache.append((key, answer))
-
-            if to_cache:
-                with self._cache_lock:
-                    for key, value in to_cache:
-                        self._cache[key] = value
-                        self._cache.move_to_end(key)
-                    while len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
-                        self._evictions += 1
+                self._batched_queries += len(items)
             self._maybe_capture_stats()
-            return results
+        return results
+
+    def _cached(self, start, source, target, semantics: str):
+        """One answer from the LRU, or evaluated and cached under its
+        ``(start, source, target, semantics)`` key.  The caller holds
+        the read lock; a failed evaluation propagates and caches
+        nothing."""
+        key = (str(start), source, target, semantics)
+        with self._cache_lock:
+            self._queries += 1
+            hit = key in self._cache
+            if hit:
+                self._hits += 1
+                self._cache.move_to_end(key)
+                value = self._cache[key]
+            else:
+                self._misses += 1
+        _cache_requests_counter().inc(
+            semantics=semantics, outcome="hit" if hit else "miss")
+        if hit:
+            return value
+        value = self._evaluate(start, source, target, semantics)
+        with self._cache_lock:
+            self._cache[key] = value
+            self._cache.move_to_end(key)
+            while len(self._cache) > self._cache_size:
+                self._cache.popitem(last=False)
+                self._evictions += 1
+        return value
 
     @staticmethod
     def _coerce_batch_item(query) -> tuple:
@@ -600,28 +515,6 @@ class QueryService:
             padded = padded + ("relational",)
         return padded
 
-    def _closed_batch_matrices(self, rows_needed: int) -> dict:
-        """The solver's closed facts padded to ``n + capacity`` rows,
-        cached per nonterminal so consecutive batches skip the rebuild.
-        Called under the read lock; tick() (writer) invalidates changed
-        nonterminals, so cached entries are always the current fixpoint.
-        """
-        solver = self.solver
-        n = solver.graph.node_count
-        with self._batch_lock:
-            if self._batch_nodes != n or self._batch_capacity < rows_needed:
-                self._batch_matrices.clear()
-                self._batch_capacity = max(DEFAULT_BATCH_CAPACITY,
-                                           rows_needed)
-                self._batch_nodes = n
-            size = n + self._batch_capacity
-            backend = get_backend(self.backend)
-            for nonterminal in solver.grammar.nonterminals:
-                if nonterminal not in self._batch_matrices:
-                    self._batch_matrices[nonterminal] = backend.from_pairs(
-                        size, solver.pairs(nonterminal))
-            return dict(self._batch_matrices)
-
     def _evaluate(self, start, source, target, semantics: str):
         solver = self.solver
         start_nt = solver.grammar.resolve_nonterminal(start)
@@ -636,9 +529,9 @@ class QueryService:
                 )
             if not (graph.has_node(source) and graph.has_node(target)):
                 return False
-            # One row of the by-source index — never the full relation.
-            return graph.node_id(target) in solver.targets_from(
-                start_nt, graph.node_id(source))
+            # One cell of the live fact maps — nothing is copied.
+            return self._forest.node_exists(
+                start_nt, graph.node_id(source), graph.node_id(target))
         if semantics in ("single-path", "length"):
             if not self.single_path:
                 raise SemanticsError(
@@ -797,12 +690,6 @@ class QueryService:
                 frontier_runs = 1
                 changed.update(solver.last_changes)
             self._forest.drop_memos()
-            # The padded batch matrices mirror the closed facts per
-            # nonterminal; drop exactly the changed ones (a node-count
-            # change is caught by the rebuild check at next build).
-            with self._batch_lock:
-                for nonterminal in changed:
-                    self._batch_matrices.pop(nonterminal, None)
             # An inserted edge can add a *new alternative* at an
             # already-derived forest node — no fact or length delta, but
             # the node's path set (and hence k-best answers through it)
@@ -1025,10 +912,6 @@ class QueryService:
                 "seconds": round(self._startup_seconds, 6),
             },
             "snapshot_bytes": self._snapshot_bytes,
-            "batch": {
-                "queries": self._batched_queries,
-                "closures": self._batch_closures,
-                "cached_nonterminals": len(self._batch_matrices),
-            },
+            "batch": {"queries": self._batched_queries},
             "solver": dict(self.solver.stats),
         }

@@ -46,13 +46,10 @@ buffer.
 
 A ``batch`` op answers many queries in one round-trip: ``queries`` in,
 an ordered list of per-item ``{"ok": ...}`` envelopes out — one bad
-item reports its own error instead of failing the batch.  Relational
-membership probes in a batch are answered by **one** masked closure
-(:meth:`QueryService.query_batch`), not one solve per item.  With
-``--batch-window-ms W`` the server additionally *micro-batches*:
-concurrent single ``query`` requests arriving within a W ms window are
-coalesced into one ``query_batch`` call, each connection still
-receiving its own ordinary query response.
+item reports its own error instead of failing the batch.  Every item
+is answered as a ``query`` op would answer it — from the cache or the
+closed relation, never a closure — under one read-lock acquisition
+(:meth:`QueryService.query_batch`), so the whole batch sees one tick.
 
 A ``top_k`` op pages through the best witness paths between one node
 pair (shortest-first, or most-probable-first when the service runs the
@@ -278,6 +275,10 @@ def _dispatch(service: QueryService, op: str, request: dict):
                 spec = dict(spec)
                 spec["source"] = coerce_json_node(graph, spec.get("source"))
                 spec["target"] = coerce_json_node(graph, spec.get("target"))
+            elif isinstance(spec, list):
+                # [start, source, target, semantics]: coerce the nodes.
+                spec = [coerce_json_node(graph, value) if position in (1, 2)
+                        else value for position, value in enumerate(spec)]
             items.append(spec)
         return [_batch_item_envelope(answer)
                 for answer in service.query_batch(items)]
@@ -404,61 +405,6 @@ def _compact_stats(service: QueryService, stats: "dict | None") -> dict:
     if "replication" in stats:
         compact["replication"] = stats["replication"]
     return compact
-
-
-def _microbatch_responses(service, requests: list,
-                          include_stats: bool) -> list:
-    """Execute window-coalesced single ``query`` requests as **one**
-    ``query_batch`` call, shaping each response exactly as the
-    per-request ``query`` op would — clients cannot tell whether their
-    request was micro-batched."""
-    capture = (service.capture_stats() if include_stats
-               and hasattr(service, "capture_stats")
-               else contextlib.nullcontext(lambda: None))
-    graph = service.graph
-    responses: list = [None] * len(requests)
-    items: list = []
-    slots: list[int] = []
-    for position, request in enumerate(requests):
-        start = request.get("start")
-        if start is None:
-            responses[position] = {"ok": False,
-                                   "error": "query requires 'start'",
-                                   "error_type": "ValueError"}
-            continue
-        items.append({
-            "start": start,
-            "source": coerce_json_node(graph, request.get("source")),
-            "target": coerce_json_node(graph, request.get("target")),
-            "semantics": request.get("semantics", "relational"),
-        })
-        slots.append(position)
-    with stopwatch() as timer, \
-            get_tracer().span("server.microbatch",
-                              requests=len(requests), coalesced=len(items)):
-        with capture as captured:
-            answers = service.query_batch(items) if items else []
-    registry = get_registry()
-    # Micro-batched queries bypass handle_request, so account for them
-    # here — repro_requests_total stays the one true request count.
-    registry.counter(
-        "repro_requests_total", "Requests handled", ("op",)
-    ).inc(len(requests), op="query")
-    registry.histogram(
-        "repro_request_seconds", "Request latency", ("op",)
-    ).observe(timer.elapsed, op="query")
-    for position, answer in zip(slots, answers):
-        if isinstance(answer, Exception):
-            responses[position] = {"ok": False, "error": str(answer),
-                                   "error_type": type(answer).__name__}
-        else:
-            responses[position] = {"ok": True, "op": "query",
-                                   "result": _jsonable_result(answer)}
-    if include_stats:
-        stats = _compact_stats(service, captured())
-        for response in responses:
-            response["stats"] = stats
-    return responses
 
 
 # ----------------------------------------------------------------------
@@ -653,24 +599,13 @@ class AsyncJSONLServer:
                  include_stats: bool = False,
                  replicas: Iterable[tuple[str, int]] = (),
                  max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                 executor_workers: int = DEFAULT_EXECUTOR_WORKERS,
-                 batch_window_ms: "float | None" = None):
+                 executor_workers: int = DEFAULT_EXECUTOR_WORKERS):
         self.service = service
         self.host = host
         self.port = port
         self.include_stats = include_stats
         self.max_line_bytes = max_line_bytes
         self.executor_workers = executor_workers
-        if batch_window_ms is None:
-            batch_window_ms = float(
-                os.environ.get("REPRO_BATCH_WINDOW_MS", "0") or 0)
-        #: Micro-batching window (milliseconds; 0 disables): single
-        #: ``query`` requests arriving within the window are coalesced
-        #: into one ``query_batch`` call.
-        self.batch_window_ms = float(batch_window_ms)
-        self._batch_window_s = self.batch_window_ms / 1000.0
-        self._pending: "list[tuple[dict, asyncio.Future]]" = []
-        self._flush_handle: "asyncio.TimerHandle | None" = None
         self.address: "tuple[str, int] | None" = None
         self.connections_served = 0
         self._replica_addresses = list(replicas)
@@ -711,9 +646,6 @@ class AsyncJSONLServer:
             await self._server.wait_closed()
         if self._replica_push is not None:
             await self._replica_push.close()
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         for writer in list(self._writers):
             with contextlib.suppress(Exception):
                 writer.close()
@@ -823,14 +755,10 @@ class AsyncJSONLServer:
                 ).inc(op=request.get("op", "query"))
                 return forwarded
             # Every replica down: serve the read locally.
-        if self._batch_window_s > 0 and isinstance(request, dict) \
-                and request.get("op", "query") == "query":
-            response = await self._enqueue_microbatch(request)
-        else:
-            response = await self._loop.run_in_executor(
-                self._executor, handle_request, self.service, request,
-                self.include_stats,
-            )
+        response = await self._loop.run_in_executor(
+            self._executor, handle_request, self.service, request,
+            self.include_stats,
+        )
         if _is_shutdown(response):
             self._shutdown.set()
         elif self._replica_push is not None and response.get("ok") \
@@ -838,50 +766,10 @@ class AsyncJSONLServer:
             self._replica_push.notify()
         return _encode(response)
 
-    # -- micro-batching ------------------------------------------------
-    async def _enqueue_microbatch(self, request: dict) -> dict:
-        """Park one ``query`` request until the window flushes; the
-        first request of a window arms the flush timer.  Per-connection
-        FIFO is preserved because :meth:`_on_connection` awaits each
-        response before reading the next line."""
-        future: asyncio.Future = self._loop.create_future()
-        self._pending.append((request, future))
-        if self._flush_handle is None:
-            self._flush_handle = self._loop.call_later(
-                self._batch_window_s, self._arm_flush)
-        return await future
-
-    def _arm_flush(self) -> None:
-        self._flush_handle = None
-        task = self._loop.create_task(self._flush_microbatch())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _flush_microbatch(self) -> None:
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        requests = [request for request, _future in pending]
-        try:
-            responses = await self._loop.run_in_executor(
-                self._executor, _microbatch_responses, self.service,
-                requests, self.include_stats,
-            )
-        except Exception as error:  # pragma: no cover - defensive
-            for _request, future in pending:
-                if not future.done():
-                    future.set_exception(error)
-            return
-        for (_request, future), response in zip(pending, responses):
-            if not future.done():
-                future.set_result(response)
-
-
 def serve_tcp(service, host: str = "127.0.0.1", port: int = 0,
               include_stats: bool = False,
               ready_stream: "IO[str] | None" = None,
-              replicas: Iterable[tuple[str, int]] = (),
-              batch_window_ms: "float | None" = None) -> None:
+              replicas: Iterable[tuple[str, int]] = ()) -> None:
     """Run the asyncio TCP transport until shutdown.  ``port=0`` binds
     an ephemeral port; the actual address is announced on *ready_stream*
     (default stderr) as ``listening on HOST:PORT`` before serving."""
@@ -889,7 +777,7 @@ def serve_tcp(service, host: str = "127.0.0.1", port: int = 0,
     async def main() -> None:
         server = AsyncJSONLServer(
             service, host=host, port=port, include_stats=include_stats,
-            replicas=replicas, batch_window_ms=batch_window_ms,
+            replicas=replicas,
         )
         await server.start()
         bound_host, bound_port = server.address

@@ -2,9 +2,8 @@
 
 The contract under test: for every query shape, ``solve_batch`` must
 return exactly what filtering a full :func:`solve_matrix` relation
-would — across backends, strategies, cold and warm modes — while the
-masked path never materializes the all-pairs relation for restricted
-queries.
+would — across backends and strategies — while the masked path never
+materializes the all-pairs relation for restricted queries.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.core.batch import BatchQuery, as_batch_query, solve_batch
 from repro.core.matrix_cfpq import solve_matrix
 from repro.errors import GrammarError, SemanticsError
 from repro.grammar import parse_grammar
-from repro.grammar.cnf import ensure_cnf
 from repro.grammar.symbols import Nonterminal
 from repro.graph import LabeledGraph, two_cycles
 from repro.matrices import available_backends
@@ -97,44 +95,6 @@ class TestColdDifferential:
                                   backend="pyset", strategy="delta")
             for query, answer in zip(queries, answers):
                 assert answer == _expected(pairs, query), query
-
-
-class TestWarmMode:
-    @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
-    def test_matches_cold(self, graph, grammar, strategy):
-        cnf = ensure_cnf(grammar)
-        queries = _query_shapes(graph)
-        for backend in available_backends():
-            solved = solve_matrix(graph, cnf, backend=backend,
-                                  normalize=False)
-            closed = dict(solved.matrices)
-            cold = solve_batch(graph, cnf, queries, backend=backend,
-                               strategy=strategy, normalize=False)
-            warm = solve_batch(graph, cnf, queries, backend=backend,
-                               strategy=strategy, normalize=False,
-                               closed_matrices=closed)
-            assert warm == cold, (backend, strategy)
-
-    def test_never_mutates_caller_matrices(self, graph, grammar):
-        cnf = ensure_cnf(grammar)
-        solved = solve_matrix(graph, cnf, backend="pyset",
-                              normalize=False)
-        closed = dict(solved.matrices)
-        snapshots = {nt: m.to_pair_set() for nt, m in closed.items()}
-        solve_batch(graph, cnf, _query_shapes(graph), backend="pyset",
-                    normalize=False, closed_matrices=closed)
-        for nt, matrix in closed.items():
-            assert matrix.to_pair_set() == snapshots[nt], nt
-
-    def test_missing_nonterminal_rejected(self, graph, grammar):
-        cnf = ensure_cnf(grammar)
-        solved = solve_matrix(graph, cnf, backend="pyset",
-                              normalize=False)
-        closed = dict(solved.matrices)
-        closed.pop(next(iter(closed)))
-        with pytest.raises(ValueError, match="closed_matrices"):
-            solve_batch(graph, cnf, [BatchQuery(S)], backend="pyset",
-                        normalize=False, closed_matrices=closed)
 
 
 class TestEdgeCases:

@@ -1,4 +1,4 @@
-"""``QueryService.query_batch``: partitioning, caching, errors, races.
+"""``QueryService.query_batch``: answers, caching, errors, races.
 
 The service contract: a batch answers exactly what the same queries
 asked one-by-one would answer, populates the same LRU entries, reports
@@ -17,13 +17,24 @@ import pytest
 from repro import QueryService, parse_grammar
 from repro.errors import GrammarError, SemanticsError
 from repro.graph.generators import two_cycles, word_chain
+from repro.service.query_service import BATCH_ITEM_ERRORS
 
 ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
+INSERTS = [("insert", (0, "a", 99)), ("insert", (99, "b", 0))]
+DELETES = [("delete", (1, "a", 0))]
+
+
+def _service(*ticks):
+    service = QueryService(two_cycles(2, 3), ANBN, backend="pyset",
+                           single_path=True)
+    for ops in ticks:
+        service.tick(ops)
+    return service
 
 
 @pytest.fixture
 def service():
-    return QueryService(two_cycles(2, 3), ANBN, backend="pyset")
+    return _service()
 
 
 def _all_probes(graph):
@@ -31,50 +42,77 @@ def _all_probes(graph):
     return [("S", a, b) for a in nodes for b in nodes]
 
 
+def _batch_items(graph):
+    """Every item shape a batch takes: membership over all node pairs
+    plus absent endpoints, length and single-path items, the full
+    relation, a dict item, an unknown start and an unknown semantics."""
+    probes = _all_probes(graph)
+    return probes + [
+        ("S", 99, 0), ("S", 0, 99), ("S", "ghost", "ghost"),
+        ("S", 0, 0, "length"), ("S", 1, 3, "length"), ("S", 99, 0, "length"),
+        ("S", 0, 0, "single-path"), ("S", 1, 3, "single-path"),
+        ("S",),
+        {"start": "S", "source": 0, "target": 0},
+        ("NoSuchNT", 0, 0),
+        ("S", 0, 0, "bogus-semantics"),
+    ]
+
+
+def _one_by_one(service, items):
+    """What :meth:`QueryService.query` answers item by item, an error
+    standing for its type."""
+    answers = []
+    for item in items:
+        if isinstance(item, dict):
+            item = (item["start"], item["source"], item["target"])
+        try:
+            answers.append(service.query(*item))
+        except BATCH_ITEM_ERRORS as error:
+            answers.append(type(error))
+    return answers
+
+
+def _as_compared(answers):
+    return [type(answer) if isinstance(answer, Exception) else answer
+            for answer in answers]
+
+
 class TestBatchAnswers:
     def test_matches_per_query(self, service):
-        probes = _all_probes(service.graph)
-        batch = probes + [("S",), {"start": "S", "source": 0, "target": 0}]
-        reference = QueryService(two_cycles(2, 3), ANBN, backend="pyset")
-        answers = service.query_batch(batch)
-        for item, answer in zip(probes, answers):
-            assert answer == reference.query(*item), item
-        assert answers[len(probes)] == reference.query("S")
-        assert answers[len(probes) + 1] == reference.query("S", 0, 0)
+        items = _batch_items(service.graph)
+        answers = _as_compared(service.query_batch(items))
+        assert answers == _one_by_one(_service(), items)
+        assert issubclass(answers[-2], GrammarError)
+        assert answers[-1] is SemanticsError
 
     def test_matches_per_query_after_tick(self, service):
-        probes = _all_probes(service.graph)
-        service.query_batch(probes)
-        ops = [("insert", (0, "a", 99)), ("insert", (99, "b", 0))]
-        service.tick(ops)
-        reference = QueryService(two_cycles(2, 3), ANBN, backend="pyset")
-        reference.tick(ops)
-        for item, answer in zip(probes, service.query_batch(probes)):
-            assert answer == reference.query(*item), item
+        service.query_batch(_batch_items(service.graph))
+        service.tick(INSERTS)
+        items = _batch_items(service.graph)
+        assert _as_compared(service.query_batch(items)) \
+            == _one_by_one(_service(INSERTS), items)
+        service.tick(DELETES)
+        assert _as_compared(service.query_batch(items)) \
+            == _one_by_one(_service(INSERTS, DELETES), items)
 
     def test_populates_cache_per_query(self, service):
         probes = _all_probes(service.graph)[:6]
         service.query_batch(probes)
         stats = service.stats
-        assert stats["cache_entries"] >= len(probes)
-        assert stats["batch"]["closures"] == 1
-        # Second pass: all hits, no new closure.
+        assert stats["cache_entries"] == len(probes)
+        assert (stats["cache_hits"], stats["cache_misses"]) \
+            == (0, len(probes))
+        # Second pass: all hits.
         service.query_batch(probes)
         stats = service.stats
-        assert stats["cache_hits"] >= len(probes)
-        assert stats["batch"]["closures"] == 1
+        assert (stats["cache_hits"], stats["cache_misses"]) \
+            == (len(probes), len(probes))
         # The single-query path shares the same keys.
-        before = service.stats["cache_misses"]
         service.query("S", *probes[0][1:])
-        assert service.stats["cache_misses"] == before
-
-    def test_membership_probe_uses_masked_path(self, service):
-        """A batch of misses answers through one warm masked closure,
-        not one relation materialization per probe."""
-        probes = _all_probes(service.graph)[:5]
-        answers = service.query_batch(probes)
-        assert service.stats["batch"]["closures"] == 1
-        assert any(answers) or not all(answers)
+        stats = service.stats
+        assert (stats["cache_hits"], stats["cache_misses"]) \
+            == (len(probes) + 1, len(probes))
+        assert stats["batch"]["queries"] == 2 * len(probes)
 
     def test_empty_batch(self, service):
         assert service.query_batch([]) == []

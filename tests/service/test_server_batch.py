@@ -1,23 +1,17 @@
-"""The ``batch`` wire op and the server-side micro-batching window.
-
-Two layers under test: the explicit ``batch`` request (a list of query
-specs in, an ordered list of per-item envelopes out) and the opt-in
-``batch_window_ms`` coalescer, which parks concurrent single ``query``
-requests and answers them through one ``query_batch`` call — with
-responses indistinguishable from the unbatched path.
-"""
+"""The ``batch`` wire op: a list of query specs in, an ordered list of
+per-item envelopes out, each item answered as the ``query`` op would
+answer it — locally or by a follower replica."""
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
 
 import pytest
 
 from repro import QueryService, parse_grammar
 from repro.graph.generators import two_cycles
-from repro.service.server import AsyncJSONLServer, ServerThread, handle_request
+from repro.service.server import ServerThread, handle_request
 
 ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
 
@@ -44,13 +38,15 @@ class TestBatchOp:
             {"start": "S", "source": 0, "target": 0},
             {"start": "S"},
             {"start": "S", "source": "0", "target": "1"},  # coerced tokens
+            ["S", "0", "0"],                                # list form too
         ]})
         assert response["ok"] is True
         items = response["result"]
-        assert len(items) == 3
+        assert len(items) == 4
         assert items[0] == {"ok": True, "result": True}
         assert items[1]["ok"] and [0, 0] in items[1]["result"]
         assert items[2]["ok"] and isinstance(items[2]["result"], bool)
+        assert items[3] == items[0]
         # The batch matches the single-query op item by item.
         single = handle_request(service, {
             "op": "query", "start": "S", "source": 0, "target": 0,
@@ -119,89 +115,3 @@ class TestBatchFanOut:
         # The leader itself never answered: the follower served it.
         assert follower.stats["queries"] >= 2
         assert leader.stats["queries"] == 0
-
-
-class TestMicroBatchWindow:
-    def test_disabled_by_default(self, service, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_WINDOW_MS", raising=False)
-        server = AsyncJSONLServer(service)
-        assert server.batch_window_ms == 0
-
-    def test_env_var_fallback(self, service, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_WINDOW_MS", "7.5")
-        assert AsyncJSONLServer(service).batch_window_ms == 7.5
-        # An explicit argument wins over the environment.
-        assert AsyncJSONLServer(service, batch_window_ms=2).batch_window_ms \
-            == 2
-        monkeypatch.setenv("REPRO_BATCH_WINDOW_MS", "")
-        assert AsyncJSONLServer(service).batch_window_ms == 0
-
-    def test_concurrent_queries_coalesce(self, service):
-        """Concurrent single queries inside the window are answered by
-        fewer closures than clients, and every response keeps the
-        single-query shape."""
-        with ServerThread(service, batch_window_ms=25,
-                          include_stats=True) as server:
-            responses: list = [None] * 8
-
-            def client(index):
-                source = index % 4
-                responses[index] = _session(server.address, [
-                    {"op": "query", "start": "S",
-                     "source": source, "target": source},
-                ])[0]
-
-            threads = [threading.Thread(target=client, args=(i,))
-                       for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-            expected = {i: service.query("S", i, i) for i in range(4)}
-            for index, response in enumerate(responses):
-                assert response["ok"] is True, response
-                assert response["op"] == "query"
-                assert response["result"] == expected[index % 4], index
-                assert "stats" in response
-            stats = service.stats["batch"]
-            assert stats["queries"] >= 8
-            # Coalescing happened: fewer batch flushes than clients.
-            assert 1 <= stats["closures"] < 8
-
-    def test_sequential_queries_still_correct(self, service):
-        """A lone request inside a window is just a batch of one."""
-        with ServerThread(service, batch_window_ms=5) as server:
-            responses = _session(server.address, [
-                {"op": "query", "start": "S", "source": 0, "target": 0},
-                {"op": "query", "start": "S"},
-                {"op": "query", "start": "Nope"},
-                {"op": "ping"},
-            ])
-        assert responses[0] == {"ok": True, "op": "query", "result": True}
-        assert responses[1]["ok"] and [0, 0] in responses[1]["result"]
-        assert responses[2]["ok"] is False
-        assert responses[2]["error_type"] == "UnknownSymbolError"
-        assert responses[3]["ok"] is True
-
-    def test_missing_start_error_envelope(self, service):
-        with ServerThread(service, batch_window_ms=5) as server:
-            [response] = _session(server.address, [
-                {"op": "query", "source": 0, "target": 0},
-            ])
-        assert response["ok"] is False
-        assert "start" in response["error"]
-
-    def test_updates_bypass_the_window(self, service):
-        """Only single queries are parked; updates and batches run
-        immediately on the executor path."""
-        with ServerThread(service, batch_window_ms=50) as server:
-            responses = _session(server.address, [
-                {"op": "update", "insert": [["p", "a", "q"],
-                                            ["q", "b", "p"]]},
-                {"op": "query", "start": "S",
-                 "source": "p", "target": "p"},
-            ])
-        assert responses[0]["ok"] is True
-        # FIFO per connection: the query observes the tick before it.
-        assert responses[1]["result"] is True

@@ -108,6 +108,13 @@ class TestCommandImports:
         assert "repro.core.batch" in modules
         assert _loaded(modules, "repro.service") == []
 
+    def test_query_service_loads_no_batch_closure(self):
+        """A served batch is a loop of lookups: the service never loads
+        the masked batch closure."""
+        modules = _modules_after("import repro.service.query_service")
+        assert "repro.service.query_service" in modules
+        assert "repro.core.batch" not in modules
+
 
 class TestLazyExports:
     @pytest.mark.parametrize("package", PACKAGES)
