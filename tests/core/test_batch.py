@@ -81,6 +81,23 @@ class TestColdDifferential:
                 assert answer == _expected(pairs, query), \
                     (backend, strategy, query)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_membership_row_per_pair(self, graph, grammar, strategy):
+        """Every node pair as its own membership query — one stacked
+        mask row each — answers exactly the all-pairs relation."""
+        pairs = _reference(graph, grammar)
+        nodes = [graph.node_at(i) for i in range(graph.node_count)]
+        queries = [BatchQuery(S, sources=frozenset((a,)),
+                              targets=frozenset((b,)),
+                              semantics="membership")
+                   for a in nodes for b in nodes]
+        for backend in available_backends():
+            answers = solve_batch(graph, grammar, queries,
+                                  backend=backend, strategy=strategy)
+            found = {(next(iter(query.sources)), next(iter(query.targets)))
+                     for query, answer in zip(queries, answers) if answer}
+            assert found == pairs, (backend, strategy)
+
     def test_nullable_grammar_random_graphs(self):
         nullable = parse_grammar("S -> a S b | a b |",
                                  terminals=["a", "b"])

@@ -501,6 +501,27 @@ def test_interleaved_single_path_equals_scratch(strategy, seed):
         assert _cells_of(incremental) == index.cells, (strategy, seed, step)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_forest_view_cells_follow_interleaved_updates(route, seed):
+    """The all-path view is built once and read live: after every
+    insert or delete its ``node_exists`` cells equal ``pairs``."""
+    grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
+    rng = random.Random(0xF0E5 ^ seed)
+    incremental = IncrementalCFPQ(
+        LabeledGraph.from_edges([], nodes=list(range(4))), grammar)
+    view = incremental.all_path_index()
+    for step, (delete, edge) in enumerate(_random_sequence(rng, 4, 12)):
+        if delete:
+            incremental.remove_edge(*edge)
+        else:
+            incremental.add_edge(*edge)
+        for nonterminal in incremental.grammar.nonterminals:
+            pairs = incremental.pairs(nonterminal)
+            cells = {(i, j) for i in range(4) for j in range(4)
+                     if view.node_exists(nonterminal, i, j)}
+            assert cells == pairs, (route, seed, step, nonterminal)
+
+
 @given(
     seed=st.integers(0, 1000),
     initial_edges=st.integers(0, 10),

@@ -168,6 +168,59 @@ class TestMembershipEvaluate:
                 a, b = graph.node_at(i), graph.node_at(j)
                 assert service.query("S", a, b) == ((a, b) in pairs)
 
+    def test_membership_probe_reads_one_cell(self, service, monkeypatch):
+        """A batch of membership misses reads one forest cell per probe
+        and never materializes a relation."""
+        expected = service.query("S")
+
+        def no_relation(*_args, **_kwargs):
+            raise AssertionError("a membership probe copied a relation")
+
+        for name in ("pairs", "relations"):
+            monkeypatch.setattr(service.solver, name, no_relation)
+        cells: list = []
+        node_exists = service._forest.node_exists
+
+        def counted(nonterminal, i, j):
+            cells.append((i, j))
+            return node_exists(nonterminal, i, j)
+
+        monkeypatch.setattr(service._forest, "node_exists", counted)
+        probes = _all_probes(service.graph)
+        answers = service.query_batch(probes)
+        assert len(cells) == len(probes)
+        assert {item[1:] for item, answer in zip(probes, answers)
+                if answer} == expected
+
+    def test_batch_leaves_the_facts_unchanged(self, service):
+        graph = service.graph
+        before = {nt: service.solver.pairs(nt)
+                  for nt in service.solver.grammar.nonterminals}
+        service.query_batch(_batch_items(graph))
+        assert {nt: service.solver.pairs(nt) for nt in before} == before
+
+
+class TestServedEqualsCold:
+    @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
+    def test_served_batch_matches_cold_solve_batch(self, strategy):
+        """The served lookups answer what a cold masked batch closure
+        answers, on every backend and closure strategy."""
+        from repro.core.batch import BatchQuery, solve_batch
+        from repro.matrices import available_backends
+
+        graph = two_cycles(2, 3)
+        probes = _all_probes(graph)
+        masked = [BatchQuery("S", sources=frozenset((a,)),
+                             targets=frozenset((b,)), semantics="membership")
+                  for _start, a, b in probes]
+        for backend in available_backends():
+            service = QueryService(graph, ANBN, backend=backend,
+                                   strategy=strategy)
+            cold = solve_batch(graph, ANBN, masked, backend=backend,
+                               strategy=strategy)
+            assert service.query_batch(probes) == cold, (backend, strategy)
+            assert any(cold) and not all(cold)
+
 
 class TestLinearizability:
     def test_batch_racing_tick_sees_consistent_state(self):

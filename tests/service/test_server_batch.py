@@ -1,11 +1,13 @@
 """The ``batch`` wire op: a list of query specs in, an ordered list of
 per-item envelopes out, each item answered as the ``query`` op would
-answer it — locally or by a follower replica."""
+answer it — locally or by a follower replica — and single ``query``
+requests over TCP, concurrent or in order behind an ``update``."""
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -87,6 +89,85 @@ class TestBatchOp:
             ])
         assert response["ok"] is True
         assert [item["ok"] for item in response["result"]] == [True, True]
+
+
+class TestSingleQueries:
+    """Single ``query`` requests over TCP, each answered on its own."""
+
+    def test_concurrent_queries(self, service):
+        """Concurrent clients each get the single-query envelope with
+        the answer a direct query gives."""
+        expected = {i: service.query("S", i, i) for i in range(4)}
+        with ServerThread(service, include_stats=True) as server:
+            responses: list = [None] * 8
+
+            def client(index):
+                source = index % 4
+                responses[index] = _session(server.address, [
+                    {"op": "query", "start": "S",
+                     "source": source, "target": source},
+                ])[0]
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        for index, response in enumerate(responses):
+            assert response["ok"] is True, response
+            assert response["op"] == "query"
+            assert response["result"] == expected[index % 4], index
+            assert "stats" in response
+
+    def test_sequential_queries(self, service):
+        with ServerThread(service) as server:
+            responses = _session(server.address, [
+                {"op": "query", "start": "S", "source": 0, "target": 0},
+                {"op": "query", "start": "S"},
+                {"op": "query", "start": "Nope"},
+                {"op": "ping"},
+            ])
+        assert responses[0] == {"ok": True, "op": "query", "result": True}
+        assert responses[1]["ok"] and [0, 0] in responses[1]["result"]
+        assert responses[2]["ok"] is False
+        assert responses[2]["error_type"] == "UnknownSymbolError"
+        assert responses[3]["ok"] is True
+
+    def test_missing_start_error_envelope(self, service):
+        with ServerThread(service) as server:
+            [response] = _session(server.address, [
+                {"op": "query", "source": 0, "target": 0},
+            ])
+        assert response["ok"] is False
+        assert "start" in response["error"]
+
+    def test_query_sees_the_update_before_it(self, service):
+        """Requests on one connection run in order: a query observes
+        the tick sent ahead of it."""
+        with ServerThread(service) as server:
+            responses = _session(server.address, [
+                {"op": "query", "start": "S",
+                 "source": "p", "target": "p"},
+                {"op": "update", "insert": [["p", "a", "q"],
+                                            ["q", "b", "p"]]},
+                {"op": "query", "start": "S",
+                 "source": "p", "target": "p"},
+            ])
+        assert responses[0] == {"ok": True, "op": "query", "result": False}
+        assert responses[1]["ok"] is True
+        assert responses[2]["result"] is True
+
+    def test_batch_and_query_share_cache_entries(self, service):
+        with ServerThread(service) as server:
+            _session(server.address, [
+                {"op": "batch", "queries": [
+                    {"start": "S", "source": 0, "target": 0}]},
+                {"op": "query", "start": "S", "source": 0, "target": 0},
+            ])
+        stats = service.stats
+        assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
+        assert stats["batch"]["queries"] == 1
 
 
 class TestBatchFanOut:
