@@ -2,11 +2,12 @@
 
 Walks the full serving story on a small class hierarchy:
 
-1. a :class:`repro.QueryService` answers same-generation queries behind
-   an LRU cache (the repeat is a cache hit);
+1. a :class:`repro.QueryService` answers same-generation queries; the
+   whole relation is cached per start symbol (the repeat is a cache
+   hit), while point reads go straight to the live fact maps;
 2. a **coalesced update tick** applies an interleaved insert/delete
-   stream as one DRed pass + one frontier run, invalidating exactly the
-   cache entries whose non-terminal matrices changed;
+   stream as one DRed pass + one frontier run, dropping the cached
+   relations whose non-terminal matrices changed;
 3. the solved index is **snapshotted** and a second service warm-starts
    from it with *zero* closure rounds, answering identically;
 4. the same requests go through the JSONL request handler — the exact

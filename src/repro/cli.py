@@ -483,7 +483,6 @@ def serve_service(args: argparse.Namespace):
     options = _strategy_options(args)
     service_kwargs = dict(
         backend=args.backend, strategy=args.strategy,
-        cache_size=args.cache_size,
         single_path=True if args.single_path else None,
         semiring=args.semiring, **options,
     )
@@ -503,7 +502,6 @@ def serve_service(args: argparse.Namespace):
         service = QueryService(
             _load_graph(args), _load_grammar(args), backend=args.backend,
             strategy=args.strategy or DEFAULT_STRATEGY,
-            cache_size=args.cache_size,
             single_path=args.single_path,
             semiring=args.semiring, **options,
         )
@@ -733,8 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--single-path", action="store_true",
                        help="maintain length annotations so single-path "
                             "and length queries are served")
-    serve.add_argument("--cache-size", type=int, default=1024,
-                       help="LRU result-cache capacity (entries)")
     serve.add_argument("--semiring", default=None,
                        choices=["length", "viterbi"],
                        help="rank order for top_k ops: shortest first "

@@ -137,8 +137,8 @@ class IncrementalCFPQ:
     After every mutator call :attr:`last_changes` holds the exact
     per-non-terminal delta of that call (the cells whose matrix content
     changed), which is what the query-service layer
-    (:mod:`repro.service.query_service`) uses for fine-grained cache
-    invalidation.
+    (:mod:`repro.service.query_service`) uses to drop cached relations
+    and k-best streams.
 
     *warm_state* (a mapping produced by :meth:`export_state`, typically
     via a snapshot — :mod:`repro.service.snapshot`) seeds the solver

@@ -9,10 +9,10 @@ package turns it into something a process can *serve*:
   versioned on-disk format, so engines warm-start in O(load) instead of
   O(solve);
 * :mod:`repro.service.query_service` — a session object wrapping the
-  engine and the batch-incremental solver behind an LRU result cache
-  with fine-grained invalidation (driven by the closure's exact deltas)
-  and coalesced update ticks (one DRed pass + one insertion frontier
-  run per tick);
+  engine and the batch-incremental solver: point reads are views of its
+  live state, whole relations are cached per start symbol (a tick pops
+  the symbols whose matrix changed), and update ticks are coalesced
+  (one DRed pass + one insertion frontier run per tick);
 * :mod:`repro.service.server` — a JSONL request loop over stdio and an
   asyncio TCP transport (``repro-cfpq serve``) with reader/writer
   locking so queries always see a consistent snapshot during ticks;

@@ -4,14 +4,13 @@
 (:mod:`repro.core.incremental`) behind the three things a server needs
 and the solver alone does not give:
 
-* an **LRU result cache** keyed by ``(start, source, target,
-  semantics)`` with **fine-grained invalidation**: an update tick drops
-  only the entries whose answer could have moved, decided from the
-  closure's *exact* per-non-terminal deltas
-  (:attr:`~repro.core.incremental.IncrementalCFPQ.last_changes`) — a
-  relational entry depends only on its own start matrix, a single-path
-  entry on every non-terminal reachable from its start through the
-  grammar rules;
+* **point reads are views, whole relations are cached**: a
+  membership, length or single-path answer reads the solver's live
+  fact maps and is never stored; only a whole relation, which costs a
+  copy of its matrix, is kept, one entry per start non-terminal.  A
+  tick pops the entries of the start symbols whose matrix moved, from
+  the closure's *exact* per-non-terminal deltas
+  (:attr:`~repro.core.incremental.IncrementalCFPQ.last_changes`);
 * **coalesced update ticks**: an interleaved insert/delete stream is
   deduplicated per tick (last operation per edge wins — intermediate
   states within a tick are unobservable by construction) and applied as
@@ -53,15 +52,15 @@ from . import snapshot as snapshot_store
 
 
 def _cache_requests_counter():
-    """The per-semantics cache hit/miss counter (resolved at use time so
-    a test-swapped registry is always honoured)."""
+    """The relation-cache hit/miss counter (resolved at use time so a
+    test-swapped registry is always honoured)."""
     return get_registry().counter(
         "repro_cache_requests_total",
-        "Query cache lookups by semantics and outcome",
-        ("semantics", "outcome"),
+        "Whole-relation cache lookups by outcome",
+        ("outcome",),
     )
 
-#: Query semantics the service caches and serves.
+#: Query semantics the service serves.
 SERVICE_SEMANTICS = ("relational", "single-path", "length")
 
 #: Ranking semirings :meth:`QueryService.top_k` serves: shortest-first
@@ -70,8 +69,8 @@ SERVICE_SEMANTICS = ("relational", "single-path", "length")
 #: argument or the ``REPRO_SERVICE_SEMIRING`` environment variable.
 SERVICE_SEMIRINGS = ("length", "viterbi")
 
-#: Default LRU capacity.
-DEFAULT_CACHE_SIZE = 1024
+#: Most k-best streams kept; the least recently paged is dropped first.
+KBEST_STREAMS = 1024
 
 #: Exceptions :meth:`QueryService.query_batch` converts into per-item
 #: results instead of failing the whole batch (mirrors the server's
@@ -156,7 +155,8 @@ class ReadWriteLock:
 
 @dataclass(frozen=True)
 class TickReport:
-    """Outcome of one coalesced update tick."""
+    """Outcome of one coalesced update tick; ``invalidated_entries``
+    counts the cached whole relations it dropped."""
 
     inserts_requested: int
     deletes_requested: int
@@ -189,7 +189,11 @@ class TickReport:
 
 
 class QueryService:
-    """A thread-safe, cached CFPQ session over one (graph, grammar).
+    """A thread-safe CFPQ session over one (graph, grammar).
+
+    Point reads (membership, length, single-path) are answered from
+    views of the solver's live state; whole relations are cached per
+    start non-terminal until a tick changes that non-terminal's matrix.
 
     Parameters
     ----------
@@ -197,8 +201,6 @@ class QueryService:
         The data and the query language; the grammar is normalized once.
     backend, strategy, strategy_options:
         Closure configuration, as on :class:`~repro.core.engine.CFPQEngine`.
-    cache_size:
-        LRU capacity (entries).
     single_path:
         Maintain length annotations incrementally so ``single-path`` and
         ``length`` queries are served; costs the annotated closure at
@@ -210,7 +212,6 @@ class QueryService:
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
                  strategy: str = DEFAULT_STRATEGY,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
                  single_path: bool = False,
                  warm_state: dict | None = None,
                  semiring: str | None = None,
@@ -246,8 +247,7 @@ class QueryService:
         self._warm_started = warm_state is not None
 
         self._lock = ReadWriteLock()
-        self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._cache_size = max(1, cache_size)
+        self._relations: dict[Nonterminal, frozenset] = {}
         self._cache_lock = threading.Lock()
         # Path answers are views of the solver's live state, made once:
         # readers hold the read lock and ticks the write lock, so a
@@ -272,7 +272,6 @@ class QueryService:
         self._queries = 0
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
         self._invalidations = 0
         self._ticks = 0
         self._ops_requested = 0
@@ -288,7 +287,7 @@ class QueryService:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_engine(cls, engine, cache_size: int = DEFAULT_CACHE_SIZE,
+    def from_engine(cls, engine,
                     single_path: bool = False) -> "QueryService":
         """Wrap an already-solved engine: its cached closure seeds the
         incremental solver, so no work is repeated."""
@@ -302,14 +301,13 @@ class QueryService:
             warm_state["lengths"] = lengths_by_fact(
                 engine.single_path_index().matrices)
         return cls(engine.graph, engine.grammar, backend=engine.backend,
-                   strategy=engine.strategy, cache_size=cache_size,
+                   strategy=engine.strategy,
                    single_path=single_path, warm_state=warm_state,
                    **engine.strategy_options)
 
     @classmethod
     def from_snapshot(cls, path: str, backend: str | None = None,
                       strategy: str | None = None,
-                      cache_size: int = DEFAULT_CACHE_SIZE,
                       single_path: bool | None = None,
                       **strategy_options) -> "QueryService":
         """Warm-start a service from a snapshot file.
@@ -351,7 +349,7 @@ class QueryService:
                       backend=backend or payload.get("backend"),
                       strategy=strategy or payload.get("strategy")
                       or DEFAULT_STRATEGY,
-                      cache_size=cache_size, single_path=single_path,
+                      single_path=single_path,
                       warm_state=warm_state, **strategy_options)
         service._snapshot_bytes = os.path.getsize(path)
         service._snapshot_meta = {"wal_seq": payload.get("wal_seq", 0)}
@@ -412,10 +410,11 @@ class QueryService:
 
     def query(self, start, source: Hashable = None, target: Hashable = None,
               semantics: str = "relational"):
-        """Answer one query, serving repeats from the LRU cache.
+        """Answer one query.
 
         * ``relational`` with no endpoints: the full relation as node
-          pairs; with both endpoints: a membership bool.
+          pairs, cached until a tick changes the start matrix; with both
+          endpoints: a membership bool.
         * ``single-path`` (both endpoints): one witness path as
           ``(source, label, target)`` node triples; raises
           :class:`~repro.errors.PathNotFoundError` when absent.
@@ -423,7 +422,7 @@ class QueryService:
           None.
         """
         with self._lock.reading():
-            value = self._cached(start, source, target, semantics)
+            value = self._evaluate(start, source, target, semantics)
             self._maybe_capture_stats()
             return value
 
@@ -436,11 +435,9 @@ class QueryService:
         nothing — its slot holds the exception instance, so one bad
         query never poisons the batch.
 
-        Every item is answered exactly as :meth:`query` answers it —
-        from the LRU, or evaluated against the closed fact maps (a
-        membership probe reads one cell) and cached under its
-        single-query key — so the whole batch sees one fixpoint and the
-        per-nonterminal tick invalidation applies unchanged.
+        Every item is answered exactly as :meth:`query` answers it — a
+        membership probe reads one cell of the closed fact maps — so the
+        whole batch sees one fixpoint.
         """
         items: list = []
         for query in queries:
@@ -457,7 +454,7 @@ class QueryService:
             for item in items:
                 if not isinstance(item, Exception):
                     try:
-                        item = self._cached(*item)
+                        item = self._evaluate(*item)
                     except BATCH_ITEM_ERRORS as exc:
                         item = exc
                 results.append(item)
@@ -466,32 +463,20 @@ class QueryService:
             self._maybe_capture_stats()
         return results
 
-    def _cached(self, start, source, target, semantics: str):
-        """One answer from the LRU, or evaluated and cached under its
-        ``(start, source, target, semantics)`` key.  The caller holds
-        the read lock; a failed evaluation propagates and caches
-        nothing."""
-        key = (str(start), source, target, semantics)
+    def _relation(self, start_nt: Nonterminal) -> frozenset:
+        """The whole relation of *start_nt* as node pairs: cached, or
+        copied out of the fact maps and cached.  The caller holds the
+        read lock."""
         with self._cache_lock:
-            self._queries += 1
-            hit = key in self._cache
-            if hit:
-                self._hits += 1
-                self._cache.move_to_end(key)
-                value = self._cache[key]
-            else:
-                self._misses += 1
-        _cache_requests_counter().inc(
-            semantics=semantics, outcome="hit" if hit else "miss")
-        if hit:
-            return value
-        value = self._evaluate(start, source, target, semantics)
-        with self._cache_lock:
-            self._cache[key] = value
-            self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-                self._evictions += 1
+            value = self._relations.get(start_nt)
+            hit = value is not None
+            self._hits += hit
+            self._misses += not hit
+        _cache_requests_counter().inc(outcome="hit" if hit else "miss")
+        if not hit:
+            value = self.solver.relations().node_pairs(start_nt)
+            with self._cache_lock:
+                self._relations[start_nt] = value
         return value
 
     @staticmethod
@@ -504,24 +489,29 @@ class QueryService:
             return (query["start"], query.get("source"),
                     query.get("target"),
                     query.get("semantics", "relational"))
+        if not isinstance(query, (list, tuple)):
+            raise SemanticsError(
+                "a batch query is a dict or a [start, source, target, "
+                f"semantics] list, not {type(query).__name__}")
         spec = tuple(query)
         if not 1 <= len(spec) <= 4:
             raise SemanticsError(
                 "batch query tuples take 1-4 elements "
                 "(start[, source[, target[, semantics]]])"
             )
-        padded = spec + (None,) * (3 - len(spec)) if len(spec) < 3 else spec
-        if len(padded) == 3:
-            padded = padded + ("relational",)
-        return padded
+        return spec + (None, None, "relational")[len(spec) - 1:]
 
     def _evaluate(self, start, source, target, semantics: str):
+        """One answer, read from the views (or the relation cache).
+        The caller holds the read lock."""
+        with self._cache_lock:
+            self._queries += 1
         solver = self.solver
         start_nt = solver.grammar.resolve_nonterminal(start)
         graph = solver.graph
         if semantics == "relational":
             if source is None and target is None:
-                return solver.relations().node_pairs(start_nt)
+                return self._relation(start_nt)
             if source is None or target is None:
                 raise SemanticsError(
                     "relational queries take either no endpoints (full "
@@ -595,8 +585,8 @@ class QueryService:
         The underlying enumeration is lazy and cached per
         ``(start, source, target, max_length)``: consecutive pages (and
         repeated queries) extend one best-first iterator instead of
-        re-enumerating, and invalidation follows the same per-NT tick
-        deltas as single-path entries."""
+        re-enumerating.  A tick drops the streams whose start can reach
+        a changed non-terminal through the grammar rules."""
         if k < 0:
             raise ValueError("k must be non-negative")
         if cursor < 0:
@@ -621,9 +611,8 @@ class QueryService:
                     stream = _KBestStream(self._kbest_iterator(
                         start_nt, source, target, max_length))
                     self._kbest_cache[key] = stream
-                    while len(self._kbest_cache) > self._cache_size:
+                    while len(self._kbest_cache) > KBEST_STREAMS:
                         self._kbest_cache.popitem(last=False)
-                        self._evictions += 1
             page = stream.page(cursor, k)
             self._maybe_capture_stats()
             return page
@@ -690,23 +679,19 @@ class QueryService:
                 frontier_runs = 1
                 changed.update(solver.last_changes)
             self._forest.drop_memos()
+            with self._cache_lock:
+                invalidated = sum(self._relations.pop(nonterminal, None)
+                                  is not None for nonterminal in changed)
+                self._invalidations += invalidated
             # An inserted edge can add a *new alternative* at an
             # already-derived forest node — no fact or length delta, but
             # the node's path set (and hence k-best answers through it)
-            # grows.  Widen the path-entry invalidation with the heads
-            # of every inserted label.
+            # grows.  Widen the stream invalidation with the heads of
+            # every inserted label.
             path_changed = set(changed)
             for label in {label for _source, label, _target in inserts}:
                 path_changed.update(solver.grammar.heads_for_label(label))
-            # Cached witness paths reference concrete graph edges, so a
-            # deletion can invalidate them even when DRed re-derived
-            # every fact with identical annotations (same pair, same
-            # length, different edges) — drop them all on any real
-            # deletion instead of trusting the cell deltas alone.
-            invalidated = self._invalidate(
-                changed, drop_single_path=bool(deletes),
-                path_changed=path_changed,
-            )
+            self._drop_streams(path_changed, everything=bool(deletes))
             seconds = tick_timer.elapsed
             tick_span.set("ops", inserts_requested + deletes_requested)
             tick_span.set("coalesced_away", coalesced_away)
@@ -750,11 +735,11 @@ class QueryService:
             )
 
     # ------------------------------------------------------------------
-    # Cache invalidation
+    # k-best stream invalidation
     # ------------------------------------------------------------------
     def _dependencies(self, start: Nonterminal) -> frozenset[Nonterminal]:
-        """Non-terminals whose matrices a query starting at *start* can
-        read: the rule-graph reachability closure (single-path
+        """Non-terminals whose matrices a path enumeration starting at
+        *start* can read: the rule-graph reachability closure (path
         extraction walks rule bodies recursively)."""
         cached = self._deps_cache.get(start)
         if cached is None:
@@ -769,54 +754,19 @@ class QueryService:
             self._deps_cache[start] = cached
         return cached
 
-    def _invalidate(self, changed: set[Nonterminal],
-                    drop_single_path: bool = False,
-                    path_changed: set[Nonterminal] | None = None) -> int:
-        """Drop exactly the cache entries whose answer could depend on
-        the tick: relational/length entries read only their start
-        matrix, single-path entries the reachable rule closure — plus,
-        with *drop_single_path* (an edge was really deleted), every
-        single-path entry, because witness paths reference edges the
-        cell deltas cannot see.  k-best streams invalidate like
-        single-path entries, against *path_changed* (the cell deltas
-        widened by the heads of inserted labels)."""
-        path_changed = changed if path_changed is None else path_changed
-        dropped = 0
-        if path_changed or drop_single_path:
-            with self._kbest_lock:
-                stale_kbest = [
-                    key for key in self._kbest_cache
-                    if drop_single_path or any(
-                        nonterminal in path_changed
-                        for nonterminal in
-                        self._dependencies(Nonterminal(key[0])))
-                ]
-                for key in stale_kbest:
-                    del self._kbest_cache[key]
-                dropped += len(stale_kbest)
-        if not changed and not drop_single_path:
-            with self._cache_lock:
-                self._invalidations += dropped
-            return dropped
-        with self._cache_lock:
-            stale = []
-            for key in self._cache:
-                start_name, _source, _target, semantics = key
-                start_nt = Nonterminal(start_name)
-                if semantics == "single-path":
-                    if drop_single_path:
-                        stale.append(key)
-                        continue
-                    depends: "frozenset[Nonterminal] | tuple" = \
-                        self._dependencies(start_nt)
-                else:
-                    depends = (start_nt,)
-                if any(nonterminal in changed for nonterminal in depends):
-                    stale.append(key)
+    def _drop_streams(self, path_changed: set[Nonterminal],
+                      everything: bool) -> None:
+        """Drop the k-best streams whose reachable rule closure meets
+        *path_changed* — or, with *everything* (an edge was really
+        deleted), all of them: a stream's paths reference edges, and
+        DRed can re-derive every fact of a deleted edge with identical
+        annotations, which the cell deltas cannot see."""
+        with self._kbest_lock:
+            stale = [key for key in self._kbest_cache
+                     if everything or not path_changed.isdisjoint(
+                         self._dependencies(Nonterminal(key[0])))]
             for key in stale:
-                del self._cache[key]
-            self._invalidations += len(stale) + dropped
-            return len(stale) + dropped
+                del self._kbest_cache[key]
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -870,8 +820,7 @@ class QueryService:
     def _stats_dict(self) -> dict:
         with self._cache_lock:
             hits, misses = self._hits, self._misses
-            entries = len(self._cache)
-            evictions = self._evictions
+            entries = len(self._relations)
             invalidations = self._invalidations
         answered = hits + misses
         with self._kbest_lock:
@@ -895,8 +844,6 @@ class QueryService:
             "cache_misses": misses,
             "cache_hit_rate": round(hits / answered, 4) if answered else 0.0,
             "cache_entries": entries,
-            "cache_capacity": self._cache_size,
-            "cache_evictions": evictions,
             "cache_invalidations": invalidations,
             "ticks": self._ticks,
             "tick_ops_requested": self._ops_requested,

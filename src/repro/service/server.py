@@ -47,8 +47,8 @@ buffer.
 A ``batch`` op answers many queries in one round-trip: ``queries`` in,
 an ordered list of per-item ``{"ok": ...}`` envelopes out — one bad
 item reports its own error instead of failing the batch.  Every item
-is answered as a ``query`` op would answer it — from the cache or the
-closed relation, never a closure — under one read-lock acquisition
+is answered as a ``query`` op would answer it — from the closed
+relation, never a closure — under one read-lock acquisition
 (:meth:`QueryService.query_batch`), so the whole batch sees one tick.
 
 A ``top_k`` op pages through the best witness paths between one node
@@ -57,7 +57,7 @@ Viterbi semiring) without materializing the full path set: the
 response is ``{"paths": [...], "next_cursor": N, "exhausted": bool}``
 and the client passes ``cursor: N`` back to continue — the service
 caches the underlying lazy enumerator, so later pages resume where the
-last one stopped.
+last one stopped.  A page may reach rank ``MAX_TOP_K_RANK`` at most.
 
 With ``replicas=[(host, port), ...]`` the server is a read fan-out
 front door: ``query``, ``batch`` and ``top_k`` ops are forwarded round-robin to
@@ -101,6 +101,12 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 #: relation — so asyncio's 64 KiB default is far too small; beyond this
 #: the replica is treated as dead and the leader answers locally.
 REPLICA_REPLY_LIMIT_BYTES = 1 << 30
+
+#: Deepest rank a ``top_k`` request may page to (``cursor + k``).  The
+#: enumeration runs under the read lock, which prefers writers, so one
+#: deep page ahead of a waiting tick stalls every other reader.  The
+#: in-process :meth:`QueryService.top_k` stays unbounded.
+MAX_TOP_K_RANK = 128
 
 #: Concurrent request executions across all connections.
 DEFAULT_EXECUTOR_WORKERS = 32
@@ -291,10 +297,14 @@ def _dispatch(service: QueryService, op: str, request: dict):
         target = coerce_json_node(graph, request.get("target"))
         if source is None or target is None:
             raise ValueError("top_k requires 'source' and 'target'")
+        k, cursor = int(request.get("k", 1)), int(request.get("cursor", 0))
+        if cursor + k > MAX_TOP_K_RANK:
+            raise ValueError(
+                f"top_k pages end at rank {MAX_TOP_K_RANK}; cursor + k "
+                f"is {cursor + k}")
         max_length = request.get("max_length")
         paths, next_cursor, exhausted = service.top_k_page(
-            start, source, target, int(request.get("k", 1)),
-            cursor=int(request.get("cursor", 0)),
+            start, source, target, k, cursor=cursor,
             max_length=None if max_length is None else int(max_length),
         )
         return {

@@ -1,7 +1,7 @@
 """``QueryService.query_batch``: answers, caching, errors, races.
 
 The service contract: a batch answers exactly what the same queries
-asked one-by-one would answer, populates the same LRU entries, reports
+asked one-by-one would answer, caches only whole relations, reports
 per-item failures in-band, and — because the whole batch runs under one
 read-lock acquisition — is linearizable against concurrent ticks:
 correlated membership probes in one batch see all-old or all-new state,
@@ -95,24 +95,20 @@ class TestBatchAnswers:
         assert _as_compared(service.query_batch(items)) \
             == _one_by_one(_service(INSERTS, DELETES), items)
 
-    def test_populates_cache_per_query(self, service):
+    def test_only_whole_relations_are_cached(self, service):
         probes = _all_probes(service.graph)[:6]
         service.query_batch(probes)
-        stats = service.stats
-        assert stats["cache_entries"] == len(probes)
-        assert (stats["cache_hits"], stats["cache_misses"]) \
-            == (0, len(probes))
-        # Second pass: all hits.
         service.query_batch(probes)
         stats = service.stats
-        assert (stats["cache_hits"], stats["cache_misses"]) \
-            == (len(probes), len(probes))
-        # The single-query path shares the same keys.
-        service.query("S", *probes[0][1:])
-        stats = service.stats
-        assert (stats["cache_hits"], stats["cache_misses"]) \
-            == (len(probes) + 1, len(probes))
+        assert stats["cache_entries"] == 0
+        assert (stats["cache_hits"], stats["cache_misses"]) == (0, 0)
         assert stats["batch"]["queries"] == 2 * len(probes)
+        # A whole relation is one entry, shared with the single query.
+        service.query_batch([("S",)])
+        service.query("S")
+        stats = service.stats
+        assert stats["cache_entries"] == 1
+        assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
 
     def test_empty_batch(self, service):
         assert service.query_batch([]) == []
@@ -141,6 +137,7 @@ class TestBatchErrors:
             ("S", 0, None),                    # half-restricted
             ("S", 0, 0, "bogus-semantics"),
             ("S", 1, 1),
+            "S01",                             # a string is not a spec
         ])
         assert answers[0] in (True, False)
         assert isinstance(answers[1], GrammarError)
@@ -148,15 +145,16 @@ class TestBatchErrors:
         assert isinstance(answers[3], SemanticsError)
         assert isinstance(answers[4], SemanticsError)
         assert answers[5] in (True, False)
+        assert isinstance(answers[6], SemanticsError)
 
     def test_errors_are_not_cached(self, service):
-        service.query_batch([("NoSuchNT", 0, 0)])
+        service.query_batch([("NoSuchNT",)])
         assert service.stats["cache_entries"] == 0
 
-    def test_absent_nodes_are_false_and_cached(self, service):
+    def test_absent_nodes_are_false_and_not_cached(self, service):
         answers = service.query_batch([("S", "ghost", 0)])
         assert answers == [False]
-        assert service.stats["cache_entries"] == 1
+        assert service.stats["cache_entries"] == 0
 
 
 class TestMembershipEvaluate:
@@ -231,7 +229,7 @@ class TestLinearizability:
         base = [(0, "a", 1), (1, "b", 2)]
         extra = [(3, "a", 4), (4, "b", 5)]
         service = QueryService(
-            word_chain(["a", "b"]), ANBN, backend="pyset", cache_size=1)
+            word_chain(["a", "b"]), ANBN, backend="pyset")
         # Register the extra nodes so probes resolve.
         service.tick([("insert", edge) for edge in extra])
         service.tick([("delete", edge) for edge in extra])

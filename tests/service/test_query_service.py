@@ -1,5 +1,5 @@
-"""Query service: caching, fine-grained invalidation, coalesced ticks,
-warm starts, and consistency with from-scratch solves."""
+"""Query service: the relation cache and its invalidation, coalesced
+ticks, warm starts, and consistency with from-scratch solves."""
 
 from __future__ import annotations
 
@@ -38,25 +38,16 @@ class TestCaching:
         assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
         assert stats["cache_hit_rate"] == 0.5
 
-    def test_distinct_keys_are_distinct_entries(self):
-        service = _service()
+    def test_only_the_whole_relation_is_an_entry(self):
+        service = _service(single_path=True)
         service.query("S")
         service.query("S", 0, 0)
         service.query("S", 0, 1)
-        assert service.stats["cache_misses"] == 3
-        assert service.stats["cache_entries"] == 3
-
-    def test_lru_eviction(self):
-        service = _service(cache_size=2)
-        service.query("S", 0, 0)
-        service.query("S", 0, 1)
-        service.query("S", 0, 0)      # refresh: (0,0) is now most recent
-        service.query("S", 0, 2)      # evicts (0,1)
-        assert service.stats["cache_evictions"] == 1
-        service.query("S", 0, 0)      # still cached
-        assert service.stats["cache_hits"] == 2
-        service.query("S", 0, 1)      # evicted: a miss
-        assert service.stats["cache_misses"] == 4
+        service.query("S", 0, 0, semantics="length")
+        service.query("S", 0, 0, semantics="single-path")
+        assert service.stats["queries"] == 5
+        assert service.stats["cache_misses"] == 1
+        assert service.stats["cache_entries"] == 1
 
     def test_membership_and_relation_queries(self):
         service = _service()
@@ -81,9 +72,13 @@ class TestInvalidation:
         service = QueryService(graph, TWO_STARTS)
         service.query("S")
         service.query("T")
+        cached_starts = service.stats["cache_entries"]
+        for i in range(500):                    # point reads are no entries
+            service.query("ST"[i % 2], "x", i)
         # Insert a b-edge: only T's matrix changes.
         report = service.update(inserts=[("y", "b", "z")])
         assert "S" not in report.changed_nonterminals
+        assert report.invalidated_entries <= cached_starts
         assert report.invalidated_entries == 1
         service.query("S")   # survived the tick: a hit
         assert service.stats["cache_hits"] == 1
@@ -100,7 +95,7 @@ class TestInvalidation:
 
     def test_single_path_entries_invalidate_on_refinement(self):
         """A shorter witness refines the length annotation without
-        changing the relation — cached paths/lengths must still drop."""
+        changing the relation — path and length answers must follow."""
         graph = LabeledGraph.from_edges(
             [("s", "a", "m1"), ("m1", "a", "m2"), ("m2", "a", "t")]
         )
@@ -112,7 +107,6 @@ class TestInvalidation:
         # (s, t) was already in R_S — the S matrix changed by length
         # *refinement* only, and that alone must invalidate.
         assert "S" in report.changed_nonterminals
-        assert report.invalidated_entries >= 2
         assert service.query("S", "s", "t", semantics="length") == 1
         assert len(service.query("S", "s", "t",
                                  semantics="single-path")) == 1
@@ -120,8 +114,8 @@ class TestInvalidation:
     def test_deletion_drops_cached_paths_even_without_cell_deltas(self):
         """Regression: deleting one of two parallel derivations leaves
         every matrix cell (and length) unchanged — DRed re-derives the
-        fact identically via the other edge — but a cached witness path
-        through the deleted edge is stale and must drop."""
+        fact identically via the other edge — but a witness path through
+        the deleted edge is stale and must not be served again."""
         grammar = parse_grammar("S -> a | b", terminals=["a", "b"])
         graph = LabeledGraph.from_edges([("u", "a", "v"), ("u", "b", "v")])
         service = QueryService(graph, grammar, single_path=True)
@@ -129,7 +123,6 @@ class TestInvalidation:
         deleted_label = first[0][1]
         report = service.update(deletes=[("u", deleted_label, "v")])
         assert report.facts_removed == 0          # fact survives via twin
-        assert report.invalidated_entries == 1    # ...but the path drops
         fresh = service.query("S", "u", "v", semantics="single-path")
         assert service.graph.has_edge(fresh[0][0], fresh[0][1], fresh[0][2])
         assert fresh[0][1] != deleted_label
@@ -542,6 +535,9 @@ class TestConcurrency:
             LabeledGraph.from_edges([(i, "a", i + 1) for i in range(30)]),
             grammar,
         )
+        full = service.query("S")
+        cut = frozenset((i, j) for i, j in full
+                        if not i <= 15 < j)      # without edge 15-a->16
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -551,6 +547,8 @@ class TestConcurrency:
                     pairs = service.query(
                         "S", 0, 30, semantics="relational")
                     assert pairs in (True, False)
+                    # A cached relation is one tick's whole answer.
+                    assert service.query("S") in (full, cut)
             except BaseException as error:  # pragma: no cover
                 errors.append(error)
 
@@ -567,6 +565,10 @@ class TestConcurrency:
                 thread.join()
         assert not errors
         assert service.query("S", 0, 30) is True
+        assert service.query("S") == full
+        # No cached relation outlives the tick that changed it.
+        service.update(deletes=[(15, "a", 16)])
+        assert service.query("S") == cut
 
     def test_concurrent_path_reads_after_a_tick_build_nothing(
             self, monkeypatch):

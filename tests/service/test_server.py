@@ -218,6 +218,21 @@ class TestTopKOp:
             assert response["ok"] is False, request
             assert response["error"]
 
+    def test_pages_past_the_rank_limit_are_refused(self, topk_service):
+        from repro.service.server import MAX_TOP_K_RANK
+
+        def page(cursor, k):
+            return handle_request(topk_service, {
+                "op": "top_k", "start": "S", "source": 1, "target": 5,
+                "k": k, "cursor": cursor,
+            })
+
+        for cursor, k in ((0, MAX_TOP_K_RANK + 1), (MAX_TOP_K_RANK, 1)):
+            response = page(cursor, k)
+            assert response["ok"] is False, (cursor, k)
+            assert response["error_type"] == "ValueError"
+        assert page(MAX_TOP_K_RANK - 1, 1)["ok"] is True
+
     def test_top_k_over_tcp_sees_ticks(self, topk_service):
         with ServerThread(topk_service) as server:
             [before] = _session(server.address, [

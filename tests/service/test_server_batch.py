@@ -161,9 +161,8 @@ class TestSingleQueries:
     def test_batch_and_query_share_cache_entries(self, service):
         with ServerThread(service) as server:
             _session(server.address, [
-                {"op": "batch", "queries": [
-                    {"start": "S", "source": 0, "target": 0}]},
-                {"op": "query", "start": "S", "source": 0, "target": 0},
+                {"op": "batch", "queries": [{"start": "S"}]},
+                {"op": "query", "start": "S"},
             ])
         stats = service.stats
         assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
