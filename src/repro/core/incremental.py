@@ -668,6 +668,14 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
              self.graph.node_id(target))
         )
 
+    def length_cells(self) -> dict[Nonterminal, list[tuple[int, int, int]]]:
+        """``A -> [(i, j, l_A(i, j)), ...]`` for every non-terminal, in
+        no order: a snapshot's ``length`` section before encoding."""
+        cells: dict = {nt: [] for nt in self.grammar.nonterminals}
+        for (nonterminal, i, j), length in self._lengths.items():
+            cells[nonterminal].append((i, j, length))
+        return cells
+
     # ------------------------------------------------------------------
     # Batch hooks
     # ------------------------------------------------------------------

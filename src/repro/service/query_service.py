@@ -41,6 +41,7 @@ from typing import Hashable, Iterable
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import LengthRank, ViterbiRank
+from ..core.semiring import LENGTH_SEMIRING
 from ..core.single_path import extract_path, lengths_by_fact
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
@@ -206,8 +207,10 @@ class QueryService:
         ``length`` queries are served; costs the annotated closure at
         startup (or a snapshot's lengths) and per tick.
     warm_state:
-        A solver state produced by ``export_state`` — skips the initial
-        closure entirely (see :meth:`from_snapshot`).
+        A closed solver state, ``{"facts": {A: pairs}, "lengths":
+        {(A, i, j): length}}`` (``lengths`` for single-path only) — what
+        :meth:`from_snapshot` reads from a snapshot's ``relational`` and
+        ``length`` sections; skips the initial closure entirely.
     """
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
@@ -312,22 +315,18 @@ class QueryService:
                       **strategy_options) -> "QueryService":
         """Warm-start a service from a snapshot file.
 
-        Both service snapshots (:meth:`save_snapshot`) and engine
-        snapshots (:func:`repro.service.snapshot.save_engine_snapshot`)
-        are accepted: the solver seeds from the stored fact/length sets
-        and runs **zero** closure rounds.  *single_path* defaults to
-        whatever the snapshot can support losslessly.
+        Service (:meth:`save_snapshot`) and engine snapshots share one
+        layout: the solver seeds its facts from ``relational`` and its
+        lengths from ``length`` (from the ``incremental`` section of a
+        service file older than that layout), and runs **zero** closure
+        rounds.  *single_path* defaults to whatever the snapshot can
+        support losslessly.
         """
         payload = snapshot_store.read_snapshot(path)
-        graph = snapshot_store.decode_graph(payload["graph"])
-        grammar = snapshot_store.decode_grammar(payload["grammar"])
+        graph, grammar = snapshot_store.decode_problem(payload)
 
         warm_state: dict | None = None
-        if "incremental" in payload:
-            warm_state = snapshot_store.decode_incremental_state(
-                payload["incremental"]
-            )
-        elif "relational" in payload:
+        if "relational" in payload:
             # Stream the decode: each matrix materializes once, its fact
             # set is extracted, and the matrix is dropped before the
             # next decodes — the matrices never all coexist here.
@@ -337,9 +336,15 @@ class QueryService:
                 facts[nonterminal] = set(matrix.nonzero_pairs())
             warm_state = {"facts": facts}
             if "length" in payload:
-                warm_state["lengths"] = lengths_by_fact(
-                    snapshot_store.decode_annotated_matrices(
-                        payload["length"]))
+                warm_state["lengths"] = {
+                    (Nonterminal(name), i, j): length
+                    for name, entry in payload["length"].items()
+                    for i, j, length in entry["cells"]}
+            elif "lengths" in payload.get("incremental", ()):
+                warm_state["lengths"] = {
+                    (Nonterminal(name), i, j): length
+                    for name, i, j, length
+                    in payload["incremental"]["lengths"]}
         if single_path is None:
             single_path = bool(warm_state) and "lengths" in warm_state
         if single_path and warm_state is not None \
@@ -364,36 +369,34 @@ class QueryService:
         return dict(self._snapshot_meta)
 
     def save_snapshot(self, path: str, extra: "dict | None" = None) -> int:
-        """Persist the current fixpoint (facts, lengths) plus the
-        relational matrices, so both :meth:`from_snapshot` and
+        """Persist the current fixpoint in the engine's layout — the
+        ``relational`` matrices, plus ``length`` when :attr:`single_path`
+        is set — so both :meth:`from_snapshot` and
         :meth:`CFPQEngine.from_snapshot <repro.core.engine.CFPQEngine.from_snapshot>`
-        can warm-start from it.  Returns the snapshot size in bytes.
+        warm-start from it with zero closure rounds.  Returns the
+        snapshot size in bytes.
 
         The encoding is canonical (every set/dict iteration sorted,
-        relations encoded from their pair sets by
-        :func:`~repro.service.snapshot.encode_relations`): two processes
-        holding the same logical state write byte-identical files,
-        which is how the replicated tier proves a follower converged.
+        relations and lengths encoded from the live pair sets and
+        cells): two processes holding the same logical state write
+        byte-identical files, which is how the replicated tier proves a
+        follower converged.
         *extra* merges additional plain-container keys into the payload
         (the leader stamps ``wal_seq``)."""
         with self._lock.reading():
             solver = self.solver
-            payload = {
-                "graph": snapshot_store.encode_graph(solver.graph),
-                "grammar": snapshot_store.encode_grammar(solver.grammar),
-                "backend": self.backend,
-                "strategy": self.strategy,
-                "incremental": snapshot_store.encode_incremental_state(
-                    solver.export_state()
-                ),
-                "relational": {
-                    "matrices": snapshot_store.encode_relations(
-                        {nonterminal: solver.pairs(nonterminal)
-                         for nonterminal in solver.grammar.nonterminals},
-                        self.backend, solver.graph.node_count,
-                    ),
-                },
+            n = solver.graph.node_count
+            payload = snapshot_store.encode_problem(
+                solver.graph, solver.grammar, self.backend, self.strategy)
+            payload["relational"] = {
+                "matrices": snapshot_store.encode_relations(
+                    {nonterminal: solver.pairs(nonterminal)
+                     for nonterminal in solver.grammar.nonterminals},
+                    self.backend, n),
             }
+            if self.single_path:
+                payload["length"] = snapshot_store.encode_annotated_matrices(
+                    solver.length_cells(), n, LENGTH_SEMIRING)
             if extra:
                 payload.update(extra)
             size = snapshot_store.write_snapshot(path, payload)

@@ -1,14 +1,17 @@
 """Versioned on-disk snapshots of solved CFPQ indices.
 
 Every process that loads a graph re-pays the closure before it can
-answer a single query.  A snapshot persists the *solved* state — the
-graph node map, the CNF grammar (with its nullable diagonal), the
-per-non-terminal boolean matrices, the length annotations and, when
-available, the incremental solver's fact sets — so a server restart
-costs O(load) instead of O(solve).  The all-path forest is a view of
-the relational section (:mod:`repro.core.path_index`) and is made at
-load; snapshots carry no section for it (a ``witness`` section written
-by an older version is ignored).
+answer a single query.  A snapshot persists the *solved* state so a
+restart costs O(load) instead of O(solve).  Engines and query services
+write one layout, the paper's Section 5 index: ``graph``, ``grammar``
+(CNF, with its nullable diagonal), ``backend``, ``strategy``, the
+per-non-terminal boolean matrices (``relational``) and, for
+single-path, one length per fact (``length``; by Theorem 2 its cells
+are the relational facts).  The all-path forest is a view of the
+relations (:mod:`repro.core.path_index`), made at load.  Sections
+written by older versions are ignored: ``witness``, and a service's
+``incremental`` copy of its facts (whose ``lengths`` are read only when
+``length`` is absent).
 
 Format
 ------
@@ -45,8 +48,10 @@ cells) holds them in memory.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import tempfile
 from typing import Hashable
 
 from ..errors import SnapshotError, SnapshotVersionError, UnknownBackendError
@@ -103,16 +108,30 @@ class _CanonicalPickler(pickle.Pickler):
 
 def write_snapshot(path: str, payload: dict) -> int:
     """Write *payload* under the versioned envelope; returns the file
-    size in bytes."""
+    size in bytes.  The bytes go to a unique temporary file beside
+    *path*, fsynced and renamed over it: readers, and concurrent or
+    failed saves, see the old file or a whole new one, never a torn one."""
     document = {
         "library_version": _library_version(),
         "payload": payload,
     }
-    with open(path, "wb") as stream:
-        stream.write(_HEADER_PREFIX
-                     + str(SNAPSHOT_VERSION).encode("ascii") + b"\n")
-        _CanonicalPickler(stream).dump(document)
-    return os.path.getsize(path)
+    directory, name = os.path.split(os.path.abspath(path))
+    descriptor, temp_path = tempfile.mkstemp(prefix=name + ".",
+                                             suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(descriptor, "wb") as stream:
+            stream.write(_HEADER_PREFIX
+                         + str(SNAPSHOT_VERSION).encode("ascii") + b"\n")
+            _CanonicalPickler(stream).dump(document)
+            stream.flush()
+            os.fsync(stream.fileno())
+            size = stream.tell()
+        os.replace(temp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp_path)
+        raise
+    return size
 
 
 def read_snapshot(path: str) -> dict:
@@ -169,6 +188,26 @@ def encode_graph(graph: LabeledGraph) -> dict:
         "nodes": list(graph.nodes),
         "edges": [list(edge) for edge in graph.edges_by_id()],
     }
+
+
+def encode_problem(graph: LabeledGraph, grammar: CFG, backend: str,
+                   strategy: str) -> dict:
+    """The sections every snapshot opens with: what was solved, and how."""
+    return {
+        "graph": encode_graph(graph),
+        "grammar": encode_grammar(grammar),
+        "backend": backend,
+        "strategy": strategy,
+    }
+
+
+def decode_problem(payload: dict) -> tuple[LabeledGraph, CFG]:
+    """The graph and grammar every loader decodes first; a payload
+    without them raises :class:`~repro.errors.SnapshotError`."""
+    for section in ("graph", "grammar"):
+        if section not in payload:
+            raise SnapshotError(f"snapshot has no {section!r} section")
+    return decode_graph(payload["graph"]), decode_grammar(payload["grammar"])
 
 
 def decode_graph(doc: dict) -> LabeledGraph:
@@ -329,21 +368,21 @@ def decode_boolean_matrices(doc: dict, backend: "str | None" = None,
 # Annotated matrices (length / viterbi payloads)
 # ----------------------------------------------------------------------
 
-def encode_annotated_matrices(matrices: dict, semiring) -> dict:
-    """Encode ``nonterminal -> annotated matrix`` as ``[i, j, value]``
-    cell lists in ``(i, j)`` order, whatever layout the matrices have.
-    Values must be plain scalars (length, viterbi)."""
-    out: dict = {}
-    for nonterminal, matrix in sorted(matrices.items(),
-                                      key=lambda item: item[0].name):
-        rows, cols, values = matrix.columns()
-        out[nonterminal.name] = {
+def encode_annotated_matrices(cells: dict, size: int, semiring) -> dict:
+    """Encode ``nonterminal -> (i, j, value)`` cells of ``size × size``
+    matrices as sorted ``[i, j, value]`` lists: an engine passes its
+    matrices' columns, a service its live lengths.  Values must be
+    plain scalars (length, viterbi)."""
+    return {
+        nonterminal.name: {
             "semiring": semiring.name,
-            "shape": list(matrix.shape),
+            "shape": [size, size],
             # (i, j) is unique, so the list order never reaches the value.
-            "cells": sorted(map(list, zip(rows, cols, values))),
+            "cells": sorted(map(list, triples)),
         }
-    return out
+        for nonterminal, triples in sorted(cells.items(),
+                                           key=lambda item: item[0].name)
+    }
 
 
 def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
@@ -356,48 +395,6 @@ def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
         out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
             tuple(entry["shape"]), entry["cells"])
     return out
-
-
-# ----------------------------------------------------------------------
-# Incremental solver state (facts / lengths)
-# ----------------------------------------------------------------------
-
-def encode_incremental_state(state: dict) -> dict:
-    """Encode solver state canonically: every dict/set iteration below
-    is sorted, because fact-dict insertion order and entry-set order
-    follow per-process hash randomization while replicated serving
-    asserts leader/follower snapshot bytes identical."""
-    doc: dict = {
-        "facts": {
-            nonterminal.name: sorted(pairs)
-            for nonterminal, pairs in sorted(state["facts"].items(),
-                                             key=lambda item: item[0].name)
-        },
-    }
-    if "lengths" in state:
-        doc["lengths"] = sorted(
-            ([nonterminal.name, i, j, length]
-             for (nonterminal, i, j), length in state["lengths"].items()),
-        )
-    return doc
-
-
-def decode_incremental_state(doc: dict) -> dict:
-    """Inverse of :func:`encode_incremental_state`.  Other sections are
-    ignored: snapshots written before DRed went store-free also carry
-    the per-fact derivation sets it no longer needs."""
-    state: dict = {
-        "facts": {
-            Nonterminal(name): {tuple(pair) for pair in pairs}
-            for name, pairs in doc["facts"].items()
-        },
-    }
-    if "lengths" in doc:
-        state["lengths"] = {
-            (Nonterminal(name), i, j): length
-            for name, i, j, length in doc["lengths"]
-        }
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -414,12 +411,8 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
     the relations are the length matrices' cells, so the relational
     section is encoded from them (:func:`encode_relations`) and carries
     the length closure's counts; no boolean solve runs."""
-    payload: dict = {
-        "graph": encode_graph(engine.graph),
-        "grammar": encode_grammar(engine.grammar),
-        "backend": engine.backend,
-        "strategy": engine.strategy,
-    }
+    payload = encode_problem(engine.graph, engine.grammar, engine.backend,
+                             engine.strategy)
     relational = "relational" in semantics or "all-path" in semantics
     if "single-path" in semantics:
         index = engine.single_path_index()
@@ -432,8 +425,10 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
                     "multiplications": index.multiplications,
                 },
             }
-        payload["length"] = encode_annotated_matrices(index.matrices,
-                                                      LENGTH_SEMIRING)
+        payload["length"] = encode_annotated_matrices(
+            {nonterminal: zip(*matrix.columns())
+             for nonterminal, matrix in index.matrices.items()},
+            engine.graph.node_count, LENGTH_SEMIRING)
     elif relational:
         result = engine.solve()
         payload["relational"] = {
@@ -452,16 +447,6 @@ def save_engine_snapshot(path: str, engine, semantics: tuple[str, ...] = (
         "relational", "single-path", "all-path")) -> int:
     """Write an engine snapshot; returns the file size in bytes."""
     return write_snapshot(path, build_engine_payload(engine, semantics))
-
-
-def restore_single_path_index(payload: dict, graph: LabeledGraph,
-                              grammar: CFG):
-    """Rebuild the Section-5 index from a snapshot's length payloads."""
-    from ..core.single_path import SinglePathIndex
-
-    return SinglePathIndex(
-        graph=graph, grammar=grammar,
-        matrices=decode_annotated_matrices(payload["length"]))
 
 
 def load_engine_snapshot(path: str, backend: "str | None" = None,
@@ -487,6 +472,7 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
     from ..core.engine import CFPQEngine
     from ..core.matrix_cfpq import MatrixCFPQResult, MatrixCFPQStats
     from ..core.relations import ContextFreeRelations
+    from ..core.single_path import SinglePathIndex
     from ..core.tilestore import (
         SpillableMatrixMap,
         TileStore,
@@ -495,8 +481,7 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
     )
 
     payload = read_snapshot(path)
-    graph = decode_graph(payload["graph"])
-    grammar = decode_grammar(payload["grammar"])
+    graph, grammar = decode_problem(payload)
     backend = backend or payload.get("backend") or default_backend()
     strategy = strategy or payload.get("strategy") or "delta"
     budget = resolve_memory_budget(memory_budget)
@@ -548,7 +533,7 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
             matrices=matrices, relations=relations, stats=stats
         ))
     if "length" in payload:
-        engine.adopt_single_path_index(
-            restore_single_path_index(payload, graph, engine.grammar)
-        )
+        engine.adopt_single_path_index(SinglePathIndex(
+            graph=graph, grammar=engine.grammar,
+            matrices=decode_annotated_matrices(payload["length"])))
     return engine

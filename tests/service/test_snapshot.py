@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro import CFPQEngine, IncrementalCFPQ, parse_grammar
+from repro import CFPQEngine, QueryService, parse_grammar
 from repro.errors import SnapshotError, SnapshotVersionError
 from repro.core.single_path import extract_path, path_is_valid
 from repro.graph.generators import two_cycles, word_chain
@@ -37,6 +37,8 @@ ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
 ANBN_EPS = parse_grammar("S -> a S b | eps", terminals=["a", "b"])
 
 SEMANTICS = ("relational", "single-path", "all-path")
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _graph():
@@ -154,8 +156,6 @@ def test_parent_format_snapshot_warm_starts_single_path(tmp_path, grammar):
     """Files written before the arrays (list cells in any order, a
     ``length_cell_order`` section) still load: same lengths, zero
     closure rounds, valid minimal paths."""
-    from repro import QueryService
-
     engine = CFPQEngine(_graph(), grammar)
     index = engine.single_path_index()
     path = str(tmp_path / "parent.snapshot")
@@ -187,8 +187,6 @@ def test_snapshot_drops_cell_order_and_does_not_grow(tmp_path):
     function of the index alone), the file loads on both warm-start
     entry points, and it is smaller than the parent-format file of the
     same engine."""
-    from repro import QueryService
-
     engine = CFPQEngine(_graph(), ANBN)
     new = str(tmp_path / "new.snapshot")
     size = save_engine_snapshot(new, engine,
@@ -244,9 +242,8 @@ def test_parent_snapshot_with_witness_section_still_loads():
     (``CFPQEngine(two_cycles(2, 3), dyck, backend="pyset")``, all three
     semantics), beside the answers that commit gave.  The section is
     ignored; every answer is unchanged."""
-    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
-    snapshot = os.path.join(fixtures, "engine_allpath_parent.snapshot")
-    with open(os.path.join(fixtures, "engine_allpath_parent.json")) as stream:
+    snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
+    with open(os.path.join(FIXTURES, "engine_allpath_parent.json")) as stream:
         expected = json.load(stream)
     assert "witness" in read_snapshot(snapshot)
 
@@ -306,6 +303,31 @@ def test_foreign_files_are_rejected(tmp_path):
     with pytest.raises(SnapshotError):
         read_snapshot(str(missing))
 
+    # A well-framed snapshot that is not a CFPQ index: both loaders
+    # name the missing section instead of raising KeyError.
+    sectionless = str(tmp_path / "sectionless.snapshot")
+    write_snapshot(sectionless, {"hello": [1]})
+    for load in (QueryService.from_snapshot, CFPQEngine.from_snapshot):
+        with pytest.raises(SnapshotError, match="'graph'"):
+            load(sectionless)
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path):
+    """A save is written beside the target and renamed over it: a save
+    that fails mid-pickle leaves the previous snapshot loadable and no
+    temporary file behind."""
+    engine = CFPQEngine(_graph(), ANBN)
+    path = str(tmp_path / "index.snapshot")
+    save_engine_snapshot(path, engine)
+    payload = snapshot_store.build_engine_payload(engine)
+    payload["relational"]["stats"]["gadget"] = lambda: None
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        write_snapshot(path, payload)
+    assert os.listdir(tmp_path) == ["index.snapshot"]
+    warm = load_engine_snapshot(path)
+    assert warm.solve().stats.iterations == 0
+    assert warm.relational("S") == engine.relational("S")
+
 
 def test_crafted_pickle_body_cannot_reach_classes(tmp_path):
     """The body is unpickled through a loader that refuses every class
@@ -328,38 +350,60 @@ def test_envelope_records_version(tmp_path):
     assert read_snapshot(path) == {"hello": [1, 2, 3]}
 
 
-def test_incremental_state_round_trip(tmp_path):
-    """Facts and lengths survive encode→decode, and a warm solver
-    continues updating exactly like the original."""
-    graph = two_cycles(2, 3)
-    solver = IncrementalCFPQ(graph, ANBN)
-    solver.add_edges([("x", "a", "y"), ("y", "b", "x")])
-    solver.remove_edges([("x", "a", "y")])
+@pytest.mark.parametrize("single_path", [False, True])
+def test_incremental_state_round_trip(tmp_path, single_path):
+    """Facts and lengths survive a service save→load, and the warm
+    solver continues updating exactly like the original.  The file has
+    the engine's layout: ``relational``, plus ``length`` for
+    single-path, and no ``incremental`` copy of the facts."""
+    service = QueryService(two_cycles(2, 3), ANBN, single_path=single_path)
+    service.update(inserts=[("x", "a", "y"), ("y", "b", "x")])
+    service.update(deletes=[("x", "a", "y")])
+    path = str(tmp_path / "service.snapshot")
+    service.save_snapshot(path)
+    payload = read_snapshot(path)
+    assert "incremental" not in payload
+    assert ("length" in payload) is single_path
 
-    doc = snapshot_store.encode_incremental_state(solver.export_state())
-    state = snapshot_store.decode_incremental_state(doc)
-    twin_graph = two_cycles(2, 3)
-    twin_graph.add_edges([("x", "a", "y"), ("y", "b", "x")])
-    twin_graph.remove_edge("x", "a", "y")
-    twin = IncrementalCFPQ(twin_graph, ANBN, warm_state=state)
-    assert twin.initial_closure_iterations == 0
-    assert twin.relations().same_as(solver.relations())
-    assert twin.export_state() == solver.export_state()
+    twin = QueryService.from_snapshot(path)
+    solver, warm = service.solver, twin.solver
+    assert twin.single_path is single_path
+    assert warm.initial_closure_iterations == 0
+    assert warm.relations().same_as(solver.relations())
+    assert warm.export_state() == solver.export_state()
+    # The engine reads the same file with zero rounds, lengths included.
+    engine = CFPQEngine.from_snapshot(path)
+    assert engine.solve().stats.iterations == 0
+    if single_path:
+        index = engine.single_path_index()
+        assert index.iterations == 0
+        assert index.cells == CFPQEngine(
+            service.graph, ANBN).single_path_index().cells
 
     # Updates after the warm start stay in lockstep.
     batch = [("p", "a", "q"), ("q", "b", "p")]
-    assert twin.add_edges(batch) == solver.add_edges(batch)
-    assert twin.remove_edges(batch[:1]) == solver.remove_edges(batch[:1])
-    assert twin.relations().same_as(solver.relations())
+    assert warm.add_edges(batch) == solver.add_edges(batch)
+    assert warm.remove_edges(batch[:1]) == solver.remove_edges(batch[:1])
+    assert warm.relations().same_as(solver.relations())
+    assert warm.export_state() == solver.export_state()
 
 
-def test_decode_ignores_supports_section_of_older_snapshots():
-    """A snapshot written while DRed still kept a support store carries
-    a ``supports`` section next to facts and lengths.  The format
-    version did not move (today's documents are a subset), so such a
-    document must decode — to exactly the state without that section —
-    and warm-start a solver."""
-    document = {
+def test_decode_ignores_supports_section_of_older_snapshots(tmp_path):
+    """A service snapshot written while DRed still kept a support store
+    carries an ``incremental`` section with facts, lengths and
+    ``supports`` next to ``relational``.  The format version did not
+    move, so such a file must warm-start: facts from ``relational``,
+    lengths from the old section, the rest ignored."""
+    from repro.grammar.symbols import Nonterminal
+
+    grammar = parse_grammar("S -> A B\nA -> a\nB -> b",
+                            terminals=["a", "b"])
+    graph = word_chain(["a", "b"])
+    payload = snapshot_store.encode_problem(graph, grammar, "pyset", "delta")
+    payload["relational"] = {"matrices": snapshot_store.encode_relations(
+        {Nonterminal("S"): [(0, 2)], Nonterminal("A"): [(0, 1)],
+         Nonterminal("B"): [(1, 2)]}, "pyset", graph.node_count)}
+    payload["incremental"] = {
         "facts": {"S": [[0, 2]], "A": [[0, 1]], "B": [[1, 2]]},
         "lengths": [["A", 0, 1, 1], ["B", 1, 2, 1], ["S", 0, 2, 2]],
         "supports": [
@@ -368,27 +412,46 @@ def test_decode_ignores_supports_section_of_older_snapshots():
             [["S", 0, 2], [["split", "A", "B", 1]]],
         ],
     }
-    state = snapshot_store.decode_incremental_state(document)
-    current = {key: value for key, value in document.items()
-               if key != "supports"}
-    assert state == snapshot_store.decode_incremental_state(current)
-    assert set(state) == {"facts", "lengths"}
-    assert snapshot_store.encode_incremental_state(state) == {
-        "facts": {"A": [(0, 1)], "B": [(1, 2)], "S": [(0, 2)]},
-        "lengths": document["lengths"],
-    }
+    path = str(tmp_path / "older.snapshot")
+    write_snapshot(path, payload)
 
-    from repro.core.incremental import IncrementalSinglePathCFPQ
-    from repro.grammar.symbols import Nonterminal
-
-    grammar = parse_grammar("S -> A B\nA -> a\nB -> b",
-                            terminals=["a", "b"])
-    solver = IncrementalSinglePathCFPQ(word_chain(["a", "b"]), grammar,
-                                       warm_state=state)
+    service = QueryService.from_snapshot(path)
+    solver = service.solver
+    assert service.single_path is True
     assert solver.initial_closure_iterations == 0
+    assert set(solver.export_state()) == {"facts", "lengths"}
     assert solver.length_of("S", 0, 2) == 2
     assert solver.remove_edge(0, "a", 1) == 2
     assert solver.pairs(Nonterminal("B")) == {(1, 2)}
+
+
+def test_parent_service_single_path_snapshot_warm_starts():
+    """``fixtures/service_single_path_parent.snapshot`` was written by
+    the last commit whose service snapshots kept an ``incremental``
+    copy of their facts and lengths (``QueryService(two_cycles(2, 3),
+    a^n b^n, backend="pyset", single_path=True)`` after one insert
+    tick), beside the answers that commit gave.  It has no ``length``
+    section, yet it warm-starts single-path with zero closure rounds
+    and answers as it did."""
+    snapshot = os.path.join(FIXTURES, "service_single_path_parent.snapshot")
+    with open(os.path.join(FIXTURES,
+                           "service_single_path_parent.json")) as stream:
+        expected = json.load(stream)
+    payload = read_snapshot(snapshot)
+    assert "incremental" in payload and "length" not in payload
+
+    service = QueryService.from_snapshot(snapshot)
+    assert service.single_path is True
+    assert service.stats["startup"]["closure_iterations"] == 0
+    pairs = sorted(service.query("S"))
+    assert [list(pair) for pair in pairs] == expected["relational"]
+    for source, target in pairs:
+        key = f"{source},{target}"
+        assert service.query("S", source, target, semantics="length") \
+            == expected["length"][key]
+        assert [list(edge) for edge in service.query(
+            "S", source, target, semantics="single-path")] \
+            == expected["single_path"][key]
 
 
 @pytest.mark.parametrize("single_path", [False, True])
@@ -401,7 +464,7 @@ def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path,
     import filecmp
     import random
 
-    from repro import LabeledGraph, QueryService
+    from repro import LabeledGraph
 
     updated = QueryService(two_cycles(2, 3), ANBN, single_path=single_path)
     rng = random.Random(0xD1FF)

@@ -46,8 +46,12 @@ def _round_trips(value) -> bool:
 @pytest.mark.parametrize("name", sorted(SCALAR))
 def test_matrix_exits_are_python_scalars(name):
     semiring, scalar = SCALAR[name]
-    result = solve_annotated(two_cycles(2, 3), ANBN, semiring)
-    encoded = encode_annotated_matrices(result.matrices, semiring)
+    graph = two_cycles(2, 3)
+    result = solve_annotated(graph, ANBN, semiring)
+    encoded = encode_annotated_matrices(
+        {nonterminal: zip(*matrix.columns())
+         for nonterminal, matrix in result.matrices.items()},
+        graph.node_count, semiring)
     assert _round_trips(encoded)
     seen = 0
     for nonterminal, matrix in result.matrices.items():
@@ -81,9 +85,9 @@ def test_single_path_and_warm_state_lengths_are_ints():
     assert lengths and all(type(length) is int for length in lengths.values())
     assert all(type(i) is int and type(j) is int for _nt, i, j in lengths)
     assert type(solver.length_of("S", "n0", "n2")) is int
-    assert _round_trips(sorted(
-        [nonterminal.name, i, j, length]
-        for (nonterminal, i, j), length in lengths.items()))
+    # What a service snapshot's ``length`` section is encoded from.
+    assert _round_trips(encode_annotated_matrices(
+        solver.length_cells(), solver.graph.node_count, LENGTH_SEMIRING))
 
 
 def test_server_length_and_path_replies_serialize():
