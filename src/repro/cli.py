@@ -38,7 +38,7 @@ import sys
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
 from .core.matrix_cfpq import DEFAULT_STRATEGY
-from .errors import ReproError
+from .errors import EngineError, ReproError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
 from .graph.io import coerce_json_node, load_graph_file, node_from_token
@@ -115,8 +115,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=available_strategies(),
                         help="closure strategy (delta = semi-naive, "
                              "naive = full re-multiplication, "
-                             "blocked = frontier-aware tiled products, "
-                             "autotune = pick per round); does not apply "
+                             "blocked = frontier-aware tiled products); "
+                             "does not apply "
                              "to --semiring counting, whose + is not "
                              "idempotent and always closes by Kleene "
                              "iteration")
@@ -126,8 +126,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "working set fits the budget)")
     parser.add_argument("--memory-budget", type=_memory_budget,
                         default=None,
-                        help="resident tile byte budget for the blocked/"
-                             "autotune strategies, e.g. 65536, '64K', '8M' "
+                        help="resident tile byte budget for the blocked "
+                             "strategy, e.g. 65536, '64K', '8M' "
                              "(default: $REPRO_MEMORY_BUDGET or unbounded; "
                              "'0'/'none' disables)")
     parser.add_argument("--spill-dir", default=None,
@@ -183,6 +183,18 @@ def _strategy_options(args: argparse.Namespace) -> dict:
     return options
 
 
+def _solve_options(args: argparse.Namespace) -> dict:
+    """The closure options of a one-shot solve.  Only the blocked
+    strategy reads the tile flags, so one given with another strategy
+    is an error instead of being silently ignored."""
+    options = _strategy_options(args)
+    if options and args.strategy != "blocked":
+        flag = "--" + next(iter(options)).replace("_", "-")
+        raise EngineError(f"{flag} applies only to --strategy blocked, "
+                          f"not {args.strategy!r}")
+    return options
+
+
 def _stats_payload(engine: CFPQEngine) -> dict:
     """The solver stats of the engine's default (backend, strategy) run,
     as plain JSON (used by ``query --stats``)."""
@@ -198,9 +210,6 @@ def _stats_payload(engine: CFPQEngine) -> dict:
     blocked = stats.details.get("blocked")
     if blocked is not None:
         payload["blocked"] = blocked.as_dict()
-    autotune = stats.details.get("autotune")
-    if autotune is not None:
-        payload["autotune"] = autotune
     round_seconds = stats.details.get("round_seconds")
     if round_seconds is not None:
         payload["round_seconds"] = list(round_seconds)
@@ -214,7 +223,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _cmd_query_semiring(args)
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_strategy_options(args))
+                        **_solve_options(args))
     pairs = sorted(engine.relational(args.start), key=str)
     if args.json:
         document = {"start": args.start, "count": len(pairs),
@@ -260,7 +269,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
             specs.append(spec)
     answers = solve_batch(graph, grammar, specs, backend=args.backend,
                           strategy=args.strategy,
-                          **_strategy_options(args))
+                          **_solve_options(args))
     rendered = [
         sorted([str(a), str(b)] for a, b in answer)
         if isinstance(answer, frozenset) else answer
@@ -286,7 +295,7 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     semiring = get_semiring(args.semiring)
     result = solve_annotated(graph, _load_grammar(args), semiring,
                              strategy=args.strategy,
-                             **_strategy_options(args))
+                             **_solve_options(args))
     matrix = result.matrices.get(Nonterminal(args.start))
     if matrix is None:
         raise SystemExit(f"unknown start non-terminal {args.start!r}")
@@ -317,7 +326,7 @@ def _coerce_node(graph, token: str):
 def cmd_path(args: argparse.Namespace) -> int:
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_strategy_options(args))
+                        **_solve_options(args))
     graph = engine.graph
     path = engine.single_path(args.start, _coerce_node(graph, args.source),
                               _coerce_node(graph, args.target))
@@ -334,7 +343,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 def cmd_all_paths(args: argparse.Namespace) -> int:
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_strategy_options(args))
+                        **_solve_options(args))
     graph = engine.graph
     if args.top_k is not None:
         return _cmd_top_k_paths(args, engine)
@@ -448,7 +457,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_strategy_options(args))
+                        **_solve_options(args))
     size = save_engine_snapshot(args.output, engine,
                                 semantics=tuple(args.semantics))
     print(f"wrote {args.output}: {size} bytes "

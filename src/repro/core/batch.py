@@ -21,7 +21,7 @@ Mask rules mirror the real derivation row-wise, so at the fixpoint row
 ``n+r`` of ``mask(A)`` equals the union over sources ``s`` of row ``s``
 of the *closed* ``M_A`` — one :func:`repro.core.closure.run_closure`
 call answers the whole batch, on any strategy (the matrices stay square
-and uniformly sized, which is what ``blocked``/``autotune`` assume).
+and uniformly sized, which is what ``blocked`` assumes).
 Mask symbols only ever appear as rule heads and left operands, so the
 real matrices are never written by a mask rule.
 

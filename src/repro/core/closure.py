@@ -23,12 +23,6 @@ iteration *strategy* vary independently of the matrix *backend*:
   happens in canonical key order, so the closure is byte-identical for
   every memory budget.  This is the paper's §7 out-of-core direction
   with the semi-naive trick pushed down to the tile grain.
-* ``autotune`` — picks the executor from live measurements: the
-  matrices' measured bytes vs the memory budget (or the host's
-  ``MemAvailable``) route oversized workloads to the blocked engine
-  out-of-core, and per round the frontier density
-  (``delta_nnz_per_round`` vs total nnz) chooses between a semi-naive
-  delta round and a full naive round.
 
 All strategies run on any registered matrix backend through the mutable
 kernel API (``MatrixBackend.union_update`` / ``mxm_into``), which falls
@@ -73,8 +67,7 @@ class ClosureResult:
     delta_nnz_per_round: tuple[int, ...] = ()
     #: Strategy-specific instrumentation: every bundled strategy stores
     #: per-round wall clock under ``"round_seconds"``; ``blocked``
-    #: additionally stores a :class:`BlockedStats` under ``"blocked"``,
-    #: ``autotune`` its per-round decisions under ``"autotune"``.
+    #: additionally stores a :class:`BlockedStats` under ``"blocked"``.
     details: dict = field(default_factory=dict)
 
 
@@ -754,168 +747,9 @@ def _drain_symbol_tiles(store, symbol: Hashable, grid: int):
             yield (bi, bj), tile
 
 
-#: Autotune: a round whose frontier holds at least this fraction of all
-#: stored entries runs as a full naive round instead of a delta round.
-AUTOTUNE_DENSE_FRONTIER_RATIO = 0.5
-
-#: Autotune: with no explicit budget, matrices whose measured bytes
-#: exceed this fraction of ``MemAvailable`` run out-of-core with a
-#: budget of that fraction.
-AUTOTUNE_AVAILABLE_FRACTION = 0.5
-
-
-def closure_autotune(matrices: dict, pair_rules: list[PairRule],
-                     backend: MatrixBackend,
-                     tile_size: "int | None" = None,
-                     memory_budget=None,
-                     spill_dir: "str | None" = None,
-                     dense_frontier_ratio: float = AUTOTUNE_DENSE_FRONTIER_RATIO,
-                     initial_frontier: "dict | None" = None,
-                     **options) -> ClosureResult:
-    """Measurement-driven autotuning: every routing decision comes from
-    a live measurement, never a fixed node-count threshold.
-
-    Two measured signals drive the choice:
-
-    * **working set vs memory** — the matrices' measured storage bytes
-      (:func:`repro.core.tilestore.matrix_nbytes`) are compared against
-      the budget (``memory_budget=`` / ``$REPRO_MEMORY_BUDGET``, else
-      :data:`AUTOTUNE_AVAILABLE_FRACTION` of the host's measured
-      ``MemAvailable`` when the estimate exceeds it).  A working set
-      over budget routes to the blocked engine **out-of-core**;
-      ``tile_size`` is forwarded unchanged, so with None the blocked
-      engine picks the edge whose :data:`WORKING_SET_TILES` tiles fit
-      the budget;
-    * **frontier density** (``delta_nnz_per_round`` of the previous
-      round vs the total stored entries) — a dense frontier means a
-      delta round would multiply nearly-full matrices *twice* per rule
-      (``Δleft × right`` and ``left × Δright``), so the round runs
-      naive (one full product per rule); a sparse frontier runs
-      semi-naive.
-
-    Every mix of round executors converges to the same least fixpoint
-    (each round's merge is monotone, and both round types propagate
-    every frontier entry through every rule mentioning its symbol).
-    The decisions — for the blocked route including the tile edge the
-    run used and its spill/reload counters — land in
-    ``details["autotune"]``.
-    """
-    from .tilestore import available_memory_bytes, resolve_memory_budget
-
-    if not matrices:
-        return ClosureResult(matrices=matrices, iterations=0,
-                             multiplications=0)
-
-    estimated_bytes = _estimated_matrix_bytes(matrices)
-    budget = resolve_memory_budget(memory_budget)
-    budget_source = "configured" if budget is not None else None
-    if budget is None:
-        available = available_memory_bytes()
-        if (available is not None
-                and estimated_bytes > available * AUTOTUNE_AVAILABLE_FRACTION):
-            budget = int(available * AUTOTUNE_AVAILABLE_FRACTION)
-            budget_source = "measured MemAvailable"
-
-    if budget is not None and estimated_bytes > budget:
-        result = closure_blocked(matrices, pair_rules, backend,
-                                 tile_size=tile_size,
-                                 memory_budget=budget,
-                                 spill_dir=spill_dir,
-                                 initial_frontier=initial_frontier,
-                                 **options)
-        blocked_stats = result.details["blocked"]
-        result.details["autotune"] = {
-            "mode": "blocked-spill",
-            "reason": (f"measured working set {estimated_bytes}B exceeds "
-                       f"budget {budget}B ({budget_source}); tile_size "
-                       f"{blocked_stats.tile_size}"),
-            "rounds": ["blocked"] * result.iterations,
-            "estimated_bytes": estimated_bytes,
-            "budget_bytes": budget,
-            "tile_size": blocked_stats.tile_size,
-            "tiles_spilled": blocked_stats.tiles_spilled,
-            "tiles_reloaded": blocked_stats.tiles_reloaded,
-            "spill_bytes": blocked_stats.spill_bytes,
-        }
-        return result
-
-    frontier = _symbol_frontier(matrices, initial_frontier, backend)
-    tracer = get_tracer()
-    iterations = 0
-    multiplications = 0
-    growth: list[int] = []
-    rounds: list[str] = []
-    round_seconds: list[float] = []
-
-    while frontier:
-        iterations += 1
-        round_timer = stopwatch()
-        total_nnz = sum(matrix.nnz() for matrix in matrices.values())
-        frontier_nnz = sum(matrix.nnz() for matrix in frontier.values())
-        dense_frontier = (total_nnz > 0
-                          and frontier_nnz >= dense_frontier_ratio * total_nnz)
-        rounds.append("naive" if dense_frontier else "delta")
-        next_frontier: dict[Hashable, BooleanMatrix] = {}
-
-        def merge(head: Hashable, product: BooleanMatrix) -> int:
-            merged, delta = backend.union_update(matrices[head], product)
-            matrices[head] = merged
-            delta_nnz = delta.nnz()
-            if delta_nnz:
-                accumulated = next_frontier.get(head)
-                if accumulated is None:
-                    next_frontier[head] = delta
-                else:
-                    next_frontier[head], _ = backend.union_update(
-                        accumulated, delta
-                    )
-            return delta_nnz
-
-        round_new = 0
-        with tracer.span("closure.round", strategy="autotune",
-                         round=iterations, mode=rounds[-1]) as round_span:
-            if dense_frontier:
-                for head, left, right in pair_rules:
-                    left_matrix, right_matrix = \
-                        matrices[left], matrices[right]
-                    if left_matrix.nnz() == 0 or right_matrix.nnz() == 0:
-                        continue
-                    multiplications += 1
-                    round_new += merge(
-                        head, left_matrix.multiply(right_matrix)
-                    )
-            else:
-                for head, left, right in pair_rules:
-                    delta_left = frontier.get(left)
-                    if delta_left is not None and matrices[right].nnz():
-                        multiplications += 1
-                        round_new += merge(
-                            head, delta_left.multiply(matrices[right])
-                        )
-                    delta_right = frontier.get(right)
-                    if delta_right is not None and matrices[left].nnz():
-                        multiplications += 1
-                        round_new += merge(
-                            head, matrices[left].multiply(delta_right)
-                        )
-            round_span.set("new_entries", round_new)
-        growth.append(round_new)
-        round_seconds.append(round_timer.elapsed)
-        frontier = next_frontier
-
-    return ClosureResult(
-        matrices=matrices, iterations=iterations,
-        multiplications=multiplications,
-        delta_nnz_per_round=tuple(growth),
-        details={"autotune": {"mode": "rounds", "rounds": rounds},
-                 "round_seconds": tuple(round_seconds)},
-    )
-
-
 register_strategy("naive", closure_naive)
 register_strategy("delta", closure_delta)
 register_strategy("blocked", closure_blocked)
-register_strategy("autotune", closure_autotune)
 
 #: The strategy names bundled with the library.
-STRATEGIES = ("naive", "delta", "blocked", "autotune")
+STRATEGIES = ("naive", "delta", "blocked")

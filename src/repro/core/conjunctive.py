@@ -14,7 +14,7 @@ approximation** of the true relation.  We implement exactly that:
   products across conjuncts, union into the accumulator), routed
   through the shared closure engine: one auxiliary head per (rule,
   conjunct) keeps each conjunct's product current under any registered
-  strategy (semi-naive deltas, blocked tiles, autotune), and the outer
+  strategy (naive, semi-naive deltas, blocked tiles), and the outer
   loop only intersects the aux matrices and feeds new head cells back
   as an ``initial_frontier``;
 * :func:`solve_conjunctive_reference` — the original direct

@@ -55,7 +55,7 @@ class CFPQEngine:
         SciPy is installed).
     strategy:
         Default closure strategy (``"delta"`` / ``"naive"`` /
-        ``"blocked"`` / ``"autotune"``); overridable per call.
+        ``"blocked"``); overridable per call.
     strategy_options:
         Extra keyword options forwarded to every closure run — e.g.
         ``tile_size=128, memory_budget="8M"`` for the blocked tile

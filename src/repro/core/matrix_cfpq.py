@@ -60,7 +60,7 @@ class MatrixCFPQStats:
     delta_nnz_per_round: tuple[int, ...] = ()
     #: Strategy-specific instrumentation forwarded from the closure run
     #: (``blocked``: per-tile stats incl. tiles skipped by the frontier
-    #: and tile-product wall time; ``autotune``: per-round decisions).
+    #: and tile-product wall time).
     details: dict = field(default_factory=dict)
 
     @property

@@ -117,19 +117,6 @@ def resolve_spill_dir(value=None) -> "str | None":
     return os.environ.get(SPILL_DIR_ENV) or None
 
 
-def available_memory_bytes() -> "int | None":
-    """``MemAvailable`` from ``/proc/meminfo`` (None when unreadable) —
-    the measured signal the autotune strategy budgets against."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):  # pragma: no cover - exotic
-        pass
-    return None
-
-
 def tile_payload_of(matrix: BooleanMatrix) -> tuple:
     """Encode *matrix* through its backend's payload hook (the spill
     and snapshot codec)."""

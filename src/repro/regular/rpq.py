@@ -56,7 +56,7 @@ def _product_closure(adjacency: BooleanMatrix, backend: MatrixBackend,
     """Transitive closure ``A⁺`` of the product adjacency, computed by
     the CFPQ closure engine: an RPQ is the one-nonterminal grammar
     ``R → R R`` whose sole matrix starts as the adjacency — so every
-    closure strategy (naive/delta/blocked/autotune) applies unchanged.
+    closure strategy (naive/delta/blocked) applies unchanged.
     """
     matrices = {_REACH: backend.clone(adjacency)}
     result = run_closure(matrices, [(_REACH, _REACH, _REACH)], backend,

@@ -21,7 +21,15 @@ from repro.graph import LabeledGraph, two_cycles
 from repro.matrices import available_backends
 
 S = Nonterminal("S")
-STRATEGIES = ("naive", "delta", "blocked", "autotune")
+STRATEGIES = ("naive", "delta", "blocked")
+
+#: Every strategy with its defaults, plus ``blocked`` under a one-byte
+#: budget so each tile of the masked closure round-trips the spill files.
+STRATEGY_CASES = [pytest.param(strategy, {}, id=strategy)
+                  for strategy in STRATEGIES] + [
+    pytest.param("blocked", {"memory_budget": 1, "tile_size": 2},
+                 id="blocked-spilled"),
+]
 
 
 @pytest.fixture
@@ -70,19 +78,22 @@ def _query_shapes(graph):
 
 
 class TestColdDifferential:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_matches_all_pairs_filter(self, graph, grammar, strategy):
+    @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
+    def test_matches_all_pairs_filter(self, graph, grammar, strategy,
+                                      options):
         pairs = _reference(graph, grammar)
         queries = _query_shapes(graph)
         for backend in available_backends():
             answers = solve_batch(graph, grammar, queries,
-                                  backend=backend, strategy=strategy)
+                                  backend=backend, strategy=strategy,
+                                  **options)
             for query, answer in zip(queries, answers):
                 assert answer == _expected(pairs, query), \
                     (backend, strategy, query)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_one_membership_row_per_pair(self, graph, grammar, strategy):
+    @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
+    def test_one_membership_row_per_pair(self, graph, grammar, strategy,
+                                         options):
         """Every node pair as its own membership query — one stacked
         mask row each — answers exactly the all-pairs relation."""
         pairs = _reference(graph, grammar)
@@ -93,7 +104,8 @@ class TestColdDifferential:
                    for a in nodes for b in nodes]
         for backend in available_backends():
             answers = solve_batch(graph, grammar, queries,
-                                  backend=backend, strategy=strategy)
+                                  backend=backend, strategy=strategy,
+                                  **options)
             found = {(next(iter(query.sources)), next(iter(query.targets)))
                      for query, answer in zip(queries, answers) if answer}
             assert found == pairs, (backend, strategy)

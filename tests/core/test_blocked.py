@@ -169,48 +169,6 @@ def test_blocked_independent_of_rule_order(seed):
         assert result.delta_nnz_per_round == reference.delta_nnz_per_round
 
 
-@pytest.mark.parametrize("seed", SEEDS[:4])
-def test_autotune_matches_oracle(seed):
-    graph, grammar = make_case(seed)
-    oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
-    result = solve_matrix(graph, grammar, normalize=False,
-                          strategy="autotune")
-    assert result.relations.same_as(oracle.relations)
-    assert result.stats.details["autotune"]["rounds"]
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-def test_autotune_spill_route(seed):
-    """The budget route: a budget smaller than the measured matrices
-    sends the run out-of-core, byte-identical, with spill accounting."""
-    graph, grammar = make_case(seed)
-    oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
-    result = solve_matrix(graph, grammar, normalize=False,
-                          strategy="autotune", memory_budget=1,
-                          tile_size=2)
-    assert result.relations.same_as(oracle.relations)
-    autotune = result.stats.details["autotune"]
-    assert autotune["mode"] == "blocked-spill"
-    assert autotune["budget_bytes"] == 1
-    assert autotune["estimated_bytes"] > 1
-    blocked = result.stats.details["blocked"]
-    assert blocked.budget_bytes == 1
-    assert blocked.tiles_spilled > 0
-    assert blocked.tiles_reloaded > 0
-
-
-def test_autotune_has_no_node_count_threshold():
-    """The routing must be measurement-driven: no fixed node-count
-    constant survives in the autotune strategy."""
-    import inspect
-
-    from repro.core import closure as closure_module
-
-    source = inspect.getsource(closure_module.closure_autotune)
-    assert "blocked_min_size" not in source
-    assert not hasattr(closure_module, "AUTOTUNE_BLOCKED_MIN_SIZE")
-
-
 # ----------------------------------------------------------------------
 # Tile edge: one rule, picked from the budget
 # ----------------------------------------------------------------------
@@ -251,39 +209,25 @@ def test_blocked_default_tile_size_is_picked_from_the_budget():
     unbounded = run_closure(matrices, rules, backend, strategy="blocked")
     assert unbounded.details["blocked"].tile_size == 512
 
-    matrices, rules, backend = _funding_q1()
-    budget = _budget_fitting_16_tiles_at(256, matrices)
-    bounded = run_closure(matrices, rules, backend, strategy="blocked",
-                          memory_budget=budget)
-    stats = bounded.details["blocked"]
-    assert stats.tile_size == 256
-    assert stats.grid == 3  # ceil(598 / 256)
-    assert stats.budget_bytes == budget
-    for symbol, matrix in bounded.matrices.items():
-        assert matrix.same_pairs(unbounded.matrices[symbol]), symbol
-
-
-def test_autotune_spill_decision_reports_the_blocked_edge():
-    """Autotune forwards ``tile_size=None`` and reports the edge the
-    blocked engine picked, not one of its own."""
-    matrices, rules, backend = _funding_q1()
-    budget = _budget_fitting_16_tiles_at(128, matrices)
-    result = run_closure(matrices, rules, backend, strategy="autotune",
-                         memory_budget=budget)
-    autotune = result.details["autotune"]
-    assert autotune["mode"] == "blocked-spill"
-    assert autotune["tile_size"] == result.details["blocked"].tile_size \
-        == 128
-    assert "tile_size 128" in autotune["reason"]
+    for edge, grid in ((256, 3), (128, 5)):  # ceil(598 / edge)
+        matrices, rules, backend = _funding_q1()
+        budget = _budget_fitting_16_tiles_at(edge, matrices)
+        bounded = run_closure(matrices, rules, backend, strategy="blocked",
+                              memory_budget=budget)
+        stats = bounded.details["blocked"]
+        assert stats.tile_size == edge
+        assert stats.grid == grid
+        assert stats.budget_bytes == budget
+        for symbol, matrix in bounded.matrices.items():
+            assert matrix.same_pairs(unbounded.matrices[symbol]), symbol
 
 
 @pytest.mark.parametrize("tile_size", (0, -3))
 def test_blocked_rejects_nonpositive_tile_size(tile_size):
     graph, grammar = make_case(0)
-    for strategy in ("blocked", "autotune"):
-        with pytest.raises(ValueError, match="tile_size"):
-            solve_matrix(graph, grammar, normalize=False, strategy=strategy,
-                         tile_size=tile_size, memory_budget=1)
+    with pytest.raises(ValueError, match="tile_size"):
+        solve_matrix(graph, grammar, normalize=False, strategy="blocked",
+                     tile_size=tile_size, memory_budget=1)
 
 
 # ----------------------------------------------------------------------

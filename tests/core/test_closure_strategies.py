@@ -163,8 +163,7 @@ class TestDeltaEfficiency:
 class TestOrderIsAFunctionOfTheInput:
     """Callers build the symbol → matrix mapping by iterating symbol
     *sets*, whose order follows object addresses; the closure must not
-    inherit it.  (``autotune`` is left out: its route follows the
-    host's measured ``MemAvailable``.)"""
+    inherit it."""
 
     @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
     def test_counts_and_payload_bytes_ignore_dict_order(self, strategy):

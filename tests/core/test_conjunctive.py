@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.closure import available_strategies
+from repro.core import closure as closure_module
+from repro.core.closure import available_strategies, run_closure
 from repro.core.conjunctive import (
     ConjunctiveGrammar,
     ConjunctiveRule,
@@ -115,6 +116,36 @@ class TestEngineRouteMatchesReference:
                                           strategy=strategy)
         for nt in grammar.nonterminals:
             assert routed.pairs(nt) == oracle.pairs(nt), (strategy, nt)
+
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    def test_spilled_blocked_matches_reference(self, graph_name,
+                                               backend_name, tmp_path,
+                                               monkeypatch):
+        """Each outer round re-enters ``blocked`` with the head's new
+        cells as a tile frontier; under a one-byte budget every tile of
+        those runs goes through the spill files."""
+        runs = []
+
+        def recording_run_closure(*args, **kwargs):
+            result = run_closure(*args, **kwargs)
+            runs.append(result.details["blocked"])
+            return result
+
+        monkeypatch.setattr(closure_module, "run_closure",
+                            recording_run_closure)
+        grammar = anbncn_grammar()
+        graph = self.GRAPHS[graph_name]()
+        oracle = solve_conjunctive_reference(graph, grammar,
+                                             backend=backend_name)
+        routed = solve_conjunctive_approx(graph, grammar,
+                                          backend=backend_name,
+                                          strategy="blocked", tile_size=2,
+                                          memory_budget=1,
+                                          spill_dir=str(tmp_path))
+        for nt in grammar.nonterminals:
+            assert routed.pairs(nt) == oracle.pairs(nt), nt
+        assert runs and all(stats.budget_bytes == 1 for stats in runs)
+        assert sum(stats.tiles_spilled for stats in runs) > 0
 
     def test_single_conjunct_grammar_matches(self, backend_name):
         grammar = ConjunctiveGrammar.parse(

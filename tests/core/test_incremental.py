@@ -36,6 +36,15 @@ def _force_route(monkeypatch, route: str) -> None:
                         {"matrix": 1, "tuples": sys.maxsize}[route])
 
 
+#: Every closure strategy with its defaults, plus ``blocked`` under a
+#: one-byte budget, so the tile-granular insertion frontier also runs
+#: with every tile spilled.
+STRATEGY_CASES = [pytest.param(strategy, {}, id=strategy)
+                  for strategy in ("naive", "delta", "blocked")] + [
+    pytest.param("blocked", {"memory_budget": 1}, id="blocked-spilled"),
+]
+
+
 @pytest.fixture
 def matrix_route(monkeypatch):
     _force_route(monkeypatch, "matrix")
@@ -153,12 +162,12 @@ class TestInsertionOrder:
 class TestBatchInsert:
     """The matrix-granular add_edges path."""
 
-    @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked",
-                                          "autotune"])
+    @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
     def test_batch_equals_scratch_across_strategies(self, dyck_grammar,
-                                                    strategy):
+                                                    strategy, options):
         incremental = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar,
-                                      strategy=strategy, tile_size=2)
+                                      strategy=strategy, tile_size=2,
+                                      **options)
         batch = [(0, "a", 3), (3, "b", 4), (4, "a", 0), (1, "b", 1),
                  (2, "a", 2)]
         incremental.add_edges(batch)
@@ -434,11 +443,11 @@ def _random_sequence(rng: random.Random, nodes: int, steps: int):
     return commands
 
 
-@pytest.mark.parametrize("strategy", ["naive", "delta", "blocked",
-                                      "autotune"])
+@pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.usefixtures("matrix_route")
-def test_interleaved_updates_equal_scratch_across_strategies(strategy, seed):
+def test_interleaved_updates_equal_scratch_across_strategies(strategy, options,
+                                                             seed):
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
     rng = random.Random(0xDE1E7E ^ seed)
     nodes = list(range(5))
@@ -446,7 +455,7 @@ def test_interleaved_updates_equal_scratch_across_strategies(strategy, seed):
         [(rng.randrange(5), rng.choice(["a", "b"]), rng.randrange(5))
          for _ in range(6)], nodes=nodes)
     incremental = IncrementalCFPQ(graph, grammar, strategy=strategy,
-                                  tile_size=2)
+                                  tile_size=2, **options)
     for delete, edge in _random_sequence(rng, 5, 14):
         if delete:
             incremental.remove_edge(*edge)

@@ -18,6 +18,7 @@ from repro.core.semiring import (
     LENGTH_SEMIRING,
     solve_annotated,
 )
+from repro.core.tilestore import MEMORY_BUDGET_ENV, SPILL_DIR_ENV
 from repro.matrices.base import available_backends
 
 from test_semiring_differential import DICT_LENGTH, make_case
@@ -41,6 +42,10 @@ def test_tiny_budget_blocked_matches_oracle_all_backends(seed, tmp_path):
         assert result.relations.same_as(oracle.relations), backend
         assert (result.stats.nnz_per_nonterminal
                 == oracle.stats.nnz_per_nonterminal), backend
+        stats = result.stats.details["blocked"]
+        assert stats.budget_bytes == TINY_BUDGET, backend
+        assert stats.tiles_spilled > 0, backend
+        assert stats.tiles_reloaded > 0, backend
 
 
 @pytest.mark.parametrize("tile_size", (1, 3, 8))
@@ -60,7 +65,7 @@ def test_tiny_budget_tile_edges_byte_identical(seed, tile_size, tmp_path):
     assert result.stats.details["blocked"].tiles_spilled > 0
 
 
-@pytest.mark.parametrize("strategy", ("blocked", "autotune"))
+@pytest.mark.parametrize("strategy", ("blocked",))
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
     graph, grammar = make_case(seed)
@@ -70,8 +75,28 @@ def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
                           tile_size=2, memory_budget=TINY_BUDGET,
                           spill_dir=str(tmp_path))
     assert result.relations.same_as(oracle.relations), strategy
-    if strategy == "autotune":
-        assert result.stats.details["autotune"]["mode"] == "blocked-spill"
+
+
+@pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_env_budget_reaches_blocked_only(seed, strategy, tmp_path,
+                                         monkeypatch):
+    """``$REPRO_MEMORY_BUDGET`` is set for every strategy in the budgeted
+    runs: ``blocked`` spills under it, the in-core strategies ignore it,
+    and all three answer the oracle."""
+    graph, grammar = make_case(seed)
+    oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(TINY_BUDGET))
+    monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
+    result = solve_matrix(graph, grammar, backend="bitset",
+                          normalize=False, strategy=strategy, tile_size=2)
+    assert result.relations.same_as(oracle.relations), strategy
+    blocked = result.stats.details.get("blocked")
+    if strategy == "blocked":
+        assert blocked.budget_bytes == TINY_BUDGET
+        assert blocked.tiles_spilled > 0
+    else:
+        assert blocked is None
 
 
 @pytest.mark.parametrize("semiring",

@@ -17,7 +17,6 @@ from repro.core.tilestore import (
     SPILL_DIR_ENV,
     SpillableMatrixMap,
     TileStore,
-    available_memory_bytes,
     matrix_from_payload,
     matrix_nbytes,
     parse_memory_budget,
@@ -76,11 +75,6 @@ def test_resolve_spill_dir_env(monkeypatch, tmp_path):
     assert resolve_spill_dir("elsewhere") == "elsewhere"
     monkeypatch.delenv(SPILL_DIR_ENV)
     assert resolve_spill_dir(None) is None
-
-
-def test_available_memory_bytes_measures_something():
-    measured = available_memory_bytes()
-    assert measured is None or measured > 0
 
 
 @pytest.mark.parametrize("backend_name", available_backends())

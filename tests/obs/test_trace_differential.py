@@ -35,11 +35,10 @@ def _canonical(result) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def _solve(backend: str, strategy: str):
+def _solve(backend: str, strategy: str, **options):
     graph = random_graph(40, 140, ["a", "b"], seed=11)
-    options = {}
-    if strategy in ("blocked", "autotune"):
-        options["tile_size"] = 16
+    if strategy == "blocked":
+        options.setdefault("tile_size", 16)
     return solve_matrix(graph, GRAMMAR, backend=backend,
                         strategy=strategy, **options)
 
@@ -58,6 +57,27 @@ def test_trace_on_off_byte_identity(backend, strategy):
 
     assert traced == untraced
     # And tracing actually happened — a vacuous pass would prove nothing.
+    assert any(record["name"] == "closure" for record in records)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_trace_on_off_byte_identity_when_spilling(backend, tmp_path):
+    """The spill counters feed the closure span; with every tile over a
+    one-byte budget, tracing still leaves the results untouched."""
+    options = {"tile_size": 16, "memory_budget": 1}
+    configure_tracing(enabled=False)
+    untraced = _solve(backend, "blocked", spill_dir=str(tmp_path / "off"),
+                      **options)
+
+    sink = MemorySink()
+    configure_tracing(sink=sink)
+    traced = _solve(backend, "blocked", spill_dir=str(tmp_path / "on"),
+                    **options)
+    records = sink.drain()
+    reset_tracing()
+
+    assert _canonical(traced) == _canonical(untraced)
+    assert traced.stats.details["blocked"].tiles_spilled > 0
     assert any(record["name"] == "closure" for record in records)
 
 

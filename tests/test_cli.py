@@ -191,11 +191,9 @@ class TestSizeFlags:
 
     @pytest.mark.parametrize("flags", [
         ("--strategy", "blocked", "--tile-size", "0"),
-        ("--strategy", "autotune", "--memory-budget", "1",
-         "--tile-size", "0"),
         ("--tile-size", "-3"),
         ("--memory-budget", "12Q"),
-    ], ids=["tile-0", "autotune-tile-0", "tile-negative", "budget-12Q"])
+    ], ids=["tile-0", "tile-negative", "budget-12Q"])
     def test_exits_with_usage_error(self, flags, chain_file, capsys):
         for command in self.COMMANDS:
             with pytest.raises(SystemExit) as excinfo:
@@ -203,6 +201,75 @@ class TestSizeFlags:
                       "--grammar-name", "dyck1", *flags])
             assert excinfo.value.code == 2, command
             assert "usage:" in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize("strategy", ("delta", "naive"))
+    @pytest.mark.parametrize("flag", [
+        ("--tile-size", "4"),
+        ("--memory-budget", "1K"),
+        ("--spill-dir", "spill"),
+    ], ids=lambda flag: flag[0])
+    def test_flag_of_blocked_with_another_strategy_is_an_error(
+            self, strategy, flag, chain_file, tmp_path, capsys):
+        """Only ``blocked`` reads the tile flags; a one-shot solve with
+        another strategy fails with one ``error:`` line naming the flag
+        instead of running unbounded."""
+        extra = {"path": ("--source", "0", "--target", "4"),
+                 "paths": ("--source", "0", "--target", "4"),
+                 "snapshot": ("--output", str(tmp_path / "index.snapshot"))}
+        for command in ("query", "path", "paths", "snapshot"):
+            code = main([command, "--graph", chain_file,
+                         "--grammar-name", "dyck1", "--strategy", strategy,
+                         *flag, *extra.get(command, ())])
+            captured = capsys.readouterr()
+            assert code == 1, command
+            assert captured.out == "", command
+            assert captured.err.splitlines() == [
+                f"error: {flag[0]} applies only to --strategy blocked, "
+                f"not {strategy!r}"], command
+        assert not (tmp_path / "index.snapshot").exists()
+
+    @pytest.mark.parametrize("mode", ("batch", "semiring"))
+    def test_batch_and_semiring_queries_refuse_the_flag(
+            self, mode, chain_file, tmp_path, capsys):
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text('{"source": "0", "target": 4}\n', encoding="utf-8")
+        extra = {"batch": ("--batch", str(batch)),
+                 "semiring": ("--semiring", "length")}[mode]
+        code = main(["query", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--strategy", "delta", "--memory-budget", "1K",
+                     *extra, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --memory-budget applies only to --strategy blocked, "
+            "not 'delta'"]
+
+    @pytest.mark.parametrize("strategy", ("delta", "naive"))
+    def test_env_budget_with_another_strategy_still_answers(
+            self, strategy, chain_file, monkeypatch, capsys):
+        """The environment variables are defaults for every strategy (the
+        budgeted CI run sets them globally): only the flags are refused."""
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1K")
+        assert main(["query", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--strategy", strategy, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == [["0", "4"], ["1", "3"]]
+
+    @pytest.mark.parametrize("strategy", ("delta", "naive"))
+    def test_update_keeps_the_flags_with_any_strategy(
+            self, strategy, chain_file, tmp_path, capsys):
+        """``update`` hands the flags to the incremental solver, whose
+        batch route passes them on; it is not a one-shot solve."""
+        insert = tmp_path / "insert.txt"
+        insert.write_text("4 a 5\n5 b 6\n")
+        assert main(["update", "--graph", chain_file,
+                     "--grammar-name", "dyck1", "--start", "S",
+                     "--insert", str(insert), "--strategy", strategy,
+                     "--tile-size", "2", "--memory-budget", "1K",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert ["4", "6"] in payload["pairs"]
 
     def test_budget_suffix_still_parses(self, chain_file, capsys):
         assert main(["query", "--graph", chain_file,

@@ -153,7 +153,7 @@ class TestLazyExports:
         assert result.returncode == 0, result.stderr
         strategies, backends, semirings, grammars = json.loads(
             result.stdout.splitlines()[-1])
-        assert strategies == ["autotune", "blocked", "delta", "naive"]
+        assert strategies == ["blocked", "delta", "naive"]
         assert set(backends) >= {"pyset", "setmatrix"}
         assert set(backends) <= {"bitset", "dense", "pyset", "setmatrix",
                                  "sparse"}
