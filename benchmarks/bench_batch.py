@@ -1,11 +1,14 @@
-"""Batched multi-query benchmark: one masked closure vs per-query loops.
+"""Batched multi-query benchmark: one closure vs per-query loops.
 
-The batched path (:func:`repro.core.batch.solve_batch`) stacks one mask
-row per query onto the grammar matrices and answers the whole batch
-with **one** closure; the unbatched alternative runs one closure per
-query.  Each cell measures both on the same query set:
+The batched path (:func:`repro.core.batch.solve_batch`) answers the
+whole batch with **one** closure plus a cell read per query; the
+unbatched alternative runs one closure per query.  Each cell measures
+both on the same query set, beside the closure alone:
 
 * ``batched``   — one ``solve_batch(queries)`` call;
+* ``all_pairs`` — one ``solve_matrix`` with the same backend, strategy
+  and options: the floor a batch can cost (CI holds ``batched`` to
+  1.5× of it);
 * ``per_query`` — ``solve_batch([query])`` for each of the first
   ``--sample`` queries (running all of a 32-query loop on funding × 8
   would be pure waiting — the per-query *rate* is what matters);
@@ -14,9 +17,9 @@ query.  Each cell measures both on the same query set:
 * ``agree``     — every batched answer equals the reference computed
   from one all-pairs solve, and every sampled per-query answer matches.
 
-Queries are source-restricted membership probes (one mask row each),
-half drawn from the solved relation (answer True) and half random
-(mostly False), seeded — every run measures the same batch.
+Queries are source-restricted membership probes, half drawn from the
+solved relation (answer True) and half random (mostly False), seeded —
+every run measures the same batch.
 
 Usage::
 
@@ -33,10 +36,11 @@ import time
 
 from bench_workloads import repeated_funding
 from repro.core.batch import BatchQuery, solve_batch
-from repro.core.matrix_cfpq import solve_matrix_relations
+from repro.core.matrix_cfpq import solve_matrix, solve_matrix_relations
 from repro.grammar.builders import same_generation_query1
 from repro.grammar.cnf import ensure_cnf
 from repro.grammar.symbols import Nonterminal
+from repro.matrices import get_backend
 
 START = Nonterminal("S")
 GRAMMAR = ensure_cnf(same_generation_query1())
@@ -97,10 +101,17 @@ def bench_cell(copies: int, batch_size: int, strategy: str,
         for query in queries
     ]
 
+    get_backend(backend)  # load the backend outside the timed calls
+
     started = time.perf_counter()
     batched = solve_batch(graph, GRAMMAR, queries, backend=backend,
                           strategy=strategy, normalize=False)
     batched_s = time.perf_counter() - started
+
+    started = time.perf_counter()
+    solve_matrix(graph, GRAMMAR, backend=backend, strategy=strategy,
+                 normalize=False)
+    all_pairs_s = time.perf_counter() - started
 
     measured = min(max(1, sample), batch_size)
     started = time.perf_counter()
@@ -121,6 +132,7 @@ def bench_cell(copies: int, batch_size: int, strategy: str,
         "speedup": round(batched_qps / per_query_qps, 3)
         if per_query_qps else 0.0,
         "solvers": {
+            "all_pairs": {"wall_time_s": round(all_pairs_s, 6)},
             "batched": {
                 "queries": batch_size,
                 "queries_per_s": round(batched_qps, 3),
@@ -137,8 +149,9 @@ def bench_cell(copies: int, batch_size: int, strategy: str,
 
 def run(cells=DEFAULT_CELLS, sample: int = 4) -> dict:
     report: dict = {
-        "benchmark": "batched multi-query closure (one masked closure "
-                     "vs per-query loops, funding × k, Q1 membership)",
+        "benchmark": "batched multi-query closure (one closure plus "
+                     "reads vs per-query loops, funding × k, Q1 "
+                     "membership)",
         "workloads": {},
     }
     for copies, batch_size, strategy, backend in cells:
@@ -154,7 +167,7 @@ def run(cells=DEFAULT_CELLS, sample: int = 4) -> dict:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
-        description="batched-query benchmark: one masked closure vs "
+        description="batched-query benchmark: one closure vs "
                     "per-query loops (JSON summary)"
     )
     parser.add_argument("--sample", type=int, default=4,

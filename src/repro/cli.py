@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
@@ -242,14 +243,19 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_query_batch(args: argparse.Namespace) -> int:
-    """Answer a JSONL file of query specs with **one** batched closure
+    """Answer a JSONL file of query specs with **one** closure
     (:func:`repro.core.batch.solve_batch`) instead of one solve per
     line."""
-    from .core.batch import solve_batch
+    from .core.batch import as_batch_query, solve_batch
 
     graph = _load_graph(args)
     grammar = _load_grammar(args)
-    specs = []
+
+    def coerce(nodes):
+        return None if nodes is None \
+            else frozenset(coerce_json_node(graph, node) for node in nodes)
+
+    specs, queries = [], []
     with open(args.batch, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -259,15 +265,11 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
             if isinstance(spec, dict):
                 spec = dict(spec)
                 spec.setdefault("start", args.start)
-                for key in ("source", "target"):
-                    if spec.get(key) is not None:
-                        spec[key] = coerce_json_node(graph, spec[key])
-                for key in ("sources", "targets"):
-                    if spec.get(key) is not None:
-                        spec[key] = [coerce_json_node(graph, node)
-                                     for node in spec[key]]
+            query = as_batch_query(spec)
             specs.append(spec)
-    answers = solve_batch(graph, grammar, specs, backend=args.backend,
+            queries.append(replace(query, sources=coerce(query.sources),
+                                   targets=coerce(query.targets)))
+    answers = solve_batch(graph, grammar, queries, backend=args.backend,
                           strategy=args.strategy,
                           **_solve_options(args))
     rendered = [

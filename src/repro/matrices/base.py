@@ -45,7 +45,7 @@ from __future__ import annotations
 import abc
 import importlib
 import importlib.util
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..errors import DimensionMismatchError, UnknownBackendError
 
@@ -221,32 +221,7 @@ class MatrixBackend(abc.ABC):
         rows, cols = matrix.shape
         return self.from_pairs(rows, matrix.nonzero_pairs(), cols=cols)
 
-    # -- row kernels (the batched mask path) ------------------------------
-    def gather_rows(self, matrix: BooleanMatrix,
-                    rows: Sequence[int]) -> BooleanMatrix:
-        """Stack the listed rows of *matrix* into a fresh
-        ``(len(rows), cols)`` matrix: output row ``i`` is
-        ``matrix[rows[i]]``.  Rows may repeat and appear in any order.
-
-        The result is always independent of *matrix* (a copy, never a
-        view).  Generic coordinate gather; dense/bitset/sparse override
-        with vectorized row indexing.
-        """
-        n_rows, n_cols = matrix.shape
-        index: dict[int, list[int]] = {}
-        for position, row in enumerate(rows):
-            if not 0 <= row < n_rows:
-                raise IndexError(
-                    f"row {row} out of range for shape {matrix.shape}"
-                )
-            index.setdefault(row, []).append(position)
-        pairs = [
-            (position, j)
-            for i, j in matrix.nonzero_pairs()
-            for position in index.get(i, ())
-        ]
-        return self.from_pairs(len(rows), pairs, cols=n_cols)
-
+    # -- row kernel (mask_rows: the RPQ demux and batch row reads) -------
     def mask_rows(self, matrix: BooleanMatrix,
                   keep: Iterable[int]) -> BooleanMatrix:
         """Apply a row mask: a same-shape copy of *matrix* keeping only

@@ -269,18 +269,6 @@ class BitsetBackend(MatrixBackend):
         bits = _as_bitset(matrix)
         return BitsetMatrix._wrap(bits._words.copy(), bits._cols)
 
-    def gather_rows(self, matrix: BooleanMatrix, rows) -> BitsetMatrix:
-        bits = _as_bitset(matrix)
-        index = np.asarray(list(rows), dtype=np.intp)
-        if index.size and (index.min() < 0
-                           or index.max() >= bits._words.shape[0]):
-            raise IndexError(
-                f"row index out of range for shape {matrix.shape}"
-            )
-        # Whole packed rows move in one fancy-index copy.
-        words = np.ascontiguousarray(bits._words[index])
-        return BitsetMatrix._wrap(words, bits._cols)
-
     def mask_rows(self, matrix: BooleanMatrix, keep) -> BitsetMatrix:
         bits = _as_bitset(matrix)
         index = np.asarray(sorted(set(keep)), dtype=np.intp)

@@ -151,17 +151,6 @@ class DenseBackend(MatrixBackend):
     def clone(self, matrix: BooleanMatrix) -> DenseMatrix:
         return DenseMatrix._wrap(_as_array(matrix).copy())
 
-    def gather_rows(self, matrix: BooleanMatrix, rows) -> DenseMatrix:
-        array = _as_array(matrix)
-        index = np.asarray(list(rows), dtype=np.intp)
-        if index.size and (index.min() < 0
-                           or index.max() >= array.shape[0]):
-            raise IndexError(
-                f"row index out of range for shape {matrix.shape}"
-            )
-        # Fancy indexing copies, so the result owns its buffer.
-        return DenseMatrix._wrap(np.ascontiguousarray(array[index]))
-
     def mask_rows(self, matrix: BooleanMatrix, keep) -> DenseMatrix:
         array = _as_array(matrix)
         index = np.asarray(sorted(set(keep)), dtype=np.intp)

@@ -112,19 +112,6 @@ class PySetBackend(MatrixBackend):
         rows, cols = matrix.shape
         return PySetMatrix((rows, cols), matrix.nonzero_pairs())
 
-    def gather_rows(self, matrix: BooleanMatrix, rows) -> PySetMatrix:
-        n_rows, n_cols = matrix.shape
-        row_list = list(rows)
-        by_row = _rows_of(matrix)
-        pairs = []
-        for position, row in enumerate(row_list):
-            if not 0 <= row < n_rows:
-                raise IndexError(
-                    f"row {row} out of range for shape {matrix.shape}"
-                )
-            pairs.extend((position, j) for j in by_row.get(row, ()))
-        return PySetMatrix((len(row_list), n_cols), pairs)
-
     def mask_rows(self, matrix: BooleanMatrix, keep) -> PySetMatrix:
         n_rows, n_cols = matrix.shape
         wanted = set(keep)

@@ -302,20 +302,6 @@ class SetMatrixBackend(MatrixBackend):
         rows, cols = matrix.shape
         return RowSetMatrix((rows, cols), matrix.nonzero_pairs())
 
-    def gather_rows(self, matrix: BooleanMatrix, rows) -> RowSetMatrix:
-        n_rows, n_cols = matrix.shape
-        row_list = list(rows)
-        by_row = _boolean_rows_of(matrix) \
-            if not isinstance(matrix, RowSetMatrix) else matrix._rows
-        pairs = []
-        for position, row in enumerate(row_list):
-            if not 0 <= row < n_rows:
-                raise IndexError(
-                    f"row {row} out of range for shape {matrix.shape}"
-                )
-            pairs.extend((position, j) for j in by_row.get(row, ()))
-        return RowSetMatrix((len(row_list), n_cols), pairs)
-
     def mask_rows(self, matrix: BooleanMatrix, keep) -> RowSetMatrix:
         n_rows, n_cols = matrix.shape
         wanted = set(keep)

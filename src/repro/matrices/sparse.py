@@ -119,17 +119,6 @@ class SparseBackend(MatrixBackend):
     def clone(self, matrix: BooleanMatrix) -> SparseMatrix:
         return SparseMatrix(_as_csr(matrix).copy())
 
-    def gather_rows(self, matrix: BooleanMatrix, rows) -> SparseMatrix:
-        csr = _as_csr(matrix)
-        index = np.asarray(list(rows), dtype=np.intp)
-        if index.size and (index.min() < 0
-                           or index.max() >= csr.shape[0]):
-            raise IndexError(
-                f"row index out of range for shape {matrix.shape}"
-            )
-        # CSR row slicing copies the selected rows' data arrays.
-        return SparseMatrix(csr[index])
-
     def mask_rows(self, matrix: BooleanMatrix, keep) -> SparseMatrix:
         csr = _as_csr(matrix)
         index = np.asarray(sorted(set(keep)), dtype=np.intp)

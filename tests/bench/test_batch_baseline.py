@@ -1,7 +1,7 @@
 """Guards on the committed ``BENCH_batch.json`` baseline.
 
 The baseline is the acceptance record for the batched multi-query
-closure: every cell's batched answers must agree with the all-pairs
+closure (one closure plus reads per batch): every cell's batched answers must agree with the all-pairs
 oracle, and the headline cell — batch 32 membership on funding × 8,
 bitset — must keep its ≥3× queries/s advantage over per-query
 closures.
@@ -50,7 +50,7 @@ def test_headline_cell_speedup_at_least_3x():
 
 def test_small_cell_speedup_live():
     """Live guard: re-measure the cheapest sweep cell so a regression
-    of the masked batch path cannot hide behind the pinned JSON.  The
+    of the one-closure batch path cannot hide behind the pinned JSON.  The
     pinned margin is ~6.7×; the relaxed 2× bar keeps this robust on
     noisy runners."""
     import sys

@@ -2,8 +2,9 @@
 
 The contract under test: for every query shape, ``solve_batch`` must
 return exactly what filtering a full :func:`solve_matrix` relation
-would — across backends and strategies — while the masked path never
-materializes the all-pairs relation for restricted queries.
+would — across backends and strategies — and it gets there with one
+plain ``n × n`` closure of the grammar's own non-terminals, whatever
+the batch holds.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import random
 
 import pytest
 
+from repro.core import matrix_cfpq
 from repro.core.batch import BatchQuery, as_batch_query, solve_batch
 from repro.core.matrix_cfpq import solve_matrix
+from repro.grammar.cnf import ensure_cnf
 from repro.errors import GrammarError, SemanticsError
 from repro.grammar import parse_grammar
 from repro.grammar.symbols import Nonterminal
@@ -24,7 +27,7 @@ S = Nonterminal("S")
 STRATEGIES = ("naive", "delta", "blocked")
 
 #: Every strategy with its defaults, plus ``blocked`` under a one-byte
-#: budget so each tile of the masked closure round-trips the spill files.
+#: budget so each tile of the closure round-trips the spill files.
 STRATEGY_CASES = [pytest.param(strategy, {}, id=strategy)
                   for strategy in STRATEGIES] + [
     pytest.param("blocked", {"memory_budget": 1, "tile_size": 2},
@@ -94,8 +97,8 @@ class TestColdDifferential:
     @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
     def test_one_membership_row_per_pair(self, graph, grammar, strategy,
                                          options):
-        """Every node pair as its own membership query — one stacked
-        mask row each — answers exactly the all-pairs relation."""
+        """Every node pair as its own membership query — one cell read
+        each — answers exactly the all-pairs relation."""
         pairs = _reference(graph, grammar)
         nodes = [graph.node_at(i) for i in range(graph.node_count)]
         queries = [BatchQuery(S, sources=frozenset((a,)),
@@ -124,6 +127,37 @@ class TestColdDifferential:
                                   backend="pyset", strategy="delta")
             for query, answer in zip(queries, answers):
                 assert answer == _expected(pairs, query), query
+
+
+class TestOneClosure:
+    """A batch costs one all-pairs closure: no mask symbols, no stacked
+    rows, and exactly the products ``solve_matrix`` runs."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_plain_closure(self, graph, grammar, strategy, monkeypatch):
+        calls = []
+        run_closure = matrix_cfpq.run_closure
+
+        def spy(matrices, *args, **kwargs):
+            calls.append({symbol: matrix.shape
+                          for symbol, matrix in matrices.items()})
+            result = run_closure(matrices, *args, **kwargs)
+            calls[-1]["multiplications"] = result.multiplications
+            return result
+
+        monkeypatch.setattr(matrix_cfpq, "run_closure", spy)
+        solve_batch(graph, grammar, _query_shapes(graph),
+                    backend="pyset", strategy=strategy)
+        assert len(calls) == 1
+        multiplications = calls[0].pop("multiplications")
+        n = graph.node_count
+        assert set(calls[0]) == set(ensure_cnf(grammar).nonterminals)
+        assert set(calls[0].values()) == {(n, n)}
+
+        monkeypatch.setattr(matrix_cfpq, "run_closure", run_closure)
+        alone = solve_matrix(graph, grammar, backend="pyset",
+                             strategy=strategy)
+        assert multiplications == alone.stats.multiplications
 
 
 class TestEdgeCases:

@@ -1,10 +1,10 @@
-"""Row kernels (``gather_rows`` / ``mask_rows``) across all backends.
+"""The row kernel ``mask_rows`` across all backends.
 
-These back the batched mask path: ``gather_rows`` stacks arbitrary rows
-of a closed matrix into a fresh seed block, ``mask_rows`` restricts a
-matrix to a row subset without changing its shape.  Every backend's
-native override must agree exactly with the generic coordinate
-implementation on :class:`~repro.matrices.base.MatrixBackend`.
+``mask_rows`` restricts a matrix to a row subset without changing its
+shape: the RPQ demux reads its start-state rows through it, and a cold
+batch its source rows.  Every backend's native override must agree
+exactly with the generic coordinate implementation on
+:class:`~repro.matrices.base.MatrixBackend`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.matrices.base import MatrixBackend, available_backends, get_backend
+from repro.matrices.base import MatrixBackend
 
 PAIRS = {(0, 1), (0, 3), (1, 2), (2, 0), (3, 3), (3, 1)}
 
@@ -22,49 +22,6 @@ def _generic(backend, method, *args):
     """Call the base-class (generic) implementation against a backend's
     own matrices, bypassing any native override."""
     return getattr(MatrixBackend, method)(backend, *args)
-
-
-class TestGatherRows:
-    def test_stacks_listed_rows(self, backend):
-        matrix = backend.from_pairs(4, PAIRS)
-        gathered = backend.gather_rows(matrix, [3, 0])
-        assert gathered.shape == (2, 4)
-        assert set(gathered.nonzero_pairs()) == {
-            (0, 3), (0, 1),  # old row 3
-            (1, 1), (1, 3),  # old row 0
-        }
-
-    def test_duplicates_and_order(self, backend):
-        matrix = backend.from_pairs(4, PAIRS)
-        gathered = backend.gather_rows(matrix, [1, 1, 2])
-        assert gathered.shape == (3, 4)
-        assert set(gathered.nonzero_pairs()) == {(0, 2), (1, 2), (2, 0)}
-
-    def test_empty_row_list(self, backend):
-        matrix = backend.from_pairs(4, PAIRS)
-        gathered = backend.gather_rows(matrix, [])
-        assert gathered.shape == (0, 4)
-        assert gathered.nnz() == 0
-
-    def test_result_is_a_copy(self, backend):
-        matrix = backend.from_pairs(4, PAIRS)
-        gathered = backend.gather_rows(matrix, [0, 1])
-        backend.union_update(gathered,
-                             backend.from_pairs(2, {(0, 0)}, cols=4))
-        assert not matrix[0, 0]
-
-    def test_out_of_range(self, backend):
-        matrix = backend.from_pairs(4, PAIRS)
-        with pytest.raises(IndexError):
-            backend.gather_rows(matrix, [4])
-        with pytest.raises(IndexError):
-            backend.gather_rows(matrix, [-1])
-
-    def test_rectangular(self, backend):
-        matrix = backend.from_pairs(3, {(0, 4), (2, 1)}, cols=5)
-        gathered = backend.gather_rows(matrix, [2, 0])
-        assert gathered.shape == (2, 5)
-        assert set(gathered.nonzero_pairs()) == {(0, 1), (1, 4)}
 
 
 class TestMaskRows:
@@ -97,19 +54,6 @@ class TestMaskRows:
 class TestNativeMatchesGeneric:
     """Every backend's fast path must agree with the generic kernel."""
 
-    def test_gather_parity(self, backend):
-        rng = random.Random(11)
-        for _ in range(10):
-            pairs = {(rng.randrange(6), rng.randrange(6))
-                     for _ in range(rng.randrange(1, 14))}
-            matrix = backend.from_pairs(6, pairs)
-            rows = [rng.randrange(6) for _ in range(rng.randrange(1, 9))]
-            native = backend.gather_rows(matrix, rows)
-            generic = _generic(backend, "gather_rows", matrix, rows)
-            assert native.shape == generic.shape
-            assert set(native.nonzero_pairs()) \
-                == set(generic.nonzero_pairs())
-
     def test_mask_parity(self, backend):
         rng = random.Random(13)
         for _ in range(10):
@@ -123,19 +67,3 @@ class TestNativeMatchesGeneric:
             assert set(native.nonzero_pairs()) \
                 == set(generic.nonzero_pairs())
 
-
-def test_foreign_matrix_gather():
-    """A backend must gather rows of another backend's matrix (the
-    generic path goes through nonzero_pairs, so this is exercised
-    whenever fewer than two backends are installed too)."""
-    names = available_backends()
-    if len(names) < 2:
-        pytest.skip("needs two backends")
-    left = get_backend(names[0])
-    right = get_backend(names[1])
-    matrix = right.from_pairs(4, PAIRS)
-    gathered = MatrixBackend.gather_rows(left, matrix, [3, 0])
-    assert gathered.shape == (2, 4)
-    assert set(gathered.nonzero_pairs()) == {
-        (0, 3), (0, 1), (1, 1), (1, 3)
-    }

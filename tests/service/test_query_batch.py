@@ -201,20 +201,21 @@ class TestMembershipEvaluate:
 class TestServedEqualsCold:
     @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
     def test_served_batch_matches_cold_solve_batch(self, strategy):
-        """The served lookups answer what a cold masked batch closure
-        answers, on every backend and closure strategy."""
+        """The served lookups answer what a cold batch (one closure plus
+        cell reads) answers, on every backend and closure strategy."""
         from repro.core.batch import BatchQuery, solve_batch
         from repro.matrices import available_backends
 
         graph = two_cycles(2, 3)
         probes = _all_probes(graph)
-        masked = [BatchQuery("S", sources=frozenset((a,)),
-                             targets=frozenset((b,)), semantics="membership")
-                  for _start, a, b in probes]
+        queries = [BatchQuery("S", sources=frozenset((a,)),
+                              targets=frozenset((b,)),
+                              semantics="membership")
+                   for _start, a, b in probes]
         for backend in available_backends():
             service = QueryService(graph, ANBN, backend=backend,
                                    strategy=strategy)
-            cold = solve_batch(graph, ANBN, masked, backend=backend,
+            cold = solve_batch(graph, ANBN, queries, backend=backend,
                                strategy=strategy)
             assert service.query_batch(probes) == cold, (backend, strategy)
             assert any(cold) and not all(cold)

@@ -60,6 +60,25 @@ class TestQueryCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestQueryBatch:
+    def test_list_lines_coerce_nodes_like_dict_lines(
+            self, chain_file, grammar_file, tmp_path, capsys):
+        """JSON node tokens resolve against the graph whatever the line's
+        shape: ``"0"`` is node ``0`` in a list line as in a dict line."""
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(
+            '["S", "0", "4", "membership"]\n'
+            '{"source": "0", "target": "4", "semantics": "membership"}\n'
+            '["S", ["0", "1"], null]\n'
+            '{"sources": ["0", "1"]}\n', encoding="utf-8")
+        assert main(["query", "--graph", chain_file, "--grammar",
+                     grammar_file, "--batch", str(batch), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        pairs = [["0", "4"], ["1", "3"]]
+        assert payload == {"count": 4,
+                           "answers": [True, True, pairs, pairs]}
+
+
 class TestPathCommand:
     def test_witness_path(self, chain_file, capsys):
         assert main(["path", "--graph", chain_file,

@@ -110,7 +110,7 @@ class TestCommandImports:
 
     def test_query_service_loads_no_batch_closure(self):
         """A served batch is a loop of lookups: the service never loads
-        the masked batch closure."""
+        the cold batch solver."""
         modules = _modules_after("import repro.service.query_service")
         assert "repro.service.query_service" in modules
         assert "repro.core.batch" not in modules
