@@ -160,6 +160,54 @@ class TestOneClosure:
         assert multiplications == alone.stats.multiplications
 
 
+class TestReads:
+    """After the closure a query is a read of the closed start matrix:
+    a source-restricted relation reads its present source rows through
+    ``mask_rows``; membership probes cells and reads no rows."""
+
+    def _spy_mask_rows(self, backend, monkeypatch):
+        calls = []
+        mask_rows = backend.mask_rows
+
+        def spy(matrix, keep):
+            keep = set(keep)
+            calls.append(keep)
+            return mask_rows(matrix, keep)
+
+        monkeypatch.setattr(backend, "mask_rows", spy)
+        return calls
+
+    def test_source_rows_read_through_mask_rows(self, graph, grammar,
+                                                backend, monkeypatch):
+        nodes = [graph.node_at(i) for i in range(graph.node_count)]
+        queries = [
+            BatchQuery(S),
+            BatchQuery(S, sources=frozenset((nodes[0], nodes[3], "nope")),
+                       targets=frozenset(nodes[1:])),
+            BatchQuery(S, sources=frozenset(nodes[:2]),
+                       targets=frozenset(nodes[:2]),
+                       semantics="membership"),
+        ]
+        calls = self._spy_mask_rows(backend, monkeypatch)
+        answers = solve_batch(graph, grammar, queries, backend=backend)
+        assert calls == [{graph.node_id(nodes[0]), graph.node_id(nodes[3])}]
+        pairs = _reference(graph, grammar)
+        assert answers == [_expected(pairs, query) for query in queries]
+
+    def test_membership_reads_no_rows(self, graph, grammar, backend,
+                                      monkeypatch):
+        nodes = [graph.node_at(i) for i in range(graph.node_count)]
+        queries = [BatchQuery(S, sources=frozenset((a, "nope")),
+                              targets=frozenset((b, "also-nope")),
+                              semantics="membership")
+                   for a in nodes for b in nodes]
+        calls = self._spy_mask_rows(backend, monkeypatch)
+        answers = solve_batch(graph, grammar, queries, backend=backend)
+        assert calls == []
+        pairs = _reference(graph, grammar)
+        assert answers == [_expected(pairs, query) for query in queries]
+
+
 class TestEdgeCases:
     def test_empty_batch(self, graph, grammar):
         assert solve_batch(graph, grammar, []) == []

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.matrices.base import MatrixBackend
+from repro.matrices.base import MatrixBackend, available_backends, get_backend
 
 PAIRS = {(0, 1), (0, 3), (1, 2), (2, 0), (3, 3), (3, 1)}
 
@@ -50,6 +50,48 @@ class TestMaskRows:
         with pytest.raises(IndexError):
             backend.mask_rows(matrix, [7])
 
+    def test_negative_row_out_of_range(self, backend):
+        matrix = backend.from_pairs(4, PAIRS)
+        with pytest.raises(IndexError):
+            backend.mask_rows(matrix, [0, -1])
+
+    def test_duplicates_and_order(self, backend):
+        """*keep* is a row set: repeats and order change nothing, and a
+        one-shot iterator works as well as a list."""
+        matrix = backend.from_pairs(4, PAIRS)
+        expected = set(backend.mask_rows(matrix, [0, 3]).nonzero_pairs())
+        for keep in ([3, 0, 3, 0], (3, 3, 0), iter([0, 3, 0])):
+            masked = backend.mask_rows(matrix, keep)
+            assert masked.shape == (4, 4)
+            assert set(masked.nonzero_pairs()) == expected
+
+    def test_keep_every_row(self, backend):
+        matrix = backend.from_pairs(4, PAIRS)
+        masked = backend.mask_rows(matrix, range(4))
+        assert set(masked.nonzero_pairs()) == PAIRS
+        backend.union_update(masked, backend.from_pairs(4, {(2, 2)}))
+        assert not matrix[2, 2]
+
+    def test_rectangular(self, backend):
+        matrix = backend.from_pairs(3, {(0, 4), (1, 0), (2, 1)}, cols=5)
+        masked = backend.mask_rows(matrix, [2, 0])
+        assert masked.shape == (3, 5)
+        assert set(masked.nonzero_pairs()) == {(0, 4), (2, 1)}
+        with pytest.raises(IndexError):
+            backend.mask_rows(matrix, [3])
+
+    def test_other_backends_matrix(self, backend):
+        """The native kernel accepts a matrix of any other backend."""
+        for name in available_backends():
+            other = get_backend(name)
+            if other is backend:
+                continue
+            masked = backend.mask_rows(other.from_pairs(4, PAIRS), [3, 0])
+            assert masked.shape == (4, 4)
+            assert set(masked.nonzero_pairs()) == {
+                (0, 1), (0, 3), (3, 3), (3, 1)
+            }, name
+
 
 class TestNativeMatchesGeneric:
     """Every backend's fast path must agree with the generic kernel."""
@@ -67,3 +109,33 @@ class TestNativeMatchesGeneric:
             assert set(native.nonzero_pairs()) \
                 == set(generic.nonzero_pairs())
 
+    def test_mask_parity_rectangular(self, backend):
+        rng = random.Random(17)
+        for _ in range(10):
+            rows, cols = rng.randrange(1, 7), rng.randrange(1, 9)
+            pairs = {(rng.randrange(rows), rng.randrange(cols))
+                     for _ in range(rng.randrange(1, 14))}
+            matrix = backend.from_pairs(rows, pairs, cols=cols)
+            keep = [rng.randrange(rows) for _ in range(rng.randrange(0, 8))]
+            native = backend.mask_rows(matrix, keep)
+            generic = _generic(backend, "mask_rows", matrix, keep)
+            assert native.shape == generic.shape == (rows, cols)
+            assert set(native.nonzero_pairs()) \
+                == set(generic.nonzero_pairs())
+
+
+def test_foreign_matrix_mask():
+    """The generic kernel masks rows of another backend's matrix (it
+    goes through nonzero_pairs, so this is exercised whenever fewer
+    than two backends are installed too)."""
+    names = available_backends()
+    if len(names) < 2:
+        pytest.skip("needs two backends")
+    left = get_backend(names[0])
+    right = get_backend(names[1])
+    matrix = right.from_pairs(4, PAIRS)
+    masked = MatrixBackend.mask_rows(left, matrix, [3, 0])
+    assert masked.shape == (4, 4)
+    assert set(masked.nonzero_pairs()) == {
+        (0, 1), (0, 3), (3, 3), (3, 1)
+    }
