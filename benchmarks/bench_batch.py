@@ -1,8 +1,8 @@
 """Batched multi-query benchmark: one closure vs per-query loops.
 
 The batched path (:func:`repro.core.batch.solve_batch`) answers the
-whole batch with **one** closure plus a cell read per query; the
-unbatched alternative runs one closure per query.  Each cell measures
+whole batch with **one** closure plus row reads; the unbatched
+alternative runs one closure per query.  Each cell measures
 both on the same query set, beside the closure alone:
 
 * ``batched``   — one ``solve_batch(queries)`` call;
@@ -17,9 +17,18 @@ both on the same query set, beside the closure alone:
 * ``agree``     — every batched answer equals the reference computed
   from one all-pairs solve, and every sampled per-query answer matches.
 
-Queries are source-restricted membership probes, half drawn from the
-solved relation (answer True) and half random (mostly False), seeded —
-every run measures the same batch.
+Each cell draws its seeded batch in one of three shapes (every run
+measures the same batch):
+
+* ``probe`` — membership with one source and one target, half drawn
+  from the solved relation (answer True) and half random (mostly
+  False); these cells keep the bare ``funding_x{k}_b{n}_{strategy}``
+  names;
+* ``sets``  — membership with 64 sources and 64 targets, half holding
+  one related pair (True) and half with targets outside the sources'
+  reach (False), the shape whose miss reads every source row;
+* ``rows``  — source-restricted relational over 8 random sources, the
+  shape that returns the source rows themselves.
 
 Usage::
 
@@ -45,17 +54,25 @@ from repro.matrices import get_backend
 START = Nonterminal("S")
 GRAMMAR = ensure_cnf(same_generation_query1())
 
-#: (funding copies, batch size, strategy, backend).  Workload names end
-#: ``_<backend>`` so the regression gate skips cells whose optional
-#: dependency is missing on the checking host.
+#: (funding copies, batch size, strategy, backend, query shape).
+#: Workload names end ``_<backend>`` so the regression gate skips cells
+#: whose optional dependency is missing on the checking host.
 DEFAULT_CELLS = (
-    (2, 8, "delta", "bitset"),
-    (2, 32, "delta", "bitset"),
-    (2, 32, "blocked", "bitset"),
-    (2, 32, "delta", "sparse"),
-    (2, 32, "delta", "setmatrix"),
-    (8, 32, "delta", "bitset"),  # the gated ≥3× headline cell
+    (2, 8, "delta", "bitset", "probe"),
+    (2, 32, "delta", "bitset", "probe"),
+    (2, 32, "blocked", "bitset", "probe"),
+    (2, 32, "delta", "sparse", "probe"),
+    (2, 32, "delta", "setmatrix", "probe"),
+    (8, 32, "delta", "bitset", "probe"),  # the gated ≥3× headline cell
+    (2, 32, "delta", "sparse", "sets"),
+    (2, 32, "delta", "bitset", "sets"),
+    (2, 32, "delta", "sparse", "rows"),
+    (2, 32, "delta", "dense", "rows"),
 )
+
+#: Sources and targets per ``sets`` query; sources per ``rows`` query.
+SET_SIZE = 64
+ROW_SOURCES = 8
 
 _RELATION_CACHE: dict[int, frozenset] = {}
 
@@ -72,34 +89,67 @@ def _relation(copies: int) -> frozenset:
     return _RELATION_CACHE[copies]
 
 
-def make_queries(copies: int, count: int, seed: int = 20180414) -> list:
-    """*count* seeded membership probes: half (source, target) pairs
-    sampled from the solved relation, half uniform random node pairs."""
+def make_queries(copies: int, count: int, shape: str = "probe",
+                 seed: int = 20180414) -> list:
+    """*count* seeded queries of *shape* (see the module docstring)."""
     graph = repeated_funding(copies)
+    nodes = [graph.node_at(i) for i in range(graph.node_count)]
     relation = sorted(_relation(copies), key=str)
+    reach: dict = {}
+    for source, target in relation:
+        reach.setdefault(source, set()).add(target)
     rng = random.Random(seed)
     queries = []
     for index in range(count):
-        if index % 2 == 0 and relation:
-            source, target = relation[rng.randrange(len(relation))]
+        hit = index % 2 == 0 and relation
+        if shape == "rows":
+            queries.append(BatchQuery(
+                START, sources=frozenset(rng.sample(nodes, ROW_SOURCES))))
+        elif shape == "sets":
+            sources = set(rng.sample(nodes, SET_SIZE))
+            reached = set().union(*(reach.get(s, ()) for s in sources))
+            pool = [node for node in nodes if node not in reached]
+            targets = set(rng.sample(pool, min(SET_SIZE, len(pool))))
+            if hit:
+                source, target = relation[rng.randrange(len(relation))]
+                sources.add(source)
+                targets.add(target)
+            queries.append(BatchQuery(START, sources=frozenset(sources),
+                                      targets=frozenset(targets),
+                                      semantics="membership"))
         else:
-            source = graph.node_at(rng.randrange(graph.node_count))
-            target = graph.node_at(rng.randrange(graph.node_count))
-        queries.append(BatchQuery(START, sources=frozenset((source,)),
-                                  targets=frozenset((target,)),
-                                  semantics="membership"))
+            if hit:
+                source, target = relation[rng.randrange(len(relation))]
+            else:
+                source, target = rng.choice(nodes), rng.choice(nodes)
+            queries.append(BatchQuery(START, sources=frozenset((source,)),
+                                      targets=frozenset((target,)),
+                                      semantics="membership"))
     return queries
 
 
+def _expected(relation: frozenset, query: BatchQuery):
+    """*query*'s answer filtered out of the all-pairs *relation*."""
+    pairs = frozenset(
+        (source, target) for source, target in relation
+        if source in query.sources
+        and (query.targets is None or target in query.targets)
+    )
+    return bool(pairs) if query.semantics == "membership" else pairs
+
+
+def cell_name(copies: int, batch_size: int, strategy: str, backend: str,
+              shape: str = "probe") -> str:
+    kind = "" if shape == "probe" else f"_{shape}"
+    return f"funding_x{copies}_b{batch_size}{kind}_{strategy}_{backend}"
+
+
 def bench_cell(copies: int, batch_size: int, strategy: str,
-               backend: str, sample: int) -> dict:
+               backend: str, sample: int, shape: str = "probe") -> dict:
     graph = repeated_funding(copies)
-    queries = make_queries(copies, batch_size)
+    queries = make_queries(copies, batch_size, shape)
     relation = _relation(copies)
-    expected = [
-        (next(iter(query.sources)), next(iter(query.targets))) in relation
-        for query in queries
-    ]
+    expected = [_expected(relation, query) for query in queries]
 
     get_backend(backend)  # load the backend outside the timed calls
 
@@ -128,6 +178,7 @@ def bench_cell(copies: int, batch_size: int, strategy: str,
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "batch_size": batch_size,
+        "shape": shape,
         "agree": batched == expected and per_query == expected[:measured],
         "speedup": round(batched_qps / per_query_qps, 3)
         if per_query_qps else 0.0,
@@ -151,15 +202,15 @@ def run(cells=DEFAULT_CELLS, sample: int = 4) -> dict:
     report: dict = {
         "benchmark": "batched multi-query closure (one closure plus "
                      "reads vs per-query loops, funding × k, Q1 "
-                     "membership)",
+                     "membership and source-restricted relations)",
         "workloads": {},
     }
-    for copies, batch_size, strategy, backend in cells:
-        name = f"funding_x{copies}_b{batch_size}_{strategy}_{backend}"
+    for copies, batch_size, strategy, backend, shape in cells:
+        name = cell_name(copies, batch_size, strategy, backend, shape)
         print(f"  {name}...", flush=True)
         try:
             report["workloads"][name] = bench_cell(
-                copies, batch_size, strategy, backend, sample)
+                copies, batch_size, strategy, backend, sample, shape)
         except ImportError as error:
             print(f"    skipped ({error})", flush=True)
     return report

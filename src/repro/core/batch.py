@@ -6,10 +6,10 @@ its own closure repeats the whole closure per query.  The paper needs
 only one: after ``M_A ← M_A ∪ (M_B × M_C)`` reaches its fixpoint, every
 query of the batch is a read of the closed start matrix ``M_S``:
 
-* **membership** — one cell probe ``M_S[i, j]`` per present
-  (source, target) id pair, stopping at the first hit;
-* **source-restricted relational** — the source rows of ``M_S``
-  (``mask_rows``), filtered by the targets;
+* **source-restricted** (membership or relational) — the present
+  source rows of ``M_S``, filtered by the targets.  One ``mask_rows``
+  per start symbol reads the union of the batch's source rows, so a
+  membership miss costs its rows' entries, not ``|S| × |T|`` probes;
 * **unrestricted relational** — every pair of ``M_S``, filtered by the
   targets.
 
@@ -140,23 +140,38 @@ def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
     matrices = solve_matrix(graph, working, backend=backend_obj,
                             normalize=False, strategy=strategy,
                             **strategy_options).matrices
-    return [_answer(spec, matrices[start], graph, backend_obj)
-            for spec, start in zip(specs, starts)]
+    source_ids = [None if spec.sources is None
+                  else _present_ids(graph, spec.sources) for spec in specs]
+    wanted: "dict[Nonterminal, set[int]]" = {}
+    for start, ids in zip(starts, source_ids):
+        if ids:
+            wanted.setdefault(start, set()).update(ids)
+    rows: "dict[tuple[Nonterminal, int], set[int]]" = {}
+    for start, keep in wanted.items():
+        for i, j in backend_obj.mask_rows(matrices[start],
+                                          keep).nonzero_pairs():
+            rows.setdefault((start, i), set()).add(j)
+    return [_answer(spec, start, ids, matrices[start], rows, graph)
+            for spec, start, ids in zip(specs, starts, source_ids)]
 
 
-def _answer(query: BatchQuery, closed: BooleanMatrix, graph: LabeledGraph,
-            backend: MatrixBackend) -> object:
-    """Read one query's answer from the closed start matrix."""
+def _answer(query: BatchQuery, start: Nonterminal,
+            source_ids: "Optional[set[int]]", closed: BooleanMatrix,
+            rows: dict, graph: LabeledGraph) -> object:
+    """Read one query's answer: from its source *rows* of the *start*
+    matrix when it is source-restricted, else from every pair of the
+    *closed* start matrix."""
     targets = None if query.targets is None \
         else _present_ids(graph, query.targets)
     if query.semantics == "membership":
-        return any(closed[i, j] for i in _present_ids(graph, query.sources)
-                   for j in targets)
-    if query.sources is not None:
-        closed = backend.mask_rows(closed,
-                                   _present_ids(graph, query.sources))
+        return any(not targets.isdisjoint(rows.get((start, i), ()))
+                   for i in source_ids)
+    if source_ids is None:
+        pairs = closed.nonzero_pairs()
+    else:
+        pairs = ((i, j) for i in source_ids for j in rows.get((start, i), ()))
     return frozenset(
         (graph.node_at(i), graph.node_at(j))
-        for i, j in closed.nonzero_pairs()
+        for i, j in pairs
         if targets is None or j in targets
     )

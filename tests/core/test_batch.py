@@ -97,8 +97,8 @@ class TestColdDifferential:
     @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
     def test_one_membership_row_per_pair(self, graph, grammar, strategy,
                                          options):
-        """Every node pair as its own membership query — one cell read
-        each — answers exactly the all-pairs relation."""
+        """Every node pair as its own membership query — one source
+        row read each — answers exactly the all-pairs relation."""
         pairs = _reference(graph, grammar)
         nodes = [graph.node_at(i) for i in range(graph.node_count)]
         queries = [BatchQuery(S, sources=frozenset((a,)),
@@ -161,9 +161,10 @@ class TestOneClosure:
 
 
 class TestReads:
-    """After the closure a query is a read of the closed start matrix:
-    a source-restricted relation reads its present source rows through
-    ``mask_rows``; membership probes cells and reads no rows."""
+    """After the closure a query is a read of the closed start matrix.
+    Every source-restricted query of a start reads its rows from one
+    ``mask_rows`` over the union of the batch's present sources; no
+    query probes cells one (source, target) pair at a time."""
 
     def _spy_mask_rows(self, backend, monkeypatch):
         calls = []
@@ -177,8 +178,32 @@ class TestReads:
         monkeypatch.setattr(backend, "mask_rows", spy)
         return calls
 
-    def test_source_rows_read_through_mask_rows(self, graph, grammar,
-                                                backend, monkeypatch):
+    def _count_cell_probes(self, monkeypatch):
+        """Count ``closed[i, j]`` reads made after the closure returns
+        (the closure's own kernels may index cells)."""
+        from repro.core import batch
+
+        probes = []
+        solve = batch.solve_matrix
+
+        def closed_then_count(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            for matrix in result.matrices.values():
+                cls = type(matrix)
+                getitem = cls.__getitem__
+
+                def counting(self, index, getitem=getitem):
+                    probes.append(index)
+                    return getitem(self, index)
+
+                monkeypatch.setattr(cls, "__getitem__", counting)
+            return result
+
+        monkeypatch.setattr(batch, "solve_matrix", closed_then_count)
+        return probes
+
+    def test_one_row_read_per_start(self, graph, grammar, backend,
+                                    monkeypatch):
         nodes = [graph.node_at(i) for i in range(graph.node_count)]
         queries = [
             BatchQuery(S),
@@ -187,23 +212,40 @@ class TestReads:
             BatchQuery(S, sources=frozenset(nodes[:2]),
                        targets=frozenset(nodes[:2]),
                        semantics="membership"),
+            BatchQuery(S, sources=frozenset(("nope",))),
         ]
         calls = self._spy_mask_rows(backend, monkeypatch)
         answers = solve_batch(graph, grammar, queries, backend=backend)
-        assert calls == [{graph.node_id(nodes[0]), graph.node_id(nodes[3])}]
+        assert calls == [{graph.node_id(node) for node in nodes[:2]}
+                         | {graph.node_id(nodes[3])}]
         pairs = _reference(graph, grammar)
         assert answers == [_expected(pairs, query) for query in queries]
 
-    def test_membership_reads_no_rows(self, graph, grammar, backend,
-                                      monkeypatch):
+    def test_unrestricted_batch_reads_no_rows(self, graph, grammar,
+                                              backend, monkeypatch):
+        calls = self._spy_mask_rows(backend, monkeypatch)
+        answers = solve_batch(graph, grammar, [BatchQuery(S)],
+                              backend=backend)
+        assert calls == []
+        assert answers == [frozenset(_reference(graph, grammar))]
+
+    def test_set_membership_probes_no_cells(self, graph, grammar, backend,
+                                            monkeypatch):
+        """Set-valued membership reads rows: |sources| × |targets| cell
+        probes would cost a scalar index per pair on a miss."""
         nodes = [graph.node_at(i) for i in range(graph.node_count)]
         queries = [BatchQuery(S, sources=frozenset((a, "nope")),
                               targets=frozenset((b, "also-nope")),
                               semantics="membership")
                    for a in nodes for b in nodes]
+        queries.append(BatchQuery(S, sources=frozenset(nodes),
+                                  targets=frozenset(nodes),
+                                  semantics="membership"))
         calls = self._spy_mask_rows(backend, monkeypatch)
+        probes = self._count_cell_probes(monkeypatch)
         answers = solve_batch(graph, grammar, queries, backend=backend)
-        assert calls == []
+        assert probes == []
+        assert calls == [set(range(graph.node_count))]
         pairs = _reference(graph, grammar)
         assert answers == [_expected(pairs, query) for query in queries]
 

@@ -202,7 +202,7 @@ class TestServedEqualsCold:
     @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
     def test_served_batch_matches_cold_solve_batch(self, strategy):
         """The served lookups answer what a cold batch (one closure plus
-        cell reads) answers, on every backend and closure strategy."""
+        row reads) answers, on every backend and closure strategy."""
         from repro.core.batch import BatchQuery, solve_batch
         from repro.matrices import available_backends
 
