@@ -112,6 +112,12 @@ class Span:
         """Attach/overwrite one attribute on the live span."""
         self.attrs[key] = value
 
+    def backdate(self, seconds: float) -> None:
+        """Start the span *seconds* earlier: for work that began before
+        the span could be named (a request timed from its arrival)."""
+        self.ts -= seconds
+        self._t0 -= seconds
+
     def finish(self) -> dict:
         self.dur_s = time.perf_counter() - self._t0
         return self.record()
@@ -137,6 +143,9 @@ class _NullSpan:
     attrs: dict = {}
 
     def set(self, key: str, value) -> None:
+        pass
+
+    def backdate(self, seconds: float) -> None:
         pass
 
 

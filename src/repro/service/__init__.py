@@ -14,8 +14,8 @@ package turns it into something a process can *serve*:
   the symbols whose matrix changed), and update ticks are coalesced
   (one DRed pass + one insertion frontier run per tick);
 * :mod:`repro.service.server` — a JSONL request loop over stdio and an
-  asyncio TCP transport (``repro-cfpq serve``) with reader/writer
-  locking so queries always see a consistent snapshot during ticks;
+  asyncio TCP transport (``repro-cfpq serve``) whose event loop owns
+  the service, so queries always see a completed tick;
 * :mod:`repro.service.wal` / :mod:`repro.service.replica` — the
   replicated tier: a write-ahead tick log on the leader, follower
   replicas that replay it to a byte-identical index, reads fanned out

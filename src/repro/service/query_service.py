@@ -4,24 +4,20 @@
 (:mod:`repro.core.incremental`) behind the three things a server needs
 and the solver alone does not give:
 
-* **point reads are views, whole relations are cached**: a
-  membership, length or single-path answer reads the solver's live
-  fact maps and is never stored; only a whole relation, which costs a
-  copy of its matrix, is kept, one entry per start non-terminal.  A
-  tick pops the entries of the start symbols whose matrix moved, from
-  the closure's *exact* per-non-terminal deltas
+* **point reads are views, whole relations are cached**, one entry per
+  start non-terminal; a tick pops the entries whose matrix moved, from
+  the closure's exact per-non-terminal deltas
   (:attr:`~repro.core.incremental.IncrementalCFPQ.last_changes`);
-* **coalesced update ticks**: an interleaved insert/delete stream is
-  deduplicated per tick (last operation per edge wins — intermediate
-  states within a tick are unobservable by construction) and applied as
-  at most one ``remove_edges`` DRed pass plus one ``add_edges``
-  frontier run;
-* a **reader/writer lock**: any number of queries run concurrently and
-  always see the fixpoint of a completed tick, never a half-applied
-  update.  That is also what lets path answers be *views*: the
-  single-path index and the all-path forest read the solver's live
-  fact maps (made once, never rebuilt — a tick only drops the forest's
-  memo tables), and no reader can observe the maps mid-update.
+* **coalesced update ticks**: per tick, the last operation per edge
+  wins, applied as at most one DRed ``remove_edges`` pass plus one
+  ``add_edges`` frontier run;
+* **one owner**: no locks.  One thread calls the service (the stdio
+  loop or the TCP server's event loop), so a query, and a path *view*
+  over the live fact maps, always reads a completed tick's fixpoint.
+  A whole relation and a snapshot are also offered as *steps*
+  (:func:`run_inline`), whose yielded callables only read the index:
+  a server runs those on a worker while its own thread keeps the
+  counters and the cache.
 
 Construction is cold (one initial closure) unless a ``warm_state`` is
 supplied — :meth:`QueryService.from_snapshot` restores one from the
@@ -31,12 +27,11 @@ O(load) with zero closure rounds.
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
+import functools
 import os
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from collections import Counter, OrderedDict
+from typing import Callable, Generator, Hashable, Iterable
 
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
@@ -91,70 +86,43 @@ class _KBestStream:
         self._iterator = iterator
         self._prefix: list = []
         self._exhausted = False
-        self._lock = threading.Lock()
 
     def page(self, cursor: int, k: int) -> tuple[list, int, bool]:
         """Paths ``[cursor, cursor + k)`` in rank order, the follow-up
         cursor, and whether the stream is exhausted at that cursor."""
         needed = cursor + k
-        with self._lock:
-            while len(self._prefix) < needed and not self._exhausted:
-                try:
-                    self._prefix.append(next(self._iterator))
-                except StopIteration:
-                    self._exhausted = True
-            page = list(self._prefix[cursor:needed])
-            next_cursor = cursor + len(page)
-            exhausted = self._exhausted and next_cursor >= len(self._prefix)
-            return page, next_cursor, exhausted
-
-
-class ReadWriteLock:
-    """A writer-preferring reader/writer lock.
-
-    Readers share; a writer excludes everyone.  Pending writers block
-    new readers so a steady query stream cannot starve update ticks.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextlib.contextmanager
-    def reading(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def writing(self):
-        with self._cond:
-            self._writers_waiting += 1
+        while len(self._prefix) < needed and not self._exhausted:
             try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-                self._writer = True
-            finally:
-                self._writers_waiting -= 1
+                self._prefix.append(next(self._iterator))
+            except StopIteration:
+                self._exhausted = True
+        page = list(self._prefix[cursor:needed])
+        next_cursor = cursor + len(page)
+        exhausted = self._exhausted and next_cursor >= len(self._prefix)
+        return page, next_cursor, exhausted
+
+
+#: A service operation as steps: a generator that yields callables which
+#: only *read* the index, is sent back their results, and returns the
+#: answer.
+Steps = Generator[Callable[[], object], object, object]
+
+
+def run_inline(steps: Steps):
+    """Drive *steps* on this thread: call each yielded callable and send
+    its result back; return the generator's answer.  The synchronous
+    API (:meth:`QueryService.query`, :meth:`~QueryService.save_snapshot`,
+    ...) is this over the matching ``*_steps`` method."""
+    result = None
+    while True:
         try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
+            work = steps.send(result)
+        except StopIteration as stop:
+            return stop.value
+        result = work()
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TickReport:
     """Outcome of one coalesced update tick; ``invalidated_entries``
     counts the cached whole relations it dropped."""
@@ -173,28 +141,20 @@ class TickReport:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "inserts_requested": self.inserts_requested,
-            "deletes_requested": self.deletes_requested,
-            "inserts_applied": self.inserts_applied,
-            "deletes_applied": self.deletes_applied,
-            "coalesced_away": self.coalesced_away,
-            "facts_added": self.facts_added,
-            "facts_removed": self.facts_removed,
-            "dred_passes": self.dred_passes,
-            "frontier_runs": self.frontier_runs,
-            "changed_nonterminals": list(self.changed_nonterminals),
-            "invalidated_entries": self.invalidated_entries,
-            "seconds": round(self.seconds, 6),
-        }
+        payload = dataclasses.asdict(self)
+        payload["changed_nonterminals"] = list(self.changed_nonterminals)
+        payload["seconds"] = round(self.seconds, 6)
+        return payload
 
 
 class QueryService:
-    """A thread-safe CFPQ session over one (graph, grammar).
+    """A CFPQ session over one (graph, grammar), owned by one thread.
 
     Point reads (membership, length, single-path) are answered from
     views of the solver's live state; whole relations are cached per
     start non-terminal until a tick changes that non-terminal's matrix.
+    No method takes a lock: other threads go through a server
+    (:mod:`repro.service.server`), which calls it from one thread.
 
     Parameters
     ----------
@@ -249,21 +209,15 @@ class QueryService:
         self._startup_seconds = startup_timer.elapsed
         self._warm_started = warm_state is not None
 
-        self._lock = ReadWriteLock()
         self._relations: dict[Nonterminal, frozenset] = {}
-        self._cache_lock = threading.Lock()
         # Path answers are views of the solver's live state, made once:
-        # readers hold the read lock and ticks the write lock, so a
-        # view is always read at a fixpoint.  tick() only drops the
-        # forest's memo tables.
+        # reads and ticks come from one thread, so a view is always
+        # read at a fixpoint.  tick() only drops the forest's memo
+        # tables.
         self._forest = self.solver.all_path_index()
         self._single_path_view = (self.solver.single_path_index()
                                   if single_path else None)
         self._kbest_cache: OrderedDict[tuple, _KBestStream] = OrderedDict()
-        self._kbest_lock = threading.Lock()
-        self._topk_queries = 0
-        self._topk_stream_hits = 0
-        self._capture = threading.local()
         self._snapshot_meta: dict = {}
 
         # Rule graph for dependency closures: head -> body non-terminals.
@@ -272,19 +226,10 @@ class QueryService:
             self._rule_bodies.setdefault(rule.head, set()).update(rule.body)
         self._deps_cache: dict[Nonterminal, frozenset[Nonterminal]] = {}
 
-        self._queries = 0
-        self._hits = 0
-        self._misses = 0
-        self._invalidations = 0
-        self._ticks = 0
-        self._ops_requested = 0
-        self._ops_coalesced_away = 0
-        self._dred_passes = 0
-        self._frontier_runs = 0
+        # The additive stats, by key.
+        self._counts: Counter = Counter(tick_total_seconds=0.0)
         self._tick_seconds_last = 0.0
-        self._tick_seconds_total = 0.0
         self._snapshot_bytes = 0
-        self._batched_queries = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -376,33 +321,38 @@ class QueryService:
         warm-start from it with zero closure rounds.  Returns the
         snapshot size in bytes.
 
-        The encoding is canonical (every set/dict iteration sorted,
-        relations and lengths encoded from the live pair sets and
-        cells): two processes holding the same logical state write
-        byte-identical files, which is how the replicated tier proves a
-        follower converged.
-        *extra* merges additional plain-container keys into the payload
-        (the leader stamps ``wal_seq``)."""
-        with self._lock.reading():
-            solver = self.solver
-            n = solver.graph.node_count
-            payload = snapshot_store.encode_problem(
-                solver.graph, solver.grammar, self.backend, self.strategy)
-            payload["relational"] = {
-                "matrices": snapshot_store.encode_relations(
-                    {nonterminal: solver.pairs(nonterminal)
-                     for nonterminal in solver.grammar.nonterminals},
-                    self.backend, n),
-            }
-            if self.single_path:
-                payload["length"] = snapshot_store.encode_annotated_matrices(
-                    solver.length_cells(), n, LENGTH_SEMIRING)
-            if extra:
-                payload.update(extra)
-            size = snapshot_store.write_snapshot(path, payload)
-            self._snapshot_bytes = size
-            self._maybe_capture_stats()
+        The encoding is canonical (sorted): two processes holding the
+        same logical state write byte-identical files, which is how the
+        replicated tier proves a follower converged.  *extra* merges
+        plain-container keys into the payload (the leader stamps
+        ``wal_seq``)."""
+        return run_inline(self.save_snapshot_steps(path, extra))
+
+    def save_snapshot_steps(self, path: str,
+                            extra: "dict | None" = None) -> Steps:
+        """:meth:`save_snapshot` as steps: the one yielded callable
+        encodes and writes the file."""
+        size = yield functools.partial(self._write_snapshot, path, extra)
+        self._snapshot_bytes = size
         return size
+
+    def _write_snapshot(self, path: str, extra: "dict | None") -> int:
+        solver = self.solver
+        n = solver.graph.node_count
+        payload = snapshot_store.encode_problem(
+            solver.graph, solver.grammar, self.backend, self.strategy)
+        payload["relational"] = {
+            "matrices": snapshot_store.encode_relations(
+                {nonterminal: solver.pairs(nonterminal)
+                 for nonterminal in solver.grammar.nonterminals},
+                self.backend, n),
+        }
+        if self.single_path:
+            payload["length"] = snapshot_store.encode_annotated_matrices(
+                solver.length_cells(), n, LENGTH_SEMIRING)
+        if extra:
+            payload.update(extra)
+        return snapshot_store.write_snapshot(path, payload)
 
     # ------------------------------------------------------------------
     # Queries
@@ -424,13 +374,10 @@ class QueryService:
         * ``length`` (both endpoints): the minimal witness length, or
           None.
         """
-        with self._lock.reading():
-            value = self._evaluate(start, source, target, semantics)
-            self._maybe_capture_stats()
-            return value
+        return run_inline(self.query_steps(start, source, target, semantics))
 
     def query_batch(self, queries: Iterable) -> list:
-        """Answer many queries under **one** read-lock acquisition.
+        """Answer many queries in one call.
 
         Each item is a ``(start, source, target, semantics)`` tuple
         (trailing elements optional) or a dict with those keys.  The
@@ -442,6 +389,11 @@ class QueryService:
         membership probe reads one cell of the closed fact maps — so the
         whole batch sees one fixpoint.
         """
+        return run_inline(self.query_batch_steps(queries))
+
+    def query_batch_steps(self, queries: Iterable) -> Steps:
+        """:meth:`query_batch` as steps: one build per whole relation
+        missing from the cache."""
         items: list = []
         for query in queries:
             try:
@@ -453,34 +405,15 @@ class QueryService:
             buckets=DEFAULT_SIZE_BUCKETS,
         ).observe(len(items))
         results: list = []
-        with self._lock.reading():
-            for item in items:
-                if not isinstance(item, Exception):
-                    try:
-                        item = self._evaluate(*item)
-                    except BATCH_ITEM_ERRORS as exc:
-                        item = exc
-                results.append(item)
-            with self._cache_lock:
-                self._batched_queries += len(items)
-            self._maybe_capture_stats()
+        for item in items:
+            if not isinstance(item, Exception):
+                try:
+                    item = yield from self.query_steps(*item)
+                except BATCH_ITEM_ERRORS as exc:
+                    item = exc
+            results.append(item)
+        self._counts["batch_queries"] += len(items)
         return results
-
-    def _relation(self, start_nt: Nonterminal) -> frozenset:
-        """The whole relation of *start_nt* as node pairs: cached, or
-        copied out of the fact maps and cached.  The caller holds the
-        read lock."""
-        with self._cache_lock:
-            value = self._relations.get(start_nt)
-            hit = value is not None
-            self._hits += hit
-            self._misses += not hit
-        _cache_requests_counter().inc(outcome="hit" if hit else "miss")
-        if not hit:
-            value = self.solver.relations().node_pairs(start_nt)
-            with self._cache_lock:
-                self._relations[start_nt] = value
-        return value
 
     @staticmethod
     def _coerce_batch_item(query) -> tuple:
@@ -504,17 +437,29 @@ class QueryService:
             )
         return spec + (None, None, "relational")[len(spec) - 1:]
 
-    def _evaluate(self, start, source, target, semantics: str):
-        """One answer, read from the views (or the relation cache).
-        The caller holds the read lock."""
-        with self._cache_lock:
-            self._queries += 1
+    def query_steps(self, start, source: Hashable = None,
+                    target: Hashable = None,
+                    semantics: str = "relational") -> Steps:
+        """:meth:`query` as steps: only a whole relation missing from
+        the cache yields, its build."""
+        self._counts["queries"] += 1
         solver = self.solver
         start_nt = solver.grammar.resolve_nonterminal(start)
         graph = solver.graph
         if semantics == "relational":
             if source is None and target is None:
-                return self._relation(start_nt)
+                # The whole relation: cached, or copied out of the fact
+                # maps by the one yielded step, and cached.
+                value = self._relations.get(start_nt)
+                hit = value is not None
+                self._counts["cache_hits" if hit else "cache_misses"] += 1
+                _cache_requests_counter().inc(
+                    outcome="hit" if hit else "miss")
+                if not hit:
+                    value = yield functools.partial(
+                        self.solver.relations().node_pairs, start_nt)
+                    self._relations[start_nt] = value
+                return value
             if source is None or target is None:
                 raise SemanticsError(
                     "relational queries take either no endpoints (full "
@@ -594,31 +539,24 @@ class QueryService:
             raise ValueError("k must be non-negative")
         if cursor < 0:
             raise ValueError("cursor must be non-negative")
-        with self._lock.reading():
-            solver = self.solver
-            start_nt = solver.grammar.resolve_nonterminal(start)
-            graph = solver.graph
-            with self._cache_lock:
-                self._queries += 1
-                self._topk_queries += 1
-            if not (graph.has_node(source) and graph.has_node(target)):
-                self._maybe_capture_stats()
-                return [], cursor, True
-            key = (str(start_nt), source, target, max_length)
-            with self._kbest_lock:
-                stream = self._kbest_cache.get(key)
-                if stream is not None:
-                    self._topk_stream_hits += 1
-                    self._kbest_cache.move_to_end(key)
-                else:
-                    stream = _KBestStream(self._kbest_iterator(
-                        start_nt, source, target, max_length))
-                    self._kbest_cache[key] = stream
-                    while len(self._kbest_cache) > KBEST_STREAMS:
-                        self._kbest_cache.popitem(last=False)
-            page = stream.page(cursor, k)
-            self._maybe_capture_stats()
-            return page
+        solver = self.solver
+        start_nt = solver.grammar.resolve_nonterminal(start)
+        graph = solver.graph
+        self._counts.update(queries=1, top_k_queries=1)
+        if not (graph.has_node(source) and graph.has_node(target)):
+            return [], cursor, True
+        key = (str(start_nt), source, target, max_length)
+        stream = self._kbest_cache.get(key)
+        if stream is not None:
+            self._counts["top_k_stream_hits"] += 1
+            self._kbest_cache.move_to_end(key)
+        else:
+            stream = _KBestStream(self._kbest_iterator(
+                start_nt, source, target, max_length))
+            self._kbest_cache[key] = stream
+            while len(self._kbest_cache) > KBEST_STREAMS:
+                self._kbest_cache.popitem(last=False)
+        return stream.page(cursor, k)
 
     # ------------------------------------------------------------------
     # Update ticks
@@ -638,11 +576,9 @@ class QueryService:
         operation matters (intermediate states inside a tick are never
         observable), so the stream is deduplicated and applied as one
         DRed ``remove_edges`` pass followed by one ``add_edges``
-        frontier run.  Queries block for the duration (writer lock) and
-        afterwards see exactly the new fixpoint.
+        frontier run.  Queries afterwards see exactly the new fixpoint.
         """
-        with self._lock.writing(), \
-                get_tracer().span("service.tick") as tick_span, \
+        with get_tracer().span("service.tick") as tick_span, \
                 stopwatch() as tick_timer:
             last_op: dict[tuple, str] = {}
             inserts_requested = deletes_requested = 0
@@ -682,10 +618,9 @@ class QueryService:
                 frontier_runs = 1
                 changed.update(solver.last_changes)
             self._forest.drop_memos()
-            with self._cache_lock:
-                invalidated = sum(self._relations.pop(nonterminal, None)
-                                  is not None for nonterminal in changed)
-                self._invalidations += invalidated
+            invalidated = sum(self._relations.pop(nonterminal, None)
+                              is not None for nonterminal in changed)
+            self._counts["cache_invalidations"] += invalidated
             # An inserted edge can add a *new alternative* at an
             # already-derived forest node — no fact or length delta, but
             # the node's path set (and hence k-best answers through it)
@@ -701,25 +636,22 @@ class QueryService:
             tick_span.set("facts_added", facts_added)
             tick_span.set("facts_removed", facts_removed)
 
-            self._ticks += 1
-            self._ops_requested += inserts_requested + deletes_requested
-            self._ops_coalesced_away += coalesced_away
-            self._dred_passes += dred_passes
-            self._frontier_runs += frontier_runs
+            self._counts.update(
+                ticks=1,
+                tick_ops_requested=inserts_requested + deletes_requested,
+                tick_ops_coalesced_away=coalesced_away,
+                dred_passes=dred_passes, frontier_runs=frontier_runs,
+                tick_total_seconds=seconds)
             self._tick_seconds_last = seconds
-            self._tick_seconds_total += seconds
             registry = get_registry()
-            registry.counter(
-                "repro_ticks_total", "Update ticks applied"
-            ).inc()
+            registry.counter("repro_ticks_total",
+                             "Update ticks applied").inc()
             registry.counter(
                 "repro_tick_ops_coalesced_total",
-                "Update ops coalesced away before applying"
+                "Update ops coalesced away before applying",
             ).inc(coalesced_away)
-            registry.histogram(
-                "repro_tick_seconds", "Update tick latency"
-            ).observe(seconds)
-            self._maybe_capture_stats()
+            registry.histogram("repro_tick_seconds",
+                               "Update tick latency").observe(seconds)
             return TickReport(
                 inserts_requested=inserts_requested,
                 deletes_requested=deletes_requested,
@@ -764,97 +696,49 @@ class QueryService:
         deleted), all of them: a stream's paths reference edges, and
         DRed can re-derive every fact of a deleted edge with identical
         annotations, which the cell deltas cannot see."""
-        with self._kbest_lock:
-            stale = [key for key in self._kbest_cache
-                     if everything or not path_changed.isdisjoint(
-                         self._dependencies(Nonterminal(key[0])))]
-            for key in stale:
-                del self._kbest_cache[key]
+        stale = [key for key in self._kbest_cache
+                 if everything or not path_changed.isdisjoint(
+                     self._dependencies(Nonterminal(key[0])))]
+        for key in stale:
+            del self._kbest_cache[key]
 
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def capture_stats(self):
-        """Capture a stats snapshot **inside** the next operation's
-        critical section on this thread.
-
-        The JSONL server's ``--stats`` mode attaches a stats object to
-        every response.  Reading :attr:`stats` *after* the operation
-        returns races with other connections' ticks — the reported tick
-        count could disagree with the response it rides on.  Under this
-        context manager, ``query``/``tick``/``save_snapshot`` (and the
-        :attr:`stats` read itself) record their stats while still
-        holding the service lock; the yielded callable returns that
-        consistent snapshot (or None when no operation ran)::
-
-            with service.capture_stats() as captured:
-                report = service.tick(ops)
-            stats = captured()   # consistent with exactly this tick
-        """
-        state = self._capture
-        previous = getattr(state, "active", False)
-        state.active = True
-        state.captured = None
-        try:
-            yield lambda: getattr(state, "captured", None)
-        finally:
-            state.active = previous
-
-    def _maybe_capture_stats(self) -> None:
-        """Called by operations while their lock is held: snapshot the
-        stats for an enclosing :meth:`capture_stats` block."""
-        state = self._capture
-        if getattr(state, "active", False):
-            state.captured = self._stats_dict()
-
     @property
     def stats(self) -> dict:
         """Service instrumentation: cache behavior, tick latency,
         startup mode, snapshot size and the wrapped solver's counters."""
-        payload = self._stats_dict()
-        state = self._capture
-        if getattr(state, "active", False):
-            # A stats *read* is its own operation: the captured snapshot
-            # is the very dict returned, trivially consistent with it.
-            state.captured = payload
-        return payload
-
-    def _stats_dict(self) -> dict:
-        with self._cache_lock:
-            hits, misses = self._hits, self._misses
-            entries = len(self._relations)
-            invalidations = self._invalidations
-        answered = hits + misses
-        with self._kbest_lock:
-            kbest_entries = len(self._kbest_cache)
+        counts = self._counts
+        hits = counts["cache_hits"]
+        answered = hits + counts["cache_misses"]
         return {
             "backend": self.backend,
             "strategy": self.strategy,
             "single_path": self.single_path,
             "semiring": self.semiring,
             "top_k": {
-                "queries": self._topk_queries,
-                "stream_hits": self._topk_stream_hits,
-                "cached_streams": kbest_entries,
+                "queries": counts["top_k_queries"],
+                "stream_hits": counts["top_k_stream_hits"],
+                "cached_streams": len(self._kbest_cache),
             },
             "graph": {
                 "nodes": self.solver.graph.node_count,
                 "edges": self.solver.graph.edge_count,
             },
-            "queries": self._queries,
+            "queries": counts["queries"],
             "cache_hits": hits,
-            "cache_misses": misses,
+            "cache_misses": counts["cache_misses"],
             "cache_hit_rate": round(hits / answered, 4) if answered else 0.0,
-            "cache_entries": entries,
-            "cache_invalidations": invalidations,
-            "ticks": self._ticks,
-            "tick_ops_requested": self._ops_requested,
-            "tick_ops_coalesced_away": self._ops_coalesced_away,
-            "dred_passes": self._dred_passes,
-            "frontier_runs": self._frontier_runs,
+            "cache_entries": len(self._relations),
+            "cache_invalidations": counts["cache_invalidations"],
+            "ticks": counts["ticks"],
+            "tick_ops_requested": counts["tick_ops_requested"],
+            "tick_ops_coalesced_away": counts["tick_ops_coalesced_away"],
+            "dred_passes": counts["dred_passes"],
+            "frontier_runs": counts["frontier_runs"],
             "tick_last_seconds": round(self._tick_seconds_last, 6),
-            "tick_total_seconds": round(self._tick_seconds_total, 6),
+            "tick_total_seconds": round(counts["tick_total_seconds"], 6),
             "startup": {
                 "warm_start": self._warm_started,
                 "closure_iterations":
@@ -862,6 +746,6 @@ class QueryService:
                 "seconds": round(self._startup_seconds, 6),
             },
             "snapshot_bytes": self._snapshot_bytes,
-            "batch": {"queries": self._batched_queries},
+            "batch": {"queries": counts["batch_queries"]},
             "solver": dict(self.solver.stats),
         }

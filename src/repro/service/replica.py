@@ -1,11 +1,9 @@
 """Replicated serving roles: a WAL-writing leader and replaying followers.
 
-The single-process :class:`~repro.service.query_service.QueryService`
-already has the two properties a replicated tier needs: update ticks
-are **deterministic** (last-op-per-edge coalescing, one DRed pass + one
-frontier run) and snapshots are **canonical** (sorted encodings — two
-processes holding the same logical state write the same bytes).  So
-replication is pure serving-layer plumbing:
+:class:`~repro.service.query_service.QueryService` ticks are
+**deterministic** and its snapshots **canonical** (two processes holding
+the same logical state write the same bytes), so replication is pure
+serving-layer plumbing:
 
 * :class:`ReplicatedService` — the **leader**.  Owns writes: every tick
   is appended to a :class:`~repro.service.wal.TickLog` *before* it is
@@ -24,72 +22,41 @@ replication is pure serving-layer plumbing:
   protocol's ``sync`` op, which a leader server pushes after every tick
   — fast-forwards to the end of the log).
 
-Both wrap a :class:`QueryService` and duck-type its serving surface
-(``graph``/``query``/``tick``/``stats``/``save_snapshot``/
-``capture_stats``), so :func:`repro.service.server.handle_request` and
-both transports work unchanged against either role.
+Both wrap a :class:`QueryService` and duck-type its serving surface, so
+both transports serve either role.  Like the service, both have one
+owner and take no locks.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Iterable
 
 from ..errors import ReadOnlyReplicaError, WALError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .query_service import QueryService, TickReport
+from .query_service import QueryService, Steps, TickReport, run_inline
 from .wal import TickLog, TickLogReader, decode_ops, encode_ops
 
 __all__ = ["ReplicatedService", "FollowerService", "open_role"]
 
 
 class _ServiceProxy:
-    """Shared delegation: the wrapped service's read surface."""
+    """Shared delegation: the wrapped service's read surface, plus the
+    replication block in :attr:`stats`."""
 
     role = "single"
 
     def __init__(self, service: QueryService):
         self.service = service
 
-    @property
-    def graph(self):
-        return self.service.graph
+    def __getattr__(self, name: str):
+        # Only names the role does not define get here: the read
+        # surface (graph, query, query_steps, top_k_page, ...).
+        return getattr(self.service, name)
 
-    @property
-    def single_path(self) -> bool:
-        return self.service.single_path
-
-    def query(self, start, source=None, target=None,
-              semantics: str = "relational"):
-        return self.service.query(start, source=source, target=target,
-                                  semantics=semantics)
-
-    def query_batch(self, queries):
-        return self.service.query_batch(queries)
-
-    def top_k(self, start, source, target, k, max_length=None):
-        return self.service.top_k(start, source, target, k,
-                                  max_length=max_length)
-
-    def top_k_page(self, start, source, target, k, cursor=0,
-                   max_length=None):
-        return self.service.top_k_page(start, source, target, k,
-                                       cursor=cursor, max_length=max_length)
-
-    @contextlib.contextmanager
-    def capture_stats(self):
-        """Delegate to the wrapped service's in-critical-section stats
-        capture, stamping the replication block onto the snapshot."""
-        with self.service.capture_stats() as captured:
-            def stamped():
-                payload = captured()
-                if payload is not None:
-                    payload["replication"] = self._replication_stats()
-                return payload
-
-            yield stamped
+    # Through the role's own tick: the leader's logs, a follower's
+    # refuses.
+    update = QueryService.update
 
     def _replication_stats(self) -> dict:
         raise NotImplementedError
@@ -106,11 +73,9 @@ class ReplicatedService(_ServiceProxy):
     to a :class:`~repro.service.wal.TickLog`.
 
     *applied_seq* is the log sequence already reflected in *service*'s
-    state (0 for a fresh log; :meth:`recover` computes it).  Writes are
-    serialized by an internal mutex so the (append, apply) pair is
-    atomic with respect to other writers and to :meth:`save_snapshot`'s
-    (snapshot, anchor) pair — queries keep running under the service's
-    reader lock throughout.
+    state (0 for a fresh log; :meth:`recover` computes it).  One owner
+    calls it, so the (append, apply) pair of a tick and the (snapshot,
+    anchor) pair of :meth:`save_snapshot` never interleave.
     """
 
     role = "leader"
@@ -121,7 +86,6 @@ class ReplicatedService(_ServiceProxy):
         self.log = log
         self._applied_seq = log.last_seq if applied_seq is None \
             else applied_seq
-        self._write_mutex = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
@@ -136,9 +100,15 @@ class ReplicatedService(_ServiceProxy):
         This also covers the write-ahead crash window — a tick that was
         logged but not yet applied when the process died is simply
         replayed like any other."""
-        service = QueryService.from_snapshot(snapshot_path,
-                                             **service_kwargs)
-        log = TickLog(wal_path, fsync=fsync)
+        return cls.resume(QueryService.from_snapshot(snapshot_path,
+                                                     **service_kwargs),
+                          TickLog(wal_path, fsync=fsync))
+
+    @classmethod
+    def resume(cls, service: QueryService,
+               log: TickLog) -> "ReplicatedService":
+        """Lead over *log* from *service*'s state: first replay every
+        logged tick past the ``wal_seq`` its snapshot included."""
         applied = service.snapshot_meta.get("wal_seq", 0)
         for seq, ops in log.records(after_seq=applied):
             service.tick(decode_ops(ops))
@@ -162,17 +132,10 @@ class ReplicatedService(_ServiceProxy):
         # *before* it is written into the replicated history, because
         # every follower will replay whatever the log accepted.
         encode_ops(ops)
-        with self._write_mutex:
-            seq = self.log.append(ops)
-            report = self.service.tick(ops)
-            self._applied_seq = seq
+        seq = self.log.append(ops)
+        report = self.service.tick(ops)
+        self._applied_seq = seq
         return report
-
-    def update(self, inserts: Iterable = (),
-               deletes: Iterable = ()) -> TickReport:
-        ops = [("insert", edge) for edge in inserts]
-        ops += [("delete", edge) for edge in deletes]
-        return self.tick(ops)
 
     # ------------------------------------------------------------------
     # Snapshots / lifecycle
@@ -181,14 +144,17 @@ class ReplicatedService(_ServiceProxy):
         """Snapshot the current state, stamped with the WAL sequence it
         includes, and anchor the log at that sequence.  With *truncate*
         the log drops the ticks the snapshot made redundant."""
-        with self._write_mutex:
-            seq = self._applied_seq
-            size = self.service.save_snapshot(path,
-                                              extra={"wal_seq": seq})
-            if truncate:
-                self.log.truncate(snapshot=path, seq=seq)
-            else:
-                self.log.anchor(path, seq=seq)
+        return run_inline(self.save_snapshot_steps(path, truncate))
+
+    def save_snapshot_steps(self, path: str,
+                            truncate: bool = False) -> Steps:
+        seq = self._applied_seq
+        size = yield from self.service.save_snapshot_steps(
+            path, extra={"wal_seq": seq})
+        if truncate:
+            self.log.truncate(snapshot=path, seq=seq)
+        else:
+            self.log.anchor(path, seq=seq)
         return size
 
     def flush(self) -> None:
@@ -212,10 +178,9 @@ class ReplicatedService(_ServiceProxy):
 class FollowerService(_ServiceProxy):
     """A read replica: snapshot + WAL tail + deterministic replay.
 
-    Replay is guarded by a mutex (a leader's pushed ``sync`` and a
-    client's may race); each replayed tick takes the service's writer
-    lock exactly like a leader tick, so queries interleave safely and
-    always see a completed tick's fixpoint.
+    Replay applies each logged tick through the service's ``tick``,
+    exactly like a leader tick, on the one thread that owns the
+    service; queries always see a completed tick's fixpoint.
     """
 
     role = "follower"
@@ -226,7 +191,6 @@ class FollowerService(_ServiceProxy):
         if start_seq is None:
             start_seq = service.snapshot_meta.get("wal_seq", 0)
         self._reader = TickLogReader(wal_path, after_seq=start_seq)
-        self._replay_mutex = threading.Lock()
         self._ticks_replayed = 0
 
     @classmethod
@@ -251,32 +215,25 @@ class FollowerService(_ServiceProxy):
         """Apply every tick the log has grown since the last replay;
         returns ``{"applied_ticks", "seq"}`` — the protocol's ``sync``
         response."""
-        with self._replay_mutex:
-            applied = 0
-            with get_tracer().span("replica.replay") as span:
-                pending = self._reader.poll()
-                # Observed backlog before applying: how many ticks this
-                # replica was behind the log at poll time.
-                registry = get_registry()
-                registry.gauge(
-                    "repro_replica_replay_lag_ticks",
-                    "Ticks behind the WAL at the last replay poll"
-                ).set(len(pending))
-                for seq, ops in pending:
-                    self.service.tick(decode_ops(ops))
-                    applied += 1
-                span.set("applied_ticks", applied)
-            self._ticks_replayed += applied
-            registry.counter(
-                "repro_replica_ticks_replayed_total",
-                "WAL ticks replayed by this follower"
-            ).inc(applied)
-            # The backlog is drained: replay lag returns to zero.
-            registry.gauge(
-                "repro_replica_replay_lag_ticks",
-                "Ticks behind the WAL at the last replay poll"
-            ).set(0)
-            return {"applied_ticks": applied, "seq": self._reader.last_seq}
+        registry = get_registry()
+        lag = registry.gauge("repro_replica_replay_lag_ticks",
+                             "Ticks behind the WAL at the last replay poll")
+        with get_tracer().span("replica.replay") as span:
+            pending = self._reader.poll()
+            # Observed backlog before applying: how many ticks this
+            # replica was behind the log at poll time.
+            lag.set(len(pending))
+            for seq, ops in pending:
+                self.service.tick(decode_ops(ops))
+            span.set("applied_ticks", len(pending))
+        applied = len(pending)
+        self._ticks_replayed += applied
+        registry.counter(
+            "repro_replica_ticks_replayed_total",
+            "WAL ticks replayed by this follower"
+        ).inc(applied)
+        lag.set(0)  # the backlog is drained
+        return {"applied_ticks": applied, "seq": self._reader.last_seq}
 
     # ------------------------------------------------------------------
     # Writes are refused
@@ -287,17 +244,15 @@ class FollowerService(_ServiceProxy):
             "leader (they arrive here through the WAL)"
         )
 
-    def update(self, inserts: Iterable = (), deletes: Iterable = ()):
-        return self.tick(())
-
     def save_snapshot(self, path: str) -> int:
         """Snapshot the replica at its replay horizon, stamped with that
         horizon's sequence — byte-identical to the leader's snapshot of
         the same sequence (the convergence proof the tests assert)."""
-        with self._replay_mutex:
-            return self.service.save_snapshot(
-                path, extra={"wal_seq": self._reader.last_seq}
-            )
+        return run_inline(self.save_snapshot_steps(path))
+
+    def save_snapshot_steps(self, path: str) -> Steps:
+        return self.service.save_snapshot_steps(
+            path, extra={"wal_seq": self._reader.last_seq})
 
     def close(self) -> None:
         pass
@@ -329,13 +284,8 @@ def open_role(role: str, service_or_none, *, snapshot: "str | None" = None,
     if wal is None:
         raise WALError(f"role {role!r} requires --wal PATH")
     if role == "leader":
-        service = service_or_none
-        log = TickLog(wal, fsync=fsync)
-        applied = service.snapshot_meta.get("wal_seq", 0)
-        for seq, ops in log.records(after_seq=applied):
-            service.tick(decode_ops(ops))
-            applied = seq
-        return ReplicatedService(service, log, applied_seq=applied)
+        return ReplicatedService.resume(service_or_none,
+                                        TickLog(wal, fsync=fsync))
     if role == "follower":
         if snapshot is None:
             raise WALError("role 'follower' requires --snapshot (the "

@@ -28,51 +28,36 @@ TCP (``repro-cfpq serve --port N``; try it with netcat).  Requests:
 
 Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; with ``--stats`` every response
-additionally carries a compact ``stats`` object (cache hit rate, tick
-latency, snapshot size, replication horizon) snapshotted **inside the
-operation's critical section**, so it is always consistent with the
-response it rides on.
+also carries a compact ``stats`` object (cache hit rate, tick latency,
+snapshot size, replication horizon), read right after the operation by
+the thread that owns the service, so it always matches the response.
 
 The TCP transport is an asyncio server (:class:`AsyncJSONLServer`): one
-lightweight task per connection instead of one thread, so thousands of
-mostly-idle connections cost file descriptors, not stacks.  Requests
-execute on a thread pool under the service's reader/writer lock — any
-number of queries in parallel, ticks exclusive — exactly as in the
-stdio loop.  A ``shutdown`` op stops the *whole* server (every
-connection observes the close, a leader's WAL is flushed), client
-disconnects mid-response are absorbed per-connection, and oversized
-frames are refused with an error response instead of an unbounded read
-buffer.
+task per connection, and the event loop owns the service, as the stdio
+loop does.  Only whole relations and ``save`` hand their heavy part to
+one worker thread; a tick never runs beside it.  A ``shutdown`` op
+stops the *whole* server, client disconnects are absorbed
+per-connection, and oversized frames are refused in-band.
 
-A ``batch`` op answers many queries in one round-trip: ``queries`` in,
-an ordered list of per-item ``{"ok": ...}`` envelopes out — one bad
-item reports its own error instead of failing the batch.  Every item
-is answered as a ``query`` op would answer it — from the closed
-relation, never a closure — under one read-lock acquisition
-(:meth:`QueryService.query_batch`), so the whole batch sees one tick.
-
-A ``top_k`` op pages through the best witness paths between one node
-pair (shortest-first, or most-probable-first when the service runs the
-Viterbi semiring) without materializing the full path set: the
-response is ``{"paths": [...], "next_cursor": N, "exhausted": bool}``
-and the client passes ``cursor: N`` back to continue — the service
-caches the underlying lazy enumerator, so later pages resume where the
-last one stopped.  A page may reach rank ``MAX_TOP_K_RANK`` at most.
+A ``batch`` op answers many queries in one round-trip, one ``{"ok":
+...}`` envelope per item, all from one tick.  A ``top_k`` page of best
+witness paths ends at rank ``MAX_TOP_K_RANK``; the client passes
+``next_cursor`` back to resume the service's cached enumerator.
 
 With ``replicas=[(host, port), ...]`` the server is a read fan-out
-front door: ``query``, ``batch`` and ``top_k`` ops are forwarded round-robin to
-follower replicas (their responses relayed verbatim), every other op
-runs locally — the leader owns writes.  After each ``update`` tick the
-leader also *pushes* a ``sync`` op to every replica over a connection of
-its own, so a follower replays the shared WAL as soon as the tick is
-logged, with no poll and no client involvement; a push that fails is
-retried on a new connection until one gets through.
+front door: ``query``, ``batch`` and ``top_k`` ops are forwarded
+round-robin to follower replicas (their responses relayed verbatim),
+every other op runs locally — the leader owns writes.  After each
+``update`` tick the leader also *pushes* a ``sync`` to every replica
+over a connection of its own, retried until one gets through.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
+import functools
 import itertools
 import json
 import logging
@@ -86,8 +71,8 @@ from typing import IO, Iterable
 from ..errors import ReproError
 from ..graph.io import coerce_json_node
 from ..obs.metrics import get_registry, render_prometheus
-from ..obs.trace import get_tracer, stopwatch
-from .query_service import QueryService, TickReport
+from ..obs.trace import Stopwatch, get_tracer, stopwatch
+from .query_service import QueryService, Steps, run_inline
 
 logger = logging.getLogger(__name__)
 
@@ -102,14 +87,10 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 #: the replica is treated as dead and the leader answers locally.
 REPLICA_REPLY_LIMIT_BYTES = 1 << 30
 
-#: Deepest rank a ``top_k`` request may page to (``cursor + k``).  The
-#: enumeration runs under the read lock, which prefers writers, so one
-#: deep page ahead of a waiting tick stalls every other reader.  The
-#: in-process :meth:`QueryService.top_k` stays unbounded.
+#: Deepest rank a ``top_k`` request may page to (``cursor + k``): the
+#: enumeration runs on the event loop, where a deep page stalls every
+#: other request.  The in-process :meth:`QueryService.top_k` is unbounded.
 MAX_TOP_K_RANK = 128
-
-#: Concurrent request executions across all connections.
-DEFAULT_EXECUTOR_WORKERS = 32
 
 #: Pauses between retries of a failed sync push (seconds): the first
 #: retry goes out at once, later ones wait from the first bound, doubling
@@ -128,7 +109,6 @@ _RID_COUNTER = itertools.count(1)
 #: Sentinel: slow-query config not resolved from the environment yet.
 _SLOW_UNSET = object()
 _SLOW_QUERY: "tuple[float, str | None] | None | object" = _SLOW_UNSET
-_SLOW_LOCK = threading.Lock()
 
 
 def _next_rid() -> str:
@@ -144,28 +124,19 @@ def set_slow_query_log(threshold_ms: "float | None",
     (``REPRO_SLOW_QUERY_MS`` / ``REPRO_SLOW_QUERY_LOG``) is consulted
     again on the next request."""
     global _SLOW_QUERY
-    with _SLOW_LOCK:
-        if threshold_ms is None:
-            _SLOW_QUERY = _SLOW_UNSET
-        else:
-            _SLOW_QUERY = (float(threshold_ms), log_path)
+    if threshold_ms is None:
+        _SLOW_QUERY = _SLOW_UNSET
+    else:
+        _SLOW_QUERY = (float(threshold_ms), log_path)
 
 
 def _slow_query_config() -> "tuple[float, str | None] | None":
     global _SLOW_QUERY
-    config = _SLOW_QUERY
-    if config is not _SLOW_UNSET:
-        return config
-    with _SLOW_LOCK:
-        if _SLOW_QUERY is _SLOW_UNSET:
-            raw = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
-            if raw:
-                _SLOW_QUERY = (float(raw),
-                               os.environ.get("REPRO_SLOW_QUERY_LOG")
-                               or None)
-            else:
-                _SLOW_QUERY = None
-        return _SLOW_QUERY
+    if _SLOW_QUERY is _SLOW_UNSET:
+        raw = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
+        _SLOW_QUERY = (float(raw), os.environ.get("REPRO_SLOW_QUERY_LOG")
+                       or None) if raw else None
+    return _SLOW_QUERY
 
 
 def _record_slow_query(log_path: "str | None", op: str, rid: str,
@@ -177,98 +148,122 @@ def _record_slow_query(log_path: "str | None", op: str, rid: str,
                        op, rid, seconds, len(spans))
         return
     line = json.dumps(entry, sort_keys=True) + "\n"
-    with _SLOW_LOCK, open(log_path, "a", encoding="utf-8") as stream:
+    with open(log_path, "a", encoding="utf-8") as stream:
         stream.write(line)
 
 
 def handle_request(service: QueryService, request: dict,
                    include_stats: bool = False) -> dict:
-    """Execute one request object against *service*.
+    """Execute one request object against *service*, on this thread.
 
     Never raises for request-level problems — malformed input and
     :class:`~repro.errors.ReproError` subclasses become ``ok: false``
     responses, so one bad line cannot kill a session.  With
-    *include_stats* the attached stats are captured inside the
-    operation's own critical section (see
-    :meth:`QueryService.capture_stats`) — never from a racy read after
-    the response was built.
+    *include_stats* the response carries the stats read right after the
+    operation.  Every request is counted and timed in the metrics
+    registry; with tracing on it runs in a ``server.request`` span whose
+    request id honours a fan-out leader's ``_rid``, and a request over
+    the slow-query threshold logs its span tree."""
+    with _request_scope(request, stopwatch()):
+        return run_inline(_request_steps(service, request, include_stats))
 
-    Every request lands in the metrics registry (count + latency per
-    op); with tracing enabled it runs inside a ``server.request`` span
-    carrying a request id (``_rid`` in the request, injected by a
-    fan-out leader, is honoured so leader and replica spans correlate),
-    and requests over the slow-query threshold get their span tree
-    appended to the slow-query log."""
+
+@contextlib.contextmanager
+def _request_scope(request, timer: Stopwatch):
+    """Account for one request whose arrival *timer* marks: the
+    ``server.request`` span (backdated to the arrival), the slow-query
+    log entry and the request metrics cover the caller's block."""
     op = request.get("op", "query") if isinstance(request, dict) \
         else "invalid"
     tracer = get_tracer()
-    slow = _slow_query_config()
-    with stopwatch() as timer:
-        if not tracer.enabled:
-            response = _execute_request(service, request, include_stats)
-        else:
-            rid = (request.get("_rid")
-                   if isinstance(request, dict) else None) or _next_rid()
-            if slow is not None:
-                with tracer.collect() as records, \
-                        tracer.span("server.request", op=op,
-                                    rid=rid) as span:
-                    response = _execute_request(service, request,
-                                                include_stats)
-                    trace_id = span.trace_id
-                elapsed = timer.elapsed
-                if elapsed * 1000.0 >= slow[0]:
-                    _record_slow_query(
-                        slow[1], op, rid, elapsed,
-                        [record for record in records
-                         if record["trace_id"] == trace_id],
-                    )
-            else:
-                with tracer.span("server.request", op=op, rid=rid):
-                    response = _execute_request(service, request,
-                                                include_stats)
+    if not tracer.enabled:
+        yield
+    else:
+        rid = (request.get("_rid")
+               if isinstance(request, dict) else None) or _next_rid()
+        slow = _slow_query_config()
+        with (tracer.collect() if slow is not None
+              else contextlib.nullcontext()) as records, \
+                tracer.span("server.request", op=op, rid=rid) as span:
+            span.backdate(timer.elapsed)
+            yield
+        if slow is not None and timer.elapsed * 1000.0 >= slow[0]:
+            _record_slow_query(
+                slow[1], op, rid, timer.elapsed,
+                [record for record in records
+                 if record["trace_id"] == span.trace_id])
     registry = get_registry()
-    registry.counter(
-        "repro_requests_total", "Requests handled", ("op",)
-    ).inc(op=op)
-    registry.histogram(
-        "repro_request_seconds", "Request latency", ("op",)
-    ).observe(timer.elapsed, op=op)
-    return response
+    registry.counter("repro_requests_total", "Requests handled",
+                     ("op",)).inc(op=op)
+    registry.histogram("repro_request_seconds", "Request latency",
+                       ("op",)).observe(timer.elapsed, op=op)
 
 
-def _execute_request(service: QueryService, request: dict,
-                     include_stats: bool) -> dict:
-    capture = (service.capture_stats() if include_stats
-               and hasattr(service, "capture_stats")
-               else contextlib.nullcontext(lambda: None))
-    with capture as captured:
-        try:
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            op = request.get("op", "query")
-            result = _dispatch(service, op, request)
-            response: dict = {"ok": True, "op": op, "result": result}
-        except (ReproError, ValueError, KeyError, TypeError) as error:
-            response = {"ok": False, "error": str(error),
-                        "error_type": type(error).__name__}
+def _request_steps(service: QueryService, request: dict,
+                   include_stats: bool) -> Steps:
+    """One request's response as steps (see :func:`run_inline`): only
+    whole relations and ``save`` yield."""
+    try:
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+        op = request.get("op", "query")
+        result = yield from _dispatch(service, op, request)
+        response: dict = {"ok": True, "op": op, "result": result}
+    except (ReproError, ValueError, KeyError, TypeError) as error:
+        response = _error_response(error)
     if include_stats:
-        response["stats"] = _compact_stats(service, captured())
+        stats = service.stats
+        response["stats"] = {key: stats[key] for key in _COMPACT_STATS
+                             if key in stats}
     return response
 
 
-def _dispatch(service: QueryService, op: str, request: dict):
+def _lane(request) -> "str | None":
+    """How the TCP server runs *request*, by its shape: ``"worker"``
+    when its steps yield (a whole relation — a ``query``, or any
+    ``batch`` item, with no endpoints — and ``save``), ``"tick"`` for
+    ``update`` and ``sync``, and None (inline, ungated) otherwise."""
+    op = request.get("op", "query") if isinstance(request, dict) else None
+    queries = request.get("queries") if op == "batch" else None
+    if op in ("update", "sync"):
+        return "tick"
+    if op == "save" or (op == "query" and _no_endpoints(request)) or (
+            isinstance(queries, list) and any(map(_no_endpoints, queries))):
+        return "worker"
+    return None
+
+
+def _no_endpoints(spec) -> bool:
+    if isinstance(spec, dict):
+        return spec.get("source") is None and spec.get("target") is None
+    return isinstance(spec, list) and all(
+        value is None for value in spec[1:3])
+
+
+def _int_field(request: dict, key: str, default):
+    """An integer request field, or *default* when absent; ``true``,
+    ``2.5`` and ``"3"`` are refused in-band, never coerced."""
+    value = request.get(key)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return default if value is None else value
+
+
+def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
     if op == "query":
         start = request.get("start")
         if start is None:
             raise ValueError("query requires 'start'")
         graph = service.graph
-        result = service.query(
+        result = yield from service.query_steps(
             start,
             source=coerce_json_node(graph, request.get("source")),
             target=coerce_json_node(graph, request.get("target")),
             semantics=request.get("semantics", "relational"),
         )
+        if isinstance(result, frozenset):  # sorting it is the cost
+            return (yield functools.partial(_jsonable_result, result))
         return _jsonable_result(result)
     if op == "batch":
         queries = request.get("queries")
@@ -286,8 +281,12 @@ def _dispatch(service: QueryService, op: str, request: dict):
                 spec = [coerce_json_node(graph, value) if position in (1, 2)
                         else value for position, value in enumerate(spec)]
             items.append(spec)
-        return [_batch_item_envelope(answer)
-                for answer in service.query_batch(items)]
+        answers = yield from service.query_batch_steps(items)
+        envelopes = functools.partial(
+            list, map(_batch_item_envelope, answers))
+        if any(isinstance(answer, frozenset) for answer in answers):
+            return (yield envelopes)  # sorting the relations is the cost
+        return envelopes()
     if op == "top_k":
         start = request.get("start")
         if start is None:
@@ -297,15 +296,15 @@ def _dispatch(service: QueryService, op: str, request: dict):
         target = coerce_json_node(graph, request.get("target"))
         if source is None or target is None:
             raise ValueError("top_k requires 'source' and 'target'")
-        k, cursor = int(request.get("k", 1)), int(request.get("cursor", 0))
+        k, cursor = _int_field(request, "k", 1), \
+            _int_field(request, "cursor", 0)
         if cursor + k > MAX_TOP_K_RANK:
             raise ValueError(
                 f"top_k pages end at rank {MAX_TOP_K_RANK}; cursor + k "
                 f"is {cursor + k}")
-        max_length = request.get("max_length")
         paths, next_cursor, exhausted = service.top_k_page(
             start, source, target, k, cursor=cursor,
-            max_length=None if max_length is None else int(max_length),
+            max_length=_int_field(request, "max_length", None),
         )
         return {
             "paths": [_jsonable_result(path) for path in paths],
@@ -341,7 +340,8 @@ def _dispatch(service: QueryService, op: str, request: dict):
         path = request.get("path")
         if not path:
             raise ValueError("save requires 'path'")
-        return {"path": path, "bytes": service.save_snapshot(path)}
+        return {"path": path,
+                "bytes": (yield from service.save_snapshot_steps(path))}
     if op == "metrics":
         return {"format": "prometheus", "text": render_prometheus()}
     if op == "ping":
@@ -360,9 +360,13 @@ def _batch_item_envelope(answer) -> dict:
     exception instances, mirrored here as the same ``ok: false`` shape
     a whole-request error would get."""
     if isinstance(answer, Exception):
-        return {"ok": False, "error": str(answer),
-                "error_type": type(answer).__name__}
+        return _error_response(answer)
     return {"ok": True, "result": _jsonable_result(answer)}
+
+
+def _error_response(error: Exception) -> dict:
+    return {"ok": False, "error": str(error),
+            "error_type": type(error).__name__}
 
 
 def _coerce_edge(graph, edge) -> tuple:
@@ -389,32 +393,14 @@ def _jsonable_result(result):
     if isinstance(result, tuple):  # a witness path
         return [[_json_node(i), label, _json_node(j)]
                 for i, label, j in result]
-    if isinstance(result, TickReport):
-        return result.as_dict()
     return result
 
 
-def _compact_stats(service: QueryService, stats: "dict | None") -> dict:
-    """Compact the stats dict captured inside the operation's critical
-    section; *stats* is None only for ops that never took the service
-    lock (``ping``, protocol errors), where a fresh read cannot be
-    inconsistent with any operation."""
-    if stats is None:
-        stats = service.stats
-    compact = {
-        "cache_hit_rate": stats["cache_hit_rate"],
-        "cache_entries": stats["cache_entries"],
-        "cache_invalidations": stats["cache_invalidations"],
-        "ticks": stats["ticks"],
-        "dred_passes": stats["dred_passes"],
-        "frontier_runs": stats["frontier_runs"],
-        "tick_last_seconds": stats["tick_last_seconds"],
-        "snapshot_bytes": stats["snapshot_bytes"],
-        "startup": stats["startup"],
-    }
-    if "replication" in stats:
-        compact["replication"] = stats["replication"]
-    return compact
+#: The stats keys that ride on every response under ``--stats``.
+_COMPACT_STATS = ("cache_hit_rate", "cache_entries", "cache_invalidations",
+                  "ticks", "dred_passes", "frontier_runs",
+                  "tick_last_seconds", "snapshot_bytes", "startup",
+                  "replication")
 
 
 # ----------------------------------------------------------------------
@@ -595,35 +581,38 @@ class _ReplicaPush:
 # ----------------------------------------------------------------------
 
 class AsyncJSONLServer:
-    """Asyncio JSONL server over one shared service.
+    """Asyncio JSONL server; its event loop is the one owner of the
+    service.
 
-    One task per connection; request execution happens on a bounded
-    thread pool (the service's reader/writer lock provides the
-    concurrency semantics).  The server stops as a whole on a
-    ``shutdown`` op or :meth:`request_shutdown`: the listener closes,
-    every open connection is closed (a blocked client reads EOF), the
-    leader's push tasks stop, and a leader's WAL is flushed.
+    One task per connection.  The loop answers every request inline
+    except whole relations and ``save``: their yielded steps (the
+    relation build and sort, the snapshot write) and their reply
+    encoding run on one worker thread.  Such a job and a tick each hold
+    one fair ``asyncio.Lock``, the gate: a tick waits for the job in
+    flight, and a job queued behind a tick waits for it.  The server
+    stops as a whole on a ``shutdown`` op or :meth:`request_shutdown`:
+    the listener closes, every open connection is closed (a blocked
+    client reads EOF), the leader's push tasks stop, and a leader's WAL
+    is flushed.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
                  include_stats: bool = False,
                  replicas: Iterable[tuple[str, int]] = (),
-                 max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                 executor_workers: int = DEFAULT_EXECUTOR_WORKERS):
+                 max_line_bytes: int = DEFAULT_MAX_LINE_BYTES):
         self.service = service
         self.host = host
         self.port = port
         self.include_stats = include_stats
         self.max_line_bytes = max_line_bytes
-        self.executor_workers = executor_workers
         self.address: "tuple[str, int] | None" = None
-        self.connections_served = 0
         self._replica_addresses = list(replicas)
         self._replica_pool: "_ReplicaPool | None" = None
         self._replica_push: "_ReplicaPush | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._executor: "ThreadPoolExecutor | None" = None
+        self._worker: "ThreadPoolExecutor | None" = None
+        self._gate = asyncio.Lock()
         self._shutdown = asyncio.Event()
         self._writers: set = set()
         self._tasks: set = set()
@@ -633,10 +622,8 @@ class AsyncJSONLServer:
         """Bind and start accepting; :attr:`address` is the bound
         (host, port) — with ``port=0``, the ephemeral port chosen."""
         self._loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_workers,
-            thread_name_prefix="jsonl-serve",
-        )
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="jsonl-worker")
         if self._replica_addresses:
             self._replica_pool = _ReplicaPool(self._replica_addresses)
             self._replica_push = _ReplicaPush(self._replica_addresses)
@@ -648,8 +635,8 @@ class AsyncJSONLServer:
 
     async def wait_closed(self) -> None:
         """Block until a shutdown is requested, then tear everything
-        down: listener, open connections, push tasks, executor, and the
-        leader's WAL buffer."""
+        down: listener, open connections, push tasks, the worker, and
+        the leader's WAL buffer."""
         await self._shutdown.wait()
         if self._server is not None:
             self._server.close()
@@ -669,12 +656,8 @@ class AsyncJSONLServer:
             await self._replica_pool.close()
         flush = getattr(self.service, "flush", None)
         if flush is not None:
-            await self._loop.run_in_executor(self._executor, flush)
-        self._executor.shutdown(wait=False)
-
-    async def serve(self) -> None:
-        await self.start()
-        await self.wait_closed()
+            flush()
+        self._worker.shutdown(wait=False)
 
     def request_shutdown(self) -> None:
         """Stop the whole server; safe to call from any thread (a no-op
@@ -690,7 +673,6 @@ class AsyncJSONLServer:
         task = asyncio.current_task()
         self._tasks.add(task)
         self._writers.add(writer)
-        self.connections_served += 1
         peer = writer.get_extra_info("peername")
         try:
             while not self._shutdown.is_set():
@@ -733,6 +715,7 @@ class AsyncJSONLServer:
                 await writer.wait_closed()
 
     async def _respond(self, line: str) -> "bytes | None":
+        arrival = stopwatch()
         stripped = line.strip()
         if not stripped:
             return None
@@ -765,16 +748,48 @@ class AsyncJSONLServer:
                 ).inc(op=request.get("op", "query"))
                 return forwarded
             # Every replica down: serve the read locally.
-        response = await self._loop.run_in_executor(
-            self._executor, handle_request, self.service, request,
-            self.include_stats,
-        )
+        with _request_scope(request, arrival):
+            steps = _request_steps(self.service, request, self.include_stats)
+            lane = _lane(request)
+            async with self._gate if lane else contextlib.nullcontext():
+                if lane == "worker":
+                    response = await self._drive(steps)
+                    payload = await self._on_worker(
+                        "server.encode", _encode, response)
+                else:
+                    response = run_inline(steps)
+                    payload = _encode(response)
         if _is_shutdown(response):
             self._shutdown.set()
         elif self._replica_push is not None and response.get("ok") \
                 and response.get("op") == "update":
             self._replica_push.notify()
-        return _encode(response)
+        return payload
+
+    async def _drive(self, steps: Steps):
+        """:func:`~repro.service.query_service.run_inline` with each
+        yielded callable run on the worker thread."""
+        result = None
+        while True:
+            try:
+                work = steps.send(result)
+            except StopIteration as stop:
+                return stop.value
+            result = await self._on_worker("server.compute", work)
+
+    async def _on_worker(self, name: str, work, *args):
+        """``work(*args)`` on the worker thread, in a span *name* under
+        a ``server.worker_wait`` span that also covers the queue."""
+        with get_tracer().span("server.worker_wait"):
+            context = contextvars.copy_context()
+            return await self._loop.run_in_executor(
+                self._worker, context.run, _in_span, name, work, *args)
+
+
+def _in_span(name: str, work, *args):
+    with get_tracer().span(name):
+        return work(*args)
+
 
 def serve_tcp(service, host: str = "127.0.0.1", port: int = 0,
               include_stats: bool = False,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
 from repro.grammar import CFG, parse_grammar
@@ -59,3 +62,27 @@ def backend_name(request) -> str:
 def backend(backend_name):
     """The backend object for :func:`backend_name`."""
     return get_backend(backend_name)
+
+
+@pytest.fixture
+def jsonl_connect():
+    """Client side of the JSONL TCP protocol: ``connect(address)`` opens
+    one connection and returns ``call(request) -> response`` over it.
+    Every connection is closed at teardown."""
+    sockets: list = []
+
+    def connect(address):
+        sock = socket.create_connection(address, timeout=30)
+        sockets.append(sock)
+        stream = sock.makefile("rw", encoding="utf-8")
+
+        def call(request: dict) -> dict:
+            stream.write(json.dumps(request) + "\n")
+            stream.flush()
+            return json.loads(stream.readline())
+
+        return call
+
+    yield connect
+    for sock in sockets:
+        sock.close()

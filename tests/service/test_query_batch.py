@@ -18,6 +18,7 @@ from repro import QueryService, parse_grammar
 from repro.errors import GrammarError, SemanticsError
 from repro.graph.generators import two_cycles, word_chain
 from repro.service.query_service import BATCH_ITEM_ERRORS
+from repro.service.server import ServerThread
 
 ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
 INSERTS = [("insert", (0, "a", 99)), ("insert", (99, "b", 0))]
@@ -222,51 +223,59 @@ class TestServedEqualsCold:
 
 
 class TestLinearizability:
-    def test_batch_racing_tick_sees_consistent_state(self):
-        """A tick toggles two correlated facts atomically; a batch
-        probing both under the read lock must never observe a mix."""
+    def test_batch_racing_tick_sees_consistent_state(self, jsonl_connect):
+        """A tick toggles two correlated facts atomically; batches sent
+        by concurrent clients while a client ticks must never observe a
+        mix."""
         # Chain 0-a->1-b->2: S relates (0, 2).  The toggle inserts and
         # removes the edge pair that makes (3, 5) derivable too.
-        base = [(0, "a", 1), (1, "b", 2)]
-        extra = [(3, "a", 4), (4, "b", 5)]
+        extra = [[3, "a", 4], [4, "b", 5]]
         service = QueryService(
             word_chain(["a", "b"]), ANBN, backend="pyset")
         # Register the extra nodes so probes resolve.
-        service.tick([("insert", edge) for edge in extra])
-        service.tick([("delete", edge) for edge in extra])
+        service.tick([("insert", tuple(edge)) for edge in extra])
+        service.tick([("delete", tuple(edge)) for edge in extra])
 
-        # The RW lock prefers writers, so the toggler must be bounded —
-        # probers read whenever they win the lock and stop when the
-        # toggling is over (at least one probe always runs).
+        # Probers read until the toggling is over (at least one probe
+        # always runs).
         done = threading.Event()
         violations: list = []
+        with ServerThread(service) as server:
+            def toggler():
+                try:
+                    call = jsonl_connect(server.address)
+                    for _ in range(100):
+                        for op in ("insert", "delete"):
+                            assert call({"op": "update", op: extra})["ok"]
+                finally:
+                    done.set()
 
-        def toggler():
-            try:
-                for _ in range(100):
-                    service.tick([("insert", edge) for edge in extra])
-                    service.tick([("delete", edge) for edge in extra])
-            finally:
-                done.set()
+            def prober():
+                call = jsonl_connect(server.address)
+                probes = 0
+                while probes == 0 or not done.is_set():
+                    probes += 1
+                    stable, toggled = call({
+                        "op": "batch",
+                        "queries": [["S", 0, 2], ["S", 3, 5]],
+                    })["result"]
+                    # The stable fact must always hold; the toggled fact
+                    # is whatever the tick left, but never an
+                    # error/mixture.
+                    if stable != {"ok": True, "result": True} \
+                            or not isinstance(toggled.get("result"), bool):
+                        violations.append((stable, toggled))
 
-        def prober():
-            probes = 0
-            while probes == 0 or not done.is_set():
-                probes += 1
-                stable, toggled = service.query_batch(
-                    [("S", 0, 2), ("S", 3, 5)])
-                # The stable fact must always hold; the toggled fact is
-                # whatever the tick left, but never an error/mixture.
-                if stable is not True or not isinstance(toggled, bool):
-                    violations.append((stable, toggled))
-
-        threads = [threading.Thread(target=prober) for _ in range(3)]
-        threads.append(threading.Thread(target=toggler))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            threads = [threading.Thread(target=prober) for _ in range(3)]
+            threads.append(threading.Thread(target=toggler))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            ticks = jsonl_connect(server.address)({"op": "stats"})
+        assert not any(thread.is_alive() for thread in threads)
         assert not violations
+        assert ticks["result"]["ticks"] == 202
 
     def test_batch_cache_invalidated_by_tick(self):
         service = QueryService(word_chain(["a", "b"]), ANBN,

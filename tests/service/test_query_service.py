@@ -16,6 +16,7 @@ from repro.graph.generators import two_cycles
 from repro.graph.labeled_graph import LabeledGraph
 from repro.grammar.builders import chain_reachability, same_generation_query1
 from repro.grammar.cnf import to_cnf
+from repro.service.server import ServerThread
 
 ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
 
@@ -528,8 +529,18 @@ class TestPathViewsUnderTicks:
             service.top_k("T", 0, 4, 6, max_length=6)
 
 
+def _relation(call, start="S") -> frozenset:
+    """A whole relation read over the wire, as a set of node pairs."""
+    return frozenset(map(tuple, call({"op": "query",
+                                      "start": start})["result"]))
+
+
 class TestConcurrency:
-    def test_queries_during_ticks_see_consistent_snapshots(self):
+    """Client threads drive one server; its event loop is the only
+    caller of the service."""
+
+    def test_queries_during_ticks_see_consistent_snapshots(
+            self, jsonl_connect):
         grammar = to_cnf(chain_reachability("a"))
         service = QueryService(
             LabeledGraph.from_edges([(i, "a", i + 1) for i in range(30)]),
@@ -538,47 +549,50 @@ class TestConcurrency:
         full = service.query("S")
         cut = frozenset((i, j) for i, j in full
                         if not i <= 15 < j)      # without edge 15-a->16
-        errors: list[BaseException] = []
+        errors: list[Exception] = []
         stop = threading.Event()
+        with ServerThread(service) as server:
+            def reader():
+                try:
+                    call = jsonl_connect(server.address)
+                    while not stop.is_set():
+                        member = call({"op": "query", "start": "S",
+                                       "source": 0, "target": 30})
+                        assert member["result"] in (True, False)
+                        # A whole relation is one tick's whole answer.
+                        assert _relation(call) in (full, cut)
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
 
-        def reader():
-            try:
-                while not stop.is_set():
-                    pairs = service.query(
-                        "S", 0, 30, semantics="relational")
-                    assert pairs in (True, False)
-                    # A cached relation is one tick's whole answer.
-                    assert service.query("S") in (full, cut)
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        try:
-            for tick in range(10):
-                service.update(deletes=[(15, "a", 16)])
-                service.update(inserts=[(15, "a", 16)])
-        finally:
-            stop.set()
+            threads = [threading.Thread(target=reader) for _ in range(4)]
             for thread in threads:
-                thread.join()
-        assert not errors
-        assert service.query("S", 0, 30) is True
-        assert service.query("S") == full
-        # No cached relation outlives the tick that changed it.
-        service.update(deletes=[(15, "a", 16)])
-        assert service.query("S") == cut
+                thread.start()
+            ticks = jsonl_connect(server.address)
+            try:
+                for tick in range(10):
+                    for op in ("delete", "insert"):
+                        assert ticks({"op": "update",
+                                      op: [[15, "a", 16]]})["ok"]
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert ticks({"op": "query", "start": "S", "source": 0,
+                          "target": 30})["result"] is True
+            assert _relation(ticks) == full
+            # No cached relation outlives the tick that changed it.
+            ticks({"op": "update", "delete": [[15, "a", 16]]})
+            assert _relation(ticks) == cut
 
     def test_concurrent_path_reads_after_a_tick_build_nothing(
-            self, monkeypatch):
+            self, monkeypatch, jsonl_connect):
         """The single-path index and the forest are views of the
-        solver's live state, made with the service: N concurrent path
-        reads after a tick share them (and refill the forest's dropped
-        memo tables together) and construct no index — where each tick
-        used to cost one rebuild of both."""
-        import sys
-
+        solver's live state, made with the service: N path reads from
+        concurrent clients after a tick share them (and refill the
+        forest's dropped memo tables) and construct no index — where
+        each tick used to cost one rebuild of both."""
         from repro.core.path_index import AllPathIndex
         from repro.core.single_path import SinglePathIndex, SinglePathView
 
@@ -604,39 +618,44 @@ class TestConcurrency:
         readers = 6
         barrier = threading.Barrier(readers)
         answers: list = []
-        errors: list[BaseException] = []
+        errors: list[Exception] = []
+        with ServerThread(service) as server:
+            def reader(index: int):
+                try:
+                    call = jsonl_connect(server.address)
+                    barrier.wait(timeout=10)
+                    # Distinct keys: no reader is served by another's
+                    # cached k-best stream.
+                    if index % 2:
+                        answers.append(len(call({
+                            "op": "top_k", "start": "S", "source": 0,
+                            "target": 13, "k": 1,
+                            "max_length": 20 + index,
+                        })["result"]["paths"]))
+                    else:
+                        answers.append(len(call({
+                            "op": "query", "start": "S", "source": index,
+                            "target": 13, "semantics": "single-path",
+                        })["result"]))
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
 
-        def reader(index: int):
-            try:
-                barrier.wait(timeout=10)
-                # Distinct keys: no reader is served by another's cached
-                # answer or k-best stream.
-                if index % 2:
-                    answers.append(len(service.top_k(
-                        "S", 0, 13, 1, max_length=20 + index)))
-                else:
-                    answers.append(len(service.query(
-                        "S", index, 13, semantics="single-path")))
-            except BaseException as error:  # pragma: no cover
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader, args=(index,))
-                   for index in range(readers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+            threads = [threading.Thread(target=reader, args=(index,))
+                       for index in range(readers)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert sorted(answers) == [1, 1, 1, 9, 11, 13]
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert sorted(answers) == [1, 1, 1, 9, 11, 13]
 
-        # The next tick is seen through the same views.
-        service.update(inserts=[(13, "a", 14)])
-        assert len(service.top_k("S", 0, 14, 1)) == 1
-        assert len(service.query("S", 0, 14, semantics="single-path")) == 14
+            # The next tick is seen through the same views.
+            call = jsonl_connect(server.address)
+            assert call({"op": "update", "insert": [[13, "a", 14]]})["ok"]
+            assert len(call({"op": "top_k", "start": "S", "source": 0,
+                             "target": 14, "k": 1})["result"]["paths"]) == 1
+            assert len(call({"op": "query", "start": "S", "source": 0,
+                             "target": 14, "semantics": "single-path",
+                             })["result"]) == 14
         assert builds == {"forest": 0, "single-path": 0}

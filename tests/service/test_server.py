@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -128,24 +129,26 @@ class TestHandleRequest:
         assert "cache_hit_rate" in response["stats"]
         assert "startup" in response["stats"]
 
-    def test_stats_captured_in_operation_critical_section(self, service):
+    def test_stats_captured_in_operation_critical_section(
+            self, service, jsonl_connect):
         """Regression: attached stats used to be read *after* the
         response was built, outside any lock — a concurrent tick could
-        make them disagree with the response they ride on.  They are
-        now snapshotted inside the op's own critical section, so an
-        update's stats always reflect exactly that tick."""
-        response = handle_request(service, {
-            "op": "update", "insert": [["p", "a", "q"]],
-        }, include_stats=True)
-        assert response["ok"]
-        assert response["stats"]["ticks"] == 1
+        make them disagree with the response they ride on.  The event
+        loop owns the service now and reads them right after the op, so
+        an update's stats always reflect exactly that tick."""
+        with ServerThread(service, include_stats=True) as server:
+            call = jsonl_connect(server.address)
+            response = call({"op": "update", "insert": [["p", "a", "q"]]})
+            assert response["ok"]
+            assert response["stats"]["ticks"] == 1
 
-        # A tick racing the stats attachment cannot skew it: the
-        # captured dict is immune to later mutations of the service.
-        captured = response["stats"]
-        service.tick([("delete", ("p", "a", "q"))])
-        assert captured["ticks"] == 1
-        assert service.stats["ticks"] == 2
+            # A later tick from another connection cannot skew it.
+            captured = response["stats"]
+            other = jsonl_connect(server.address)
+            assert other({"op": "update", "delete": [["p", "a", "q"]]})[
+                "stats"]["ticks"] == 2
+            assert captured["ticks"] == 1
+            assert call({"op": "stats"})["result"]["ticks"] == 2
 
 
 class TestTopKOp:
@@ -213,10 +216,28 @@ class TestTopKOp:
              "source": 1, "target": 5},                        # unknown NT
             {"op": "top_k", "start": "S", "source": 1,
              "target": 5, "k": -2},                            # bad k
+            {"op": "top_k", "start": "S", "source": 1,
+             "target": 5, "k": 2.5},                           # not 2
+            {"op": "top_k", "start": "S", "source": 1,
+             "target": 5, "k": "3"},                           # not 3
+            {"op": "top_k", "start": "S", "source": 1,
+             "target": 5, "k": True},                          # not 1
         ):
             response = handle_request(topk_service, request)
             assert response["ok"] is False, request
             assert response["error"]
+
+    def test_non_integer_numbers_are_refused_not_coerced(self, topk_service):
+        for field, value in (("k", 2.5), ("k", "3"), ("k", True),
+                             ("cursor", 1.0), ("max_length", "2"),
+                             ("k", 1000.5)):              # before the rank
+            response = handle_request(topk_service, {
+                "op": "top_k", "start": "S", "source": 1, "target": 5,
+                field: value,
+            })
+            assert response["ok"] is False, (field, value)
+            assert response["error_type"] == "ValueError"
+            assert "must be an integer" in response["error"]
 
     def test_pages_past_the_rank_limit_are_refused(self, topk_service):
         from repro.service.server import MAX_TOP_K_RANK
@@ -500,6 +521,132 @@ class TestTCP:
                 {"op": "query", "start": "S"},
             ])
             assert responses[1]["stats"]["cache_hit_rate"] == 0.5
+
+
+class TestOneOwner:
+    """The event loop is the one caller of the service: ticks and point
+    reads run on it; the worker thread only builds whole relations and
+    writes snapshots, and never while a tick runs."""
+
+    EDGES = [["p", "a", "q"], ["q", "b", "p"]]   # derive S(p, p)
+
+    def test_the_event_loop_owns_the_service(self, service, monkeypatch,
+                                             tmp_path, jsonl_connect):
+        from repro.core.relations import ContextFreeRelations
+
+        calls: list = []
+
+        def record(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("tick", "query_steps", "top_k_page", "_write_snapshot"):
+            record(QueryService, name)
+        record(ContextFreeRelations, "node_pairs")
+
+        def threads_of(*names):
+            return {thread for name, thread in calls if name in names}
+
+        with ServerThread(service) as server:
+            start = threading.Barrier(3)
+            errors: list = []
+
+            def client(requests):
+                try:
+                    call = jsonl_connect(server.address)
+                    start.wait(timeout=10)
+                    for request in requests:
+                        response = call(request)
+                        assert response["ok"], (request, response)
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+            points = [{"op": "query", "start": "S", "source": 0,
+                       "target": 0},
+                      {"op": "query", "start": "S", "source": 0,
+                       "target": 0, "semantics": "single-path"},
+                      {"op": "top_k", "start": "S", "source": 0,
+                       "target": 0, "k": 2}] * 30
+            wholes = [{"op": "query", "start": "S"},
+                      {"op": "batch", "queries": [{"start": "S"},
+                                                  ["S", 0, 0]]},
+                      {"op": "save",
+                       "path": str(tmp_path / "owner.snapshot")}] * 10
+            ticks = [{"op": "update", op: self.EDGES}
+                     for _ in range(10) for op in ("insert", "delete")]
+            threads = [threading.Thread(target=client, args=(requests,))
+                       for requests in (points, wholes, ticks)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+
+            loop = server._thread
+            assert threads_of("tick", "query_steps", "top_k_page") == {loop}
+            [worker] = threads_of("node_pairs", "_write_snapshot")
+            assert worker is not loop
+            assert worker.name.startswith("jsonl-worker")
+            # 90 point reads + 10 whole relations + 10 batches of two:
+            # no counter lost an update.
+            call = jsonl_connect(server.address)
+            assert call({"op": "stats"})["result"]["queries"] == 120
+
+    def test_tick_waits_for_the_whole_relation_in_flight(
+            self, service, monkeypatch, jsonl_connect):
+        from repro.core.relations import ContextFreeRelations
+
+        entered, release = threading.Event(), threading.Event()
+        node_pairs = ContextFreeRelations.node_pairs
+
+        def held_node_pairs(self, nonterminal):
+            entered.set()
+            release.wait(timeout=30)
+            return node_pairs(self, nonterminal)
+
+        with ServerThread(service) as server:
+            # S(p, p) holds, and the tick drops S's cached relation.
+            ticks = jsonl_connect(server.address)
+            assert ticks({"op": "update", "insert": self.EDGES})["ok"]
+            monkeypatch.setattr(ContextFreeRelations, "node_pairs",
+                                held_node_pairs)
+            reader = socket.create_connection(server.address, timeout=30)
+            reader.sendall(b'{"op": "query", "start": "S"}\n')
+            assert entered.wait(timeout=10)
+
+            acked: list = []
+
+            def tick():
+                response = ticks({"op": "update", "delete": self.EDGES})
+                # Its reply was written before the tick ran.
+                ready, _, _ = select.select([reader], [], [], 0)
+                acked.append((response["ok"], bool(ready)))
+
+            ticker = threading.Thread(target=tick)
+            ticker.start()
+            ticker.join(timeout=0.3)
+            assert ticker.is_alive()  # held behind the worker job
+            release.set()
+            ticker.join(timeout=10)
+            assert acked == [(True, True)]
+            reply = json.loads(reader.makefile(encoding="utf-8").readline())
+            reader.close()
+            monkeypatch.setattr(ContextFreeRelations, "node_pairs",
+                                node_pairs)
+            assert ["p", "p"] in reply["result"]  # the pre-tick relation
+            after = ticks({"op": "query", "start": "S"})["result"]
+            assert ["p", "p"] not in after
 
 
 class TestServeCLI:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -14,8 +15,9 @@ from repro import QueryService, parse_grammar
 from repro.graph.generators import two_cycles
 from repro.obs.export import start_metrics_server
 from repro.obs.metrics import get_registry, reset_metrics
-from repro.obs.trace import configure_tracing, reset_tracing
+from repro.obs.trace import MemorySink, configure_tracing, reset_tracing
 from repro.service.server import (
+    ServerThread,
     handle_request,
     serve_stream,
     set_slow_query_log,
@@ -134,6 +136,69 @@ class TestSlowQueryLog:
         set_slow_query_log(0.0, str(log_path))
         handle_request(service, {"op": "query", "start": "S"})
         assert not log_path.exists()
+
+
+class TestServedRequestSpans:
+    def test_whole_relation_shows_its_worker_phases(self, service,
+                                                    jsonl_connect):
+        """A traced TCP session: the request span opens when the line
+        arrives and closes after the reply is encoded, so the worker
+        queue (``server.worker_wait``), the build and sort
+        (``server.compute``) and the encoding (``server.encode``) of a
+        whole relation all sit inside it; a point read stays inline."""
+        sink = MemorySink()
+        configure_tracing(sink=sink)
+        with ServerThread(service) as server:
+            call = jsonl_connect(server.address)
+            assert call({"op": "query", "start": "S"})["ok"]
+            assert call({"op": "query", "start": "S", "source": 0,
+                         "target": 0})["ok"]
+        records = sink.drain()
+        requests = [record for record in records
+                    if record["name"] == "server.request"]
+        assert len(requests) == 2
+        whole, point = requests
+        by_id = {record["span_id"]: record for record in records}
+
+        def phases(request):
+            found = {}
+            for record in records:
+                parent = by_id.get(record["parent_id"])
+                while parent is not None and parent is not request:
+                    parent = by_id.get(parent["parent_id"])
+                if parent is request:
+                    found.setdefault(record["name"], []).append(record)
+            return found
+
+        inside = phases(whole)
+        assert {"server.worker_wait", "server.compute",
+                "server.encode"} <= set(inside)
+        assert {record["trace_id"] for spans in inside.values()
+                for record in spans} == {whole["trace_id"]}
+        waits = inside["server.worker_wait"]
+        assert sum(record["dur_s"] for record in waits) <= whole["dur_s"]
+        # A cache miss computes twice (build, then sort); one encode.
+        assert len(inside["server.compute"]) == 2
+        assert len(inside["server.encode"]) == 1
+        for record in inside["server.compute"] + inside["server.encode"]:
+            assert by_id[record["parent_id"]]["name"] == "server.worker_wait"
+            assert record["ts"] >= whole["ts"]
+        assert "server.worker_wait" not in phases(point)
+
+    def test_request_latency_counts_from_arrival(self, service):
+        """``repro_request_seconds`` covers a TCP request from its line
+        to its encoded reply, one observation per request."""
+        with ServerThread(service) as server:
+            session = socket.create_connection(server.address, timeout=30)
+            stream = session.makefile("rw", encoding="utf-8")
+            for request in ({"op": "query", "start": "S"}, {"op": "ping"}):
+                stream.write(json.dumps(request) + "\n")
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
+            session.close()
+        latency = get_registry().get("repro_request_seconds")
+        assert latency.count(op="query") == 1
+        assert latency.count(op="ping") == 1
 
 
 class TestMetricsHTTPEndpoint:
