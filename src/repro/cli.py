@@ -325,6 +325,17 @@ def _coerce_node(graph, token: str):
     return candidate if graph.has_node(candidate) else token
 
 
+def _path_json(graph, path) -> list:
+    """A path as ``[source, label, target]`` triples of node strings."""
+    return [[str(graph.node_at(i)), label, str(graph.node_at(j))]
+            for i, label, j in path]
+
+
+def _path_text(graph, path) -> str:
+    return " ".join(f"{graph.node_at(i)} -{label}-> {graph.node_at(j)}"
+                    for i, label, j in path)
+
+
 def cmd_path(args: argparse.Namespace) -> int:
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
@@ -333,8 +344,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     path = engine.single_path(args.start, _coerce_node(graph, args.source),
                               _coerce_node(graph, args.target))
     if args.json:
-        print(json.dumps([[str(graph.node_at(i)), label, str(graph.node_at(j))]
-                          for i, label, j in path]))
+        print(json.dumps(_path_json(graph, path)))
     else:
         print(f"path of length {len(path)}:")
         for i, label, j in path:
@@ -356,19 +366,11 @@ def cmd_all_paths(args: argparse.Namespace) -> int:
                                     max_length=max_length),
                    key=lambda path: (len(path), path))
     if args.json:
-        print(json.dumps([
-            [[str(graph.node_at(i)), label, str(graph.node_at(j))]
-             for i, label, j in path]
-            for path in paths
-        ]))
+        print(json.dumps([_path_json(graph, path) for path in paths]))
     else:
         print(f"{len(paths)} paths of length <= {max_length}:")
         for path in paths:
-            rendered = " ".join(
-                f"{graph.node_at(i)} -{label}-> {graph.node_at(j)}"
-                for i, label, j in path
-            )
-            print(f"  [{len(path)}] {rendered}")
+            print(f"  [{len(path)}] {_path_text(graph, path)}")
     return 0
 
 
@@ -378,33 +380,23 @@ def _cmd_top_k_paths(args: argparse.Namespace, engine: CFPQEngine) -> int:
     with --semiring viterbi), without materializing the full path set —
     so no --max-length is required even on cyclic graphs."""
     from .core.path_index import LengthRank, ViterbiRank
-    from .grammar.symbols import Nonterminal
 
     if args.top_k < 0:
         raise SystemExit("--top-k must be non-negative")
     graph = engine.graph
-    engine.grammar.require_nonterminal(Nonterminal(args.start))
     forest = engine.all_path_enumerator().index
     rank = ViterbiRank() if args.semiring == "viterbi" else LengthRank()
     paths = forest.top_k(args.start, _coerce_node(graph, args.source),
                          _coerce_node(graph, args.target), args.top_k,
                          max_length=args.max_length, rank=rank)
     if args.json:
-        print(json.dumps([
-            [[str(graph.node_at(i)), label, str(graph.node_at(j))]
-             for i, label, j in path]
-            for path in paths
-        ]))
+        print(json.dumps([_path_json(graph, path) for path in paths]))
     else:
         order = ("most probable" if args.semiring == "viterbi"
                  else "shortest")
         print(f"top {len(paths)} paths ({order} first):")
         for position, path in enumerate(paths, start=1):
-            rendered = " ".join(
-                f"{graph.node_at(i)} -{label}-> {graph.node_at(j)}"
-                for i, label, j in path
-            )
-            print(f"  {position}. [{len(path)}] {rendered}")
+            print(f"  {position}. [{len(path)}] {_path_text(graph, path)}")
     return 0
 
 

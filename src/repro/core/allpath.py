@@ -35,7 +35,7 @@ from typing import Hashable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, as_nonterminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from .path_index import AllPathIndex
 from .single_path import Path
@@ -65,8 +65,6 @@ class AllPathEnumerator:
               target: Hashable, max_length: int) -> frozenset[Path]:
         """All paths ``source π target`` with ``A ⇒* l(π)`` and
         ``|π| ≤ max_length``."""
-        nonterminal = as_nonterminal(nonterminal)
-        self.grammar.require_nonterminal(nonterminal)
         return frozenset(
             self.index.iter_paths(nonterminal, source, target, max_length)
         )
@@ -80,22 +78,17 @@ class AllPathEnumerator:
         so this reads the forest's shortest-witness lengths instead of
         enumerating.
         """
-        nonterminal = as_nonterminal(nonterminal)
-        self.grammar.require_nonterminal(nonterminal)
-        pairs: set[tuple[int, int]] = set()
-        for i, j in self.index.relations.pairs(nonterminal):
-            shortest = self.index.shortest_path_length(
-                nonterminal, self.graph.node_at(i), self.graph.node_at(j)
-            )
-            if shortest is not None and shortest <= max_length:
-                pairs.add((i, j))
-        return frozenset(pairs)
+        nonterminal = self.grammar.resolve_nonterminal(nonterminal)
+        node_at = self.graph.node_at
+        return frozenset(
+            (i, j) for i, j in self.index.relations.pairs(nonterminal)
+            if (shortest := self.index.shortest_path_length(
+                nonterminal, node_at(i), node_at(j))) is not None
+            and shortest <= max_length)
 
     def iter_paths(self, nonterminal: Nonterminal | str, max_length: int,
                    ) -> Iterator[tuple[int, int, Path]]:
         """Yield every (i, j, path) with ``|path| ≤ max_length``."""
-        nonterminal = as_nonterminal(nonterminal)
-        self.grammar.require_nonterminal(nonterminal)
         for i in range(self.graph.node_count):
             for j in range(self.graph.node_count):
                 bounded = self.paths(nonterminal, self.graph.node_at(i),

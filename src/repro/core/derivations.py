@@ -34,8 +34,10 @@ Fact = tuple[Nonterminal, int, int]
 #: One one-step derivation of a fact (see the module docstring).
 Support = tuple
 
-#: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``.
-FactMaps = dict[Nonterminal, "defaultdict[int, set[int]]"]
+#: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``:
+#: the incremental solver's live ``defaultdict(set)`` maps, or
+#: :func:`matrix_maps` over closed matrices.
+FactMaps = dict[Nonterminal, "defaultdict[int, set[int]] | MatrixRows"]
 
 
 def fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
@@ -43,19 +45,44 @@ def fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
     return {nonterminal: defaultdict(set) for nonterminal in nonterminals}
 
 
-def closed_fact_maps(nonterminals: Iterable[Nonterminal],
-                     pairs: Mapping[Nonterminal, Iterable[tuple[int, int]]],
-                     ) -> tuple[FactMaps, FactMaps]:
-    """The ``(rows, cols)`` maps of already-closed relations, given as
-    ``pairs[A] = {(i, j)}`` (non-terminals without an entry are
-    empty)."""
-    nonterminals = tuple(nonterminals)
-    rows, cols = fact_maps(nonterminals), fact_maps(nonterminals)
-    for nonterminal, cells in pairs.items():
-        row_map, col_map = rows[nonterminal], cols[nonterminal]
-        for i, j in cells:
-            row_map[i].add(j)
-            col_map[j].add(i)
+class MatrixRows:
+    """The row map of one closed matrix, read in place: ``get(i)`` turns
+    row ``i`` of *export*'s ``(indptr, indices)`` (a ``row_major()``
+    export, taken on the first read) into a set of Python ints on its
+    first read and keeps it."""
+
+    __slots__ = ("_export", "_csr", "_memo")
+
+    def __init__(self, export: Callable[[], tuple]):
+        self._export, self._csr, self._memo = export, None, {}
+
+    def get(self, i: int, default=None):
+        row = self._memo.get(i)
+        if row is None:
+            if self._csr is None:
+                indptr, indices = self._export()
+                self._csr = indptr.tolist(), indices
+            starts, indices = self._csr
+            row = self._memo[i] = set(
+                indices[starts[i]:starts[i + 1]].tolist())
+        return row or default
+
+
+def matrix_maps(nonterminals: Iterable[Nonterminal], matrices: Mapping,
+                ) -> tuple[FactMaps, FactMaps]:
+    """The ``(rows, cols)`` maps of closed ``matrices[A]`` read in place;
+    a column map reads the transpose, a non-terminal without a matrix
+    is empty."""
+    rows: dict = {}
+    cols: dict = {}
+    for nonterminal in nonterminals:
+        if nonterminal not in matrices:
+            rows[nonterminal] = cols[nonterminal] = {}
+            continue
+        rows[nonterminal] = MatrixRows(
+            lambda nt=nonterminal: matrices[nt].row_major())
+        cols[nonterminal] = MatrixRows(
+            lambda nt=nonterminal: matrices[nt].transpose().row_major())
     return rows, cols
 
 

@@ -163,14 +163,16 @@ class CFPQEngine:
         a forest view of the (cached) relational solve, so all-path
         queries never close a second time."""
         from .allpath import AllPathEnumerator
+        from .derivations import matrix_maps
         from .path_index import AllPathIndex
 
         key = strategy or self.strategy
         if key not in self._all_path_enumerators:
             self._all_path_enumerators[key] = AllPathEnumerator(
                 self.graph, self.grammar, normalize=False,
-                index=AllPathIndex(self.graph, self.grammar,
-                                   self.relations(strategy=key)),
+                index=AllPathIndex(self.graph, self.grammar, *matrix_maps(
+                    self.grammar.nonterminals,
+                    self.solve(strategy=key).matrices)),
             )
         return self._all_path_enumerators[key]
 
@@ -266,16 +268,12 @@ class CFPQEngine:
             return self.relational(start, backend=kwargs.get("backend"),
                                    strategy=kwargs.get("strategy"))
         if semantics == "single-path":
-            from .single_path import extract_path
+            from .single_path import iter_single_paths
 
-            index = self.single_path_index(kwargs.get("strategy"))
-            start_nt = as_nonterminal(start)
-            return {
-                (self.graph.node_at(i), self.graph.node_at(j)):
-                    extract_path(index, start_nt, self.graph.node_at(i),
-                                 self.graph.node_at(j))
-                for i, j in index.pairs(start_nt)
-            }
+            node_at = self.graph.node_at
+            return {(node_at(i), node_at(j)): path
+                    for i, j, path in iter_single_paths(
+                        self.single_path_index(kwargs.get("strategy")), start)}
         if semantics == "all-path":
             max_length = kwargs.get("max_length")
             if max_length is None:

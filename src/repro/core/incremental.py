@@ -441,8 +441,8 @@ class IncrementalCFPQ:
         maps: built in O(|rules|), never rebuilt.  After a mutator call
         its memo tables are stale — :meth:`AllPathIndex.drop_memos`
         (the query service does it once per tick)."""
-        return AllPathIndex.over_fact_maps(self.graph, self.grammar,
-                                           self._rows, self._cols)
+        return AllPathIndex(self.graph, self.grammar, self._rows,
+                            self._cols)
 
     def _total_facts(self) -> int:
         return sum(map(len, self._facts.values()))

@@ -43,9 +43,9 @@ from typing import Hashable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, as_nonterminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from .derivations import FactMaps, closed_fact_maps, one_step_derivations
+from .derivations import FactMaps, matrix_maps, one_step_derivations
 from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
 from .relations import ContextFreeRelations
 from .semiring import (
@@ -113,21 +113,16 @@ class ViterbiRank:
 class AllPathIndex:
     """The implicit parse forest of one CFPQ evaluation.
 
-    A view of the closed relations: construct it from pre-computed
-    relations, :meth:`build` it (boolean closure, then wrap), or lay it
-    over fact maps someone else maintains (:meth:`over_fact_maps`).
-    Only memo tables are stored; :meth:`drop_memos` forgets them.
+    A view of the relations' row and column maps *rows* / *cols*, read
+    live and never copied: the closed matrices read in place
+    (:func:`repro.core.derivations.matrix_maps`, as :meth:`build` does)
+    or the fact maps the incremental solver maintains.  Only memo
+    tables are stored; whoever mutates the maps calls
+    :meth:`drop_memos`.
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 relations: ContextFreeRelations):
-        self._bind(graph, grammar, *closed_fact_maps(
-            grammar.nonterminals,
-            {nonterminal: relations.pairs(nonterminal)
-             for nonterminal in grammar.nonterminals}))
-
-    def _bind(self, graph: LabeledGraph, grammar: CFG,
-              rows: FactMaps, cols: FactMaps) -> None:
+                 rows: FactMaps, cols: FactMaps):
         self.graph = graph
         self.grammar = grammar
         #: ``rows[A][i] = {j}``: the row view of ``R_A``.
@@ -156,7 +151,7 @@ class AllPathIndex:
     def build(cls, graph: LabeledGraph, grammar: CFG,
               strategy: str | None = None,
               **strategy_options) -> "AllPathIndex":
-        """Run the boolean closure and wrap its relations.
+        """Run the boolean closure and read its matrices in place.
 
         *strategy* selects the closure strategy (engine default when
         None; extra keyword options such as ``tile_size`` / ``memory_budget``
@@ -167,16 +162,8 @@ class AllPathIndex:
         result = solve_matrix(graph, cnf, normalize=False,
                               strategy=strategy or DEFAULT_STRATEGY,
                               **strategy_options)
-        return cls(graph, cnf, result.relations)
-
-    @classmethod
-    def over_fact_maps(cls, graph: LabeledGraph, grammar: CFG,
-                       rows: FactMaps, cols: FactMaps) -> "AllPathIndex":
-        """A forest over *rows* / *cols* as they are — read live, never
-        copied.  Whoever mutates the maps calls :meth:`drop_memos`."""
-        index = cls.__new__(cls)
-        index._bind(graph, grammar, rows, cols)
-        return index
+        return cls(graph, cnf, *matrix_maps(cnf.nonterminals,
+                                            result.matrices))
 
     def drop_memos(self) -> None:
         """Forget everything memoized about the forest (the tables
@@ -190,8 +177,8 @@ class AllPathIndex:
     def relations(self) -> ContextFreeRelations:
         """The relations the forest is a view of."""
         return ContextFreeRelations(self.graph, {
-            nonterminal: [(i, j) for i, targets in row_map.items()
-                          for j in targets]
+            nonterminal: [(i, j) for i in range(self.graph.node_count)
+                          for j in row_map.get(i, ())]
             for nonterminal, row_map in self._rows.items()
         })
 
@@ -224,6 +211,14 @@ class AllPathIndex:
         """``(i, j) ∈ R_A``."""
         return j in self._rows.get(nonterminal, {}).get(i, ())
 
+    def _node(self, nonterminal: Nonterminal | str, source: Hashable,
+              target: Hashable) -> tuple[Nonterminal, int, int]:
+        """The forest node a query names: the grammar's non-terminal
+        (:class:`~repro.errors.UnknownSymbolError` for one it lacks)
+        and the endpoints' dense ids."""
+        return (self.grammar.resolve_nonterminal(nonterminal),
+                self.graph.node_id(source), self.graph.node_id(target))
+
     def _has_empty_path(self, nonterminal: Nonterminal, i: int,
                         j: int) -> bool:
         """True when the empty path ``iπi`` witnesses ``(i, j) ∈ R_A``
@@ -251,13 +246,10 @@ class AllPathIndex:
         unambiguous grammars the DP is exact and O(nodes · max_length²).
         """
         semiring = semiring or COUNTING_SEMIRING
-        nonterminal = as_nonterminal(nonterminal)
-        i = self.graph.node_id(source)
-        j = self.graph.node_id(target)
+        nonterminal, i, j = self._node(nonterminal, source, target)
         if self._grammar_is_ambiguous():
             total = 0
-            for _ in self.iter_paths(nonterminal, source, target,
-                                     max_length):
+            for _ in self._iter_paths(nonterminal, i, j, max_length):
                 total = semiring.saturating_add(total, 1)
             return total
         empty = 1 if self._has_empty_path(nonterminal, i, j) else 0
@@ -326,9 +318,11 @@ class AllPathIndex:
         Terminates on cyclic graphs: the recursion is on *exact* path
         lengths, which strictly decrease at every split.
         """
-        nonterminal = as_nonterminal(nonterminal)
-        i = self.graph.node_id(source)
-        j = self.graph.node_id(target)
+        return self._iter_paths(*self._node(nonterminal, source, target),
+                                max_length)
+
+    def _iter_paths(self, nonterminal: Nonterminal, i: int, j: int,
+                    max_length: int) -> Iterator[Path]:
         if not self.node_exists(nonterminal, i, j):
             return
         emitted: set[Path] = set()
@@ -434,10 +428,11 @@ class AllPathIndex:
         sequences from ambiguous derivations are emitted once,
         matching :meth:`iter_paths`.
         """
-        rank = rank or LengthRank()
-        nonterminal = as_nonterminal(nonterminal)
-        i = self.graph.node_id(source)
-        j = self.graph.node_id(target)
+        return self._iter_k_best(*self._node(nonterminal, source, target),
+                                 max_length, rank or LengthRank())
+
+    def _iter_k_best(self, nonterminal: Nonterminal, i: int, j: int,
+                     max_length: int | None, rank) -> Iterator[Path]:
         if not self.node_exists(nonterminal, i, j):
             return
         stats = self.kbest_stats
@@ -506,8 +501,8 @@ class AllPathIndex:
         """The *k* best paths (see :meth:`iter_k_best`); a prefix of
         ``top_k(..., k + 1)`` by construction — one lazy iterator,
         truncated."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"k must be a non-negative int, not {k!r}")
         return list(itertools.islice(
             self.iter_k_best(nonterminal, source, target,
                              max_length=max_length, rank=rank), k))
@@ -520,9 +515,7 @@ class AllPathIndex:
         """The minimal witness length for ``(source, target) ∈ R_A`` —
         Dijkstra over forest nodes (every node's cost = min over its
         terminal edges and splits)."""
-        nonterminal = as_nonterminal(nonterminal)
-        i = self.graph.node_id(source)
-        j = self.graph.node_id(target)
+        nonterminal, i, j = self._node(nonterminal, source, target)
         if not self.node_exists(nonterminal, i, j):
             return None
         if self._has_empty_path(nonterminal, i, j):

@@ -162,11 +162,11 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
     def nnz(self) -> int:
         return len(self._keys)
 
-    @property
-    def flat_keys(self):
-        """The sorted unique cell addresses ``i * cols + j`` (do not
-        mutate)."""
-        return self._keys
+    def row_major(self) -> tuple:
+        rows, cols = self._shape
+        indptr = np.searchsorted(self._keys,
+                                 np.arange(rows + 1, dtype=_INDEX) * cols)
+        return indptr, self._keys % cols if len(self._keys) else self._keys
 
     @property
     def nbytes(self) -> int:

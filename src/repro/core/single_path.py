@@ -47,8 +47,7 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from .derivations import (Fact, Support, closed_fact_maps,
-                          one_step_derivations)
+from .derivations import Fact, Support, matrix_maps, one_step_derivations
 from .relations import ContextFreeRelations
 from .semiring import (
     LENGTH_SEMIRING,
@@ -152,22 +151,19 @@ class SinglePathIndex:
 
     @cached_property
     def derivations(self) -> Callable[[Fact], Iterator[Support]]:
-        """The one-step derivations of a fact, over row/column maps of
-        the closed matrices (built on the first extraction)."""
-        return one_step_derivations(self.graph, self.grammar, *closed_fact_maps(
-            self.grammar.nonterminals,
-            {nonterminal: matrix.nonzero_pairs()
-             for nonterminal, matrix in self.matrices.items()}))
+        """The one-step derivations of a fact, reading the closed
+        matrices in place."""
+        return one_step_derivations(self.graph, self.grammar, *matrix_maps(
+            self.grammar.nonterminals, self.matrices))
 
     def relations(self) -> ContextFreeRelations:
         """Project the annotation away — by Theorem 2 this is the
         relational-semantics answer."""
-        by_nonterminal: dict[Nonterminal, set[tuple[int, int]]] = {
-            nt: set() for nt in self.grammar.nonterminals
-        }
-        for nonterminal, matrix in self.matrices.items():
-            by_nonterminal[nonterminal] = set(matrix.nonzero_pairs())
-        return ContextFreeRelations(self.graph, by_nonterminal)
+        matrices = self.matrices
+        return ContextFreeRelations(self.graph, {
+            nonterminal: matrices[nonterminal].to_pair_set
+            if nonterminal in matrices else ()
+            for nonterminal in self.grammar.nonterminals})
 
     def entry_count(self) -> int:
         """Total (cell, non-terminal) entries."""
@@ -273,17 +269,9 @@ def path_word(path: Path) -> tuple[str, ...]:
 def path_is_valid(index: SinglePathIndex, path: Path) -> bool:
     """Check that every edge of *path* exists in the graph and the edges
     are contiguous."""
-    graph = index.graph
-    previous_target: int | None = None
-    for source_id, label, target_id in path:
-        if previous_target is not None and source_id != previous_target:
-            return False
-        source = graph.node_at(source_id)
-        target = graph.node_at(target_id)
-        if not graph.has_edge(source, label, target):
-            return False
-        previous_target = target_id
-    return True
+    has_edge = index.graph.has_edge_id
+    return (all(left[2] == right[0] for left, right in zip(path, path[1:]))
+            and all(has_edge(*edge) for edge in path))
 
 
 def iter_single_paths(index: SinglePathIndex, nonterminal: Nonterminal | str,

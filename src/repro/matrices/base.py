@@ -45,6 +45,8 @@ from __future__ import annotations
 import abc
 import importlib
 import importlib.util
+from array import array
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from ..errors import DimensionMismatchError, UnknownBackendError
@@ -97,6 +99,19 @@ class BooleanMatrix(abc.ABC):
     @abc.abstractmethod
     def nnz(self) -> int:
         """Number of True entries."""
+
+    def row_major(self) -> tuple:
+        """All True entries as CSR ``(indptr, indices)``, both slicing
+        and with ``tolist()``: row ``i``'s columns, ascending, are
+        ``indices[indptr[i]:indptr[i + 1]]``.  Built here from
+        ``sorted(nonzero_pairs())``; array-backed matrices return the
+        arrays they hold (do not mutate)."""
+        pairs = sorted(self.nonzero_pairs())
+        counts = [0] * (self.shape[0] + 1)
+        for i, _j in pairs:
+            counts[i + 1] += 1
+        return (array("q", accumulate(counts)),
+                array("q", [j for _i, j in pairs]))
 
     # -- algebra ----------------------------------------------------------
     @abc.abstractmethod

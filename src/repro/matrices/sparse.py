@@ -52,6 +52,12 @@ class SparseMatrix(BooleanMatrix):
     def nnz(self) -> int:
         return int(self._matrix.nnz)
 
+    def row_major(self) -> tuple:
+        csr = self._matrix
+        if not csr.has_sorted_indices:
+            csr.sort_indices()  # products leave them in operation order
+        return csr.indptr, csr.indices
+
     def multiply(self, other: BooleanMatrix) -> "SparseMatrix":
         self._require_chainable(other)
         return SparseMatrix(self._matrix @ _as_csr(other))
@@ -75,19 +81,13 @@ class SparseMatrix(BooleanMatrix):
             self._matrix = (self._matrix + delta).tocsr()
         return SparseMatrix(delta)
 
-    def to_scipy(self) -> sp.csr_matrix:
-        """The underlying CSR matrix (do not mutate)."""
-        return self._matrix
-
 
 def _as_csr(matrix: BooleanMatrix) -> sp.csr_matrix:
     if isinstance(matrix, SparseMatrix):
         return matrix._matrix
-    pairs = list(matrix.nonzero_pairs())
-    rows = [i for i, _ in pairs]
-    cols = [j for _, j in pairs]
-    data = np.ones(len(pairs), dtype=bool)
-    return sp.csr_matrix((data, (rows, cols)), shape=matrix.shape, dtype=bool)
+    indptr, indices = matrix.row_major()
+    return sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                         shape=matrix.shape)
 
 
 class SparseBackend(MatrixBackend):
@@ -142,13 +142,8 @@ class SparseBackend(MatrixBackend):
 
     # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:
-        """The :mod:`repro.matrices.csr` payload.  Products and unions
-        leave column indices in operation order, so they are sorted
-        first."""
-        csr = _as_csr(matrix)
-        if not csr.has_sorted_indices:
-            csr = csr.sorted_indices()
-        return csr_payload(csr.shape, csr.indptr, csr.indices)
+        """The :mod:`repro.matrices.csr` payload of any matrix."""
+        return csr_payload(matrix.shape, *matrix.row_major())
 
     def tile_from_payload(self, payload: tuple) -> SparseMatrix:
         shape, indptr, indices = csr_arrays(payload)

@@ -298,19 +298,18 @@ def encode_relations(relations, backend: str, size: int) -> dict:
     Each ``R_A`` is an iterable of ``(i, j)`` pairs or a matrix whose
     cells are those pairs (a length matrix, by Theorem 2).  ``sparse``
     payloads are written by :mod:`repro.matrices.csr` straight from the
-    pairs, or from an array-layout matrix's flat keys, so writing them
-    never imports SciPy.  Any other backend encodes a matrix built from
+    pairs or a matrix's ``row_major()`` arrays, so writing them never
+    imports SciPy.  Any other backend encodes a matrix built from
     the sorted pairs.
     """
     shape = (size, size)
     if backend == "sparse":
-        from ..matrices.csr import keys_payload, pairs_payload
+        from ..matrices.csr import csr_payload, pairs_payload
 
         def encode(cells) -> tuple:
-            keys = getattr(cells, "flat_keys", None)
-            if keys is not None:
-                return keys_payload(shape, keys)
-            return pairs_payload(shape, _pairs_of(cells))
+            if isinstance(cells, BooleanMatrix):
+                return csr_payload(shape, *cells.row_major())
+            return pairs_payload(shape, cells)
     else:
         matrices = get_backend(backend)
 

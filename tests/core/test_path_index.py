@@ -1,15 +1,20 @@
 """Tests for the derivation index (parse-forest over closed matrices)."""
 
+import json
+import os
+
 import pytest
 
 from repro.core.allpath import AllPathEnumerator
 from repro.core.path_index import PathIndex
 from repro.core.single_path import path_word
+from repro.errors import UnknownSymbolError
 from repro.grammar.cnf import to_cnf
 from repro.grammar.parser import parse_grammar
 from repro.grammar.recognizer import cyk_recognize
 from repro.grammar.symbols import Nonterminal
 from repro.graph.generators import random_graph, two_cycles, word_chain
+from repro.matrices.base import available_backends
 
 S = Nonterminal("S")
 
@@ -128,3 +133,91 @@ class TestShortestLength:
                                                      graph.node_at(j))
                 assert minimal is not None
                 assert minimal <= entries[S]
+
+
+class TestQueryArguments:
+    """A non-terminal the grammar lacks is an error, not an empty
+    answer; ``k`` is a non-negative int."""
+
+    QUERIES = {
+        "iter_paths": lambda index, start: list(
+            index.iter_paths(start, 0, 4, max_length=6)),
+        "count_paths": lambda index, start: index.count_paths(
+            start, 0, 4, max_length=6),
+        "iter_k_best": lambda index, start: list(
+            index.iter_k_best(start, 0, 4)),
+        "top_k": lambda index, start: index.top_k(start, 0, 4, 3),
+        "shortest_path_length": lambda index, start:
+            index.shortest_path_length(start, 0, 4),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("start", ["Nope", Nonterminal("Nope")])
+    def test_unknown_nonterminal_raises(self, chain_index, query, start):
+        with pytest.raises(UnknownSymbolError, match="Nope"):
+            self.QUERIES[query](chain_index, start)
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_start_by_name(self, chain_index, query):
+        assert self.QUERIES[query](chain_index, "S") \
+            == self.QUERIES[query](chain_index, S)
+
+    def test_unknown_nonterminal_raises_for_k_zero(self, chain_index):
+        with pytest.raises(UnknownSymbolError):
+            chain_index.top_k("Nope", 0, 4, 0)
+
+    @pytest.mark.parametrize("k", [1.5, True, False, "2", -1])
+    def test_top_k_refuses_a_k_that_is_not_a_count(self, chain_index, k):
+        with pytest.raises(ValueError, match="k must be a non-negative int"):
+            chain_index.top_k(S, 0, 4, k)
+
+    def test_top_k_zero(self, chain_index):
+        assert chain_index.top_k(S, 0, 4, 0) == []
+
+
+class TestReadsMatricesInPlace:
+    """The forest and the single-path search read rows of the closed
+    array-backed matrices, never a per-pair export of them — at build
+    or on first read."""
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "funding_q1_paths.json")
+
+    @pytest.mark.skipif("sparse" not in available_backends(),
+                        reason="needs the SciPy sparse backend")
+    def test_funding_paths_without_per_pair_reads(self, monkeypatch):
+        from repro.core.scalar_matrix import ScalarAnnotatedMatrix
+        from repro.core.single_path import (build_single_path_index,
+                                            extract_path)
+        from repro.datasets.registry import build_graph
+        from repro.grammar.builders import same_generation_query1
+        from repro.matrices.sparse import SparseMatrix
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("per-pair read of a closed matrix")
+
+        for cls, names in ((SparseMatrix, ("nonzero_pairs", "to_pair_set")),
+                           (ScalarAnnotatedMatrix,
+                            ("nonzero_pairs", "columns"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, refuse)
+        graph = build_graph("funding")
+        grammar = to_cnf(same_generation_query1())
+        forest = PathIndex.build(graph, grammar)
+        index = build_single_path_index(graph, grammar, normalize=False)
+
+        def named(path):
+            return [[graph.node_at(i), label, graph.node_at(j)]
+                    for i, label, j in path]
+
+        # Written by the forest and the index as they were before they
+        # read the matrices in place.
+        with open(self.FIXTURE, encoding="utf-8") as stream:
+            cases = json.load(stream)
+        assert cases
+        for case in cases:
+            source, target = case["source"], case["target"]
+            assert [named(path) for path in forest.top_k(
+                S, source, target, 5)] == case["top_k"], case
+            assert named(extract_path(index, S, source, target)) \
+                == case["single_path"], case

@@ -41,7 +41,8 @@ from oracles.witness import naive_forest
 
 from repro.core.allpath import AllPathEnumerator
 from repro.core.incremental import IncrementalSinglePathCFPQ
-from repro.core.matrix_cfpq import solve_matrix_relations
+from repro.core.derivations import matrix_maps
+from repro.core.matrix_cfpq import solve_matrix, solve_matrix_relations
 from repro.core.path_index import AllPathIndex
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
@@ -311,9 +312,10 @@ def test_forest_view_equals_closure_built_forest(seed, strategy):
     for backend in available_backends():
         oracle.drop_memos()
         oracle.kbest_stats.update(expansions=0, yielded=0)
-        view = AllPathIndex(graph, grammar, solve_matrix_relations(
-            graph, grammar, backend=backend, normalize=False,
-            strategy=strategy))
+        view = AllPathIndex(graph, grammar, *matrix_maps(
+            grammar.nonterminals, solve_matrix(
+                graph, grammar, backend=backend, normalize=False,
+                strategy=strategy).matrices))
         assert view.relations.same_as(oracle.relations), backend
         for node in nodes:
             assert view.splits(*node) == oracle.splits(*node), node

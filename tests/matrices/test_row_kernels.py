@@ -1,10 +1,12 @@
-"""The row kernel ``mask_rows`` across all backends.
+"""The row kernels ``mask_rows`` and ``row_major`` across all backends.
 
 ``mask_rows`` restricts a matrix to a row subset without changing its
 shape: the RPQ demux reads its start-state rows through it, and a cold
 batch its source rows.  Every backend's native override must agree
 exactly with the generic coordinate implementation on
-:class:`~repro.matrices.base.MatrixBackend`.
+:class:`~repro.matrices.base.MatrixBackend`.  ``row_major`` is the CSR
+export path answers read rows from; every matrix type, annotated ones
+included, must give each row's columns in ascending order.
 """
 
 from __future__ import annotations
@@ -91,6 +93,41 @@ class TestMaskRows:
             assert set(masked.nonzero_pairs()) == {
                 (0, 1), (0, 3), (3, 3), (3, 1)
             }, name
+
+
+def _csr_rows(matrix) -> list:
+    indptr, indices = matrix.row_major()
+    starts = indptr.tolist()
+    return [indices[starts[i]:starts[i + 1]].tolist()
+            for i in range(len(starts) - 1)]
+
+
+class TestRowMajor:
+    def test_rectangular_rows_ascend(self, backend):
+        matrix = backend.from_pairs(4, PAIRS | {(1, 4), (0, 0)}, cols=5)
+        assert _csr_rows(matrix) == [[0, 1, 3], [2, 4], [0], [1, 3]]
+
+    def test_empty(self, backend):
+        assert _csr_rows(backend.zeros(3)) == [[], [], []]
+
+    def test_product_rows_match_its_pairs(self, backend):
+        """A product may hold its columns in operation order; the
+        export sorts them."""
+        rng = random.Random(3)
+        left = backend.from_pairs(
+            12, {(rng.randrange(12), rng.randrange(12)) for _ in range(40)})
+        product = left.multiply(left)
+        expected = [[] for _ in range(12)]
+        for i, j in sorted(product.nonzero_pairs()):
+            expected[i].append(j)
+        assert _csr_rows(product) == expected
+
+    def test_annotated_matrices(self):
+        from repro.core.semiring import LENGTH_SEMIRING, AnnotatedBackend
+
+        matrix = AnnotatedBackend(LENGTH_SEMIRING).from_cells(
+            (3, 4), {(2, 3): 1, (0, 2): 4, (2, 0): 2})
+        assert _csr_rows(matrix) == [[2], [], [0, 3]]
 
 
 class TestNativeMatchesGeneric:

@@ -14,6 +14,8 @@ DP).
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from repro.core.naive_closure import solve_naive
 from repro.core.path_index import AllPathIndex
 from repro.grammar.cnf import ensure_cnf
@@ -25,9 +27,15 @@ class NaiveForest(AllPathIndex):
 
     def __init__(self, graph, grammar):
         relations = solve_naive(graph, grammar, normalize=False).relations
-        super().__init__(graph, grammar, relations)
         self._pairs = {nonterminal: relations.pairs(nonterminal)
                        for nonterminal in grammar.nonterminals}
+        rows = {nonterminal: defaultdict(set) for nonterminal in self._pairs}
+        cols = {nonterminal: defaultdict(set) for nonterminal in self._pairs}
+        for nonterminal, pairs in self._pairs.items():
+            for i, j in pairs:
+                rows[nonterminal][i].add(j)
+                cols[nonterminal][j].add(i)
+        super().__init__(graph, grammar, rows, cols)
         self._edges = set(graph.edges_by_id())
 
     def _children(self, nonterminal, i, j):

@@ -414,8 +414,7 @@ class TestPathViewsUnderTicks:
         graph = service.graph
         lengths = build_single_path_index(graph, PATHS_GRAMMAR,
                                           normalize=False)
-        forest = AllPathIndex(graph, PATHS_GRAMMAR, solve_matrix_relations(
-            graph, PATHS_GRAMMAR, normalize=False))
+        forest = AllPathIndex.build(graph, PATHS_GRAMMAR)
 
         def named(path):
             return tuple((graph.node_at(i), label, graph.node_at(j))
@@ -609,8 +608,8 @@ class TestConcurrency:
                 return build(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(AllPathIndex, "_bind",
-                            counted("forest", AllPathIndex._bind))
+        monkeypatch.setattr(AllPathIndex, "__init__",
+                            counted("forest", AllPathIndex.__init__))
         for cls in (SinglePathIndex, SinglePathView):
             monkeypatch.setattr(cls, "__init__",
                                 counted("single-path", cls.__init__))

@@ -111,6 +111,13 @@ class TestPathCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_top_k_unknown_start_reports_error(self, chain_file, capsys):
+        code = main(["paths", "--graph", chain_file,
+                     "--grammar-name", "dyck1", "--start", "Zzz",
+                     "--source", "0", "--target", "4", "--top-k", "2"])
+        assert code == 1
+        assert "Zzz is not part of the grammar" in capsys.readouterr().err
+
 
 class TestRdfInput:
     def test_rdf_flag_applies_paper_conversion(self, tmp_path, capsys):
