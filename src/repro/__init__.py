@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".core.closure": ("available_strategies", "run_closure"),
     ".core.engine": ("CFPQEngine", "cfpq"),
     ".core.incremental": ("IncrementalCFPQ", "IncrementalSinglePathCFPQ"),
-    ".core.path_index": ("AllPathIndex", "PathIndex"),
+    ".core.path_index": ("AllPathIndex",),
     ".core.matrix_cfpq": ("solve_matrix", "solve_matrix_relations"),
     ".core.naive_closure": ("solve_naive",),
     ".core.relations": ("ContextFreeRelations",),
@@ -63,7 +63,6 @@ __all__ = [
     "LabeledGraph",
     "MetricsRegistry",
     "Nonterminal",
-    "PathIndex",
     "Production",
     "QueryService",
     "ReproError",

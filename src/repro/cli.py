@@ -353,6 +353,10 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_all_paths(args: argparse.Namespace) -> int:
+    for flag, value in (("--max-length", args.max_length),
+                        ("--top-k", args.top_k)):
+        if value is not None and value < 0:
+            raise EngineError(f"{flag} must be non-negative, not {value}")
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
                         **_solve_options(args))
@@ -381,10 +385,8 @@ def _cmd_top_k_paths(args: argparse.Namespace, engine: CFPQEngine) -> int:
     so no --max-length is required even on cyclic graphs."""
     from .core.path_index import LengthRank, ViterbiRank
 
-    if args.top_k < 0:
-        raise SystemExit("--top-k must be non-negative")
     graph = engine.graph
-    forest = engine.all_path_enumerator().index
+    forest = engine.all_path_index()
     rank = ViterbiRank() if args.semiring == "viterbi" else LengthRank()
     paths = forest.top_k(args.start, _coerce_node(graph, args.source),
                          _coerce_node(graph, args.target), args.top_k,

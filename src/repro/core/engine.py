@@ -25,15 +25,15 @@ from typing import TYPE_CHECKING, Hashable
 from ..errors import SemanticsError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
-from ..grammar.symbols import Nonterminal, as_nonterminal
+from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import default_backend
 from .matrix_cfpq import DEFAULT_STRATEGY, MatrixCFPQResult, solve_matrix
 from .relations import ContextFreeRelations
 
 if TYPE_CHECKING:
-    from .allpath import AllPathEnumerator
-    from .single_path import Path, SinglePathIndex
+    from .path_index import AllPathIndex, Path
+    from .single_path import SinglePathIndex
 
 #: The query semantics understood by :meth:`CFPQEngine.evaluate`.
 SEMANTICS = ("relational", "single-path", "all-path")
@@ -74,7 +74,12 @@ class CFPQEngine:
         self.strategy_options = strategy_options
         self._matrix_results: dict[tuple[str, str], MatrixCFPQResult] = {}
         self._single_path_by_strategy: dict[str, SinglePathIndex] = {}
-        self._all_path_enumerators: dict[str, AllPathEnumerator] = {}
+        self._all_path_indexes: dict[str, AllPathIndex] = {}
+
+    def _start(self, start: Nonterminal | str) -> Nonterminal:
+        """The grammar's non-terminal named by *start*;
+        :class:`~repro.errors.UnknownSymbolError` for one it lacks."""
+        return self.grammar.resolve_nonterminal(start)
 
     # ------------------------------------------------------------------
     # Relational semantics
@@ -101,9 +106,8 @@ class CFPQEngine:
                    ) -> frozenset[tuple[Hashable, Hashable]]:
         """``R_S`` for the queried start non-terminal, as node objects —
         the paper's relational query semantics."""
-        start_nt = as_nonterminal(start)
-        self.grammar.require_nonterminal(start_nt)
-        return self.relations(backend, strategy).node_pairs(start_nt)
+        return self.relations(backend, strategy).node_pairs(
+            self._start(start))
 
     def count(self, start: Nonterminal | str, backend: str | None = None,
               strategy: str | None = None) -> int:
@@ -139,50 +143,41 @@ class CFPQEngine:
         the relation."""
         from .single_path import extract_path
 
-        start_nt = as_nonterminal(start)
-        self.grammar.require_nonterminal(start_nt)
-        return extract_path(self.single_path_index(strategy), start_nt,
-                            source, target)
+        return extract_path(self.single_path_index(strategy),
+                            self._start(start), source, target)
 
     def path_length(self, start: Nonterminal | str, source: Hashable,
                     target: Hashable, strategy: str | None = None,
                     ) -> int | None:
         """The recorded witness-path length ``l_A``, or None."""
-        start_nt = as_nonterminal(start)
-        index = self.single_path_index(strategy)
-        return index.length_of(
+        start_nt = self._start(start)
+        return self.single_path_index(strategy).length_of(
             start_nt, self.graph.node_id(source), self.graph.node_id(target)
         )
 
     # ------------------------------------------------------------------
     # Bounded all-path semantics (§7 future work)
     # ------------------------------------------------------------------
-    def all_path_enumerator(self, strategy: str | None = None,
-                            ) -> AllPathEnumerator:
-        """The all-path enumerator, built once per strategy and cached:
-        a forest view of the (cached) relational solve, so all-path
-        queries never close a second time."""
-        from .allpath import AllPathEnumerator
-        from .derivations import matrix_maps
-        from .path_index import AllPathIndex
+    def all_path_index(self, strategy: str | None = None) -> AllPathIndex:
+        """The all-path parse forest, made once per strategy: a view of
+        the (cached) relational solve's matrices, so all-path queries
+        never close a second time."""
+        from .path_index import AllPathIndex, matrix_maps
 
         key = strategy or self.strategy
-        if key not in self._all_path_enumerators:
-            self._all_path_enumerators[key] = AllPathEnumerator(
-                self.graph, self.grammar, normalize=False,
-                index=AllPathIndex(self.graph, self.grammar, *matrix_maps(
+        if key not in self._all_path_indexes:
+            self._all_path_indexes[key] = AllPathIndex(
+                self.graph, self.grammar, *matrix_maps(
                     self.grammar.nonterminals,
-                    self.solve(strategy=key).matrices)),
-            )
-        return self._all_path_enumerators[key]
+                    self.solve(strategy=key).matrices))
+        return self._all_path_indexes[key]
 
     def all_paths(self, start: Nonterminal | str, source: Hashable,
                   target: Hashable, max_length: int,
                   strategy: str | None = None) -> frozenset[Path]:
         """All witness paths of length ≤ *max_length*."""
-        return self.all_path_enumerator(strategy).paths(
-            as_nonterminal(start), source, target, max_length
-        )
+        return frozenset(self.all_path_index(strategy).iter_paths(
+            start, source, target, max_length))
 
     # ------------------------------------------------------------------
     # Warm-start adoption (snapshot store)
@@ -264,29 +259,33 @@ class CFPQEngine:
                  **kwargs):
         """Dispatch on *semantics* (``relational`` | ``single-path`` |
         ``all-path``); see the specific methods for the result types."""
+        strategy = kwargs.get("strategy")
         if semantics == "relational":
             return self.relational(start, backend=kwargs.get("backend"),
-                                   strategy=kwargs.get("strategy"))
+                                   strategy=strategy)
+        node_at = self.graph.node_at
         if semantics == "single-path":
             from .single_path import iter_single_paths
 
-            node_at = self.graph.node_at
             return {(node_at(i), node_at(j)): path
                     for i, j, path in iter_single_paths(
-                        self.single_path_index(kwargs.get("strategy")), start)}
+                        self.single_path_index(strategy), self._start(start))}
         if semantics == "all-path":
+            from .path_index import non_negative_int
+
             max_length = kwargs.get("max_length")
             if max_length is None:
                 raise SemanticsError("all-path semantics requires max_length=")
-            start_nt = as_nonterminal(start)
-            enumerator = self.all_path_enumerator(kwargs.get("strategy"))
+            non_negative_int(max_length, "max_length")
+            # A pair outside R_S has no path, so only R_S is enumerated.
+            start_nt = self._start(start)
+            index = self.all_path_index(strategy)
             return {
-                (self.graph.node_at(i), self.graph.node_at(j)): paths
-                for i in range(self.graph.node_count)
-                for j in range(self.graph.node_count)
-                if (paths := enumerator.paths(
-                    start_nt, self.graph.node_at(i), self.graph.node_at(j),
-                    max_length))
+                (node_at(i), node_at(j)): paths
+                for i, j in sorted(self.relations(strategy=strategy)
+                                   .pairs(start_nt))
+                if (paths := frozenset(index.iter_paths(
+                    start_nt, node_at(i), node_at(j), max_length)))
             }
         raise SemanticsError(
             f"unknown semantics {semantics!r}; expected one of {SEMANTICS}"

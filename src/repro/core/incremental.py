@@ -89,9 +89,8 @@ from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
-from .derivations import (Fact, FactMaps, Support, fact_maps,
-                          one_step_derivations)
-from .path_index import AllPathIndex
+from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
+                         one_step_derivations)
 from .relations import ContextFreeRelations
 from .single_path import SinglePathView, lengths_by_fact
 
@@ -342,7 +341,7 @@ class IncrementalCFPQ:
         removed edge derived (count-blind — sound even when facts
         support each other in cycles).  Phase 2 *re-derives*: each
         over-deleted fact is probed for its one-step derivations from
-        the survivors (:func:`~repro.core.derivations.one_step_derivations`),
+        the survivors (:func:`~repro.core.path_index.one_step_derivations`),
         and those re-enter the
         tuple-granular worklist, which restores every fact still
         derivable.  The work is proportional to the over-deleted set,

@@ -1,37 +1,45 @@
-"""Derivation index: the all-path parse forest, read off the closed
-relations.
+"""The all-path parse forest, read off the closed relations.
 
-The paper's §7 asks whether parse forests — the natural answer
-representation for the *all-path* semantics — can be built by matrix
-multiplication on graphs, as Okhotin [19] does for linear inputs.  They
-need no second closure: at the fixpoint of the boolean closure the
-forest is implicit in the relations.  Node ``(A, i, j)`` has a terminal
-child for every edge ``(i, x, j)`` with ``(A → x) ∈ P`` and a packed
-binary child ``(A → B C, r)`` for every ``r`` with ``(i, r) ∈ R_B`` and
-``(r, j) ∈ R_C`` — the one-step derivations of the fact
-(:func:`repro.core.derivations.one_step_derivations`), recovered by one
-set intersection per rule, the way a chart parser reads its chart.
-That is the shared packed forest (an SPPF in parsing terms), and it is
-the same for every closure strategy and backend because the relations
-are.
+At the fixpoint of Algorithm 1 a fact ``(A, i, j)`` holds exactly when
+it has a one-step derivation from the graph and the other facts:
+
+* ``("empty",)`` — ``i == j`` and ``A`` was nullable before CNF (the
+  empty path ``iπi``);
+* ``("edge", x)`` — an edge ``(i, x, j)`` with a rule ``A → x``;
+* ``("split", B, C, r)`` — a rule ``A → B C`` with ``(i, r) ∈ R_B`` and
+  ``(r, j) ∈ R_C``, i.e. ``r ∈ rows[B][i] ∩ cols[C][j]``.
+
+Nothing about a derivation has to be stored: the paper's §5 "simple
+search" recovers a path from the closed matrices alone, and the §7
+parse forest — the natural answer representation for the *all-path*
+semantics — is just as implicit: node ``(A, i, j)`` has exactly these
+children, recovered by one set intersection per rule, the way a chart
+parser reads its chart.  That is the shared packed forest (an SPPF in
+parsing terms), the same for every closure strategy and backend
+because the relations are.  :func:`one_step_derivations` is the single
+reader of that structure; DRed re-derivation
+(:mod:`repro.core.incremental`), single-path extraction
+(:mod:`repro.core.single_path`) and :class:`AllPathIndex` all go
+through it.
 
 :class:`AllPathIndex` is that view plus memo tables, and supports:
 
-* :meth:`splits` / :meth:`terminal_edges` — forest inspection;
-* :meth:`count_paths` — the number of distinct derivation paths up to a
-  length bound, by dynamic programming over the forest (no enumeration);
-* :meth:`iter_paths` — lazy enumeration in order of increasing length;
-* :meth:`iter_k_best` / :meth:`top_k` — lazy best-first enumeration;
-* :meth:`shortest_path_length` — minimal witness length per pair (the
-  quantity Hellings' single-path algorithm computes [12], and exactly
-  the length-semiring annotation of
-  :mod:`repro.core.single_path` — cross-checked in the tests).
+* :meth:`~AllPathIndex.splits` / :meth:`~AllPathIndex.terminal_edges`
+  — forest inspection;
+* :meth:`~AllPathIndex.count_paths` — the number of distinct paths up
+  to a length bound, by dynamic programming over the forest;
+* :meth:`~AllPathIndex.iter_paths` — lazy enumeration in order of
+  increasing length;
+* :meth:`~AllPathIndex.iter_k_best` / :meth:`~AllPathIndex.top_k` —
+  lazy best-first enumeration;
+* :meth:`~AllPathIndex.shortest_path_length` — minimal witness length
+  per pair (what Hellings' single-path algorithm computes [12]).
 
-Cycles in the graph make the forest cyclic (infinitely many paths); the
-DP and the enumerator are bound-parameterized, which is the standard
-annotated-grammar-free way to keep the all-path answer finite (§7).
-Enumeration recurses on *exact* path lengths, which strictly decrease
-at every split, so it terminates on cyclic forests by construction.
+Cycles in the graph make the forest cyclic (infinitely many paths), so
+the all-path answer is bound-parameterized, the annotated-grammar-free
+way to keep it finite (§7).  Enumeration recurses on *exact* path
+lengths, which strictly decrease at every split, so it terminates on
+cyclic forests by construction.
 """
 
 from __future__ import annotations
@@ -39,14 +47,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from typing import Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from .derivations import FactMaps, matrix_maps, one_step_derivations
-from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
 from .relations import ContextFreeRelations
 from .semiring import (
     COUNTING_SEMIRING,
@@ -54,10 +60,122 @@ from .semiring import (
     CountingSemiring,
     ViterbiSemiring,
 )
-from .single_path import Path
+
+#: A path is a sequence of labeled edges (source_id, label, target_id).
+PathEdge = tuple[int, str, int]
+Path = tuple[PathEdge, ...]
+
+#: A derived fact ``(A, i, j)`` by dense node ids.
+Fact = tuple[Nonterminal, int, int]
+
+#: One one-step derivation of a fact (see the module docstring).
+Support = tuple
+
+#: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``:
+#: the incremental solver's live ``defaultdict(set)`` maps, or
+#: :func:`matrix_maps` over closed matrices.
+FactMaps = dict[Nonterminal, "defaultdict[int, set[int]] | MatrixRows"]
+
+
+def fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
+    """Empty row (or column) maps, one per non-terminal."""
+    return {nonterminal: defaultdict(set) for nonterminal in nonterminals}
+
+
+class MatrixRows:
+    """The row map of one closed matrix, read in place: ``get(i)`` turns
+    row ``i`` of *export*'s ``(indptr, indices)`` (a ``row_major()``
+    export, taken on the first read) into a set of Python ints on its
+    first read and keeps it."""
+
+    __slots__ = ("_export", "_csr", "_memo")
+
+    def __init__(self, export: Callable[[], tuple]):
+        self._export, self._csr, self._memo = export, None, {}
+
+    def get(self, i: int, default=None):
+        row = self._memo.get(i)
+        if row is None:
+            if self._csr is None:
+                indptr, indices = self._export()
+                self._csr = indptr.tolist(), indices
+            starts, indices = self._csr
+            row = self._memo[i] = set(
+                indices[starts[i]:starts[i + 1]].tolist())
+        return row or default
+
+
+def matrix_maps(nonterminals: Iterable[Nonterminal], matrices: Mapping,
+                ) -> tuple[FactMaps, FactMaps]:
+    """The ``(rows, cols)`` maps of closed ``matrices[A]`` read in place;
+    a column map reads the transpose, a non-terminal without a matrix
+    is empty."""
+    rows: dict = {}
+    cols: dict = {}
+    for nonterminal in nonterminals:
+        if nonterminal not in matrices:
+            rows[nonterminal] = cols[nonterminal] = {}
+            continue
+        rows[nonterminal] = MatrixRows(
+            lambda nt=nonterminal: matrices[nt].row_major())
+        cols[nonterminal] = MatrixRows(
+            lambda nt=nonterminal: matrices[nt].transpose().row_major())
+    return rows, cols
+
+
+def one_step_derivations(graph: LabeledGraph, grammar: CFG,
+                         rows: FactMaps, cols: FactMaps,
+                         ) -> Callable[[Fact], Iterator[Support]]:
+    """Bind the derivation reader to *rows* / *cols*.
+
+    The maps are read live on every call and never copied, so the
+    returned function stays correct while their owner (the incremental
+    solver) mutates them between calls.  The order is a function of the
+    inputs alone: the empty path, then edges in grammar rule order,
+    then splits sorted by ``(B.name, C.name, r)``.  A call iterates no
+    live row, so the caller may record facts while consuming it.
+    """
+    nullable = grammar.nullable_diagonal
+    labels_for_head: dict[Nonterminal, list[str]] = defaultdict(list)
+    for rule in grammar.terminal_rules:
+        labels_for_head[rule.head].append(rule.body[0].label)  # type: ignore[union-attr]
+    # Each pair rule bound once to the two maps its join reads.
+    bodies_for_head: dict[Nonterminal, list] = defaultdict(list)
+    for rule in grammar.binary_rules:
+        left, right = rule.body  # type: ignore[misc]
+        bodies_for_head[rule.head].append(
+            (left, right, rows[left], cols[right]))  # type: ignore[index]
+    for bodies in bodies_for_head.values():
+        bodies.sort(key=lambda body: (body[0].name, body[1].name))
+    has_edge = graph.has_edge_id
+
+    def derivations(fact: Fact) -> Iterator[Support]:
+        nonterminal, i, j = fact
+        if i == j and nonterminal in nullable:
+            yield ("empty",)
+        for label in labels_for_head.get(nonterminal, ()):
+            if has_edge(i, label, j):
+                yield ("edge", label)
+        for left, right, left_rows, right_cols in \
+                bodies_for_head.get(nonterminal, ()):
+            midpoints = left_rows.get(i)
+            if midpoints:
+                for r in sorted(midpoints.intersection(right_cols.get(j, ()))):
+                    yield ("split", left, right, r)
+
+    return derivations
+
 
 #: One binary split of (A, i, j): (left nonterminal, right nonterminal, mid).
 Split = tuple[Nonterminal, Nonterminal, int]
+
+
+def non_negative_int(value, name: str) -> int:
+    """*value* when it is a non-negative ``int`` (a ``bool`` is not);
+    :class:`ValueError` naming *name* otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, not {value!r}")
+    return value
 
 
 class LengthRank:
@@ -115,7 +233,7 @@ class AllPathIndex:
 
     A view of the relations' row and column maps *rows* / *cols*, read
     live and never copied: the closed matrices read in place
-    (:func:`repro.core.derivations.matrix_maps`, as :meth:`build` does)
+    (:func:`matrix_maps`, as :meth:`build` does)
     or the fact maps the incremental solver maintains.  Only memo
     tables are stored; whoever mutates the maps calls
     :meth:`drop_memos`.
@@ -158,6 +276,8 @@ class AllPathIndex:
         are forwarded); the forest depends on the relations alone, so
         every strategy produces the identical one.
         """
+        from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
+
         cnf = ensure_cnf(grammar)
         result = solve_matrix(graph, cnf, normalize=False,
                               strategy=strategy or DEFAULT_STRATEGY,
@@ -231,21 +351,18 @@ class AllPathIndex:
     def count_paths(self, nonterminal: Nonterminal | str, source: Hashable,
                     target: Hashable, max_length: int,
                     semiring: CountingSemiring | None = None) -> int:
-        """Number of distinct derivation paths of length ≤ *max_length*,
-        saturating at the counting semiring's cap.
+        """Number of distinct paths of length ≤ *max_length*, saturating
+        at the counting semiring's cap.
 
-        DP on ``counts[(A, i, j)][l]`` = number of derivations of exactly
-        length l; splits convolve left and right counts, folded through
-        the counting semiring's saturating scalar ops — the same ⊗/⊕
-        arithmetic the closure-level counting annotation runs on the
-        matrix kernels (the two counts are asserted equal in the tests).
-        Distinct *derivations* of the same edge sequence (ambiguous
-        grammars) count once per edge sequence — we count paths, not
-        parse trees, by deduplicating at the edge-sequence level per
-        length via the enumerator when ambiguity is possible.  For
-        unambiguous grammars the DP is exact and O(nodes · max_length²).
+        DP on ``counts[(A, i, j)][l]``, the derivations of exactly length
+        l: splits convolve left and right counts through the counting
+        semiring's saturating scalar ops — the ⊗/⊕ the closure-level
+        counting annotation runs (the tests assert the two agree).  A
+        grammar that may be ambiguous counts enumerated edge sequences
+        instead, so paths count once, not once per parse tree.
         """
         semiring = semiring or COUNTING_SEMIRING
+        max_length = non_negative_int(max_length, "max_length")
         nonterminal, i, j = self._node(nonterminal, source, target)
         if self._grammar_is_ambiguous():
             total = 0
@@ -319,7 +436,7 @@ class AllPathIndex:
         lengths, which strictly decrease at every split.
         """
         return self._iter_paths(*self._node(nonterminal, source, target),
-                                max_length)
+                                non_negative_int(max_length, "max_length"))
 
     def _iter_paths(self, nonterminal: Nonterminal, i: int, j: int,
                     max_length: int) -> Iterator[Path]:
@@ -428,6 +545,8 @@ class AllPathIndex:
         sequences from ambiguous derivations are emitted once,
         matching :meth:`iter_paths`.
         """
+        if max_length is not None:
+            non_negative_int(max_length, "max_length")
         return self._iter_k_best(*self._node(nonterminal, source, target),
                                  max_length, rank or LengthRank())
 
@@ -501,11 +620,10 @@ class AllPathIndex:
         """The *k* best paths (see :meth:`iter_k_best`); a prefix of
         ``top_k(..., k + 1)`` by construction — one lazy iterator,
         truncated."""
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError(f"k must be a non-negative int, not {k!r}")
         return list(itertools.islice(
             self.iter_k_best(nonterminal, source, target,
-                             max_length=max_length, rank=rank), k))
+                             max_length=max_length, rank=rank),
+            non_negative_int(k, "k")))
 
     # ------------------------------------------------------------------
     # Shortest witnesses
@@ -589,10 +707,6 @@ class AllPathIndex:
         cache.update(best)
         cache.setdefault(root, best.get(root))
         return best.get(root)
-
-
-#: Historical name of the forest index (pre-semiring API).
-PathIndex = AllPathIndex
 
 
 def _node_key(node: tuple[Nonterminal, int, int]) -> tuple[str, int, int]:

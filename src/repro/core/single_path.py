@@ -26,7 +26,7 @@ simple recursive search the paper sketches after Theorem 5: split on
 the midpoint ``r`` and rule ``A → B C`` whose recorded lengths add up.
 The search stores nothing of its own: it reads the recorded lengths
 and the one-step derivations of each fact
-(:func:`repro.core.derivations.one_step_derivations`).
+(:func:`repro.core.path_index.one_step_derivations`).
 
 :class:`SinglePathIndex` holds the annotated closure (the closed
 length matrices, array-native where NumPy is present);
@@ -47,7 +47,8 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from .derivations import Fact, Support, matrix_maps, one_step_derivations
+from .path_index import (Fact, Path, Support, matrix_maps,
+                         one_step_derivations)
 from .relations import ContextFreeRelations
 from .semiring import (
     LENGTH_SEMIRING,
@@ -55,10 +56,6 @@ from .semiring import (
     merged_cells,
     solve_annotated,
 )
-
-#: A path is a sequence of labeled edges (source_id, label, target_id).
-PathEdge = tuple[int, str, int]
-Path = tuple[PathEdge, ...]
 
 #: The Section-5 cell view: (i, j) -> {A: recorded length}.
 _Cells = dict[tuple[int, int], dict[Nonterminal, int]]

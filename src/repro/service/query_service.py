@@ -35,7 +35,7 @@ from typing import Callable, Generator, Hashable, Iterable
 
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
-from ..core.path_index import LengthRank, ViterbiRank
+from ..core.path_index import LengthRank, ViterbiRank, non_negative_int
 from ..core.semiring import LENGTH_SEMIRING
 from ..core.single_path import extract_path, lengths_by_fact
 from ..errors import ReproError, SemanticsError
@@ -535,10 +535,10 @@ class QueryService:
         repeated queries) extend one best-first iterator instead of
         re-enumerating.  A tick drops the streams whose start can reach
         a changed non-terminal through the grammar rules."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if cursor < 0:
-            raise ValueError("cursor must be non-negative")
+        non_negative_int(k, "k")
+        non_negative_int(cursor, "cursor")
+        if max_length is not None:
+            non_negative_int(max_length, "max_length")
         solver = self.solver
         start_nt = solver.grammar.resolve_nonterminal(start)
         graph = solver.graph

@@ -5,6 +5,7 @@ import pytest
 from repro.core.engine import CFPQEngine, cfpq
 from repro.core.single_path import path_word
 from repro.errors import PathNotFoundError, SemanticsError, UnknownSymbolError
+from repro.grammar.symbols import Nonterminal
 from repro.graph.generators import two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -110,6 +111,29 @@ class TestEvaluateDispatch:
         engine = CFPQEngine(aabb_chain, anbn_grammar)
         with pytest.raises(SemanticsError):
             engine.evaluate("S", semantics="exotic")
+
+
+class TestUnknownStartSymbol:
+    """Every entry point that names a start symbol refuses one the
+    grammar lacks, instead of answering nothing."""
+
+    ENTRY_POINTS = {
+        "relational": lambda engine, start: engine.relational(start),
+        "single_path": lambda engine, start: engine.single_path(start, 0, 4),
+        "path_length": lambda engine, start: engine.path_length(start, 0, 4),
+        "all_paths": lambda engine, start: engine.all_paths(start, 0, 4, 6),
+        "evaluate[single-path]": lambda engine, start: engine.evaluate(
+            start, "single-path"),
+        "evaluate[all-path]": lambda engine, start: engine.evaluate(
+            start, "all-path", max_length=6),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("start", ["Nope", Nonterminal("Nope")])
+    def test_raises(self, anbn_grammar, aabb_chain, entry, start):
+        engine = CFPQEngine(aabb_chain, anbn_grammar)
+        with pytest.raises(UnknownSymbolError, match="Nope"):
+            self.ENTRY_POINTS[entry](engine, start)
 
 
 class TestSemanticsConsistency:

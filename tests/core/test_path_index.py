@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from repro.core.allpath import AllPathEnumerator
-from repro.core.path_index import PathIndex
+from repro.core.engine import CFPQEngine
+from repro.core.path_index import AllPathIndex
 from repro.core.single_path import path_word
 from repro.errors import UnknownSymbolError
 from repro.grammar.cnf import to_cnf
@@ -21,7 +21,7 @@ S = Nonterminal("S")
 
 @pytest.fixture
 def chain_index(anbn_grammar):
-    return PathIndex.build(word_chain(["a", "a", "b", "b"]), anbn_grammar)
+    return AllPathIndex.build(word_chain(["a", "a", "b", "b"]), anbn_grammar)
 
 
 class TestForestStructure:
@@ -55,30 +55,30 @@ class TestEnumeration:
         assert path_word(paths[0]) == ("a", "a", "b", "b")
 
     def test_lengths_non_decreasing(self, dyck_grammar):
-        index = PathIndex.build(two_cycles(1, 1), dyck_grammar)
+        index = AllPathIndex.build(two_cycles(1, 1), dyck_grammar)
         lengths = [len(p) for p in index.iter_paths(S, 0, 0, max_length=8)]
         assert lengths == sorted(lengths)
         assert lengths[0] == 2
 
-    def test_matches_allpath_enumerator(self, dyck_grammar):
-        """The forest enumerator and the recursive enumerator must
-        produce exactly the same path sets."""
+    def test_matches_engine_all_paths(self, dyck_grammar):
+        """A built forest and the engine's view of its cached solve
+        must produce exactly the same path sets."""
         graph = two_cycles(2, 3)
         cnf = to_cnf(dyck_grammar)
-        index = PathIndex.build(graph, cnf)
-        recursive = AllPathEnumerator(graph, cnf, normalize=False)
+        index = AllPathIndex.build(graph, cnf)
+        engine = CFPQEngine(graph, cnf, strategy="naive")
         for i in range(graph.node_count):
             for j in range(graph.node_count):
                 from_index = set(index.iter_paths(
                     S, graph.node_at(i), graph.node_at(j), max_length=6))
-                from_recursive = recursive.paths(S, graph.node_at(i),
-                                                 graph.node_at(j), 6)
-                assert from_index == from_recursive, (i, j)
+                from_engine = engine.all_paths(S, graph.node_at(i),
+                                               graph.node_at(j), 6)
+                assert from_index == from_engine, (i, j)
 
     def test_all_paths_are_valid_words(self, dyck_grammar):
         graph = random_graph(6, 15, ["a", "b"], seed=4)
         cnf = to_cnf(dyck_grammar)
-        index = PathIndex.build(graph, cnf)
+        index = AllPathIndex.build(graph, cnf)
         for i in range(graph.node_count):
             for j in range(graph.node_count):
                 for path in index.iter_paths(S, i, j, max_length=6):
@@ -94,7 +94,7 @@ class TestCounting:
         assert chain_index.count_paths(S, 0, 4, max_length=3) == 0
 
     def test_count_matches_enumeration(self, dyck_grammar):
-        index = PathIndex.build(two_cycles(1, 1), dyck_grammar)
+        index = AllPathIndex.build(two_cycles(1, 1), dyck_grammar)
         for bound in [2, 4, 6]:
             enumerated = len(list(index.iter_paths(S, 0, 0, max_length=bound)))
             counted = index.count_paths(S, 0, 0, max_length=bound)
@@ -104,7 +104,7 @@ class TestCounting:
         """Single-rule-per-head grammar takes the DP shortcut."""
         grammar = parse_grammar("S -> A B\nA -> a\nB -> b",
                                 terminals=["a", "b"])
-        index = PathIndex.build(word_chain(["a", "b"]), grammar)
+        index = AllPathIndex.build(word_chain(["a", "b"]), grammar)
         assert index.count_paths(S, 0, 2, max_length=4) == 1
 
 
@@ -115,7 +115,7 @@ class TestShortestLength:
         assert chain_index.shortest_path_length(S, 0, 3) is None
 
     def test_cycles_minimum(self, dyck_grammar):
-        index = PathIndex.build(two_cycles(1, 1), dyck_grammar)
+        index = AllPathIndex.build(two_cycles(1, 1), dyck_grammar)
         assert index.shortest_path_length(S, 0, 0) == 2  # "ab"
 
     def test_minimal_leq_single_path_annotation(self, dyck_grammar):
@@ -125,7 +125,7 @@ class TestShortestLength:
 
         graph = two_cycles(2, 3)
         cnf = to_cnf(dyck_grammar)
-        index = PathIndex.build(graph, cnf)
+        index = AllPathIndex.build(graph, cnf)
         annotated = build_single_path_index(graph, cnf, normalize=False)
         for (i, j), entries in annotated.cells.items():
             if S in entries:
@@ -137,7 +137,7 @@ class TestShortestLength:
 
 class TestQueryArguments:
     """A non-terminal the grammar lacks is an error, not an empty
-    answer; ``k`` is a non-negative int."""
+    answer; ``k`` and ``max_length`` are non-negative ints."""
 
     QUERIES = {
         "iter_paths": lambda index, start: list(
@@ -174,6 +174,54 @@ class TestQueryArguments:
     def test_top_k_zero(self, chain_index):
         assert chain_index.top_k(S, 0, 4, 0) == []
 
+    BOUNDED = {
+        "iter_paths": lambda index, bound: index.iter_paths(S, 0, 4, bound),
+        "count_paths": lambda index, bound: index.count_paths(S, 0, 4, bound),
+        "iter_k_best": lambda index, bound: index.iter_k_best(
+            S, 0, 4, max_length=bound),
+        "top_k": lambda index, bound: index.top_k(S, 0, 4, 3,
+                                                  max_length=bound),
+        "engine.all_paths": lambda engine, bound: engine.all_paths(
+            S, 0, 4, bound),
+        "engine.evaluate": lambda engine, bound: engine.evaluate(
+            S, "all-path", max_length=bound).get((0, 4), ()),
+    }
+
+    def _target(self, query, anbn_grammar):
+        engine = CFPQEngine(word_chain(["a", "a", "b", "b"]), anbn_grammar)
+        return engine if query.startswith("engine.") \
+            else engine.all_path_index()
+
+    @pytest.mark.parametrize("query", sorted(BOUNDED))
+    @pytest.mark.parametrize("bound", [True, False, -1, 2.5, "4"])
+    def test_max_length_that_is_not_a_count_raises(self, anbn_grammar,
+                                                    query, bound):
+        """Checked on the call, before anything is enumerated: a bool
+        or a negative bound is not an empty answer, and a float is not
+        a ``TypeError`` from inside the enumeration."""
+        target = self._target(query, anbn_grammar)
+        with pytest.raises(ValueError,
+                           match="max_length must be a non-negative int"):
+            self.BOUNDED[query](target, bound)
+
+    @pytest.mark.parametrize("query", ["iter_paths", "count_paths",
+                                       "engine.all_paths"])
+    def test_max_length_is_required_where_there_is_no_default(
+            self, anbn_grammar, query):
+        target = self._target(query, anbn_grammar)
+        with pytest.raises(ValueError, match="not None"):
+            self.BOUNDED[query](target, None)
+
+    @pytest.mark.parametrize("query", sorted(BOUNDED))
+    def test_max_length_zero_and_four(self, anbn_grammar, query):
+        target = self._target(query, anbn_grammar)
+
+        def count(answer):
+            return answer if isinstance(answer, int) else len(list(answer))
+
+        assert count(self.BOUNDED[query](target, 0)) == 0
+        assert count(self.BOUNDED[query](target, 4)) == 1
+
 
 class TestReadsMatricesInPlace:
     """The forest and the single-path search read rows of the closed
@@ -203,7 +251,7 @@ class TestReadsMatricesInPlace:
                 monkeypatch.setattr(cls, name, refuse)
         graph = build_graph("funding")
         grammar = to_cnf(same_generation_query1())
-        forest = PathIndex.build(graph, grammar)
+        forest = AllPathIndex.build(graph, grammar)
         index = build_single_path_index(graph, grammar, normalize=False)
 
         def named(path):

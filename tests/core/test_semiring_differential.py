@@ -1,7 +1,7 @@
 """Differential harness: the semiring engine vs the legacy loops.
 
-The bespoke fixpoint loops that used to live in ``single_path.py`` and
-``allpath.py`` were deleted when both semantics moved onto the unified
+The bespoke fixpoint loops the single-path and all-path semantics
+used to run were deleted when both moved onto the unified
 closure engine (:mod:`repro.core.semiring`).  They survive here as
 **oracles**: a tuple-level re-implementation of the Section 5
 length-annotated closure, and a brute-force walk enumerator checked by
@@ -39,11 +39,9 @@ import random
 import pytest
 from oracles.witness import naive_forest
 
-from repro.core.allpath import AllPathEnumerator
 from repro.core.incremental import IncrementalSinglePathCFPQ
-from repro.core.derivations import matrix_maps
 from repro.core.matrix_cfpq import solve_matrix, solve_matrix_relations
-from repro.core.path_index import AllPathIndex
+from repro.core.path_index import AllPathIndex, matrix_maps
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
@@ -268,16 +266,15 @@ def test_relational_projection_matches_all_backends_and_strategies(seed):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_bounded_all_paths_match_brute_force(seed, strategy):
     graph, grammar = make_case(seed, max_nodes=4, max_edges=8)
-    enumerator = AllPathEnumerator(graph, grammar, normalize=False,
-                                   strategy=strategy)
+    index = AllPathIndex.build(graph, grammar, strategy=strategy)
     bound = 4
     for nonterminal in grammar.nonterminals:
         for i in range(graph.node_count):
             for j in range(graph.node_count):
                 expected = brute_force_paths(graph, grammar, nonterminal,
                                              i, j, bound)
-                actual = enumerator.paths(nonterminal, graph.node_at(i),
-                                          graph.node_at(j), bound)
+                actual = frozenset(index.iter_paths(
+                    nonterminal, graph.node_at(i), graph.node_at(j), bound))
                 assert actual == expected, (nonterminal, i, j)
 
 

@@ -2,14 +2,14 @@
 
 The library's forest (:mod:`repro.core.path_index`) reads the children
 of a node off the row/column maps of the closed relations through
-:mod:`repro.core.derivations`.  This reference computes them from
-scratch: the relations come from ``solve_naive`` (Algorithm 1 run
-literally), and the children of ``(A, i, j)`` are a plain triple loop
-over them — every label ``x`` with ``A → x`` and ``(i, x, j) ∈ E``, and
-every ``(B, C, r)`` with ``A → B C``, ``(i, r) ∈ R_B`` and
-``(r, j) ∈ R_C``.  Nothing here is shared with the code under test
-except what sits *above* ``_children`` (k-best, enumeration, the count
-DP).
+:func:`~repro.core.path_index.one_step_derivations`.  This reference
+computes them from scratch: the relations come from ``solve_naive``
+(Algorithm 1 run literally), and the children of ``(A, i, j)`` are a
+plain triple loop over them — every label ``x`` with ``A → x`` and
+``(i, x, j) ∈ E``, and every ``(B, C, r)`` with ``A → B C``,
+``(i, r) ∈ R_B`` and ``(r, j) ∈ R_C``.  Nothing here is shared with the
+code under test except what sits *above* ``_children`` (k-best,
+enumeration, the count DP).
 """
 
 from __future__ import annotations

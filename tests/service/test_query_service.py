@@ -362,6 +362,15 @@ class TestTopK:
         with pytest.raises(Exception):
             service.top_k("Missing", "s", "t", 1)
 
+    @pytest.mark.parametrize("max_length", [-1, True, 2.5])
+    def test_bad_max_length_is_refused_on_every_call(self, max_length):
+        """Checked before a k-best stream is made, so a refused bound
+        never leaves an empty stream behind for the next request."""
+        service = self._chain_service()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="max_length"):
+                service.top_k("S", "s", "t", 2, max_length=max_length)
+
     def test_semiring_selection(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVICE_SEMIRING", raising=False)
         assert self._chain_service().stats["semiring"] == "length"

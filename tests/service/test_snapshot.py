@@ -249,7 +249,7 @@ def test_parent_snapshot_with_witness_section_still_loads():
 
     warm = load_engine_snapshot(snapshot)
     graph = warm.graph
-    forest = warm.all_path_enumerator().index
+    forest = warm.all_path_index()
     assert warm.solve().stats.iterations == 0
     assert warm.single_path_index().iterations == 0
 

@@ -118,6 +118,30 @@ class TestPathCommand:
         assert code == 1
         assert "Zzz is not part of the grammar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [("--max-length", "-1"),
+                                      ("--top-k", "-1"),
+                                      ("--max-length", "-2", "--top-k", "2")],
+                             ids=lambda flag: " ".join(flag))
+    def test_negative_bound_is_an_error(self, chain_file, capsys, flag):
+        """A negative bound is refused with one ``error:`` line, not
+        answered with an empty list."""
+        code = main(["paths", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--source", "0", "--target", "4", "--json",
+                     *flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {flag[0]} must be non-negative, not {flag[1]}"]
+
+    @pytest.mark.parametrize("top_k", [(), ("--top-k", "2")])
+    def test_zero_max_length_answers_nothing(self, chain_file, capsys,
+                                             top_k):
+        assert main(["paths", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--source", "0", "--target", "4", "--json",
+                     "--max-length", "0", *top_k]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
 
 class TestRdfInput:
     def test_rdf_flag_applies_paper_conversion(self, tmp_path, capsys):
