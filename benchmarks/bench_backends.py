@@ -35,7 +35,7 @@ import pytest
 from repro.core.matrix_cfpq import solve_matrix_relations
 from repro.datasets.registry import build_graph
 
-BACKENDS = ("sparse", "dense", "pyset")
+BACKENDS = ("sparse", "dense", "setmatrix")
 SMALL, MEDIUM = "skos", "funding"
 
 

@@ -3,16 +3,16 @@
 One *measurement* = (graph, query grammar, solver) → result count plus
 wall-clock milliseconds.  The solver names mirror the paper's columns:
 
-======== ===================================================== =========
-name     implementation                                         paper
-======== ===================================================== =========
-gll      :func:`repro.baselines.gll.solve_gll`                  GLL
-hellings :func:`repro.baselines.hellings.solve_hellings`        (extra)
-dense    matrix engine, NumPy dense backend                     dGPU
-sparse   matrix engine, SciPy CSR backend                       sCPU/sGPU
-pyset    matrix engine, pure-Python backend                     (extra)
-naive    literal set-matrix Algorithm 1                         (extra)
-======== ===================================================== =========
+========= ===================================================== =========
+name      implementation                                         paper
+========= ===================================================== =========
+gll       :func:`repro.baselines.gll.solve_gll`                  GLL
+hellings  :func:`repro.baselines.hellings.solve_hellings`        (extra)
+dense     matrix engine, NumPy dense backend                     dGPU
+sparse    matrix engine, SciPy CSR backend                       sCPU/sGPU
+setmatrix matrix engine, pure-Python backend                     (extra)
+naive     literal set-matrix Algorithm 1                         (extra)
+========= ===================================================== =========
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ SOLVERS: dict[str, Solver] = {
     "hellings": _run_hellings,
     "dense": _matrix_runner("dense"),
     "sparse": _matrix_runner("sparse"),
-    "pyset": _matrix_runner("pyset"),
+    "setmatrix": _matrix_runner("setmatrix"),
     "naive": _run_naive,
 }
 

@@ -560,10 +560,8 @@ def _group_product(store, pair_keys) -> BooleanMatrix:
         product = store.get(left_key).multiply(store.get(right_key))
         if accumulator is None:
             accumulator = product
-        elif accumulator.supports_inplace:
-            accumulator.union_update(product)
         else:
-            accumulator = accumulator.union(product)
+            accumulator.union_update(product)
     return accumulator
 
 

@@ -50,7 +50,7 @@ class CFPQEngine:
         Any context-free grammar; normalized to CNF internally.
     backend:
         Default boolean matrix backend (``"sparse"``, ``"dense"``,
-        ``"pyset"``, ``"bitset"`` or ``"setmatrix"``); overridable per
+        ``"bitset"`` or ``"setmatrix"``); overridable per
         call.  None picks the best registered one (``sparse`` when
         SciPy is installed).
     strategy:

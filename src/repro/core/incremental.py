@@ -87,6 +87,7 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
+from ..matrices.base import default_backend, get_backend
 from ..obs.trace import get_tracer
 from .closure import run_closure
 from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
@@ -147,12 +148,12 @@ class IncrementalCFPQ:
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 backend: str = "pyset", strategy: str = "delta",
+                 backend: str | None = None, strategy: str = "delta",
                  warm_state: "dict | None" = None,
                  **strategy_options):
         self.graph = graph
         self.grammar = ensure_cnf(grammar)
-        self.backend = backend
+        self.backend = backend or default_backend()
         self.strategy = strategy
         self.strategy_options = strategy_options
 
@@ -195,7 +196,7 @@ class IncrementalCFPQ:
         if warm_state is not None:
             self._seed_from_state(warm_state)
         else:
-            self._seed_from_engine(backend, strategy)
+            self._seed_from_engine(self.backend, strategy)
         # Keep the stats contract of the worklist-seeded version: every
         # initially derived fact counts as one propagation.
         self._propagated_facts = self._total_facts()
@@ -481,7 +482,6 @@ class IncrementalCFPQ:
         return new_facts
 
     def _batch_backend(self):
-        from ..matrices.base import get_backend
 
         return get_backend(self.backend)
 

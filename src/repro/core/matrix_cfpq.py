@@ -132,7 +132,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
         The query grammar ``G``; normalized to CNF when *normalize*.
     backend:
         Boolean matrix backend name or instance (``dense`` / ``sparse``
-        / ``pyset`` / ``bitset`` / ``setmatrix``); None picks the best
+        / ``bitset`` / ``setmatrix``); None picks the best
         registered one (``sparse`` when SciPy is installed).
     strategy:
         Closure strategy name (``delta`` / ``naive`` / ``blocked``);

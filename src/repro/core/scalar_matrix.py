@@ -64,7 +64,6 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
     __slots__ = ("semiring", "_shape", "_keys", "_values")
 
     backend_name = "annotated"
-    supports_inplace = True
 
     def __init__(self, semiring, shape: tuple[int, int],
                  cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = ()):

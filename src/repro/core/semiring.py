@@ -337,7 +337,6 @@ class AnnotatedMatrix(BooleanMatrix):
     __slots__ = ("semiring", "_shape", "_cells", "_rows_index")
 
     backend_name = "annotated"
-    supports_inplace = True
 
     def __init__(self, semiring: Semiring, shape: tuple[int, int],
                  cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = ()):

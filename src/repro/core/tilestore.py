@@ -16,7 +16,7 @@ set.  This module provides it as a first-class store:
   buffer raw, and reload ``mmap``s the file with ``ACCESS_COPY`` —
   NumPy wraps the private-writable mapping **zero-copy**, pages fault
   in lazily, and mutations never reach the file.  Other backends
-  (pyset, setmatrix, sparse CSR, annotated cells) fall back to pickling
+  (setmatrix, sparse CSR, annotated cells) fall back to pickling
   the payload tuple.  Spill files are private to this store (written
   and read by the same process), so the pickle path needs no restricted
   unpickler.
@@ -123,11 +123,6 @@ def tile_payload_of(matrix: BooleanMatrix) -> tuple:
     backend_name = matrix.backend_name
     if backend_name == "annotated":
         return matrix.payload()
-    if backend_name == "abstract":
-        # Third-party matrix types without a registered backend travel
-        # as generic coordinate payloads (rebuilt on the pyset backend).
-        rows, cols = matrix.shape
-        return ("pyset", rows, cols, tuple(matrix.nonzero_pairs()))
     return get_backend(backend_name).tile_payload(matrix)
 
 
@@ -144,18 +139,13 @@ def matrix_from_payload(payload: tuple) -> BooleanMatrix:
 
 def matrix_nbytes(matrix: BooleanMatrix) -> int:
     """Approximate resident bytes of any matrix, dispatching to its
-    backend's :meth:`MatrixBackend.matrix_nbytes` (with a coordinate
-    estimate for annotated/third-party matrices)."""
+    backend's :meth:`MatrixBackend.matrix_nbytes`."""
     backend_name = matrix.backend_name
     if backend_name == "annotated":
         from .semiring import AnnotatedBackend
 
         return AnnotatedBackend(matrix.semiring).matrix_nbytes(matrix)
-    try:
-        backend = get_backend(backend_name)
-    except UnknownBackendError:
-        return 112 + 48 * matrix.nnz()
-    return backend.matrix_nbytes(matrix)
+    return get_backend(backend_name).matrix_nbytes(matrix)
 
 
 @dataclass

@@ -106,7 +106,7 @@ def boolean_closure_delta(matrix: BooleanMatrix) -> BooleanMatrix:
     round once the frontier shrinks."""
     if not matrix.is_square:
         raise ValueError("transitive closure requires a square matrix")
-    backend = get_backend(_backend_of(matrix))
+    backend = get_backend(matrix.backend_name)
     current = backend.clone(matrix)
     frontier = backend.clone(matrix)
     while frontier.nnz():
@@ -138,14 +138,4 @@ def boolean_closure_warshall(matrix: BooleanMatrix) -> BooleanMatrix:
                 if len(to_i) != before:
                     successors[i] = to_i
     pairs = {(i, j) for i, js in successors.items() for j in js}
-    backend = get_backend(_backend_of(matrix))
-    return backend.from_pairs(size, pairs)
-
-
-def _backend_of(matrix: BooleanMatrix) -> str:
-    name = getattr(matrix, "backend_name", "abstract")
-    if name == "abstract":
-        raise TypeError(
-            f"matrix type {type(matrix).__name__} declares no backend_name"
-        )
-    return name
+    return get_backend(matrix.backend_name).from_pairs(size, pairs)

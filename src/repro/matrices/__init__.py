@@ -1,9 +1,9 @@
 """Boolean matrix substrate with interchangeable backends.
 
-The pure-Python backends (``pyset``, ``setmatrix``) are always
-available; the NumPy/SciPy-backed ones (``dense``, ``bitset``,
-``sparse``) are optional extras (install ``repro-cfpq[backends]`` to get
-all five).  :mod:`repro.matrices.base` knows the five names and the
+The pure-Python backend (``setmatrix``) is always available; the
+NumPy/SciPy-backed ones (``dense``, ``bitset``, ``sparse``) are optional
+extras (install ``repro-cfpq[backends]`` to get all four).
+:mod:`repro.matrices.base` knows the four names and the
 dependency each needs, and imports a backend's module only when that
 backend is asked for, so a run loads NumPy and SciPy only if its backend
 uses them.  A backend class re-exported here is None when its dependency
@@ -21,7 +21,6 @@ from .base import (
 )
 
 _resolve, __dir__ = lazy_exports(globals(), {
-    ".pyset": ("PySetBackend", "PySetMatrix"),
     ".setmatrix": ("RowSetMatrix", "SetMatrix", "SetMatrixBackend",
                    "initial_matrix"),
     ".dense": ("DenseBackend", "DenseMatrix"),
@@ -46,8 +45,6 @@ __all__ = [
     "DenseMatrix",
     "MatrixBackend",
     "Pair",
-    "PySetBackend",
-    "PySetMatrix",
     "RowSetMatrix",
     "SetMatrix",
     "SetMatrixBackend",

@@ -5,12 +5,14 @@ matrix multiplications per closure step.  The paper evaluates three
 implementations of this kernel (dense GPU, sparse CPU, sparse GPU); we
 mirror the design with interchangeable backends behind one interface:
 
-* ``dense``  — NumPy boolean arrays (row-major dense, stands in for the
-  paper's dGPU/CUBLAS implementation),
-* ``sparse`` — SciPy CSR matrices (stands in for sCPU/Math.NET and
+* ``dense``     — NumPy boolean arrays (row-major dense, stands in for
+  the paper's dGPU/CUBLAS implementation),
+* ``sparse``    — SciPy CSR matrices (stands in for sCPU/Math.NET and
   sGPU/CUSPARSE),
-* ``pyset``  — pure-Python sets of coordinate pairs (reference
-  implementation, no third-party arithmetic).
+* ``bitset``    — NumPy rows packed into 64-bit words, so one word
+  operation processes 64 cells,
+* ``setmatrix`` — pure-Python per-row column sets (the dependency-free
+  layout, no third-party arithmetic).
 
 The value-semantics operations (``multiply``/``union``/``transpose``)
 return new matrices, which keeps the closure loop honest
@@ -27,12 +29,7 @@ delta-driven closure engine (:mod:`repro.core.closure`):
 * ``MatrixBackend.mxm_into(left, right, accum)`` — accumulate a boolean
   product into an existing matrix, again returning the delta.
 
-Every bundled backend implements the kernels natively; third-party
-backends that only provide the immutable API keep working because
-:meth:`MatrixBackend.union_update` / :meth:`MatrixBackend.mxm_into`
-fall back to value semantics when ``supports_inplace`` is False.
-
-The registry at the end of this module knows the five bundled names and
+The registry at the end of this module knows the four bundled names and
 the third-party imports each needs.  :func:`get_backend` imports one
 backend's module, which registers itself, the first time that backend
 is asked for; :func:`available_backends` and :func:`default_backend`
@@ -59,21 +56,15 @@ class BooleanMatrix(abc.ABC):
     """A square-or-rectangular boolean matrix.
 
     The core algebra (``multiply``/``union``/``transpose``) is
-    value-semantics; backends that set ``supports_inplace`` additionally
-    expose the in-place kernels ``union_update`` and ``difference``.
+    value-semantics; the kernels ``union_update`` and ``difference``
+    serve the delta closure.
     """
 
     __slots__ = ()
 
     #: Registry key of the backend this matrix belongs to (e.g.
-    #: ``"dense"``); ``"abstract"`` for third-party types that predate
-    #: the kernel API.
-    backend_name: str = "abstract"
-
-    #: True when :meth:`union_update` genuinely mutates this matrix.
-    #: Third-party immutable backends leave this False and are served by
-    #: the value-semantics fallback in :meth:`MatrixBackend.union_update`.
-    supports_inplace: bool = False
+    #: ``"dense"``); every concrete matrix type sets it.
+    backend_name: str
 
     # -- shape ----------------------------------------------------------
     @property
@@ -133,35 +124,17 @@ class BooleanMatrix(abc.ABC):
         return self.union(other)
 
     # -- mutable kernels ---------------------------------------------------
+    @abc.abstractmethod
     def difference(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        """Entries True here and False in *other* (``self \\ other``).
+        """Entries True here and False in *other* (``self \\ other``)."""
 
-        Generic fallback via coordinate sets; the result is a ``pyset``
-        matrix, which interoperates with every backend.  Bundled
-        backends override this with a native kernel returning their own
-        type.
-        """
-        self._require_same_shape(other)
-        pairs = set(self.nonzero_pairs()) - set(other.nonzero_pairs())
-        from .pyset import BACKEND as _pyset_backend
-
-        rows, cols = self.shape
-        return _pyset_backend.from_pairs(rows, pairs, cols=cols)
-
+    @abc.abstractmethod
     def union_update(self, other: "BooleanMatrix") -> "BooleanMatrix":
         """In-place element-wise OR of *other* into this matrix.
 
         Returns the **delta**: a matrix holding exactly the entries that
         were newly set by this call (empty when *other* adds nothing).
-        Only available when ``supports_inplace`` is True; immutable
-        backends are served by :meth:`MatrixBackend.union_update`, which
-        emulates this with value semantics.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no in-place union kernel; route "
-            "through MatrixBackend.union_update for the value-semantics "
-            "fallback"
-        )
 
     # -- comparisons -------------------------------------------------------
     def same_pairs(self, other: "BooleanMatrix") -> bool:
@@ -217,18 +190,6 @@ class MatrixBackend(abc.ABC):
         """The size×size identity."""
         return self.from_pairs(size, ((i, i) for i in range(size)))
 
-    def from_dense_rows(self, rows: list[list[int]]) -> BooleanMatrix:
-        """Build from a dense 0/1 row-major nested list (test helper)."""
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        pairs = [
-            (i, j)
-            for i, row in enumerate(rows)
-            for j, value in enumerate(row)
-            if value
-        ]
-        return self.from_pairs(n_rows, pairs, cols=n_cols)
-
     def clone(self, matrix: BooleanMatrix) -> BooleanMatrix:
         """An independent copy of *matrix* (mutating one never affects
         the other).  Generic coordinate round-trip; backends override
@@ -260,20 +221,10 @@ class MatrixBackend(abc.ABC):
     # -- mutable kernel entry points --------------------------------------
     def union_update(self, target: BooleanMatrix, other: BooleanMatrix,
                      ) -> tuple[BooleanMatrix, BooleanMatrix]:
-        """Merge *other* into *target*; return ``(merged, delta)``.
-
-        ``delta`` holds exactly the genuinely-new entries.  When the
-        target supports in-place mutation, ``merged is target`` and no
-        re-allocation happens; otherwise a value-semantics fallback
-        builds the union, so third-party immutable backends keep
-        working.
-        """
-        if target.supports_inplace:
-            return target, target.union_update(other)
-        delta = other.difference(target)
-        if delta.nnz() == 0:
-            return target, delta
-        return target.union(delta), delta
+        """Merge *other* into *target* in place; return ``(target,
+        delta)``, where ``delta`` holds exactly the genuinely-new
+        entries."""
+        return target, target.union_update(other)
 
     def mxm_into(self, left: BooleanMatrix, right: BooleanMatrix,
                  accum: BooleanMatrix,
@@ -313,18 +264,12 @@ class MatrixBackend(abc.ABC):
             for index, pairs in buckets.items()
         }
 
-    def assemble_from_tiles(self, tiles: dict, size: int, tile_size: int,
-                            ) -> BooleanMatrix:
-        """Inverse of :meth:`split_into_tiles` (drops the padding)."""
-        return self.assemble_from_tile_iter(tiles.items(), size, tile_size)
-
     def assemble_from_tile_iter(self, items, size: int, tile_size: int,
                                 ) -> BooleanMatrix:
-        """Assemble from a one-shot iterable of ``((bi, bj), tile)``.
-
-        The streaming variant of :meth:`assemble_from_tiles`: tiles can
-        be produced (and released) one at a time, so a spill-backed
-        caller never needs the whole tile set resident at once.
+        """Inverse of :meth:`split_into_tiles` (drops the padding),
+        from a one-shot iterable of ``((bi, bj), tile)``: tiles can be
+        produced (and released) one at a time, so a spill-backed caller
+        never needs the whole tile set resident at once.
         """
         pairs = []
         for (bi, bj), tile in items:
@@ -414,7 +359,6 @@ _REGISTRY: dict[str, MatrixBackend] = {}
 _BUNDLED: dict[str, tuple[str, ...]] = {
     "dense": ("numpy",),
     "sparse": ("numpy", "scipy"),
-    "pyset": (),
     "bitset": ("numpy",),
     "setmatrix": (),
 }
@@ -424,7 +368,7 @@ _BUNDLED: dict[str, tuple[str, ...]] = {
 BACKEND_NAMES: tuple[str, ...] = tuple(sorted(_BUNDLED))
 
 #: Preference order for :func:`default_backend`.
-_DEFAULT_PREFERENCE = ("sparse", "dense", "bitset", "setmatrix", "pyset")
+_DEFAULT_PREFERENCE = ("sparse", "dense", "bitset", "setmatrix")
 
 
 def register_backend(backend: MatrixBackend) -> MatrixBackend:

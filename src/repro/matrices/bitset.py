@@ -101,7 +101,6 @@ class BitsetMatrix(BooleanMatrix):
     __slots__ = ("_words", "_cols")
 
     backend_name = "bitset"
-    supports_inplace = True
 
     def __init__(self, words: np.ndarray, cols: int):
         if words.ndim != 2 or words.dtype != np.uint64:

@@ -25,15 +25,12 @@ class DenseMatrix(BooleanMatrix):
 
     The constructor **takes ownership** of a writable bool array (no
     copy): the in-place kernels mutate it, so pass a copy if you keep a
-    reference (:meth:`DenseBackend.from_numpy` does).  Read-only arrays
-    are copied defensively; :meth:`to_numpy` hands out a read-only
-    view.
+    reference.  Read-only arrays are copied defensively.
     """
 
     __slots__ = ("_array",)
 
     backend_name = "dense"
-    supports_inplace = True
 
     def __init__(self, array: np.ndarray):
         if array.ndim != 2:
@@ -99,12 +96,6 @@ class DenseMatrix(BooleanMatrix):
         self._array |= delta
         return DenseMatrix._wrap(delta)
 
-    def to_numpy(self) -> np.ndarray:
-        """A read-only view of the underlying boolean array."""
-        view = self._array.view()
-        view.setflags(write=False)
-        return view
-
 
 def _bool_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Boolean semiring product (OR of ANDs) as one matmul.
@@ -139,14 +130,14 @@ class DenseBackend(MatrixBackend):
 
     def from_pairs(self, size: int, pairs: Iterable[Pair],
                    cols: int | None = None) -> DenseMatrix:
-        array = np.zeros((size, cols if cols is not None else size), dtype=bool)
+        actual_cols = cols if cols is not None else size
+        array = np.zeros((size, actual_cols), dtype=bool)
         for i, j in pairs:
+            if not (0 <= i < size and 0 <= j < actual_cols):
+                raise ValueError(
+                    f"pair {(i, j)} outside shape {(size, actual_cols)}")
             array[i, j] = True
         return DenseMatrix(array)
-
-    def from_numpy(self, array: np.ndarray) -> DenseMatrix:
-        """Wrap an existing array (copied, coerced to bool)."""
-        return DenseMatrix(np.array(array, dtype=bool))
 
     def clone(self, matrix: BooleanMatrix) -> DenseMatrix:
         return DenseMatrix._wrap(_as_array(matrix).copy())

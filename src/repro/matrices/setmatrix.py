@@ -191,7 +191,6 @@ class RowSetMatrix(BooleanMatrix):
     __slots__ = ("_shape", "_rows", "_nnz")
 
     backend_name = "setmatrix"
-    supports_inplace = True
 
     def __init__(self, shape: Pair, pairs: Iterable[Pair]):
         self._shape = shape

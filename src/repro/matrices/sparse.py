@@ -31,7 +31,6 @@ class SparseMatrix(BooleanMatrix):
     __slots__ = ("_matrix",)
 
     backend_name = "sparse"
-    supports_inplace = True
 
     def __init__(self, matrix: sp.spmatrix):
         csr = matrix.tocsr().astype(bool)
@@ -111,10 +110,6 @@ class SparseBackend(MatrixBackend):
         data = np.ones(len(pair_list), dtype=bool)
         return SparseMatrix(sp.csr_matrix((data, (rows, columns)), shape=shape,
                                           dtype=bool))
-
-    def from_scipy(self, matrix: sp.spmatrix) -> SparseMatrix:
-        """Wrap an existing SciPy sparse matrix."""
-        return SparseMatrix(matrix)
 
     def clone(self, matrix: BooleanMatrix) -> SparseMatrix:
         return SparseMatrix(_as_csr(matrix).copy())

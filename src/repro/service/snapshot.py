@@ -74,6 +74,11 @@ _HEADER_PREFIX = MAGIC.encode("ascii") + b"\x00"
 SNAPSHOT_VERSION = 1
 SUPPORTED_VERSIONS: tuple[int, ...] = (1,)
 
+#: Retired backend names -> the backend that now decodes their payloads
+#: (the generic coordinate form): the ``backend`` header and payload tags
+#: of snapshots saved before the name was dropped.
+_RETIRED_BACKENDS = {"pyset": "setmatrix"}
+
 
 # ----------------------------------------------------------------------
 # Envelope I/O
@@ -169,6 +174,9 @@ def read_snapshot(path: str) -> dict:
     payload = document.get("payload") if isinstance(document, dict) else None
     if not isinstance(payload, dict):
         raise SnapshotError(f"{path!r}: snapshot payload is malformed")
+    if "backend" in payload:
+        payload["backend"] = _RETIRED_BACKENDS.get(payload["backend"],
+                                                   payload["backend"])
     return payload
 
 
@@ -340,7 +348,7 @@ def iter_decoded_matrices(doc: dict, backend: "str | None" = None):
     """
     target = get_backend(backend) if backend is not None else None
     for name, payload in doc.items():
-        source_name = payload[0]
+        source_name = _RETIRED_BACKENDS.get(payload[0], payload[0])
         try:
             source = get_backend(source_name)
         except UnknownBackendError as error:

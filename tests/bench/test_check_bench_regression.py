@@ -96,19 +96,19 @@ def test_available_backends_still_checked_when_others_missing():
     baseline = {"workloads": {
         "funding_x1": {"agree": True, "solvers": {
             "sparse": {"wall_time_s": 1.0},
-            "pyset": {"wall_time_s": 1.0},
+            "setmatrix": {"wall_time_s": 1.0},
         }},
     }}
     current = {"workloads": {
         "funding_x1": {"agree": True, "solvers": {
-            "pyset": {"wall_time_s": 9.0},
+            "setmatrix": {"wall_time_s": 9.0},
         }},
     }}
     problems = checker.compare(baseline, current, factor=2.0,
                                min_seconds=0.02, calibrate=False,
                                missing_backends={"sparse"})
     assert len(problems) == 1
-    assert "pyset" in problems[0]
+    assert "setmatrix" in problems[0]
 
 
 def test_unavailable_backends_reflects_host():

@@ -27,7 +27,7 @@ class TestMeasure:
         assert m.milliseconds >= 0
 
     def test_repeats_take_best(self):
-        m = measure("pyset", paper_example_graph(),
+        m = measure("setmatrix", paper_example_graph(),
                     same_generation_query1(), "S", repeats=3)
         assert m.results == 3
 

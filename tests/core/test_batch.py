@@ -47,7 +47,7 @@ def graph():
 
 def _reference(graph, grammar):
     """The oracle: one all-pairs solve, post-filtered per query."""
-    return solve_matrix(graph, grammar, backend="pyset").relations \
+    return solve_matrix(graph, grammar, backend="setmatrix").relations \
         .node_pairs(S)
 
 
@@ -124,7 +124,7 @@ class TestColdDifferential:
             pairs = _reference(graph, nullable)
             queries = _query_shapes(graph)
             answers = solve_batch(graph, nullable, queries,
-                                  backend="pyset", strategy="delta")
+                                  backend="setmatrix", strategy="delta")
             for query, answer in zip(queries, answers):
                 assert answer == _expected(pairs, query), query
 
@@ -147,7 +147,7 @@ class TestOneClosure:
 
         monkeypatch.setattr(matrix_cfpq, "run_closure", spy)
         solve_batch(graph, grammar, _query_shapes(graph),
-                    backend="pyset", strategy=strategy)
+                    backend="setmatrix", strategy=strategy)
         assert len(calls) == 1
         multiplications = calls[0].pop("multiplications")
         n = graph.node_count
@@ -155,7 +155,7 @@ class TestOneClosure:
         assert set(calls[0].values()) == {(n, n)}
 
         monkeypatch.setattr(matrix_cfpq, "run_closure", run_closure)
-        alone = solve_matrix(graph, grammar, backend="pyset",
+        alone = solve_matrix(graph, grammar, backend="setmatrix",
                              strategy=strategy)
         assert multiplications == alone.stats.multiplications
 
@@ -257,7 +257,7 @@ class TestEdgeCases:
     def test_empty_graph(self, grammar):
         graph = LabeledGraph.from_edges([])
         answers = solve_batch(graph, grammar, [BatchQuery(S)],
-                              backend="pyset")
+                              backend="setmatrix")
         assert answers == [frozenset()]
 
     def test_absent_nodes_restrict_to_nothing(self, graph, grammar):
@@ -267,7 +267,7 @@ class TestEdgeCases:
              BatchQuery(S, sources=frozenset(("nope",)),
                         targets=frozenset(("also-nope",)),
                         semantics="membership")],
-            backend="pyset")
+            backend="setmatrix")
         assert answers == [frozenset(), False]
 
     def test_unknown_nonterminal(self, graph, grammar):

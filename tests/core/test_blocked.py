@@ -41,7 +41,7 @@ class TestTiling:
         matrix = backend.from_pairs(7, [(0, 6), (3, 3), (6, 0), (5, 2)])
         tiles = backend.split_into_tiles(matrix, 3)
         assert len(tiles) == 9  # ceil(7/3)² = 3²
-        back = backend.assemble_from_tiles(tiles, 7, 3)
+        back = backend.assemble_from_tile_iter(tiles.items(), 7, 3)
         assert back.same_pairs(matrix)
 
     def test_tiles_are_uniform_size(self, backend):
@@ -74,6 +74,8 @@ def test_sparse_payload_is_canonical():
     sp = pytest.importorskip("scipy.sparse")
     import numpy as np
 
+    from repro.matrices.sparse import SparseMatrix
+
     backend = get_backend("sparse")
     data = np.ones(3, dtype=bool)
     indptr = np.array([0, 3, 3])
@@ -82,8 +84,8 @@ def test_sparse_payload_is_canonical():
     shuffled = sp.csr_matrix((data, np.array([4, 0, 2]), indptr),
                              shape=(2, 5))
     assert not shuffled.has_sorted_indices
-    payload = backend.tile_payload(backend.from_scipy(shuffled))
-    assert payload == backend.tile_payload(backend.from_scipy(ascending))
+    payload = backend.tile_payload(SparseMatrix(shuffled))
+    assert payload == backend.tile_payload(SparseMatrix(ascending))
     assert not shuffled.has_sorted_indices  # encoded from a sorted copy
     assert matrix_from_payload(payload).to_pair_set() \
         == {(0, 0), (0, 2), (0, 4)}
@@ -148,7 +150,7 @@ def test_blocked_independent_of_rule_order(seed):
 
     graph = random_graph(9, 24, ["a", "b"], seed=seed)
     grammar = to_cnf(get_grammar("dyck1"))
-    backend = get_backend("pyset")
+    backend = get_backend("setmatrix")
     rules = [(rule.head, *rule.body) for rule in grammar.binary_rules]
 
     def close(rule_order):
@@ -297,6 +299,6 @@ def test_blocked_stats_expose_wall_time():
 
 
 def test_run_closure_empty_matrices_blocked():
-    result = run_closure({}, [], "pyset", strategy="blocked")
+    result = run_closure({}, [], "setmatrix", strategy="blocked")
     assert result.iterations == 0
     assert result.multiplications == 0

@@ -76,7 +76,7 @@ class TestRegistry:
         register_strategy("fake-noop", fake)
         try:
             assert "fake-noop" in available_strategies()
-            result = run_closure({}, [], "pyset", strategy="fake-noop")
+            result = run_closure({}, [], "setmatrix", strategy="fake-noop")
             assert result.iterations == 0
         finally:
             from repro.core import closure

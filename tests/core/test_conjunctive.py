@@ -81,7 +81,7 @@ class TestAnBnCn:
         graph = word_chain(list("aabbcc"))
         answers = {
             name: solve_conjunctive_approx(graph, grammar, backend=name).pairs(S)
-            for name in ["dense", "sparse", "pyset"]
+            for name in ["dense", "sparse", "setmatrix"]
         }
         assert len(set(answers.values())) == 1
 

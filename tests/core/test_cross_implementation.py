@@ -3,7 +3,7 @@
 Solvers under test:
 
 * literal set-matrix Algorithm 1 (`solve_naive`)
-* boolean-decomposed engine × {dense, sparse, pyset}
+* boolean-decomposed engine × {dense, sparse, setmatrix}
 * Hellings worklist baseline
 * GLL-style top-down baseline
 
@@ -46,8 +46,9 @@ def all_solver_answers(graph, grammar) -> dict[str, frozenset]:
                                         normalize=False).pairs(S),
         "sparse": solve_matrix_relations(graph, cnf, backend="sparse",
                                          normalize=False).pairs(S),
-        "pyset": solve_matrix_relations(graph, cnf, backend="pyset",
-                                        normalize=False).pairs(S),
+        "setmatrix": solve_matrix_relations(graph, cnf,
+                                            backend="setmatrix",
+                                            normalize=False).pairs(S),
         "hellings": solve_hellings(graph, cnf, normalize=False).pairs(S),
         "gll": solve_gll(graph, grammar, nonterminals=[S]).pairs(S),
     }

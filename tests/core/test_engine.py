@@ -150,7 +150,7 @@ class TestSemanticsConsistency:
 class TestIncrementalEntryPoint:
     def test_engine_incremental_shares_configuration(self, dyck_grammar):
         engine = CFPQEngine(two_cycles(2, 3), dyck_grammar,
-                            backend="pyset", strategy="delta")
+                            backend="setmatrix", strategy="delta")
         solver = engine.incremental()
         assert solver.graph is engine.graph
         assert solver.strategy == "delta"

@@ -27,6 +27,7 @@ from repro.core.single_path import build_single_path_index
 from repro.grammar.parser import parse_grammar
 from repro.graph.generators import two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
+from repro.matrices.base import default_backend
 
 
 def _force_route(monkeypatch, route: str) -> None:
@@ -62,6 +63,10 @@ class TestBasics:
         incremental = IncrementalCFPQ(graph, dyck_grammar)
         batch = solve_matrix_relations(graph, dyck_grammar)
         assert incremental.relations().same_as(batch)
+
+    def test_default_backend_is_the_registry_default(self, dyck_grammar):
+        incremental = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar)
+        assert incremental.backend == default_backend()
 
     def test_insertion_extends_relation(self, anbn_grammar):
         graph = word_chain(["a", "a", "b"])

@@ -81,7 +81,7 @@ class TestSolveMatrix:
     def test_backends_identical_results(self, dyck_grammar):
         graph = two_cycles(3, 2)
         reference = None
-        for name in ["pyset", "dense", "sparse"]:
+        for name in ["setmatrix", "dense", "sparse"]:
             relations = solve_matrix(graph, dyck_grammar, backend=name).relations
             if reference is None:
                 reference = relations

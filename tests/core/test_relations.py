@@ -115,14 +115,14 @@ def test_solvers_materialize_only_the_relations_read(monkeypatch):
     from repro.core.matrix_cfpq import solve_matrix
     from repro.grammar.builders import dyck1
     from repro.graph.generators import two_cycles
-    from repro.matrices.pyset import PySetMatrix
+    from repro.matrices.setmatrix import RowSetMatrix
 
     extracted = []
-    to_pair_set = PySetMatrix.to_pair_set
+    to_pair_set = RowSetMatrix.to_pair_set
     monkeypatch.setattr(
-        PySetMatrix, "to_pair_set",
+        RowSetMatrix, "to_pair_set",
         lambda matrix: extracted.append(matrix) or to_pair_set(matrix))
-    result = solve_matrix(two_cycles(2, 3), dyck1(), backend="pyset")
+    result = solve_matrix(two_cycles(2, 3), dyck1(), backend="setmatrix")
     assert len(result.matrices) > 1 and extracted == []
     assert result.relations.pairs("S") == \
         set(result.matrices[S].nonzero_pairs())

@@ -583,7 +583,7 @@ def test_empty_operands(kind):
     assert backend.clone(empty).nnz() == 0
     tiles = backend.split_into_tiles(backend.zeros(5), 2)
     assert len(tiles) == 9 and not any(t.nnz() for t in tiles.values())
-    assert backend.assemble_from_tiles(tiles, 5, 2).nnz() == 0
+    assert backend.assemble_from_tile_iter(tiles.items(), 5, 2).nnz() == 0
 
 
 # -- the cell merge: ⊕, and whether it moved the cell --------------------

@@ -122,7 +122,7 @@ pair_sets = st.sets(
 @given(pairs=pair_sets)
 @settings(max_examples=80, deadline=None)
 def test_boolean_closure_strategies_agree_property(pairs):
-    backend = get_backend("pyset")
+    backend = get_backend("setmatrix")
     matrix = backend.from_pairs(5, pairs)
     naive = boolean_closure_naive(matrix).to_pair_set()
     incremental = boolean_closure_incremental(matrix).to_pair_set()
@@ -133,6 +133,6 @@ def test_boolean_closure_strategies_agree_property(pairs):
 @given(pairs=pair_sets)
 @settings(max_examples=50, deadline=None)
 def test_boolean_closure_idempotent(pairs):
-    backend = get_backend("pyset")
+    backend = get_backend("setmatrix")
     closed = boolean_closure_naive(backend.from_pairs(5, pairs))
     assert boolean_closure_naive(closed).same_pairs(closed)

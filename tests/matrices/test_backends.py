@@ -1,8 +1,8 @@
 """Backend-parametrized and property tests for boolean matrices.
 
-The three backends must be observationally identical; the pure-Python
-``pyset`` backend serves as the specification the NumPy/SciPy ones are
-checked against.
+The four backends must be observationally identical; the pure-Python
+``setmatrix`` backend serves as the specification the NumPy/SciPy ones
+are checked against.
 """
 
 import pytest
@@ -14,8 +14,9 @@ from repro.matrices.base import available_backends, get_backend
 
 
 class TestRegistry:
-    def test_three_default_backends(self):
-        assert set(available_backends()) >= {"dense", "sparse", "pyset"}
+    def test_bundled_backends_registered(self):
+        assert set(available_backends()) >= {"bitset", "dense", "setmatrix",
+                                             "sparse"}
 
     def test_get_backend_by_name(self):
         assert get_backend("dense").name == "dense"
@@ -28,6 +29,10 @@ class TestRegistry:
         with pytest.raises(UnknownBackendError) as excinfo:
             get_backend("gpu")
         assert "dense" in str(excinfo.value)
+
+    def test_retired_pyset_is_unknown(self):
+        with pytest.raises(UnknownBackendError):
+            get_backend("pyset")
 
 
 class TestBasics:
@@ -57,9 +62,10 @@ class TestBasics:
         matrix = backend.identity(4)
         assert matrix.to_pair_set() == {(i, i) for i in range(4)}
 
-    def test_from_dense_rows(self, backend):
-        matrix = backend.from_dense_rows([[0, 1], [1, 0]])
-        assert matrix.to_pair_set() == {(0, 1), (1, 0)}
+    @pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, -2)])
+    def test_from_pairs_rejects_pairs_outside_shape(self, backend, pair):
+        with pytest.raises(ValueError):
+            backend.from_pairs(3, [pair])
 
     def test_transpose(self, backend):
         matrix = backend.from_pairs(3, [(0, 2), (1, 0)])
@@ -130,13 +136,13 @@ class TestCrossBackendMixing:
         assert dense.union(sparse).to_pair_set() == {(0, 0), (1, 1)}
 
     def test_multiply_mixed(self):
-        pyset = get_backend("pyset").from_pairs(2, [(0, 1)])
+        rowset = get_backend("setmatrix").from_pairs(2, [(0, 1)])
         dense = get_backend("dense").from_pairs(2, [(1, 0)])
-        assert pyset.multiply(dense).to_pair_set() == {(0, 0)}
+        assert rowset.multiply(dense).to_pair_set() == {(0, 0)}
 
 
 # ----------------------------------------------------------------------
-# Property tests: all backends agree with the pyset specification.
+# Property tests: all backends agree with the setmatrix specification.
 # ----------------------------------------------------------------------
 
 _SIZE = 5
@@ -186,7 +192,7 @@ def test_transpose_involution(pairs):
 def test_multiply_distributes_over_union(a, b, c):
     """(a ∪ b) × c == (a × c) ∪ (b × c) — the semiring law the closure
     correctness rests on."""
-    backend = get_backend("pyset")
+    backend = get_backend("setmatrix")
     ma = backend.from_pairs(_SIZE, a)
     mb = backend.from_pairs(_SIZE, b)
     mc = backend.from_pairs(_SIZE, c)

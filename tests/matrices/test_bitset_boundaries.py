@@ -20,8 +20,8 @@ def bitset():
 
 
 @pytest.fixture
-def pyset():
-    return get_backend("pyset")
+def rowset():
+    return get_backend("setmatrix")
 
 
 @pytest.mark.parametrize("size", BOUNDARY_SIZES)
@@ -45,7 +45,7 @@ def test_identity_multiply_at_boundaries(bitset, size):
 
 
 @pytest.mark.parametrize("size", [63, 64, 65, 128])
-def test_multiply_across_word_boundary(bitset, pyset, size):
+def test_multiply_across_word_boundary(bitset, rowset, size):
     """Entries on both sides of the 64-column split must compose."""
     pairs_left = {(0, 62), (0, 1)}
     pairs_right = {(62, 5), (1, 8)}
@@ -57,8 +57,8 @@ def test_multiply_across_word_boundary(bitset, pyset, size):
         pairs_right.add((size - 1, 7))
     bit_product = (bitset.from_pairs(size, pairs_left)
                    .multiply(bitset.from_pairs(size, pairs_right)))
-    ref_product = (pyset.from_pairs(size, pairs_left)
-                   .multiply(pyset.from_pairs(size, pairs_right)))
+    ref_product = (rowset.from_pairs(size, pairs_left)
+                   .multiply(rowset.from_pairs(size, pairs_right)))
     assert bit_product.to_pair_set() == ref_product.to_pair_set()
 
 

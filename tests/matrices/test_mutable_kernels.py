@@ -6,9 +6,7 @@ Contracts under test, for every registered backend:
   **exactly** the genuinely-new entries (the semi-naive frontier);
 * ``difference`` is plain set difference on coordinates;
 * ``MatrixBackend.mxm_into`` equals multiply-then-union, delta
-  included;
-* the value-semantics fallback serves matrices that never implemented
-  the in-place kernels (third-party backend compatibility).
+  included.
 """
 
 import pytest
@@ -16,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError
-from repro.matrices.base import (
-    BooleanMatrix,
-    MatrixBackend,
-    available_backends,
-    get_backend,
-)
+from repro.matrices.base import available_backends, get_backend
 
 _SIZE = 5
 pair_sets = st.sets(
@@ -118,117 +111,3 @@ def test_mxm_into_aliasing_accumulator(name):
     merged, delta = backend.mxm_into(matrix, matrix, matrix)
     assert merged.to_pair_set() == {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
     assert delta.to_pair_set() == {(0, 2), (1, 3)}
-
-
-# ----------------------------------------------------------------------
-# Third-party compatibility: immutable matrices go through the fallback.
-# ----------------------------------------------------------------------
-
-class _FrozenMatrix(BooleanMatrix):
-    """A minimal immutable third-party matrix: only the abstract API."""
-
-    def __init__(self, shape, pairs):
-        self._shape = shape
-        self._pairs = frozenset(pairs)
-
-    @property
-    def shape(self):
-        return self._shape
-
-    def __getitem__(self, index):
-        return index in self._pairs
-
-    def nonzero_pairs(self):
-        return iter(self._pairs)
-
-    def nnz(self):
-        return len(self._pairs)
-
-    def multiply(self, other):
-        self._require_chainable(other)
-        other_pairs = set(other.nonzero_pairs())
-        return _FrozenMatrix(
-            (self._shape[0], other.shape[1]),
-            {(i, j) for i, k in self._pairs for k2, j in other_pairs
-             if k == k2},
-        )
-
-    def union(self, other):
-        self._require_same_shape(other)
-        return _FrozenMatrix(self._shape,
-                             self._pairs | set(other.nonzero_pairs()))
-
-    def transpose(self):
-        return _FrozenMatrix((self._shape[1], self._shape[0]),
-                             {(j, i) for i, j in self._pairs})
-
-
-class _FrozenBackend(MatrixBackend):
-    name = "frozen-test"
-
-    def zeros(self, rows, cols=None):
-        return _FrozenMatrix((rows, cols if cols is not None else rows), ())
-
-    def from_pairs(self, size, pairs, cols=None):
-        return _FrozenMatrix((size, cols if cols is not None else size),
-                             pairs)
-
-
-class TestImmutableFallback:
-    def test_flags(self):
-        matrix = _FrozenBackend().from_pairs(3, [(0, 1)])
-        assert not matrix.supports_inplace
-        assert matrix.backend_name == "abstract"
-
-    def test_union_update_fallback_value_semantics(self):
-        backend = _FrozenBackend()
-        target = backend.from_pairs(3, [(0, 1)])
-        other = backend.from_pairs(3, [(0, 1), (1, 2)])
-        merged, delta = backend.union_update(target, other)
-        assert merged is not target
-        assert target.to_pair_set() == {(0, 1)}
-        assert merged.to_pair_set() == {(0, 1), (1, 2)}
-        assert delta.to_pair_set() == {(1, 2)}
-
-    def test_union_update_fallback_no_change_returns_target(self):
-        backend = _FrozenBackend()
-        target = backend.from_pairs(3, [(0, 1)])
-        merged, delta = backend.union_update(target,
-                                             backend.from_pairs(3, [(0, 1)]))
-        assert merged is target
-        assert delta.nnz() == 0
-
-    def test_generic_difference_interoperates(self):
-        backend = _FrozenBackend()
-        left = backend.from_pairs(3, [(0, 1), (1, 2)])
-        right = backend.from_pairs(3, [(1, 2)])
-        delta = left.difference(right)
-        assert delta.to_pair_set() == {(0, 1)}
-
-    def test_direct_union_update_raises(self):
-        matrix = _FrozenBackend().from_pairs(3, [(0, 1)])
-        with pytest.raises(NotImplementedError):
-            matrix.union_update(matrix)
-
-    def test_mxm_into_fallback(self):
-        backend = _FrozenBackend()
-        left = backend.from_pairs(3, [(0, 1)])
-        right = backend.from_pairs(3, [(1, 2)])
-        accum = backend.from_pairs(3, [(2, 2)])
-        merged, delta = backend.mxm_into(left, right, accum)
-        assert merged.to_pair_set() == {(0, 2), (2, 2)}
-        assert delta.to_pair_set() == {(0, 2)}
-
-    def test_closure_runs_on_immutable_backend(self):
-        """The engine end-to-end on a backend without in-place kernels."""
-        from repro.core.closure import run_closure
-
-        backend = _FrozenBackend()
-        matrices = {
-            "A": backend.from_pairs(3, [(0, 1)]),
-            "B": backend.from_pairs(3, [(1, 2)]),
-            "S": backend.zeros(3),
-        }
-        result = run_closure(matrices, [("S", "A", "B")], backend,
-                             strategy="delta")
-        assert result.matrices["S"].to_pair_set() == {(0, 2)}

@@ -166,7 +166,7 @@ class TestBlockedSpanNesting:
         configure_tracing(sink=sink)
         graph = random_graph(48, 160, ["e"], seed=7)
         grammar = parse_grammar("S -> e | S S", terminals=["e"])
-        solve_matrix(graph, grammar, backend="pyset", strategy="blocked",
+        solve_matrix(graph, grammar, backend="setmatrix", strategy="blocked",
                      tile_size=16)
         records = sink.drain()
         reset_tracing()

@@ -83,8 +83,8 @@ def test_trace_on_off_byte_identity_when_spilling(backend, tmp_path):
 
 def test_sampled_tracing_is_also_non_semantic():
     configure_tracing(enabled=False)
-    untraced = _canonical(_solve("pyset", "delta"))
+    untraced = _canonical(_solve("setmatrix", "delta"))
     configure_tracing(sink=MemorySink(), sample_every=5)
-    sampled = _canonical(_solve("pyset", "delta"))
+    sampled = _canonical(_solve("setmatrix", "delta"))
     reset_tracing()
     assert sampled == untraced

@@ -108,7 +108,7 @@ class TestRPQ:
         graph = random_graph(6, 15, ["a", "b"], seed=1)
         answers = {
             backend: rpq_pairs_by_id(graph, "(a | b)* a", backend=backend)
-            for backend in ["dense", "sparse", "pyset", "bitset"]
+            for backend in ["dense", "sparse", "setmatrix", "bitset"]
         }
         assert len(set(answers.values())) == 1
 

@@ -26,7 +26,7 @@ DELETES = [("delete", (1, "a", 0))]
 
 
 def _service(*ticks):
-    service = QueryService(two_cycles(2, 3), ANBN, backend="pyset",
+    service = QueryService(two_cycles(2, 3), ANBN, backend="setmatrix",
                            single_path=True)
     for ops in ticks:
         service.tick(ops)
@@ -116,7 +116,7 @@ class TestBatchAnswers:
 
     def test_mixed_semantics(self):
         service = QueryService(word_chain(["a", "a", "b", "b"]), ANBN,
-                               backend="pyset", single_path=True)
+                               backend="setmatrix", single_path=True)
         answers = service.query_batch([
             ("S", 0, 4, "length"),
             ("S", 0, 4, "single-path"),
@@ -231,7 +231,7 @@ class TestLinearizability:
         # removes the edge pair that makes (3, 5) derivable too.
         extra = [[3, "a", 4], [4, "b", 5]]
         service = QueryService(
-            word_chain(["a", "b"]), ANBN, backend="pyset")
+            word_chain(["a", "b"]), ANBN, backend="setmatrix")
         # Register the extra nodes so probes resolve.
         service.tick([("insert", tuple(edge)) for edge in extra])
         service.tick([("delete", tuple(edge)) for edge in extra])
@@ -279,7 +279,7 @@ class TestLinearizability:
 
     def test_batch_cache_invalidated_by_tick(self):
         service = QueryService(word_chain(["a", "b"]), ANBN,
-                               backend="pyset")
+                               backend="setmatrix")
         assert service.query_batch([("S", 0, 2)]) == [True]
         service.tick([("delete", (0, "a", 1))])
         assert service.query_batch([("S", 0, 2)]) == [False]

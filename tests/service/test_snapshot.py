@@ -118,7 +118,7 @@ def test_round_trip_cross_backend(tmp_path, save_backend, load_backend):
     assert _single_path_answers(warm) == single
     # The re-materialized matrices really are the target backend's type.
     some_matrix = next(iter(warm.solve().matrices.values()))
-    assert some_matrix.backend_name in (load_backend, "abstract")
+    assert some_matrix.backend_name == load_backend
 
 
 def test_snapshot_paths_stay_valid(tmp_path):
@@ -241,13 +241,15 @@ def test_parent_snapshot_with_witness_section_still_loads():
     last commit whose ``all-path`` snapshots stored the witness closure
     (``CFPQEngine(two_cycles(2, 3), dyck, backend="pyset")``, all three
     semantics), beside the answers that commit gave.  The section is
-    ignored; every answer is unchanged."""
+    ignored; every answer is unchanged, and the retired ``pyset`` name
+    loads as ``setmatrix``."""
     snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
     with open(os.path.join(FIXTURES, "engine_allpath_parent.json")) as stream:
         expected = json.load(stream)
     assert "witness" in read_snapshot(snapshot)
 
     warm = load_engine_snapshot(snapshot)
+    assert warm.backend == "setmatrix"
     graph = warm.graph
     forest = warm.all_path_index()
     assert warm.solve().stats.iterations == 0
@@ -399,10 +401,11 @@ def test_decode_ignores_supports_section_of_older_snapshots(tmp_path):
     grammar = parse_grammar("S -> A B\nA -> a\nB -> b",
                             terminals=["a", "b"])
     graph = word_chain(["a", "b"])
-    payload = snapshot_store.encode_problem(graph, grammar, "pyset", "delta")
+    payload = snapshot_store.encode_problem(graph, grammar, "setmatrix",
+                                            "delta")
     payload["relational"] = {"matrices": snapshot_store.encode_relations(
         {Nonterminal("S"): [(0, 2)], Nonterminal("A"): [(0, 1)],
-         Nonterminal("B"): [(1, 2)]}, "pyset", graph.node_count)}
+         Nonterminal("B"): [(1, 2)]}, "setmatrix", graph.node_count)}
     payload["incremental"] = {
         "facts": {"S": [[0, 2]], "A": [[0, 1]], "B": [[1, 2]]},
         "lengths": [["A", 0, 1, 1], ["B", 1, 2, 1], ["S", 0, 2, 2]],
@@ -432,7 +435,8 @@ def test_parent_service_single_path_snapshot_warm_starts():
     a^n b^n, backend="pyset", single_path=True)`` after one insert
     tick), beside the answers that commit gave.  It has no ``length``
     section, yet it warm-starts single-path with zero closure rounds
-    and answers as it did."""
+    and answers as it did; the retired ``pyset`` name loads as
+    ``setmatrix``."""
     snapshot = os.path.join(FIXTURES, "service_single_path_parent.snapshot")
     with open(os.path.join(FIXTURES,
                            "service_single_path_parent.json")) as stream:
@@ -441,6 +445,7 @@ def test_parent_service_single_path_snapshot_warm_starts():
     assert "incremental" in payload and "length" not in payload
 
     service = QueryService.from_snapshot(snapshot)
+    assert service.backend == "setmatrix"
     assert service.single_path is True
     assert service.stats["startup"]["closure_iterations"] == 0
     pairs = sorted(service.query("S"))

@@ -44,10 +44,19 @@ class TestQueryCommand:
         assert ["0", "4"] in payload["pairs"]
 
     def test_backend_flag(self, chain_file, capsys):
-        for backend in ["dense", "sparse", "pyset"]:
+        for backend in ["dense", "sparse", "setmatrix"]:
             assert main(["query", "--graph", chain_file,
                          "--grammar-name", "dyck1",
                          "--backend", backend]) == 0
+
+    def test_retired_pyset_backend_is_a_usage_error(self, chain_file,
+                                                    capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--graph", chain_file,
+                  "--grammar-name", "dyck1", "--backend", "pyset"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'pyset'" in err
 
     def test_missing_grammar_exits(self, chain_file):
         with pytest.raises(SystemExit):

@@ -154,9 +154,8 @@ class TestLazyExports:
         strategies, backends, semirings, grammars = json.loads(
             result.stdout.splitlines()[-1])
         assert strategies == ["blocked", "delta", "naive"]
-        assert set(backends) >= {"pyset", "setmatrix"}
-        assert set(backends) <= {"bitset", "dense", "pyset", "setmatrix",
-                                 "sparse"}
+        assert "setmatrix" in backends
+        assert set(backends) <= {"bitset", "dense", "setmatrix", "sparse"}
         assert semirings == ["boolean", "counting", "length", "viterbi"]
         assert grammars == ["chain", "dyck1", "points-to", "query1",
                             "query1-cnf", "query2", "rna"]
@@ -217,5 +216,5 @@ def test_backend_failing_to_load_is_a_clean_error(graph_file, backend_args):
     problem, _, available = error.partition("; available: ")
     assert problem == ("error: matrix backend 'sparse' failed to load: "
                        "scipy is broken")
-    assert {"pyset", "setmatrix"} <= set(available.split(", "))
+    assert "setmatrix" in available.split(", ")
     assert "sparse" not in available
