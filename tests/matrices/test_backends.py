@@ -67,6 +67,18 @@ class TestBasics:
         with pytest.raises(ValueError):
             backend.from_pairs(3, [pair])
 
+    @pytest.mark.parametrize("pair", [(2, 0), (0, 5), (-1, 4), (1, -1)])
+    def test_from_pairs_rejects_pairs_outside_rectangular_shape(self, backend,
+                                                                pair):
+        # Rows are bounded by 2 and columns by 5, not the other way round.
+        with pytest.raises(ValueError):
+            backend.from_pairs(2, [pair], cols=5)
+
+    def test_from_pairs_keeps_the_corner_cells(self, backend):
+        matrix = backend.from_pairs(2, [(0, 0), (1, 4)], cols=5)
+        assert matrix.shape == (2, 5)
+        assert matrix.to_pair_set() == {(0, 0), (1, 4)}
+
     def test_transpose(self, backend):
         matrix = backend.from_pairs(3, [(0, 2), (1, 0)])
         assert matrix.transpose().to_pair_set() == {(2, 0), (0, 1)}

@@ -6,7 +6,9 @@ Contracts under test, for every registered backend:
   **exactly** the genuinely-new entries (the semi-naive frontier);
 * ``difference`` is plain set difference on coordinates;
 * ``MatrixBackend.mxm_into`` equals multiply-then-union, delta
-  included.
+  included;
+* each kernel accepts an operand from any other backend, and every
+  abstract kernel is mandatory (no generic fallback stands behind it).
 """
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError
-from repro.matrices.base import available_backends, get_backend
+from repro.matrices.base import BooleanMatrix, available_backends, get_backend
 
 _SIZE = 5
 pair_sets = st.sets(
@@ -111,3 +113,107 @@ def test_mxm_into_aliasing_accumulator(name):
     merged, delta = backend.mxm_into(matrix, matrix, matrix)
     assert merged.to_pair_set() == {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
     assert delta.to_pair_set() == {(0, 2), (1, 3)}
+
+
+@pytest.mark.parametrize("kernel", sorted(BooleanMatrix.__abstractmethods__))
+def test_every_abstract_kernel_is_required(kernel):
+    """A matrix type that leaves any abstract method out cannot be
+    built: there is no generic fallback behind ``difference`` or
+    ``union_update`` (or any other kernel)."""
+    namespace = {name: (lambda self, *args: None)
+                 for name in BooleanMatrix.__abstractmethods__
+                 if name != kernel}
+    namespace["backend_name"] = "incomplete"
+    incomplete = type("Incomplete", (BooleanMatrix,), namespace)
+    with pytest.raises(TypeError, match=kernel):
+        incomplete()
+
+
+# ----------------------------------------------------------------------
+# Operands from another backend: each kernel reads the other matrix
+# through its coordinates, so every (target, operand) backend pair works.
+# ----------------------------------------------------------------------
+
+_TARGET = [(0, 1), (1, 2), (3, 3)]
+_OPERAND = [(1, 2), (2, 0), (3, 4)]
+
+
+@pytest.mark.parametrize("operand_name", available_backends())
+@pytest.mark.parametrize("target_name", available_backends())
+def test_union_update_merges_other_backend_in_place(target_name,
+                                                   operand_name):
+    backend = get_backend(target_name)
+    target = backend.from_pairs(_SIZE, _TARGET)
+    operand = get_backend(operand_name).from_pairs(_SIZE, _OPERAND)
+    merged, delta = backend.union_update(target, operand)
+    assert merged is target
+    assert merged.backend_name == target_name
+    assert merged.to_pair_set() == set(_TARGET) | set(_OPERAND)
+    assert delta.to_pair_set() == {(2, 0), (3, 4)}
+    assert operand.to_pair_set() == set(_OPERAND)
+
+
+@pytest.mark.parametrize("operand_name", available_backends())
+@pytest.mark.parametrize("target_name", available_backends())
+def test_difference_of_other_backend(target_name, operand_name):
+    left = get_backend(target_name).from_pairs(_SIZE, _TARGET)
+    right = get_backend(operand_name).from_pairs(_SIZE, _OPERAND)
+    result = left.difference(right)
+    assert result.to_pair_set() == {(0, 1), (3, 3)}
+    assert left.to_pair_set() == set(_TARGET)
+    assert right.to_pair_set() == set(_OPERAND)
+
+
+@pytest.mark.parametrize("operand_name", available_backends())
+@pytest.mark.parametrize("target_name", available_backends())
+def test_mxm_into_other_backend_operands(target_name, operand_name):
+    backend = get_backend(target_name)
+    other = get_backend(operand_name)
+    left = other.from_pairs(_SIZE, _TARGET)
+    right = other.from_pairs(_SIZE, _OPERAND)
+    accum = backend.from_pairs(_SIZE, [(0, 2)])
+    merged, delta = backend.mxm_into(left, right, accum)
+    # 0->1->2, 1->2->0, 3->3->4
+    assert merged.to_pair_set() == {(0, 2), (1, 0), (3, 4)}
+    assert delta.to_pair_set() == {(1, 0), (3, 4)}
+    assert merged.backend_name == target_name
+
+
+# ----------------------------------------------------------------------
+# Rectangular operands: the kernels keep the shape and check it.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_union_update_rectangular(name):
+    backend = get_backend(name)
+    target = backend.from_pairs(2, [(0, 4)], cols=5)
+    other = backend.from_pairs(2, [(0, 4), (1, 0)], cols=5)
+    merged, delta = backend.union_update(target, other)
+    assert merged.shape == delta.shape == (2, 5)
+    assert merged.to_pair_set() == {(0, 4), (1, 0)}
+    assert delta.to_pair_set() == {(1, 0)}
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_difference_rectangular(name):
+    backend = get_backend(name)
+    left = backend.from_pairs(2, [(0, 4), (1, 0), (1, 3)], cols=5)
+    right = backend.from_pairs(2, [(1, 0)], cols=5)
+    result = left.difference(right)
+    assert result.shape == (2, 5)
+    assert result.to_pair_set() == {(0, 4), (1, 3)}
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_union_update_transposed_shape_mismatch(name):
+    backend = get_backend(name)
+    with pytest.raises(DimensionMismatchError):
+        backend.union_update(backend.zeros(2, 5), backend.zeros(5, 2))
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_difference_shape_mismatch(name):
+    backend = get_backend(name)
+    with pytest.raises(DimensionMismatchError):
+        backend.zeros(2).difference(backend.zeros(3))

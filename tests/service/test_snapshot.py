@@ -273,6 +273,73 @@ def test_parent_snapshot_with_witness_section_still_loads():
             == expected["single_path"][key]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_retired_pyset_payload_tags_decode_on_every_backend(backend):
+    """Payloads tagged ``"pyset"`` carry the generic coordinate tuple;
+    they decode to the same cells under every backend."""
+    snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
+    matrices = read_snapshot(snapshot)["relational"]["matrices"]
+    assert {payload[0] for payload in matrices.values()} == {"pyset"}
+    decoded = snapshot_store.decode_boolean_matrices(matrices, backend)
+    assert sorted(symbol.name for symbol in decoded) == sorted(matrices)
+    for symbol, matrix in decoded.items():
+        _tag, rows, cols, pairs = matrices[symbol.name]
+        assert matrix.backend_name == backend
+        assert matrix.shape == (rows, cols)
+        assert matrix.to_pair_set() == set(pairs)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parent_engine_snapshot_loads_under_every_backend(backend):
+    snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
+    with open(os.path.join(FIXTURES, "engine_allpath_parent.json")) as stream:
+        expected = json.load(stream)
+    warm = load_engine_snapshot(snapshot, backend=backend)
+    assert warm.backend == backend
+    assert warm.solve().stats.iterations == 0
+    pairs = sorted(warm.relations().pairs("S"))
+    assert [list(pair) for pair in pairs] == expected["relational"]
+    graph = warm.graph
+    for i, j in pairs:
+        path = warm.single_path("S", graph.node_at(i), graph.node_at(j))
+        assert [list(edge) for edge in path] \
+            == expected["single_path"][f"{i},{j}"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_parent_service_snapshot_loads_under_every_backend(backend):
+    snapshot = os.path.join(FIXTURES, "service_single_path_parent.snapshot")
+    with open(os.path.join(FIXTURES,
+                           "service_single_path_parent.json")) as stream:
+        expected = json.load(stream)
+    service = QueryService.from_snapshot(snapshot, backend=backend)
+    assert service.backend == backend
+    assert service.stats["startup"]["closure_iterations"] == 0
+    pairs = sorted(service.query("S"))
+    assert [list(pair) for pair in pairs] == expected["relational"]
+    for source, target in pairs:
+        assert service.query("S", source, target, semantics="length") \
+            == expected["length"][f"{source},{target}"]
+
+
+def test_retired_backend_header_reads_as_setmatrix(tmp_path):
+    engine = CFPQEngine(_graph(), ANBN, backend="setmatrix")
+    payload = snapshot_store.build_engine_payload(engine)
+    payload["backend"] = "pyset"
+    path = str(tmp_path / "retired.snapshot")
+    write_snapshot(path, payload)
+    assert read_snapshot(path)["backend"] == "setmatrix"
+    warm = load_engine_snapshot(path)
+    assert warm.backend == "setmatrix"
+    assert warm.relational("S") == engine.relational("S")
+
+
+def test_header_without_backend_stays_without_one(tmp_path):
+    path = str(tmp_path / "headless.snapshot")
+    write_snapshot(path, {"graph": {}})
+    assert "backend" not in read_snapshot(path)
+
+
 def _header(version) -> bytes:
     return (snapshot_store.MAGIC.encode() + b"\x00"
             + str(version).encode() + b"\n")

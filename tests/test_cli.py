@@ -344,3 +344,52 @@ class TestTablesCommand:
         out = capsys.readouterr().out
         assert "skos" in out
         assert "Table 2" in out
+
+
+@pytest.fixture(scope="module")
+def funding_file(tmp_path_factory):
+    from repro.datasets.registry import build_graph
+
+    path = tmp_path_factory.mktemp("funding") / "funding.txt"
+    save_graph_file(build_graph("funding"), str(path))
+    return str(path)
+
+
+def _query_output(capsys, graph_file, *flags):
+    assert main(["query", "--graph", graph_file, "--grammar-name", "query1",
+                 "--start", "S", *flags]) == 0
+    return capsys.readouterr().out
+
+
+class TestBackendsPrintIdenticalAnswers:
+    """``query`` on the funding ontology with the paper's Query 1 prints
+    the same bytes on every backend and strategy, and the relation it
+    prints is the one the Hellings baseline computes."""
+
+    @pytest.mark.parametrize("output", [[], ["--json"]],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
+    @pytest.mark.parametrize("backend", ["bitset", "dense", "setmatrix",
+                                         "sparse"])
+    def test_funding_query1(self, funding_file, capsys, backend, strategy,
+                            output):
+        reference = _query_output(capsys, funding_file, "--backend",
+                                  "setmatrix", "--strategy", "naive",
+                                  *output)
+        assert _query_output(capsys, funding_file, "--backend", backend,
+                             "--strategy", strategy, *output) == reference
+
+    def test_reference_is_the_hellings_relation(self, funding_file, capsys):
+        from repro.baselines.hellings import solve_hellings
+        from repro.grammar.builders import same_generation_query1
+        from repro.graph.io import load_graph_file
+
+        graph = load_graph_file(funding_file)
+        expected = sorted(
+            [graph.node_at(i), graph.node_at(j)] for i, j in
+            solve_hellings(graph, same_generation_query1()).pairs("S"))
+        payload = json.loads(_query_output(
+            capsys, funding_file, "--backend", "setmatrix", "--strategy",
+            "naive", "--json"))
+        assert payload["count"] == len(expected) > 0
+        assert sorted(payload["pairs"]) == expected
