@@ -36,13 +36,12 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from functools import partial
-from itertools import chain, repeat
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from ..core.relations import ContextFreeRelations
+from ..core.relations import ContextFreeRelations, row_map_pairs
 
 
 def solve_hellings(graph: LabeledGraph, grammar: CFG,
@@ -152,12 +151,6 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
 
     return ContextFreeRelations(
         graph,
-        {nonterminal: partial(_row_map_pairs, row_map)
+        {nonterminal: partial(row_map_pairs, row_map)
          for nonterminal, row_map in rows.items()},
     )
-
-
-def _row_map_pairs(row_map: dict[int, set[int]]):
-    """The pairs ``(i, j)`` of one ``rows[A]`` map."""
-    return chain.from_iterable(
-        zip(repeat(i), targets) for i, targets in row_map.items())

@@ -43,32 +43,25 @@ tuple-granular worklist as well: the matrix path pays O(|facts|) to
 build its operand matrices before the first product, which a small
 batch never earns back.
 
-**Layout.**  Each relation is held as its pair set ``facts[A]`` (what
-:meth:`~IncrementalCFPQ.relations`, snapshots and the matrix route
-read) and as the row and column maps the joins walk, ``rows[A][i] =
-{j}`` and ``cols[A][j] = {i}``; symbols are interned, so ``rows[A]``
-costs a pointer hash.  One worklist serves both solvers and both
-directions: a popped fact yields one consequence *group* per pair rule
-(a whole row or column of the other operand), and the presence-only
-step drops what is known by one set difference against the head's row.
+**Layout.**  Each relation is held once, as the row map ``rows[A][i] =
+{j}`` that the joins, :meth:`~IncrementalCFPQ.relations`, snapshots,
+DRed and the matrix route all read, mirrored by ``cols[A][j] = {i}``;
+symbols are interned, so ``rows[A]`` costs a pointer hash.  A closed
+matrix is adopted by rows: row ``i`` is one slice of its
+``row_major()`` export, column ``j`` one of its transpose's.  One
+worklist serves both solvers and both directions: a popped fact yields
+one consequence *group* per pair rule (a whole row or column of the
+other operand), and the presence-only step drops what is known by one
+set difference against the head's row.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
-annotations on the same engine: large batches run the closure over the
-length-semiring adapter (:mod:`repro.core.semiring`), and the worklist
-min-merges lengths — on re-derivation from the survivors' canonical
-lengths — so :meth:`~IncrementalSinglePathCFPQ.length_of`
-equals a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
-after every update.
+annotations on the same engine, so its lengths equal a from-scratch
+:class:`~repro.core.single_path.SinglePathIndex` after every update.
 
 **Path views.**  The same derivation reader that serves DRed is all a
-path answer needs, so the solvers hand out *views* of their live state
-instead of index copies: :meth:`IncrementalCFPQ.all_path_index` (the
-parse forest, :class:`~repro.core.path_index.AllPathIndex`, over the
-fact maps) and :meth:`IncrementalSinglePathCFPQ.single_path_index`
-(what :func:`~repro.core.single_path.extract_path` reads, over the fact
-maps and the maintained lengths).  Both cost O(|rules|) to make and stay
-current across updates; only the forest's memo tables need dropping
-after one.
+path answer needs, so :meth:`IncrementalCFPQ.all_path_index` and
+:meth:`IncrementalSinglePathCFPQ.single_path_index` hand out *views* of
+the live state, not index copies.
 
 This realizes the dynamic-graph direction implied by the paper's
 "graph databases" motivation, and it doubles as yet another
@@ -80,22 +73,23 @@ sequence the incremental state must equal a from-scratch solve
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import chain, repeat
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
-from ..matrices.base import default_backend, get_backend
+from ..matrices.base import BooleanMatrix, default_backend, get_backend
 from ..obs.trace import get_tracer
 from .closure import run_closure
 from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
                          one_step_derivations)
-from .relations import ContextFreeRelations
+from .relations import ContextFreeRelations, row_map_pairs
 from .single_path import SinglePathView, lengths_by_fact
 
-#: Per-non-terminal pair sets: the relations themselves, a change log.
+#: Per-non-terminal pair sets: a change log.
 PairSets = dict[Nonterminal, set[tuple[int, int]]]
 
 #: Facts sharing a head and a support: ``(head, i, None, targets,
@@ -120,6 +114,25 @@ def _facts_in(rows: FactMaps) -> Iterator[Fact]:
         for i, targets in row_map.items())
 
 
+def _merge_rows(index: dict, matrix) -> list[tuple[int, set[int]]]:
+    """Union the rows of a closed *matrix* into the row map *index*,
+    each row one slice of its ``row_major()`` export; returns ``(i,
+    {j})`` for the entries that were new."""
+    indptr, indices = matrix.row_major()
+    starts, columns = indptr.tolist(), indices.tolist()
+    grown = []
+    for node, (start, end) in enumerate(zip(starts, starts[1:])):
+        if start != end:
+            others = set(columns[start:end])
+            known = index.setdefault(node, others)
+            if known is not others:
+                others -= known
+                known |= others
+            if others:
+                grown.append((node, others))
+    return grown
+
+
 class IncrementalCFPQ:
     """A CFPQ solver whose graph can mutate after the initial solve.
 
@@ -140,11 +153,12 @@ class IncrementalCFPQ:
     (:mod:`repro.service.query_service`) uses to drop cached relations
     and k-best streams.
 
-    *warm_state* (a mapping produced by :meth:`export_state`, typically
-    via a snapshot — :mod:`repro.service.snapshot`) seeds the solver
-    from an already-closed fact set instead of running the initial
-    closure: construction is O(|facts|) and
-    :attr:`initial_closure_iterations` is 0.
+    *warm_state* seeds the solver from an already-closed fact set
+    instead of running the initial closure: construction is O(|facts|)
+    and :attr:`initial_closure_iterations` is 0.  Its ``"facts"`` maps
+    each non-terminal to a closed matrix or to its pairs (as
+    :meth:`export_state` does), or is an iterable of those items,
+    consumed once.
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
@@ -158,10 +172,10 @@ class IncrementalCFPQ:
         self.strategy_options = strategy_options
 
         nonterminals = self.grammar.nonterminals
-        self._facts: PairSets = {nt: set() for nt in nonterminals}
         self._rows = fact_maps(nonterminals)
         self._cols = fact_maps(nonterminals)
         self._live = (self._rows, self._cols)
+        self._fact_count = 0  # the maps' size, kept by every writer
         # Pair rules indexed by operand, each bound once to the map its
         # join reads: a fact (B, i, r) as the LEFT part of A -> B C
         # meets the row r of C, a fact (C, r, j) as the RIGHT part the
@@ -199,7 +213,7 @@ class IncrementalCFPQ:
             self._seed_from_engine(self.backend, strategy)
         # Keep the stats contract of the worklist-seeded version: every
         # initially derived fact counts as one propagation.
-        self._propagated_facts = self._total_facts()
+        self._propagated_facts = self._fact_count
 
     def _seed_from_engine(self, backend: str, strategy: str) -> None:
         """Initial solve: run the matrix closure engine to the fixpoint
@@ -212,34 +226,43 @@ class IncrementalCFPQ:
                               normalize=False, strategy=strategy,
                               **self.strategy_options)
         self._initial_iterations = result.stats.iterations
-        for nonterminal, matrix in result.matrices.items():
-            self._adopt_pairs(nonterminal, matrix.nonzero_pairs())
+        self._seed_from_state({"facts": result.matrices})
 
     def _seed_from_state(self, state: dict) -> None:
-        """Warm start: adopt an already-closed fact set without running
-        any closure."""
-        for nonterminal, pairs in state.get("facts", {}).items():
-            self._adopt_pairs(nonterminal, pairs)
+        """Adopt an already-closed fact set (a *warm_state*) without
+        running any closure."""
+        facts = state.get("facts", {})
+        pairs = get_backend("setmatrix").from_pairs
+        for nonterminal, relation in (facts.items() if isinstance(
+                facts, Mapping) else facts):
+            if not isinstance(relation, BooleanMatrix):
+                relation = pairs(self.graph.node_count, relation)
+            self._adopt(nonterminal, relation)
 
-    def _adopt_pairs(self, nonterminal: Nonterminal,
-                     pairs: Iterable[tuple[int, int]]) -> None:
-        """Record facts of one non-terminal that are already closed
-        (seeding, an absorbed batch): nothing to log, no consequences
-        to chase."""
-        pairs = list(pairs)
-        self._facts[nonterminal].update(pairs)
-        row_map, col_map = self._rows[nonterminal], self._cols[nonterminal]
-        for i, j in pairs:
-            row_map[i].add(j)
-            col_map[j].add(i)
+    def _adopt(self, nonterminal: Nonterminal,
+               matrix) -> list[tuple[int, set[int]]]:
+        """Record the facts of one closed matrix (seeding, an absorbed
+        batch: nothing to log or chase) by rows, the columns by rows of
+        its transpose; returns the new facts as ``(i, {j})`` rows."""
+        fresh_rows = _merge_rows(self._rows[nonterminal], matrix)
+        if fresh_rows:
+            _merge_rows(self._cols[nonterminal], matrix.transpose())
+            self._fact_count += sum(len(fresh) for _i, fresh in fresh_rows)
+        return fresh_rows
+
+    def _add_fact(self, nonterminal: Nonterminal, i: int, j: int) -> None:
+        """Record one new fact ``(A, i, j)`` in the row and column maps."""
+        self._rows[nonterminal][i].add(j)
+        self._cols[nonterminal][j].add(i)
+        self._fact_count += 1
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
-        of the ``warm_state`` constructor argument (used by the
-        snapshot store)."""
+        of the ``warm_state`` constructor argument."""
         return {
-            "facts": {nonterminal: set(pairs)
-                      for nonterminal, pairs in self._facts.items() if pairs},
+            "facts": {nonterminal: set(row_map_pairs(row_map))
+                      for nonterminal, row_map in self._rows.items()
+                      if row_map},
         }
 
     # ------------------------------------------------------------------
@@ -261,27 +284,27 @@ class IncrementalCFPQ:
         start from ``warm_state``)."""
         return self._initial_iterations
 
-    def _log_change(self, nonterminal: Nonterminal,
-                    pair: tuple[int, int]) -> None:
+    def _publish(self, changes: PairSets) -> None:
+        self._last_changes = {nonterminal: frozenset(pairs)
+                              for nonterminal, pairs in changes.items()}
+
+    def _log_changes(self, nonterminal: Nonterminal,
+                     pairs: Iterable[tuple[int, int]]) -> None:
         if self._change_recorder is not None:
-            self._change_recorder.setdefault(nonterminal, set()).add(pair)
+            self._change_recorder.setdefault(nonterminal, set()).update(pairs)
 
     # ------------------------------------------------------------------
     # Mutation: insertion
     # ------------------------------------------------------------------
     def add_edge(self, source: Hashable, label: str, target: Hashable) -> int:
-        """Insert one edge and propagate its consequences at tuple
-        granularity.
-
-        Returns the number of **new facts** — seeded base facts,
-        nullable-diagonal facts of freshly created nodes and everything
-        derived from them (0 when the edge adds nothing, e.g. a
-        duplicate).
-        """
+        """Insert one edge at tuple granularity; returns the number of
+        new facts (see :meth:`add_edges`)."""
         return self.add_edges([(source, label, target)])
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
-        """Insert a batch of edges; returns the number of new facts.
+        """Insert a batch of edges; returns the number of new facts:
+        seeded base facts, nullable-diagonal facts of freshly created
+        nodes and everything derived from them.
 
         The batch's base derivations (base facts of the new edges plus
         nullable diagonals of new nodes) enter the tuple-granular
@@ -292,16 +315,15 @@ class IncrementalCFPQ:
         no per-tuple worklist.
         """
         recorder = self._change_recorder = {}
+        before = self._fact_count
         try:
-            return self._add_edges(edges)
+            self._add_edges(edges)
+            return self._fact_count - before
         finally:
             self._change_recorder = None
-            self._last_changes = {
-                nonterminal: frozenset(pairs)
-                for nonterminal, pairs in recorder.items()
-            }
+            self._publish(recorder)
 
-    def _add_edges(self, edges: Iterable[Edge]) -> int:
+    def _add_edges(self, edges: Iterable[Edge]) -> None:
         nodes_before = self.graph.node_count
         new_edges: list[tuple[int, str, int]] = []
         for source, label, target in edges:
@@ -322,9 +344,10 @@ class IncrementalCFPQ:
             base += [((head, i, j), support)
                      for head in self.grammar.heads_for_label(label)]
         if len(new_edges) < SMALL_BATCH_EDGES:
-            return self._insert((head, i, None, {j}, support)
-                                for (head, i, j), support in base)
-        return self._run_batch(base) if base else 0
+            self._insert((head, i, None, {j}, support)
+                         for (head, i, j), support in base)
+        elif base:
+            self._run_batch(base)
 
     # ------------------------------------------------------------------
     # Mutation: deletion (DRed)
@@ -336,21 +359,16 @@ class IncrementalCFPQ:
         return self.remove_edges([(source, label, target)])
 
     def remove_edges(self, edges: Iterable[Edge]) -> int:
-        """Remove a batch of edges with delete-and-rederive.
-
-        Phase 1 *over-deletes* the downward closure of every fact a
-        removed edge derived (count-blind — sound even when facts
-        support each other in cycles).  Phase 2 *re-derives*: each
-        over-deleted fact is probed for its one-step derivations from
-        the survivors (:func:`~repro.core.path_index.one_step_derivations`),
-        and those re-enter the
-        tuple-granular worklist, which restores every fact still
-        derivable.  The work is proportional to the over-deleted set,
-        not to the relations.  Returns the number of facts permanently
-        removed.
+        """Remove a batch of edges with delete-and-rederive (see the
+        module docstring): over-delete the downward closure of every fact a
+        removed edge derived, then re-derive the over-deleted facts
+        still derivable from the survivors
+        (:func:`~repro.core.path_index.one_step_derivations`) on the
+        tuple-granular worklist.  Returns the number of facts
+        permanently removed.
         """
         self._last_changes = {}
-        rows = self._rows
+        rows, count_before = self._rows, self._fact_count
         seeds: list[Group] = []
         for source, label, target in edges:
             self._edge_removals += 1
@@ -379,11 +397,9 @@ class IncrementalCFPQ:
         if not overdeleted:
             return 0
 
-        # One in-place difference per touched relation, row and column.
-        for nonterminal, entries in gone_rows.items():
-            for i, targets in entries.items():
-                self._facts[nonterminal].difference_update(
-                    zip(repeat(i), targets))
+        # One in-place difference per touched relation, row and column;
+        # every over-deleted fact is held (the live maps are closed).
+        self._fact_count -= overdeleted
         for live, marked in ((rows, gone_rows), (self._cols, gone_cols)):
             for nonterminal, entries in marked.items():
                 index = live[nonterminal]
@@ -406,22 +422,18 @@ class IncrementalCFPQ:
                 for head, i, j in _facts_in(gone_rows)
                 for support in self._derivations((head, i, j)))
 
-        removed = 0
+        removed = count_before - self._fact_count
         changes: PairSets = {}
         for nonterminal, entries in gone_rows.items():
             index = rows[nonterminal]
             for i, targets in entries.items():
                 lost = targets - index.get(i, _NO_NODES)
                 if lost:
-                    removed += len(lost)
                     changes.setdefault(nonterminal, set()).update(
                         zip(repeat(i), lost))
         for nonterminal, i, j in self._reannotated(before):
             changes.setdefault(nonterminal, set()).add((i, j))
-        self._last_changes = {
-            nonterminal: frozenset(pairs)
-            for nonterminal, pairs in changes.items()
-        }
+        self._publish(changes)
         self._facts_removed += removed
         return removed
 
@@ -429,12 +441,18 @@ class IncrementalCFPQ:
     # Queries
     # ------------------------------------------------------------------
     def relations(self) -> ContextFreeRelations:
-        """The current relations ``R_A`` (always at fixpoint)."""
-        return ContextFreeRelations(self.graph, self._facts)
+        """The relations ``R_A`` as a **view** of the row maps: a
+        symbol's pairs are read on its first access, then fixed — a
+        symbol first read after a later mutator call sees that call's
+        fixpoint, and one never read costs nothing."""
+        return ContextFreeRelations(
+            self.graph, {nonterminal: partial(row_map_pairs, row_map)
+                         for nonterminal, row_map in self._rows.items()})
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:
-        """``R_A`` as dense-id pairs."""
-        return frozenset(self._facts.get(as_nonterminal(nonterminal), ()))
+        """``R_A`` as dense-id pairs, copied now."""
+        row_map = self._rows.get(as_nonterminal(nonterminal), {})
+        return frozenset(row_map_pairs(row_map))
 
     def all_path_index(self) -> AllPathIndex:
         """The all-path parse forest as a **view** of the live fact
@@ -443,9 +461,6 @@ class IncrementalCFPQ:
         (the query service does it once per tick)."""
         return AllPathIndex(self.graph, self.grammar, self._rows,
                             self._cols)
-
-    def _total_facts(self) -> int:
-        return sum(map(len, self._facts.values()))
 
     @property
     def stats(self) -> dict[str, int]:
@@ -456,17 +471,16 @@ class IncrementalCFPQ:
             "batch_updates": self._batch_updates,
             "propagated_facts": self._propagated_facts,
             "facts_removed": self._facts_removed,
-            "total_facts": self._total_facts(),
+            "total_facts": self._fact_count,
         }
 
     # ------------------------------------------------------------------
     # Batch engine (large add_edges batches)
     # ------------------------------------------------------------------
-    def _run_batch(self, base: list[tuple[Fact, Support]]) -> int:
+    def _run_batch(self, base: list[tuple[Fact, Support]]) -> None:
         """Close the current state with the *base* derivations as the
-        initial frontier; absorb and return the number of facts that
-        appeared."""
-        n = self.graph.node_count
+        initial frontier and absorb what appeared."""
+        n, before = self.graph.node_count, self._fact_count
         with get_tracer().span("frontier.run",
                                strategy=self.strategy) as span:
             matrices = self._matrices_from_state(n)
@@ -476,19 +490,18 @@ class IncrementalCFPQ:
                 initial_frontier=self._seed_matrices(n, base),
                 **self.strategy_options)
             self._batch_updates += 1
-            new_facts = self._absorb(result.matrices)
+            self._absorb(result.matrices)
+            new_facts = self._fact_count - before
             span.set("new_facts", new_facts)
         self._propagated_facts += new_facts
-        return new_facts
 
     def _batch_backend(self):
-
         return get_backend(self.backend)
 
     def _matrices_from_state(self, n: int) -> dict:
         backend = self._batch_backend()
-        return {nt: backend.from_pairs(n, pairs)
-                for nt, pairs in self._facts.items()}
+        return {nt: backend.from_pairs(n, row_map_pairs(row_map))
+                for nt, row_map in self._rows.items()}
 
     def _seed_matrices(self, n: int,
                        base: list[tuple[Fact, Support]]) -> dict:
@@ -499,19 +512,12 @@ class IncrementalCFPQ:
         return {nt: backend.from_pairs(n, cells)
                 for nt, cells in pairs.items()}
 
-    def _absorb(self, matrices: dict) -> int:
-        """Record the closed matrices into the fact maps; returns the
-        number of facts that were not present before."""
-        new_facts = 0
+    def _absorb(self, matrices: dict) -> None:
+        """Record the closed matrices into the fact maps and log the
+        facts that were not present before."""
         for nonterminal, matrix in matrices.items():
-            fresh = matrix.to_pair_set() - self._facts[nonterminal]
-            if not fresh:
-                continue
-            self._adopt_pairs(nonterminal, fresh)
-            if self._change_recorder is not None:
-                self._change_recorder.setdefault(nonterminal, set()).update(fresh)
-            new_facts += len(fresh)
-        return new_facts
+            for i, fresh in self._adopt(nonterminal, matrix):
+                self._log_changes(nonterminal, zip(repeat(i), fresh))
 
     def _forget(self, facts: Iterable[Fact]) -> dict:
         """Drop and return the annotations of just-deleted *facts* (none
@@ -550,11 +556,9 @@ class IncrementalCFPQ:
         for k in fresh:
             across[k].add(node)
         if scratch is None:
-            pairs = list(zip(repeat(i), fresh) if j is None
-                         else zip(fresh, repeat(j)))
-            self._facts[head].update(pairs)
-            if self._change_recorder is not None:
-                self._change_recorder.setdefault(head, set()).update(pairs)
+            self._fact_count += len(fresh)
+            self._log_changes(head, zip(repeat(i), fresh) if j is None
+                              else zip(fresh, repeat(j)))
         return (zip(repeat(head), repeat(i), fresh) if j is None
                 else zip(repeat(head), fresh, repeat(j)))
 
@@ -586,12 +590,10 @@ class IncrementalCFPQ:
                                     ("split", left, nonterminal, i)))
         return popped
 
-    def _insert(self, groups: Iterable[Group]) -> int:
+    def _insert(self, groups: Iterable[Group]) -> None:
         """Record the facts of the given derivation groups and
-        everything they entail; returns the number of new facts."""
-        before = self._total_facts()
+        everything they entail."""
         self._propagated_facts += self._propagate(groups, self._improve)
-        return self._total_facts() - before
 
 
 class IncrementalSinglePathCFPQ(IncrementalCFPQ):
@@ -634,9 +636,8 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
                                  strategy=strategy, normalize=False,
                                  **self.strategy_options)
         self._initial_iterations = result.iterations
-        for nonterminal, matrix in result.matrices.items():
-            self._adopt_pairs(nonterminal, matrix.nonzero_pairs())
-        self._lengths = lengths_by_fact(result.matrices)
+        self._seed_from_state({"facts": result.matrices,
+                               "lengths": lengths_by_fact(result.matrices)})
 
     def _seed_from_state(self, state: dict) -> None:
         super()._seed_from_state(state)
@@ -688,8 +689,9 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         lengths = self._lengths
         return {
             nt: backend.from_cells(
-                (n, n), {pair: lengths[(nt, *pair)] for pair in pairs})
-            for nt, pairs in self._facts.items()
+                (n, n), {(i, j): lengths[(nt, i, j)]
+                         for i, j in row_map_pairs(row_map)})
+            for nt, row_map in self._rows.items()
         }
 
     def _seed_matrices(self, n: int,
@@ -703,23 +705,19 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         return {nt: backend.from_cells((n, n), row)
                 for nt, row in cells.items()}
 
-    def _absorb(self, matrices: dict) -> int:
+    def _absorb(self, matrices: dict) -> None:
         """Record the closed length matrices; only the cells whose
         length is new or refined (a C-level dict-items difference) are
         walked."""
         lengths = self._lengths
-        new_facts = 0
         for fact, length in (lengths_by_fact(matrices).items()
                              - lengths.items()):
-            nonterminal, i, j = fact
             if fact not in lengths:
-                self._adopt_pairs(nonterminal, ((i, j),))
-                new_facts += 1
+                self._add_fact(*fact)
             # A refined length changes the matrix content even though
             # the relation did not.
             lengths[fact] = length
-            self._log_change(nonterminal, (i, j))
-        return new_facts
+            self._log_changes(fact[0], (fact[1:],))
 
     def _derivation_length(self, fact: Fact, support: Support) -> int:
         """Witness length of *fact* through one one-step derivation
@@ -753,10 +751,10 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
             length = self._derivation_length(fact, support)
             current = lengths.get(fact)
             if current is None:
-                self._adopt_pairs(head, (fact[1:],))
+                self._add_fact(*fact)
             elif length >= current:
                 continue
             lengths[fact] = length
-            self._log_change(head, fact[1:])
+            self._log_changes(head, (fact[1:],))
             entered.append(fact)
         return entered

@@ -9,6 +9,7 @@ directly comparable in tests.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.symbols import Nonterminal, as_nonterminal
@@ -16,6 +17,12 @@ from ..graph.labeled_graph import LabeledGraph
 
 #: A node pair, by dense node id.
 IdPair = tuple[int, int]
+
+
+def row_map_pairs(row_map: Mapping[int, Iterable[int]]) -> Iterator[IdPair]:
+    """The pairs ``(i, j)`` of one row map ``rows[A] = {i: {j}}``."""
+    return chain.from_iterable(
+        zip(repeat(i), targets) for i, targets in row_map.items())
 
 
 class ContextFreeRelations:

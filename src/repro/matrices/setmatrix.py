@@ -22,6 +22,8 @@ backends.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import DimensionMismatchError
@@ -215,12 +217,16 @@ class RowSetMatrix(BooleanMatrix):
         return j in self._rows.get(i, ())
 
     def nonzero_pairs(self) -> Iterator[Pair]:
-        for i, columns in self._rows.items():
-            for j in columns:
-                yield (i, j)
+        return ((i, j) for i, columns in self._rows.items() for j in columns)
 
     def nnz(self) -> int:
         return self._nnz
+
+    def row_major(self) -> tuple:
+        """CSR built from the row sets, one sort per row."""
+        rows = [sorted(self._rows.get(i, ())) for i in range(self._shape[0])]
+        return (array("q", accumulate(map(len, rows), initial=0)),
+                array("q", chain.from_iterable(rows)))
 
     def multiply(self, other: BooleanMatrix) -> "RowSetMatrix":
         self._require_chainable(other)
@@ -238,16 +244,17 @@ class RowSetMatrix(BooleanMatrix):
         return result
 
     def union(self, other: BooleanMatrix) -> "RowSetMatrix":
-        self._require_same_shape(other)
         result = SetMatrixBackend._copy(self)
         result.union_update(other)
         return result
 
     def transpose(self) -> "RowSetMatrix":
-        return RowSetMatrix(
-            (self._shape[1], self._shape[0]),
-            ((j, i) for i, j in self.nonzero_pairs()),
-        )
+        result = RowSetMatrix((self._shape[1], self._shape[0]), ())
+        columns, result._nnz = result._rows, self._nnz
+        for i, row in self._rows.items():
+            for j in row:
+                columns.setdefault(j, set()).add(i)
+        return result
 
     def difference(self, other: BooleanMatrix) -> "RowSetMatrix":
         self._require_same_shape(other)
@@ -298,8 +305,7 @@ class SetMatrixBackend(MatrixBackend):
     def clone(self, matrix: BooleanMatrix) -> RowSetMatrix:
         if isinstance(matrix, RowSetMatrix):
             return self._copy(matrix)
-        rows, cols = matrix.shape
-        return RowSetMatrix((rows, cols), matrix.nonzero_pairs())
+        return RowSetMatrix(matrix.shape, matrix.nonzero_pairs())
 
     def mask_rows(self, matrix: BooleanMatrix, keep) -> RowSetMatrix:
         n_rows, n_cols = matrix.shape
@@ -309,10 +315,8 @@ class SetMatrixBackend(MatrixBackend):
                 raise IndexError(
                     f"row {row} out of range for shape {matrix.shape}"
                 )
-        by_row = _boolean_rows_of(matrix) \
-            if not isinstance(matrix, RowSetMatrix) else matrix._rows
         pairs = [
-            (i, j) for i, columns in by_row.items()
+            (i, j) for i, columns in _boolean_rows_of(matrix).items()
             if i in wanted for j in columns
         ]
         return RowSetMatrix((n_rows, n_cols), pairs)

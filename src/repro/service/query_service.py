@@ -167,10 +167,12 @@ class QueryService:
         ``length`` queries are served; costs the annotated closure at
         startup (or a snapshot's lengths) and per tick.
     warm_state:
-        A closed solver state, ``{"facts": {A: pairs}, "lengths":
-        {(A, i, j): length}}`` (``lengths`` for single-path only) — what
-        :meth:`from_snapshot` reads from a snapshot's ``relational`` and
-        ``length`` sections; skips the initial closure entirely.
+        A closed solver state, ``{"facts": {A: matrix or pairs},
+        "lengths": {(A, i, j): length}}`` (``lengths`` for single-path
+        only); the solver adopts each closed matrix by rows.
+        :meth:`from_engine` passes the engine's matrices,
+        :meth:`from_snapshot` the snapshot's as a stream of ``(A,
+        matrix)`` items; either skips the initial closure entirely.
     """
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
@@ -239,12 +241,7 @@ class QueryService:
                     single_path: bool = False) -> "QueryService":
         """Wrap an already-solved engine: its cached closure seeds the
         incremental solver, so no work is repeated."""
-        warm_state: dict = {
-            "facts": {
-                nonterminal: set(matrix.nonzero_pairs())
-                for nonterminal, matrix in engine.solve().matrices.items()
-            },
-        }
+        warm_state: dict = {"facts": engine.solve().matrices}
         if single_path:
             warm_state["lengths"] = lengths_by_fact(
                 engine.single_path_index().matrices)
@@ -272,24 +269,24 @@ class QueryService:
 
         warm_state: dict | None = None
         if "relational" in payload:
-            # Stream the decode: each matrix materializes once, its fact
-            # set is extracted, and the matrix is dropped before the
-            # next decodes — the matrices never all coexist here.
-            facts: dict[Nonterminal, set] = {}
-            for nonterminal, matrix in snapshot_store.iter_decoded_matrices(
-                    payload["relational"]["matrices"]):
-                facts[nonterminal] = set(matrix.nonzero_pairs())
-            warm_state = {"facts": facts}
+            # Stream the decode: the solver adopts each matrix by rows as
+            # it is decoded and drops it before the next decodes — the
+            # matrices never all coexist.
+            warm_state = {"facts": snapshot_store.iter_decoded_matrices(
+                payload["relational"]["matrices"])}
             if "length" in payload:
                 warm_state["lengths"] = {
-                    (Nonterminal(name), i, j): length
+                    (nonterminal, i, j): length
                     for name, entry in payload["length"].items()
+                    for nonterminal in (Nonterminal(name),)
                     for i, j, length in entry["cells"]}
             elif "lengths" in payload.get("incremental", ()):
+                cells = payload["incremental"]["lengths"]
+                symbols = {name: Nonterminal(name)
+                           for name in {cell[0] for cell in cells}}
                 warm_state["lengths"] = {
-                    (Nonterminal(name), i, j): length
-                    for name, i, j, length
-                    in payload["incremental"]["lengths"]}
+                    (symbols[name], i, j): length
+                    for name, i, j, length in cells}
         if single_path is None:
             single_path = bool(warm_state) and "lengths" in warm_state
         if single_path and warm_state is not None \

@@ -604,6 +604,11 @@ def _state_delta(before: dict, after: dict) -> dict:
             for nonterminal, pairs in changed.items()}
 
 
+def _relation_size(state: dict) -> int:
+    """``Σ_A |R_A|`` of an exported or scratch state."""
+    return sum(map(len, state["facts"].values()))
+
+
 SOLVER_CLASSES = [IncrementalCFPQ, IncrementalSinglePathCFPQ]
 
 
@@ -611,8 +616,9 @@ class TestDRedDifferential:
     """Store-free DRed against an independent oracle: after every step
     of any interleaved insert/delete sequence the solver must export
     exactly the state a from-scratch solve of the current graph yields
-    (same facts, same lengths), return the fact-count delta and report
-    the exact cell delta in ``last_changes``."""
+    (same facts, same lengths), return the fact-count delta, count in
+    ``stats["total_facts"]`` exactly the facts it holds, and report the
+    exact cell delta in ``last_changes``."""
 
     def _solver(self, cls, strategy="delta", **options):
         grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -624,11 +630,14 @@ class TestDRedDifferential:
         """Run one mutator by name and hold it to the oracle."""
         before = _scratch_state(solver)
         count_before = solver.stats["total_facts"]
+        assert count_before == _relation_size(before), context
         returned = getattr(solver, mutator)(*arguments)
         grown = solver.stats["total_facts"] - count_before
         assert returned == (-grown if mutator.startswith("remove")
                             else grown), context
         scratch = _scratch_state(solver)
+        assert grown == _relation_size(scratch) - _relation_size(before), \
+            context
         assert solver.export_state() == scratch, context
         assert solver.last_changes == _state_delta(before, scratch), context
 
@@ -724,7 +733,11 @@ class TestDRedDifferential:
 
         def run():
             solver = self._solver(cls)
+            size_before = _relation_size(_scratch_state(solver))
             returned = solver.add_edges(batch)
+            size_after = _relation_size(_scratch_state(solver))
+            assert returned == size_after - size_before
+            assert solver.stats["total_facts"] == size_after
             return (solver.stats["batch_updates"], returned,
                     solver.last_changes, solver.export_state(),
                     _scratch_state(solver))
@@ -753,6 +766,51 @@ class TestDRedDifferential:
         assert adopted.export_state() == solver.export_state()
         self._step(adopted, "remove_edge", 0, "a", 1)
         self._step(adopted, "add_edges", [(0, "a", 1), (1, "b", 2)])
+
+
+class TestOneFactStore:
+    """The row maps are the solvers' only fact store: what reads it
+    reads them in place, and nothing walks them per update."""
+
+    def _solver(self, cls):
+        grammar = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
+        graph = LabeledGraph.from_edges(
+            [(0, "a", 1), (1, "a", 2), (2, "b", 3)])
+        return cls(graph, grammar)
+
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_relations_is_a_view_read_on_first_access(self, cls):
+        """A symbol of ``relations()`` first read after a mutator
+        call sees that call's fixpoint; once read, it stays as read."""
+        solver = self._solver(cls)
+        view = solver.relations()
+        assert solver.pairs("S") == {(1, 3)}
+        solver.add_edges([(3, "b", 4)])
+        assert view.pairs("S") == solver.pairs("S") == {(1, 3), (0, 4)}
+        solver.remove_edges([(0, "a", 1)])
+        assert solver.pairs("S") == {(1, 3)}
+        assert view.pairs("S") == {(1, 3), (0, 4)}
+        assert solver.relations().pairs("S") == {(1, 3)}
+
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_tuple_updates_walk_no_row_map(self, cls, monkeypatch):
+        """The worklist routes and ``stats`` keep the fact count as
+        they go: none of them walks a whole row map."""
+        solver = self._solver(cls)
+        total = solver.stats["total_facts"]
+
+        def refuse(_row_map):
+            raise AssertionError("a whole row map was walked")
+
+        monkeypatch.setattr(incremental_module, "row_map_pairs", refuse)
+        added = solver.add_edges([(3, "b", 4), (4, "b", 5)])
+        removed = solver.remove_edge(0, "a", 1)
+        assert added > 0 and removed > 0
+        assert solver.stats["total_facts"] == total + added - removed
+        monkeypatch.undo()
+        assert solver.stats["total_facts"] == sum(
+            len(solver.pairs(nonterminal))
+            for nonterminal in solver.grammar.nonterminals)
 
 
 @given(

@@ -16,6 +16,9 @@ from repro.graph.generators import two_cycles
 from repro.graph.labeled_graph import LabeledGraph
 from repro.grammar.builders import chain_reachability, same_generation_query1
 from repro.grammar.cnf import to_cnf
+from repro.core import incremental as incremental_module
+from repro.grammar.symbols import Nonterminal
+from repro.matrices.base import available_backends, get_backend
 from repro.service.server import ServerThread
 
 ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
@@ -49,6 +52,20 @@ class TestCaching:
         assert service.stats["queries"] == 5
         assert service.stats["cache_misses"] == 1
         assert service.stats["cache_entries"] == 1
+
+    def test_a_miss_materializes_only_the_start_symbol(self, monkeypatch):
+        """A whole-relation miss reads one row map, the start
+        symbol's — not every relation of the grammar."""
+        service = QueryService(two_cycles(2, 3), TWO_STARTS)
+        read: list = []
+        row_map_pairs = incremental_module.row_map_pairs
+        monkeypatch.setattr(
+            incremental_module, "row_map_pairs",
+            lambda row_map: (read.append(row_map), row_map_pairs(row_map))[1])
+        assert service.query("S")
+        assert len(service.solver.grammar.nonterminals) > 2
+        assert len(read) == 1
+        assert read[0] is service.solver._rows[Nonterminal("S")]
 
     def test_membership_and_relation_queries(self):
         service = _service()
@@ -270,6 +287,43 @@ class TestWarmStart:
             __import__("repro").CFPQEngine.from_snapshot(path)
         )
         assert engine.query("S") == answer
+
+    @pytest.mark.parametrize("backend", ["sparse", "setmatrix"])
+    @pytest.mark.parametrize("single_path", [False, True])
+    def test_closed_matrices_are_adopted_by_rows(self, backend, single_path,
+                                                 tmp_path, monkeypatch):
+        """Cold seeding, ``from_engine`` and ``from_snapshot`` read a
+        closed matrix through ``row_major()`` only: no per-pair copy."""
+        if backend not in available_backends():
+            pytest.skip(f"backend {backend!r} is not installed")
+        from repro import CFPQEngine
+
+        graph = two_cycles(2, 3)
+        expected = solve_matrix_relations(graph, ANBN).node_pairs("S")
+        engine = CFPQEngine(graph, ANBN, backend=backend)
+        engine.solve()
+        if single_path:
+            engine.single_path_index()
+        path = str(tmp_path / "warm.snapshot")
+        QueryService(graph, ANBN, backend=backend,
+                     single_path=single_path).save_snapshot(path)
+
+        def refuse(matrix):
+            raise AssertionError("nonzero_pairs() read a closed matrix")
+
+        monkeypatch.setattr(type(get_backend(backend).zeros(1)),
+                            "nonzero_pairs", refuse)
+        services = [
+            QueryService(two_cycles(2, 3), ANBN, backend=backend,
+                         single_path=single_path),
+            QueryService.from_engine(engine, single_path=single_path),
+            QueryService.from_snapshot(path, single_path=single_path),
+        ]
+        for service in services:
+            assert service.query("S") == expected
+            assert service.solver.stats["total_facts"] == sum(
+                len(service.solver.pairs(nonterminal))
+                for nonterminal in service.solver.grammar.nonterminals)
 
     def test_from_engine_reuses_solved_state(self):
         from repro import CFPQEngine
