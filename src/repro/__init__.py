@@ -22,7 +22,7 @@ Quickstart::
 
 from ._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".core.batch": ("BatchQuery", "solve_batch"),
     ".core.closure": ("available_strategies", "run_closure"),
     ".core.engine": ("CFPQEngine", "cfpq"),
@@ -49,48 +49,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AllPathIndex",
-    "AnnotatedBackend",
-    "AnnotatedMatrix",
-    "BatchQuery",
-    "CFG",
-    "CFPQEngine",
-    "ContextFreeRelations",
-    "IncrementalCFPQ",
-    "IncrementalSinglePathCFPQ",
-    "LENGTH_SEMIRING",
-    "LabeledGraph",
-    "MetricsRegistry",
-    "Nonterminal",
-    "Production",
-    "QueryService",
-    "ReproError",
-    "Semiring",
-    "Terminal",
-    "Tracer",
-    "__version__",
-    "available_strategies",
-    "build_single_path_index",
-    "cfpq",
-    "configure_tracing",
-    "get_registry",
-    "get_tracer",
-    "render_prometheus",
-    "run_closure",
-    "extract_path",
-    "solve_annotated",
-    "summarize_trace",
-    "load_engine_snapshot",
-    "load_graph_file",
-    "load_rdf_graph",
-    "save_engine_snapshot",
-    "parse_grammar",
-    "solve_batch",
-    "solve_matrix",
-    "solve_matrix_relations",
-    "solve_naive",
-    "solve_rpq",
-    "to_cnf",
-    "triples_to_graph",
-]
+__all__.append("__version__")

@@ -12,9 +12,10 @@ import importlib
 
 
 def lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
-    """The ``(__getattr__, __dir__)`` pair for the package whose globals
-    are *namespace*.  *exports* maps a relative submodule name (such as
-    ``".engine"``) to the names the package re-exports from it."""
+    """The ``(__getattr__, __dir__, __all__)`` of the package whose
+    globals are *namespace*.  *exports* maps a relative submodule name
+    (such as ``".engine"``) to the names the package re-exports from
+    it; ``__all__`` lists them all, sorted."""
     package = namespace["__name__"]
     origin = {name: module for module, names in exports.items()
               for name in names}
@@ -31,4 +32,4 @@ def lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(set(namespace) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(origin)

@@ -35,13 +35,12 @@ matrix backends.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from functools import partial
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from ..core.relations import ContextFreeRelations, row_map_pairs
+from ..core.relations import ContextFreeRelations
 
 
 def solve_hellings(graph: LabeledGraph, grammar: CFG,
@@ -149,8 +148,4 @@ def solve_hellings(graph: LabeledGraph, grammar: CFG,
                     else:
                         waiting |= fresh
 
-    return ContextFreeRelations(
-        graph,
-        {nonterminal: partial(row_map_pairs, row_map)
-         for nonterminal, row_map in rows.items()},
-    )
+    return ContextFreeRelations(graph, rows)

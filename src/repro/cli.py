@@ -225,21 +225,37 @@ def cmd_query(args: argparse.Namespace) -> int:
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
                         **_solve_options(args))
-    pairs = sorted(engine.relational(args.start), key=str)
-    if args.json:
-        document = {"start": args.start, "count": len(pairs),
-                    "pairs": [[str(a), str(b)] for a, b in pairs]}
-        if args.stats:
-            document["stats"] = _stats_payload(engine)
-        print(json.dumps(document))
-    else:
-        print(f"R_{args.start}: {len(pairs)} pairs")
-        for source, target in pairs:
-            print(f"  {source} -> {target}")
-        if args.stats:
-            print("stats:")
-            print(json.dumps(_stats_payload(engine), indent=2))
+    start = engine.grammar.resolve_nonterminal(args.start)
+    _print_relation(args, engine.graph, engine.relations().rows(start),
+                    {"start": args.start}, f"R_{args.start}",
+                    stats=_stats_payload(engine) if args.stats else None)
     return 0
+
+
+def _print_relation(args: argparse.Namespace, graph, rows, head: dict,
+                    title: str, tail: "dict | None" = None,
+                    stats: "dict | None" = None) -> None:
+    """Print a relation from its integer *rows* (``(i, targets)``) in
+    the one pair order (:mod:`repro.core.pair_writer`): a JSON document
+    ``{**head, count, pairs, **tail, stats}``, or *title* and one
+    ``source -> target`` line per pair."""
+    from .core.pair_writer import PairWriter, json_document
+
+    writer = PairWriter(graph)
+    keys = writer.keys(rows)
+    if args.json:
+        document = {**head, "count": len(keys), "pairs": writer.json(keys),
+                    **(tail or {})}
+        if stats is not None:
+            document["stats"] = stats
+        print(json_document(document))
+        return
+    print(f"{title}: {len(keys)} pairs")
+    if keys:
+        print(writer.text(keys))
+    if stats is not None:
+        print("stats:")
+        print(json.dumps(stats, indent=2))
 
 
 def _cmd_query_batch(args: argparse.Namespace) -> int:
@@ -247,6 +263,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
     (:func:`repro.core.batch.solve_batch`) instead of one solve per
     line."""
     from .core.batch import as_batch_query, solve_batch
+    from .core.pair_writer import PairWriter, RawJSON, json_document
 
     graph = _load_graph(args)
     grammar = _load_grammar(args)
@@ -272,16 +289,16 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
     answers = solve_batch(graph, grammar, queries, backend=args.backend,
                           strategy=args.strategy,
                           **_solve_options(args))
-    rendered = [
-        sorted([str(a), str(b)] for a, b in answer)
-        if isinstance(answer, frozenset) else answer
-        for answer in answers
-    ]
+    writer = PairWriter(graph)
+    rendered = [writer.json(writer.node_keys(answer))
+                if isinstance(answer, frozenset) else json.dumps(answer)
+                for answer in answers]
     if args.json:
-        print(json.dumps({"count": len(rendered), "answers": rendered}))
+        print(json_document({"count": len(rendered), "answers": RawJSON(
+            "[" + ", ".join(rendered) + "]")}))
     else:
         for spec, answer in zip(specs, rendered):
-            print(f"{json.dumps(spec)} -> {json.dumps(answer)}")
+            print(f"{json.dumps(spec)} -> {answer}")
     return 0
 
 
@@ -290,24 +307,18 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     semiring and report each reachable pair's annotation — shortest
     derivation length, best derivation probability, or (saturating)
     derivation count."""
+    from .core.pair_writer import PairWriter
     from .core.semiring import get_semiring, solve_annotated
-    from .grammar.symbols import Nonterminal
+    from .grammar.cnf import ensure_cnf
 
     graph = _load_graph(args)
     semiring = get_semiring(args.semiring)
-    result = solve_annotated(graph, _load_grammar(args), semiring,
+    grammar = ensure_cnf(_load_grammar(args))
+    start = grammar.resolve_nonterminal(args.start)
+    result = solve_annotated(graph, grammar, semiring, normalize=False,
                              strategy=args.strategy,
                              **_solve_options(args))
-    matrix = result.matrices.get(Nonterminal(args.start))
-    if matrix is None:
-        raise SystemExit(f"unknown start non-terminal {args.start!r}")
-    sources, targets, values = matrix.columns()
-    names = [str(node) for node in graph.nodes]
-    rows = sorted(
-        ([names[i], names[j], value]
-         for i, j, value in zip(sources, targets, values)),
-        key=lambda row: (row[0], row[1]),
-    )
+    rows = PairWriter(graph).cells(*result.matrices[start].columns())
     if args.json:
         print(json.dumps({"start": args.start, "semiring": semiring.name,
                           "count": len(rows), "pairs": rows}))
@@ -386,9 +397,10 @@ def _cmd_top_k_paths(args: argparse.Namespace, engine: CFPQEngine) -> int:
     from .core.path_index import LengthRank, ViterbiRank
 
     graph = engine.graph
+    start = engine.grammar.resolve_nonterminal(args.start)
     forest = engine.all_path_index()
     rank = ViterbiRank() if args.semiring == "viterbi" else LengthRank()
-    paths = forest.top_k(args.start, _coerce_node(graph, args.source),
+    paths = forest.top_k(start, _coerce_node(graph, args.source),
                          _coerce_node(graph, args.target), args.top_k,
                          max_length=args.max_length, rank=rank)
     if args.json:
@@ -406,14 +418,15 @@ def cmd_update(args: argparse.Namespace) -> int:
     """Batch-incremental maintenance: apply insertion/deletion edge
     files to the loaded graph and report the updated relation."""
     from .core.incremental import IncrementalCFPQ
-    from .grammar.symbols import Nonterminal
+    from .grammar.cnf import ensure_cnf
 
     if not args.insert and not args.delete:
         raise SystemExit("update requires --insert and/or --delete")
-    solver = IncrementalCFPQ(_load_graph(args), _load_grammar(args),
+    grammar = ensure_cnf(_load_grammar(args))
+    start = grammar.resolve_nonterminal(args.start)
+    solver = IncrementalCFPQ(_load_graph(args), grammar,
                              backend=args.backend, strategy=args.strategy,
                              **_strategy_options(args))
-    solver.grammar.require_nonterminal(Nonterminal(args.start))
 
     def update_edges(path: str):
         # With --rdf the base graph carried the paper's inverse-edge
@@ -427,22 +440,11 @@ def cmd_update(args: argparse.Namespace) -> int:
         added = solver.add_edges(update_edges(args.insert))
     if args.delete:
         removed = solver.remove_edges(update_edges(args.delete))
-    pairs = sorted(solver.relations().node_pairs(args.start), key=str)
-    if args.json:
-        document = {"start": args.start, "count": len(pairs),
-                    "pairs": [[str(a), str(b)] for a, b in pairs],
-                    "facts_added": added, "facts_removed": removed}
-        if args.stats:
-            document["stats"] = dict(solver.stats)
-        print(json.dumps(document))
-    else:
-        print(f"update: +{added} / -{removed} facts")
-        print(f"R_{args.start}: {len(pairs)} pairs")
-        for source, target in pairs:
-            print(f"  {source} -> {target}")
-        if args.stats:
-            print("stats:")
-            print(json.dumps(dict(solver.stats), indent=2))
+    _print_relation(args, solver.graph, solver.relations().rows(start),
+                    {"start": args.start},
+                    f"update: +{added} / -{removed} facts\nR_{args.start}",
+                    tail={"facts_added": added, "facts_removed": removed},
+                    stats=dict(solver.stats) if args.stats else None)
     return 0
 
 
@@ -568,17 +570,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_rpq(args: argparse.Namespace) -> int:
-    from .regular.rpq import solve_rpq
+    from .regular.rpq import rpq_pairs_by_id
 
-    pairs = sorted(solve_rpq(_load_graph(args), args.regex,
-                             backend=args.backend), key=str)
-    if args.json:
-        print(json.dumps({"regex": args.regex, "count": len(pairs),
-                          "pairs": [[str(a), str(b)] for a, b in pairs]}))
-    else:
-        print(f"RPQ {args.regex!r}: {len(pairs)} pairs")
-        for source, target in pairs:
-            print(f"  {source} -> {target}")
+    graph = _load_graph(args)
+    pairs = rpq_pairs_by_id(graph, args.regex, backend=args.backend)
+    _print_relation(args, graph, ((i, (j,)) for i, j in pairs),
+                    {"regex": args.regex}, f"RPQ {args.regex!r}")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".closure": ("BlockedStats", "ClosureResult", "STRATEGIES",
                  "available_strategies", "fixpoint_history", "get_strategy",
                  "register_strategy", "run_closure"),
@@ -31,61 +31,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                             "boolean_closure_warshall", "closure_cf",
                             "closure_cf_history", "closure_valiant"),
 })
-
-__all__ = [
-    "AllPathIndex",
-    "AnnotatedBackend",
-    "AnnotatedClosureResult",
-    "AnnotatedMatrix",
-    "BlockedStats",
-    "BOOLEAN_SEMIRING",
-    "BooleanSemiring",
-    "CFPQEngine",
-    "ClosureResult",
-    "STRATEGIES",
-    "IncrementalCFPQ",
-    "IncrementalSinglePathCFPQ",
-    "LENGTH_SEMIRING",
-    "LengthSemiring",
-    "Semiring",
-    "ConjunctiveGrammar",
-    "ConjunctiveRule",
-    "ContextFreeRelations",
-    "MatrixCFPQResult",
-    "MatrixCFPQStats",
-    "NaiveClosureResult",
-    "Path",
-    "PathEdge",
-    "SEMANTICS",
-    "SinglePathIndex",
-    "TerminalRule",
-    "anbncn_grammar",
-    "available_strategies",
-    "boolean_closure_delta",
-    "boolean_closure_incremental",
-    "boolean_closure_naive",
-    "boolean_closure_warshall",
-    "build_initial_matrix",
-    "build_single_path_index",
-    "cfpq",
-    "closure_cf",
-    "closure_cf_history",
-    "closure_valiant",
-    "extract_path",
-    "fixpoint_history",
-    "get_strategy",
-    "initial_annotated_matrices",
-    "initial_boolean_matrices",
-    "iter_single_paths",
-    "path_is_valid",
-    "path_word",
-    "register_strategy",
-    "relations_from_matrix",
-    "run_closure",
-    "solve_annotated",
-    "solve_conjunctive_approx",
-    "solve_matrix",
-    "solve_matrix_relations",
-    "solve_naive",
-    "solve_naive_with_history",
-]

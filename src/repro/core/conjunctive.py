@@ -203,10 +203,8 @@ def solve_conjunctive_approx(graph: LabeledGraph, grammar: ConjunctiveGrammar,
         if not frontier:
             break
 
-    return ContextFreeRelations(
-        graph, {nt: matrix.to_pair_set() for nt, matrix in matrices.items()
-                if nt not in aux_set}
-    )
+    return ContextFreeRelations(graph, {
+        nt: matrix for nt, matrix in matrices.items() if nt not in aux_set})
 
 
 def solve_conjunctive_reference(graph: LabeledGraph,

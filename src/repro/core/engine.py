@@ -106,13 +106,14 @@ class CFPQEngine:
                    ) -> frozenset[tuple[Hashable, Hashable]]:
         """``R_S`` for the queried start non-terminal, as node objects —
         the paper's relational query semantics."""
-        return self.relations(backend, strategy).node_pairs(
-            self._start(start))
+        start = self._start(start)
+        return self.relations(backend, strategy).node_pairs(start)
 
     def count(self, start: Nonterminal | str, backend: str | None = None,
               strategy: str | None = None) -> int:
         """``|R_S|`` — the paper's #results."""
-        return len(self.relational(start, backend, strategy))
+        start = self._start(start)
+        return self.relations(backend, strategy).count(start)
 
     # ------------------------------------------------------------------
     # Single-path semantics (Section 5)
@@ -143,8 +144,9 @@ class CFPQEngine:
         the relation."""
         from .single_path import extract_path
 
-        return extract_path(self.single_path_index(strategy),
-                            self._start(start), source, target)
+        start = self._start(start)
+        return extract_path(self.single_path_index(strategy), start,
+                            source, target)
 
     def path_length(self, start: Nonterminal | str, source: Hashable,
                     target: Hashable, strategy: str | None = None,
@@ -176,6 +178,7 @@ class CFPQEngine:
                   target: Hashable, max_length: int,
                   strategy: str | None = None) -> frozenset[Path]:
         """All witness paths of length ≤ *max_length*."""
+        start = self._start(start)
         return frozenset(self.all_path_index(strategy).iter_paths(
             start, source, target, max_length))
 
@@ -267,9 +270,10 @@ class CFPQEngine:
         if semantics == "single-path":
             from .single_path import iter_single_paths
 
+            start = self._start(start)
             return {(node_at(i), node_at(j)): path
                     for i, j, path in iter_single_paths(
-                        self.single_path_index(strategy), self._start(start))}
+                        self.single_path_index(strategy), start)}
         if semantics == "all-path":
             from .path_index import non_negative_int
 

@@ -73,7 +73,6 @@ sequence the incremental state must equal a from-scratch solve
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from itertools import chain, repeat
 from typing import Hashable, Iterable, Iterator, Mapping
 
@@ -441,13 +440,10 @@ class IncrementalCFPQ:
     # Queries
     # ------------------------------------------------------------------
     def relations(self) -> ContextFreeRelations:
-        """The relations ``R_A`` as a **view** of the row maps: a
-        symbol's pairs are read on its first access, then fixed — a
-        symbol first read after a later mutator call sees that call's
-        fixpoint, and one never read costs nothing."""
-        return ContextFreeRelations(
-            self.graph, {nonterminal: partial(row_map_pairs, row_map)
-                         for nonterminal, row_map in self._rows.items()})
+        """The relations ``R_A`` as a **view** of the row maps: rows and
+        node pairs are read live; a symbol's id pair set is built on its
+        first :meth:`~ContextFreeRelations.pairs` call, then fixed."""
+        return ContextFreeRelations(self.graph, self._rows)
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:
         """``R_A`` as dense-id pairs, copied now."""

@@ -158,8 +158,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
                           strategy=strategy, **strategy_options)
     matrices = closure.matrices
 
-    relations = ContextFreeRelations(
-        graph, {nt: matrix.to_pair_set for nt, matrix in matrices.items()})
+    relations = ContextFreeRelations(graph, matrices)
     stats = MatrixCFPQStats(
         iterations=closure.iterations,
         multiplications=closure.multiplications,

@@ -9,11 +9,12 @@ directly comparable in tests.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
+from ..matrices.base import BooleanMatrix
 
 #: A node pair, by dense node id.
 IdPair = tuple[int, int]
@@ -25,30 +26,43 @@ def row_map_pairs(row_map: Mapping[int, Iterable[int]]) -> Iterator[IdPair]:
         zip(repeat(i), targets) for i, targets in row_map.items())
 
 
+def _rows(source) -> Iterable[tuple[int, Iterable[int]]]:
+    """The rows ``(i, targets)`` of a matrix, a row map or a pair set."""
+    if isinstance(source, BooleanMatrix):
+        indptr, indices = (part.tolist() for part in source.row_major())
+        return ((i, indices[start:stop]) for i, (start, stop)
+                in enumerate(pairwise(indptr)) if start != stop)
+    if isinstance(source, Mapping):
+        return source.items()
+    rows: dict[int, list[int]] = {}
+    for i, j in source:
+        rows.setdefault(i, []).append(j)
+    return rows.items()
+
+
 class ContextFreeRelations:
     """All relations ``R_A`` of one query evaluation over one graph.
 
     Node pairs are stored by dense node id; presentation methods map
-    them back through the graph's node enumeration.
-
-    A relation is given as an iterable of pairs or as a zero-argument
-    callable producing one; the callable runs on the first read of its
-    symbol (``pairs`` and everything built on it), so a solver that
-    closed seven matrices for a caller who reads ``R_S`` materializes
-    one pair set, not seven.
+    them back through the graph's node enumeration.  Each relation is
+    kept as its solver closed it — a matrix, a row map ``{i: {j}}``
+    (read live) or an iterable of pairs — or as a zero-argument callable
+    producing pairs, run on the first read of its symbol.  :meth:`rows`
+    reads any of them without building a pair set.
     """
 
-    __slots__ = ("_graph", "_relations")
+    __slots__ = ("_graph", "_relations", "_pair_sets")
 
-    def __init__(self, graph: LabeledGraph,
-                 relations: Mapping[
-                     Nonterminal,
-                     "Iterable[IdPair] | Callable[[], Iterable[IdPair]]"]):
+    def __init__(self, graph: LabeledGraph, relations: Mapping[
+            Nonterminal, "BooleanMatrix | Mapping | Iterable | Callable"]):
         self._graph = graph
         self._relations: dict = {
-            nonterminal: pairs if callable(pairs) else frozenset(pairs)
+            nonterminal: pairs
+            if callable(pairs) or isinstance(pairs, (BooleanMatrix, Mapping))
+            else frozenset(pairs)
             for nonterminal, pairs in relations.items()
         }
+        self._pair_sets: dict = {}
 
     # ------------------------------------------------------------------
     # Core accessors
@@ -63,21 +77,42 @@ class ContextFreeRelations:
         """Non-terminals with a (possibly empty) recorded relation."""
         return frozenset(self._relations)
 
-    def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
-        """``R_A`` as dense-id pairs (empty when nothing was derived)."""
+    def _source(self, nonterminal: Nonterminal | str):
+        """The matrix, row map or pair set kept for *nonterminal*."""
         nonterminal = as_nonterminal(nonterminal)
-        pairs = self._relations.get(nonterminal, frozenset())
-        if callable(pairs):
-            pairs = self._relations[nonterminal] = frozenset(pairs())
-        return pairs
+        source = self._relations.get(nonterminal, frozenset())
+        if callable(source):
+            source = self._relations[nonterminal] = frozenset(source())
+        return source
+
+    def rows(self, nonterminal: Nonterminal | str,
+             ) -> Iterable[tuple[int, Iterable[int]]]:
+        """``R_A`` as ``(i, targets of i)`` node ids, rows in no fixed
+        order: what the printed answers read."""
+        return _rows(self._source(nonterminal))
+
+    def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
+        """``R_A`` as dense-id pairs (empty when nothing was derived),
+        built on the first call and kept."""
+        nonterminal = as_nonterminal(nonterminal)
+        if nonterminal not in self._pair_sets:
+            source = self._source(nonterminal)
+            self._pair_sets[nonterminal] = frozenset(
+                source.to_pair_set() if isinstance(source, BooleanMatrix)
+                else row_map_pairs(source) if isinstance(source, Mapping)
+                else source)
+        return self._pair_sets[nonterminal]
 
     def node_pairs(self, nonterminal: Nonterminal | str,
                    ) -> frozenset[tuple[Hashable, Hashable]]:
         """``R_A`` as original node objects."""
-        return frozenset(
-            (self._graph.node_at(i), self._graph.node_at(j))
-            for i, j in self.pairs(nonterminal)
-        )
+        node = self._graph.nodes.__getitem__
+        source = self._source(nonterminal)
+        if isinstance(source, frozenset):  # no rows to group pairs into
+            return frozenset((node(i), node(j)) for i, j in source)
+        return frozenset(chain.from_iterable(
+            zip(repeat(node(i)), map(node, targets))
+            for i, targets in _rows(source)))
 
     def contains(self, nonterminal: Nonterminal | str, source: Hashable,
                  target: Hashable) -> bool:
@@ -87,7 +122,12 @@ class ContextFreeRelations:
 
     def count(self, nonterminal: Nonterminal | str) -> int:
         """``|R_A|`` — the paper's ``#results`` column."""
-        return len(self.pairs(nonterminal))
+        source = self._source(nonterminal)
+        if isinstance(source, BooleanMatrix):
+            return source.nnz()
+        if isinstance(source, Mapping):
+            return sum(map(len, source.values()))
+        return len(source)
 
     def triples(self) -> Iterator[tuple[Nonterminal, int, int]]:
         """All result triples ``(A, m, n)`` — the relational semantics
@@ -130,16 +170,9 @@ class ContextFreeRelations:
         theirs = other.pairs(nonterminal)
         return (mine - theirs, theirs - mine)
 
-    def as_dict(self) -> dict[str, list[IdPair]]:
-        """JSON-friendly form: name -> sorted pair list."""
-        return {
-            nt.name: sorted(self.pairs(nt))
-            for nt in sorted(self._relations, key=lambda nt: nt.name)
-        }
-
     def __repr__(self) -> str:
         sizes = ", ".join(
-            f"{nt.name}:{len(self.pairs(nt))}"
+            f"{nt.name}:{self.count(nt)}"
             for nt in sorted(self._relations, key=lambda nt: nt.name)
         )
         return f"ContextFreeRelations({sizes})"

@@ -511,10 +511,24 @@ def _annotated_cells(matrix: BooleanMatrix, semiring: Semiring):
     return ((i, j, unit) for i, j in matrix.nonzero_pairs())
 
 
-try:
-    from .scalar_matrix import ScalarAnnotatedMatrix
-except ImportError:  # NumPy missing: every semiring takes the dict layout
-    ScalarAnnotatedMatrix = None  # type: ignore[assignment,misc]
+def __getattr__(name: str):
+    """``ScalarAnnotatedMatrix`` imports NumPy, so it loads on first use:
+    None when NumPy is missing (every semiring then takes the dict
+    layout)."""
+    if name != "ScalarAnnotatedMatrix":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        from .scalar_matrix import ScalarAnnotatedMatrix as layout
+    except ImportError:
+        layout = None
+    globals()[name] = layout
+    return layout
+
+
+def _array_layout():
+    """The array layout class, or None (see :func:`__getattr__`)."""
+    name = "ScalarAnnotatedMatrix"  # in globals once loaded or patched
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 class AnnotatedBackend(MatrixBackend):
@@ -535,10 +549,7 @@ class AnnotatedBackend(MatrixBackend):
         self.semiring = semiring
         self.name = f"annotated[{semiring.name}]"
         self.matrix_type = (
-            ScalarAnnotatedMatrix
-            if semiring.array_ops and ScalarAnnotatedMatrix is not None
-            else AnnotatedMatrix
-        )
+            semiring.array_ops and _array_layout()) or AnnotatedMatrix
 
     def zeros(self, rows: int, cols: int | None = None) -> BooleanMatrix:
         return self.matrix_type(
@@ -602,7 +613,7 @@ def annotated_tile_from_payload(payload: tuple) -> BooleanMatrix:
     (five fields: array layout; four: dict layout)."""
     semiring = get_semiring(payload[1])
     if len(payload) == 5:
-        return ScalarAnnotatedMatrix.from_arrays(semiring, *payload[2:])
+        return _array_layout().from_arrays(semiring, *payload[2:])
     _kind, _name, shape, cells = payload
     return AnnotatedMatrix(semiring, shape, dict(cells))
 

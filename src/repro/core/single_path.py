@@ -156,10 +156,8 @@ class SinglePathIndex:
     def relations(self) -> ContextFreeRelations:
         """Project the annotation away — by Theorem 2 this is the
         relational-semantics answer."""
-        matrices = self.matrices
         return ContextFreeRelations(self.graph, {
-            nonterminal: matrices[nonterminal].to_pair_set
-            if nonterminal in matrices else ()
+            nonterminal: self.matrices.get(nonterminal, ())
             for nonterminal in self.grammar.nonterminals})
 
     def entry_count(self) -> int:

@@ -10,7 +10,7 @@ Public surface::
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".analysis": ("derives_any_terminal_string", "generating_nonterminals",
                   "grammar_signature", "nullable_nonterminals",
                   "reachable_symbols", "remove_useless", "unit_pairs"),
@@ -29,46 +29,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                  "Terminal", "fresh_nonterminal", "inverse_label",
                  "is_inverse_label"),
 })
-
-__all__ = [
-    "CFG",
-    "EPSILON",
-    "EarleyRecognizer",
-    "GRAMMAR_REGISTRY",
-    "INVERSE_SUFFIX",
-    "Nonterminal",
-    "Production",
-    "Symbol",
-    "Terminal",
-    "binarize",
-    "chain_reachability",
-    "cyk_recognize",
-    "derives",
-    "derives_any_terminal_string",
-    "dyck",
-    "dyck1",
-    "eliminate_epsilon",
-    "eliminate_unit_rules",
-    "ensure_cnf",
-    "fresh_nonterminal",
-    "generating_nonterminals",
-    "get_grammar",
-    "grammar_signature",
-    "inverse_label",
-    "is_inverse_label",
-    "language_sample",
-    "lift_terminals",
-    "nullable_nonterminals",
-    "parse_grammar",
-    "parse_production",
-    "points_to_grammar",
-    "production",
-    "reachable_symbols",
-    "remove_useless",
-    "rna_hairpin_grammar",
-    "same_generation_query1",
-    "same_generation_query1_cnf",
-    "same_generation_query2",
-    "to_cnf",
-    "unit_pairs",
-]

@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".generators": ("binary_tree", "chain", "cycle", "grid",
                     "paper_example_graph", "random_graph", "repeat_graph",
                     "two_cycles", "word_chain", "worst_case_dyck_graph"),
@@ -16,38 +16,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
              "shorten_iri", "triples_to_graph"),
     ".stats": ("GraphStats", "graph_stats"),
 })
-
-__all__ = [
-    "Edge",
-    "GraphStats",
-    "LabeledGraph",
-    "Triple",
-    "adjacency_matrices",
-    "binary_tree",
-    "boolean_adjacency",
-    "chain",
-    "cycle",
-    "dump_graph",
-    "dumps_graph",
-    "graph_stats",
-    "graph_to_triples",
-    "grid",
-    "label_pair_sets",
-    "load_csv_graph",
-    "load_graph",
-    "load_graph_file",
-    "load_rdf_graph",
-    "loads_graph",
-    "paper_example_graph",
-    "parse_triple_line",
-    "parse_triples",
-    "random_graph",
-    "read_triples",
-    "repeat_graph",
-    "save_graph_file",
-    "shorten_iri",
-    "triples_to_graph",
-    "two_cycles",
-    "word_chain",
-    "worst_case_dyck_graph",
-]

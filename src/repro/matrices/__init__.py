@@ -20,7 +20,7 @@ from .base import (
     register_backend,
 )
 
-_resolve, __dir__ = lazy_exports(globals(), {
+_resolve, __dir__, _lazy_names = lazy_exports(globals(), {
     ".setmatrix": ("RowSetMatrix", "SetMatrix", "SetMatrixBackend",
                    "initial_matrix"),
     ".dense": ("DenseBackend", "DenseMatrix"),
@@ -37,21 +37,6 @@ def __getattr__(name: str):
         return None
 
 
-__all__ = [
-    "BitsetBackend",
-    "BitsetMatrix",
-    "BooleanMatrix",
-    "DenseBackend",
-    "DenseMatrix",
-    "MatrixBackend",
-    "Pair",
-    "RowSetMatrix",
-    "SetMatrix",
-    "SetMatrixBackend",
-    "SparseBackend",
-    "SparseMatrix",
-    "available_backends",
-    "get_backend",
-    "initial_matrix",
-    "register_backend",
-]
+__all__ = sorted(["BooleanMatrix", "MatrixBackend", "Pair",
+                  "available_backends", "get_backend", "register_backend",
+                  *_lazy_names])

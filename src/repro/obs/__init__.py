@@ -23,30 +23,10 @@ non-semantic: closures are byte-identical with tracing on or off
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
                  "get_registry", "render_prometheus", "reset_metrics"),
     ".trace": ("NULL_TRACER", "Span", "Tracer", "configure_tracing",
                "get_tracer", "reset_tracing", "stopwatch", "traced"),
     ".summarize": ("summarize_trace", "render_summary"),
 })
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "Span",
-    "Tracer",
-    "configure_tracing",
-    "get_registry",
-    "get_tracer",
-    "render_prometheus",
-    "render_summary",
-    "reset_metrics",
-    "reset_tracing",
-    "stopwatch",
-    "summarize_trace",
-    "traced",
-]

@@ -66,8 +66,8 @@ def _product_closure(adjacency: BooleanMatrix, backend: MatrixBackend,
 
 def _demux_rpq(closed: BooleanMatrix, nfa: NFA, graph: LabeledGraph,
                backend: MatrixBackend, offset: int = 0,
-               ) -> frozenset[tuple[Hashable, Hashable]]:
-    """Read one query's (source, target) pairs out of a closed product
+               ) -> frozenset[tuple[int, int]]:
+    """Read one query's (source, target) id pairs out of a closed product
     matrix whose block starts at row *offset*: keep only the start-state
     rows (a :meth:`~repro.matrices.base.MatrixBackend.mask_rows` kernel
     apply, not a Python filter over the full closure), then accept-state
@@ -77,19 +77,23 @@ def _demux_rpq(closed: BooleanMatrix, nfa: NFA, graph: LabeledGraph,
                   for q in nfa.start_states for v in range(node_count)]
     masked = backend.mask_rows(closed, start_rows)
     span = nfa.state_count * node_count
-    answers: set[tuple[Hashable, Hashable]] = set()
+    answers: set[tuple[int, int]] = set()
     for source_id, target_id in masked.nonzero_pairs():
         if not offset <= target_id < offset + span:
             continue
         _state, source_node = divmod(source_id - offset, node_count)
         target_state, target_node = divmod(target_id - offset, node_count)
         if target_state in nfa.accept_states:
-            answers.add((graph.node_at(source_node),
-                         graph.node_at(target_node)))
+            answers.add((source_node, target_node))
     if nfa.accepts_empty():
-        for node in graph.nodes:
-            answers.add((node, node))
+        answers.update(zip(range(node_count), range(node_count)))
     return frozenset(answers)
+
+
+def _node_pairs(graph: LabeledGraph, pairs: Iterable[tuple[int, int]],
+                ) -> frozenset[tuple[Hashable, Hashable]]:
+    node_at = graph.node_at
+    return frozenset((node_at(i), node_at(j)) for i, j in pairs)
 
 
 def solve_rpq(graph: LabeledGraph, query: "str | NFA",
@@ -107,13 +111,8 @@ def solve_rpq(graph: LabeledGraph, query: "str | NFA",
     closure strategy; :func:`solve_rpq_reference` keeps the original
     self-contained squaring loop as the differential oracle.
     """
-    nfa = regex_to_nfa(parse_regex(query)) if isinstance(query, str) else query
-    backend_obj = get_backend(backend)
-    if graph.node_count == 0:
-        return frozenset()
-    adjacency = product_adjacency(nfa, graph, backend_obj)
-    closed = _product_closure(adjacency, backend_obj, strategy)
-    return _demux_rpq(closed, nfa, graph, backend_obj)
+    return _node_pairs(graph, rpq_pairs_by_id(graph, query, backend,
+                                              strategy))
 
 
 def solve_rpq_batch(graph: LabeledGraph,
@@ -146,7 +145,8 @@ def solve_rpq_batch(graph: LabeledGraph,
                      for i, j in block.nonzero_pairs())
     closed = _product_closure(backend_obj.from_pairs(total, pairs),
                               backend_obj, strategy)
-    return [_demux_rpq(closed, nfa, graph, backend_obj, offset=offset)
+    return [_node_pairs(graph, _demux_rpq(closed, nfa, graph, backend_obj,
+                                          offset=offset))
             for nfa, offset in zip(nfas, offsets)]
 
 
@@ -183,9 +183,13 @@ def solve_rpq_reference(graph: LabeledGraph, query: "str | NFA",
 
 def rpq_pairs_by_id(graph: LabeledGraph, query: "str | NFA",
                     backend: "str | MatrixBackend" = "sparse",
+                    strategy: str = DEFAULT_STRATEGY,
                     ) -> frozenset[tuple[int, int]]:
-    """Like :func:`solve_rpq` but with dense node ids (test-friendly)."""
-    return frozenset(
-        (graph.node_id(source), graph.node_id(target))
-        for source, target in solve_rpq(graph, query, backend=backend)
-    )
+    """:func:`solve_rpq` with dense node ids: what the CLI prints from."""
+    nfa = regex_to_nfa(parse_regex(query)) if isinstance(query, str) else query
+    backend_obj = get_backend(backend)
+    if graph.node_count == 0:
+        return frozenset()
+    adjacency = product_adjacency(nfa, graph, backend_obj)
+    closed = _product_closure(adjacency, backend_obj, strategy)
+    return _demux_rpq(closed, nfa, graph, backend_obj)

@@ -24,7 +24,7 @@ package turns it into something a process can *serve*:
 
 from .._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".query_service": ("QueryService", "TickReport"),
     ".replica": ("FollowerService", "ReplicatedService", "open_role"),
     ".wal": ("TickLog", "TickLogReader"),
@@ -32,18 +32,3 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                   "read_snapshot", "save_engine_snapshot",
                   "write_snapshot"),
 })
-
-__all__ = [
-    "QueryService",
-    "TickReport",
-    "TickLog",
-    "TickLogReader",
-    "ReplicatedService",
-    "FollowerService",
-    "open_role",
-    "SNAPSHOT_VERSION",
-    "load_engine_snapshot",
-    "read_snapshot",
-    "save_engine_snapshot",
-    "write_snapshot",
-]

@@ -68,6 +68,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import IO, Iterable
 
+from ..core.pair_writer import PairWriter, json_node
 from ..errors import ReproError
 from ..graph.io import coerce_json_node
 from ..obs.metrics import get_registry, render_prometheus
@@ -263,7 +264,8 @@ def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
             semantics=request.get("semantics", "relational"),
         )
         if isinstance(result, frozenset):  # sorting it is the cost
-            return (yield functools.partial(_jsonable_result, result))
+            return (yield lambda: _jsonable_result(result,
+                                                   PairWriter(graph)))
         return _jsonable_result(result)
     if op == "batch":
         queries = request.get("queries")
@@ -282,8 +284,7 @@ def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
                         else value for position, value in enumerate(spec)]
             items.append(spec)
         answers = yield from service.query_batch_steps(items)
-        envelopes = functools.partial(
-            list, map(_batch_item_envelope, answers))
+        envelopes = functools.partial(_batch_envelopes, graph, answers)
         if any(isinstance(answer, frozenset) for answer in answers):
             return (yield envelopes)  # sorting the relations is the cost
         return envelopes()
@@ -354,14 +355,16 @@ def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
     )
 
 
-def _batch_item_envelope(answer) -> dict:
-    """Per-item response envelope for the ``batch`` op:
+def _batch_envelopes(graph, answers: list) -> list:
+    """Per-item response envelopes for the ``batch`` op:
     :meth:`QueryService.query_batch` reports item failures in-band as
     exception instances, mirrored here as the same ``ok: false`` shape
     a whole-request error would get."""
-    if isinstance(answer, Exception):
-        return _error_response(answer)
-    return {"ok": True, "result": _jsonable_result(answer)}
+    writer = PairWriter(graph) if any(
+        isinstance(answer, frozenset) for answer in answers) else None
+    return [_error_response(answer) if isinstance(answer, Exception)
+            else {"ok": True, "result": _jsonable_result(answer, writer)}
+            for answer in answers]
 
 
 def _error_response(error: Exception) -> dict:
@@ -380,18 +383,11 @@ def _coerce_edge(graph, edge) -> tuple:
             coerce_json_node(graph, target))
 
 
-def _json_node(node):
-    return node if isinstance(node, (int, str, float, bool)) else str(node)
-
-
-def _jsonable_result(result):
-    if isinstance(result, frozenset):
-        return sorted(
-            ([_json_node(a), _json_node(b)] for a, b in result),
-            key=lambda pair: (str(pair[0]), str(pair[1])),
-        )
+def _jsonable_result(result, writer: "PairWriter | None" = None):
+    if isinstance(result, frozenset):  # a whole relation, by the writer
+        return writer.wire(writer.node_keys(result))
     if isinstance(result, tuple):  # a witness path
-        return [[_json_node(i), label, _json_node(j)]
+        return [[json_node(i), label, json_node(j)]
                 for i, label, j in result]
     return result
 

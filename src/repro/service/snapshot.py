@@ -517,12 +517,11 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
                 store.put(SpillableMatrixMap.key_for(nonterminal), matrix)
             matrices = SpillableMatrixMap(store, symbols)
         else:
-            matrices = {}
-            for nonterminal, matrix in decoded:
-                pair_sets[nonterminal] = matrix.to_pair_set()
-                nnz[nonterminal.name] = matrix.nnz()
-                matrices[nonterminal] = matrix
-        relations = ContextFreeRelations(graph, pair_sets)
+            matrices = dict(decoded)
+            nnz = {nt.name: matrix.nnz() for nt, matrix in matrices.items()}
+        # Resident matrices are the relations; spilled ones left pair sets.
+        relations = ContextFreeRelations(
+            graph, matrices if budget is None else pair_sets)
         stats = MatrixCFPQStats(
             iterations=0,
             multiplications=0,

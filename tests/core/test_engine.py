@@ -119,6 +119,8 @@ class TestUnknownStartSymbol:
 
     ENTRY_POINTS = {
         "relational": lambda engine, start: engine.relational(start),
+        "count": lambda engine, start: engine.count(start),
+        "evaluate[relational]": lambda engine, start: engine.evaluate(start),
         "single_path": lambda engine, start: engine.single_path(start, 0, 4),
         "path_length": lambda engine, start: engine.path_length(start, 0, 4),
         "all_paths": lambda engine, start: engine.all_paths(start, 0, 4, 6),
@@ -134,6 +136,23 @@ class TestUnknownStartSymbol:
         engine = CFPQEngine(aabb_chain, anbn_grammar)
         with pytest.raises(UnknownSymbolError, match="Nope"):
             self.ENTRY_POINTS[entry](engine, start)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused_before_any_closure(self, anbn_grammar, aabb_chain,
+                                        entry, monkeypatch):
+        """The start symbol is resolved first: a bad one never pays
+        for a closure."""
+        from repro.core import engine as engine_module
+        from repro.core import single_path as single_path_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a closure ran for an unknown start")
+
+        monkeypatch.setattr(engine_module, "solve_matrix", refuse)
+        monkeypatch.setattr(single_path_module, "solve_annotated", refuse)
+        engine = CFPQEngine(aabb_chain, anbn_grammar)
+        with pytest.raises(UnknownSymbolError, match="Nope"):
+            self.ENTRY_POINTS[entry](engine, "Nope")
 
 
 class TestSemanticsConsistency:

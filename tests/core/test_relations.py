@@ -76,9 +76,25 @@ def test_diff():
     assert only_right == {(2, 2)}
 
 
-def test_as_dict_sorted():
-    relations = ContextFreeRelations(make_graph(), {S: [(1, 0), (0, 1)]})
-    assert relations.as_dict() == {"S": [(0, 1), (1, 0)]}
+def test_rows_count_and_node_pairs_read_every_kind():
+    """A matrix, a live row map, a pair iterable and a producer give the
+    same rows, count and node pairs."""
+    from repro.matrices.setmatrix import SetMatrixBackend
+
+    pairs = [(0, 1), (0, 2), (2, 2)]
+    row_map = {0: {1, 2}, 2: {2}}
+    relations = ContextFreeRelations(make_graph(), {
+        S: SetMatrixBackend().from_pairs(3, pairs), A: row_map,
+        Nonterminal("B"): pairs, Nonterminal("C"): lambda: iter(pairs)})
+    for nonterminal in relations.nonterminals:
+        rows = {i: sorted(targets)
+                for i, targets in relations.rows(nonterminal)}
+        assert rows == {0: [1, 2], 2: [2]}, nonterminal
+        assert relations.count(nonterminal) == 3
+        assert relations.node_pairs(nonterminal) == {
+            ("x", "y"), ("x", "z"), ("z", "z")}
+    row_map[1] = {0}  # a row map is read live
+    assert relations.count(A) == 4 and ("y", "x") in relations.node_pairs(A)
 
 
 def test_repr_shows_sizes():
@@ -107,7 +123,6 @@ def test_callable_relation_runs_once_on_first_read_of_its_symbol():
                                  {S: [(0, 1), (1, 2)], A: [(2, 2)]})
     assert relations.same_as(eager)
     assert list(relations.triples()) == list(eager.triples())
-    assert relations.as_dict() == eager.as_dict()
     assert calls == ["S", "A"]
 
 

@@ -16,7 +16,7 @@ from repro.graph.generators import two_cycles
 from repro.graph.labeled_graph import LabeledGraph
 from repro.grammar.builders import chain_reachability, same_generation_query1
 from repro.grammar.cnf import to_cnf
-from repro.core import incremental as incremental_module
+from repro.core.relations import ContextFreeRelations
 from repro.grammar.symbols import Nonterminal
 from repro.matrices.base import available_backends, get_backend
 from repro.service.server import ServerThread
@@ -58,10 +58,11 @@ class TestCaching:
         symbol's — not every relation of the grammar."""
         service = QueryService(two_cycles(2, 3), TWO_STARTS)
         read: list = []
-        row_map_pairs = incremental_module.row_map_pairs
+        source = ContextFreeRelations._source
         monkeypatch.setattr(
-            incremental_module, "row_map_pairs",
-            lambda row_map: (read.append(row_map), row_map_pairs(row_map))[1])
+            ContextFreeRelations, "_source",
+            lambda relations, nt: read.append(source(relations, nt))
+            or read[-1])
         assert service.query("S")
         assert len(service.solver.grammar.nonterminals) > 2
         assert len(read) == 1

@@ -83,6 +83,22 @@ class TestCommandImports:
                                      "--grammar-name", "dyck1", "--json")
         assert _loaded(modules, "scipy") == []
 
+    @pytest.mark.parametrize("command", [
+        ["query", "--grammar-name", "dyck1"],
+        ["update", "--grammar-name", "dyck1", "--insert"],
+        ["rpq", "--regex", "a b"],
+    ], ids=["query", "update", "rpq"])
+    def test_relations_on_setmatrix_load_no_numpy(self, graph_file,
+                                                  command):
+        """The pure-Python backend prints a relation through the pure
+        Python writer: neither NumPy nor SciPy is imported."""
+        if command[-1] == "--insert":
+            command = [*command, graph_file]
+        modules = _modules_after_cli(*command, "--graph", graph_file,
+                                     "--backend", "setmatrix", "--json")
+        assert "repro.core.pair_writer" in modules
+        assert _loaded(modules, "numpy", "scipy") == []
+
     def test_snapshot_loads_no_server_stack(self, graph_file, tmp_path):
         """A ``single-path`` snapshot writes its relational section from
         the length closure as NumPy CSR, so even on the default
