@@ -13,9 +13,10 @@ Typical use::
     path = engine.single_path("S", 0, 3)           # one witness path
     all_paths = engine.all_paths("S", 0, 3, max_length=10)
 
-The engine normalizes the grammar a single time, caches the solved
-closure per (backend, strategy), and maps results back to the caller's
-node objects.
+The engine normalizes the grammar a single time, closes it once under
+the backend and strategy it was built with, and maps results back to
+the caller's node objects.  To compare backends or strategies, build
+one engine per configuration.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ class CFPQEngine:
     grammar:
         Any context-free grammar; normalized to CNF internally.
     backend:
-        Default boolean matrix backend (``"sparse"``, ``"dense"``,
-        ``"bitset"`` or ``"setmatrix"``); overridable per
-        call.  None picks the best registered one (``sparse`` when
-        SciPy is installed).
+        Boolean matrix backend (``"sparse"``, ``"dense"``, ``"bitset"``
+        or ``"setmatrix"``).  None picks the best registered one
+        (``sparse`` when SciPy is installed).
     strategy:
-        Default closure strategy (``"delta"`` / ``"naive"`` /
-        ``"blocked"``); overridable per call.
+        Closure strategy (``"delta"`` / ``"naive"`` / ``"blocked"``).
     strategy_options:
         Extra keyword options forwarded to every closure run — e.g.
         ``tile_size=128, memory_budget="8M"`` for the blocked tile
@@ -72,9 +71,9 @@ class CFPQEngine:
         self.backend = backend or default_backend()
         self.strategy = strategy
         self.strategy_options = strategy_options
-        self._matrix_results: dict[tuple[str, str], MatrixCFPQResult] = {}
-        self._single_path_by_strategy: dict[str, SinglePathIndex] = {}
-        self._all_path_indexes: dict[str, AllPathIndex] = {}
+        self._solution: MatrixCFPQResult | None = None
+        self._single_path_index: SinglePathIndex | None = None
+        self._all_path_index: AllPathIndex | None = None
 
     def _start(self, start: Nonterminal | str) -> Nonterminal:
         """The grammar's non-terminal named by *start*;
@@ -84,123 +83,105 @@ class CFPQEngine:
     # ------------------------------------------------------------------
     # Relational semantics
     # ------------------------------------------------------------------
-    def solve(self, backend: str | None = None,
-              strategy: str | None = None) -> MatrixCFPQResult:
+    def solve(self) -> MatrixCFPQResult:
         """Run (and cache) the boolean-matrix closure."""
-        key = (backend or self.backend, strategy or self.strategy)
-        if key not in self._matrix_results:
-            self._matrix_results[key] = solve_matrix(
-                self.graph, self.grammar, backend=key[0], normalize=False,
-                strategy=key[1], **self.strategy_options,
+        if self._solution is None:
+            self._solution = solve_matrix(
+                self.graph, self.grammar, backend=self.backend,
+                normalize=False, strategy=self.strategy,
+                **self.strategy_options,
             )
-        return self._matrix_results[key]
+        return self._solution
 
-    def relations(self, backend: str | None = None,
-                  strategy: str | None = None) -> ContextFreeRelations:
+    def relations(self) -> ContextFreeRelations:
         """All relations ``R_A`` (including CNF helper non-terminals)."""
-        return self.solve(backend, strategy).relations
+        return self.solve().relations
 
     def relational(self, start: Nonterminal | str,
-                   backend: str | None = None,
-                   strategy: str | None = None,
                    ) -> frozenset[tuple[Hashable, Hashable]]:
         """``R_S`` for the queried start non-terminal, as node objects —
         the paper's relational query semantics."""
         start = self._start(start)
-        return self.relations(backend, strategy).node_pairs(start)
+        return self.relations().node_pairs(start)
 
-    def count(self, start: Nonterminal | str, backend: str | None = None,
-              strategy: str | None = None) -> int:
+    def count(self, start: Nonterminal | str) -> int:
         """``|R_S|`` — the paper's #results."""
         start = self._start(start)
-        return self.relations(backend, strategy).count(start)
+        return self.relations().count(start)
 
     # ------------------------------------------------------------------
     # Single-path semantics (Section 5)
     # ------------------------------------------------------------------
-    def single_path_index(self, strategy: str | None = None,
-                          ) -> SinglePathIndex:
-        """The length-annotated closure, built once per strategy.
+    def single_path_index(self) -> SinglePathIndex:
+        """The length-annotated closure, built once.
 
         Runs on the same semiring-generalized closure engine as the
-        relational answer; every strategy yields identical annotations,
-        so overriding *strategy* only changes how the fixpoint is
-        iterated.
+        relational answer; every strategy yields identical annotations.
         """
         from .single_path import build_single_path_index
 
-        key = strategy or self.strategy
-        if key not in self._single_path_by_strategy:
-            self._single_path_by_strategy[key] = build_single_path_index(
-                self.graph, self.grammar, normalize=False, strategy=key,
-                **self.strategy_options,
+        if self._single_path_index is None:
+            self._single_path_index = build_single_path_index(
+                self.graph, self.grammar, normalize=False,
+                strategy=self.strategy, **self.strategy_options,
             )
-        return self._single_path_by_strategy[key]
+        return self._single_path_index
 
     def single_path(self, start: Nonterminal | str, source: Hashable,
-                    target: Hashable, strategy: str | None = None) -> Path:
+                    target: Hashable) -> Path:
         """One witness path for ``(start, source, target)``; raises
         :class:`~repro.errors.PathNotFoundError` when the pair is not in
         the relation."""
         from .single_path import extract_path
 
         start = self._start(start)
-        return extract_path(self.single_path_index(strategy), start,
-                            source, target)
+        return extract_path(self.single_path_index(), start, source, target)
 
     def path_length(self, start: Nonterminal | str, source: Hashable,
-                    target: Hashable, strategy: str | None = None,
-                    ) -> int | None:
+                    target: Hashable) -> int | None:
         """The recorded witness-path length ``l_A``, or None."""
         start_nt = self._start(start)
-        return self.single_path_index(strategy).length_of(
+        return self.single_path_index().length_of(
             start_nt, self.graph.node_id(source), self.graph.node_id(target)
         )
 
     # ------------------------------------------------------------------
     # Bounded all-path semantics (§7 future work)
     # ------------------------------------------------------------------
-    def all_path_index(self, strategy: str | None = None) -> AllPathIndex:
-        """The all-path parse forest, made once per strategy: a view of
-        the (cached) relational solve's matrices, so all-path queries
-        never close a second time."""
+    def all_path_index(self) -> AllPathIndex:
+        """The all-path parse forest, made once: a view of the (cached)
+        relational solve's matrices, so all-path queries never close a
+        second time."""
         from .path_index import AllPathIndex, matrix_maps
 
-        key = strategy or self.strategy
-        if key not in self._all_path_indexes:
-            self._all_path_indexes[key] = AllPathIndex(
+        if self._all_path_index is None:
+            self._all_path_index = AllPathIndex(
                 self.graph, self.grammar, *matrix_maps(
-                    self.grammar.nonterminals,
-                    self.solve(strategy=key).matrices))
-        return self._all_path_indexes[key]
+                    self.grammar.nonterminals, self.solve().matrices))
+        return self._all_path_index
 
     def all_paths(self, start: Nonterminal | str, source: Hashable,
-                  target: Hashable, max_length: int,
-                  strategy: str | None = None) -> frozenset[Path]:
+                  target: Hashable, max_length: int) -> frozenset[Path]:
         """All witness paths of length ≤ *max_length*."""
         start = self._start(start)
-        return frozenset(self.all_path_index(strategy).iter_paths(
+        return frozenset(self.all_path_index().iter_paths(
             start, source, target, max_length))
 
     # ------------------------------------------------------------------
     # Warm-start adoption (snapshot store)
     # ------------------------------------------------------------------
-    def adopt_solution(self, result: MatrixCFPQResult,
-                       backend: str | None = None,
-                       strategy: str | None = None) -> None:
-        """Install a pre-computed relational solution into the solve
-        cache, so :meth:`solve`/:meth:`relational` answer without
-        running any closure.  Used by the snapshot loader
+    def adopt_solution(self, result: MatrixCFPQResult) -> None:
+        """Install a pre-computed relational solution, so
+        :meth:`solve`/:meth:`relational` answer without running any
+        closure.  Used by the snapshot loader
         (:mod:`repro.service.snapshot`); the result must be the closure
         of this engine's graph and grammar."""
-        self._matrix_results[(backend or self.backend,
-                              strategy or self.strategy)] = result
+        self._solution = result
 
-    def adopt_single_path_index(self, index: SinglePathIndex,
-                                strategy: str | None = None) -> None:
+    def adopt_single_path_index(self, index: SinglePathIndex) -> None:
         """Install a pre-computed length-annotated index (see
         :meth:`adopt_solution`)."""
-        self._single_path_by_strategy[strategy or self.strategy] = index
+        self._single_path_index = index
 
     def save_snapshot(self, path: str,
                       semantics: tuple[str, ...] = SEMANTICS) -> int:
@@ -213,20 +194,13 @@ class CFPQEngine:
 
     @classmethod
     def from_snapshot(cls, path: str, backend: str | None = None,
-                      strategy: str | None = None,
-                      memory_budget=None,
-                      spill_dir: str | None = None) -> "CFPQEngine":
+                      strategy: str | None = None) -> "CFPQEngine":
         """Load a warm engine from a snapshot file: every semantics the
-        snapshot carries answers in O(load), with zero closure rounds.
-        A *memory_budget* loads the relational matrices into a spillable
-        tile store instead of keeping them all resident (see
-        :func:`repro.service.snapshot.load_engine_snapshot`)."""
+        snapshot carries answers in O(load), with zero closure rounds
+        (see :func:`repro.service.snapshot.load_engine_snapshot`)."""
         from ..service.snapshot import load_engine_snapshot
 
-        return load_engine_snapshot(path, backend=backend,
-                                    strategy=strategy,
-                                    memory_budget=memory_budget,
-                                    spill_dir=spill_dir)
+        return load_engine_snapshot(path, backend=backend, strategy=strategy)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -259,13 +233,12 @@ class CFPQEngine:
     # Uniform entry point
     # ------------------------------------------------------------------
     def evaluate(self, start: Nonterminal | str, semantics: str = "relational",
-                 **kwargs):
+                 max_length: int | None = None):
         """Dispatch on *semantics* (``relational`` | ``single-path`` |
-        ``all-path``); see the specific methods for the result types."""
-        strategy = kwargs.get("strategy")
+        ``all-path``, which needs *max_length*); see the specific methods
+        for the result types."""
         if semantics == "relational":
-            return self.relational(start, backend=kwargs.get("backend"),
-                                   strategy=strategy)
+            return self.relational(start)
         node_at = self.graph.node_at
         if semantics == "single-path":
             from .single_path import iter_single_paths
@@ -273,21 +246,19 @@ class CFPQEngine:
             start = self._start(start)
             return {(node_at(i), node_at(j)): path
                     for i, j, path in iter_single_paths(
-                        self.single_path_index(strategy), start)}
+                        self.single_path_index(), start)}
         if semantics == "all-path":
             from .path_index import non_negative_int
 
-            max_length = kwargs.get("max_length")
             if max_length is None:
                 raise SemanticsError("all-path semantics requires max_length=")
             non_negative_int(max_length, "max_length")
             # A pair outside R_S has no path, so only R_S is enumerated.
             start_nt = self._start(start)
-            index = self.all_path_index(strategy)
+            index = self.all_path_index()
             return {
                 (node_at(i), node_at(j)): paths
-                for i, j in sorted(self.relations(strategy=strategy)
-                                   .pairs(start_nt))
+                for i, j in sorted(self.relations().pairs(start_nt))
                 if (paths := frozenset(index.iter_paths(
                     start_nt, node_at(i), node_at(j), max_length)))
             }

@@ -445,6 +445,12 @@ class IncrementalCFPQ:
         first :meth:`~ContextFreeRelations.pairs` call, then fixed."""
         return ContextFreeRelations(self.graph, self._rows)
 
+    @property
+    def row_maps(self) -> FactMaps:
+        """The live row maps ``A -> {i: {j}}``, one per non-terminal:
+        read them, never write them."""
+        return self._rows
+
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:
         """``R_A`` as dense-id pairs, copied now."""
         row_map = self._rows.get(as_nonterminal(nonterminal), {})

@@ -26,7 +26,7 @@ def row_map_pairs(row_map: Mapping[int, Iterable[int]]) -> Iterator[IdPair]:
         zip(repeat(i), targets) for i, targets in row_map.items())
 
 
-def _rows(source) -> Iterable[tuple[int, Iterable[int]]]:
+def relation_rows(source) -> Iterable[tuple[int, Iterable[int]]]:
     """The rows ``(i, targets)`` of a matrix, a row map or a pair set."""
     if isinstance(source, BooleanMatrix):
         indptr, indices = (part.tolist() for part in source.row_major())
@@ -89,7 +89,7 @@ class ContextFreeRelations:
              ) -> Iterable[tuple[int, Iterable[int]]]:
         """``R_A`` as ``(i, targets of i)`` node ids, rows in no fixed
         order: what the printed answers read."""
-        return _rows(self._source(nonterminal))
+        return relation_rows(self._source(nonterminal))
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
         """``R_A`` as dense-id pairs (empty when nothing was derived),
@@ -112,13 +112,19 @@ class ContextFreeRelations:
             return frozenset((node(i), node(j)) for i, j in source)
         return frozenset(chain.from_iterable(
             zip(repeat(node(i)), map(node, targets))
-            for i, targets in _rows(source)))
+            for i, targets in relation_rows(source)))
 
     def contains(self, nonterminal: Nonterminal | str, source: Hashable,
                  target: Hashable) -> bool:
-        """Membership test ``(source, target) ∈ R_A`` by node object."""
-        pair = (self._graph.node_id(source), self._graph.node_id(target))
-        return pair in self.pairs(nonterminal)
+        """Membership test ``(source, target) ∈ R_A`` by node object:
+        one cell of the kept matrix, one row of a row map (read live)."""
+        i, j = self._graph.node_id(source), self._graph.node_id(target)
+        relation = self._source(nonterminal)
+        if isinstance(relation, BooleanMatrix):
+            return relation[i, j]
+        if isinstance(relation, Mapping):
+            return j in relation.get(i, ())
+        return (i, j) in relation
 
     def count(self, nonterminal: Nonterminal | str) -> int:
         """``|R_A|`` — the paper's ``#results`` column."""

@@ -20,10 +20,6 @@ set.  This module provides it as a first-class store:
   the payload tuple.  Spill files are private to this store (written
   and read by the same process), so the pickle path needs no restricted
   unpickler.
-* **Payloads on demand** — ``payload(key)`` encodes a resident tile,
-  and rebuilds a spilled one's payload from its file bytes without
-  materializing a matrix; snapshot saves stream spilled matrices out
-  this way.
 * **Pinning** — ``pinned(keys)`` marks a task's operand tiles
   non-evictable for the duration of the computation, so the budget
   never evicts the exact tiles in flight.
@@ -47,9 +43,7 @@ import os
 import pickle
 import tempfile
 import threading
-import weakref
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
@@ -187,9 +181,8 @@ class _Entry:
 class TileStore:
     """A budgeted, spillable, LRU cache of matrix tiles.
 
-    Thread-safe (one re-entrant lock guards all state), because the
-    server's thread pool reads a :class:`SpillableMatrixMap` over it
-    concurrently.  ``budget_bytes`` None means nothing ever spills.
+    Thread-safe (one re-entrant lock guards all state).
+    ``budget_bytes`` None means nothing ever spills.
     Pinned keys (see :meth:`pinned`) are never evicted, so a working
     set larger than the budget keeps the run correct: the budget is
     enforced against every *unpinned* tile.
@@ -295,19 +288,6 @@ class TileStore:
             self._make_resident(key, entry)
             return tile
 
-    def payload(self, key: Hashable) -> tuple:
-        """The encoded payload of *key*'s current content.
-
-        A resident tile is encoded on demand; a spilled one rebuilds
-        its payload from the file bytes without materializing a matrix.
-        """
-        with self._lock:
-            entry = self._entries[key]
-            if entry.tile is not None:
-                self._lru.move_to_end(key)
-                return tile_payload_of(entry.tile)
-            return self._payload_from_spill(entry)
-
     # -- pinning ----------------------------------------------------------
     @contextlib.contextmanager
     def pinned(self, keys: Iterable[Hashable]) -> Iterator[None]:
@@ -336,13 +316,6 @@ class TileStore:
         """Spill cold tiles until the resident set fits the budget."""
         with self._lock:
             self._evict_over_budget()
-
-    def spill_all(self) -> None:
-        """Spill every unpinned resident tile (used before hand-off)."""
-        with self._lock:
-            for key in list(self._lru):
-                if not self._pins.get(key):
-                    self._spill(key, self._entries[key])
 
     # -- lifecycle --------------------------------------------------------
     def close(self, keep_spill: bool = False) -> None:
@@ -459,14 +432,6 @@ class TileStore:
             payload = pickle.load(handle)
         return matrix_from_payload(payload)
 
-    def _payload_from_spill(self, entry: _Entry) -> tuple:
-        with open(entry.spill_path, "rb") as handle:
-            blob = handle.read()
-        if entry.spill_raw:
-            meta = entry.spill_meta
-            return get_backend(meta[0]).payload_from_parts(meta, blob)
-        return pickle.loads(blob)
-
     def _next_spill_path(self) -> str:
         directory = self._spill_directory()
         self._file_counter += 1
@@ -484,49 +449,3 @@ class TileStore:
                 self._created_dir = True
         return self._dir_path
 
-
-class SpillableMatrixMap(Mapping):
-    """A ``symbol → matrix`` mapping whose values live in a
-    :class:`TileStore` as whole-matrix tiles (key ``(symbol, 0, 0)``).
-
-    This is how snapshot warm starts stay single-buffered: the service
-    layer hands the engine this mapping, matrices materialize lazily on
-    first access, and with a budget the cold ones spill instead of all
-    being resident at once.  The underlying store is closed (spill files
-    removed) when the map is garbage-collected or explicitly closed.
-    """
-
-    def __init__(self, store: TileStore, symbols: Iterable[Hashable]):
-        self._store = store
-        self._symbols = list(symbols)
-        self._symbol_set = set(self._symbols)
-        self._finalizer = weakref.finalize(self, store.close)
-
-    @staticmethod
-    def key_for(symbol: Hashable) -> tuple:
-        return (symbol, 0, 0)
-
-    @property
-    def store(self) -> TileStore:
-        return self._store
-
-    def __getitem__(self, symbol: Hashable) -> BooleanMatrix:
-        if symbol not in self._symbol_set:
-            raise KeyError(symbol)
-        return self._store.get(self.key_for(symbol))
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._symbols)
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def payload(self, symbol: Hashable) -> tuple:
-        """The encoded payload of one matrix (snapshot save path —
-        spilled matrices stream from disk, never re-materialized)."""
-        if symbol not in self._symbol_set:
-            raise KeyError(symbol)
-        return self._store.payload(self.key_for(symbol))
-
-    def close(self) -> None:
-        self._finalizer()

@@ -316,24 +316,13 @@ class MatrixBackend(abc.ABC):
 
         ``raw_buffer`` (bytes-like) is what the tile store writes to the
         spill file, and ``meta`` is the small picklable remainder needed
-        to rebuild the payload/tile around the buffer.  Backends whose
+        to rebuild the tile around the buffer.  Backends whose
         payload is dominated by one flat buffer (bitset words, dense
         bools) override this so reload can ``mmap`` the file zero-copy;
         the default ``(payload, None)`` routes the store to its pickle
         fallback.
         """
         return payload, None
-
-    def payload_from_parts(self, meta: tuple, buffer) -> tuple:
-        """Rebuild the :meth:`tile_payload` tuple from spilled parts.
-
-        Only called for backends whose :meth:`spill_parts` returned a
-        raw buffer.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__}.spill_parts returned a raw buffer but "
-            "payload_from_parts is not implemented"
-        )
 
     def tile_from_parts(self, meta: tuple, buffer) -> BooleanMatrix:
         """Rebuild a tile directly from spilled parts.

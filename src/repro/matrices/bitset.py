@@ -381,10 +381,6 @@ class BitsetBackend(MatrixBackend):
         kind, rows, cols, raw = payload
         return (kind, rows, cols), raw
 
-    def payload_from_parts(self, meta: tuple, buffer) -> tuple:
-        kind, rows, cols = meta
-        return (kind, rows, cols, bytes(buffer))
-
     def tile_from_parts(self, meta: tuple, buffer) -> BitsetMatrix:
         """Zero-copy reload: a private-writable mapping (``mmap`` with
         ``ACCESS_COPY``) is wrapped directly; read-only buffers (plain

@@ -233,10 +233,6 @@ class DenseBackend(MatrixBackend):
         kind, rows, cols, raw = payload
         return (kind, rows, cols), raw
 
-    def payload_from_parts(self, meta: tuple, buffer) -> tuple:
-        kind, rows, cols = meta
-        return (kind, rows, cols, bytes(buffer))
-
     def tile_from_parts(self, meta: tuple, buffer) -> DenseMatrix:
         """Zero-copy reload: a private-writable mapping (``mmap`` with
         ``ACCESS_COPY``) is wrapped directly; read-only buffers are

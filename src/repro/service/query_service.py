@@ -340,9 +340,7 @@ class QueryService:
             solver.graph, solver.grammar, self.backend, self.strategy)
         payload["relational"] = {
             "matrices": snapshot_store.encode_relations(
-                {nonterminal: solver.pairs(nonterminal)
-                 for nonterminal in solver.grammar.nonterminals},
-                self.backend, n),
+                solver.row_maps, self.backend, n),
         }
         if self.single_path:
             payload["length"] = snapshot_store.encode_annotated_matrices(

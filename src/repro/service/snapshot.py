@@ -37,13 +37,24 @@ Matrices travel through the same **payload codec** the tile store
 spills with (:meth:`repro.matrices.base.MatrixBackend.tile_payload` /
 ``tile_from_payload``): dense bool buffers, bitset words, CSR index
 arrays, or coordinate lists, tagged with the producing backend's
-registry key.  Loading under a *different* backend re-materializes
-through the codec and converts via the coordinate round-trip
+registry key.  One encoder, :func:`encode_relations`, writes the
+relational section for engines and services alike, from closed
+matrices or live row maps, so one fixpoint is one byte string.
+Loading under a *different* backend re-materializes through the codec
+and converts via the coordinate round-trip
 (:meth:`~repro.matrices.base.MatrixBackend.clone`), so a snapshot saved
 with ``sparse`` warm-starts a ``bitset`` engine and vice versa.
 Scalar-annotated (length/viterbi) matrices travel as sorted
 ``[i, j, value]`` cell lists, whichever layout (arrays or dict of
 cells) holds them in memory.
+
+Loading decodes every matrix into memory: an engine keeps them
+resident, a service adopts each by rows and drops it.  A memory budget
+governs closures (the ``blocked`` strategy's tile store), not loads.
+Both loaders refuse, with :class:`~repro.errors.SnapshotError`, a
+section that does not fit the decoded problem: an edge naming a node id
+outside the node list, or a matrix of a non-terminal the grammar lacks
+or of a shape other than ``n × n``.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ from ..grammar.production import Production
 from ..grammar.symbols import Nonterminal, Symbol, Terminal
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import BooleanMatrix, default_backend, get_backend
+from ..core.relations import relation_rows
 from ..core.semiring import (
     LENGTH_SEMIRING,
     AnnotatedBackend,
@@ -210,12 +222,33 @@ def encode_problem(graph: LabeledGraph, grammar: CFG, backend: str,
 
 
 def decode_problem(payload: dict) -> tuple[LabeledGraph, CFG]:
-    """The graph and grammar every loader decodes first; a payload
-    without them raises :class:`~repro.errors.SnapshotError`."""
+    """The graph and grammar every loader decodes first, with the
+    matrix sections checked against them: a payload without them, or
+    with a matrix of a non-terminal the grammar lacks or of a shape
+    other than ``n × n``, raises :class:`~repro.errors.SnapshotError`."""
     for section in ("graph", "grammar"):
         if section not in payload:
             raise SnapshotError(f"snapshot has no {section!r} section")
-    return decode_graph(payload["graph"]), decode_grammar(payload["grammar"])
+    graph = decode_graph(payload["graph"])
+    grammar = decode_grammar(payload["grammar"])
+    names = {nonterminal.name for nonterminal in grammar.nonterminals}
+    size = [graph.node_count] * 2
+    shapes = {
+        "relational": {name: matrix[1:3] for name, matrix in payload.get(
+            "relational", {}).get("matrices", {}).items()},
+        "length": {name: entry["shape"]
+                   for name, entry in payload.get("length", {}).items()},
+    }
+    for section, by_name in shapes.items():
+        for name, shape in by_name.items():
+            if name not in names:
+                raise SnapshotError(f"snapshot {section!r} section names "
+                                    f"{name!r}, which its grammar lacks")
+            if list(shape) != size:
+                raise SnapshotError(
+                    f"snapshot {section!r} matrix of {name!r} is "
+                    f"{shape[0]}x{shape[1]}; its graph has {size[0]} nodes")
+    return graph, grammar
 
 
 def decode_graph(doc: dict) -> LabeledGraph:
@@ -223,7 +256,11 @@ def decode_graph(doc: dict) -> LabeledGraph:
     nodes: list[Hashable] = list(doc["nodes"])
     for node in nodes:
         graph.add_node(node)
+    count = len(nodes)
     for i, label, j in doc["edges"]:
+        if not (0 <= i < count and 0 <= j < count):
+            raise SnapshotError(f"snapshot edge {[i, label, j]} names a "
+                                f"node id outside 0..{count - 1}")
         graph.add_edge(nodes[i], label, nodes[j])
     return graph
 
@@ -272,58 +309,38 @@ def decode_grammar(doc: dict) -> CFG:
 # Boolean matrices (backend payload codec)
 # ----------------------------------------------------------------------
 
-def encode_boolean_matrices(matrices, backend) -> dict:
-    """Encode a ``nonterminal -> matrix`` mapping to payload lists.
+def encode_relations(relations, backend: str, size: int) -> dict:
+    """Encode ``nonterminal -> R_A`` as *backend* payloads — the one
+    writer of every snapshot's relational section.
 
-    A :class:`repro.core.tilestore.SpillableMatrixMap` is encoded
-    straight against its tile store: spilled matrices stream their
-    encoded form from the spill files and resident ones are encoded in
-    place — the save path never re-materializes a cold matrix (no
-    double-buffering).
-
-    Keys are emitted in sorted-name order so the encoding is canonical:
-    non-terminal sets iterate in hash order, which `PYTHONHASHSEED`
-    randomizes *per process*, and replicated serving asserts leader and
+    Each ``R_A`` is a closed matrix, read by its ``row_major()`` export
+    (a length matrix's cells are the relational facts, by Theorem 2), a
+    row map ``{i: {j}}`` or an iterable of ``(i, j)`` pairs.  ``sparse``
+    payloads are the canonical CSR of :mod:`repro.matrices.csr`, written
+    without SciPy; any other backend encodes a matrix built from the
+    sorted pairs.  Keys are emitted in sorted-name order:
+    non-terminal sets iterate in hash order, which ``PYTHONHASHSEED``
+    randomizes per process, and replicated serving asserts leader and
     follower snapshots byte-identical across processes.
     """
-    if hasattr(matrices, "payload"):  # a SpillableMatrixMap
-        return {
-            nonterminal.name: list(matrices.payload(nonterminal))
-            for nonterminal in sorted(matrices, key=lambda nt: nt.name)
-        }
-    backend = get_backend(backend)
-    return {
-        nonterminal.name: list(backend.tile_payload(matrix))
-        for nonterminal, matrix in sorted(matrices.items(),
-                                          key=lambda item: item[0].name)
-    }
-
-
-def encode_relations(relations, backend: str, size: int) -> dict:
-    """Encode ``nonterminal -> R_A`` as *backend* payloads, in the
-    sorted-name order of :func:`encode_boolean_matrices`.
-
-    Each ``R_A`` is an iterable of ``(i, j)`` pairs or a matrix whose
-    cells are those pairs (a length matrix, by Theorem 2).  ``sparse``
-    payloads are written by :mod:`repro.matrices.csr` straight from the
-    pairs or a matrix's ``row_major()`` arrays, so writing them never
-    imports SciPy.  Any other backend encodes a matrix built from
-    the sorted pairs.
-    """
     shape = (size, size)
+
+    def pairs(cells) -> list:
+        return [(i, j) for i, targets in relation_rows(cells) for j in targets]
+
     if backend == "sparse":
         from ..matrices.csr import csr_payload, pairs_payload
 
         def encode(cells) -> tuple:
             if isinstance(cells, BooleanMatrix):
                 return csr_payload(shape, *cells.row_major())
-            return pairs_payload(shape, cells)
+            return pairs_payload(shape, pairs(cells))
     else:
         matrices = get_backend(backend)
 
         def encode(cells) -> tuple:
             return matrices.tile_payload(
-                matrices.from_pairs(size, sorted(_pairs_of(cells))))
+                matrices.from_pairs(size, sorted(pairs(cells))))
     return {
         nonterminal.name: list(encode(cells))
         for nonterminal, cells in sorted(relations.items(),
@@ -331,20 +348,15 @@ def encode_relations(relations, backend: str, size: int) -> dict:
     }
 
 
-def _pairs_of(cells):
-    return (cells.nonzero_pairs() if isinstance(cells, BooleanMatrix)
-            else cells)
-
-
 def iter_decoded_matrices(doc: dict, backend: "str | None" = None):
-    """Stream ``(nonterminal, matrix)`` pairs decoded one at a time.
+    """Stream ``(nonterminal, matrix)`` pairs decoded one at a time
+    (``dict(iter_decoded_matrices(doc))`` decodes them all).
 
     Payloads are decoded by the backend that produced them (its registry
     key is the first payload element); when *backend* names a different
     one the matrix is converted via the coordinate round-trip — the
-    cross-backend load path.  Consumers that extract per-matrix state
-    (pair sets, a tile store) and drop the matrix keep at most one
-    decoded matrix live beyond their own accounting.
+    cross-backend load path.  A consumer that adopts each matrix and
+    drops it keeps at most one decoded matrix live.
     """
     target = get_backend(backend) if backend is not None else None
     for name, payload in doc.items():
@@ -362,13 +374,6 @@ def iter_decoded_matrices(doc: dict, backend: "str | None" = None):
         if target is not None and target.name != source.name:
             matrix = target.clone(matrix)
         yield Nonterminal(name), matrix
-
-
-def decode_boolean_matrices(doc: dict, backend: "str | None" = None,
-                            ) -> dict[Nonterminal, BooleanMatrix]:
-    """Re-materialize all matrices eagerly (see
-    :func:`iter_decoded_matrices` for the streaming form)."""
-    return dict(iter_decoded_matrices(doc, backend))
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +444,8 @@ def build_engine_payload(engine, semantics: tuple[str, ...] = (
     elif relational:
         result = engine.solve()
         payload["relational"] = {
-            "matrices": encode_boolean_matrices(
-                result.matrices, result.stats.backend
-            ),
+            "matrices": encode_relations(
+                result.matrices, engine.backend, engine.graph.node_count),
             "stats": {
                 "iterations": result.stats.iterations,
                 "multiplications": result.stats.multiplications,
@@ -457,78 +461,39 @@ def save_engine_snapshot(path: str, engine, semantics: tuple[str, ...] = (
 
 
 def load_engine_snapshot(path: str, backend: "str | None" = None,
-                         strategy: "str | None" = None,
-                         memory_budget=None, spill_dir: "str | None" = None):
+                         strategy: "str | None" = None):
     """Load a warm :class:`~repro.core.engine.CFPQEngine` from *path*.
 
     Every semantics section the snapshot carries is installed into the
-    engine's caches, so the corresponding queries run with **zero**
-    closure rounds; missing sections simply solve lazily as usual (the
-    all-path forest is a view of the relational solution, so it costs
-    no closure either).  *backend* re-materializes the relational matrices on a different
-    backend than the snapshot was saved with.
-
-    With a *memory_budget* (or ``$REPRO_MEMORY_BUDGET``) the relational
-    matrices load **directly into a tile store**: each matrix is
-    decoded once, its pair set extracted, and the matrix handed to a
-    budgeted :class:`~repro.core.tilestore.TileStore` behind a
-    :class:`~repro.core.tilestore.SpillableMatrixMap` — cold matrices
-    spill instead of all being resident, and the budget also rides the
-    engine's strategy options so later closures honour it.
+    engine, so the corresponding queries run with **zero** closure
+    rounds; missing sections simply solve lazily as usual (the all-path
+    forest is a view of the relational solution, so it costs no closure
+    either).  The decoded matrices stay resident: they are the engine's
+    relations.  *backend* re-materializes them on a different backend
+    than the snapshot was saved with.
     """
     from ..core.engine import CFPQEngine
     from ..core.matrix_cfpq import MatrixCFPQResult, MatrixCFPQStats
     from ..core.relations import ContextFreeRelations
     from ..core.single_path import SinglePathIndex
-    from ..core.tilestore import (
-        SpillableMatrixMap,
-        TileStore,
-        resolve_memory_budget,
-        resolve_spill_dir,
-    )
 
     payload = read_snapshot(path)
     graph, grammar = decode_problem(payload)
     backend = backend or payload.get("backend") or default_backend()
     strategy = strategy or payload.get("strategy") or "delta"
-    budget = resolve_memory_budget(memory_budget)
-    spill_dir = resolve_spill_dir(spill_dir)
-    engine_options: dict = {}
-    if budget is not None:
-        engine_options["memory_budget"] = budget
-        if spill_dir is not None:
-            engine_options["spill_dir"] = spill_dir
-    engine = CFPQEngine(graph, grammar, backend=backend, strategy=strategy,
-                        **engine_options)
+    engine = CFPQEngine(graph, grammar, backend=backend, strategy=strategy)
 
     if "relational" in payload:
-        decoded = iter_decoded_matrices(
-            payload["relational"]["matrices"], backend=backend
-        )
-        pair_sets: dict = {}
-        nnz: dict = {}
-        if budget is not None:
-            store = TileStore(budget_bytes=budget, spill_dir=spill_dir)
-            symbols = []
-            for nonterminal, matrix in decoded:
-                symbols.append(nonterminal)
-                pair_sets[nonterminal] = matrix.to_pair_set()
-                nnz[nonterminal.name] = matrix.nnz()
-                store.put(SpillableMatrixMap.key_for(nonterminal), matrix)
-            matrices = SpillableMatrixMap(store, symbols)
-        else:
-            matrices = dict(decoded)
-            nnz = {nt.name: matrix.nnz() for nt, matrix in matrices.items()}
-        # Resident matrices are the relations; spilled ones left pair sets.
-        relations = ContextFreeRelations(
-            graph, matrices if budget is None else pair_sets)
+        matrices = dict(iter_decoded_matrices(
+            payload["relational"]["matrices"], backend=backend))
         stats = MatrixCFPQStats(
             iterations=0,
             multiplications=0,
             node_count=graph.node_count,
             nonterminal_count=len(grammar.nonterminals),
             backend=get_backend(backend).name,
-            nnz_per_nonterminal=nnz,
+            nnz_per_nonterminal={nonterminal.name: matrix.nnz()
+                                 for nonterminal, matrix in matrices.items()},
             strategy=strategy,
             details={"snapshot": {
                 "warm_start": True,
@@ -536,8 +501,8 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
             }},
         )
         engine.adopt_solution(MatrixCFPQResult(
-            matrices=matrices, relations=relations, stats=stats
-        ))
+            matrices=matrices,
+            relations=ContextFreeRelations(graph, matrices), stats=stats))
     if "length" in payload:
         engine.adopt_single_path_index(SinglePathIndex(
             graph=graph, grammar=engine.grammar,

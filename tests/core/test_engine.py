@@ -27,24 +27,31 @@ class TestRelational:
         with pytest.raises(UnknownSymbolError):
             engine.relational("Nope")
 
-    def test_backend_override_cached_separately(self, anbn_grammar, aabb_chain):
-        engine = CFPQEngine(aabb_chain, anbn_grammar, backend="sparse")
-        sparse = engine.relational("S")
-        dense = engine.relational("S", backend="dense")
-        assert sparse == dense
-        assert set(engine._matrix_results) == {
-            ("sparse", engine.strategy), ("dense", engine.strategy)
-        }
+    def test_one_engine_per_backend(self, anbn_grammar, aabb_chain):
+        sparse = CFPQEngine(aabb_chain, anbn_grammar, backend="sparse")
+        dense = CFPQEngine(aabb_chain, anbn_grammar, backend="dense")
+        assert sparse.relational("S") == dense.relational("S")
+        assert sparse.solve().stats.backend == "sparse"
+        assert dense.solve().stats.backend == "dense"
 
-    def test_strategy_override_cached_separately(self, anbn_grammar,
-                                                 aabb_chain):
-        engine = CFPQEngine(aabb_chain, anbn_grammar, strategy="delta")
-        delta = engine.relational("S")
-        naive = engine.relational("S", strategy="naive")
-        assert delta == naive
-        assert set(engine._matrix_results) == {
-            (engine.backend, "delta"), (engine.backend, "naive")
-        }
+    def test_one_engine_per_strategy(self, anbn_grammar, aabb_chain):
+        delta = CFPQEngine(aabb_chain, anbn_grammar, strategy="delta")
+        naive = CFPQEngine(aabb_chain, anbn_grammar, strategy="naive")
+        assert delta.relational("S") == naive.relational("S")
+        assert delta.solve().stats.strategy == "delta"
+        assert naive.solve().stats.strategy == "naive"
+
+    @pytest.mark.parametrize("method", [
+        "solve", "relations", "relational", "count", "single_path_index",
+        "single_path", "path_length", "all_path_index", "all_paths",
+        "adopt_solution", "adopt_single_path_index", "evaluate"])
+    def test_no_per_call_backend_or_strategy(self, method):
+        """An engine closes under the configuration it was built with;
+        no call overrides it."""
+        import inspect
+
+        parameters = inspect.signature(getattr(CFPQEngine, method)).parameters
+        assert not {"backend", "strategy"} & set(parameters)
 
     def test_solve_result_cached(self, anbn_grammar, aabb_chain):
         engine = CFPQEngine(aabb_chain, anbn_grammar)

@@ -93,8 +93,28 @@ def test_rows_count_and_node_pairs_read_every_kind():
         assert relations.count(nonterminal) == 3
         assert relations.node_pairs(nonterminal) == {
             ("x", "y"), ("x", "z"), ("z", "z")}
+        assert relations.contains(nonterminal, "x", "z")
+        assert not relations.contains(nonterminal, "y", "x")
     row_map[1] = {0}  # a row map is read live
     assert relations.count(A) == 4 and ("y", "x") in relations.node_pairs(A)
+    assert relations.contains(A, "y", "x")
+
+
+def test_contains_reads_a_solver_view_live():
+    """``contains`` reads one row of the solver's row map, so after an
+    update it agrees with ``count`` and ``node_pairs``."""
+    from repro import parse_grammar
+    from repro.core.incremental import IncrementalCFPQ
+
+    solver = IncrementalCFPQ(
+        LabeledGraph.from_edges([(0, "a", 1)]),
+        parse_grammar("S -> a | S S", terminals=["a"]), backend="setmatrix")
+    relations = solver.relations()
+    assert relations.contains("S", 0, 1)
+    solver.add_edges([(1, "a", 2)])
+    assert relations.count("S") == 3
+    assert (0, 2) in relations.node_pairs("S")
+    assert relations.contains("S", 0, 2)
 
 
 def test_repr_shows_sizes():

@@ -2,8 +2,7 @@
 
 Covers budget parsing, LRU spill/reload round-trips on both spill
 formats (raw buffer + mmap for bitset/dense, pickle for the rest),
-payloads of spilled tiles, pinning, the spill-file lifecycle, the
-``SpillableMatrixMap`` wrapper — and the out-of-core acceptance
+pinning, the spill-file lifecycle — and the out-of-core acceptance
 property: a closure whose tiles exceed the budget completes with the
 store's accounted peak resident bytes within the budget.
 """
@@ -15,9 +14,7 @@ import pytest
 from repro.core.tilestore import (
     MEMORY_BUDGET_ENV,
     SPILL_DIR_ENV,
-    SpillableMatrixMap,
     TileStore,
-    matrix_from_payload,
     matrix_nbytes,
     parse_memory_budget,
     resolve_memory_budget,
@@ -144,25 +141,6 @@ def test_reloaded_tile_is_mutable_and_private(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Payloads (the snapshot save path)
-# ----------------------------------------------------------------------
-
-def test_spilled_tile_ships_payload_without_materializing(tmp_path):
-    """A spilled-clean tile's payload comes from the file bytes; no
-    matrix is rebuilt in the parent (reload counter stays put)."""
-    backend = get_backend("bitset")
-    store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
-    store.put(("A", 0, 0), backend.from_pairs(8, [(2, 3)]))
-    store.put(("B", 0, 0), backend.from_pairs(8, [(4, 5)]))  # spills A
-    reloads_before = store.stats.tiles_reloaded
-    payload = store.payload(("A", 0, 0))
-    assert payload[0] == "bitset"
-    assert store.stats.tiles_reloaded == reloads_before
-    assert matrix_from_payload(payload).to_pair_set() == {(2, 3)}
-    store.close()
-
-
-# ----------------------------------------------------------------------
 # Pinning and eviction
 # ----------------------------------------------------------------------
 
@@ -184,7 +162,7 @@ def test_pinned_tiles_never_evicted(tmp_path):
     store.close()
 
 
-def test_evict_to_budget_and_spill_all(tmp_path):
+def test_evict_to_budget_unbounded_is_a_noop(tmp_path):
     backend = get_backend("dense")
     store = TileStore(budget_bytes=None, spill_dir=str(tmp_path))
     for key, tile in _sample_tiles(backend).items():
@@ -192,9 +170,7 @@ def test_evict_to_budget_and_spill_all(tmp_path):
     assert store.resident_bytes > 0
     store.evict_to_budget()  # unbounded: no-op
     assert store.resident_bytes > 0
-    store.spill_all()
-    assert store.resident_bytes == 0
-    assert store.stats.tiles_spilled == 6
+    assert store.stats.tiles_spilled == 0
     store.close()
 
 
@@ -257,30 +233,6 @@ def test_respill_unlinks_superseded_file(tmp_path):
     assert len(files) == 2  # one live file per spilled tile, no leaks
     assert store.get(("A", 0, 0)).to_pair_set() == {(0, 1), (5, 5)}
     store.close()
-
-
-# ----------------------------------------------------------------------
-# SpillableMatrixMap
-# ----------------------------------------------------------------------
-
-def test_spillable_matrix_map_mapping_contract(tmp_path):
-    backend = get_backend("bitset")
-    store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
-    matrices = {"S": backend.from_pairs(8, [(0, 1)]),
-                "T": backend.from_pairs(8, [(2, 3)])}
-    for symbol, matrix in matrices.items():
-        store.put(SpillableMatrixMap.key_for(symbol), matrix)
-    mapping = SpillableMatrixMap(store, ["S", "T"])
-    assert len(mapping) == 2
-    assert set(mapping) == {"S", "T"}
-    assert mapping["S"].to_pair_set() == {(0, 1)}
-    assert mapping["T"].to_pair_set() == {(2, 3)}
-    with pytest.raises(KeyError):
-        mapping["U"]
-    payload = mapping.payload("S")
-    assert payload[0] == "bitset"
-    mapping.close()
-    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------------

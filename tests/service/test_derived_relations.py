@@ -22,7 +22,7 @@ from repro.graph.generators import two_cycles
 from repro.matrices.base import available_backends
 from repro.service.snapshot import (
     build_engine_payload,
-    decode_boolean_matrices,
+    iter_decoded_matrices,
     load_engine_snapshot,
     write_snapshot,
 )
@@ -104,7 +104,7 @@ def test_derived_section_decodes_to_the_solve(tmp_path, backend, name,
     section = _derived(engine)
     assert {payload[0] for payload in section["matrices"].values()} \
         == {backend}
-    assert _pair_sets(decode_boolean_matrices(section["matrices"])) \
+    assert _pair_sets(dict(iter_decoded_matrices(section["matrices"]))) \
         == _pair_sets(engine.solve().matrices)
 
     index = engine.single_path_index()

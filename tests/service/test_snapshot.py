@@ -280,7 +280,7 @@ def test_retired_pyset_payload_tags_decode_on_every_backend(backend):
     snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
     matrices = read_snapshot(snapshot)["relational"]["matrices"]
     assert {payload[0] for payload in matrices.values()} == {"pyset"}
-    decoded = snapshot_store.decode_boolean_matrices(matrices, backend)
+    decoded = dict(snapshot_store.iter_decoded_matrices(matrices, backend))
     assert sorted(symbol.name for symbol in decoded) == sorted(matrices)
     for symbol, matrix in decoded.items():
         _tag, rows, cols, pairs = matrices[symbol.name]
@@ -556,3 +556,107 @@ def test_updated_and_cold_started_dred_snapshots_byte_identical(tmp_path,
     assert updated.save_snapshot(updated_path) > 0
     assert cold.save_snapshot(cold_path) > 0
     assert filecmp.cmp(updated_path, cold_path, shallow=False)
+
+
+# ----------------------------------------------------------------------
+# Sections that do not fit the decoded problem
+# ----------------------------------------------------------------------
+
+LOADERS = (QueryService.from_snapshot, CFPQEngine.from_snapshot)
+
+
+def _engine_payload(semantics=("relational", "single-path")):
+    engine = CFPQEngine(_graph(), ANBN, backend="setmatrix")
+    return engine, snapshot_store.build_engine_payload(engine, semantics)
+
+
+@pytest.mark.parametrize("edge", [[-1, "a", 0], [0, "a", 3]])
+def test_edge_outside_the_node_list_is_refused(tmp_path, edge):
+    """An id of -1 used to wrap to the last node, one past the end
+    raised a bare IndexError."""
+    payload = snapshot_store.encode_problem(
+        word_chain(["a", "b"]), ANBN, "setmatrix", "delta")
+    assert payload["graph"]["nodes"] == [0, 1, 2]
+    payload["graph"]["edges"].append(edge)
+    path = str(tmp_path / "edge.snapshot")
+    write_snapshot(path, payload)
+    for load in LOADERS:
+        with pytest.raises(SnapshotError, match="node id outside 0..2"):
+            load(path)
+
+
+def test_relational_matrix_of_another_shape_is_refused(tmp_path):
+    """A matrix three rows and columns too large used to load and fail
+    the first query with an IndexError."""
+    engine, payload = _engine_payload(("relational",))
+    n = engine.graph.node_count
+    payload["relational"]["matrices"].update(snapshot_store.encode_relations(
+        {ANBN.resolve_nonterminal("S"): [(0, n + 2)]}, "setmatrix", n + 3))
+    path = str(tmp_path / "shape.snapshot")
+    write_snapshot(path, payload)
+    for load in LOADERS:
+        with pytest.raises(SnapshotError, match=f"{n + 3}x{n + 3}"):
+            load(path)
+
+
+@pytest.mark.parametrize("section", ["relational", "length"])
+def test_section_naming_a_nonterminal_the_grammar_lacks_is_refused(
+        tmp_path, section):
+    """``Ghost`` used to load silently into the engine and fail the
+    service with a bare KeyError."""
+    _engine, payload = _engine_payload()
+    matrices = (payload["relational"]["matrices"] if section == "relational"
+                else payload["length"])
+    matrices["Ghost"] = matrices["S"]
+    path = str(tmp_path / "ghost.snapshot")
+    write_snapshot(path, payload)
+    for load in LOADERS:
+        with pytest.raises(SnapshotError, match="'Ghost'"):
+            load(path)
+
+
+# ----------------------------------------------------------------------
+# One encoder, one load path
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("semantics", [("relational",),
+                                       ("relational", "single-path")])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_engine_and_service_write_one_relational_section(
+        tmp_path, backend, semantics):
+    """For one fixpoint the engine's relational section (from its
+    boolean or its length closure) and the service's (from its row
+    maps) are the same bytes on every backend."""
+    from repro.datasets.registry import build_graph
+    from repro.grammar import get_grammar
+
+    graph, grammar = build_graph("skos"), get_grammar("query1")
+    engine = CFPQEngine(graph, grammar, backend=backend)
+    service = QueryService(graph, grammar, backend=backend)
+    engine_path = str(tmp_path / "engine.snapshot")
+    service_path = str(tmp_path / "service.snapshot")
+    save_engine_snapshot(engine_path, engine, semantics=semantics)
+    service.save_snapshot(service_path)
+    sections = [read_snapshot(path)["relational"]["matrices"]
+                for path in (engine_path, service_path)]
+    assert pickle.dumps(sections[0]) == pickle.dumps(sections[1])
+
+
+def test_budgeted_load_keeps_the_matrices_resident(tmp_path, monkeypatch):
+    """``REPRO_MEMORY_BUDGET`` governs closures, not loads: the decoded
+    matrices are the relations, and no pair set is built beside them."""
+    from repro.matrices.base import BooleanMatrix
+
+    engine = CFPQEngine(_graph(), ANBN)
+    path = str(tmp_path / "index.snapshot")
+    save_engine_snapshot(path, engine, semantics=("relational",))
+    expected = engine.relational("S"), engine.count("S")
+
+    def refuse(_matrix):
+        raise AssertionError("a pair set was built")
+
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1K")
+    monkeypatch.setattr(BooleanMatrix, "to_pair_set", refuse)
+    warm = load_engine_snapshot(path)
+    assert warm.solve().stats.iterations == 0
+    assert (warm.relational("S"), warm.count("S")) == expected
