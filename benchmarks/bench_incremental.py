@@ -1,5 +1,5 @@
-"""Incremental maintenance vs. recompute-from-scratch, and the batch
-insertion path vs. the per-tuple loop.
+"""Incremental maintenance vs. recompute-from-scratch, and one
+``add_edges`` worklist run vs. the per-tuple ``add_edge`` loop.
 
 Two layers:
 
@@ -15,21 +15,19 @@ Two layers:
 
    For each batch size the sweep inserts the same random-reachability
    edge batch twice — once through the per-tuple ``add_edge`` loop,
-   once through ``add_edges`` (the matrix-granular frontier from
-   ``SMALL_BATCH_EDGES`` = 200 new edges up, one worklist run below;
-   this sweep's 150–200 edge crossover is where that constant comes
-   from, so 100 and 300 sit on either side of it) — and reports wall
-   time, derived facts/s and the batch-over-per-tuple speedup, plus the
-   DRed wall time for deleting a tenth of the batch.
-   The workload (S -> a | a S over a random graph with ~3 edges per
-   node) makes insertions *interact* heavily — the regime a
-   graph-database bulk load lives in: per-tuple pays one worklist pop
-   plus a Python-level join per derived fact, while the batch path
-   derives the same facts in ~graph-diameter frontier × matrix
-   products.  ``benchmarks/BENCH_incremental.json`` pins the
-   acceptance numbers (no cell slower than the loop, delete ≤ 6× the
-   batch insert at 1000 edges) and CI's bench-smoke gate re-measures
-   them.
+   once through ``add_edges`` — and reports wall time, derived facts/s
+   and the batch-over-per-tuple speedup, the DRed wall time for
+   deleting a tenth of the batch, and ``single_path_wall_time_s``, the
+   same ``add_edges`` on the single-path solver.  Both routes run the
+   one row-group worklist; the batch wins by merging what a row gains
+   before it is popped.  The workload (S -> a | a S over a random graph
+   with ~3 edges per node) makes insertions *interact* heavily — the
+   regime a graph-database bulk load lives in.  ``funding_tick`` times
+   a serving-sized tick on both solvers: 150 new instances (``type``
+   plus ``type_r``, 300 edges) on funding·Q1.
+   ``benchmarks/BENCH_incremental.json`` pins the acceptance numbers
+   (no cell slower than the loop, delete ≤ 6× the batch insert at 1000
+   edges) and CI's bench-smoke gate re-measures them.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import time
 
 import pytest
 
-from repro.core.incremental import IncrementalCFPQ
+from repro.core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from repro.core.matrix_cfpq import solve_matrix_relations
 from repro.datasets.registry import build_graph
 from repro.graph.labeled_graph import LabeledGraph
@@ -148,8 +146,9 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
 
     Returns ``{batch_sizes: {size: {batch_wall_time_s,
     per_tuple_wall_time_s, speedup, facts, batch_facts_per_s,
-    delete_wall_time_s, agree}}}``.
+    delete_wall_time_s, single_path_wall_time_s, agree}}}``.
     """
+    from repro.core.single_path import build_single_path_index
     from repro.grammar.builders import chain_reachability
     from repro.grammar.cnf import to_cnf
     from repro.matrices.base import default_backend
@@ -188,6 +187,21 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
         agree = (batch_facts == tuple_facts
                  and batched.relations().same_as(per_tuple.relations()))
 
+        single_seconds = float("inf")
+        for _ in range(max(1, repeats)):
+            single = IncrementalSinglePathCFPQ(LabeledGraph(), grammar,
+                                               strategy=strategy)
+            started = time.perf_counter()
+            single.add_edges(edges)
+            single_seconds = min(single_seconds,
+                                 time.perf_counter() - started)
+        index = build_single_path_index(single.graph, grammar)
+        agree = agree and {
+            (nonterminal, i, j): length
+            for (i, j), entries in index.cells.items()
+            for nonterminal, length in entries.items()
+        } == single.export_state()["lengths"]
+
         # DRed: delete a tenth of the batch in one call — on each of
         # the two loaded solvers, best of both like the insert timings.
         victims = edges[::10]
@@ -212,9 +226,50 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
             if batch_seconds else float("inf"),
             "delete_wall_time_s": round(delete_seconds, 6),
             "facts_removed": removed,
+            "single_path_wall_time_s": round(single_seconds, 6),
             "agree": agree,
         }
     return report
+
+
+def run_funding_tick(instances: int = 150, repeats: int = 3,
+                     seed: int = 11) -> dict:
+    """Time one ``add_edges`` tick of *instances* new funding instances
+    (an edge ``type`` to a class and its ``type_r``) on Q1, best of
+    *repeats*, on both solvers; ``agree`` holds when each ends in the
+    state of a solver built fresh on the ticked graph."""
+    import random
+
+    from repro.grammar.builders import same_generation_query1
+    from repro.grammar.cnf import to_cnf
+
+    grammar = to_cnf(same_generation_query1())
+    base = _base_graph()
+    rng = random.Random(seed)
+    classes = sorted({j for _i, j in base.edge_pairs("type")})
+    tick: list = []
+    for k in range(instances):
+        cls = base.node_at(rng.choice(classes))
+        tick += [(f"new{k}", "type", cls), (cls, "type_r", f"new{k}")]
+
+    def copy(graph: LabeledGraph) -> LabeledGraph:
+        return LabeledGraph.from_edges(graph.edges(), nodes=list(graph.nodes))
+
+    cell: dict = {"edges": len(tick), "agree": True}
+    for name, solver_class in (("relational", IncrementalCFPQ),
+                               ("single_path", IncrementalSinglePathCFPQ)):
+        seconds = float("inf")
+        for _ in range(max(1, repeats)):
+            solver = solver_class(copy(base), grammar)
+            started = time.perf_counter()
+            facts = solver.add_edges(tick)
+            seconds = min(seconds, time.perf_counter() - started)
+        fresh = solver_class(copy(solver.graph), grammar)
+        cell["agree"] = cell["agree"] and \
+            solver.export_state() == fresh.export_state()
+        cell["facts"] = facts
+        cell[f"{name}_wall_time_s"] = round(seconds, 6)
+    return cell
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -234,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
                                    edges_per_node=args.edges_per_node,
                                    backend=args.backend,
                                    strategy=args.strategy)
+    report["funding_tick"] = run_funding_tick()
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:

@@ -3,7 +3,7 @@
 Graph databases mutate continuously.  This example maintains a
 same-generation query answer **incrementally** while an ontology grows
 edge by edge (semi-naive delta propagation over the paper's monotone
-fixpoint), bulk-loads a batch through the matrix-granular frontier,
+fixpoint), bulk-loads a batch in one worklist run,
 retracts triples with DRed delete-and-rederive, and contrasts the
 context-free answer with the cheaper regular-path-query
 over-approximation ``subClassOf_r+ subClassOf+`` (which ignores depth
@@ -25,8 +25,8 @@ SAME_GENERATION = parse_grammar(
 
 def add_subclass(solver: IncrementalCFPQ, child: str, parent: str) -> int:
     """Insert a subClassOf triple with the paper's inverse-edge rule —
-    both directions in one matrix-granular batch (the PR 4 API), so the
-    triple costs one frontier run instead of two worklist passes."""
+    both directions in one batch, so the triple costs one worklist run
+    instead of two."""
     return solver.add_edges([(child, "subClassOf", parent),
                              (parent, "subClassOf_r", child)])
 
@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  + {child} subClassOf {parent:<7}  "
               f"(+{derived} facts)  same-generation: {same_gen}")
 
-    # Bulk load: one matrix-granular batch instead of a per-tuple loop.
+    # Bulk load: one worklist run instead of a per-tuple loop.
     batch_triples = [("Poodle", "Dog"), ("Robin", "Bird"),
                      ("Crow", "Bird")]
     batch_edges = [edge

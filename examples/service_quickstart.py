@@ -6,7 +6,7 @@ Walks the full serving story on a small class hierarchy:
    whole relation is cached per start symbol (the repeat is a cache
    hit), while point reads go straight to the live fact maps;
 2. a **coalesced update tick** applies an interleaved insert/delete
-   stream as one DRed pass + one frontier run, dropping the cached
+   stream as one DRed pass + one insertion pass, dropping the cached
    relations whose non-terminal matrices changed;
 3. the solved index is **snapshotted** and a second service warm-starts
    from it with *zero* closure rounds, answering identically;
@@ -62,11 +62,11 @@ def main() -> None:
     )
     print(f"\ntick: +{tick.facts_added} facts, "
           f"{tick.coalesced_away} op coalesced away, "
-          f"{tick.dred_passes} DRed pass / {tick.frontier_runs} frontier "
-          f"run, invalidated {tick.invalidated_entries} cache entries")
+          f"{tick.dred_passes} DRed pass / {tick.frontier_runs} insertion "
+          f"pass, invalidated {tick.invalidated_entries} cache entries")
     # Robin's insert was coalesced away (its delete, the last op on that
     # edge, wins); the whole interleaved stream ran as ≤1 DRed pass +
-    # exactly 1 frontier run.
+    # exactly 1 insertion pass.
     assert tick.frontier_runs == 1 and tick.dred_passes <= 1
     assert tick.coalesced_away == 1
     assert service.query("S", "Sparrow", "Cat") is True

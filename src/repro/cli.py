@@ -661,9 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
     update = subparsers.add_parser(
         "update",
         help="batch-incremental insert/delete maintenance",
-        description="Load the graph, solve once, then apply the "
-                    "--insert edge file through the batch frontier and "
-                    "the --delete edge file through DRed "
+        description="Load the graph, solve once (--strategy and its "
+                    "options shape this solve only), then apply the "
+                    "--insert edge file through the incremental worklist "
+                    "and the --delete edge file through DRed "
                     "delete-and-rederive (insertions run first).",
     )
     _add_common(update)

@@ -2,79 +2,64 @@
 deletions.
 
 Graph databases mutate; recomputing the whole closure per update wastes
-the work already done.  Two complementary engines keep the relations
-``R_A`` at the fixpoint:
+the work already done.  The initial solve runs the matrix closure
+engine once (its ``backend``, ``strategy`` and strategy options shape
+only that solve); afterwards one worklist keeps the relations ``R_A``
+at the fixpoint.
 
 **Insertions** exploit that Algorithm 1's fixpoint is a *monotone*
 least fixpoint (Theorem 3's argument: facts are only ever added), so
-the closure supports semi-naive delta propagation at two granularities:
-
-* :meth:`IncrementalCFPQ.add_edge` — tuple-granular: seed a worklist
-  with the new base facts ``{(A, u, v) | (A → x) ∈ P}`` and propagate
-  only their consequences through the pair rules (the Hellings step
-  started from the delta);
-* :meth:`IncrementalCFPQ.add_edges` — **matrix-granular batch path**:
-  convert the whole insertion batch into per-non-terminal delta
-  matrices and hand them to the closure engine as an
-  ``initial_frontier`` (:func:`repro.core.closure.run_closure`), so a
-  bulk load runs as a handful of frontier × matrix products instead of
-  one worklist pop per derived fact.  The solver's ``strategy`` /
-  ``tile_size`` / ``memory_budget`` options apply: with
-  ``strategy="blocked"`` the inserted edges become a *tile-granular*
-  frontier on the blocked tile engine
-  (:func:`repro.core.closure.closure_blocked`).
+:meth:`IncrementalCFPQ.add_edges` propagates only the consequences of
+the new base facts ``{(A, u, v) | (A → x) ∈ P}`` (and the nullable
+diagonals of new nodes) — the Hellings step started from the delta,
+whatever the batch size.
 
 **Deletions** break monotonicity, so :meth:`IncrementalCFPQ.remove_edges`
-runs plain **delete-and-rederive** (DRed) — with no support store.
-Removing edges (1) **over-deletes** the downward closure of the touched
-facts — count-blind, which is what makes the phase sound on cyclic
-derivations where support counts would keep self-supporting facts
-alive — and drops those facts from the fact maps, then (2)
-**re-derives**: each over-deleted fact is *probed* for its one-step
-derivations from the survivors (a terminal edge, an ``("empty",)``
-nullability mark or a binary ``(rule, midpoint)`` split whose operands
-are still facts), and the derivations found re-enter the same
-tuple-granular worklist insertions use, which restores everything still
-derivable.  A deletion therefore costs what it over-deletes, never the
-size of the relations, and insertions carry no bookkeeping for it.
+runs plain **delete-and-rederive** (DRed) with no support store: (1)
+**over-delete** the downward closure of the touched facts — count-blind,
+which stays sound where support counts would keep self-supporting
+cycles alive — then (2) **re-derive**: probe each over-deleted fact for
+its one-step derivations from the survivors (a terminal edge, an
+``("empty",)`` nullability mark or a ``(rule, midpoint)`` split) and
+feed them to the worklist insertions use.  A deletion costs what it
+over-deletes, never the size of the relations, and insertions carry no
+bookkeeping for it.
 
-A batch of fewer than :data:`SMALL_BATCH_EDGES` new edges takes the
-tuple-granular worklist as well: the matrix path pays O(|facts|) to
-build its operand matrices before the first product, which a small
-batch never earns back.
+**The worklist pops row groups**, as
+:func:`~repro.baselines.hellings.solve_hellings` does.  A fact ``(A, i,
+j)`` that enters joins the pending set keyed by ``(A, i)``; the queue
+holds each key once, so what a row gains before it is popped merges
+into one set ``J``.  A pop joins all of ``J`` as the left operand of
+``H → A C`` through ``rows[C][j]`` and as the right operand of ``H → B
+A`` through ``cols[B][i]``, and what the head already holds drops out
+by one set difference.  The over-delete marks run on the same loop,
+writing into scratch maps while the joins read the live ones.
 
 **Layout.**  Each relation is held once, as the row map ``rows[A][i] =
-{j}`` that the joins, :meth:`~IncrementalCFPQ.relations`, snapshots,
-DRed and the matrix route all read, mirrored by ``cols[A][j] = {i}``;
-symbols are interned, so ``rows[A]`` costs a pointer hash.  A closed
-matrix is adopted by rows: row ``i`` is one slice of its
-``row_major()`` export, column ``j`` one of its transpose's.  One
-worklist serves both solvers and both directions: a popped fact yields
-one consequence *group* per pair rule (a whole row or column of the
-other operand), and the presence-only step drops what is known by one
-set difference against the head's row.
+{j}`` that everything reads, mirrored by ``cols[A][j] = {i}``; a closed
+matrix is adopted by rows, each one slice of its ``row_major()`` export.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
-annotations on the same engine, so its lengths equal a from-scratch
-:class:`~repro.core.single_path.SinglePathIndex` after every update.
+annotations on the same worklist with a min-refinement per element: a
+fact whose length improves re-enters its pending set.  Its lengths
+equal a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
+after every update.
 
 **Path views.**  The same derivation reader that serves DRed is all a
 path answer needs, so :meth:`IncrementalCFPQ.all_path_index` and
 :meth:`IncrementalSinglePathCFPQ.single_path_index` hand out *views* of
 the live state, not index copies.
 
-This realizes the dynamic-graph direction implied by the paper's
-"graph databases" motivation, and it doubles as yet another
-differential-testing angle: after any interleaved insert/delete
-sequence the incremental state must equal a from-scratch solve
-(property-tested in ``tests/core/test_incremental.py``).
+After any interleaved insert/delete sequence the incremental state
+equals a from-scratch solve (property-tested in
+``tests/core/test_incremental.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain, repeat
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
@@ -82,27 +67,18 @@ from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..matrices.base import BooleanMatrix, default_backend, get_backend
 from ..obs.trace import get_tracer
-from .closure import run_closure
 from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
                          one_step_derivations)
 from .relations import ContextFreeRelations, row_map_pairs
 from .single_path import SinglePathView, lengths_by_fact
 
-#: Per-non-terminal pair sets: a change log.
-PairSets = dict[Nonterminal, set[tuple[int, int]]]
 
-#: Facts sharing a head and a support: ``(head, i, None, targets,
-#: support)`` is every ``(head, i, k)``, ``k`` in *targets*; ``(head,
-#: None, j, sources, support)`` every ``(head, k, j)``.
-Group = tuple
+#: What a recording step hands the worklist: the facts ``(head, i, k)``,
+#: ``k`` in the set, that must (re-)enter the pending set of ``(head, i)``.
+Entry = tuple[Nonterminal, int, set[int]]
 
 _NO_NODES: frozenset[int] = frozenset()
-
-#: ``add_edges`` batches with fewer new edges than this run the
-#: tuple-granular worklist; at or above it, the matrix frontier.  The
-#: measured crossover of ``benchmarks/bench_incremental.py`` (see
-#: README, *Incremental updates*).
-SMALL_BATCH_EDGES = 200
+_UNREACHED = float("inf")
 
 
 def _facts_in(rows: FactMaps) -> Iterator[Fact]:
@@ -113,13 +89,31 @@ def _facts_in(rows: FactMaps) -> Iterator[Fact]:
         for i, targets in row_map.items())
 
 
-def _merge_rows(index: dict, matrix) -> list[tuple[int, set[int]]]:
+class _Changes(Mapping):
+    """The cells one mutator call changed: row maps ``{i: {j}}`` per
+    non-terminal, read as pair sets, so a reader of the changed symbols
+    alone builds no pairs."""
+
+    def __init__(self, rows: FactMaps):
+        self._rows = {nt: row_map for nt, row_map in rows.items() if row_map}
+
+    def __getitem__(self, nonterminal: Nonterminal) -> frozenset:
+        return frozenset(row_map_pairs(self._rows[nonterminal]))
+
+    def __iter__(self) -> Iterator[Nonterminal]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _merge_rows(index: dict, matrix) -> int:
     """Union the rows of a closed *matrix* into the row map *index*,
-    each row one slice of its ``row_major()`` export; returns ``(i,
-    {j})`` for the entries that were new."""
+    each row one slice of its ``row_major()`` export; returns the
+    number of entries that were new."""
     indptr, indices = matrix.row_major()
     starts, columns = indptr.tolist(), indices.tolist()
-    grown = []
+    grown = 0
     for node, (start, end) in enumerate(zip(starts, starts[1:])):
         if start != end:
             others = set(columns[start:end])
@@ -127,8 +121,7 @@ def _merge_rows(index: dict, matrix) -> list[tuple[int, set[int]]]:
             if known is not others:
                 others -= known
                 known |= others
-            if others:
-                grown.append((node, others))
+            grown += len(others)
     return grown
 
 
@@ -137,8 +130,8 @@ class IncrementalCFPQ:
 
     >>> solver = IncrementalCFPQ(graph, grammar)
     >>> solver.relations().pairs("S")
-    >>> solver.add_edge("u", "a", "v")       # tuple-granular propagation
-    >>> solver.add_edges(batch)              # matrix-granular when large
+    >>> solver.add_edge("u", "a", "v")       # one worklist run
+    >>> solver.add_edges(batch)              # one worklist run
     >>> solver.remove_edges(batch)           # DRed delete + re-derive
     >>> solver.relations().pairs("S")        # always at the fixpoint
 
@@ -176,18 +169,16 @@ class IncrementalCFPQ:
         self._live = (self._rows, self._cols)
         self._fact_count = 0  # the maps' size, kept by every writer
         # Pair rules indexed by operand, each bound once to the map its
-        # join reads: a fact (B, i, r) as the LEFT part of A -> B C
-        # meets the row r of C, a fact (C, r, j) as the RIGHT part the
-        # column r of B.
+        # join reads: a row group (B, i, J) as the LEFT part of A -> B C
+        # meets the rows j in J of C, a group (C, r, J) as the RIGHT
+        # part the column r of B.
         self._as_left: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
         self._as_right: dict[Nonterminal, list] = {nt: [] for nt in nonterminals}
-        self._pair_rules: list[tuple[Nonterminal, Nonterminal, Nonterminal]] = []
         for rule in self.grammar.binary_rules:
             head = rule.head
             left, right = rule.body  # type: ignore[misc]
             self._as_left[left].append((head, right, self._rows[right]))   # type: ignore[index]
             self._as_right[right].append((head, left, self._cols[left]))   # type: ignore[index]
-            self._pair_rules.append((head, left, right))  # type: ignore[arg-type]
         #: Every one-step derivation of a fact from the current graph
         #: and fact maps — the DRed re-derivation probe, and what the
         #: path views of this solver read.
@@ -197,13 +188,12 @@ class IncrementalCFPQ:
 
         self._edge_insertions = 0
         self._edge_removals = 0
-        self._batch_updates = 0
         self._propagated_facts = 0
         self._facts_removed = 0
 
         #: Active per-call change recorder (None outside a mutator).
-        self._change_recorder: PairSets | None = None
-        self._last_changes: dict[Nonterminal, frozenset[tuple[int, int]]] = {}
+        self._change_recorder: FactMaps | None = None
+        self._last_changes: Mapping[Nonterminal, frozenset] = {}
         self._initial_iterations = 0
 
         if warm_state is not None:
@@ -216,9 +206,7 @@ class IncrementalCFPQ:
 
     def _seed_from_engine(self, backend: str, strategy: str) -> None:
         """Initial solve: run the matrix closure engine to the fixpoint
-        and seed the fact maps from the closed matrices.
-        Annotated subclasses override this to seed from the semiring
-        engine instead."""
+        and seed the fact maps from the closed matrices."""
         from .matrix_cfpq import solve_matrix
 
         result = solve_matrix(self.graph, self.grammar, backend=backend,
@@ -238,22 +226,13 @@ class IncrementalCFPQ:
                 relation = pairs(self.graph.node_count, relation)
             self._adopt(nonterminal, relation)
 
-    def _adopt(self, nonterminal: Nonterminal,
-               matrix) -> list[tuple[int, set[int]]]:
-        """Record the facts of one closed matrix (seeding, an absorbed
-        batch: nothing to log or chase) by rows, the columns by rows of
-        its transpose; returns the new facts as ``(i, {j})`` rows."""
-        fresh_rows = _merge_rows(self._rows[nonterminal], matrix)
-        if fresh_rows:
+    def _adopt(self, nonterminal: Nonterminal, matrix) -> None:
+        """Record the facts of one closed matrix (seeding: nothing to
+        log or chase) by rows, the columns by rows of its transpose."""
+        grown = _merge_rows(self._rows[nonterminal], matrix)
+        if grown:
             _merge_rows(self._cols[nonterminal], matrix.transpose())
-            self._fact_count += sum(len(fresh) for _i, fresh in fresh_rows)
-        return fresh_rows
-
-    def _add_fact(self, nonterminal: Nonterminal, i: int, j: int) -> None:
-        """Record one new fact ``(A, i, j)`` in the row and column maps."""
-        self._rows[nonterminal][i].add(j)
-        self._cols[nonterminal][j].add(i)
-        self._fact_count += 1
+            self._fact_count += grown
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
@@ -264,11 +243,8 @@ class IncrementalCFPQ:
                       if row_map},
         }
 
-    # ------------------------------------------------------------------
-    # Exact per-call deltas (cache-invalidation feed)
-    # ------------------------------------------------------------------
     @property
-    def last_changes(self) -> dict[Nonterminal, frozenset[tuple[int, int]]]:
+    def last_changes(self) -> Mapping[Nonterminal, frozenset[tuple[int, int]]]:
         """The exact per-non-terminal cell delta of the most recent
         mutator call: for insertions the genuinely new facts (plus, on
         the single-path solver, cells whose length annotation was
@@ -283,21 +259,17 @@ class IncrementalCFPQ:
         start from ``warm_state``)."""
         return self._initial_iterations
 
-    def _publish(self, changes: PairSets) -> None:
-        self._last_changes = {nonterminal: frozenset(pairs)
-                              for nonterminal, pairs in changes.items()}
-
-    def _log_changes(self, nonterminal: Nonterminal,
-                     pairs: Iterable[tuple[int, int]]) -> None:
+    def _log_changes(self, nonterminal: Nonterminal, i: int,
+                     targets: set[int]) -> None:
         if self._change_recorder is not None:
-            self._change_recorder.setdefault(nonterminal, set()).update(pairs)
+            self._change_recorder[nonterminal][i] |= targets
 
     # ------------------------------------------------------------------
     # Mutation: insertion
     # ------------------------------------------------------------------
     def add_edge(self, source: Hashable, label: str, target: Hashable) -> int:
-        """Insert one edge at tuple granularity; returns the number of
-        new facts (see :meth:`add_edges`)."""
+        """Insert one edge; returns the number of new facts (see
+        :meth:`add_edges`)."""
         return self.add_edges([(source, label, target)])
 
     def add_edges(self, edges: Iterable[Edge]) -> int:
@@ -306,47 +278,34 @@ class IncrementalCFPQ:
         nodes and everything derived from them.
 
         The batch's base derivations (base facts of the new edges plus
-        nullable diagonals of new nodes) enter the tuple-granular
-        worklist when the batch has fewer than
-        :data:`SMALL_BATCH_EDGES` new edges.  A larger batch is
-        converted into per-non-terminal seed matrices and closed by one
-        ``initial_frontier`` run of the configured closure strategy —
-        no per-tuple worklist.
+        nullable diagonals of new nodes) seed one worklist run, whatever
+        the batch size.
         """
-        recorder = self._change_recorder = {}
+        recorder = self._change_recorder = fact_maps(self._rows)
         before = self._fact_count
         try:
             self._add_edges(edges)
             return self._fact_count - before
         finally:
             self._change_recorder = None
-            self._publish(recorder)
+            self._last_changes = _Changes(recorder)
 
     def _add_edges(self, edges: Iterable[Edge]) -> None:
-        nodes_before = self.graph.node_count
-        new_edges: list[tuple[int, str, int]] = []
+        graph, heads_for_label = self.graph, self.grammar.heads_for_label
+        nodes_before = graph.node_count
+        base: list[tuple[Fact, Support]] = []
         for source, label, target in edges:
             self._edge_insertions += 1
-            if self.graph.has_edge(source, label, target):
+            if graph.has_edge(source, label, target):
                 continue
-            self.graph.add_edge(source, label, target)
-            new_edges.append((self.graph.node_id(source), label,
-                              self.graph.node_id(target)))
-
-        base: list[tuple[Fact, Support]] = [
-            ((head, i, i), ("empty",))
-            for head in self._nullable
-            for i in range(nodes_before, self.graph.node_count)
-        ]
-        for i, label, j in new_edges:
+            graph.add_edge(source, label, target)
+            i, j = graph.node_id(source), graph.node_id(target)
             support = ("edge", label)
-            base += [((head, i, j), support)
-                     for head in self.grammar.heads_for_label(label)]
-        if len(new_edges) < SMALL_BATCH_EDGES:
-            self._insert((head, i, None, {j}, support)
-                         for (head, i, j), support in base)
-        elif base:
-            self._run_batch(base)
+            for head in heads_for_label(label):
+                base.append(((head, i, j), support))
+        base += [((head, i, i), ("empty",)) for head in self._nullable
+                 for i in range(nodes_before, graph.node_count)]
+        self._insert(base)
 
     # ------------------------------------------------------------------
     # Mutation: deletion (DRed)
@@ -363,34 +322,33 @@ class IncrementalCFPQ:
         removed edge derived, then re-derive the over-deleted facts
         still derivable from the survivors
         (:func:`~repro.core.path_index.one_step_derivations`) on the
-        tuple-granular worklist.  Returns the number of facts
-        permanently removed.
+        worklist.  Returns the number of facts permanently removed.
         """
         self._last_changes = {}
         rows, count_before = self._rows, self._fact_count
-        seeds: list[Group] = []
+        doomed: list[Fact] = []
         for source, label, target in edges:
             self._edge_removals += 1
             if not self.graph.remove_edge(source, label, target):
                 continue
             i = self.graph.node_id(source)
             j = self.graph.node_id(target)
-            seeds += [(head, i, None, {j}, None)
-                      for head in self.grammar.heads_for_label(label)
-                      if j in rows[head].get(i, _NO_NODES)]
+            doomed += [(head, i, j)
+                       for head in self.grammar.heads_for_label(label)
+                       if j in rows[head].get(i, _NO_NODES)]
 
         # Phase 1: over-delete the downward closure into scratch maps.
         # The live maps the joins read still reflect the pre-deletion
         # database, which is exactly the over-approximation DRed's
-        # deletion phase needs.
-        gone_rows, gone_cols = fact_maps(rows), fact_maps(rows)
-        scratch = (gone_rows, gone_cols)
-        mark = IncrementalCFPQ._improve  # presence-only on both solvers
+        # deletion phase needs.  Presence-only on both solvers.
+        gone_rows, gone_cols = scratch = fact_maps(rows), fact_maps(rows)
         tracer = get_tracer()
         with tracer.span("dred.overdelete") as phase_span:
             overdeleted = self._propagate(
-                seeds, lambda head, i, j, others, support: mark(
-                    self, head, i, j, others, support, scratch))
+                ((head, i, self._add(head, i, {j}, scratch))
+                 for head, i, j in doomed),
+                lambda nonterminal, i, group: IncrementalCFPQ._join(
+                    self, nonterminal, i, group, scratch))
             phase_span.set("overdeleted", overdeleted)
 
         if not overdeleted:
@@ -411,38 +369,32 @@ class IncrementalCFPQ:
         # re-derived facts whose annotation moved land in last_changes.
         before = self._forget(_facts_in(gone_rows))
 
-        # Phase 2: re-derive from the survivors.  A probe that runs
-        # after an earlier one's fact re-entered may already see it as
-        # an operand; that derivation is just as valid, and the worklist
-        # refines any annotation it carried too high.
+        # Phase 2: re-derive.  Every over-deleted fact is probed against
+        # the survivors before the worklist runs; what it re-enters then
+        # meets everything re-derived through the joins.
         with tracer.span("dred.rederive"):
             self._insert(
-                (head, i, None, {j}, support)
+                ((head, i, j), support)
                 for head, i, j in _facts_in(gone_rows)
                 for support in self._derivations((head, i, j)))
 
         removed = count_before - self._fact_count
-        changes: PairSets = {}
+        changes = fact_maps(rows)
         for nonterminal, entries in gone_rows.items():
             index = rows[nonterminal]
             for i, targets in entries.items():
                 lost = targets - index.get(i, _NO_NODES)
                 if lost:
-                    changes.setdefault(nonterminal, set()).update(
-                        zip(repeat(i), lost))
+                    changes[nonterminal][i] = lost
         for nonterminal, i, j in self._reannotated(before):
-            changes.setdefault(nonterminal, set()).add((i, j))
-        self._publish(changes)
+            changes[nonterminal][i].add(j)
+        self._last_changes = _Changes(changes)
         self._facts_removed += removed
         return removed
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def relations(self) -> ContextFreeRelations:
-        """The relations ``R_A`` as a **view** of the row maps: rows and
-        node pairs are read live; a symbol's id pair set is built on its
-        first :meth:`~ContextFreeRelations.pairs` call, then fixed."""
+        """The relations ``R_A`` as a **view** of the row maps, read
+        live on every call."""
         return ContextFreeRelations(self.graph, self._rows)
 
     @property
@@ -470,61 +422,14 @@ class IncrementalCFPQ:
         return {
             "edge_insertions": self._edge_insertions,
             "edge_removals": self._edge_removals,
-            "batch_updates": self._batch_updates,
             "propagated_facts": self._propagated_facts,
             "facts_removed": self._facts_removed,
             "total_facts": self._fact_count,
         }
 
-    # ------------------------------------------------------------------
-    # Batch engine (large add_edges batches)
-    # ------------------------------------------------------------------
-    def _run_batch(self, base: list[tuple[Fact, Support]]) -> None:
-        """Close the current state with the *base* derivations as the
-        initial frontier and absorb what appeared."""
-        n, before = self.graph.node_count, self._fact_count
-        with get_tracer().span("frontier.run",
-                               strategy=self.strategy) as span:
-            matrices = self._matrices_from_state(n)
-            result = run_closure(
-                matrices, self._pair_rules, self._batch_backend(),
-                strategy=self.strategy,
-                initial_frontier=self._seed_matrices(n, base),
-                **self.strategy_options)
-            self._batch_updates += 1
-            self._absorb(result.matrices)
-            new_facts = self._fact_count - before
-            span.set("new_facts", new_facts)
-        self._propagated_facts += new_facts
-
-    def _batch_backend(self):
-        return get_backend(self.backend)
-
-    def _matrices_from_state(self, n: int) -> dict:
-        backend = self._batch_backend()
-        return {nt: backend.from_pairs(n, row_map_pairs(row_map))
-                for nt, row_map in self._rows.items()}
-
-    def _seed_matrices(self, n: int,
-                       base: list[tuple[Fact, Support]]) -> dict:
-        backend = self._batch_backend()
-        pairs: PairSets = {}
-        for (nonterminal, i, j), _support in base:
-            pairs.setdefault(nonterminal, set()).add((i, j))
-        return {nt: backend.from_pairs(n, cells)
-                for nt, cells in pairs.items()}
-
-    def _absorb(self, matrices: dict) -> None:
-        """Record the closed matrices into the fact maps and log the
-        facts that were not present before."""
-        for nonterminal, matrix in matrices.items():
-            for i, fresh in self._adopt(nonterminal, matrix):
-                self._log_changes(nonterminal, zip(repeat(i), fresh))
-
     def _forget(self, facts: Iterable[Fact]) -> dict:
-        """Drop and return the annotations of just-deleted *facts* (none
-        on the presence-only base solver — a re-derived boolean cell
-        cannot change value)."""
+        """Drop and return the annotations of just-deleted *facts*: none
+        here, a re-derived boolean cell cannot change value."""
         return {}
 
     def _reannotated(self, before: dict) -> Iterable[Fact]:
@@ -533,69 +438,87 @@ class IncrementalCFPQ:
         return ()
 
     # ------------------------------------------------------------------
-    # Tuple-granular engine
+    # The worklist
     # ------------------------------------------------------------------
-    def _improve(self, head: Nonterminal, i: int | None, j: int | None,
-                 others: set[int], _support: Support | None,
-                 scratch: tuple[FactMaps, FactMaps] | None = None,
-                 ) -> Iterable[Fact]:
-        """Apply one consequence group; returns the facts that must
-        (re-)enter the worklist.  Presence-only here — annotated
-        subclasses override the arithmetic: what is already known drops
-        out by one set difference against the head's row (or column),
-        and the rest is recorded in the solver's state, or only in the
-        *scratch* row and column maps when given (over-deletion marks
-        there)."""
+    def _propagate(self, entries: Iterable[Entry],
+                   join: Callable[..., Iterable[Entry]]) -> int:
+        """The row-group worklist: each entry's facts join the pending
+        set of its ``(head, i)``, queued when the set is created; a pop
+        hands the whole set to *join*, whose entries go the same way.
+        Returns the number of facts joined (a fact joined twice, after
+        its annotation improved, counts twice)."""
+        pending: dict[tuple[Nonterminal, int], set[int]] = {}
+        queue: deque[tuple[Nonterminal, int]] = deque()
+        joined = 0
+        while True:
+            for head, i, entered in entries:
+                if entered:
+                    key = (head, i)
+                    waiting = pending.get(key)
+                    if waiting is None:
+                        pending[key] = entered
+                        queue.append(key)
+                    else:
+                        waiting |= entered
+            if not queue:
+                return joined
+            key = queue.popleft()
+            group = pending.pop(key)
+            joined += len(group)
+            entries = join(key[0], key[1], group)
+
+    def _add(self, head: Nonterminal, i: int, candidates: set[int],
+             scratch: tuple[FactMaps, FactMaps] | None = None) -> set[int]:
+        """Record the facts ``(head, i, k)``, ``k`` in *candidates*,
+        that are not known yet, and return them: what is known drops out
+        by one set difference against the head's row.  With *scratch*
+        they are only marked in those row and column maps (DRed's
+        over-delete)."""
         rows, cols = scratch or self._live
-        if j is None:
-            known, across, node = rows[head][i], cols[head], i
-        else:
-            known, across, node = cols[head][j], rows[head], j
-        fresh = others - known
-        if not fresh:
-            return ()
-        known |= fresh
-        for k in fresh:
-            across[k].add(node)
-        if scratch is None:
-            self._fact_count += len(fresh)
-            self._log_changes(head, zip(repeat(i), fresh) if j is None
-                              else zip(fresh, repeat(j)))
-        return (zip(repeat(head), repeat(i), fresh) if j is None
-                else zip(repeat(head), fresh, repeat(j)))
+        known = rows[head][i]
+        fresh = candidates - known
+        if fresh:
+            known |= fresh
+            head_cols = cols[head]
+            for k in fresh:
+                head_cols[k].add(i)
+            if scratch is None:
+                self._fact_count += len(fresh)
+                self._log_changes(head, i, fresh)
+        return fresh
 
-    def _propagate(self, groups: Iterable[Group], improve) -> int:
-        """The tuple-granular worklist: *improve* applies each group
-        and returns the facts to enqueue.  Every popped fact is joined
-        once, as left and as right operand of the pair rules, against
-        the live fact maps: one group per rule, the whole row (or
-        column) of the other operand, not copied.  Returns the number
-        of facts popped."""
-        as_left, as_right = self._as_left, self._as_right
-        worklist: deque[Fact] = deque()
-        enqueue = worklist.extend
-        for group in groups:
-            enqueue(improve(*group))
-        popped = 0
-        while worklist:
-            nonterminal, i, j = worklist.popleft()
-            popped += 1
-            for head, right, right_rows in as_left[nonterminal]:
-                targets = right_rows.get(j)
-                if targets:
-                    enqueue(improve(head, i, None, targets,
-                                    ("split", nonterminal, right, j)))
-            for head, left, left_cols in as_right[nonterminal]:
-                sources = left_cols.get(i)
-                if sources:
-                    enqueue(improve(head, None, j, sources,
-                                    ("split", left, nonterminal, i)))
-        return popped
+    def _join(self, nonterminal: Nonterminal, i: int, group: set[int],
+              scratch: tuple[FactMaps, FactMaps] | None = None,
+              ) -> Iterator[Entry]:
+        """Join the popped row group ``(A, i, J)`` against the live fact
+        maps, presence-only: as the left operand of ``H → A C`` one
+        union over the rows ``j ∈ J`` of ``C``, as the right operand of
+        ``H → B A`` the whole of ``J`` per source ``k`` in column ``i``
+        of ``B``.  With ``B = H`` a new ``(H, k, i)`` adds ``k`` to the
+        column being walked, which already holds it, so its size never
+        changes."""
+        for head, _right, right_rows in self._as_left[nonterminal]:
+            reached = [right_rows[j] for j in group if j in right_rows]
+            if reached:
+                yield head, i, self._add(head, i, set().union(*reached),
+                                         scratch)
+        for head, _left, left_cols in self._as_right[nonterminal]:
+            for k in left_cols.get(i, ()):
+                yield head, k, self._add(head, k, group, scratch)
 
-    def _insert(self, groups: Iterable[Group]) -> None:
-        """Record the facts of the given derivation groups and
-        everything they entail."""
-        self._propagated_facts += self._propagate(groups, self._improve)
+    def _seed(self, derivations: Iterable[tuple[Fact, Support]],
+              ) -> Iterator[Entry]:
+        """Record the derived facts, one row at a time."""
+        rows: dict[tuple[Nonterminal, int], set[int]] = {}
+        for (head, i, j), _support in derivations:
+            rows.setdefault((head, i), set()).add(j)
+        return ((head, i, self._add(head, i, targets))
+                for (head, i), targets in rows.items())
+
+    def _insert(self, derivations: Iterable[tuple[Fact, Support]]) -> None:
+        """Record the derived facts and everything they entail."""
+        self._propagated_facts += self._propagate(self._seed(derivations),
+                                                  self._join)
 
 
 class IncrementalSinglePathCFPQ(IncrementalCFPQ):
@@ -608,12 +531,9 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     runs — so the starting annotation is the canonical minimal witness
     length per fact.
 
-    * :meth:`add_edge` propagates at tuple granularity with the min-merge
-      rule: a fact whose recorded length *improves* re-enters the
-      worklist.
-    * :meth:`add_edges` runs a large batch's closure over the
-      length-semiring matrix adapter, whose ``union_update`` feeds
-      refinements back into the semi-naive frontier.
+    * :meth:`add_edges` runs the row-group worklist with a min-merge per
+      element: a fact is recorded when new, and re-enters its pending
+      set when new or when its recorded length *improves*.
     * :meth:`remove_edges` (inherited DRed) drops the lengths of the
       over-deleted facts and re-derives them on the same worklist from
       the surviving canonical lengths — survivors outside the downward
@@ -650,9 +570,6 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         state["lengths"] = dict(self._lengths)
         return state
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def single_path_index(self) -> SinglePathView:
         """The maintained lengths and fact maps as a **view**, so
         :func:`~repro.core.single_path.extract_path` runs on the live
@@ -679,48 +596,8 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         return cells
 
     # ------------------------------------------------------------------
-    # Batch hooks
+    # The worklist, with a min-refinement per element
     # ------------------------------------------------------------------
-    def _batch_backend(self):
-        from .semiring import LENGTH_SEMIRING, AnnotatedBackend
-
-        return AnnotatedBackend(LENGTH_SEMIRING)
-
-    def _matrices_from_state(self, n: int) -> dict:
-        backend = self._batch_backend()
-        lengths = self._lengths
-        return {
-            nt: backend.from_cells(
-                (n, n), {(i, j): lengths[(nt, i, j)]
-                         for i, j in row_map_pairs(row_map)})
-            for nt, row_map in self._rows.items()
-        }
-
-    def _seed_matrices(self, n: int,
-                       base: list[tuple[Fact, Support]]) -> dict:
-        backend = self._batch_backend()
-        cells: dict[Nonterminal, dict[tuple[int, int], int]] = {}
-        for fact, support in base:
-            row = cells.setdefault(fact[0], {})
-            length = self._derivation_length(fact, support)
-            row[fact[1:]] = min(length, row.get(fact[1:], length))
-        return {nt: backend.from_cells((n, n), row)
-                for nt, row in cells.items()}
-
-    def _absorb(self, matrices: dict) -> None:
-        """Record the closed length matrices; only the cells whose
-        length is new or refined (a C-level dict-items difference) are
-        walked."""
-        lengths = self._lengths
-        for fact, length in (lengths_by_fact(matrices).items()
-                             - lengths.items()):
-            if fact not in lengths:
-                self._add_fact(*fact)
-            # A refined length changes the matrix content even though
-            # the relation did not.
-            lengths[fact] = length
-            self._log_changes(fact[0], (fact[1:],))
-
     def _derivation_length(self, fact: Fact, support: Support) -> int:
         """Witness length of *fact* through one one-step derivation
         (whose operands, for a split, must carry lengths)."""
@@ -741,22 +618,60 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
         return [fact for fact, length in before.items()
                 if lengths.get(fact, length) != length]
 
-    def _improve(self, head: Nonterminal, i: int | None, j: int | None,
-                 others: set[int], support: Support) -> list[Fact]:
-        """Min-refinement over one group: a fact is recorded when new,
-        and re-enters the worklist when new or when its recorded length
-        improves."""
+    def _record(self, head: Nonterminal, i: int,
+                candidates: Iterable[tuple[int, int]]) -> set[int]:
+        """Apply the candidate lengths ``(k, l)``, one per ``k``, of the
+        facts ``(head, i, k)``: a fact is recorded when new, and enters
+        the worklist when new or when its recorded length improves."""
         lengths = self._lengths
-        entered: list[Fact] = []
-        for k in tuple(others):
-            fact = (head, i, k) if j is None else (head, k, j)
-            length = self._derivation_length(fact, support)
-            current = lengths.get(fact)
-            if current is None:
-                self._add_fact(*fact)
-            elif length >= current:
-                continue
-            lengths[fact] = length
-            self._log_changes(head, (fact[1:],))
-            entered.append(fact)
+        entered: set[int] = set()
+        for k, length in candidates:
+            fact = (head, i, k)
+            if length < lengths.get(fact, _UNREACHED):
+                lengths[fact] = length
+                entered.add(k)
+        if entered:
+            refined = entered - self._add(head, i, entered)
+            if refined:
+                self._log_changes(head, i, refined)
         return entered
+
+    def _join(self, nonterminal: Nonterminal, i: int, group: set[int],
+              ) -> Iterator[Entry]:
+        """The presence join's two directions, with the lengths summed
+        per element and the least kept per fact.  The candidates are
+        complete before :meth:`_record` writes, so a row read here
+        never grows while it is walked."""
+        lengths = self._lengths
+        for head, right, right_rows in self._as_left[nonterminal]:
+            candidates: dict[int, int] = {}
+            for j in group:
+                targets = right_rows.get(j)
+                if targets:
+                    prefix = lengths[(nonterminal, i, j)]
+                    for k in targets:
+                        length = prefix + lengths[(right, j, k)]
+                        if length < candidates.get(k, length + 1):
+                            candidates[k] = length
+            if candidates:
+                yield head, i, self._record(head, i, candidates.items())
+        for head, left, left_cols in self._as_right[nonterminal]:
+            sources = left_cols.get(i)
+            if sources:
+                targets = list(group)
+                suffixes = [lengths[(nonterminal, i, j)] for j in targets]
+                for k in sources:
+                    prefix = lengths[(left, k, i)]
+                    yield head, k, self._record(
+                        head, k, zip(targets, map(prefix.__add__, suffixes)))
+
+    def _seed(self, derivations: Iterable[tuple[Fact, Support]],
+              ) -> Iterator[Entry]:
+        rows: dict[tuple[Nonterminal, int], dict[int, int]] = {}
+        for fact, support in derivations:
+            row = rows.setdefault(fact[:2], {})
+            length = self._derivation_length(fact, support)
+            if length < row.get(fact[2], length + 1):
+                row[fact[2]] = length
+        return ((head, i, self._record(head, i, row.items()))
+                for (head, i), row in rows.items())

@@ -46,9 +46,9 @@ class ContextFreeRelations:
     Node pairs are stored by dense node id; presentation methods map
     them back through the graph's node enumeration.  Each relation is
     kept as its solver closed it — a matrix, a row map ``{i: {j}}``
-    (read live) or an iterable of pairs — or as a zero-argument callable
-    producing pairs, run on the first read of its symbol.  :meth:`rows`
-    reads any of them without building a pair set.
+    (read live by every method) or an iterable of pairs — or as a
+    zero-argument callable producing pairs, run on the first read of its
+    symbol.  :meth:`rows` reads any of them without building a pair set.
     """
 
     __slots__ = ("_graph", "_relations", "_pair_sets")
@@ -92,16 +92,19 @@ class ContextFreeRelations:
         return relation_rows(self._source(nonterminal))
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[IdPair]:
-        """``R_A`` as dense-id pairs (empty when nothing was derived),
-        built on the first call and kept."""
+        """``R_A`` as dense-id pairs (empty when nothing was derived).
+        A row map may be a solver's live state, so its pairs are built
+        on every call; a matrix's on the first call, then kept."""
         nonterminal = as_nonterminal(nonterminal)
-        if nonterminal not in self._pair_sets:
+        pairs = self._pair_sets.get(nonterminal)
+        if pairs is None:
             source = self._source(nonterminal)
-            self._pair_sets[nonterminal] = frozenset(
+            if isinstance(source, Mapping):
+                return frozenset(row_map_pairs(source))
+            pairs = self._pair_sets[nonterminal] = frozenset(
                 source.to_pair_set() if isinstance(source, BooleanMatrix)
-                else row_map_pairs(source) if isinstance(source, Mapping)
                 else source)
-        return self._pair_sets[nonterminal]
+        return pairs
 
     def node_pairs(self, nonterminal: Nonterminal | str,
                    ) -> frozenset[tuple[Hashable, Hashable]]:

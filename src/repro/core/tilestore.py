@@ -42,7 +42,6 @@ import mmap
 import os
 import pickle
 import tempfile
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
@@ -181,7 +180,8 @@ class _Entry:
 class TileStore:
     """A budgeted, spillable, LRU cache of matrix tiles.
 
-    Thread-safe (one re-entrant lock guards all state).
+    Single-threaded: its one owner, the ``blocked`` closure, runs its
+    tile tasks on the calling thread.
     ``budget_bytes`` None means nothing ever spills.
     Pinned keys (see :meth:`pinned`) are never evicted, so a working
     set larger than the budget keeps the run correct: the budget is
@@ -191,7 +191,6 @@ class TileStore:
     def __init__(self, budget_bytes=None, spill_dir: "str | None" = None):
         self._budget = parse_memory_budget(budget_bytes)
         self._requested_dir = spill_dir
-        self._lock = threading.RLock()
         self._entries: dict[Hashable, _Entry] = {}
         self._lru: OrderedDict[Hashable, bool] = OrderedDict()
         self._pins: dict[Hashable, int] = {}
@@ -218,16 +217,13 @@ class TileStore:
         return self._dir_path
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def keys(self) -> list:
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     # -- writes -----------------------------------------------------------
     def put(self, key: Hashable, tile: BooleanMatrix,
@@ -240,82 +236,76 @@ class TileStore:
         nothing is re-spilled.
         """
         nbytes = matrix_nbytes(tile)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Entry()
-                self._entries[key] = entry
-                changed = True
-            if entry.tile is not None:
-                self._resident_bytes -= entry.nbytes
-                self._lru.pop(key, None)
-                entry.tile = None
-            if changed:
-                entry.version += 1
-            # Make room *before* the tile becomes resident, so the
-            # accounted peak stays within the budget whenever the pinned
-            # working set allows it (a single tile larger than the whole
-            # budget still goes in — correctness over strictness).
-            self._evict_over_budget(protect=key, headroom=nbytes)
-            entry.tile = tile
-            entry.nbytes = nbytes
-            self._make_resident(key, entry)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = _Entry()
+            self._entries[key] = entry
+            changed = True
+        if entry.tile is not None:
+            self._resident_bytes -= entry.nbytes
+            self._lru.pop(key, None)
+            entry.tile = None
+        if changed:
+            entry.version += 1
+        # Make room *before* the tile becomes resident, so the
+        # accounted peak stays within the budget whenever the pinned
+        # working set allows it (a single tile larger than the whole
+        # budget still goes in — correctness over strictness).
+        self._evict_over_budget(protect=key, headroom=nbytes)
+        entry.tile = tile
+        entry.nbytes = nbytes
+        self._make_resident(key, entry)
 
     def discard(self, key: Hashable) -> None:
         """Drop *key* entirely (residency and spill file)."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return
-            self._drop_resident(key, entry)
-            if entry.spill_path:
-                with contextlib.suppress(OSError):
-                    os.unlink(entry.spill_path)
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        self._drop_resident(key, entry)
+        if entry.spill_path:
+            with contextlib.suppress(OSError):
+                os.unlink(entry.spill_path)
 
     # -- reads ------------------------------------------------------------
     def get(self, key: Hashable) -> BooleanMatrix:
         """The tile under *key*, reloading from its spill file if cold."""
-        with self._lock:
-            entry = self._entries[key]
-            if entry.tile is not None:
-                self._lru.move_to_end(key)
-                return entry.tile
-            tile = self._reload(entry)
-            nbytes = matrix_nbytes(tile)
-            self._evict_over_budget(protect=key, headroom=nbytes)
-            entry.tile = tile
-            entry.nbytes = nbytes
-            self._make_resident(key, entry)
-            return tile
+        entry = self._entries[key]
+        if entry.tile is not None:
+            self._lru.move_to_end(key)
+            return entry.tile
+        tile = self._reload(entry)
+        nbytes = matrix_nbytes(tile)
+        self._evict_over_budget(protect=key, headroom=nbytes)
+        entry.tile = tile
+        entry.nbytes = nbytes
+        self._make_resident(key, entry)
+        return tile
 
     # -- pinning ----------------------------------------------------------
     @contextlib.contextmanager
     def pinned(self, keys: Iterable[Hashable]) -> Iterator[None]:
         """Context manager: *keys* are not evictable while active.
 
-        Re-entrant and thread-safe (pin counts); unknown keys are
-        tolerated so callers can pin before the tile exists.
+        Re-entrant (pin counts); unknown keys are tolerated so callers
+        can pin before the tile exists.
         """
         keys = list(keys)
-        with self._lock:
-            for key in keys:
-                self._pins[key] = self._pins.get(key, 0) + 1
+        for key in keys:
+            self._pins[key] = self._pins.get(key, 0) + 1
         try:
             yield
         finally:
-            with self._lock:
-                for key in keys:
-                    remaining = self._pins.get(key, 0) - 1
-                    if remaining > 0:
-                        self._pins[key] = remaining
-                    else:
-                        self._pins.pop(key, None)
+            for key in keys:
+                remaining = self._pins.get(key, 0) - 1
+                if remaining > 0:
+                    self._pins[key] = remaining
+                else:
+                    self._pins.pop(key, None)
 
     # -- eviction ---------------------------------------------------------
     def evict_to_budget(self) -> None:
         """Spill cold tiles until the resident set fits the budget."""
-        with self._lock:
-            self._evict_over_budget()
+        self._evict_over_budget()
 
     # -- lifecycle --------------------------------------------------------
     def close(self, keep_spill: bool = False) -> None:
@@ -325,25 +315,24 @@ class TileStore:
         directory survives for inspection; a clean close removes the
         files and (when this store created it) the directory.
         """
-        with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-            self._lru.clear()
-            self._pins.clear()
-            self._resident_bytes = 0
-            self._closed = True
-            if keep_spill:
-                return
-            for entry in entries:
-                if entry.spill_path:
-                    with contextlib.suppress(OSError):
-                        os.unlink(entry.spill_path)
-            if self._dir_path and self._created_dir:
+        entries = list(self._entries.values())
+        self._entries.clear()
+        self._lru.clear()
+        self._pins.clear()
+        self._resident_bytes = 0
+        self._closed = True
+        if keep_spill:
+            return
+        for entry in entries:
+            if entry.spill_path:
                 with contextlib.suppress(OSError):
-                    os.rmdir(self._dir_path)
-                self._dir_path = None
+                    os.unlink(entry.spill_path)
+        if self._dir_path and self._created_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(self._dir_path)
+            self._dir_path = None
 
-    # -- internals (caller holds the lock) --------------------------------
+    # -- internals ---------------------------------------------------------
     def _make_resident(self, key: Hashable, entry: _Entry) -> None:
         self._lru[key] = True
         self._lru.move_to_end(key)

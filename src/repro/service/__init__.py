@@ -12,7 +12,7 @@ package turns it into something a process can *serve*:
   engine and the batch-incremental solver: point reads are views of its
   live state, whole relations are cached per start symbol (a tick pops
   the symbols whose matrix changed), and update ticks are coalesced
-  (one DRed pass + one insertion frontier run per tick);
+  (one DRed pass + one insertion worklist run per tick);
 * :mod:`repro.service.server` — a JSONL request loop over stdio and an
   asyncio TCP transport (``repro-cfpq serve``) whose event loop owns
   the service, so queries always see a completed tick;

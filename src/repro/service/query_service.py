@@ -10,7 +10,7 @@ and the solver alone does not give:
   (:attr:`~repro.core.incremental.IncrementalCFPQ.last_changes`);
 * **coalesced update ticks**: per tick, the last operation per edge
   wins, applied as at most one DRed ``remove_edges`` pass plus one
-  ``add_edges`` frontier run;
+  ``add_edges`` worklist run;
 * **one owner**: no locks.  One thread calls the service (the stdio
   loop or the TCP server's event loop), so a query, and a path *view*
   over the live fact maps, always reads a completed tick's fixpoint.
@@ -571,7 +571,8 @@ class QueryService:
         operation matters (intermediate states inside a tick are never
         observable), so the stream is deduplicated and applied as one
         DRed ``remove_edges`` pass followed by one ``add_edges``
-        frontier run.  Queries afterwards see exactly the new fixpoint.
+        worklist run (``frontier_runs`` counts it).  Queries afterwards
+        see exactly the new fixpoint.
         """
         with get_tracer().span("service.tick") as tick_span, \
                 stopwatch() as tick_timer:

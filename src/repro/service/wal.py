@@ -6,7 +6,7 @@ ticks**.  The leader appends every tick *before* applying it
 the same :meth:`QueryService.tick
 <repro.service.query_service.QueryService.tick>` code — and because
 ticks are deterministic (last-op-per-edge coalescing, one DRed pass +
-one frontier run), a follower that loads the leader's snapshot and
+one insertion worklist run), a follower that loads the leader's snapshot and
 replays its log converges to a byte-identical index.
 
 Record format — one JSON object per line::

@@ -1,12 +1,13 @@
 """Guards on the committed ``BENCH_incremental.json`` baseline.
 
-The baseline is the acceptance record for the incremental engine's two
-insertion routes and its DRed delete: ``add_edges`` must never lose to
-the per-tuple ``add_edge`` loop it replaces (on either side of the
-route constant), the 1000-edge batch must stay within the wall time
-its 2× criterion was set on, the delete of a tenth of a 1000-edge load
-must stay within 6× of loading it, and the sweep cells CI's bench-smoke
-gate compares against must stay present and consistent.
+The baseline is the acceptance record for the incremental engine's one
+worklist and its DRed delete: ``add_edges`` (one worklist run per
+batch) must never lose to the per-tuple ``add_edge`` loop, the
+1000-edge batch must stay within the wall time its 2× criterion was set
+on, the delete of a tenth of a 1000-edge load must stay within 6× of
+loading it, a 300-edge funding·Q1 tick must stay within 5 ms on both
+solvers, and the sweep cells CI's bench-smoke gate compares against
+must stay present and consistent.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ def test_baseline_committed_and_well_formed():
         assert cell["batch_wall_time_s"] > 0
         assert cell["per_tuple_wall_time_s"] > 0
         assert cell["delete_wall_time_s"] > 0
+        assert cell["single_path_wall_time_s"] > 0
+    tick = report["funding_tick"]
+    assert tick["agree"] is True and tick["edges"] == 300
 
 
 #: ``per_tuple_wall_time_s`` of the 1000-edge cell when the 2× criterion
@@ -42,14 +46,13 @@ PER_TUPLE_S_WHEN_CRITERION_SET = 0.427516
 
 
 def test_batch_speedup_at_least_2x():
-    """Acceptance criterion of the batch route, as pinned: the
-    matrix-granular path is ≥2× over the per-tuple worklist it was
-    measured against on a 1000-edge batch.  That worklist has since
-    become ~2.5× faster (interned symbols, row maps), which lowers the
-    live ratio with the batch path no slower — so the 2× is held
-    against the worklist's wall time at the time, i.e. as an absolute
-    bound on the batch path, and against today's loop the route must
-    still win."""
+    """Acceptance criterion of the batch insert, as pinned: it is ≥2×
+    over the per-tuple loop it was measured against on a 1000-edge
+    batch.  That loop has since become ~3× faster (interned symbols,
+    row maps, row-group pops), which lowers the live ratio with the
+    batch no slower — so the 2× is held against the loop's wall time at
+    the time, i.e. as an absolute bound on the batch, and against
+    today's loop the batch must still win."""
     cell = _load()["batch_sizes"]["1000"]
     assert 2.0 * cell["batch_wall_time_s"] <= PER_TUPLE_S_WHEN_CRITERION_SET
     assert cell["speedup"] >= 1.0
@@ -58,25 +61,26 @@ def test_batch_speedup_at_least_2x():
 def test_small_batch_and_delete_ratios():
     """ROADMAP [3b], as pinned (CI's bench-smoke asserts the same on its
     fresh run): ``add_edges`` is no slower than the per-tuple loop in
-    any cell of the sweep — 10 and 100 edges share the worklist with
-    it, 300 and 1000 sit on the matrix side of ``SMALL_BATCH_EDGES``
-    (0.8 is the tolerance of one timing, not a licence to lose) — and
-    the DRed delete of a tenth of the 1000-edge load stays within 6× of
-    loading it."""
-    cells = _load()["batch_sizes"]
+    any cell of the sweep (0.8 is the tolerance of one timing, not a
+    licence to lose), the DRed delete of a tenth of the 1000-edge load
+    stays within 6× of loading it, and the funding·Q1 tick of 300 new
+    edges takes at most 5 ms on either solver."""
+    report = _load()
+    cells = report["batch_sizes"]
     for size in ("10", "100", "300", "1000"):
         assert cells[size]["speedup"] >= 0.8, size
     assert cells["1000"]["delete_wall_time_s"] \
         <= 6 * cells["1000"]["batch_wall_time_s"]
+    tick = report["funding_tick"]
+    assert tick["relational_wall_time_s"] <= 0.005
+    assert tick["single_path_wall_time_s"] <= 0.005
 
 
 def test_batch_speedup_live():
     """Live guard: re-measure the 1000-edge cell so a regression of the
-    batch path cannot hide behind the pinned JSON.  It guards what the
-    route is for — the same answer, no slower than the loop it
-    replaces, and wall times inside the calibrated band of the pinned
-    cell — not a batch ÷ per-tuple ratio, which a faster worklist
-    lowers with the batch path no slower."""
+    batch insert cannot hide behind the pinned JSON.  It guards the
+    same answer, no slower than the per-tuple loop, and wall times
+    inside the calibrated band of the pinned cell."""
     import sys
 
     sys.path.insert(0, str(BASELINE.parent))
@@ -94,10 +98,11 @@ def test_batch_speedup_live():
 
 
 def test_worklists_enumerate_the_same_facts_as_before():
-    """The fact layout may change what a fact costs, never which facts
-    the worklists visit: ``stats`` on the benchmark's workload (100 of
-    its edges, per-tuple and batch, then the DRed delete of a tenth)
-    holds the counts recorded before the row/column maps."""
+    """The fact layout and the pop granularity may change what a fact
+    costs, never which facts the worklist visits: ``stats`` on the
+    benchmark's workload (100 of its edges, per-tuple and batch, then
+    the DRed delete of a tenth) holds the counts recorded when every
+    pop was one fact."""
     import sys
 
     sys.path.insert(0, str(BASELINE.parent))
@@ -105,7 +110,7 @@ def test_worklists_enumerate_the_same_facts_as_before():
         from bench_incremental import _random_batch
     finally:
         sys.path.pop(0)
-    from repro.core.incremental import SMALL_BATCH_EDGES, IncrementalCFPQ
+    from repro.core.incremental import IncrementalCFPQ
     from repro.grammar.builders import chain_reachability
     from repro.grammar.cnf import to_cnf
     from repro.graph.labeled_graph import LabeledGraph
@@ -120,12 +125,9 @@ def test_worklists_enumerate_the_same_facts_as_before():
     loaded = {"edge_insertions": 100, "edge_removals": 0,
               "propagated_facts": 1091, "facts_removed": 0,
               "total_facts": 1091}
-    matrix_runs = int(len(edges) >= SMALL_BATCH_EDGES)
-    assert per_tuple.stats == {**loaded, "batch_updates": 0}
-    assert batched.stats == {**loaded, "batch_updates": matrix_runs}
+    assert per_tuple.stats == batched.stats == loaded
     for solver in (per_tuple, batched):
         assert solver.remove_edges(edges[::10]) == 69
     deleted = {**loaded, "edge_removals": 10, "propagated_facts": 2022,
                "facts_removed": 69, "total_facts": 1022}
-    assert per_tuple.stats == {**deleted, "batch_updates": 0}
-    assert batched.stats == {**deleted, "batch_updates": matrix_runs}
+    assert per_tuple.stats == batched.stats == deleted

@@ -2,25 +2,19 @@
 
 Core invariant: after any interleaved insert/delete sequence the
 incremental state (relations *and* single-path lengths) equals a
-from-scratch solve on the final graph — checked across closure
-strategies × matrix backends, and across both ``add_edges`` routes (the
-batches here are far below ``SMALL_BATCH_EDGES``, so the matrix frontier
-only runs where a test forces it).
+from-scratch solve on the final graph — checked across the closure
+strategies and matrix backends of the initial solve, across batch sizes
+of the one worklist that every update runs, and across grammar shapes.
 """
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import incremental as incremental_module
-from repro.core.incremental import (
-    SMALL_BATCH_EDGES,
-    IncrementalCFPQ,
-    IncrementalSinglePathCFPQ,
-)
+from repro.core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from repro.core.matrix_cfpq import solve_matrix_relations
 from repro.core.semiring import LENGTH_SEMIRING, solve_annotated
 from repro.core.single_path import build_single_path_index
@@ -30,31 +24,13 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.matrices.base import default_backend
 
 
-def _force_route(monkeypatch, route: str) -> None:
-    """``"matrix"``: every insertion with a new edge — ``add_edge``
-    included — runs the matrix frontier; ``"tuples"``: none does."""
-    monkeypatch.setattr(incremental_module, "SMALL_BATCH_EDGES",
-                        {"matrix": 1, "tuples": sys.maxsize}[route])
-
-
-#: Every closure strategy with its defaults, plus ``blocked`` under a
-#: one-byte budget, so the tile-granular insertion frontier also runs
-#: with every tile spilled.
+#: Every closure strategy of the initial solve with its defaults, plus
+#: ``blocked`` under a one-byte budget, so that solve also runs with
+#: every tile spilled.
 STRATEGY_CASES = [pytest.param(strategy, {}, id=strategy)
                   for strategy in ("naive", "delta", "blocked")] + [
     pytest.param("blocked", {"memory_budget": 1}, id="blocked-spilled"),
 ]
-
-
-@pytest.fixture
-def matrix_route(monkeypatch):
-    _force_route(monkeypatch, "matrix")
-
-
-@pytest.fixture(params=["tuples", "matrix"])
-def route(request, monkeypatch):
-    _force_route(monkeypatch, request.param)
-    return request.param
 
 
 class TestBasics:
@@ -101,7 +77,7 @@ class TestBasics:
         assert stats["edge_removals"] == 0
         assert stats["total_facts"] >= 3
         assert set(stats) == {
-            "edge_insertions", "edge_removals", "batch_updates",
+            "edge_insertions", "edge_removals",
             "propagated_facts", "facts_removed", "total_facts"}
 
 
@@ -163,9 +139,8 @@ class TestInsertionOrder:
         assert incremental.pairs("S") == batch.pairs("S")
 
 
-@pytest.mark.usefixtures("matrix_route")
 class TestBatchInsert:
-    """The matrix-granular add_edges path."""
+    """``add_edges`` with several new edges in one worklist run."""
 
     @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
     def test_batch_equals_scratch_across_strategies(self, dyck_grammar,
@@ -179,18 +154,14 @@ class TestBatchInsert:
         scratch = solve_matrix_relations(incremental.graph, dyck_grammar)
         assert incremental.relations().same_as(scratch), strategy
 
-    def test_batch_equals_per_tuple(self, dyck_grammar, backend_name,
-                                    monkeypatch):
+    def test_batch_equals_per_tuple(self, dyck_grammar, backend_name):
         edges = [(0, "a", 1), (1, "b", 2), (2, "a", 3), (3, "b", 0),
                  (0, "a", 4), (4, "b", 0)]
         batched = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar,
                                   backend=backend_name)
         tupled = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar)
         count_batch = batched.add_edges(edges)
-        assert batched.stats["batch_updates"] == 1
-        _force_route(monkeypatch, "tuples")
         count_tuple = sum(tupled.add_edge(*edge) for edge in edges)
-        assert tupled.stats["batch_updates"] == 0
         assert count_batch == count_tuple
         assert batched.relations().same_as(tupled.relations())
 
@@ -277,7 +248,7 @@ class TestDeletion:
         assert stats["edge_removals"] == 1
         assert stats["facts_removed"] >= 1
 
-    def test_inserted_edge_supports_pre_existing_fact(self, route):
+    def test_inserted_edge_supports_pre_existing_fact(self):
         """Regression: an inserted edge whose head fact already exists
         adds no fact, yet the next deletion must find it as a surviving
         derivation — not over-delete a still-derivable fact."""
@@ -317,7 +288,7 @@ class TestDeletion:
         index = build_single_path_index(incremental.graph, grammar)
         assert index.cells == _cells_of(incremental)
 
-    def test_insertions_after_deletion(self, dyck_grammar, route):
+    def test_insertions_after_deletion(self, dyck_grammar):
         incremental = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar)
         incremental.remove_edge(0, "a", 1)
         incremental.add_edge(0, "a", 1)
@@ -374,7 +345,7 @@ class TestNullableDiagonal:
         assert (fresh, fresh) in incremental.pairs("S")
         assert count >= 1  # at least the diagonal fact
 
-    def test_new_node_gets_diagonal_in_batch(self, route):
+    def test_new_node_gets_diagonal_in_batch(self):
         incremental = IncrementalCFPQ(word_chain(["a", "b"]), self._grammar())
         incremental.add_edges([("p", "a", "q"), ("q", "b", "r")])
         for node in ("p", "q", "r"):
@@ -396,18 +367,16 @@ class TestNullableDiagonal:
         assert incremental.pairs("S") == {(0, 0), (1, 1), (2, 2)}
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_growing_node_set_property(self, seed, monkeypatch):
+    def test_growing_node_set_property(self, seed):
         """Insertion sequences that keep introducing new nodes must
         resize cleanly and pick up the nullable diagonals (property
-        test, per-tuple and batch paths compared to scratch)."""
+        test, edge by edge and in batches compared to scratch)."""
         grammar = parse_grammar("S -> a S b | S S | eps",
                                 terminals=["a", "b"])
         rng = random.Random(0xD1A6 ^ seed)
         per_tuple = IncrementalCFPQ(LabeledGraph(), grammar)
         batched = IncrementalCFPQ(LabeledGraph(), grammar,
                                   strategy="delta")
-        # Two or more new edges: the matrix frontier.
-        monkeypatch.setattr(incremental_module, "SMALL_BATCH_EDGES", 2)
         next_node = 0
         for step in range(8):
             edges = []
@@ -450,7 +419,6 @@ def _random_sequence(rng: random.Random, nodes: int, steps: int):
 
 @pytest.mark.parametrize("strategy, options", STRATEGY_CASES)
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_updates_equal_scratch_across_strategies(strategy, options,
                                                              seed):
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -471,7 +439,6 @@ def test_interleaved_updates_equal_scratch_across_strategies(strategy, options,
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_updates_equal_scratch_across_backends(backend_name,
                                                            seed):
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -495,7 +462,6 @@ def test_interleaved_updates_equal_scratch_across_backends(backend_name,
 
 @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.usefixtures("matrix_route")
 def test_interleaved_single_path_equals_scratch(strategy, seed):
     """relations() and length_of must both match a from-scratch
     SinglePathIndex after every interleaved batch."""
@@ -516,7 +482,7 @@ def test_interleaved_single_path_equals_scratch(strategy, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_forest_view_cells_follow_interleaved_updates(route, seed):
+def test_forest_view_cells_follow_interleaved_updates(seed):
     """The all-path view is built once and read live: after every
     insert or delete its ``node_exists`` cells equal ``pairs``."""
     grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
@@ -533,7 +499,7 @@ def test_forest_view_cells_follow_interleaved_updates(route, seed):
             pairs = incremental.pairs(nonterminal)
             cells = {(i, j) for i in range(4) for j in range(4)
                      if view.node_exists(nonterminal, i, j)}
-            assert cells == pairs, (route, seed, step, nonterminal)
+            assert cells == pairs, (seed, step, nonterminal)
 
 
 @given(
@@ -611,6 +577,17 @@ def _relation_size(state: dict) -> int:
 
 SOLVER_CLASSES = [IncrementalCFPQ, IncrementalSinglePathCFPQ]
 
+#: Grammar shapes the interleaving differentials run under: the
+#: interleaving grammar; a nullable Dyck grammar, whose facts include
+#: every node's diagonal; and one whose binary rules join two different
+#: nonterminals, so a popped row group of one symbol meets the row and
+#: column maps of others, as left and as right operand.
+DIFFERENTIAL_GRAMMARS = [
+    pytest.param(_INTERLEAVE_GRAMMAR, id="interleave"),
+    pytest.param("S -> a S b S | eps", id="nullable"),
+    pytest.param("S -> A B | a\nA -> a | A S\nB -> b | S B", id="mixed"),
+]
+
 
 class TestDRedDifferential:
     """Store-free DRed against an independent oracle: after every step
@@ -620,8 +597,9 @@ class TestDRedDifferential:
     ``stats["total_facts"]`` exactly the facts it holds, and report the
     exact cell delta in ``last_changes``."""
 
-    def _solver(self, cls, strategy="delta", **options):
-        grammar = parse_grammar(_INTERLEAVE_GRAMMAR, terminals=["a", "b"])
+    def _solver(self, cls, strategy="delta", grammar=_INTERLEAVE_GRAMMAR,
+                **options):
+        grammar = parse_grammar(grammar, terminals=["a", "b"])
         graph = LabeledGraph.from_edges(
             [(0, "a", 1), (1, "b", 2), (2, "a", 3)], nodes=list(range(5)))
         return cls(graph, grammar, strategy=strategy, **options)
@@ -644,19 +622,23 @@ class TestDRedDifferential:
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_per_tuple_interleavings(self, cls, strategy, seed, route):
-        solver = self._solver(cls, strategy=strategy, tile_size=2)
+    @pytest.mark.parametrize("grammar", DIFFERENTIAL_GRAMMARS)
+    def test_per_tuple_interleavings(self, cls, strategy, seed, grammar):
+        solver = self._solver(cls, strategy=strategy, grammar=grammar,
+                              tile_size=2)
         rng = random.Random(0x5EED ^ seed)
         for step, (delete, edge) in enumerate(_random_sequence(rng, 5, 16)):
             self._step(solver, "remove_edge" if delete else "add_edge",
-                       *edge, context=(strategy, seed, step))
+                       *edge, context=(grammar, strategy, seed, step))
         assert solver.stats["edge_removals"] > 0
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_batched_interleavings(self, cls, strategy, seed, route):
-        solver = self._solver(cls, strategy=strategy, tile_size=2)
+    @pytest.mark.parametrize("grammar", DIFFERENTIAL_GRAMMARS)
+    def test_batched_interleavings(self, cls, strategy, seed, grammar):
+        solver = self._solver(cls, strategy=strategy, grammar=grammar,
+                              tile_size=2)
         rng = random.Random(0xFACE ^ seed)
         pending: list = []
         for delete, edge in _random_sequence(rng, 5, 14):
@@ -669,7 +651,6 @@ class TestDRedDifferential:
                     self._step(solver, "add_edges", list(pending))
                     pending.clear()
         self._step(solver, "add_edges", pending)
-        assert bool(solver.stats["batch_updates"]) == (route == "matrix")
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     def test_mutual_support_through_the_deleted_edge(self, cls):
@@ -716,39 +697,24 @@ class TestDRedDifferential:
         assert work[12][2] > 10 * work[3][2]
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
-    @pytest.mark.parametrize("size", [SMALL_BATCH_EDGES - 1,
-                                      SMALL_BATCH_EDGES])
-    def test_route_boundary(self, cls, size, monkeypatch):
-        """One edge below the constant ``add_edges`` runs the worklist,
-        at the constant the matrix frontier — and on either side of it
-        the other route would have produced the same state,
-        ``last_changes`` and return value."""
+    @pytest.mark.parametrize("size", [1, 199, 200, 1000])
+    def test_batch_sizes_equal_scratch(self, cls, size):
+        """One worklist serves every batch size: at 1, 199, 200 and
+        1 000 new edges ``add_edges`` leaves the state a from-scratch
+        solve yields (lengths included), returns the fact growth and
+        reports the exact cell delta."""
         rng = random.Random(0xB0DE)
+        # 40 nodes let the small batches interact; 1 000 edges over as
+        # many nodes keep the from-scratch length oracle quick.
+        nodes = 40 if size < 1000 else size
         batch: list = []
         while len(batch) < size:
-            edge = (rng.randrange(40), rng.choice("ab"), rng.randrange(40))
+            edge = (rng.randrange(nodes), rng.choice("ab"),
+                    rng.randrange(nodes))
             if edge not in batch:
                 batch.append(edge)
         batch.append(batch[0])  # a duplicate is not a new edge
-
-        def run():
-            solver = self._solver(cls)
-            size_before = _relation_size(_scratch_state(solver))
-            returned = solver.add_edges(batch)
-            size_after = _relation_size(_scratch_state(solver))
-            assert returned == size_after - size_before
-            assert solver.stats["total_facts"] == size_after
-            return (solver.stats["batch_updates"], returned,
-                    solver.last_changes, solver.export_state(),
-                    _scratch_state(solver))
-
-        matrix_runs, *taken, scratch = run()
-        assert matrix_runs == (size >= SMALL_BATCH_EDGES)
-        _force_route(monkeypatch, "tuples" if matrix_runs else "matrix")
-        other_runs, *other, _scratch = run()
-        assert other_runs != matrix_runs
-        assert taken == other
-        assert taken[2] == scratch
+        self._step(self._solver(cls), "add_edges", batch, context=size)
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     def test_warm_state_roundtrips(self, cls):
@@ -779,22 +745,23 @@ class TestOneFactStore:
         return cls(graph, grammar)
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
-    def test_relations_is_a_view_read_on_first_access(self, cls):
-        """A symbol of ``relations()`` first read after a mutator
-        call sees that call's fixpoint; once read, it stays as read."""
+    def test_relations_is_a_live_view(self, cls):
+        """``relations()`` reads the row maps on every call: its pair
+        sets, triples and comparisons follow each mutator call, also
+        after they were read once."""
         solver = self._solver(cls)
         view = solver.relations()
-        assert solver.pairs("S") == {(1, 3)}
+        assert view.pairs("S") == solver.pairs("S") == {(1, 3)}
         solver.add_edges([(3, "b", 4)])
         assert view.pairs("S") == solver.pairs("S") == {(1, 3), (0, 4)}
         solver.remove_edges([(0, "a", 1)])
-        assert solver.pairs("S") == {(1, 3)}
-        assert view.pairs("S") == {(1, 3), (0, 4)}
-        assert solver.relations().pairs("S") == {(1, 3)}
+        assert view.pairs("S") == solver.pairs("S") == {(1, 3)}
+        assert [(i, j) for nonterminal, i, j in view.triples()
+                if nonterminal.name == "S"] == [(1, 3)]
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     def test_tuple_updates_walk_no_row_map(self, cls, monkeypatch):
-        """The worklist routes and ``stats`` keep the fact count as
+        """The worklist and ``stats`` keep the fact count as
         they go: none of them walks a whole row map."""
         solver = self._solver(cls)
         total = solver.stats["total_facts"]
@@ -841,3 +808,37 @@ def test_interleaved_property(seed, initial_edges, operations):
     assert incremental.relations().same_as(batch), (
         f"seed={seed} initial={initial_edges} operations={operations}"
     )
+
+
+@pytest.mark.parametrize("single_path", [False, True],
+                         ids=["relational", "single-path"])
+def test_funding_tick_of_new_instances_equals_a_fresh_service(single_path):
+    """A funding·Q1 tick of 150 new instances (``type`` plus
+    ``type_r``, 300 edges) through ``QueryService.tick`` leaves the
+    state, lengths included, and the answer of a service built fresh on
+    the ticked graph."""
+    from repro.datasets.registry import build_graph
+    from repro.grammar.builders import same_generation_query1
+    from repro.service.query_service import QueryService
+
+    base = build_graph("funding")
+    grammar = same_generation_query1()
+    service = QueryService(
+        LabeledGraph.from_edges(base.edges(), nodes=list(base.nodes)),
+        grammar, single_path=single_path)
+    rng = random.Random(0xF0D)
+    classes = sorted({base.node_at(j) for _i, j in base.edge_pairs("type")},
+                     key=str)
+    ops = []
+    for k in range(150):
+        cls = rng.choice(classes)
+        ops += [("insert", (f"new{k}", "type", cls)),
+                ("insert", (cls, "type_r", f"new{k}"))]
+    report = service.tick(ops)
+    assert report.inserts_applied == 300 and report.frontier_runs == 1
+    graph = service.solver.graph
+    fresh = QueryService(
+        LabeledGraph.from_edges(graph.edges(), nodes=list(graph.nodes)),
+        grammar, single_path=single_path)
+    assert service.solver.export_state() == fresh.solver.export_state()
+    assert service.query("S") == fresh.query("S")

@@ -117,6 +117,28 @@ def test_contains_reads_a_solver_view_live():
     assert relations.contains("S", 0, 2)
 
 
+def test_pairs_read_a_solver_view_live():
+    """Regression: ``pairs`` kept the first pair set it built, so on a
+    solver's view it, and ``triples``, ``same_as`` and ``diff`` on top
+    of it, went stale after an update while ``count`` read live."""
+    from repro import parse_grammar
+    from repro.core.incremental import IncrementalCFPQ
+
+    grammar = parse_grammar("S -> a | S S", terminals=["a"])
+    solver = IncrementalCFPQ(LabeledGraph.from_edges([(0, "a", 1)]), grammar)
+    relations = solver.relations()
+    assert relations.pairs("S") == {(0, 1)}
+    solver.add_edges([(1, "a", 2)])
+    assert relations.pairs("S") == {(0, 1), (1, 2), (0, 2)}
+    assert relations.count("S") == len(relations.pairs("S")) == 3
+    assert [(i, j) for nonterminal, i, j in relations.triples()
+            if nonterminal == S] == [(0, 1), (0, 2), (1, 2)]
+    fresh = IncrementalCFPQ(LabeledGraph.from_edges(
+        [(0, "a", 1), (1, "a", 2)]), grammar).relations()
+    assert relations.same_as(fresh)
+    assert relations.diff(fresh, "S") == (frozenset(), frozenset())
+
+
 def test_repr_shows_sizes():
     relations = ContextFreeRelations(make_graph(), {S: [(0, 1)]})
     assert "S:1" in repr(relations)

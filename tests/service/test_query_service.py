@@ -166,7 +166,7 @@ class TestInvalidation:
 class TestCoalescedTicks:
     def test_mixed_1000_edge_tick_is_one_dred_one_frontier(self):
         """The acceptance demo: a 1000-op interleaved insert/delete tick
-        runs as exactly one DRed pass + one frontier run."""
+        runs as exactly one DRed pass + one insertion pass."""
         grammar = to_cnf(chain_reachability("a"))
         rng = random.Random(11)
         base = [(rng.randrange(120), "a", rng.randrange(120))

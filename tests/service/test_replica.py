@@ -160,10 +160,8 @@ class TestFollower:
     def test_engine_snapshot_pair_stays_byte_identical(self, tmp_path):
         """Both roles warm-start from one *engine* snapshot (the
         ``snapshot`` CLI's format, length section included) and stay
-        byte-identical through worklist ticks and a batch large enough
-        to run the length-semiring matrix frontier."""
+        byte-identical through small ticks and a 210-edge one."""
         from repro import CFPQEngine
-        from repro.core.incremental import SMALL_BATCH_EDGES
         from repro.service.snapshot import save_engine_snapshot
 
         snapshot = str(tmp_path / "engine.snapshot")
@@ -176,7 +174,7 @@ class TestFollower:
         assert leader.single_path and follower.single_path
 
         chain = [("insert", (f"n{k}", "ab"[k % 2], f"n{k + 1}"))
-                 for k in range(SMALL_BATCH_EDGES + 10)]
+                 for k in range(210)]
         for ops in [*TICKS, chain]:
             leader.tick(ops)
         assert leader.stats["frontier_runs"] >= 1

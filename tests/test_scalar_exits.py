@@ -18,10 +18,7 @@ import pytest
 
 from repro import CFPQEngine, QueryService, parse_grammar
 from repro.cli import main
-from repro.core.incremental import (
-    SMALL_BATCH_EDGES,
-    IncrementalSinglePathCFPQ,
-)
+from repro.core.incremental import IncrementalSinglePathCFPQ
 from repro.core.semiring import (
     COUNTING_SEMIRING,
     LENGTH_SEMIRING,
@@ -78,9 +75,9 @@ def test_single_path_and_warm_state_lengths_are_ints():
             assert type(index.length_of(nonterminal, i, j)) is int
 
     solver = IncrementalSinglePathCFPQ(two_cycles(2, 3), ANBN)
-    # Large enough for the matrix frontier: _absorb reads the arrays.
+    # A batch of 210 edges on top of lengths adopted from the arrays.
     solver.add_edges([(f"n{k}", "ab"[k % 2], f"n{k + 1}")
-                      for k in range(SMALL_BATCH_EDGES + 10)])
+                      for k in range(210)])
     lengths = solver.export_state()["lengths"]
     assert lengths and all(type(length) is int for length in lengths.values())
     assert all(type(i) is int and type(j) is int for _nt, i, j in lengths)
