@@ -17,17 +17,21 @@ Two layers:
    edge batch twice — once through the per-tuple ``add_edge`` loop,
    once through ``add_edges`` — and reports wall time, derived facts/s
    and the batch-over-per-tuple speedup, the DRed wall time for
-   deleting a tenth of the batch, and ``single_path_wall_time_s``, the
-   same ``add_edges`` on the single-path solver.  Both routes run the
-   one row-group worklist; the batch wins by merging what a row gains
-   before it is popped.  The workload (S -> a | a S over a random graph
-   with ~3 edges per node) makes insertions *interact* heavily — the
-   regime a graph-database bulk load lives in.  ``funding_tick`` times
-   a serving-sized tick on both solvers: 150 new instances (``type``
-   plus ``type_r``, 300 edges) on funding·Q1.
-   ``benchmarks/BENCH_incremental.json`` pins the acceptance numbers
-   (no cell slower than the loop, delete ≤ 6× the batch insert at 1000
-   edges) and CI's bench-smoke gate re-measures them.
+   deleting a tenth of the batch, ``single_path_wall_time_s``, the
+   same ``add_edges`` on the single-path solver, and
+   ``single_path_over_relational_x``, its ratio to the batch.  Both
+   routes run the one row-group worklist; the batch wins by merging
+   what a row gains before it is popped.  The workload (S -> a | a S
+   over a random graph with ~3 edges per node) makes insertions
+   *interact* heavily — the regime a graph-database bulk load lives in.
+   ``dense_load`` is the dense end of that regime: 1 000 random
+   ``a``/``b`` edges over 333 nodes loaded into ``S -> a S b | a b | S
+   S | a`` by both solvers.  ``funding_tick`` times a serving-sized
+   tick on both solvers: 150 new instances (``type`` plus ``type_r``,
+   300 edges) on funding·Q1.  ``benchmarks/BENCH_incremental.json``
+   pins the acceptance numbers (no cell slower than the loop, delete ≤
+   6× the batch insert and single-path ≤ 5× relational at 1000 edges)
+   and CI's bench-smoke gate re-measures them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import pytest
 
 from repro.core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from repro.core.matrix_cfpq import solve_matrix_relations
+from repro.core.single_path import build_single_path_index
 from repro.datasets.registry import build_graph
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -49,8 +54,31 @@ INSERTIONS = [
 ]
 
 
+def _copy(graph: LabeledGraph) -> LabeledGraph:
+    return LabeledGraph.from_edges(graph.edges(), nodes=list(graph.nodes))
+
+
 def _base_graph() -> LabeledGraph:
-    return build_graph("funding")
+    """A private copy of funding: the solvers mutate the graph they
+    are given, and ``build_graph`` hands every caller one cached
+    graph."""
+    return _copy(build_graph("funding"))
+
+
+def _lengths_agree(solver: IncrementalSinglePathCFPQ) -> bool:
+    """The solver's lengths equal a fresh single-path index's on its
+    graph."""
+    index = build_single_path_index(solver.graph, solver.grammar,
+                                    normalize=False)
+    return {
+        (nonterminal, i, j): length
+        for (i, j), entries in index.cells.items()
+        for nonterminal, length in entries.items()
+    } == {
+        (nonterminal, i, j): length
+        for nonterminal, cells in solver.length_cells().items()
+        for i, j, length in cells
+    }
 
 
 def test_initial_incremental_solve(benchmark, query1_cnf):
@@ -62,6 +90,7 @@ def test_initial_incremental_solve(benchmark, query1_cnf):
 
 
 def test_insertion_stream_incremental(benchmark, query1_cnf):
+    cached_edges = build_graph("funding").edge_count
     graph = _base_graph()
     solver = IncrementalCFPQ(graph, query1_cnf)
 
@@ -77,6 +106,7 @@ def test_insertion_stream_incremental(benchmark, query1_cnf):
     batch = solve_matrix_relations(solver.graph, query1_cnf,
                                    normalize=False)
     assert solver.relations().same_as(batch)
+    assert build_graph("funding").edge_count == cached_edges
 
 
 def test_insertion_stream_recompute(benchmark, query1_cnf):
@@ -101,6 +131,7 @@ def test_insertion_stream_recompute(benchmark, query1_cnf):
 def test_deletion_stream_dred(benchmark, query1_cnf):
     """DRed delete-and-rederive for an insertion's worth of edges —
     the dynamic-workload counterpart of the insertion stream."""
+    cached_edges = build_graph("funding").edge_count
     graph = _base_graph()
     solver = IncrementalCFPQ(graph, query1_cnf)
     batch = [(child, label, parent) for child, label, parent in INSERTIONS]
@@ -113,6 +144,7 @@ def test_deletion_stream_dred(benchmark, query1_cnf):
     scratch = solve_matrix_relations(solver.graph, query1_cnf,
                                      normalize=False)
     assert solver.relations().same_as(scratch)
+    assert build_graph("funding").edge_count == cached_edges
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +178,9 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
 
     Returns ``{batch_sizes: {size: {batch_wall_time_s,
     per_tuple_wall_time_s, speedup, facts, batch_facts_per_s,
-    delete_wall_time_s, single_path_wall_time_s, agree}}}``.
+    delete_wall_time_s, single_path_wall_time_s,
+    single_path_over_relational_x, agree}}}``.
     """
-    from repro.core.single_path import build_single_path_index
     from repro.grammar.builders import chain_reachability
     from repro.grammar.cnf import to_cnf
     from repro.matrices.base import default_backend
@@ -195,12 +227,7 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
             single.add_edges(edges)
             single_seconds = min(single_seconds,
                                  time.perf_counter() - started)
-        index = build_single_path_index(single.graph, grammar)
-        agree = agree and {
-            (nonterminal, i, j): length
-            for (i, j), entries in index.cells.items()
-            for nonterminal, length in entries.items()
-        } == single.export_state()["lengths"]
+        agree = agree and _lengths_agree(single)
 
         # DRed: delete a tenth of the batch in one call — on each of
         # the two loaded solvers, best of both like the insert timings.
@@ -227,9 +254,48 @@ def run_incremental_suite(batch_sizes: tuple[int, ...] = (10, 100, 300, 1000),
             "delete_wall_time_s": round(delete_seconds, 6),
             "facts_removed": removed,
             "single_path_wall_time_s": round(single_seconds, 6),
+            "single_path_over_relational_x": round(
+                single_seconds / batch_seconds, 3)
+            if batch_seconds else float("inf"),
             "agree": agree,
         }
     return report
+
+
+def run_dense_load(edges: int = 1000, nodes: int = 333,
+                   seed: int = 7) -> dict:
+    """Time one ``add_edges`` bulk load of *edges* random ``a``/``b``
+    edges over *nodes* nodes into ``S -> a S b | a b | S S | a`` on both
+    solvers, once each; ``agree`` holds when both derive the same facts
+    and the single-path lengths equal a fresh index's."""
+    import random
+
+    from repro.grammar.cnf import to_cnf
+    from repro.grammar.parser import parse_grammar
+
+    grammar = to_cnf(parse_grammar("S -> a S b | a b | S S | a",
+                                   terminals=["a", "b"]))
+    rng = random.Random(seed)
+    batch: set = set()
+    while len(batch) < edges:
+        batch.add((rng.randrange(nodes), rng.choice("ab"),
+                   rng.randrange(nodes)))
+    load = sorted(batch)
+    cell: dict = {"edges": edges, "nodes": nodes}
+    solvers = {}
+    for name, solver_class in (("relational", IncrementalCFPQ),
+                               ("single_path", IncrementalSinglePathCFPQ)):
+        solver = solvers[name] = solver_class(LabeledGraph(), grammar)
+        started = time.perf_counter()
+        cell["facts"] = solver.add_edges(load)
+        cell[f"{name}_wall_time_s"] = round(
+            time.perf_counter() - started, 6)
+    cell["single_path_over_relational_x"] = round(
+        cell["single_path_wall_time_s"] / cell["relational_wall_time_s"], 3)
+    cell["agree"] = (solvers["relational"].relations().same_as(
+        solvers["single_path"].relations())
+        and _lengths_agree(solvers["single_path"]))
+    return cell
 
 
 def run_funding_tick(instances: int = 150, repeats: int = 3,
@@ -244,7 +310,7 @@ def run_funding_tick(instances: int = 150, repeats: int = 3,
     from repro.grammar.cnf import to_cnf
 
     grammar = to_cnf(same_generation_query1())
-    base = _base_graph()
+    base = build_graph("funding")
     rng = random.Random(seed)
     classes = sorted({j for _i, j in base.edge_pairs("type")})
     tick: list = []
@@ -252,19 +318,16 @@ def run_funding_tick(instances: int = 150, repeats: int = 3,
         cls = base.node_at(rng.choice(classes))
         tick += [(f"new{k}", "type", cls), (cls, "type_r", f"new{k}")]
 
-    def copy(graph: LabeledGraph) -> LabeledGraph:
-        return LabeledGraph.from_edges(graph.edges(), nodes=list(graph.nodes))
-
     cell: dict = {"edges": len(tick), "agree": True}
     for name, solver_class in (("relational", IncrementalCFPQ),
                                ("single_path", IncrementalSinglePathCFPQ)):
         seconds = float("inf")
         for _ in range(max(1, repeats)):
-            solver = solver_class(copy(base), grammar)
+            solver = solver_class(_base_graph(), grammar)
             started = time.perf_counter()
             facts = solver.add_edges(tick)
             seconds = min(seconds, time.perf_counter() - started)
-        fresh = solver_class(copy(solver.graph), grammar)
+        fresh = solver_class(_copy(solver.graph), grammar)
         cell["agree"] = cell["agree"] and \
             solver.export_state() == fresh.export_state()
         cell["facts"] = facts
@@ -289,6 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                                    edges_per_node=args.edges_per_node,
                                    backend=args.backend,
                                    strategy=args.strategy)
+    report["dense_load"] = run_dense_load()
     report["funding_tick"] = run_funding_tick()
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.output:

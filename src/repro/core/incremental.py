@@ -35,15 +35,14 @@ A`` through ``cols[B][i]``, and what the head already holds drops out
 by one set difference.  The over-delete marks run on the same loop,
 writing into scratch maps while the joins read the live ones.
 
-**Layout.**  Each relation is held once, as the row map ``rows[A][i] =
-{j}`` that everything reads, mirrored by ``cols[A][j] = {i}``; a closed
-matrix is adopted by rows, each one slice of its ``row_major()`` export.
-
-:class:`IncrementalSinglePathCFPQ` layers the Section-5 length
-annotations on the same worklist with a min-refinement per element: a
-fact whose length improves re-enters its pending set.  Its lengths
-equal a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
-after every update.
+**Layout.**  Each relation is held once, as the row map ``rows[A][i]``
+that everything reads — the set ``{j}``, or on
+:class:`IncrementalSinglePathCFPQ` the dict ``{j: l_A(i, j)}`` of
+Section-5 lengths — mirrored by ``cols[A][j] = {i}``; a closed matrix
+is adopted by rows.  The single-path solver overrides the writers, and
+its min-join reads each length from the row it walks; every reader
+only iterates rows or tests membership, which a dict row answers as a
+set does.  A fact whose length improves re-enters its pending set.
 
 **Path views.**  The same derivation reader that serves DRed is all a
 path answer needs, so :meth:`IncrementalCFPQ.all_path_index` and
@@ -58,9 +57,9 @@ equals a from-scratch solve (property-tested in
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
+from ..errors import UnknownNodeError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
@@ -70,23 +69,14 @@ from ..obs.trace import get_tracer
 from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
                          one_step_derivations)
 from .relations import ContextFreeRelations, row_map_pairs
-from .single_path import SinglePathView, lengths_by_fact
+from .single_path import SinglePathView
 
 
 #: What a recording step hands the worklist: the facts ``(head, i, k)``,
 #: ``k`` in the set, that must (re-)enter the pending set of ``(head, i)``.
 Entry = tuple[Nonterminal, int, set[int]]
 
-_NO_NODES: frozenset[int] = frozenset()
 _UNREACHED = float("inf")
-
-
-def _facts_in(rows: FactMaps) -> Iterator[Fact]:
-    """Every fact ``(A, i, j)`` held by row maps."""
-    return chain.from_iterable(
-        zip(repeat(nonterminal), repeat(i), targets)
-        for nonterminal, row_map in rows.items()
-        for i, targets in row_map.items())
 
 
 class _Changes(Mapping):
@@ -107,22 +97,14 @@ class _Changes(Mapping):
         return len(self._rows)
 
 
-def _merge_rows(index: dict, matrix) -> int:
+def _merge_rows(index: dict, matrix) -> None:
     """Union the rows of a closed *matrix* into the row map *index*,
-    each row one slice of its ``row_major()`` export; returns the
-    number of entries that were new."""
+    each row one slice of its ``row_major()`` export."""
     indptr, indices = matrix.row_major()
     starts, columns = indptr.tolist(), indices.tolist()
-    grown = 0
     for node, (start, end) in enumerate(zip(starts, starts[1:])):
         if start != end:
-            others = set(columns[start:end])
-            known = index.setdefault(node, others)
-            if known is not others:
-                others -= known
-                known |= others
-            grown += len(others)
-    return grown
+            index[node].update(columns[start:end])
 
 
 class IncrementalCFPQ:
@@ -153,6 +135,8 @@ class IncrementalCFPQ:
     consumed once.
     """
 
+    _ROW = set  # the row container: rows[A][i] = {j}
+
     def __init__(self, graph: LabeledGraph, grammar: CFG,
                  backend: str | None = None, strategy: str = "delta",
                  warm_state: "dict | None" = None,
@@ -164,7 +148,7 @@ class IncrementalCFPQ:
         self.strategy_options = strategy_options
 
         nonterminals = self.grammar.nonterminals
-        self._rows = fact_maps(nonterminals)
+        self._rows = fact_maps(nonterminals, self._ROW)
         self._cols = fact_maps(nonterminals)
         self._live = (self._rows, self._cols)
         self._fact_count = 0  # the maps' size, kept by every writer
@@ -219,29 +203,28 @@ class IncrementalCFPQ:
         """Adopt an already-closed fact set (a *warm_state*) without
         running any closure."""
         facts = state.get("facts", {})
-        pairs = get_backend("setmatrix").from_pairs
         for nonterminal, relation in (facts.items() if isinstance(
                 facts, Mapping) else facts):
-            if not isinstance(relation, BooleanMatrix):
-                relation = pairs(self.graph.node_count, relation)
             self._adopt(nonterminal, relation)
+        self._fact_count = sum(len(row) for row_map in self._rows.values()
+                               for row in row_map.values())
 
-    def _adopt(self, nonterminal: Nonterminal, matrix) -> None:
-        """Record the facts of one closed matrix (seeding: nothing to
-        log or chase) by rows, the columns by rows of its transpose."""
-        grown = _merge_rows(self._rows[nonterminal], matrix)
-        if grown:
-            _merge_rows(self._cols[nonterminal], matrix.transpose())
-            self._fact_count += grown
+    def _adopt(self, nonterminal: Nonterminal, relation) -> None:
+        """Record the facts of one closed matrix or pair set (seeding:
+        nothing to log or chase) by rows, the columns by rows of its
+        transpose."""
+        if not isinstance(relation, BooleanMatrix):
+            relation = get_backend("setmatrix").from_pairs(
+                self.graph.node_count, relation)
+        _merge_rows(self._rows[nonterminal], relation)
+        _merge_rows(self._cols[nonterminal], relation.transpose())
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
         of the ``warm_state`` constructor argument."""
-        return {
-            "facts": {nonterminal: set(row_map_pairs(row_map))
-                      for nonterminal, row_map in self._rows.items()
-                      if row_map},
-        }
+        return {"facts": {nonterminal: set(row_map_pairs(row_map))
+                          for nonterminal, row_map in self._rows.items()
+                          if row_map}}
 
     @property
     def last_changes(self) -> Mapping[Nonterminal, frozenset[tuple[int, int]]]:
@@ -335,7 +318,7 @@ class IncrementalCFPQ:
             j = self.graph.node_id(target)
             doomed += [(head, i, j)
                        for head in self.grammar.heads_for_label(label)
-                       if j in rows[head].get(i, _NO_NODES)]
+                       if j in rows[head].get(i, ())]
 
         # Phase 1: over-delete the downward closure into scratch maps.
         # The live maps the joins read still reflect the pre-deletion
@@ -356,18 +339,10 @@ class IncrementalCFPQ:
 
         # One in-place difference per touched relation, row and column;
         # every over-deleted fact is held (the live maps are closed).
-        self._fact_count -= overdeleted
-        for live, marked in ((rows, gone_rows), (self._cols, gone_cols)):
-            for nonterminal, entries in marked.items():
-                index = live[nonterminal]
-                for node, others in entries.items():
-                    remaining = index[node]
-                    remaining -= others
-                    if not remaining:
-                        del index[node]
-        # Annotation values before the delete (single-path: lengths) so
+        # What the rows held (single-path: lengths) comes back, so
         # re-derived facts whose annotation moved land in last_changes.
-        before = self._forget(_facts_in(gone_rows))
+        self._fact_count -= overdeleted
+        before = self._forget(gone_rows, gone_cols)
 
         # Phase 2: re-derive.  Every over-deleted fact is probed against
         # the survivors before the worklist runs; what it re-enters then
@@ -375,7 +350,8 @@ class IncrementalCFPQ:
         with tracer.span("dred.rederive"):
             self._insert(
                 ((head, i, j), support)
-                for head, i, j in _facts_in(gone_rows)
+                for head, row_map in gone_rows.items()
+                for i, targets in row_map.items() for j in targets
                 for support in self._derivations((head, i, j)))
 
         removed = count_before - self._fact_count
@@ -383,7 +359,7 @@ class IncrementalCFPQ:
         for nonterminal, entries in gone_rows.items():
             index = rows[nonterminal]
             for i, targets in entries.items():
-                lost = targets - index.get(i, _NO_NODES)
+                lost = targets.difference(index.get(i, ()))
                 if lost:
                     changes[nonterminal][i] = lost
         for nonterminal, i, j in self._reannotated(before):
@@ -399,8 +375,8 @@ class IncrementalCFPQ:
 
     @property
     def row_maps(self) -> FactMaps:
-        """The live row maps ``A -> {i: {j}}``, one per non-terminal:
-        read them, never write them."""
+        """The live row maps ``A -> {i: {j}}`` (single-path: ``{j:
+        length}`` rows), one per non-terminal: read, never write them."""
         return self._rows
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:
@@ -427,14 +403,21 @@ class IncrementalCFPQ:
             "total_facts": self._fact_count,
         }
 
-    def _forget(self, facts: Iterable[Fact]) -> dict:
-        """Drop and return the annotations of just-deleted *facts*: none
-        here, a re-derived boolean cell cannot change value."""
+    def _forget(self, gone_rows: FactMaps, gone_cols: FactMaps) -> dict:
+        """Drop the over-deleted facts from the live maps; returns their
+        annotations: none, a re-derived boolean cell cannot change."""
+        for live, gone in ((self._rows, gone_rows), (self._cols, gone_cols)):
+            for nonterminal, entries in gone.items():
+                index = live[nonterminal]
+                for node, others in entries.items():
+                    remaining = index[node]
+                    remaining -= others
+                    if not remaining:
+                        del index[node]
         return {}
 
     def _reannotated(self, before: dict) -> Iterable[Fact]:
-        """The facts of *before* (a :meth:`_forget` result) that are
-        back with a different annotation."""
+        """The facts of *before* back with a different annotation."""
         return ()
 
     # ------------------------------------------------------------------
@@ -522,33 +505,32 @@ class IncrementalCFPQ:
 
 
 class IncrementalSinglePathCFPQ(IncrementalCFPQ):
-    """Incremental solver that also maintains Section-5 witness lengths.
+    """Incremental solver that also maintains Section-5 witness lengths,
+    each in its fact's row: ``rows[A][i] = {j: l_A(i, j)}``.
 
-    The initial solve seeds both the relational facts *and* their
-    length annotations from the semiring-generalized closure engine
-    (:func:`repro.core.semiring.solve_annotated` over the length
-    semiring) — the same engine :func:`~repro.core.single_path.build_single_path_index`
-    runs — so the starting annotation is the canonical minimal witness
-    length per fact.
+    The initial solve runs the length-semiring closure
+    (:func:`repro.core.semiring.solve_annotated`, as
+    :func:`~repro.core.single_path.build_single_path_index` does) and
+    adopts its closed matrices straight into the row dicts; a
+    *warm_state* maps each non-terminal to a closed length matrix or
+    its ``(i, j, length)`` cells, as :meth:`export_state` returns them.
 
     * :meth:`add_edges` runs the row-group worklist with a min-merge per
-      element: a fact is recorded when new, and re-enters its pending
-      set when new or when its recorded length *improves*.
-    * :meth:`remove_edges` (inherited DRed) drops the lengths of the
-      over-deleted facts and re-derives them on the same worklist from
-      the surviving canonical lengths — survivors outside the downward
-      closure cannot change, so their annotations are reused as-is.
-
-    ``length_of`` therefore equals a from-scratch
-    :class:`~repro.core.single_path.SinglePathIndex` after every
-    insertion and deletion (property-tested).
+      element: a fact enters its pending set when new or when its
+      recorded length *improves*.
+    * :meth:`remove_edges` (inherited DRed) pops the over-deleted facts
+      with their lengths and re-derives them from the surviving
+      canonical lengths, so ``length_of`` equals a from-scratch
+      :class:`~repro.core.single_path.SinglePathIndex` after every
+      update (property-tested).
     """
+
+    _ROW = dict
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
                  strategy: str = "delta",
                  warm_state: "dict | None" = None,
                  **strategy_options):
-        self._lengths: dict[Fact, int] = {}
         super().__init__(graph, grammar, strategy=strategy,
                          warm_state=warm_state, **strategy_options)
 
@@ -558,120 +540,134 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
                                  strategy=strategy, normalize=False,
                                  **self.strategy_options)
         self._initial_iterations = result.iterations
-        self._seed_from_state({"facts": result.matrices,
-                               "lengths": lengths_by_fact(result.matrices)})
+        self._seed_from_state({"facts": result.matrices})
 
-    def _seed_from_state(self, state: dict) -> None:
-        super()._seed_from_state(state)
-        self._lengths.update(state.get("lengths", {}))
+    def _adopt(self, nonterminal: Nonterminal, relation) -> None:
+        """Record one non-terminal's closed lengths, a length matrix's
+        ``columns()`` or ``(i, j, length)`` cells, straight into the row
+        dicts (:class:`~repro.errors.UnknownNodeError` off the graph)."""
+        if isinstance(relation, BooleanMatrix):
+            relation = zip(*relation.columns())
+        row_map, col_map = self._rows[nonterminal], self._cols[nonterminal]
+        for i, j, length in relation:
+            row_map[i][j] = length
+            col_map[j].add(i)
+        ids = (*row_map, *col_map)
+        if ids and not 0 <= min(ids) <= max(ids) < self.graph.node_count:
+            raise UnknownNodeError(f"a {nonterminal} cell is off the graph")
 
     def export_state(self) -> dict:
-        state = super().export_state()
-        state["lengths"] = dict(self._lengths)
-        return state
+        """The solver's closed state: ``{"facts": {A: {(i, j, l_A(i,
+        j))}}}``, the inverse of the ``warm_state`` argument."""
+        return {"facts": {nonterminal: set(cells) for nonterminal, cells
+                          in self.length_cells().items() if cells}}
 
     def single_path_index(self) -> SinglePathView:
-        """The maintained lengths and fact maps as a **view**, so
-        :func:`~repro.core.single_path.extract_path` runs on the live
-        incremental state: nothing is copied, and the view stays
-        current across updates."""
-        return SinglePathView(self.graph, self.grammar, self._lengths,
+        """The live rows as a **view** for
+        :func:`~repro.core.single_path.extract_path`: nothing is copied."""
+        return SinglePathView(self.graph, self.grammar, self._rows,
                               self._derivations)
 
     def length_of(self, nonterminal: Nonterminal | str, source: Hashable,
                   target: Hashable) -> int | None:
         """The maintained witness length for ``(A, source, target)``, or
         None when the pair is not in ``R_A``."""
-        return self._lengths.get(
-            (as_nonterminal(nonterminal), self.graph.node_id(source),
-             self.graph.node_id(target))
-        )
+        i, j = self.graph.node_id(source), self.graph.node_id(target)
+        return self._rows.get(as_nonterminal(nonterminal), {}).get(
+            i, {}).get(j)
 
     def length_cells(self) -> dict[Nonterminal, list[tuple[int, int, int]]]:
         """``A -> [(i, j, l_A(i, j)), ...]`` for every non-terminal, in
         no order: a snapshot's ``length`` section before encoding."""
-        cells: dict = {nt: [] for nt in self.grammar.nonterminals}
-        for (nonterminal, i, j), length in self._lengths.items():
-            cells[nonterminal].append((i, j, length))
-        return cells
+        return {nonterminal: [(i, j, length) for i, row in row_map.items()
+                              for j, length in row.items()]
+                for nonterminal, row_map in self._rows.items()}
 
     # ------------------------------------------------------------------
     # The worklist, with a min-refinement per element
     # ------------------------------------------------------------------
-    def _derivation_length(self, fact: Fact, support: Support) -> int:
-        """Witness length of *fact* through one one-step derivation
-        (whose operands, for a split, must carry lengths)."""
-        if support[0] == "empty":
-            return 0
-        if support[0] == "edge":
-            return 1
-        _tag, left, right, r = support
-        _nonterminal, i, j = fact
-        return self._lengths[(left, i, r)] + self._lengths[(right, r, j)]
+    def _forget(self, gone_rows: FactMaps, gone_cols: FactMaps) -> dict:
+        """Pop the facts *gone_rows* from the rows, the columns (sets)
+        as the relational solver does; returns ``{(A, i): {j: l}}``."""
+        super()._forget({}, gone_cols)
+        before: dict[tuple[Nonterminal, int], dict[int, int]] = {}
+        for nonterminal, entries in gone_rows.items():
+            index = self._rows[nonterminal]
+            for i, targets in entries.items():
+                row = index[i]
+                before[nonterminal, i] = {j: row.pop(j) for j in targets}
+                if not row:
+                    del index[i]
+        return before
 
-    def _forget(self, facts: Iterable[Fact]) -> dict[Fact, int]:
-        forget = self._lengths.pop
-        return {fact: forget(fact) for fact in facts}
+    def _reannotated(self, before: dict) -> Iterable[Fact]:
+        return [(nonterminal, i, j)
+                for (nonterminal, i), lengths in before.items()
+                for row in (self._rows[nonterminal].get(i, {}),)
+                for j, length in lengths.items()
+                if row.get(j, length) != length]
 
-    def _reannotated(self, before: dict[Fact, int]) -> Iterable[Fact]:
-        lengths = self._lengths
-        return [fact for fact, length in before.items()
-                if lengths.get(fact, length) != length]
-
-    def _record(self, head: Nonterminal, i: int,
-                candidates: Iterable[tuple[int, int]]) -> set[int]:
-        """Apply the candidate lengths ``(k, l)``, one per ``k``, of the
-        facts ``(head, i, k)``: a fact is recorded when new, and enters
-        the worklist when new or when its recorded length improves."""
-        lengths = self._lengths
+    def _record(self, head: Nonterminal, i: int, prefix: int,
+                lengths: dict[int, int]) -> set[int]:
+        """Lower the facts ``(head, i, k)`` to ``prefix + l`` for ``k:
+        l`` in *lengths*, recording the new ones; returns the ``k`` that
+        are new or whose length improved."""
+        row = self._rows[head][i]
         entered: set[int] = set()
-        for k, length in candidates:
-            fact = (head, i, k)
-            if length < lengths.get(fact, _UNREACHED):
-                lengths[fact] = length
-                entered.add(k)
+        fresh: list[int] = []
+        for k, length in lengths.items():
+            length += prefix
+            known = row.get(k)
+            if known is None:
+                fresh.append(k)
+            elif length >= known:
+                continue
+            row[k] = length
+            entered.add(k)
+        if fresh:
+            head_cols = self._cols[head]
+            for k in fresh:
+                head_cols[k].add(i)
+            self._fact_count += len(fresh)
         if entered:
-            refined = entered - self._add(head, i, entered)
-            if refined:
-                self._log_changes(head, i, refined)
+            self._log_changes(head, i, entered)
         return entered
 
     def _join(self, nonterminal: Nonterminal, i: int, group: set[int],
               ) -> Iterator[Entry]:
-        """The presence join's two directions, with the lengths summed
-        per element and the least kept per fact.  The candidates are
-        complete before :meth:`_record` writes, so a row read here
-        never grows while it is walked."""
-        lengths = self._lengths
-        for head, right, right_rows in self._as_left[nonterminal]:
-            candidates: dict[int, int] = {}
+        """The presence join's two directions, each operand's length read
+        from the row the join walks and each sum applied to the head's
+        row as it is formed.  A row joined with itself (``H → A H`` over
+        ``(A, i, i)``) offers each of its facts at no less than the held
+        length, so it is never written while it is walked."""
+        own = self._rows[nonterminal][i]
+        for head, _right, right_rows in self._as_left[nonterminal]:
             for j in group:
                 targets = right_rows.get(j)
                 if targets:
-                    prefix = lengths[(nonterminal, i, j)]
-                    for k in targets:
-                        length = prefix + lengths[(right, j, k)]
-                        if length < candidates.get(k, length + 1):
-                            candidates[k] = length
-            if candidates:
-                yield head, i, self._record(head, i, candidates.items())
+                    yield head, i, self._record(head, i, own[j], targets)
         for head, left, left_cols in self._as_right[nonterminal]:
             sources = left_cols.get(i)
             if sources:
-                targets = list(group)
-                suffixes = [lengths[(nonterminal, i, j)] for j in targets]
+                suffixes = {j: own[j] for j in group}
+                left_rows = self._rows[left]
                 for k in sources:
-                    prefix = lengths[(left, k, i)]
-                    yield head, k, self._record(
-                        head, k, zip(targets, map(prefix.__add__, suffixes)))
+                    yield head, k, self._record(head, k, left_rows[k][i],
+                                                suffixes)
 
     def _seed(self, derivations: Iterable[tuple[Fact, Support]],
               ) -> Iterator[Entry]:
-        rows: dict[tuple[Nonterminal, int], dict[int, int]] = {}
-        for fact, support in derivations:
-            row = rows.setdefault(fact[:2], {})
-            length = self._derivation_length(fact, support)
-            if length < row.get(fact[2], length + 1):
-                row[fact[2]] = length
-        return ((head, i, self._record(head, i, row.items()))
+        """Record the derived facts, one row at a time, each at its
+        least length (a split's is the sum of its held operands')."""
+        live, rows = self._rows, {}
+        for (head, i, j), support in derivations:
+            if support[0] == "split":
+                _tag, left, right, r = support
+                length = live[left][i][r] + live[right][r][j]
+            else:
+                length = 0 if support[0] == "empty" else 1
+            row = rows.setdefault((head, i), {})
+            if length < row.get(j, _UNREACHED):
+                row[j] = length
+        return ((head, i, self._record(head, i, 0, row))
                 for (head, i), row in rows.items())

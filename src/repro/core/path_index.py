@@ -47,7 +47,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Mapping
+from typing import Callable, Hashable, Iterable, Iterator
 
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
@@ -72,37 +73,53 @@ Fact = tuple[Nonterminal, int, int]
 Support = tuple
 
 #: ``rows[A][i] = {j}`` (or ``cols[A][j] = {i}``) for facts ``(A, i, j)``:
-#: the incremental solver's live ``defaultdict(set)`` maps, or
-#: :func:`matrix_maps` over closed matrices.
+#: the incremental solvers' live maps (a single-path row is ``{j:
+#: length}``, read as its keys), or :func:`matrix_maps` over matrices.
 FactMaps = dict[Nonterminal, "defaultdict[int, set[int]] | MatrixRows"]
 
 
-def fact_maps(nonterminals: Iterable[Nonterminal]) -> FactMaps:
-    """Empty row (or column) maps, one per non-terminal."""
-    return {nonterminal: defaultdict(set) for nonterminal in nonterminals}
+def fact_maps(nonterminals: Iterable[Nonterminal], row: type = set) -> FactMaps:
+    """Empty row (or column) maps of *row* rows, one per non-terminal."""
+    return {nonterminal: defaultdict(row) for nonterminal in nonterminals}
 
 
-class MatrixRows:
+class MatrixRows(Mapping):
     """The row map of one closed matrix, read in place: ``get(i)`` turns
     row ``i`` of *export*'s ``(indptr, indices)`` (a ``row_major()``
     export, taken on the first read) into a set of Python ints on its
-    first read and keeps it."""
+    first read and keeps it; iteration yields the non-empty rows."""
 
     __slots__ = ("_export", "_csr", "_memo")
 
     def __init__(self, export: Callable[[], tuple]):
         self._export, self._csr, self._memo = export, None, {}
 
+    def _starts(self) -> list[int]:
+        if self._csr is None:
+            indptr, indices = self._export()
+            self._csr = indptr.tolist(), indices
+        return self._csr[0]
+
     def get(self, i: int, default=None):
         row = self._memo.get(i)
         if row is None:
-            if self._csr is None:
-                indptr, indices = self._export()
-                self._csr = indptr.tolist(), indices
-            starts, indices = self._csr
+            starts, indices = self._starts(), self._csr[1]
             row = self._memo[i] = set(
                 indices[starts[i]:starts[i + 1]].tolist())
         return row or default
+
+    def __getitem__(self, i: int) -> set[int]:
+        row = self.get(i)
+        if row is None:
+            raise KeyError(i)
+        return row
+
+    def __iter__(self) -> Iterator[int]:
+        return (i for i, (start, end) in enumerate(itertools.pairwise(
+            self._starts())) if start != end)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def matrix_maps(nonterminals: Iterable[Nonterminal], matrices: Mapping,
@@ -159,8 +176,9 @@ def one_step_derivations(graph: LabeledGraph, grammar: CFG,
         for left, right, left_rows, right_cols in \
                 bodies_for_head.get(nonterminal, ()):
             midpoints = left_rows.get(i)
-            if midpoints:
-                for r in sorted(midpoints.intersection(right_cols.get(j, ()))):
+            ends = right_cols.get(j)
+            if midpoints and ends:
+                for r in sorted(ends.intersection(midpoints)):
                     yield ("split", left, right, r)
 
     return derivations
@@ -295,12 +313,8 @@ class AllPathIndex:
 
     @property
     def relations(self) -> ContextFreeRelations:
-        """The relations the forest is a view of."""
-        return ContextFreeRelations(self.graph, {
-            nonterminal: [(i, j) for i in range(self.graph.node_count)
-                          for j in row_map.get(i, ())]
-            for nonterminal, row_map in self._rows.items()
-        })
+        """The relations the forest is a view of: its row maps, live."""
+        return ContextFreeRelations(self.graph, self._rows)
 
     # ------------------------------------------------------------------
     # Forest structure

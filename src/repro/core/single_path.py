@@ -30,8 +30,8 @@ and the one-step derivations of each fact
 
 :class:`SinglePathIndex` holds the annotated closure (the closed
 length matrices, array-native where NumPy is present);
-:class:`SinglePathView` is the same pair of reads over the live state
-of :class:`repro.core.incremental.IncrementalSinglePathCFPQ`;
+:class:`SinglePathView` is the same pair of reads over the length-carrying
+rows of :class:`repro.core.incremental.IncrementalSinglePathCFPQ`;
 :func:`extract_path` performs the search on either, and
 :func:`repro.core.engine.CFPQEngine.single_path` wires it up.
 """
@@ -39,7 +39,6 @@ of :class:`repro.core.incremental.IncrementalSinglePathCFPQ`;
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Hashable, Iterator, Mapping
 
 from ..errors import PathNotFoundError
@@ -61,37 +60,27 @@ from .semiring import (
 _Cells = dict[tuple[int, int], dict[Nonterminal, int]]
 
 
-def lengths_by_fact(matrices: Mapping) -> dict[tuple[Nonterminal, int, int], int]:
-    """``(A, i, j) -> l_A`` over length-annotated matrices — the
-    ``lengths`` warm state of
-    :class:`repro.core.incremental.IncrementalSinglePathCFPQ`."""
-    lengths: dict[tuple[Nonterminal, int, int], int] = {}
-    for nonterminal, matrix in matrices.items():
-        rows, cols, values = matrix.columns()
-        lengths.update(zip(zip(repeat(nonterminal), rows, cols), values))
-    return lengths
-
-
 class SinglePathView:
     """What :func:`extract_path` reads — the recorded length of a fact
-    and its one-step derivations — over state owned by someone else
-    (the incremental solver's ``_lengths`` and fact maps).  Nothing is
-    copied, so the view is current whenever its owner is at the
-    fixpoint."""
+    and its one-step derivations — over row maps ``rows[A][i] = {j:
+    l_A(i, j)}`` owned by someone else (the incremental solver's one
+    fact store).  Nothing is copied, so the view is current whenever
+    its owner is at the fixpoint."""
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 lengths: Mapping[Fact, int],
+                 rows: Mapping[Nonterminal, Mapping[int, dict[int, int]]],
                  derivations: Callable[[Fact], Iterator[Support]]):
         self.graph = graph
         self.grammar = grammar
-        self._lengths = lengths
+        self._rows = rows
         self.derivations = derivations
 
     def length_of(self, nonterminal: Nonterminal, source_id: int,
                   target_id: int) -> int | None:
         """The recorded length ``l_A`` for ``(A, i, j)``, or None when
         ``(i, j) ∉ R_A``."""
-        return self._lengths.get((nonterminal, source_id, target_id))
+        return self._rows.get(nonterminal, {}).get(source_id, {}).get(
+            target_id)
 
 
 class SinglePathIndex:

@@ -37,7 +37,7 @@ from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import LengthRank, ViterbiRank, non_negative_int
 from ..core.semiring import LENGTH_SEMIRING
-from ..core.single_path import extract_path, lengths_by_fact
+from ..core.single_path import extract_path
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
@@ -167,12 +167,12 @@ class QueryService:
         ``length`` queries are served; costs the annotated closure at
         startup (or a snapshot's lengths) and per tick.
     warm_state:
-        A closed solver state, ``{"facts": {A: matrix or pairs},
-        "lengths": {(A, i, j): length}}`` (``lengths`` for single-path
-        only); the solver adopts each closed matrix by rows.
-        :meth:`from_engine` passes the engine's matrices,
+        A closed solver state, ``{"facts": {A: relation}}``: a closed
+        matrix or pairs, or for single-path a closed length matrix or
+        ``(i, j, length)`` cells, adopted by rows as facts and lengths
+        at once.  :meth:`from_engine` passes the engine's matrices,
         :meth:`from_snapshot` the snapshot's as a stream of ``(A,
-        matrix)`` items; either skips the initial closure entirely.
+        relation)`` items; either skips the initial closure entirely.
     """
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
@@ -241,10 +241,8 @@ class QueryService:
                     single_path: bool = False) -> "QueryService":
         """Wrap an already-solved engine: its cached closure seeds the
         incremental solver, so no work is repeated."""
-        warm_state: dict = {"facts": engine.solve().matrices}
-        if single_path:
-            warm_state["lengths"] = lengths_by_fact(
-                engine.single_path_index().matrices)
+        warm_state = {"facts": engine.single_path_index().matrices
+                      if single_path else engine.solve().matrices}
         return cls(engine.graph, engine.grammar, backend=engine.backend,
                    strategy=engine.strategy,
                    single_path=single_path, warm_state=warm_state,
@@ -258,40 +256,36 @@ class QueryService:
         """Warm-start a service from a snapshot file.
 
         Service (:meth:`save_snapshot`) and engine snapshots share one
-        layout: the solver seeds its facts from ``relational`` and its
-        lengths from ``length`` (from the ``incremental`` section of a
-        service file older than that layout), and runs **zero** closure
+        layout: a relational solver seeds its facts from ``relational``,
+        a single-path one its facts and lengths at once from the
+        ``length`` cells (from the ``incremental`` section of a service
+        file older than that layout), and either runs **zero** closure
         rounds.  *single_path* defaults to whatever the snapshot can
         support losslessly.
         """
         payload = snapshot_store.read_snapshot(path)
         graph, grammar = snapshot_store.decode_problem(payload)
 
+        lengths: dict | None = None
+        if "length" in payload:
+            lengths = {name: entry["cells"]
+                       for name, entry in payload["length"].items()}
+        elif "lengths" in payload.get("incremental", ()):
+            lengths = {}
+            for name, *cell in payload["incremental"]["lengths"]:
+                lengths.setdefault(name, []).append(cell)
+        if single_path is None:
+            single_path = lengths is not None and "relational" in payload
         warm_state: dict | None = None
-        if "relational" in payload:
+        if single_path and lengths is not None:
+            warm_state = {"facts": ((Nonterminal(name), cells)
+                                    for name, cells in lengths.items())}
+        elif not single_path and "relational" in payload:
             # Stream the decode: the solver adopts each matrix by rows as
             # it is decoded and drops it before the next decodes — the
             # matrices never all coexist.
             warm_state = {"facts": snapshot_store.iter_decoded_matrices(
                 payload["relational"]["matrices"])}
-            if "length" in payload:
-                warm_state["lengths"] = {
-                    (nonterminal, i, j): length
-                    for name, entry in payload["length"].items()
-                    for nonterminal in (Nonterminal(name),)
-                    for i, j, length in entry["cells"]}
-            elif "lengths" in payload.get("incremental", ()):
-                cells = payload["incremental"]["lengths"]
-                symbols = {name: Nonterminal(name)
-                           for name in {cell[0] for cell in cells}}
-                warm_state["lengths"] = {
-                    (symbols[name], i, j): length
-                    for name, i, j, length in cells}
-        if single_path is None:
-            single_path = bool(warm_state) and "lengths" in warm_state
-        if single_path and warm_state is not None \
-                and "lengths" not in warm_state:
-            warm_state = None  # snapshot has no lengths: solve cold
         service = cls(graph, grammar,
                       backend=backend or payload.get("backend"),
                       strategy=strategy or payload.get("strategy")

@@ -402,10 +402,12 @@ def decode_annotated_matrices(doc: dict) -> dict[Nonterminal, BooleanMatrix]:
     for name, entry in doc.items():
         try:
             semiring = get_semiring(entry["semiring"])
+            out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
+                tuple(entry["shape"]), entry["cells"])
         except KeyError as error:
             raise SnapshotError(str(error)) from error
-        out[Nonterminal(name)] = AnnotatedBackend(semiring).from_cells(
-            tuple(entry["shape"]), entry["cells"])
+        except ValueError as error:
+            raise SnapshotError(f"snapshot {name!r} cells: {error}") from error
     return out
 
 

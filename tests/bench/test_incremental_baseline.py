@@ -5,9 +5,10 @@ worklist and its DRed delete: ``add_edges`` (one worklist run per
 batch) must never lose to the per-tuple ``add_edge`` loop, the
 1000-edge batch must stay within the wall time its 2× criterion was set
 on, the delete of a tenth of a 1000-edge load must stay within 6× of
-loading it, a 300-edge funding·Q1 tick must stay within 5 ms on both
-solvers, and the sweep cells CI's bench-smoke gate compares against
-must stay present and consistent.
+loading it, the single-path load of those 1000 edges must stay within
+5× of the relational one, a 300-edge funding·Q1 tick must stay within
+5 ms on both solvers, and the sweep cells CI's bench-smoke gate
+compares against must stay present and consistent.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def test_baseline_committed_and_well_formed():
         assert cell["per_tuple_wall_time_s"] > 0
         assert cell["delete_wall_time_s"] > 0
         assert cell["single_path_wall_time_s"] > 0
+        assert cell["single_path_over_relational_x"] > 0
+    dense = report["dense_load"]
+    assert dense["agree"] is True and dense["edges"] == 1000
+    assert dense["single_path_wall_time_s"] > 0
     tick = report["funding_tick"]
     assert tick["agree"] is True and tick["edges"] == 300
 
@@ -63,14 +68,17 @@ def test_small_batch_and_delete_ratios():
     fresh run): ``add_edges`` is no slower than the per-tuple loop in
     any cell of the sweep (0.8 is the tolerance of one timing, not a
     licence to lose), the DRed delete of a tenth of the 1000-edge load
-    stays within 6× of loading it, and the funding·Q1 tick of 300 new
-    edges takes at most 5 ms on either solver."""
+    stays within 6× of loading it, the single-path load of it within 5×
+    of the relational one, and the funding·Q1 tick of 300 new edges
+    takes at most 5 ms on either solver."""
     report = _load()
     cells = report["batch_sizes"]
     for size in ("10", "100", "300", "1000"):
         assert cells[size]["speedup"] >= 0.8, size
     assert cells["1000"]["delete_wall_time_s"] \
         <= 6 * cells["1000"]["batch_wall_time_s"]
+    assert cells["1000"]["single_path_wall_time_s"] \
+        <= 5 * cells["1000"]["batch_wall_time_s"]
     tick = report["funding_tick"]
     assert tick["relational_wall_time_s"] <= 0.005
     assert tick["single_path_wall_time_s"] <= 0.005

@@ -323,8 +323,9 @@ class TestDeletion:
 def _cells_of(incremental: IncrementalSinglePathCFPQ) -> dict:
     """The solver's lengths in SinglePathIndex.cells shape."""
     cells: dict = {}
-    for (nonterminal, i, j), length in incremental._lengths.items():
-        cells.setdefault((i, j), {})[nonterminal] = length
+    for nonterminal, triples in incremental.length_cells().items():
+        for i, j, length in triples:
+            cells.setdefault((i, j), {})[nonterminal] = length
     return cells
 
 
@@ -533,21 +534,16 @@ def _scratch_state(solver) -> dict:
     """What ``solver.export_state()`` must equal, solved from scratch on
     the solver's current graph by an engine that shares no code with the
     incremental one: the length-semiring closure gives the facts and
-    their canonical witness lengths."""
+    their canonical witness lengths (a single-path fact is the cell
+    ``(i, j, length)``)."""
     closed = solve_annotated(solver.graph, solver.grammar, LENGTH_SEMIRING,
                              normalize=False)
-    lengths = {
-        (nonterminal, i, j): length
-        for nonterminal, matrix in closed.matrices.items()
-        for i, j, length in matrix.nonzero_cells()
-    }
+    width = 3 if isinstance(solver, IncrementalSinglePathCFPQ) else 2
     facts: dict = {}
-    for nonterminal, i, j in lengths:
-        facts.setdefault(nonterminal, set()).add((i, j))
-    state: dict = {"facts": facts}
-    if isinstance(solver, IncrementalSinglePathCFPQ):
-        state["lengths"] = lengths
-    return state
+    for nonterminal, matrix in closed.matrices.items():
+        for cell in matrix.nonzero_cells():
+            facts.setdefault(nonterminal, set()).add(cell[:width])
+    return {"facts": facts}
 
 
 def _state_delta(before: dict, after: dict) -> dict:
@@ -555,11 +551,9 @@ def _state_delta(before: dict, after: dict) -> dict:
     what ``last_changes`` must report for the call that led from one to
     the other (presence, and on the single-path solver the length)."""
     def cells(state):
-        if "lengths" in state:
-            return state["lengths"]
-        return {(nonterminal, i, j): True
-                for nonterminal, pairs in state["facts"].items()
-                for i, j in pairs}
+        return {(nonterminal, *cell[:2]): cell[2:]
+                for nonterminal, cells in state["facts"].items()
+                for cell in cells}
 
     old, new = cells(before), cells(after)
     changed: dict = {}
@@ -723,7 +717,7 @@ class TestDRedDifferential:
         to carry over."""
         solver = self._solver(cls)
         solver.remove_edge(1, "b", 2)
-        assert set(solver.export_state()) <= {"facts", "lengths"}
+        assert set(solver.export_state()) == {"facts"}
         graph_copy = LabeledGraph.from_edges(
             list(solver.graph.edges()), nodes=list(solver.graph.nodes))
         adopted = cls(graph_copy, solver.grammar,
@@ -758,6 +752,69 @@ class TestOneFactStore:
         assert view.pairs("S") == solver.pairs("S") == {(1, 3)}
         assert [(i, j) for nonterminal, i, j in view.triples()
                 if nonterminal.name == "S"] == [(1, 3)]
+
+    @pytest.mark.parametrize("cls", SOLVER_CLASSES)
+    def test_forest_relations_is_a_live_view(self, cls):
+        """``all_path_index().relations`` hands the row maps themselves
+        to ``ContextFreeRelations``: made once, it follows every
+        mutator call."""
+        solver = self._solver(cls)
+        view = solver.all_path_index().relations
+        assert view.pairs("S") == {(1, 3)}
+        solver.add_edges([(3, "b", 4)])
+        assert view.pairs("S") == {(1, 3), (0, 4)}
+        assert view.count("S") == 2 and view.contains("S", 0, 4)
+        solver.remove_edges([(0, "a", 1)])
+        assert view.pairs("S") == solver.pairs("S") == {(1, 3)}
+
+    def test_single_path_lengths_ride_the_rows(self):
+        """A single-path fact is one entry of its row dict, ``{j:
+        length}``, plus its column entry: ``length_of``, the path view
+        and the exported state all read that one store."""
+        solver = self._solver(IncrementalSinglePathCFPQ)
+        rows = solver.row_maps
+        S = solver.grammar.resolve_nonterminal("S")
+        assert rows[S] == {1: {3: 2}}
+        solver.add_edges([(3, "b", 4)])
+        assert rows[S] == {1: {3: 2}, 0: {4: 4}}
+        assert solver.length_of("S", 0, 4) == 4
+        assert solver.single_path_index().length_of(S, 0, 4) == 4
+        assert solver.export_state()["facts"][S] == {(1, 3, 2), (0, 4, 4)}
+        assert not any(name.endswith("lengths") for name in vars(solver))
+
+    def test_single_path_holds_no_more_than_relational(self):
+        """On funding·Q1 the single-path solver's one store of rows with
+        lengths and columns holds at most 1.2× the relational solver's
+        bytes (1.74× while each fact was also a key of an ``(A, i, j)``
+        length dict)."""
+        import gc
+        import tracemalloc
+
+        from repro.datasets.registry import build_graph
+        from repro.grammar.builders import same_generation_query1
+        from repro.grammar.cnf import to_cnf
+
+        base = build_graph("funding")
+        grammar = to_cnf(same_generation_query1())
+
+        def held(cls) -> int:
+            graph = LabeledGraph.from_edges(base.edges(),
+                                            nodes=list(base.nodes))
+            cls(graph, grammar)  # lazy imports and caches load here
+            gc.collect()
+            tracemalloc.start()
+            try:
+                solver = cls(graph, grammar)
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert solver.stats["total_facts"] > 0
+            return size
+
+        relational = held(IncrementalCFPQ)
+        single_path = held(IncrementalSinglePathCFPQ)
+        assert single_path <= 1.2 * relational, (single_path, relational)
 
     @pytest.mark.parametrize("cls", SOLVER_CLASSES)
     def test_tuple_updates_walk_no_row_map(self, cls, monkeypatch):

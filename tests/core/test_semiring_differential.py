@@ -348,7 +348,9 @@ def test_incremental_lengths_track_from_scratch_index(seed):
             for (i, j), entries in rebuilt.cells.items()
             for nt, length in entries.items()
         }
-        assert solver._lengths == expected
+        assert {(nt, i, j): length
+                for nt, cells in solver.length_cells().items()
+                for i, j, length in cells} == expected
 
 
 # ----------------------------------------------------------------------

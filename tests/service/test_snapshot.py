@@ -202,11 +202,11 @@ def test_snapshot_drops_cell_order_and_does_not_grow(tmp_path):
     cells = engine.single_path_index().cells
     assert load_engine_snapshot(new).single_path_index().cells == cells
     service = QueryService.from_snapshot(new)
-    assert service.solver.export_state()["lengths"] == {
-        (nonterminal, i, j): length
-        for (i, j), entries in cells.items()
-        for nonterminal, length in entries.items()
-    }
+    lengths: dict = {}
+    for (i, j), entries in cells.items():
+        for nonterminal, length in entries.items():
+            lengths.setdefault(nonterminal, set()).add((i, j, length))
+    assert service.solver.export_state() == {"facts": lengths}
 
 
 def test_partial_snapshot_solves_missing_sections(tmp_path):
@@ -489,7 +489,7 @@ def test_decode_ignores_supports_section_of_older_snapshots(tmp_path):
     solver = service.solver
     assert service.single_path is True
     assert solver.initial_closure_iterations == 0
-    assert set(solver.export_state()) == {"facts", "lengths"}
+    assert set(solver.export_state()) == {"facts"}
     assert solver.length_of("S", 0, 2) == 2
     assert solver.remove_edge(0, "a", 1) == 2
     assert solver.pairs(Nonterminal("B")) == {(1, 2)}
@@ -524,6 +524,61 @@ def test_parent_service_single_path_snapshot_warm_starts():
         assert [list(edge) for edge in service.query(
             "S", source, target, semantics="single-path")] \
             == expected["single_path"][key]
+
+
+@pytest.mark.parametrize("source", ["service", "engine", "from_engine"])
+def test_single_path_warm_start_answers_as_a_cold_one(tmp_path, source):
+    """A single-path service warm-started from a service or an engine
+    snapshot, or from an engine, adopts the closed lengths as its facts
+    and lengths at once: on funding·Q1 ``length_of``, ``export_state()``
+    and the bytes ``save`` writes equal a cold service's."""
+    import filecmp
+
+    from repro import LabeledGraph
+    from repro.datasets.registry import build_graph
+    from repro.grammar.builders import same_generation_query1
+
+    base = build_graph("funding")
+    grammar = same_generation_query1()
+
+    def graph():
+        return LabeledGraph.from_edges(base.edges(), nodes=list(base.nodes))
+
+    cold = QueryService(graph(), grammar, single_path=True)
+    saved = str(tmp_path / "saved.snapshot")
+    if source == "service":
+        cold.save_snapshot(saved)
+    elif source == "engine":
+        save_engine_snapshot(saved, CFPQEngine(graph(), grammar),
+                             semantics=("relational", "single-path"))
+    if source == "from_engine":
+        warm = QueryService.from_engine(CFPQEngine(graph(), grammar),
+                                        single_path=True)
+    else:
+        warm = QueryService.from_snapshot(saved)
+    assert warm.single_path is True
+    assert warm.stats["startup"]["warm_start"] is True
+    assert warm.solver.initial_closure_iterations == 0
+
+    state = cold.solver.export_state()
+    assert warm.solver.export_state() == state
+    nodes = cold.graph.node_at
+    for nonterminal, cells in state["facts"].items():
+        for i, j, length in cells:
+            for source_id, target_id in ((i, j), (j, i)):
+                source_node, target_node = nodes(source_id), nodes(target_id)
+                assert warm.solver.length_of(
+                    nonterminal, source_node, target_node) \
+                    == cold.solver.length_of(
+                        nonterminal, source_node, target_node)
+            assert warm.solver.length_of(nonterminal, nodes(i),
+                                         nodes(j)) == length
+
+    warm_path = str(tmp_path / "warm.snapshot")
+    cold_path = str(tmp_path / "cold.snapshot")
+    warm.save_snapshot(warm_path)
+    cold.save_snapshot(cold_path)
+    assert filecmp.cmp(warm_path, cold_path, shallow=False)
 
 
 @pytest.mark.parametrize("single_path", [False, True])
@@ -596,6 +651,24 @@ def test_relational_matrix_of_another_shape_is_refused(tmp_path):
     write_snapshot(path, payload)
     for load in LOADERS:
         with pytest.raises(SnapshotError, match=f"{n + 3}x{n + 3}"):
+            load(path)
+
+
+def test_length_cell_off_the_graph_is_refused(tmp_path):
+    """A single-path service adopts the ``length`` cells as its facts,
+    so a cell past the last node is refused, not kept as a fact no node
+    names; both loaders refuse it with a library error, which the CLI
+    prints as one ``error:`` line (the engine's used to escape as a bare
+    ValueError)."""
+    from repro.errors import ReproError
+
+    engine, payload = _engine_payload()
+    n = engine.graph.node_count
+    payload["length"]["S"]["cells"].append([0, n + 2, 3])
+    path = str(tmp_path / "cell.snapshot")
+    write_snapshot(path, payload)
+    for load in LOADERS:
+        with pytest.raises(ReproError, match="off the graph|outside"):
             load(path)
 
 

@@ -78,9 +78,9 @@ def test_single_path_and_warm_state_lengths_are_ints():
     # A batch of 210 edges on top of lengths adopted from the arrays.
     solver.add_edges([(f"n{k}", "ab"[k % 2], f"n{k + 1}")
                       for k in range(210)])
-    lengths = solver.export_state()["lengths"]
-    assert lengths and all(type(length) is int for length in lengths.values())
-    assert all(type(i) is int and type(j) is int for _nt, i, j in lengths)
+    cells = [cell for cells in solver.export_state()["facts"].values()
+             for cell in cells]
+    assert cells and all(type(x) is int for cell in cells for x in cell)
     assert type(solver.length_of("S", "n0", "n2")) is int
     # What a service snapshot's ``length`` section is encoded from.
     assert _round_trips(encode_annotated_matrices(
