@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
@@ -42,7 +41,7 @@ from .core.matrix_cfpq import DEFAULT_STRATEGY
 from .errors import EngineError, ReproError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
-from .graph.io import coerce_json_node, load_graph_file, node_from_token
+from .graph.io import load_graph_file
 from .matrices.base import BACKEND_NAMES, backend_installed, default_backend
 
 
@@ -261,17 +260,14 @@ def _print_relation(args: argparse.Namespace, graph, rows, head: dict,
 def _cmd_query_batch(args: argparse.Namespace) -> int:
     """Answer a JSONL file of query specs with **one** closure
     (:func:`repro.core.batch.solve_batch`) instead of one solve per
-    line."""
-    from .core.batch import as_batch_query, solve_batch
+    line (:func:`repro.graph.request.read_query`; ``start`` defaults to
+    ``--start``)."""
+    from .core.batch import solve_batch
     from .core.pair_writer import PairWriter, RawJSON, json_document
+    from .graph.request import read_query
 
     graph = _load_graph(args)
     grammar = _load_grammar(args)
-
-    def coerce(nodes):
-        return None if nodes is None \
-            else frozenset(coerce_json_node(graph, node) for node in nodes)
-
     specs, queries = [], []
     with open(args.batch, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -280,12 +276,9 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
                 continue
             spec = json.loads(line)
             if isinstance(spec, dict):
-                spec = dict(spec)
                 spec.setdefault("start", args.start)
-            query = as_batch_query(spec)
             specs.append(spec)
-            queries.append(replace(query, sources=coerce(query.sources),
-                                   targets=coerce(query.targets)))
+            queries.append(read_query(spec, graph, "batch"))
     answers = solve_batch(graph, grammar, queries, backend=args.backend,
                           strategy=args.strategy,
                           **_solve_options(args))
@@ -329,13 +322,6 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coerce_node(graph, token: str):
-    """Interpret a CLI node token as an int node when it is a canonical
-    integer the graph knows as one, falling back to the raw string."""
-    candidate = node_from_token(token)
-    return candidate if graph.has_node(candidate) else token
-
-
 def _path_json(graph, path) -> list:
     """A path as ``[source, label, target]`` triples of node strings."""
     return [[str(graph.node_at(i)), label, str(graph.node_at(j))]
@@ -347,13 +333,21 @@ def _path_text(graph, path) -> str:
                     for i, label, j in path)
 
 
-def cmd_path(args: argparse.Namespace) -> int:
+def _engine_and_query(args: argparse.Namespace):
+    """The engine of a ``path``/``paths`` command and its query, read
+    (:func:`repro.graph.request.read_argv`) before anything is solved."""
+    from .graph.request import read_argv
+
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
                         **_solve_options(args))
+    return engine, read_argv(args, engine.graph)
+
+
+def cmd_path(args: argparse.Namespace) -> int:
+    engine, query = _engine_and_query(args)
     graph = engine.graph
-    path = engine.single_path(args.start, _coerce_node(graph, args.source),
-                              _coerce_node(graph, args.target))
+    path = engine.single_path(query.start, *query.ends)
     if args.json:
         print(json.dumps(_path_json(graph, path)))
     else:
@@ -364,53 +358,34 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_all_paths(args: argparse.Namespace) -> int:
-    for flag, value in (("--max-length", args.max_length),
-                        ("--top-k", args.top_k)):
-        if value is not None and value < 0:
-            raise EngineError(f"{flag} must be non-negative, not {value}")
-    engine = CFPQEngine(_load_graph(args), _load_grammar(args),
-                        backend=args.backend, strategy=args.strategy,
-                        **_solve_options(args))
+    """All-path semantics: every path of at most --max-length edges
+    (default 8), or the --top-k best by lazy k-best enumeration over the
+    witness forest, which needs no bound even on cyclic graphs."""
+    engine, query = _engine_and_query(args)
     graph = engine.graph
-    if args.top_k is not None:
-        return _cmd_top_k_paths(args, engine)
-    max_length = args.max_length if args.max_length is not None else 8
-    paths = sorted(engine.all_paths(args.start,
-                                    _coerce_node(graph, args.source),
-                                    _coerce_node(graph, args.target),
-                                    max_length=max_length),
-                   key=lambda path: (len(path), path))
+    if args.top_k is None:
+        max_length = query.max_length if query.max_length is not None else 8
+        paths = sorted(engine.all_paths(query.start, *query.ends,
+                                        max_length=max_length),
+                       key=lambda path: (len(path), path))
+        title = f"{len(paths)} paths of length <= {max_length}:"
+    else:
+        from .core.path_index import LengthRank, ViterbiRank
+
+        viterbi = args.semiring == "viterbi"
+        start = engine.grammar.resolve_nonterminal(query.start)
+        paths = engine.all_path_index().top_k(
+            start, *query.ends, query.k, max_length=query.max_length,
+            rank=ViterbiRank() if viterbi else LengthRank())
+        order = "most probable" if viterbi else "shortest"
+        title = f"top {len(paths)} paths ({order} first):"
     if args.json:
         print(json.dumps([_path_json(graph, path) for path in paths]))
-    else:
-        print(f"{len(paths)} paths of length <= {max_length}:")
-        for path in paths:
-            print(f"  [{len(path)}] {_path_text(graph, path)}")
-    return 0
-
-
-def _cmd_top_k_paths(args: argparse.Namespace, engine: CFPQEngine) -> int:
-    """Lazy k-best enumeration over the witness forest: the --top-k
-    best paths in rank order (shortest first, or most probable first
-    with --semiring viterbi), without materializing the full path set —
-    so no --max-length is required even on cyclic graphs."""
-    from .core.path_index import LengthRank, ViterbiRank
-
-    graph = engine.graph
-    start = engine.grammar.resolve_nonterminal(args.start)
-    forest = engine.all_path_index()
-    rank = ViterbiRank() if args.semiring == "viterbi" else LengthRank()
-    paths = forest.top_k(start, _coerce_node(graph, args.source),
-                         _coerce_node(graph, args.target), args.top_k,
-                         max_length=args.max_length, rank=rank)
-    if args.json:
-        print(json.dumps([_path_json(graph, path) for path in paths]))
-    else:
-        order = ("most probable" if args.semiring == "viterbi"
-                 else "shortest")
-        print(f"top {len(paths)} paths ({order} first):")
-        for position, path in enumerate(paths, start=1):
-            print(f"  {position}. [{len(path)}] {_path_text(graph, path)}")
+        return 0
+    print(title)
+    for position, path in enumerate(paths, start=1):
+        rank = "" if args.top_k is None else f"{position}. "
+        print(f"  {rank}[{len(path)}] {_path_text(graph, path)}")
     return 0
 
 
@@ -483,10 +458,15 @@ def _parse_replicas(spec: "str | None") -> list:
 def serve_service(args: argparse.Namespace):
     """The service ``serve`` runs for *args*: loaded or solved, and
     wrapped for its replication role (a follower caught up to the end
-    of the WAL)."""
+    of the WAL).  A flag combination that cannot run is refused before
+    anything is loaded."""
     from .service.query_service import QueryService
-    from .service.replica import open_role
+    from .service.replica import check_role, open_role
 
+    check_role(args.role, snapshot=args.snapshot, wal=args.wal,
+               replicas=_parse_replicas(args.replicas))
+    if not (args.snapshot or args.graph):
+        raise SystemExit("serve requires --graph or --snapshot")
     options = _strategy_options(args)
     service_kwargs = dict(
         backend=args.backend, strategy=args.strategy,
@@ -496,24 +476,17 @@ def serve_service(args: argparse.Namespace):
     if args.role == "follower":
         # A follower builds its state from the leader's snapshot + WAL;
         # open_role handles loading and catching up.
-        if not args.snapshot:
-            raise SystemExit("serve --role follower requires --snapshot "
-                             "(the leader's snapshot anchors the replay)")
         service = None
     elif args.snapshot:
         service = QueryService.from_snapshot(args.snapshot,
                                              **service_kwargs)
     else:
-        if not args.graph:
-            raise SystemExit("serve requires --graph or --snapshot")
         service = QueryService(
             _load_graph(args), _load_grammar(args), backend=args.backend,
             strategy=args.strategy or DEFAULT_STRATEGY,
             single_path=args.single_path,
             semiring=args.semiring, **options,
         )
-    if args.role != "single" and not args.wal:
-        raise SystemExit(f"serve --role {args.role} requires --wal PATH")
     return open_role(args.role, service, snapshot=args.snapshot,
                      wal=args.wal, fsync=args.wal_fsync, **service_kwargs)
 
@@ -522,6 +495,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve JSONL queries/updates over stdio or TCP."""
     from .service.server import serve_stream, serve_tcp
 
+    replicas = _parse_replicas(args.replicas)
+    service = serve_service(args)
     metrics_server = None
     if args.metrics_addr:
         from .obs.export import start_metrics_server
@@ -529,12 +504,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host, port = metrics_server.address
         print(f"metrics on http://{host}:{port}/metrics",
               file=sys.stderr)
-
-    service = serve_service(args)
-    replicas = _parse_replicas(args.replicas)
-    if replicas and args.role != "leader":
-        raise SystemExit("--replicas is a leader feature (the leader "
-                         "fans reads out to its followers)")
     try:
         if args.port is not None:
             serve_tcp(service, host=args.host, port=args.port,

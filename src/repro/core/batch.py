@@ -22,14 +22,13 @@ holds the closure answers its batches by lookup instead
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
-from ..errors import SemanticsError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
+from ..graph.request import Query, read_query
 from ..matrices.base import (
     BooleanMatrix,
     MatrixBackend,
@@ -40,76 +39,17 @@ from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
 
 __all__ = ["BatchQuery", "as_batch_query", "solve_batch"]
 
-#: Batch semantics: ``membership`` answers "is some (source, target)
-#: pair in the relation" as a bool; ``relational`` returns the pairs.
-BATCH_SEMANTICS = ("relational", "membership")
-
-
-@dataclass(frozen=True)
-class BatchQuery:
-    """One query of a batch: ``start`` nonterminal, optional source and
-    target restrictions (node objects), and the answer semantics.
-
-    * ``relational`` — the pairs of the relation restricted to
-      ``sources × targets`` (either side ``None`` = unrestricted).
-    * ``membership`` — ``True`` iff the restricted relation is
-      nonempty; requires both ``sources`` and ``targets``.
-    """
-
-    start: Hashable
-    sources: Optional[frozenset] = None
-    targets: Optional[frozenset] = None
-    semantics: str = "relational"
+#: One query of a batch: ``relational`` reads the relation restricted to
+#: ``sources × targets`` (``None`` = unrestricted), ``membership`` whether
+#: that restriction is nonempty (both sides needed).
+BatchQuery = Query
 
 
 def as_batch_query(spec) -> BatchQuery:
-    """Coerce a :class:`BatchQuery`, mapping, or tuple into the
-    canonical spec (single nodes are promoted to singleton sets)."""
-    if isinstance(spec, BatchQuery):
-        return spec
-    if isinstance(spec, dict):
-        start = spec.get("start")
-        if start is None:
-            raise SemanticsError("batch query needs a 'start' nonterminal")
-        sources = spec.get("sources", spec.get("source"))
-        targets = spec.get("targets", spec.get("target"))
-        semantics = spec.get("semantics", "relational")
-    else:
-        parts = tuple(spec)
-        if not 1 <= len(parts) <= 4:
-            raise SemanticsError(
-                "batch query tuples are (start, sources, targets[, "
-                f"semantics]); got {len(parts)} elements"
-            )
-        start = parts[0]
-        sources = parts[1] if len(parts) > 1 else None
-        targets = parts[2] if len(parts) > 2 else None
-        semantics = parts[3] if len(parts) > 3 else "relational"
-    return BatchQuery(start=start, sources=_node_set(sources),
-                      targets=_node_set(targets), semantics=semantics)
-
-
-def _node_set(value) -> Optional[frozenset]:
-    if value is None:
-        return None
-    if isinstance(value, (frozenset, set, list, tuple)):
-        return frozenset(value)
-    return frozenset((value,))
-
-
-def _validate(query: BatchQuery, grammar: CFG) -> Nonterminal:
-    start = grammar.resolve_nonterminal(query.start)
-    if query.semantics not in BATCH_SEMANTICS:
-        raise SemanticsError(
-            f"unknown batch semantics {query.semantics!r}; expected one "
-            f"of {BATCH_SEMANTICS}"
-        )
-    if query.semantics == "membership" and (query.sources is None
-                                            or query.targets is None):
-        raise SemanticsError(
-            "membership batch queries require both sources and targets"
-        )
-    return start
+    """A :class:`BatchQuery`, mapping or ``[start, source(s),
+    target(s)[, semantics]]`` list, read and checked as a ``query
+    --batch`` line (:func:`repro.graph.request.read_query`)."""
+    return read_query(spec, surface="batch")
 
 
 def _present_ids(graph: LabeledGraph, nodes: Iterable) -> "set[int]":
@@ -134,7 +74,7 @@ def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
     specs = [as_batch_query(query) for query in queries]
     working = ensure_cnf(grammar) if normalize else grammar
     working.require_cnf("the batched CFPQ engine")
-    starts = [_validate(spec, working) for spec in specs]
+    starts = [working.resolve_nonterminal(spec.start) for spec in specs]
     backend_obj = get_backend(backend if backend is not None
                               else default_backend())
     matrices = solve_matrix(graph, working, backend=backend_obj,

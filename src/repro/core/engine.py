@@ -248,7 +248,7 @@ class CFPQEngine:
                     for i, j, path in iter_single_paths(
                         self.single_path_index(), start)}
         if semantics == "all-path":
-            from .path_index import non_negative_int
+            from ..graph.request import non_negative_int
 
             if max_length is None:
                 raise SemanticsError("all-path semantics requires max_length=")

@@ -54,6 +54,7 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
+from ..graph.request import non_negative_int
 from .relations import ContextFreeRelations
 from .semiring import (
     COUNTING_SEMIRING,
@@ -186,14 +187,6 @@ def one_step_derivations(graph: LabeledGraph, grammar: CFG,
 
 #: One binary split of (A, i, j): (left nonterminal, right nonterminal, mid).
 Split = tuple[Nonterminal, Nonterminal, int]
-
-
-def non_negative_int(value, name: str) -> int:
-    """*value* when it is a non-negative ``int`` (a ``bool`` is not);
-    :class:`ValueError` naming *name* otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, not {value!r}")
-    return value
 
 
 class LengthRank:

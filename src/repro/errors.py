@@ -104,8 +104,9 @@ class UnknownStrategyError(EngineError):
         )
 
 
-class SemanticsError(EngineError):
-    """Raised when an unsupported query semantics is requested."""
+class SemanticsError(EngineError, ValueError):
+    """Raised when a query is refused as read: an unknown key or semantics,
+    a bad field, or endpoints its semantics does not take."""
 
 
 class PathNotFoundError(EngineError):

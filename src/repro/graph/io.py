@@ -48,10 +48,6 @@ def coerce_json_node(graph: LabeledGraph, token):
     return twin if graph.has_node(twin) else token
 
 
-def _coerce_node(token: str, integer_nodes: bool) -> Hashable:
-    return node_from_token(token) if integer_nodes else token
-
-
 def dump_graph(graph: LabeledGraph, stream: TextIO) -> None:
     """Write *graph* in edge-list format."""
     for source, label, target in graph.edges():
@@ -68,6 +64,7 @@ def dumps_graph(graph: LabeledGraph) -> str:
 def load_graph(stream: TextIO, integer_nodes: bool = True) -> LabeledGraph:
     """Read an edge-list graph from *stream*."""
     graph = LabeledGraph()
+    node = node_from_token if integer_nodes else (lambda token: token)
     for line_number, raw_line in enumerate(stream, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -78,11 +75,7 @@ def load_graph(stream: TextIO, integer_nodes: bool = True) -> LabeledGraph:
                 "expected 'source label target'", line_number, raw_line
             )
         source, label, target = parts
-        graph.add_edge(
-            _coerce_node(source, integer_nodes),
-            label,
-            _coerce_node(target, integer_nodes),
-        )
+        graph.add_edge(node(source), label, node(target))
     return graph
 
 
@@ -110,6 +103,7 @@ def load_csv_graph(stream: TextIO, source_column: str = "source",
     """Read a graph from CSV with a header row."""
     reader = csv.DictReader(stream)
     graph = LabeledGraph()
+    node = node_from_token if integer_nodes else (lambda token: token)
     for row_number, row in enumerate(reader, start=2):
         try:
             source = row[source_column]
@@ -119,9 +113,5 @@ def load_csv_graph(stream: TextIO, source_column: str = "source",
             raise GraphParseError(
                 f"CSV row missing column {missing}", row_number
             ) from None
-        graph.add_edge(
-            _coerce_node(source, integer_nodes),
-            label,
-            _coerce_node(target, integer_nodes),
-        )
+        graph.add_edge(node(source), label, node(target))
     return graph

@@ -35,12 +35,13 @@ from typing import Callable, Generator, Hashable, Iterable
 
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
-from ..core.path_index import LengthRank, ViterbiRank, non_negative_int
+from ..core.path_index import LengthRank, ViterbiRank
 from ..core.semiring import LENGTH_SEMIRING
 from ..core.single_path import extract_path
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
+from ..graph.request import Query, read_query
 from ..matrices.base import default_backend, get_backend
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from ..obs.trace import get_tracer, stopwatch
@@ -55,9 +56,6 @@ def _cache_requests_counter():
         "Whole-relation cache lookups by outcome",
         ("outcome",),
     )
-
-#: Query semantics the service serves.
-SERVICE_SEMANTICS = ("relational", "single-path", "length")
 
 #: Ranking semirings :meth:`QueryService.top_k` serves: shortest-first
 #: (length) or most-probable-first (viterbi, max-product over per-label
@@ -363,13 +361,16 @@ class QueryService:
         * ``length`` (both endpoints): the minimal witness length, or
           None.
         """
-        return run_inline(self.query_steps(start, source, target, semantics))
+        return run_inline(self.query_steps(read_query(
+            {"start": start, "source": source, "target": target,
+             "semantics": semantics})))
 
     def query_batch(self, queries: Iterable) -> list:
         """Answer many queries in one call.
 
-        Each item is a ``(start, source, target, semantics)`` tuple
-        (trailing elements optional) or a dict with those keys.  The
+        Each item is a server batch item (a ``(start, source, target,
+        semantics)`` tuple, trailing elements optional, or a dict with
+        those keys; :func:`~repro.graph.request.read_query`).  The
         answers come back in input order; an item that fails raises
         nothing — its slot holds the exception instance, so one bad
         query never poisons the batch.
@@ -383,107 +384,81 @@ class QueryService:
     def query_batch_steps(self, queries: Iterable) -> Steps:
         """:meth:`query_batch` as steps: one build per whole relation
         missing from the cache."""
-        items: list = []
-        for query in queries:
-            try:
-                items.append(self._coerce_batch_item(query))
-            except BATCH_ITEM_ERRORS as exc:
-                items.append(exc)
+        queries = list(queries)
         get_registry().histogram(
             "repro_batch_occupancy", "Queries answered per batch call",
             buckets=DEFAULT_SIZE_BUCKETS,
-        ).observe(len(items))
+        ).observe(len(queries))
         results: list = []
-        for item in items:
-            if not isinstance(item, Exception):
-                try:
-                    item = yield from self.query_steps(*item)
-                except BATCH_ITEM_ERRORS as exc:
-                    item = exc
-            results.append(item)
-        self._counts["batch_queries"] += len(items)
+        for query in queries:
+            try:
+                query = read_query(query, self.graph)
+                results.append((yield from self.query_steps(query)))
+            except BATCH_ITEM_ERRORS as exc:
+                results.append(exc)
+        self._counts["batch_queries"] += len(results)
         return results
 
-    @staticmethod
-    def _coerce_batch_item(query) -> tuple:
-        """Normalize one batch item to ``(start, source, target,
-        semantics)``."""
-        if isinstance(query, dict):
-            if "start" not in query:
-                raise SemanticsError("batch query needs a 'start' key")
-            return (query["start"], query.get("source"),
-                    query.get("target"),
-                    query.get("semantics", "relational"))
-        if not isinstance(query, (list, tuple)):
-            raise SemanticsError(
-                "a batch query is a dict or a [start, source, target, "
-                f"semantics] list, not {type(query).__name__}")
-        spec = tuple(query)
-        if not 1 <= len(spec) <= 4:
-            raise SemanticsError(
-                "batch query tuples take 1-4 elements "
-                "(start[, source[, target[, semantics]]])"
-            )
-        return spec + (None, None, "relational")[len(spec) - 1:]
-
-    def query_steps(self, start, source: Hashable = None,
-                    target: Hashable = None,
-                    semantics: str = "relational") -> Steps:
-        """:meth:`query` as steps: only a whole relation missing from
-        the cache yields, its build."""
+    def query_steps(self, query: Query) -> Steps:
+        """The answer to one read :class:`~repro.graph.request.Query`
+        (an ``all-path`` one answers a :meth:`top_k_page`) as steps:
+        only a whole relation missing from the cache yields, its build."""
         self._counts["queries"] += 1
         solver = self.solver
-        start_nt = solver.grammar.resolve_nonterminal(start)
+        start_nt = solver.grammar.resolve_nonterminal(query.start)
         graph = solver.graph
+        semantics = query.semantics
         if semantics == "relational":
-            if source is None and target is None:
-                # The whole relation: cached, or copied out of the fact
-                # maps by the one yielded step, and cached.
-                value = self._relations.get(start_nt)
-                hit = value is not None
-                self._counts["cache_hits" if hit else "cache_misses"] += 1
-                _cache_requests_counter().inc(
-                    outcome="hit" if hit else "miss")
-                if not hit:
-                    value = yield functools.partial(
-                        self.solver.relations().node_pairs, start_nt)
-                    self._relations[start_nt] = value
-                return value
-            if source is None or target is None:
-                raise SemanticsError(
-                    "relational queries take either no endpoints (full "
-                    "relation) or both (membership)"
-                )
-            if not (graph.has_node(source) and graph.has_node(target)):
-                return False
+            # The whole relation: cached, or copied out of the fact
+            # maps by the one yielded step, and cached.
+            value = self._relations.get(start_nt)
+            hit = value is not None
+            self._counts["cache_hits" if hit else "cache_misses"] += 1
+            _cache_requests_counter().inc(outcome="hit" if hit else "miss")
+            if not hit:
+                value = yield functools.partial(
+                    self.solver.relations().node_pairs, start_nt)
+                self._relations[start_nt] = value
+            return value
+        source, target = query.ends
+        present = graph.has_node(source) and graph.has_node(target)
+        if semantics == "all-path":
+            self._counts["top_k_queries"] += 1
+            if not present:
+                return [], query.cursor, True
+            key = (str(start_nt), source, target, query.max_length)
+            stream = self._kbest_cache.get(key)
+            if stream is not None:
+                self._counts["top_k_stream_hits"] += 1
+                self._kbest_cache.move_to_end(key)
+            else:
+                stream = _KBestStream(
+                    tuple((graph.node_at(i), label, graph.node_at(j))
+                          for i, label, j in path)
+                    for path in self._forest.iter_k_best(
+                        start_nt, source, target,
+                        max_length=query.max_length,
+                        rank=self._rank_adapter()))
+                self._kbest_cache[key] = stream
+                while len(self._kbest_cache) > KBEST_STREAMS:
+                    self._kbest_cache.popitem(last=False)
+            return stream.page(query.cursor, query.k)
+        if semantics == "membership":
             # One cell of the live fact maps — nothing is copied.
-            return self._forest.node_exists(
+            return present and self._forest.node_exists(
                 start_nt, graph.node_id(source), graph.node_id(target))
-        if semantics in ("single-path", "length"):
-            if not self.single_path:
-                raise SemanticsError(
-                    f"{semantics!r} queries need a service constructed "
-                    "with single_path=True (length annotations are not "
-                    "being maintained)"
-                )
-            if source is None or target is None:
-                raise SemanticsError(
-                    f"{semantics!r} queries require source and target"
-                )
-            if semantics == "length":
-                if not (graph.has_node(source) and graph.has_node(target)):
-                    return None
-                return solver.length_of(start_nt, source, target)
-            path = extract_path(self._single_path_view, start_nt,
-                                source, target)
-            return tuple(
-                (graph.node_at(i), label, graph.node_at(j))
-                for i, label, j in path
+        if not self.single_path:
+            raise SemanticsError(
+                f"{semantics!r} queries need a service constructed "
+                "with single_path=True (length annotations are not "
+                "being maintained)"
             )
-        raise SemanticsError(
-            f"unknown service semantics {semantics!r}; expected one of "
-            f"{SERVICE_SEMANTICS}"
-        )
+        if semantics == "length":
+            return solver.length_of(start_nt, source, target) \
+                if present else None
+        path = extract_path(self._single_path_view, start_nt, source, target)
+        return tuple((graph.node_at(i), label, graph.node_at(j))
+                     for i, label, j in path)
 
     # ------------------------------------------------------------------
     # k-best paths
@@ -492,17 +467,6 @@ class QueryService:
         if self.semiring == "viterbi":
             return ViterbiRank()
         return LengthRank()
-
-    def _kbest_iterator(self, start_nt: Nonterminal, source, target,
-                        max_length):
-        graph = self.solver.graph
-        for path in self._forest.iter_k_best(start_nt, source, target,
-                                             max_length=max_length,
-                                             rank=self._rank_adapter()):
-            yield tuple(
-                (graph.node_at(i), label, graph.node_at(j))
-                for i, label, j in path
-            )
 
     def top_k(self, start, source: Hashable, target: Hashable, k: int,
               max_length: int | None = None) -> list:
@@ -524,28 +488,9 @@ class QueryService:
         repeated queries) extend one best-first iterator instead of
         re-enumerating.  A tick drops the streams whose start can reach
         a changed non-terminal through the grammar rules."""
-        non_negative_int(k, "k")
-        non_negative_int(cursor, "cursor")
-        if max_length is not None:
-            non_negative_int(max_length, "max_length")
-        solver = self.solver
-        start_nt = solver.grammar.resolve_nonterminal(start)
-        graph = solver.graph
-        self._counts.update(queries=1, top_k_queries=1)
-        if not (graph.has_node(source) and graph.has_node(target)):
-            return [], cursor, True
-        key = (str(start_nt), source, target, max_length)
-        stream = self._kbest_cache.get(key)
-        if stream is not None:
-            self._counts["top_k_stream_hits"] += 1
-            self._kbest_cache.move_to_end(key)
-        else:
-            stream = _KBestStream(self._kbest_iterator(
-                start_nt, source, target, max_length))
-            self._kbest_cache[key] = stream
-            while len(self._kbest_cache) > KBEST_STREAMS:
-                self._kbest_cache.popitem(last=False)
-        return stream.page(cursor, k)
+        return run_inline(self.query_steps(read_query(
+            {"start": start, "source": source, "target": target, "k": k,
+             "cursor": cursor, "max_length": max_length}, surface="top_k")))
 
     # ------------------------------------------------------------------
     # Update ticks

@@ -37,7 +37,8 @@ from ..obs.trace import get_tracer
 from .query_service import QueryService, Steps, TickReport, run_inline
 from .wal import TickLog, TickLogReader, decode_ops, encode_ops
 
-__all__ = ["ReplicatedService", "FollowerService", "open_role"]
+__all__ = ["ReplicatedService", "FollowerService", "check_role",
+           "open_role"]
 
 
 class _ServiceProxy:
@@ -266,6 +267,25 @@ class FollowerService(_ServiceProxy):
         }
 
 
+def check_role(role: str, *, snapshot: "str | None" = None,
+               wal: "str | None" = None, replicas=()) -> None:
+    """Refuse a ``serve --role`` configuration that cannot run, before
+    anything is loaded: every role but ``single`` needs a WAL, a
+    follower needs the leader's snapshot, and only a leader fans reads
+    out to ``replicas``."""
+    if role not in ("single", "leader", "follower"):
+        raise WALError(f"unknown role {role!r}; expected "
+                       "'single', 'leader' or 'follower'")
+    if role != "single" and wal is None:
+        raise WALError(f"role {role!r} requires --wal PATH")
+    if role == "follower" and snapshot is None:
+        raise WALError("role 'follower' requires --snapshot (the "
+                       "leader's snapshot anchors the replay)")
+    if replicas and role != "leader":
+        raise WALError("--replicas is a leader feature (the leader "
+                       "fans reads out to its followers)")
+
+
 def open_role(role: str, service_or_none, *, snapshot: "str | None" = None,
               wal: "str | None" = None, fsync: str = "batch",
               **service_kwargs):
@@ -279,20 +299,13 @@ def open_role(role: str, service_or_none, *, snapshot: "str | None" = None,
       :class:`FollowerService` from *snapshot* + *wal*, caught up to
       the current end of the log.
     """
+    check_role(role, snapshot=snapshot, wal=wal)
     if role == "single":
         return service_or_none
-    if wal is None:
-        raise WALError(f"role {role!r} requires --wal PATH")
     if role == "leader":
         return ReplicatedService.resume(service_or_none,
                                         TickLog(wal, fsync=fsync))
-    if role == "follower":
-        if snapshot is None:
-            raise WALError("role 'follower' requires --snapshot (the "
-                           "leader's snapshot anchors the replay)")
-        follower = FollowerService.from_snapshot(snapshot, wal,
-                                                 **service_kwargs)
-        follower.replay()
-        return follower
-    raise WALError(f"unknown role {role!r}; expected "
-                   "'single', 'leader' or 'follower'")
+    follower = FollowerService.from_snapshot(snapshot, wal,
+                                             **service_kwargs)
+    follower.replay()
+    return follower

@@ -26,6 +26,14 @@ TCP (``repro-cfpq serve --port N``; try it with netcat).  Requests:
     {"op": "ping"}
     {"op": "shutdown"}
 
+``query``/``top_k`` requests and ``batch`` items are read by
+:func:`repro.graph.request.read_query`, the reader ``repro-cfpq query
+--batch`` and ``path``/``paths`` use, so a refusal has one text on every
+surface.  A lone ``source`` and ``target`` ask membership; a key no op
+reads is refused, never dropped (``op`` and ``_rid``, which a fan-out
+leader stamps, are the envelope); ``sources``/``targets`` lists and
+``membership`` are batch-file forms.
+
 Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; with ``--stats`` every response
 also carries a compact ``stats`` object (cache hit rate, tick latency,
@@ -71,6 +79,7 @@ from typing import IO, Iterable
 from ..core.pair_writer import PairWriter, json_node
 from ..errors import ReproError
 from ..graph.io import coerce_json_node
+from ..graph.request import ENVELOPE, check_keys, read_query
 from ..obs.metrics import get_registry, render_prometheus
 from ..obs.trace import Stopwatch, get_tracer, stopwatch
 from .query_service import QueryService, Steps, run_inline
@@ -241,77 +250,47 @@ def _no_endpoints(spec) -> bool:
         value is None for value in spec[1:3])
 
 
-def _int_field(request: dict, key: str, default):
-    """An integer request field, or *default* when absent; ``true``,
-    ``2.5`` and ``"3"`` are refused in-band, never coerced."""
-    value = request.get(key)
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int)):
-        raise ValueError(f"{key!r} must be an integer, not {value!r}")
-    return default if value is None else value
+#: The keys each op other than ``query`` and ``top_k`` (which read the
+#: query language, :mod:`repro.graph.request`) reads besides the envelope.
+_OP_KEYS = {"batch": ("queries",), "update": ("ops", "insert", "delete"),
+            "stats": (), "sync": (), "save": ("path",), "metrics": (),
+            "ping": (), "shutdown": ()}
 
 
 def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
     if op == "query":
-        start = request.get("start")
-        if start is None:
-            raise ValueError("query requires 'start'")
         graph = service.graph
         result = yield from service.query_steps(
-            start,
-            source=coerce_json_node(graph, request.get("source")),
-            target=coerce_json_node(graph, request.get("target")),
-            semantics=request.get("semantics", "relational"),
-        )
+            read_query(request, graph, envelope=ENVELOPE))
         if isinstance(result, frozenset):  # sorting it is the cost
             return (yield lambda: _jsonable_result(result,
                                                    PairWriter(graph)))
         return _jsonable_result(result)
+    if op == "top_k":
+        query = read_query(request, service.graph, "top_k", ENVELOPE)
+        if query.cursor + query.k > MAX_TOP_K_RANK:
+            raise ValueError(
+                f"top_k pages end at rank {MAX_TOP_K_RANK}; cursor + k "
+                f"is {query.cursor + query.k}")
+        paths, next_cursor, exhausted = yield from service.query_steps(query)
+        return {"paths": [_jsonable_result(path) for path in paths],
+                "next_cursor": next_cursor, "exhausted": exhausted}
+    if op not in _OP_KEYS:
+        raise ValueError(
+            f"unknown op {op!r}; expected query/batch/top_k/update/stats/"
+            "sync/save/metrics/ping/shutdown"
+        )
+    check_keys(request, _OP_KEYS[op], op, ENVELOPE)
     if op == "batch":
         queries = request.get("queries")
         if not isinstance(queries, list):
             raise ValueError("batch requires a 'queries' list")
-        graph = service.graph
-        items: list = []
-        for spec in queries:
-            if isinstance(spec, dict):
-                spec = dict(spec)
-                spec["source"] = coerce_json_node(graph, spec.get("source"))
-                spec["target"] = coerce_json_node(graph, spec.get("target"))
-            elif isinstance(spec, list):
-                # [start, source, target, semantics]: coerce the nodes.
-                spec = [coerce_json_node(graph, value) if position in (1, 2)
-                        else value for position, value in enumerate(spec)]
-            items.append(spec)
-        answers = yield from service.query_batch_steps(items)
-        envelopes = functools.partial(_batch_envelopes, graph, answers)
+        answers = yield from service.query_batch_steps(queries)
+        envelopes = functools.partial(_batch_envelopes, service.graph,
+                                      answers)
         if any(isinstance(answer, frozenset) for answer in answers):
             return (yield envelopes)  # sorting the relations is the cost
         return envelopes()
-    if op == "top_k":
-        start = request.get("start")
-        if start is None:
-            raise ValueError("top_k requires 'start'")
-        graph = service.graph
-        source = coerce_json_node(graph, request.get("source"))
-        target = coerce_json_node(graph, request.get("target"))
-        if source is None or target is None:
-            raise ValueError("top_k requires 'source' and 'target'")
-        k, cursor = _int_field(request, "k", 1), \
-            _int_field(request, "cursor", 0)
-        if cursor + k > MAX_TOP_K_RANK:
-            raise ValueError(
-                f"top_k pages end at rank {MAX_TOP_K_RANK}; cursor + k "
-                f"is {cursor + k}")
-        paths, next_cursor, exhausted = service.top_k_page(
-            start, source, target, k, cursor=cursor,
-            max_length=_int_field(request, "max_length", None),
-        )
-        return {
-            "paths": [_jsonable_result(path) for path in paths],
-            "next_cursor": next_cursor,
-            "exhausted": exhausted,
-        }
     if op == "update":
         graph = service.graph
         ops = [
@@ -345,14 +324,7 @@ def _dispatch(service: QueryService, op: str, request: dict) -> Steps:
                 "bytes": (yield from service.save_snapshot_steps(path))}
     if op == "metrics":
         return {"format": "prometheus", "text": render_prometheus()}
-    if op == "ping":
-        return "pong"
-    if op == "shutdown":
-        return "bye"
-    raise ValueError(
-        f"unknown op {op!r}; expected query/batch/top_k/update/stats/"
-        "sync/save/metrics/ping/shutdown"
-    )
+    return "pong" if op == "ping" else "bye"
 
 
 def _batch_envelopes(graph, answers: list) -> list:

@@ -301,10 +301,14 @@ class TestAsBatchQuery:
         assert query.targets == frozenset((3,))
 
     def test_tuple_spec(self):
-        query = as_batch_query(("S", 1, None))
+        """A list in an endpoint position is that side's node list; one
+        node alone is a point query, which needs both endpoints."""
+        query = as_batch_query(("S", [1], None))
         assert str(query.start) == "S"
         assert query.sources == frozenset((1,))
         assert query.targets is None
+        with pytest.raises(SemanticsError, match="both"):
+            as_batch_query(("S", 1, None))
 
     def test_missing_start_rejected(self):
         with pytest.raises(SemanticsError):

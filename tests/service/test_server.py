@@ -236,8 +236,9 @@ class TestTopKOp:
                 field: value,
             })
             assert response["ok"] is False, (field, value)
-            assert response["error_type"] == "ValueError"
-            assert "must be an integer" in response["error"]
+            assert response["error_type"] == "SemanticsError"
+            assert response["error"] == \
+                f"{field} must be a non-negative int, not {value!r}"
 
     def test_pages_past_the_rank_limit_are_refused(self, topk_service):
         from repro.service.server import MAX_TOP_K_RANK

@@ -133,15 +133,17 @@ class TestPathCommand:
                              ids=lambda flag: " ".join(flag))
     def test_negative_bound_is_an_error(self, chain_file, capsys, flag):
         """A negative bound is refused with one ``error:`` line, not
-        answered with an empty list."""
+        answered with an empty list, in the wire's text: the flag is
+        read as the query key it sets."""
         code = main(["paths", "--graph", chain_file, "--grammar-name",
                      "dyck1", "--source", "0", "--target", "4", "--json",
                      *flag])
         captured = capsys.readouterr()
+        key = {"--max-length": "max_length", "--top-k": "k"}[flag[0]]
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: {flag[0]} must be non-negative, not {flag[1]}"]
+            f"error: {key} must be a non-negative int, not {flag[1]}"]
 
     @pytest.mark.parametrize("top_k", [(), ("--top-k", "2")])
     def test_zero_max_length_answers_nothing(self, chain_file, capsys,
@@ -336,6 +338,34 @@ class TestSizeFlags:
                      "--memory-budget", "64K", "--json", "--stats"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["blocked"]["budget_bytes"] == 64 * 1024
+
+
+class TestServeFlags:
+    """A ``serve`` flag combination that cannot run is refused with one
+    ``error:`` line before anything is loaded: the graph file here does
+    not exist, and the refusal names the flags, not the file."""
+
+    @pytest.mark.parametrize(("flags", "error"), [
+        (("--role", "leader"), "role 'leader' requires --wal PATH"),
+        (("--role", "follower", "--wal", "index.wal"),
+         "role 'follower' requires --snapshot (the leader's snapshot "
+         "anchors the replay)"),
+        (("--replicas", "127.0.0.1:7412"),
+         "--replicas is a leader feature (the leader fans reads out to "
+         "its followers)"),
+        (("--role", "follower", "--replicas", "127.0.0.1:7412",
+          "--wal", "index.wal", "--snapshot", "index.snapshot"),
+         "--replicas is a leader feature (the leader fans reads out to "
+         "its followers)"),
+    ], ids=["leader-without-wal", "follower-without-snapshot",
+            "replicas-without-leader", "follower-with-replicas"])
+    def test_refused_before_loading(self, tmp_path, capsys, flags, error):
+        code = main(["serve", "--graph", str(tmp_path / "missing.txt"),
+                     "--grammar-name", "dyck1", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
 
 
 class TestTablesCommand:

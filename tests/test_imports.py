@@ -69,7 +69,8 @@ class TestCommandImports:
     HEAVY = ("numpy", "scipy", "asyncio", "repro.service")
 
     def test_import_cli_loads_no_backend_or_service(self):
-        assert _loaded(_modules_after("import repro.cli"), *self.HEAVY) == []
+        assert _loaded(_modules_after("import repro.cli"), *self.HEAVY,
+                       "repro.graph.request") == []
 
     def test_help_loads_no_backend_or_service(self):
         assert _loaded(_modules_after_cli("--help"), *self.HEAVY) == []
@@ -116,12 +117,12 @@ class TestCommandImports:
 
     def test_query_batch_loads_no_service(self, graph_file, tmp_path):
         batch = tmp_path / "batch.jsonl"
-        batch.write_text('{"source": "0", "target": 4}\n{"source": 1}\n',
+        batch.write_text('{"source": "0", "target": 4}\n{"sources": [1]}\n',
                          encoding="utf-8")
         modules = _modules_after_cli(
             "query", "--graph", graph_file, "--grammar-name", "dyck1",
             "--batch", str(batch), "--json")
-        assert "repro.core.batch" in modules
+        assert {"repro.core.batch", "repro.graph.request"} <= modules
         assert _loaded(modules, "repro.service") == []
 
     def test_query_service_loads_no_batch_closure(self):
