@@ -38,7 +38,7 @@ import sys
 from .core.closure import available_strategies
 from .core.engine import CFPQEngine
 from .core.matrix_cfpq import DEFAULT_STRATEGY
-from .errors import EngineError, ReproError
+from .errors import EngineError, ReproError, SemanticsError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
 from .graph.io import load_graph_file
@@ -270,11 +270,15 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args)
     specs, queries = [], []
     with open(args.batch, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            spec = json.loads(line)
+            try:
+                spec = json.loads(line)
+            except ValueError as error:
+                raise SemanticsError(f"{args.batch} line {number}: "
+                                     f"bad JSON: {error}") from None
             if isinstance(spec, dict):
                 spec.setdefault("start", args.start)
             specs.append(spec)

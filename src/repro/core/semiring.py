@@ -1,70 +1,49 @@
 """Semiring-generalized closure: one engine, several annotations.
 
-The paper computes its relational (Algorithm 1) and single-path
-(Section 5: cells annotated with a path length) answers with two
-bespoke fixpoint loops.  Both — and the weighted variants — are the
-*same* least fixpoint
+The paper's relational (Algorithm 1) and single-path (Section 5: cells
+annotated with a path length) answers — and the weighted variants — are
+the *same* least fixpoint
 
     M_A  ←  M_A ⊕ (M_B ⊗ M_C)        for every pair rule A → B C
 
-over different annotation **semirings** — the shape the GraphBLAS line
-of CFPQ work (Azimov et al.'s later Kronecker/matrix engines, GraphBLAS
-CFPQ) makes explicit.  (The all-path answer of Section 7 needs no
-annotation at all: its forest is a view of the boolean fixpoint,
+over different annotation **semirings**, the shape the GraphBLAS line
+of CFPQ work makes explicit.  (The all-path answer of Section 7 needs
+no annotation: its forest is a view of the boolean fixpoint,
 :mod:`repro.core.path_index`.)  This module supplies:
 
-* :class:`Semiring` — the annotation algebra: ``identity`` (the seed a
-  terminal edge contributes), ``empty_path`` (the seed of a nullable
-  diagonal cell), ``multiply`` (⊗ — combine a left and a right
-  sub-derivation) and ``add`` (⊕ — fold competing candidates for one
-  cell).  A product landing on an occupied cell is folded by ⊕ too;
-  the cell re-enters the frontier iff the fold moved it.
-* :class:`BooleanSemiring` — relational semantics (presence only).
-* :class:`LengthSemiring` — single-path semantics.  ⊕ = min is the
-  canonical, confluent form of the paper's never-update rule: a
-  strictly *shorter* candidate replaces the recorded length and
-  re-enters the frontier.  Every strategy (naive / delta / blocked)
-  then converges to the identical least fixpoint — the minimal witness
-  length per cell — instead of an iteration-order-dependent one, which
-  is what makes the cross-strategy differential tests byte-for-byte
-  exact.  Recorded lengths remain exactly what Theorem 5 needs: each
-  admits a concrete path recoverable by the midpoint search of
-  :func:`repro.core.single_path.extract_path`.
-* :class:`CountingSemiring` / :class:`ViterbiSemiring` — weighted
-  relational semantics: saturating derivation counts and max-product
-  probabilities.
-* :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the adapter
-  implementing the mutable kernel API (``union_update`` /
-  ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
-  :func:`repro.core.closure.run_closure` — including the ``delta`` and
-  ``blocked`` strategies — runs unchanged on every semiring whose ⊕ is
-  idempotent.  Every semiring here annotates a cell with one machine
-  scalar and declares it (``array_ops``), so its cells live in the
-  array layout of :mod:`repro.core.scalar_matrix` when NumPy imports;
-  the dict-of-cells :class:`AnnotatedMatrix` is the NumPy-less layout
-  (and the one for semirings without ``array_ops`` and counting caps
-  too large for int64), and the differential oracle of the array
-  layout.
+* :class:`Semiring` — ``identity`` (a terminal edge's seed),
+  ``empty_path`` (a nullable diagonal cell's seed), ⊗ ``multiply`` and
+  ⊕ ``add``; a product landing on an occupied cell is ⊕-folded, and
+  the cell re-enters the frontier iff the fold moved it.  Boolean
+  (presence), length (single-path; ⊕ = min), counting (saturating
+  counts) and Viterbi (max-product) semirings.
+* :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the kernel
+  API over annotated cells, so :func:`repro.core.closure.run_closure`
+  and every strategy run unchanged on a semiring whose ⊕ is
+  idempotent.  One rule, :func:`annotated_layout`, puts each closure
+  on one layout: the NumPy arrays of :mod:`repro.core.scalar_matrix`
+  for a semiring that declares ``array_ops`` when NumPy is already
+  loaded, a closure already ran in this process or the graph is large;
+  otherwise the pure-Python row map :class:`AnnotatedMatrix`, which
+  then leaves NumPy unloaded.
 * :func:`kleene_closure` — the one loop for a semiring whose ⊕ is *not*
-  idempotent (:attr:`Semiring.idempotent_add`; counting's saturating
-  +), written against the same ``multiply`` / ``union_update`` kernels
-  of either layout.
+  idempotent (counting's saturating +), on the same kernels.
 
 Termination: ⊕ must move a cell monotonically w.r.t. a well-founded
-order (boolean: never; length: non-negative integers decrease; Viterbi:
-probabilities ascend through a finite set), so every strategy's
-worklist drains; the Kleene loop climbs a finite lattice (counts
-saturate at the cap).  A pump cycle still costs it O(cap) rounds — each
-as cheap as the handful of cells still moving.
+order (length decreases over non-negative integers; Viterbi ascends
+through a finite set), so every worklist drains; the Kleene loop climbs
+a finite lattice (counts saturate at the cap), at O(cap) rounds for a
+pump cycle — each as cheap as the cells still moving.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from ..matrices.base import BooleanMatrix, MatrixBackend, Pair
+from ..matrices.base import BooleanMatrix, MatrixBackend, Pair, row_map_csr
 
 
 class Semiring(abc.ABC):
@@ -90,9 +69,8 @@ class Semiring(abc.ABC):
     #: machine scalars and ``multiply``/``add`` are exactly those
     #: ufuncs; a saturating semiring appends its cap as a fourth element
     #: and every ⊗/⊕ result is clipped to it.  Declaring it lets
-    #: :class:`AnnotatedBackend` store the cells in arrays
-    #: (:mod:`repro.core.scalar_matrix`); a subclass that changes the
-    #: algebra must reset it to None.
+    #: :func:`annotated_layout` put the cells in arrays; a subclass that
+    #: changes the algebra must reset it to None.
     array_ops: "tuple | None" = None
 
     @abc.abstractmethod
@@ -166,15 +144,16 @@ class LengthSemiring(Semiring):
 
 
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
-#: purpose: saturating a pump cycle costs O(cap) Kleene rounds (see the
-#: class docstring), so a huge default turns cyclic graphs into
-#: effective hangs.
+#: purpose: a pump cycle routed through a count-1 cell grows a count by
+#: a constant per round, so saturating it costs O(cap) Kleene rounds and
+#: a huge default turns cyclic graphs into effective hangs.  Pass a
+#: larger cap when exact counts matter more than cyclic-graph wall time.
 DEFAULT_COUNTING_CAP = 1 << 10
 
 #: Largest cap the int64 array layout takes.  A product cell sums, over
 #: at most 2³¹ midpoints (the flat ``i·n + j`` cell keys are int64 too),
 #: products of two counts ≤ cap before it is clipped: 2³¹ · (2¹⁵)² = 2⁶¹
-#: cannot wrap.  Larger caps count on Python ints in the dict layout.
+#: cannot wrap.  Larger caps count on Python ints in the row layout.
 _MAX_ARRAY_COUNTING_CAP = 1 << 15
 
 
@@ -191,12 +170,6 @@ class CountingSemiring(Semiring):
     cyclic forests (infinitely many derivations) terminating.  Counts
     below the cap are exact; a cell at the cap reads as "≥ cap" — its
     true count is unbounded or astronomically large.
-
-    The default cap is deliberately small: a pump cycle routed through a
-    count-1 cell grows a count by a *constant* per round, so saturating
-    a cyclic forest costs O(cap) rounds in the worst case.  Pass a
-    larger ``cap`` when exact counts matter more than cyclic-graph wall
-    time.
     """
 
     idempotent_add = False
@@ -239,18 +212,12 @@ class ViterbiSemiring(Semiring):
 
     Terminal edges carry per-label weights in ``(0, 1]`` (the
     ``weights`` mapping, ``default_weight`` for unlisted labels); ⊗
-    multiplies sub-derivation probabilities and ⊕ keeps the maximum,
-    reusing the length semiring's refinement re-entry: a strictly more
-    probable candidate replaces the recorded value and re-enters the
-    frontier, so the fixpoint is the best derivation probability per
-    cell — identical across strategies and backends
-    (each derivation's value is fixed by its own tree shape, and max
-    picks from the same candidate set everywhere).
-
-    Termination mirrors min-plus shortest paths: weights ≤ 1 mean
-    pumping a cycle can never *strictly* improve a derivation, so the
-    maximum is attained by a cycle-free derivation and refinements
-    strictly ascend through a finite value set.
+    multiplies sub-derivation probabilities and ⊕ keeps the maximum, so
+    a strictly more probable candidate re-enters the frontier (as a
+    shorter length does) and the fixpoint is the best derivation
+    probability per cell on every strategy and layout.  Weights ≤ 1
+    mean pumping a cycle never *strictly* improves a derivation, so
+    refinements ascend through a finite value set and terminate.
     """
 
     name = "viterbi"
@@ -325,35 +292,40 @@ def get_semiring(name: str) -> Semiring:
 
 
 class AnnotatedMatrix(BooleanMatrix):
-    """A boolean matrix whose True cells carry semiring annotations.
+    """A boolean matrix whose True cells carry semiring annotations,
+    kept as one row map ``{i: {j: annotation}}`` (no empty rows, no
+    row shared with another matrix).
 
     Implements the full mutable kernel API of
     :class:`repro.matrices.base.BooleanMatrix`, so the closure engine
-    cannot tell it apart from a plain boolean backend; ``multiply`` runs
-    the semiring ⊗/⊕ instead of ∧/∨ and ``union_update`` folds each
-    incoming cell into the held one with ⊕.
+    cannot tell it apart from a plain boolean backend; ``multiply``
+    joins each left row against the right rows with the semiring ⊗ and
+    ⊕-folds per target, and ``union_update`` folds each incoming row
+    into the held one with ⊕.
     """
 
-    __slots__ = ("semiring", "_shape", "_cells", "_rows_index")
+    __slots__ = ("semiring", "_shape", "_rows")
 
     backend_name = "annotated"
 
     def __init__(self, semiring: Semiring, shape: tuple[int, int],
                  cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]" = ()):
+        if isinstance(cells, Mapping):
+            cells = ((i, j, value) for (i, j), value in cells.items())
         self.semiring = semiring
         self._shape = shape
-        if isinstance(cells, Mapping):
-            cell_map = dict(cells)
-        else:
-            cell_map = {(i, j): value for i, j, value in cells}
-        for i, j in cell_map:
+        self._rows: dict[int, dict[int, object]] = {}
+        for i, j, value in cells:
             if not (0 <= i < shape[0] and 0 <= j < shape[1]):
                 raise ValueError(f"cell {(i, j)} outside shape {shape}")
-        self._cells = cell_map
-        rows_index: dict[int, set[int]] = {}
-        for i, j in cell_map:
-            rows_index.setdefault(i, set()).add(j)
-        self._rows_index = rows_index
+            self._rows.setdefault(i, {})[j] = value
+
+    def _like(self, rows: dict, shape=None) -> "AnnotatedMatrix":
+        """A matrix adopting *rows* (no row of which may be shared)."""
+        matrix = AnnotatedMatrix(self.semiring,
+                                 self._shape if shape is None else shape)
+        matrix._rows = rows
+        return matrix
 
     # -- shape / element access -------------------------------------------
     @property
@@ -361,51 +333,64 @@ class AnnotatedMatrix(BooleanMatrix):
         return self._shape
 
     def __getitem__(self, index: Pair) -> bool:
-        return index in self._cells
+        return index[1] in self._rows.get(index[0], ())
 
     def value_at(self, i: int, j: int):
         """The annotation at (i, j), or None when the cell is False."""
-        return self._cells.get((i, j))
+        return self._rows.get(i, {}).get(j)
+
+    def columns(self) -> tuple[list[int], list[int], list]:
+        """All True cells as parallel ``(i, j, annotation)`` lists, in
+        ``(i, j)`` order, as the array layout's."""
+        rows: list[int] = []
+        cols: list[int] = []
+        values: list = []
+        for i in sorted(self._rows):
+            row = self._rows[i]
+            targets = sorted(row)
+            rows += [i] * len(targets)
+            cols += targets
+            values += map(row.__getitem__, targets)
+        return rows, cols, values
 
     def nonzero_pairs(self) -> Iterator[Pair]:
-        return iter(self._cells)
+        rows, cols, _values = self.columns()
+        return zip(rows, cols)
 
     def nonzero_cells(self) -> Iterator[tuple[int, int, object]]:
         """Iterate ``(i, j, annotation)`` over all True cells."""
-        for (i, j), value in self._cells.items():
-            yield (i, j, value)
+        return zip(*self.columns())
 
-    def columns(self) -> tuple[list[int], list[int], list]:
-        """All True cells as parallel ``(i, j, annotation)`` lists."""
-        return ([i for i, _j in self._cells], [j for _i, j in self._cells],
-                list(self._cells.values()))
+    def row_major(self) -> tuple:
+        return row_map_csr(self._rows, self._shape[0])
 
     def nnz(self) -> int:
-        return len(self._cells)
+        return sum(map(len, self._rows.values()))
 
     def copy(self) -> "AnnotatedMatrix":
-        return AnnotatedMatrix(self.semiring, self._shape, self._cells)
+        return self._like({i: dict(row) for i, row in self._rows.items()})
 
     # -- algebra ----------------------------------------------------------
     def multiply(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         self._require_chainable(other)
-        semiring = self.semiring
-        other_cells, other_rows = _cells_of(other, semiring)
-        out: dict[Pair, object] = {}
-        for i, ks in self._rows_index.items():
-            for k in ks:
-                row = other_rows.get(k)
-                if not row:
+        times, plus = self.semiring.multiply, self.semiring.add
+        right_rows = _rows_of(other, self.semiring)
+        out: dict[int, dict[int, object]] = {}
+        for i, row in self._rows.items():
+            target: dict[int, object] = {}
+            for k, left_value in row.items():
+                right_row = right_rows.get(k)
+                if right_row is None:
                     continue
-                left_value = self._cells[(i, k)]
-                for j in row:
-                    candidate = semiring.multiply(left_value,
-                                                  other_cells[(k, j)])
-                    current = out.get((i, j))
-                    out[(i, j)] = (candidate if current is None
-                                   else semiring.add(current, candidate))
-        return AnnotatedMatrix(semiring, (self._shape[0], other.shape[1]),
-                               out)
+                for j, right_value in right_row.items():
+                    candidate = times(left_value, right_value)
+                    if j in target:
+                        target[j] = plus(target[j], candidate)
+                    else:
+                        target[j] = candidate
+            if target:
+                out[i] = target
+        return self._like(out, (self._shape[0], other.shape[1]))
 
     def union(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         merged = self.copy()
@@ -413,60 +398,61 @@ class AnnotatedMatrix(BooleanMatrix):
         return merged
 
     def transpose(self) -> "AnnotatedMatrix":
-        return AnnotatedMatrix(
-            self.semiring, (self._shape[1], self._shape[0]),
-            {(j, i): value for (i, j), value in self._cells.items()},
-        )
+        return AnnotatedMatrix(self.semiring, self._shape[::-1], (
+            (j, i, value) for i, j, value in self.nonzero_cells()))
 
     # -- mutable kernels --------------------------------------------------
     def difference(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         self._require_same_shape(other)
-        other_pairs = set(other.nonzero_pairs())
-        return AnnotatedMatrix(
-            self.semiring, self._shape,
-            {pair: value for pair, value in self._cells.items()
-             if pair not in other_pairs},
-        )
+        other_rows = _rows_of(other, self.semiring)
+        return AnnotatedMatrix(self.semiring, self._shape, (
+            (i, j, value) for i, j, value in self.nonzero_cells()
+            if j not in other_rows.get(i, ())))
 
     def union_update(self, other: BooleanMatrix) -> "AnnotatedMatrix":
-        """In-place ⊕-merge; the returned delta holds every new cell and
-        every cell ⊕ moved (``⊕(held, incoming) != held``), with the
-        merged value, so refinements re-enter the semi-naive
-        frontier."""
+        """In-place ⊕-merge, row by row; the returned delta holds every
+        new cell and every cell ⊕ moved (``⊕(held, incoming) !=
+        held``), with the merged value, so refinements re-enter the
+        semi-naive frontier."""
         self._require_same_shape(other)
         add = self.semiring.add
-        other_cells, _rows = _cells_of(other, self.semiring)
-        delta: dict[Pair, object] = {}
-        for pair, incoming in other_cells.items():
-            existing = self._cells.get(pair)
-            if existing is None:
-                self._cells[pair] = delta[pair] = incoming
-                self._rows_index.setdefault(pair[0], set()).add(pair[1])
-            else:
-                merged = add(existing, incoming)
-                if merged != existing:
-                    self._cells[pair] = delta[pair] = merged
-        return AnnotatedMatrix(self.semiring, self._shape, delta)
+        delta: dict[int, dict[int, object]] = {}
+        for i, incoming_row in _rows_of(other, self.semiring).items():
+            held = self._rows.get(i)
+            if held is None:
+                self._rows[i] = dict(incoming_row)
+                delta[i] = dict(incoming_row)
+                continue
+            moved: dict[int, object] = {}
+            for j, incoming in incoming_row.items():
+                existing = held.get(j)
+                if existing is None:
+                    held[j] = moved[j] = incoming
+                else:
+                    merged = add(existing, incoming)
+                    if merged != existing:
+                        held[j] = moved[j] = merged
+            if moved:
+                delta[i] = moved
+        return self._like(delta)
 
     # -- tiling and payloads ----------------------------------------------
     def payload(self) -> tuple:
         """The tile as a plain tuple: the semiring name, the shape and
-        the cells (four fields; the array layout's payload has five)."""
+        the ``((i, j), annotation)`` cells (the array layout has five)."""
         return ("annotated", self.semiring.name, self._shape,
-                tuple(self._cells.items()))
+                tuple(((i, j), value) for i, j, value in self.nonzero_cells()))
 
     def split_tiles(self, tile_size: int,
                     ) -> dict[tuple[int, int], "AnnotatedMatrix"]:
         """Partition into ceil(n / tile_size)² padded tiles that keep
         their annotations."""
-        n = self._shape[0]
-        grid = (n + tile_size - 1) // tile_size
-        buckets: dict[tuple[int, int], dict[Pair, object]] = {
-            (bi, bj): {} for bi in range(grid) for bj in range(grid)
-        }
-        for (i, j), value in self._cells.items():
-            buckets[(i // tile_size, j // tile_size)][
-                (i % tile_size, j % tile_size)] = value
+        grid = (self._shape[0] + tile_size - 1) // tile_size
+        buckets: dict[tuple[int, int], list] = {
+            (bi, bj): [] for bi in range(grid) for bj in range(grid)}
+        for i, j, value in self.nonzero_cells():
+            buckets[(i // tile_size, j // tile_size)].append(
+                (i % tile_size, j % tile_size, value))
         shape = (tile_size, tile_size)
         return {index: AnnotatedMatrix(self.semiring, shape, cells)
                 for index, cells in buckets.items()}
@@ -476,30 +462,24 @@ class AnnotatedMatrix(BooleanMatrix):
                  ) -> "AnnotatedMatrix":
         """Inverse of :meth:`split_tiles` over a one-shot iterable of
         ``((bi, bj), tile)`` (drops the padding)."""
-        cells: dict[Pair, object] = {}
+        cells: list = []
         for (bi, bj), tile in items:
             base_i, base_j = bi * tile_size, bj * tile_size
-            tile_cells, _rows = _cells_of(tile, semiring)
-            for (ti, tj), value in tile_cells.items():
-                i, j = base_i + ti, base_j + tj
-                if i < size and j < size:
-                    cells[(i, j)] = value
+            cells.extend(
+                (base_i + ti, base_j + tj, value)
+                for ti, tj, value in _annotated_cells(tile, semiring)
+                if base_i + ti < size and base_j + tj < size)
         return cls(semiring, (size, size), cells)
 
 
-def _cells_of(matrix: BooleanMatrix, semiring: Semiring,
-              ) -> tuple[dict[Pair, object], dict[int, set[int]]]:
-    """The (cells, rows-index) view of any operand matrix.
-
-    Operands of another layout are lifted: annotated cells keep their
-    values, plain boolean cells (interoperability with the relational
-    backends) take the semiring identity.
-    """
+def _rows_of(matrix: BooleanMatrix, semiring: Semiring) -> dict:
+    """The ``{i: {j: annotation}}`` row map of any operand (read only);
+    another layout's cells are lifted, a plain boolean cell (from a
+    relational backend) taking the semiring identity."""
     if isinstance(matrix, AnnotatedMatrix):
-        return matrix._cells, matrix._rows_index
-    lifted = AnnotatedMatrix(semiring, matrix.shape,
-                             _annotated_cells(matrix, semiring))
-    return lifted._cells, lifted._rows_index
+        return matrix._rows
+    return AnnotatedMatrix(semiring, matrix.shape,
+                           _annotated_cells(matrix, semiring))._rows
 
 
 def _annotated_cells(matrix: BooleanMatrix, semiring: Semiring):
@@ -513,7 +493,7 @@ def _annotated_cells(matrix: BooleanMatrix, semiring: Semiring):
 
 def __getattr__(name: str):
     """``ScalarAnnotatedMatrix`` imports NumPy, so it loads on first use:
-    None when NumPy is missing (every semiring then takes the dict
+    None when NumPy is missing (every semiring then takes the row
     layout)."""
     if name != "ScalarAnnotatedMatrix":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -527,42 +507,55 @@ def __getattr__(name: str):
 
 def _array_layout():
     """The array layout class, or None (see :func:`__getattr__`)."""
-    name = "ScalarAnnotatedMatrix"  # in globals once loaded or patched
-    return globals()[name] if name in globals() else __getattr__(name)
+    return getattr(sys.modules[__name__], "ScalarAnnotatedMatrix")
+
+
+#: Edges above which a first closure is worth NumPy's import: first-call
+#: length closures of funding · Q1 copies, rows against import + arrays,
+#: ×4 (8 688 edges) 0.25 against 0.27 s, ×6 (13 032) 0.36 against 0.31 s.
+ARRAY_LAYOUT_EDGES = 10_000
+
+#: Set by a process's first :func:`solve_annotated`: later ones take arrays.
+_closed_before = False
+
+
+def annotated_layout(semiring: Semiring, edge_count: int = 0) -> type:
+    """The one layout rule: the matrix class of *semiring*'s cells in a
+    closure over *edge_count* graph edges (0 outside a closure).  A
+    semiring with ``array_ops`` takes the NumPy arrays of
+    :mod:`repro.core.scalar_matrix` when NumPy is already loaded, a
+    closure already ran in this process or the graph has more than
+    :data:`ARRAY_LAYOUT_EDGES` edges — and NumPy imports.  Everything
+    else takes the row map :class:`AnnotatedMatrix`."""
+    if semiring.array_ops and ("numpy" in sys.modules or _closed_before
+                               or edge_count > ARRAY_LAYOUT_EDGES):
+        return _array_layout() or AnnotatedMatrix
+    return AnnotatedMatrix
 
 
 class AnnotatedBackend(MatrixBackend):
-    """Factory adapting one :class:`Semiring` to the kernel API.
+    """Factory adapting one :class:`Semiring` to the kernel API, which
+    ``run_closure`` treats exactly like the boolean backends (the tiling
+    hooks keep annotations).  Its matrices take the layout
+    :func:`annotated_layout` picks for *edge_count* when it is built, so
+    every matrix of one closure has one layout (operands of another are
+    lifted)."""
 
-    ``run_closure`` treats this exactly like the boolean backends; the
-    tiling hooks preserve annotations so the ``blocked`` strategy closes
-    the same cells.
-
-    The cell layout follows from what the backend can observe: a
-    semiring that declares ``array_ops`` runs on
-    :class:`repro.core.scalar_matrix.ScalarAnnotatedMatrix` when NumPy
-    imports, everything else on the dict-of-cells
-    :class:`AnnotatedMatrix`.
-    """
-
-    def __init__(self, semiring: Semiring):
+    def __init__(self, semiring: Semiring, edge_count: int = 0):
         self.semiring = semiring
         self.name = f"annotated[{semiring.name}]"
-        self.matrix_type = (
-            semiring.array_ops and _array_layout()) or AnnotatedMatrix
+        self.matrix_type = annotated_layout(semiring, edge_count)
 
     def zeros(self, rows: int, cols: int | None = None) -> BooleanMatrix:
-        return self.matrix_type(
-            self.semiring, (rows, cols if cols is not None else rows)
-        )
+        return self.matrix_type(self.semiring,
+                                (rows, rows if cols is None else cols))
 
     def from_pairs(self, size: int, pairs: Iterable[Pair],
                    cols: int | None = None) -> BooleanMatrix:
         unit = self.semiring.identity()
-        return self.matrix_type(
-            self.semiring, (size, cols if cols is not None else size),
-            {(i, j): unit for i, j in pairs},
-        )
+        return self.matrix_type(self.semiring,
+                                (size, size if cols is None else cols),
+                                {(i, j): unit for i, j in pairs})
 
     def from_cells(self, shape: tuple[int, int],
                    cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]",
@@ -602,20 +595,20 @@ class AnnotatedBackend(MatrixBackend):
     def tile_from_payload(self, payload: tuple) -> BooleanMatrix:
         return annotated_tile_from_payload(payload)
 
-    def matrix_nbytes(self, matrix: BooleanMatrix) -> int:
-        """The array layout's measured bytes; dict cells are entries
+    @staticmethod
+    def matrix_nbytes(matrix: BooleanMatrix) -> int:
+        """The array layout's measured bytes; row-map cells are entries
         carrying boxed values, budgeted by a generous per-cell guess."""
         return getattr(matrix, "nbytes", 112 + 200 * matrix.nnz())
 
 
 def annotated_tile_from_payload(payload: tuple) -> BooleanMatrix:
     """Rebuild an annotated tile from its :meth:`AnnotatedBackend.tile_payload`
-    (five fields: array layout; four: dict layout)."""
+    (five fields: array layout; four: row layout)."""
     semiring = get_semiring(payload[1])
     if len(payload) == 5:
         return _array_layout().from_arrays(semiring, *payload[2:])
-    _kind, _name, shape, cells = payload
-    return AnnotatedMatrix(semiring, shape, dict(cells))
+    return AnnotatedMatrix(semiring, payload[2], dict(payload[3]))
 
 
 @dataclass
@@ -649,13 +642,16 @@ def merged_cells(matrices: Mapping) -> dict[tuple[int, int], dict]:
 
 
 def initial_annotated_matrices(graph, grammar, semiring: Semiring,
+                               backend: "AnnotatedBackend | None" = None,
                                ) -> dict:
     """Annotated matrix initialization (Algorithm 1 lines 6-7): seed
     ``M_A[i, j]`` with ⊕-folded edge identities for every edge
     ``(i, x, j)`` with ``A → x``, plus the ``empty_path`` diagonal for
     every non-terminal the original grammar could derive ε from
     (:attr:`repro.grammar.cfg.CFG.nullable_diagonal`) — the empty-path
-    ``(i, i)`` facts the paper's relation semantics requires."""
+    ``(i, i)`` facts the paper's relation semantics requires.  The
+    matrices take *backend*'s layout (the closure's), by default the
+    one :func:`annotated_layout` picks for *graph*."""
     n = graph.node_count
     matrices = {
         nt: {} for nt in grammar.nonterminals
@@ -680,7 +676,8 @@ def initial_annotated_matrices(graph, grammar, semiring: Semiring,
             existing = cells.get((i, j))
             cells[(i, j)] = (seed if existing is None
                              else semiring.add(existing, seed))
-    backend = AnnotatedBackend(semiring)
+    if backend is None:
+        backend = AnnotatedBackend(semiring, graph.edge_count)
     return {nt: backend.from_cells((n, n), cells)
             for nt, cells in matrices.items()}
 
@@ -764,27 +761,27 @@ def solve_annotated(graph, grammar, semiring: Semiring,
     ``blocked`` / plug-ins) closes the annotated matrices through
     exactly the same kernels the relational solver uses.  *strategy*
     and its options do not apply to a semiring whose ⊕ is not
-    idempotent (counting): :func:`kleene_closure` closes it.
+    idempotent (counting): :func:`kleene_closure` closes it.  The cell
+    layout is picked once, by :func:`annotated_layout` for *graph*.
     """
+    global _closed_before
     from ..grammar.cnf import ensure_cnf
     from .closure import run_closure
     from .matrix_cfpq import DEFAULT_STRATEGY
 
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the annotated CFPQ engine")
-    backend = AnnotatedBackend(semiring)
-    matrices = initial_annotated_matrices(graph, working_grammar, semiring)
-    pair_rules = [
-        (rule.head, rule.body[0], rule.body[1])
-        for rule in working_grammar.binary_rules
-    ]
-    if semiring.idempotent_add:
-        closure = run_closure(matrices, pair_rules, backend,
-                              strategy=strategy or DEFAULT_STRATEGY,
-                              **strategy_options)
-    else:
-        closure = run_closure(matrices, pair_rules, backend,
-                              strategy=kleene_closure)
+    backend = AnnotatedBackend(semiring, graph.edge_count)
+    _closed_before = True
+    matrices = initial_annotated_matrices(graph, working_grammar, semiring,
+                                          backend)
+    pair_rules = [(rule.head, *rule.body)
+                  for rule in working_grammar.binary_rules]
+    if not semiring.idempotent_add:
+        strategy, strategy_options = kleene_closure, {}
+    closure = run_closure(matrices, pair_rules, backend,
+                          strategy=strategy or DEFAULT_STRATEGY,
+                          **strategy_options)
     return AnnotatedClosureResult(
         matrices=closure.matrices,
         iterations=closure.iterations,

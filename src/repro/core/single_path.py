@@ -39,15 +39,13 @@ rows of :class:`repro.core.incremental.IncrementalSinglePathCFPQ`;
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Hashable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Mapping
 
 from ..errors import PathNotFoundError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from .path_index import (Fact, Path, Support, matrix_maps,
-                         one_step_derivations)
 from .relations import ContextFreeRelations
 from .semiring import (
     LENGTH_SEMIRING,
@@ -55,6 +53,9 @@ from .semiring import (
     merged_cells,
     solve_annotated,
 )
+
+if TYPE_CHECKING:  # the path search loads only where it runs
+    from .path_index import Fact, Path, Support
 
 #: The Section-5 cell view: (i, j) -> {A: recorded length}.
 _Cells = dict[tuple[int, int], dict[Nonterminal, int]]
@@ -139,6 +140,8 @@ class SinglePathIndex:
     def derivations(self) -> Callable[[Fact], Iterator[Support]]:
         """The one-step derivations of a fact, reading the closed
         matrices in place."""
+        from .path_index import matrix_maps, one_step_derivations
+
         return one_step_derivations(self.graph, self.grammar, *matrix_maps(
             self.grammar.nonterminals, self.matrices))
 

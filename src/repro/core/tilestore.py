@@ -137,7 +137,7 @@ def matrix_nbytes(matrix: BooleanMatrix) -> int:
     if backend_name == "annotated":
         from .semiring import AnnotatedBackend
 
-        return AnnotatedBackend(matrix.semiring).matrix_nbytes(matrix)
+        return AnnotatedBackend.matrix_nbytes(matrix)
     return get_backend(backend_name).matrix_nbytes(matrix)
 
 

@@ -144,6 +144,9 @@ def _read(spec, graph, name: str, reads, answers, envelope) -> Query:
                                                           *_NODE_LISTS)):
             nodes = (nodes,)
         if nodes is not None:
+            if any(isinstance(each, (dict, list)) for each in nodes):
+                raise SemanticsError("a node is a JSON string or number, "
+                                     "not an object or a list")
             nodes = frozenset(nodes if graph is None else [
                 coerce_json_node(graph, each) for each in nodes])
         sides.append(nodes)

@@ -43,13 +43,21 @@ import abc
 import importlib
 import importlib.util
 from array import array
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import DimensionMismatchError, UnknownBackendError
 
 #: A matrix coordinate (row, column).
 Pair = tuple[int, int]
+
+
+def row_map_csr(rows: Mapping[int, Iterable[int]], n_rows: int) -> tuple:
+    """The CSR ``(indptr, indices)`` of a row map ``{i: {j}}`` as
+    ``array('q')``, one sort per row."""
+    ordered = [sorted(rows.get(i, ())) for i in range(n_rows)]
+    return (array("q", accumulate(map(len, ordered), initial=0)),
+            array("q", chain.from_iterable(ordered)))
 
 
 class BooleanMatrix(abc.ABC):
@@ -95,14 +103,12 @@ class BooleanMatrix(abc.ABC):
         """All True entries as CSR ``(indptr, indices)``, both slicing
         and with ``tolist()``: row ``i``'s columns, ascending, are
         ``indices[indptr[i]:indptr[i + 1]]``.  Built here from
-        ``sorted(nonzero_pairs())``; array-backed matrices return the
-        arrays they hold (do not mutate)."""
-        pairs = sorted(self.nonzero_pairs())
-        counts = [0] * (self.shape[0] + 1)
-        for i, _j in pairs:
-            counts[i + 1] += 1
-        return (array("q", accumulate(counts)),
-                array("q", [j for _i, j in pairs]))
+        ``nonzero_pairs()`` grouped by row; array-backed matrices return
+        the arrays they hold (do not mutate)."""
+        rows: dict[int, list[int]] = {}
+        for i, j in self.nonzero_pairs():
+            rows.setdefault(i, []).append(j)
+        return row_map_csr(rows, self.shape[0])
 
     # -- algebra ----------------------------------------------------------
     @abc.abstractmethod

@@ -22,14 +22,12 @@ backends.
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import DimensionMismatchError
 from ..grammar.cfg import CFG
 from ..grammar.symbols import Nonterminal
-from .base import BooleanMatrix, MatrixBackend, register_backend
+from .base import BooleanMatrix, MatrixBackend, register_backend, row_map_csr
 
 #: Cell coordinates.
 Pair = tuple[int, int]
@@ -224,9 +222,7 @@ class RowSetMatrix(BooleanMatrix):
 
     def row_major(self) -> tuple:
         """CSR built from the row sets, one sort per row."""
-        rows = [sorted(self._rows.get(i, ())) for i in range(self._shape[0])]
-        return (array("q", accumulate(map(len, rows), initial=0)),
-                array("q", chain.from_iterable(rows)))
+        return row_map_csr(self._rows, self._shape[0])
 
     def multiply(self, other: BooleanMatrix) -> "RowSetMatrix":
         self._require_chainable(other)

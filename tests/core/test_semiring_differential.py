@@ -35,15 +35,20 @@ precisely what :class:`repro.core.semiring.LengthSemiring` computes.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from oracles.witness import naive_forest
 
+from repro.cli import main as cli_main
+from repro.core import semiring as semiring_module
 from repro.core.incremental import IncrementalSinglePathCFPQ
 from repro.core.matrix_cfpq import solve_matrix, solve_matrix_relations
 from repro.core.path_index import AllPathIndex, matrix_maps
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
+    COUNTING_SEMIRING,
     LENGTH_SEMIRING,
     VITERBI_SEMIRING,
     AnnotatedBackend,
@@ -62,6 +67,7 @@ from repro.core.single_path import (
     path_is_valid,
     path_word,
 )
+from repro.datasets.registry import build_graph
 from repro.grammar.cfg import CFG
 from repro.grammar.cnf import to_cnf
 from repro.grammar.parser import parse_grammar
@@ -69,8 +75,12 @@ from repro.grammar.production import Production
 from repro.grammar.recognizer import cyk_recognize
 from repro.grammar.symbols import Nonterminal, Terminal
 from repro.graph.generators import random_graph
+from repro.graph.io import dump_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.matrices.base import available_backends
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_incremental import DIFFERENTIAL_GRAMMARS  # noqa: E402
 
 STRATEGIES = ("naive", "delta", "blocked")
 SEEDS = tuple(range(10))
@@ -354,12 +364,12 @@ def test_incremental_lengths_track_from_scratch_index(seed):
 
 
 # ----------------------------------------------------------------------
-# Array layout vs dict-of-cells layout (length, Viterbi)
+# Array layout vs row-map layout (length, Viterbi)
 # ----------------------------------------------------------------------
 #
 # The scalar semirings run on the array-native kernels of
 # :mod:`repro.core.scalar_matrix`.  A subclass that withdraws the
-# ``array_ops`` declaration keeps the same algebra on the dict-of-cells
+# ``array_ops`` declaration keeps the same algebra on the row-map
 # ``AnnotatedMatrix`` — the differential oracle.  Both are registered at
 # import (collection) time, so a spilled tile's reload resolves them by
 # name.
@@ -375,7 +385,7 @@ class DictViterbi(ViterbiSemiring):
 
 DICT_LENGTH = register_semiring(DictLength())
 _WEIGHTS = {"a": 0.9, "b": 0.3}
-#: (array-native semiring, dict-of-cells oracle) per scalar semiring.
+#: (array-native semiring, row-map oracle) per scalar semiring.
 LAYOUT_PAIRS = {
     "length": (LENGTH_SEMIRING, DICT_LENGTH),
     "viterbi": (
@@ -628,3 +638,74 @@ def test_union_update_delta_is_what_add_moved(name, layout):
     assert _cells(delta) == {pair: value for pair, value in merged.items()
                              if held.get(pair) != value}
     assert _cells(target) == merged
+
+
+# ----------------------------------------------------------------------
+# The layout rule: row map vs arrays for the same semiring
+# ----------------------------------------------------------------------
+#
+# ``annotated_layout`` puts one closure of an ``array_ops`` semiring on
+# the row map or on the arrays.  Hiding the array class from the rule
+# closes on the rows; with NumPy loaded (as in this process) the rule
+# picks the arrays.  Both must reach the same cells by the same rounds.
+
+ARRAY_SEMIRINGS = {
+    "length": LENGTH_SEMIRING,
+    "viterbi": LAYOUT_PAIRS["viterbi"][0],
+    "counting": COUNTING_SEMIRING,
+}
+
+
+def _on_layout(layout: str, monkeypatch, solve):
+    """``solve()`` with the rule left to pick the arrays, or with the
+    array class hidden from it (the row map)."""
+    with monkeypatch.context() as patch:
+        if layout == "rows":
+            patch.setattr(semiring_module, "ScalarAnnotatedMatrix", None)
+        elif semiring_module._array_layout() is None:
+            pytest.skip("the array layout needs NumPy")
+        return solve()
+
+
+@pytest.mark.parametrize("grammar", DIFFERENTIAL_GRAMMARS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", sorted(ARRAY_SEMIRINGS))
+@pytest.mark.parametrize("seed", range(3))
+def test_row_layout_equals_array_layout(grammar, strategy, name, seed,
+                                        monkeypatch):
+    semiring = ARRAY_SEMIRINGS[name]
+    cnf = to_cnf(parse_grammar(grammar, terminals=list(_LABELS)))
+    graph = random_graph(6, 14, list(_LABELS), seed=0x1A70 ^ seed)
+    results = {}
+    for layout, matrix_type in (("rows", AnnotatedMatrix),
+                                ("arrays", ScalarAnnotatedMatrix)):
+        result = _on_layout(layout, monkeypatch, lambda: solve_annotated(
+            graph, cnf, semiring, strategy=strategy, normalize=False,
+            tile_size=2))
+        assert {type(matrix) for matrix in result.matrices.values()} \
+            == {matrix_type}, layout
+        results[layout] = result
+    rows, arrays = results["rows"], results["arrays"]
+    assert rows.cells() == arrays.cells()
+    assert rows.iterations == arrays.iterations
+    assert rows.multiplications == arrays.multiplications
+
+
+@pytest.mark.parametrize("dataset", ["funding", "skos"])
+def test_snapshot_bytes_do_not_depend_on_the_layout(dataset, tmp_path,
+                                                    monkeypatch):
+    """``repro-cfpq snapshot`` writes the same file whichever layout
+    closed the length matrices."""
+    graph_file = tmp_path / f"{dataset}.txt"
+    with open(graph_file, "w", encoding="utf-8") as stream:
+        dump_graph(build_graph(dataset), stream)
+    written = {}
+    for layout in ("rows", "arrays"):
+        output = tmp_path / f"{layout}.snapshot"
+        code = _on_layout(layout, monkeypatch, lambda: cli_main([
+            "snapshot", "--graph", str(graph_file), "--grammar-name",
+            "query1", "--output", str(output), "--semantics", "relational",
+            "single-path"]))
+        assert code == 0, layout
+        written[layout] = output.read_bytes()
+    assert written["rows"] == written["arrays"]

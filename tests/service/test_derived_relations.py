@@ -136,7 +136,8 @@ class TestCSRWriter:
         import numpy as np
         from scipy import sparse as sp
 
-        from repro.matrices.csr import keys_payload, pairs_payload
+        from repro.core.semiring import LENGTH_SEMIRING, AnnotatedMatrix
+        from repro.matrices.csr import csr_payload, pairs_payload
         from repro.matrices.sparse import SparseBackend
 
         rows, cols = shape
@@ -149,8 +150,9 @@ class TestCSRWriter:
                     scipy_csr.indptr.astype(np.int64).tobytes(),
                     scipy_csr.indices.astype(np.int64).tobytes())
         assert pairs_payload(shape, pairs) == expected
-        keys = sorted({i * cols + j for i, j in pairs})
-        assert keys_payload(shape, keys) == expected
+        rows_export = AnnotatedMatrix(LENGTH_SEMIRING, shape,
+                                      {pair: 1 for pair in pairs}).row_major()
+        assert csr_payload(shape, *rows_export) == expected
         backend = SparseBackend()
         assert backend.tile_payload(
             backend.from_pairs(rows, pairs, cols=cols)) == expected

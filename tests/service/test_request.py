@@ -103,6 +103,35 @@ class TestOneRefusalText:
         assert err == [f"error: {response['error']}"]
 
 
+    @pytest.mark.parametrize("spec", [
+        {"start": "S", "sources": {"a": 1}},
+        {"start": "S", "source": {"a": 1}, "target": 2},
+    ], ids=["sources", "source"])
+    def test_object_node_is_refused_on_both_surfaces(
+            self, capsys, graph_file, tmp_path, service, spec):
+        """A JSON object is no node: refused in-band, not a TypeError
+        from hashing it."""
+        text = "a node is a JSON string or number, not an object or a list"
+        code, out, err = _batch(capsys, graph_file, tmp_path, spec)
+        assert code == 1 and out == ""
+        assert err == [f"error: {text}"]
+        if "source" in spec:
+            response = _wire(service, "batch", {"queries": [spec]})
+            assert response["result"] == [{
+                "ok": False, "error": text, "error_type": "SemanticsError"}]
+
+    def test_batch_line_that_is_not_json_names_its_line(
+            self, capsys, graph_file, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text('{"start": "S"}\n\n{"start": "S",\n',
+                        encoding="utf-8")
+        code, out, err = _cli(capsys, graph_file, "query", "--batch",
+                              str(path), "--json")
+        assert code == 1 and out == ""
+        [line] = err
+        assert line.startswith(f"error: {path} line 3: bad JSON: ")
+
+
 class TestOneAnswer:
     @pytest.mark.parametrize("spec", [
         {"start": "S"}, POINT, {"start": "S", "source": 2, "target": 0},

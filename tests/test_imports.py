@@ -79,10 +79,11 @@ class TestCommandImports:
         ["path", "--source", "0", "--target", "4"],
         ["query", "--semiring", "length"],
     ])
-    def test_annotated_answers_load_no_scipy(self, graph_file, command):
+    def test_annotated_answers_load_no_numpy(self, graph_file, command):
+        """A first closure on a small graph runs on the row map."""
         modules = _modules_after_cli(*command, "--graph", graph_file,
                                      "--grammar-name", "dyck1", "--json")
-        assert _loaded(modules, "scipy") == []
+        assert _loaded(modules, "numpy", "scipy") == []
 
     @pytest.mark.parametrize("command", [
         ["query", "--grammar-name", "dyck1"],
@@ -102,8 +103,9 @@ class TestCommandImports:
 
     def test_snapshot_loads_no_server_stack(self, graph_file, tmp_path):
         """A ``single-path`` snapshot writes its relational section from
-        the length closure as NumPy CSR, so even on the default
-        ``sparse`` backend it never imports SciPy."""
+        the length closure's rows as ``array('q')`` CSR, so even on the
+        default ``sparse`` backend it imports neither SciPy nor, on a
+        small graph, NumPy."""
         for relations in ("relational", "all-path"):
             modules = _modules_after_cli(
                 "snapshot", "--graph", graph_file, "--grammar-name", "dyck1",
@@ -113,7 +115,7 @@ class TestCommandImports:
             assert _loaded(modules, "repro.service.server",
                            "repro.service.query_service",
                            "repro.service.replica", "repro.regular",
-                           "scipy") == []
+                           "numpy", "scipy") == []
 
     def test_query_batch_loads_no_service(self, graph_file, tmp_path):
         batch = tmp_path / "batch.jsonl"
@@ -131,6 +133,52 @@ class TestCommandImports:
         modules = _modules_after("import repro.service.query_service")
         assert "repro.service.query_service" in modules
         assert "repro.core.batch" not in modules
+
+
+class TestLayoutRule:
+    """One annotated closure runs on one layout; a process's first
+    closure on a small graph leaves NumPy unloaded, and every later one,
+    or one over more than ``ARRAY_LAYOUT_EDGES`` edges, takes the
+    arrays when NumPy imports."""
+
+    def _layouts(self, edges: str) -> list:
+        result = _python(textwrap.dedent(f"""
+            import json
+            from repro.core.semiring import (LENGTH_SEMIRING,
+                                             solve_annotated)
+            from repro.grammar import get_grammar
+            from repro.graph import LabeledGraph
+
+            graph = LabeledGraph.from_edges({edges})
+            layouts = []
+            for _ in range(2):
+                result = solve_annotated(graph, get_grammar("dyck1"),
+                                         LENGTH_SEMIRING)
+                layouts.append(sorted({{type(matrix).__name__ for matrix
+                                        in result.matrices.values()}}))
+            print(json.dumps(layouts))
+        """))
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    @property
+    def arrays(self) -> str:
+        """The array class's name, or the row map's without NumPy."""
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            return "AnnotatedMatrix"
+        return "ScalarAnnotatedMatrix"
+
+    def test_second_closure_takes_the_arrays(self):
+        small = '[(0, "a", 1), (1, "a", 2), (2, "b", 3), (3, "b", 4)]'
+        assert self._layouts(small) == [["AnnotatedMatrix"], [self.arrays]]
+
+    def test_a_large_first_closure_takes_the_arrays(self):
+        from repro.core.semiring import ARRAY_LAYOUT_EDGES
+
+        chain = f'[(i, "a", i + 1) for i in range({ARRAY_LAYOUT_EDGES + 1})]'
+        assert self._layouts(chain) == [[self.arrays], [self.arrays]]
 
 
 class TestLazyExports:
