@@ -1,25 +1,38 @@
 """Array-native annotated matrices for the scalar-valued semirings.
 
-For a semiring whose annotation is one machine scalar (length: int64
-min-plus; Viterbi: float64 max-times; counting: int64 plus-times clipped
-to the cap — each declares dtype and ⊗/⊕ ufuncs in
-``Semiring.array_ops``) the kernel API runs on two parallel NumPy arrays
-per matrix: ``_keys``, the sorted unique flat cell addresses
-``i * cols + j``, and ``_values``, their annotations.  ``multiply`` is
-one gather over the right operand's row pointers, ⊗ on the gathered
-values and a sort + ``⊕.reduceat`` per run of equal addresses;
-``union_update`` is a ``searchsorted`` merge whose delta holds the new
-cells and the cells ⊕ moved, as the row layout's does.  They are the
-IEEE/integer operations the scalar semiring methods perform, so every
-strategy reaches the bit-identical fixpoint on either layout.
+The dict-of-cells :class:`repro.core.semiring.AnnotatedMatrix` pays one
+Python object and one interpreter step per cell.  For the semirings
+whose annotation is a single machine scalar (length: int64 min-plus;
+Viterbi: float64 max-times; counting: int64 plus-times clipped to the
+cap — each declares its dtype and ⊗/⊕ ufuncs in ``Semiring.array_ops``)
+the same kernel API runs on two parallel NumPy arrays per matrix
+instead:
+
+* ``_keys``   — the flat cell addresses ``i * cols + j``, sorted and
+  unique (disco-dop's ``DenseCFGChart`` addressing, kept sparse);
+* ``_values`` — the annotation of each address, same order.
+
+``multiply`` is one gather over the right operand's row pointers, ⊗ on
+the gathered values and a sort + ``⊕.reduceat`` over each run of equal
+output addresses; ``union_update`` is a ``searchsorted`` merge whose
+delta holds the new cells and the cells ⊕ moved (min/max: the
+strictly improved ones; counting: the ones the addition raised), so
+refinements re-enter the semi-naive frontier exactly as the row
+layout's ``union_update`` makes them.  Candidates, products and the ⊕
+fold are the same IEEE/integer operations the scalar semiring methods
+perform, so every strategy reaches the bit-identical fixpoint on either
+layout.
 
 The arrays are **never written after they are bound**: every kernel
-rebinds fresh arrays, so clones, tiles, payloads and deltas share them
-freely.  Lengths are int64 (a 2⁶³-edge witness is out of reach); counts
-are clipped to the cap by every kernel, and counting declares
-``array_ops`` only for caps whose un-clipped product rows cannot wrap.
-:func:`repro.core.semiring.annotated_layout` decides when this layout
-runs (it needs NumPy).
+rebinds fresh arrays, so clones, tiles, payloads and deltas may share
+them freely.  Lengths are int64 and would wrap where Python ints grow;
+a minimal witness that long (2⁶³ edges) is out of reach of any graph
+this stores.  Counts are clipped to the cap at the end of every kernel,
+and the counting semiring only declares ``array_ops`` for caps whose
+un-clipped product rows cannot wrap.
+
+This module needs NumPy; :func:`repro.core.semiring.annotated_layout`
+decides when it runs, and the row layout runs where NumPy is missing.
 """
 
 from __future__ import annotations

@@ -1,39 +1,64 @@
 """Semiring-generalized closure: one engine, several annotations.
 
-The paper's relational (Algorithm 1) and single-path (Section 5: cells
-annotated with a path length) answers — and the weighted variants — are
-the *same* least fixpoint
+The paper computes its relational (Algorithm 1) and single-path
+(Section 5: cells annotated with a path length) answers with two
+bespoke fixpoint loops.  Both — and the weighted variants — are the
+*same* least fixpoint
 
     M_A  ←  M_A ⊕ (M_B ⊗ M_C)        for every pair rule A → B C
 
-over different annotation **semirings**, the shape the GraphBLAS line
-of CFPQ work makes explicit.  (The all-path answer of Section 7 needs
-no annotation: its forest is a view of the boolean fixpoint,
+over different annotation **semirings** — the shape the GraphBLAS line
+of CFPQ work (Azimov et al.'s later Kronecker/matrix engines, GraphBLAS
+CFPQ) makes explicit.  (The all-path answer of Section 7 needs no
+annotation at all: its forest is a view of the boolean fixpoint,
 :mod:`repro.core.path_index`.)  This module supplies:
 
-* :class:`Semiring` — ``identity`` (a terminal edge's seed),
-  ``empty_path`` (a nullable diagonal cell's seed), ⊗ ``multiply`` and
-  ⊕ ``add``; a product landing on an occupied cell is ⊕-folded, and
-  the cell re-enters the frontier iff the fold moved it.  Boolean
-  (presence), length (single-path; ⊕ = min), counting (saturating
-  counts) and Viterbi (max-product) semirings.
-* :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the kernel
-  API over annotated cells, so :func:`repro.core.closure.run_closure`
-  and every strategy run unchanged on a semiring whose ⊕ is
-  idempotent.  One rule, :func:`annotated_layout`, puts each closure
-  on one layout: the NumPy arrays of :mod:`repro.core.scalar_matrix`
-  for a semiring that declares ``array_ops`` when NumPy is already
-  loaded, a closure already ran in this process or the graph is large;
-  otherwise the pure-Python row map :class:`AnnotatedMatrix`, which
-  then leaves NumPy unloaded.
+* :class:`Semiring` — the annotation algebra: ``identity`` (the seed a
+  terminal edge contributes), ``empty_path`` (the seed of a nullable
+  diagonal cell), ``multiply`` (⊗ — combine a left and a right
+  sub-derivation) and ``add`` (⊕ — fold competing candidates for one
+  cell).  A product landing on an occupied cell is folded by ⊕ too;
+  the cell re-enters the frontier iff the fold moved it.
+* :class:`BooleanSemiring` — relational semantics (presence only).
+* :class:`LengthSemiring` — single-path semantics.  ⊕ = min is the
+  canonical, confluent form of the paper's never-update rule: a
+  strictly *shorter* candidate replaces the recorded length and
+  re-enters the frontier.  Every strategy (naive / delta / blocked)
+  then converges to the identical least fixpoint — the minimal witness
+  length per cell — instead of an iteration-order-dependent one, which
+  is what makes the cross-strategy differential tests byte-for-byte
+  exact.  Recorded lengths remain exactly what Theorem 5 needs: each
+  admits a concrete path recoverable by the midpoint search of
+  :func:`repro.core.single_path.extract_path`.
+* :class:`CountingSemiring` / :class:`ViterbiSemiring` — weighted
+  relational semantics: saturating derivation counts and max-product
+  probabilities.
+* :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the adapter
+  implementing the mutable kernel API (``union_update`` /
+  ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
+  :func:`repro.core.closure.run_closure` — including the ``delta`` and
+  ``blocked`` strategies — runs unchanged on every semiring whose ⊕ is
+  idempotent.  Every semiring here annotates a cell with one machine
+  scalar and declares it (``array_ops``); one rule,
+  :func:`annotated_layout`, puts each closure on one layout.  The array
+  layout of :mod:`repro.core.scalar_matrix` runs when NumPy is already
+  loaded, a closure already ran in this process, the graph is large or
+  ⊕ is not idempotent (counting), and NumPy imports; otherwise the
+  pure-Python row map :class:`AnnotatedMatrix` runs and NumPy stays
+  unloaded.  The row map is also the layout of semirings without
+  ``array_ops`` and of counting caps too large for int64, and the
+  differential oracle of the array layout.
 * :func:`kleene_closure` — the one loop for a semiring whose ⊕ is *not*
-  idempotent (counting's saturating +), on the same kernels.
+  idempotent (:attr:`Semiring.idempotent_add`; counting's saturating
+  +), written against the same ``multiply`` / ``union_update`` kernels
+  of either layout.
 
 Termination: ⊕ must move a cell monotonically w.r.t. a well-founded
-order (length decreases over non-negative integers; Viterbi ascends
-through a finite set), so every worklist drains; the Kleene loop climbs
-a finite lattice (counts saturate at the cap), at O(cap) rounds for a
-pump cycle — each as cheap as the cells still moving.
+order (boolean: never; length: non-negative integers decrease; Viterbi:
+probabilities ascend through a finite set), so every strategy's
+worklist drains; the Kleene loop climbs a finite lattice (counts
+saturate at the cap).  A pump cycle still costs it O(cap) rounds — each
+as cheap as the handful of cells still moving.
 """
 
 from __future__ import annotations
@@ -144,10 +169,9 @@ class LengthSemiring(Semiring):
 
 
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
-#: purpose: a pump cycle routed through a count-1 cell grows a count by
-#: a constant per round, so saturating it costs O(cap) Kleene rounds and
-#: a huge default turns cyclic graphs into effective hangs.  Pass a
-#: larger cap when exact counts matter more than cyclic-graph wall time.
+#: purpose: saturating a pump cycle costs O(cap) Kleene rounds (see the
+#: class docstring), so a huge default turns cyclic graphs into
+#: effective hangs.
 DEFAULT_COUNTING_CAP = 1 << 10
 
 #: Largest cap the int64 array layout takes.  A product cell sums, over
@@ -170,6 +194,12 @@ class CountingSemiring(Semiring):
     cyclic forests (infinitely many derivations) terminating.  Counts
     below the cap are exact; a cell at the cap reads as "≥ cap" — its
     true count is unbounded or astronomically large.
+
+    The default cap is deliberately small: a pump cycle routed through a
+    count-1 cell grows a count by a *constant* per round, so saturating
+    a cyclic forest costs O(cap) rounds in the worst case.  Pass a
+    larger ``cap`` when exact counts matter more than cyclic-graph wall
+    time.
     """
 
     idempotent_add = False
@@ -212,12 +242,18 @@ class ViterbiSemiring(Semiring):
 
     Terminal edges carry per-label weights in ``(0, 1]`` (the
     ``weights`` mapping, ``default_weight`` for unlisted labels); ⊗
-    multiplies sub-derivation probabilities and ⊕ keeps the maximum, so
-    a strictly more probable candidate re-enters the frontier (as a
-    shorter length does) and the fixpoint is the best derivation
-    probability per cell on every strategy and layout.  Weights ≤ 1
-    mean pumping a cycle never *strictly* improves a derivation, so
-    refinements ascend through a finite value set and terminate.
+    multiplies sub-derivation probabilities and ⊕ keeps the maximum,
+    reusing the length semiring's refinement re-entry: a strictly more
+    probable candidate replaces the recorded value and re-enters the
+    frontier, so the fixpoint is the best derivation probability per
+    cell — identical across strategies and backends
+    (each derivation's value is fixed by its own tree shape, and max
+    picks from the same candidate set everywhere).
+
+    Termination mirrors min-plus shortest paths: weights ≤ 1 mean
+    pumping a cycle can never *strictly* improve a derivation, so the
+    maximum is attained by a cycle-free derivation and refinements
+    strictly ascend through a finite value set.
     """
 
     name = "viterbi"
@@ -511,8 +547,9 @@ def _array_layout():
 
 
 #: Edges above which a first closure is worth NumPy's import: first-call
-#: length closures of funding · Q1 copies, rows against import + arrays,
-#: ×4 (8 688 edges) 0.25 against 0.27 s, ×6 (13 032) 0.36 against 0.31 s.
+#: closures of funding · Q1 copies, rows against import + arrays, length
+#: ×4 (8 688 edges) 0.16 against 0.22 s, ×6 (13 032) 0.27 against 0.25 s;
+#: Viterbi ×4 0.17 against 0.21 s, ×5 (10 860) 0.31 against 0.28 s.
 ARRAY_LAYOUT_EDGES = 10_000
 
 #: Set by a process's first :func:`solve_annotated`: later ones take arrays.
@@ -524,10 +561,14 @@ def annotated_layout(semiring: Semiring, edge_count: int = 0) -> type:
     closure over *edge_count* graph edges (0 outside a closure).  A
     semiring with ``array_ops`` takes the NumPy arrays of
     :mod:`repro.core.scalar_matrix` when NumPy is already loaded, a
-    closure already ran in this process or the graph has more than
-    :data:`ARRAY_LAYOUT_EDGES` edges — and NumPy imports.  Everything
-    else takes the row map :class:`AnnotatedMatrix`."""
+    closure already ran in this process, the graph has more than
+    :data:`ARRAY_LAYOUT_EDGES` edges or its ⊕ is not idempotent — and
+    NumPy imports.  Everything else takes the row map
+    :class:`AnnotatedMatrix`.  A non-idempotent ⊕ (counting) runs the
+    Kleene loop, whose round count the edge count does not bound: on a
+    160-node Dyck cycle the row map took 2.1 s against 0.8 s."""
     if semiring.array_ops and ("numpy" in sys.modules or _closed_before
+                               or not semiring.idempotent_add
                                or edge_count > ARRAY_LAYOUT_EDGES):
         return _array_layout() or AnnotatedMatrix
     return AnnotatedMatrix
@@ -547,15 +588,17 @@ class AnnotatedBackend(MatrixBackend):
         self.matrix_type = annotated_layout(semiring, edge_count)
 
     def zeros(self, rows: int, cols: int | None = None) -> BooleanMatrix:
-        return self.matrix_type(self.semiring,
-                                (rows, rows if cols is None else cols))
+        return self.matrix_type(
+            self.semiring, (rows, cols if cols is not None else rows)
+        )
 
     def from_pairs(self, size: int, pairs: Iterable[Pair],
                    cols: int | None = None) -> BooleanMatrix:
         unit = self.semiring.identity()
-        return self.matrix_type(self.semiring,
-                                (size, size if cols is None else cols),
-                                {(i, j): unit for i, j in pairs})
+        return self.matrix_type(
+            self.semiring, (size, cols if cols is not None else size),
+            {(i, j): unit for i, j in pairs},
+        )
 
     def from_cells(self, shape: tuple[int, int],
                    cells: "Mapping[Pair, object] | Iterable[tuple[int, int, object]]",

@@ -138,13 +138,15 @@ class TestCommandImports:
 class TestLayoutRule:
     """One annotated closure runs on one layout; a process's first
     closure on a small graph leaves NumPy unloaded, and every later one,
-    or one over more than ``ARRAY_LAYOUT_EDGES`` edges, takes the
-    arrays when NumPy imports."""
+    one over more than ``ARRAY_LAYOUT_EDGES`` edges or one of counting
+    takes the arrays when NumPy imports."""
 
-    def _layouts(self, edges: str) -> list:
+    SMALL = '[(0, "a", 1), (1, "a", 2), (2, "b", 3), (3, "b", 4)]'
+
+    def _layouts(self, edges: str, semiring: str = "LENGTH") -> list:
         result = _python(textwrap.dedent(f"""
             import json
-            from repro.core.semiring import (LENGTH_SEMIRING,
+            from repro.core.semiring import ({semiring}_SEMIRING,
                                              solve_annotated)
             from repro.grammar import get_grammar
             from repro.graph import LabeledGraph
@@ -153,7 +155,7 @@ class TestLayoutRule:
             layouts = []
             for _ in range(2):
                 result = solve_annotated(graph, get_grammar("dyck1"),
-                                         LENGTH_SEMIRING)
+                                         {semiring}_SEMIRING)
                 layouts.append(sorted({{type(matrix).__name__ for matrix
                                         in result.matrices.values()}}))
             print(json.dumps(layouts))
@@ -171,8 +173,13 @@ class TestLayoutRule:
         return "ScalarAnnotatedMatrix"
 
     def test_second_closure_takes_the_arrays(self):
-        small = '[(0, "a", 1), (1, "a", 2), (2, "b", 3), (3, "b", 4)]'
-        assert self._layouts(small) == [["AnnotatedMatrix"], [self.arrays]]
+        assert self._layouts(self.SMALL) == [["AnnotatedMatrix"],
+                                             [self.arrays]]
+
+    def test_a_first_counting_closure_takes_the_arrays(self):
+        """Counting's Kleene loop runs a round count the graph's size
+        does not bound, so even a small first closure pays the import."""
+        assert self._layouts(self.SMALL, "COUNTING") == [[self.arrays]] * 2
 
     def test_a_large_first_closure_takes_the_arrays(self):
         from repro.core.semiring import ARRAY_LAYOUT_EDGES
