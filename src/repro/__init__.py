@@ -3,8 +3,8 @@
 A complete reproduction of Azimov & Grigorev (2018): context-free path
 query evaluation under the relational and single-path semantics reduced
 to a matrix transitive closure, with four interchangeable boolean
-matrix backends (dense / sparse / bitset / setmatrix), a
-strategy-pluggable closure engine (semi-naive ``delta`` by default,
+matrix backends (dense / sparse / bitset / setmatrix), one closure
+engine with three strategies (semi-naive ``delta`` by default,
 ``naive`` as the oracle, ``blocked`` for bounded working sets), the
 worklist and GLL-style baselines, the paper's evaluation datasets and
 the benchmark harness for Tables 1 and 2.

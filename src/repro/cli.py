@@ -171,27 +171,18 @@ def _configure_observability(args: argparse.Namespace) -> None:
         set_slow_query_log(slow_ms, getattr(args, "slow_query_log", None))
 
 
-def _strategy_options(args: argparse.Namespace) -> dict:
-    """The closure options implied by the CLI flags."""
-    options = {}
-    if getattr(args, "tile_size", None) is not None:
-        options["tile_size"] = args.tile_size
-    if getattr(args, "memory_budget", None) is not None:
-        options["memory_budget"] = args.memory_budget
-    if getattr(args, "spill_dir", None) is not None:
-        options["spill_dir"] = args.spill_dir
-    return options
-
-
 def _solve_options(args: argparse.Namespace) -> dict:
-    """The closure options of a one-shot solve.  Only the blocked
+    """The closure options the CLI flags give.  Only the blocked
     strategy reads the tile flags, so one given with another strategy
     is an error instead of being silently ignored."""
-    options = _strategy_options(args)
-    if options and args.strategy != "blocked":
+    options = {name: getattr(args, name)
+               for name in ("tile_size", "memory_budget", "spill_dir")
+               if getattr(args, name) is not None}
+    strategy = args.strategy or DEFAULT_STRATEGY
+    if options and strategy != "blocked":
         flag = "--" + next(iter(options)).replace("_", "-")
         raise EngineError(f"{flag} applies only to --strategy blocked, "
-                          f"not {args.strategy!r}")
+                          f"not {strategy!r}")
     return options
 
 
@@ -405,7 +396,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     start = grammar.resolve_nonterminal(args.start)
     solver = IncrementalCFPQ(_load_graph(args), grammar,
                              backend=args.backend, strategy=args.strategy,
-                             **_strategy_options(args))
+                             **_solve_options(args))
 
     def update_edges(path: str):
         # With --rdf the base graph carried the paper's inverse-edge
@@ -471,7 +462,7 @@ def serve_service(args: argparse.Namespace):
                replicas=_parse_replicas(args.replicas))
     if not (args.snapshot or args.graph):
         raise SystemExit("serve requires --graph or --snapshot")
-    options = _strategy_options(args)
+    options = _solve_options(args)
     service_kwargs = dict(
         backend=args.backend, strategy=args.strategy,
         single_path=True if args.single_path else None,
@@ -700,8 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=available_strategies())
     serve.add_argument("--tile-size", type=_positive_int, default=None)
     serve.add_argument("--memory-budget", type=_memory_budget, default=None,
-                       help="resident tile byte budget (e.g. '8M'); also "
-                            "bounds snapshot warm-start residency")
+                       help="resident tile byte budget of a --strategy "
+                            "blocked solve (e.g. '8M')")
     serve.add_argument("--spill-dir", default=None,
                        help="directory for spilled tiles")
     serve.add_argument("--single-path", action="store_true",

@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     ".closure": ("BlockedStats", "ClosureResult", "STRATEGIES",
                  "available_strategies", "fixpoint_history", "get_strategy",
-                 "register_strategy", "run_closure"),
+                 "run_closure"),
     ".conjunctive": ("ConjunctiveGrammar", "ConjunctiveRule", "TerminalRule",
                      "anbncn_grammar", "solve_conjunctive_approx"),
     ".engine": ("SEMANTICS", "CFPQEngine", "cfpq"),

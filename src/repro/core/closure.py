@@ -1,4 +1,4 @@
-"""Unified, strategy-pluggable closure engine.
+"""The closure engine: one loop, three iteration strategies.
 
 Algorithm 1's hot loop is ``M_A ← M_A ∪ (M_B × M_C)`` over all pair
 rules until nothing changes.  This module owns that loop and lets the
@@ -24,19 +24,18 @@ iteration *strategy* vary independently of the matrix *backend*:
   every memory budget.  This is the paper's §7 out-of-core direction
   with the semi-naive trick pushed down to the tile grain.
 
-All strategies run on any registered matrix backend through the mutable
-kernel API (``MatrixBackend.union_update`` / ``mxm_into``), which falls
-back to value semantics for backends without in-place support.  The
-backend need not be boolean: the semiring-annotated adapter
-(:mod:`repro.core.semiring`) implements the same kernels over
-length-, count- and probability-annotated cells, which is how the
-single-path and weighted semantics run on this exact loop — a strategy
-improvement lands on every query semantics at once (the all-path
-forest is a view of the boolean fixpoint).
+All strategies run on any registered matrix backend through two
+kernels, ``multiply`` and the in-place ``MatrixBackend.union_update``,
+which returns the genuinely new entries.  The backend need not be
+boolean: the semiring-annotated adapter (:mod:`repro.core.semiring`)
+implements the same kernels over length-, count- and
+probability-annotated cells, which is how the single-path and weighted
+semantics run on this exact loop — a strategy improvement lands on
+every query semantics at once (the all-path forest is a view of the
+boolean fixpoint).
 
-Strategies are registered by name so downstream code can plug in its
-own; ``run_closure`` is the single entry point the solvers route
-through.
+``run_closure`` is the single entry point the solvers route through;
+the strategy table is fixed.
 """
 
 from __future__ import annotations
@@ -114,15 +113,6 @@ class BlockedStats:
 #: the matrices) under *pair_rules* on *backend*.
 ClosureStrategy = Callable[..., ClosureResult]
 
-_STRATEGIES: dict[str, ClosureStrategy] = {}
-
-
-def register_strategy(name: str, strategy: ClosureStrategy,
-                      ) -> ClosureStrategy:
-    """Register *strategy* under *name* (idempotent overwrite)."""
-    _STRATEGIES[name] = strategy
-    return strategy
-
 
 def get_strategy(name: str) -> ClosureStrategy:
     """Resolve a strategy by name."""
@@ -133,7 +123,7 @@ def get_strategy(name: str) -> ClosureStrategy:
 
 
 def available_strategies() -> list[str]:
-    """Names of all registered closure strategies."""
+    """Names of the bundled closure strategies."""
     return sorted(_STRATEGIES)
 
 
@@ -142,32 +132,24 @@ def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
                 strategy: "str | ClosureStrategy" = "delta",
                 **options) -> ClosureResult:
     """Close *matrices* under *pair_rules* with the named strategy (or
-    an unregistered strategy function, traced under its ``__name__``).
+    a strategy function, traced under its ``__name__``: the counting
+    semiring's :func:`repro.core.semiring.kleene_closure`).
 
     The matrices mapping is updated in place (and, for mutation-capable
     backends, the matrices themselves are grown in place).  Extra
     keyword options are strategy-specific (``tile_size`` and
     ``memory_budget`` for ``blocked``).
 
-    All bundled strategies accept ``initial_frontier`` — a mapping
-    ``symbol -> delta matrix`` of entries *not yet merged* into
-    *matrices*.  When given, the run merges the seeds and propagates
-    only their consequences instead of re-deriving from scratch; this
-    is the batch-incremental entry point (:mod:`repro.core.incremental`
-    seeds it with the facts contributed by an edge-insertion batch).
-
-    Both mappings are first re-keyed in symbol-name order (in place):
-    callers build them by iterating symbol *sets*, whose order follows
+    The mapping is first re-keyed in symbol-name order (in place):
+    callers build it by iterating symbol *sets*, whose order follows
     object addresses, and the strategies drain their frontiers in
     mapping order — so rounds, multiplications and the element order
     inside the closed matrices are a function of the input, not of
     where the symbols happen to live.
     """
-    for mapping in (matrices, options.get("initial_frontier")):
-        if mapping:
-            ordered = sorted(mapping.items(), key=lambda item: str(item[0]))
-            mapping.clear()
-            mapping.update(ordered)
+    ordered = sorted(matrices.items(), key=lambda item: str(item[0]))
+    matrices.clear()
+    matrices.update(ordered)
     backend_obj = get_backend(backend)
     if isinstance(strategy, str):
         run = get_strategy(strategy)
@@ -233,37 +215,6 @@ def _publish_closure_metrics(strategy: str, result: ClosureResult,
             ).set(blocked.budget_bytes)
 
 
-def seed_frontier(matrices: dict, initial_frontier: dict,
-                  backend: MatrixBackend) -> dict:
-    """Merge *initial_frontier* seeds into *matrices* and return the
-    exact per-symbol deltas (the genuinely new / refined entries) to
-    start a semi-naive run from.  Symbols absent from *matrices* and
-    seeds that add nothing are dropped."""
-    frontier: dict[Hashable, BooleanMatrix] = {}
-    for symbol, seed in initial_frontier.items():
-        if symbol not in matrices or seed.nnz() == 0:
-            continue
-        merged, delta = backend.union_update(matrices[symbol], seed)
-        matrices[symbol] = merged
-        if delta.nnz():
-            frontier[symbol] = delta
-    return frontier
-
-
-def _symbol_frontier(matrices: dict, initial_frontier: "dict | None",
-                     backend: MatrixBackend) -> dict:
-    """The starting symbol → delta frontier of a semi-naive run: the
-    merged seeds when *initial_frontier* is given, else a clone of
-    every nonzero matrix (the from-scratch case)."""
-    if initial_frontier is not None:
-        return seed_frontier(matrices, initial_frontier, backend)
-    return {
-        symbol: backend.clone(matrix)
-        for symbol, matrix in matrices.items()
-        if matrix.nnz()
-    }
-
-
 # ----------------------------------------------------------------------
 # Generic fixpoint driver (shared with the set-matrix oracle)
 # ----------------------------------------------------------------------
@@ -291,18 +242,9 @@ def fixpoint_history(initial, step: Callable, equal: Callable,
 # ----------------------------------------------------------------------
 
 def closure_naive(matrices: dict, pair_rules: list[PairRule],
-                  backend: MatrixBackend,
-                  initial_frontier: "dict | None" = None,
-                  **_options) -> ClosureResult:
+                  backend: MatrixBackend, **_options) -> ClosureResult:
     """Full re-multiplication of every rule each round — Algorithm 1
-    verbatim, the differential oracle for the cleverer strategies.
-
-    ``initial_frontier`` seeds are merged up front; the naive loop has
-    no frontier to exploit, so the run is a full re-closure (correct,
-    just not incremental — the semi-naive strategies are the fast path
-    for seeded runs)."""
-    if initial_frontier is not None:
-        seed_frontier(matrices, initial_frontier, backend)
+    verbatim, the differential oracle for the cleverer strategies."""
     tracer = get_tracer()
     iterations = 0
     multiplications = 0
@@ -335,9 +277,7 @@ def closure_naive(matrices: dict, pair_rules: list[PairRule],
 
 
 def closure_delta(matrices: dict, pair_rules: list[PairRule],
-                  backend: MatrixBackend,
-                  initial_frontier: "dict | None" = None,
-                  **_options) -> ClosureResult:
+                  backend: MatrixBackend, **_options) -> ClosureResult:
     """Semi-naive delta propagation over a symbol worklist.
 
     ``frontier[A]`` accumulates the entries added to ``M_A`` since the
@@ -354,13 +294,6 @@ def closure_delta(matrices: dict, pair_rules: list[PairRule],
     monotone; every new fact is eventually propagated through every
     rule mentioning its symbol — Theorem 3's argument bounds the
     rounds).
-
-    With ``initial_frontier`` the run starts from the merged seed
-    deltas instead of the full matrices: only consequences of the seeds
-    are re-derived, which is what makes batch edge insertion
-    incremental (the matrices must already be closed; monotonicity then
-    gives the same least fixpoint as a from-scratch run on the seeded
-    inputs).
     """
     rules_by_left: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
     rules_by_right: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
@@ -368,7 +301,11 @@ def closure_delta(matrices: dict, pair_rules: list[PairRule],
         rules_by_left.setdefault(left, []).append((head, right))
         rules_by_right.setdefault(right, []).append((head, left))
 
-    frontier = _symbol_frontier(matrices, initial_frontier, backend)
+    frontier = {
+        symbol: backend.clone(matrix)
+        for symbol, matrix in matrices.items()
+        if matrix.nnz()
+    }
 
     tracer = get_tracer()
     iterations = 0
@@ -467,7 +404,6 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
                     backend: MatrixBackend,
                     tile_size: "int | None" = None,
                     frontier: bool = True,
-                    initial_frontier: "dict | None" = None,
                     memory_budget=None,
                     spill_dir: "str | None" = None,
                     tile_store=None,
@@ -517,11 +453,6 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     if not matrices:
         return ClosureResult(matrices=matrices, iterations=0,
                              multiplications=0)
-    seed_deltas = None
-    if initial_frontier is not None:
-        # Merge the seeds before tiling so the tiles hold the seeded
-        # state; the exact deltas locate the initially-changed tiles.
-        seed_deltas = seed_frontier(matrices, initial_frontier, backend)
     size = next(iter(matrices.values())).shape[0]
 
     owns_store = tile_store is None
@@ -537,7 +468,7 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     try:
         result = _closure_blocked_on_store(
             store, matrices, pair_rules, backend, tile_size, grid, size,
-            frontier, seed_deltas,
+            frontier,
         )
     except BaseException:
         if owns_store:
@@ -568,8 +499,8 @@ def _group_product(store, pair_keys) -> BooleanMatrix:
 def _closure_blocked_on_store(store, matrices: dict,
                               pair_rules: list[PairRule],
                               backend: MatrixBackend, tile_size: int,
-                              grid: int, size: int, frontier: bool,
-                              seed_deltas: "dict | None") -> ClosureResult:
+                              grid: int, size: int,
+                              frontier: bool) -> ClosureResult:
     nonzero: dict[Hashable, set] = {}
     for symbol in list(matrices):
         symbol_tiles = backend.split_into_tiles(matrices[symbol], tile_size)
@@ -583,23 +514,11 @@ def _closure_blocked_on_store(store, matrices: dict,
                 indexes.add(index)
             store.put((symbol,) + index, tile)
         nonzero[symbol] = indexes
-    if seed_deltas is None:
-        # Round 1 treats every nonzero tile as freshly changed.
-        changed: dict[Hashable, set] = {
-            symbol: set(indexes)
-            for symbol, indexes in nonzero.items() if indexes
-        }
-    else:
-        # Seeded run: only the tiles an inserted entry landed in count
-        # as changed — the tile-granular insertion frontier.
-        changed = {}
-        for symbol, delta in seed_deltas.items():
-            touched = {
-                (i // tile_size, j // tile_size)
-                for i, j in delta.nonzero_pairs()
-            }
-            if touched:
-                changed[symbol] = touched
+    # Round 1 treats every nonzero tile as freshly changed.
+    changed: dict[Hashable, set] = {
+        symbol: set(indexes)
+        for symbol, indexes in nonzero.items() if indexes
+    }
 
     tracer = get_tracer()
     iterations = 0
@@ -745,9 +664,11 @@ def _drain_symbol_tiles(store, symbol: Hashable, grid: int):
             yield (bi, bj), tile
 
 
-register_strategy("naive", closure_naive)
-register_strategy("delta", closure_delta)
-register_strategy("blocked", closure_blocked)
+_STRATEGIES: dict[str, ClosureStrategy] = {
+    "naive": closure_naive,
+    "delta": closure_delta,
+    "blocked": closure_blocked,
+}
 
 #: The strategy names bundled with the library.
-STRATEGIES = ("naive", "delta", "blocked")
+STRATEGIES = tuple(_STRATEGIES)

@@ -11,14 +11,9 @@ approximation** of the true relation.  We implement exactly that:
   ``A → (B1 C1) & (B2 C2) & ...`` plus terminal rules ``A → x``;
 * :func:`solve_conjunctive_approx` — the fixpoint
   ``M_A ← M_A ∪ ⋂_conjuncts (M_B × M_C)`` (intersection of the boolean
-  products across conjuncts, union into the accumulator), routed
-  through the shared closure engine: one auxiliary head per (rule,
-  conjunct) keeps each conjunct's product current under any registered
-  strategy (naive, semi-naive deltas, blocked tiles), and the outer
-  loop only intersects the aux matrices and feeds new head cells back
-  as an ``initial_frontier``;
-* :func:`solve_conjunctive_reference` — the original direct
-  while-changed loop, kept as the differential-test oracle;
+  products across conjuncts, union into the accumulator), one direct
+  while-changed loop: conjunction is not a semiring product, so it
+  does not run on the pair-rule closure engine;
 * the guarantee tests verify *soundness of the approximation*: every
   pair in the true conjunctive relation (checked by bounded-path
   enumeration) is present in the approximation.
@@ -141,82 +136,14 @@ def _seed_terminal_matrices(graph: LabeledGraph,
 
 def solve_conjunctive_approx(graph: LabeledGraph, grammar: ConjunctiveGrammar,
                              backend: "str | MatrixBackend" = "sparse",
-                             strategy: "str | None" = None,
-                             **strategy_options) -> ContextFreeRelations:
+                             ) -> ContextFreeRelations:
     """Fixpoint of the conjunctive closure — the paper's hypothesised
-    upper approximation of the (undecidable) exact relation — on the
-    shared closure engine.
-
-    Every (rule, conjunct) gets an auxiliary head with the pair rule
-    ``aux → B C``, so :func:`repro.core.closure.run_closure` keeps each
-    aux matrix equal to the *current* boolean product of its operands
-    (products are monotone in their operands, so accumulated union over
-    rounds equals the latest product).  Conjunction is not a semiring
-    product, so the intersection across a rule's aux matrices and the
-    union into the real head stay in an outer loop; the head's genuinely
-    new cells re-enter the next engine run as an ``initial_frontier``,
-    exactly like a batch-incremental insertion.  The fixpoint is the
-    same least fixpoint :func:`solve_conjunctive_reference` reaches —
-    the differential tests assert it per strategy × backend.
-    """
-    from .closure import run_closure
-    from .matrix_cfpq import DEFAULT_STRATEGY
-
-    backend_obj = get_backend(backend)
-    n = graph.node_count
-    matrices = _seed_terminal_matrices(graph, grammar, backend_obj)
-
-    def fresh(base: str) -> Nonterminal:
-        name = base
-        while Nonterminal(name) in grammar.nonterminals:
-            name = "_" + name
-        return Nonterminal(name)
-
-    pair_rules: list[tuple[Nonterminal, Nonterminal, Nonterminal]] = []
-    rule_aux: list[tuple[ConjunctiveRule, list[Nonterminal]]] = []
-    for index, rule in enumerate(grammar.conjunctive_rules):
-        aux_heads: list[Nonterminal] = []
-        for position, (left, right) in enumerate(rule.conjuncts):
-            aux = fresh(f"__conj{index}_{position}")
-            matrices[aux] = backend_obj.zeros(n)
-            pair_rules.append((aux, left, right))
-            aux_heads.append(aux)
-        rule_aux.append((rule, aux_heads))
-    aux_set = {aux for _rule, heads in rule_aux for aux in heads}
-
-    strategy = strategy or DEFAULT_STRATEGY
-    frontier: "dict | None" = None  # first run: full seed frontier
-    while True:
-        run_closure(matrices, pair_rules, backend_obj, strategy=strategy,
-                    initial_frontier=frontier, **strategy_options)
-        frontier = {}
-        for rule, aux_heads in rule_aux:
-            contribution = matrices[aux_heads[0]]
-            for aux in aux_heads[1:]:
-                contribution = _intersect(contribution, matrices[aux],
-                                          backend_obj)
-            delta = contribution.difference(matrices[rule.head])
-            if delta.nnz():
-                existing = frontier.get(rule.head)
-                frontier[rule.head] = (delta if existing is None
-                                       else existing.union(delta))
-        if not frontier:
-            break
-
-    return ContextFreeRelations(graph, {
-        nt: matrix for nt, matrix in matrices.items() if nt not in aux_set})
-
-
-def solve_conjunctive_reference(graph: LabeledGraph,
-                                grammar: ConjunctiveGrammar,
-                                backend: "str | MatrixBackend" = "sparse",
-                                ) -> ContextFreeRelations:
-    """The original direct fixpoint loop, kept as the oracle for the
-    engine-routed :func:`solve_conjunctive_approx`.
+    upper approximation of the (undecidable) exact relation.
 
     Each sweep computes, for every rule, the *intersection over
     conjuncts* of the boolean products, then unions the result into the
-    head's matrix; sweeps repeat until no matrix grows.
+    head's matrix; sweeps repeat until no matrix grows.  With one
+    conjunct per rule this is Algorithm 1 itself.
     """
     backend_obj = get_backend(backend)
     matrices = _seed_terminal_matrices(graph, grammar, backend_obj)
@@ -238,9 +165,7 @@ def solve_conjunctive_reference(graph: LabeledGraph,
                 matrices[rule.head] = updated
                 changed = True
 
-    return ContextFreeRelations(
-        graph, {nt: matrix.to_pair_set() for nt, matrix in matrices.items()}
-    )
+    return ContextFreeRelations(graph, matrices)
 
 
 def anbncn_grammar() -> ConjunctiveGrammar:

@@ -225,12 +225,6 @@ class ScalarAnnotatedMatrix(BooleanMatrix):
                           (self._shape[1], self._shape[0]))
 
     # -- mutable kernels --------------------------------------------------
-    def difference(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
-        self._require_same_shape(other)
-        other_keys, _values = _arrays_of(other, self.semiring)
-        keep = ~np.isin(self._keys, other_keys, assume_unique=True)
-        return self._like(self._keys[keep], self._values[keep])
-
     def union_update(self, other: BooleanMatrix) -> "ScalarAnnotatedMatrix":
         """In-place ⊕-merge; the returned delta holds every new cell
         and every cell ⊕ moved, with the merged value."""

@@ -34,8 +34,8 @@ annotation at all: its forest is a view of the boolean fixpoint,
   relational semantics: saturating derivation counts and max-product
   probabilities.
 * :class:`AnnotatedMatrix` / :class:`AnnotatedBackend` — the adapter
-  implementing the mutable kernel API (``union_update`` /
-  ``difference`` / ``mxm_into`` / tiling) over annotated cells, so
+  implementing the closure kernels (``multiply`` / ``union_update`` /
+  tiling) over annotated cells, so
   :func:`repro.core.closure.run_closure` — including the ``delta`` and
   ``blocked`` strategies — runs unchanged on every semiring whose ⊕ is
   idempotent.  Every semiring here annotates a cell with one machine
@@ -332,7 +332,7 @@ class AnnotatedMatrix(BooleanMatrix):
     kept as one row map ``{i: {j: annotation}}`` (no empty rows, no
     row shared with another matrix).
 
-    Implements the full mutable kernel API of
+    Implements the full kernel API of
     :class:`repro.matrices.base.BooleanMatrix`, so the closure engine
     cannot tell it apart from a plain boolean backend; ``multiply``
     joins each left row against the right rows with the semiring ⊗ and
@@ -438,13 +438,6 @@ class AnnotatedMatrix(BooleanMatrix):
             (j, i, value) for i, j, value in self.nonzero_cells()))
 
     # -- mutable kernels --------------------------------------------------
-    def difference(self, other: BooleanMatrix) -> "AnnotatedMatrix":
-        self._require_same_shape(other)
-        other_rows = _rows_of(other, self.semiring)
-        return AnnotatedMatrix(self.semiring, self._shape, (
-            (i, j, value) for i, j, value in self.nonzero_cells()
-            if j not in other_rows.get(i, ())))
-
     def union_update(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         """In-place ⊕-merge, row by row; the returned delta holds every
         new cell and every cell ⊕ moved (``⊕(held, incoming) !=
@@ -750,8 +743,8 @@ def kleene_closure(matrices: dict, pair_rules: list, backend):
     and the matrices are then the least fixpoint.
 
     A strategy-shaped function (:func:`repro.core.closure.run_closure`
-    traces it and publishes its metrics), deliberately not registered:
-    the algebra picks it, not the caller.
+    traces it and publishes its metrics), deliberately not in the
+    strategy table: the algebra picks it, not the caller.
     """
     from ..obs.trace import get_tracer
     from .closure import ClosureResult
@@ -800,8 +793,8 @@ def solve_annotated(graph, grammar, semiring: Semiring,
     """Run the unified closure engine over *semiring*-annotated matrices.
 
     This is the single code path behind the single-path and weighted
-    semantics: any registered strategy (``naive`` / ``delta`` /
-    ``blocked`` / plug-ins) closes the annotated matrices through
+    semantics: each strategy (``naive`` / ``delta`` / ``blocked``)
+    closes the annotated matrices through
     exactly the same kernels the relational solver uses.  *strategy*
     and its options do not apply to a semiring whose ⊕ is not
     idempotent (counting): :func:`kleene_closure` closes it.  The cell

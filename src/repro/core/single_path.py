@@ -17,7 +17,7 @@ closure ``M_A ← M_A ⊕ (M_B ⊗ M_C)`` over the **length semiring**
 across the midpoint, ⊕ keeps the minimum — the canonical,
 iteration-order-free form of the paper's no-update rule (see the
 semiring module docstring).  The index is therefore built by the same
-strategy-pluggable engine (:func:`repro.core.closure.run_closure`) as
+closure engine (:func:`repro.core.closure.run_closure`) as
 the relational answer: ``naive``, semi-naive ``delta`` and tiled
 ``blocked`` all yield byte-identical annotations.
 
@@ -164,8 +164,8 @@ def build_single_path_index(graph: LabeledGraph, grammar: CFG,
     """Compute the length-annotated transitive closure of Section 5.
 
     The fixpoint runs on :func:`repro.core.closure.run_closure` over the
-    length semiring, so any registered closure *strategy* (``delta`` by
-    default, ``naive``, ``blocked``, plug-ins) applies — extra keyword
+    length semiring, so every closure *strategy* (``delta`` by
+    default, ``naive``, ``blocked``) applies — extra keyword
     options (``tile_size``, ``memory_budget``) are forwarded to it; all
     strategies produce identical annotations.
     """

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from ..matrices.base import BooleanMatrix, get_backend
 from ..matrices.setmatrix import SetMatrix
-from .closure import fixpoint_history
+from .closure import fixpoint_history, run_closure
+
+#: The one symbol of the grammar ``R → R R`` whose closure is ``A⁺``.
+_REACH = "R"
 
 
 def _square_step(current: SetMatrix) -> SetMatrix:
@@ -97,23 +100,28 @@ def boolean_closure_incremental(matrix: BooleanMatrix) -> BooleanMatrix:
         current = following
 
 
+def engine_closure(matrix: BooleanMatrix,
+                   strategy: str = "delta") -> BooleanMatrix:
+    """Transitive closure ``A⁺`` by the CFPQ closure engine: a closure
+    is the one-nonterminal grammar ``R → R R`` whose sole matrix starts
+    as *matrix*, so every closure strategy (naive/delta/blocked)
+    applies unchanged.  *matrix* is not modified."""
+    backend = get_backend(matrix.backend_name)
+    matrices = {_REACH: backend.clone(matrix)}
+    run_closure(matrices, [(_REACH, _REACH, _REACH)], backend,
+                strategy=strategy)
+    return matrices[_REACH]
+
+
 def boolean_closure_delta(matrix: BooleanMatrix) -> BooleanMatrix:
-    """Semi-naive boolean transitive closure: keep a frontier ``Δ`` of
-    entries added last round and extend only through it
-    (``Δ×T ∪ T×Δ``), merging with the in-place kernel so the delta of
-    genuinely-new pairs falls out of the union itself.  Same least
-    fixpoint as :func:`boolean_closure_naive`, strictly less work per
-    round once the frontier shrinks."""
+    """Semi-naive boolean transitive closure: the engine's ``delta``
+    strategy extends only through the frontier ``Δ`` of entries added
+    last round (``Δ×T ∪ T×Δ``).  Same least fixpoint as
+    :func:`boolean_closure_naive`, strictly less work per round once
+    the frontier shrinks."""
     if not matrix.is_square:
         raise ValueError("transitive closure requires a square matrix")
-    backend = get_backend(matrix.backend_name)
-    current = backend.clone(matrix)
-    frontier = backend.clone(matrix)
-    while frontier.nnz():
-        pending = frontier.multiply(current)
-        pending, _ = backend.mxm_into(current, frontier, pending)
-        current, frontier = backend.union_update(current, pending)
-    return current
+    return engine_closure(matrix)
 
 
 def boolean_closure_warshall(matrix: BooleanMatrix) -> BooleanMatrix:

@@ -93,7 +93,7 @@ class EngineError(ReproError):
 
 
 class UnknownStrategyError(EngineError):
-    """Raised when a closure strategy name is not registered."""
+    """Raised when a closure strategy name is not one of the bundled three."""
 
     def __init__(self, name: str, available: list[str]):
         self.name = name

@@ -19,15 +19,10 @@ return new matrices, which keeps the closure loop honest
 (``T ← T ∪ T×T``) and makes fixpoint detection (`nnz` stability /
 equality) trivial and backend independent.
 
-On top of that sits an explicit **mutable kernel API** powering the
-delta-driven closure engine (:mod:`repro.core.closure`):
-
-* ``union_update(other) -> delta`` — in-place element-wise OR that
-  returns the matrix of *genuinely new* entries (the semi-naive
-  frontier),
-* ``difference(other)`` — entries set here but not in *other*,
-* ``MatrixBackend.mxm_into(left, right, accum)`` — accumulate a boolean
-  product into an existing matrix, again returning the delta.
+On top of that sits one **mutable kernel** powering the delta-driven
+closure engine (:mod:`repro.core.closure`): ``union_update(other) ->
+delta``, an in-place element-wise OR that returns the matrix of
+*genuinely new* entries (the semi-naive frontier).
 
 The registry at the end of this module knows the four bundled names and
 the third-party imports each needs.  :func:`get_backend` imports one
@@ -64,8 +59,8 @@ class BooleanMatrix(abc.ABC):
     """A square-or-rectangular boolean matrix.
 
     The core algebra (``multiply``/``union``/``transpose``) is
-    value-semantics; the kernels ``union_update`` and ``difference``
-    serve the delta closure.
+    value-semantics; the in-place kernel ``union_update`` serves the
+    delta closure.
     """
 
     __slots__ = ()
@@ -129,11 +124,7 @@ class BooleanMatrix(abc.ABC):
     def __or__(self, other: "BooleanMatrix") -> "BooleanMatrix":
         return self.union(other)
 
-    # -- mutable kernels ---------------------------------------------------
-    @abc.abstractmethod
-    def difference(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        """Entries True here and False in *other* (``self \\ other``)."""
-
+    # -- mutable kernel ----------------------------------------------------
     @abc.abstractmethod
     def union_update(self, other: "BooleanMatrix") -> "BooleanMatrix":
         """In-place element-wise OR of *other* into this matrix.
@@ -224,24 +215,13 @@ class MatrixBackend(abc.ABC):
         pairs = [(i, j) for i, j in matrix.nonzero_pairs() if i in wanted]
         return self.from_pairs(n_rows, pairs, cols=n_cols)
 
-    # -- mutable kernel entry points --------------------------------------
+    # -- mutable kernel entry point ---------------------------------------
     def union_update(self, target: BooleanMatrix, other: BooleanMatrix,
                      ) -> tuple[BooleanMatrix, BooleanMatrix]:
         """Merge *other* into *target* in place; return ``(target,
         delta)``, where ``delta`` holds exactly the genuinely-new
         entries."""
         return target, target.union_update(other)
-
-    def mxm_into(self, left: BooleanMatrix, right: BooleanMatrix,
-                 accum: BooleanMatrix,
-                 ) -> tuple[BooleanMatrix, BooleanMatrix]:
-        """Accumulate the boolean product ``left × right`` into *accum*;
-        return ``(merged_accum, delta)``.
-
-        Default: multiply then :meth:`union_update`.  Backends may fuse
-        the two (e.g. OR packed rows straight into the accumulator).
-        """
-        return self.union_update(accum, left.multiply(right))
 
     # -- tiling hooks (the blocked closure strategy) ----------------------
     def split_into_tiles(self, matrix: BooleanMatrix, tile_size: int,

@@ -208,15 +208,6 @@ class BitsetMatrix(BooleanMatrix):
                                  bitorder="little").view(np.uint64)
         return BitsetMatrix._wrap(np.ascontiguousarray(transposed), rows)
 
-    def difference(self, other: BooleanMatrix) -> "BitsetMatrix":
-        self._require_same_shape(other)
-        other_bits = _as_bitset(other)
-        # self & ~other with a single allocation: invert into the output
-        # buffer, then AND in place.
-        out = np.bitwise_not(other_bits._words)
-        np.bitwise_and(out, self._words, out=out)
-        return BitsetMatrix._wrap(out, self._cols)
-
     def union_update(self, other: BooleanMatrix) -> "BitsetMatrix":
         self._require_same_shape(other)
         other_words = _as_bitset(other)._words
@@ -332,37 +323,6 @@ class BitsetBackend(MatrixBackend):
             # Mask the padding columns the edge tiles may carry.
             words[:, -1] &= np.uint64((1 << (size % _WORD)) - 1)
         return BitsetMatrix._wrap(words, size)
-
-    def mxm_into(self, left: BooleanMatrix, right: BooleanMatrix,
-                 accum: BooleanMatrix,
-                 ) -> tuple[BooleanMatrix, BooleanMatrix]:
-        """Fused product-accumulate on packed words: the vectorized
-        product buffer is reused in place to compute the exact delta
-        (``merged ^ old``) and then ORed into the accumulator — no
-        temporaries beyond the product itself."""
-        if not isinstance(accum, BitsetMatrix) or not _LITTLE_ENDIAN:
-            # The unfused path multiplies before mutating (and routes
-            # big-endian hosts through the scalar kernel).
-            return super().mxm_into(left, right, accum)
-        left._require_chainable(right)
-        left_bits = _as_bitset(left)
-        right_bits = _as_bitset(right)
-        if (left_bits.shape[0], right_bits._cols) != accum.shape:
-            from ..errors import DimensionMismatchError
-
-            raise DimensionMismatchError(
-                f"cannot accumulate {(left_bits.shape[0], right_bits._cols)} "
-                f"into {accum.shape}"
-            )
-        product = _multiply_words(left_bits._words, right_bits._words,
-                                  left_bits.shape[1])
-        # product -> merged -> delta, all in the product buffer; safe
-        # even when accum aliases an operand (the product is computed
-        # before accum mutates).
-        np.bitwise_or(product, accum._words, out=product)
-        np.bitwise_xor(product, accum._words, out=product)
-        np.bitwise_or(accum._words, product, out=accum._words)
-        return accum, BitsetMatrix._wrap(product, accum._cols)
 
     # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:

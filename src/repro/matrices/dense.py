@@ -6,9 +6,9 @@ CPU arithmetic instead of GPU.  Dense storage is O(|V|²) regardless of
 sparsity, which is exactly why the paper omits dGPU numbers for the
 large g1–g3 graphs — this backend reproduces that collapse.
 
-The mutable kernels are genuine in-place array operations
-(``self |= other`` on the boolean buffer), so the delta closure engine
-never re-allocates the accumulator matrices.
+The mutable kernel ``union_update`` is a genuine in-place array
+operation (``self |= delta`` on the boolean buffer), so the delta
+closure engine never re-allocates the accumulator matrices.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ class DenseMatrix(BooleanMatrix):
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix._wrap(self._array.T.copy())
-
-    def difference(self, other: BooleanMatrix) -> "DenseMatrix":
-        self._require_same_shape(other)
-        # self & ~other in one vectorized comparison (True > False), a
-        # single allocation and no inverted temporary.
-        return DenseMatrix._wrap(np.greater(self._array, _as_array(other)))
 
     def union_update(self, other: BooleanMatrix) -> "DenseMatrix":
         self._require_same_shape(other)
@@ -194,28 +188,6 @@ class DenseBackend(MatrixBackend):
             out[row_lo:row_hi, col_lo:col_hi] = \
                 _as_array(tile)[:row_hi - row_lo, :col_hi - col_lo]
         return DenseMatrix._wrap(out)
-
-    def mxm_into(self, left: BooleanMatrix, right: BooleanMatrix,
-                 accum: BooleanMatrix,
-                 ) -> tuple[BooleanMatrix, BooleanMatrix]:
-        """Fused product-accumulate: one BLAS matmul, the exact delta via
-        a single ``>`` comparison, and an in-place OR into the
-        accumulator."""
-        if not isinstance(accum, DenseMatrix):
-            return super().mxm_into(left, right, accum)
-        left._require_chainable(right)
-        product = _bool_matmul(_as_array(left), _as_array(right))
-        if product.shape != accum.shape:
-            from ..errors import DimensionMismatchError
-
-            raise DimensionMismatchError(
-                f"cannot accumulate {product.shape} into {accum.shape}"
-            )
-        # The product is materialized before accum mutates, so operand
-        # aliasing stays safe.
-        np.greater(product, accum._array, out=product)
-        accum._array |= product
-        return accum, DenseMatrix._wrap(product)
 
     # -- tile payloads (spill and snapshot codec) -------------------------
     def tile_payload(self, matrix: BooleanMatrix) -> tuple:

@@ -185,7 +185,7 @@ class RowSetMatrix(BooleanMatrix):
     The boolean projection of one non-terminal slice of a
     :class:`SetMatrix`: the row-major adjacency-set layout makes the
     boolean product a union of row sets and gives O(1) in-place cell
-    insertion, so the mutable kernels are native.
+    insertion, so the mutable kernel ``union_update`` is native.
     """
 
     __slots__ = ("_shape", "_rows", "_nnz")
@@ -250,17 +250,6 @@ class RowSetMatrix(BooleanMatrix):
         for i, row in self._rows.items():
             for j in row:
                 columns.setdefault(j, set()).add(i)
-        return result
-
-    def difference(self, other: BooleanMatrix) -> "RowSetMatrix":
-        self._require_same_shape(other)
-        other_rows = _boolean_rows_of(other)
-        result = RowSetMatrix(self._shape, ())
-        for i, columns in self._rows.items():
-            kept = columns - other_rows.get(i, set())
-            if kept:
-                result._rows[i] = kept
-                result._nnz += len(kept)
         return result
 
     def union_update(self, other: BooleanMatrix) -> "RowSetMatrix":

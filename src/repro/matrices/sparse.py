@@ -68,10 +68,6 @@ class SparseMatrix(BooleanMatrix):
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._matrix.T)
 
-    def difference(self, other: BooleanMatrix) -> "SparseMatrix":
-        self._require_same_shape(other)
-        return SparseMatrix(self._matrix > _as_csr(other))
-
     def union_update(self, other: BooleanMatrix) -> "SparseMatrix":
         self._require_same_shape(other)
         delta = (_as_csr(other) > self._matrix).tocsr()

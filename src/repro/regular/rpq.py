@@ -17,17 +17,12 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from ..core.closure import run_closure
 from ..core.matrix_cfpq import DEFAULT_STRATEGY
-from ..grammar.symbols import Nonterminal
+from ..core.transitive_closure import engine_closure
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import BooleanMatrix, MatrixBackend, get_backend
 from .automaton import NFA, regex_to_nfa
 from .regex import parse_regex
-
-#: The one-nonterminal grammar an RPQ compiles to: transitive closure
-#: is the single pair rule ``R → R R`` over the product adjacency.
-_REACH = Nonterminal("__rpq_reach__")
 
 
 def product_adjacency(nfa: NFA, graph: LabeledGraph,
@@ -49,19 +44,6 @@ def product_adjacency(nfa: NFA, graph: LabeledGraph,
             for (v, v_next) in graph_pairs:
                 pairs.add((base_q + v, base_next + v_next))
     return backend.from_pairs(nfa.state_count * node_count, pairs)
-
-
-def _product_closure(adjacency: BooleanMatrix, backend: MatrixBackend,
-                     strategy: str) -> BooleanMatrix:
-    """Transitive closure ``A⁺`` of the product adjacency, computed by
-    the CFPQ closure engine: an RPQ is the one-nonterminal grammar
-    ``R → R R`` whose sole matrix starts as the adjacency — so every
-    closure strategy (naive/delta/blocked) applies unchanged.
-    """
-    matrices = {_REACH: backend.clone(adjacency)}
-    result = run_closure(matrices, [(_REACH, _REACH, _REACH)], backend,
-                         strategy=strategy)
-    return result.matrices[_REACH]
 
 
 def _demux_rpq(closed: BooleanMatrix, nfa: NFA, graph: LabeledGraph,
@@ -107,9 +89,10 @@ def solve_rpq(graph: LabeledGraph, query: "str | NFA",
     prebuilt NFA.  ε (the empty path) contributes the reflexive pairs
     when the expression is nullable, matching the RPQ literature.
     Evaluation runs through the CFPQ closure engine (see
-    :func:`_product_closure`), so *strategy* picks any registered
-    closure strategy; :func:`solve_rpq_reference` keeps the original
-    self-contained squaring loop as the differential oracle.
+    :func:`repro.core.transitive_closure.engine_closure`), so
+    *strategy* picks any closure strategy; :func:`solve_rpq_reference`
+    keeps the original self-contained squaring loop as the
+    differential oracle.
     """
     return _node_pairs(graph, rpq_pairs_by_id(graph, query, backend,
                                               strategy))
@@ -143,8 +126,7 @@ def solve_rpq_batch(graph: LabeledGraph,
         block = product_adjacency(nfa, graph, backend_obj)
         pairs.update((offset + i, offset + j)
                      for i, j in block.nonzero_pairs())
-    closed = _product_closure(backend_obj.from_pairs(total, pairs),
-                              backend_obj, strategy)
+    closed = engine_closure(backend_obj.from_pairs(total, pairs), strategy)
     return [_node_pairs(graph, _demux_rpq(closed, nfa, graph, backend_obj,
                                           offset=offset))
             for nfa, offset in zip(nfas, offsets)]
@@ -191,5 +173,5 @@ def rpq_pairs_by_id(graph: LabeledGraph, query: "str | NFA",
     if graph.node_count == 0:
         return frozenset()
     adjacency = product_adjacency(nfa, graph, backend_obj)
-    closed = _product_closure(adjacency, backend_obj, strategy)
+    closed = engine_closure(adjacency, strategy)
     return _demux_rpq(closed, nfa, graph, backend_obj)

@@ -1,4 +1,4 @@
-"""Differential tests for the strategy-pluggable closure engine.
+"""Differential tests for the closure engine's three strategies.
 
 Every (strategy × backend) cell must produce identical relations
 ``R_A`` for every non-terminal and identical final ``nnz`` counts —
@@ -11,11 +11,9 @@ workload that iterates more than once.
 import pytest
 
 from repro.core.closure import (
-    ClosureResult,
     available_strategies,
     fixpoint_history,
     get_strategy,
-    register_strategy,
     run_closure,
 )
 from repro.core.engine import CFPQEngine
@@ -67,21 +65,6 @@ class TestRegistry:
     def test_unknown_strategy_at_solve_time(self, dyck_grammar):
         with pytest.raises(UnknownStrategyError):
             solve_matrix(two_cycles(2, 3), dyck_grammar, strategy="magic")
-
-    def test_register_custom_strategy(self):
-        def fake(matrices, pair_rules, backend, **_options):
-            return ClosureResult(matrices=matrices, iterations=0,
-                                 multiplications=0)
-
-        register_strategy("fake-noop", fake)
-        try:
-            assert "fake-noop" in available_strategies()
-            result = run_closure({}, [], "setmatrix", strategy="fake-noop")
-            assert result.iterations == 0
-        finally:
-            from repro.core import closure
-
-            del closure._STRATEGIES["fake-noop"]
 
 
 @pytest.mark.parametrize("backend_name", available_backends())

@@ -1,19 +1,23 @@
 """Tests for the conjunctive-grammar extension (§7 future work)."""
 
+import random
+
 import pytest
 
-from repro.core import closure as closure_module
-from repro.core.closure import available_strategies, run_closure
 from repro.core.conjunctive import (
     ConjunctiveGrammar,
     ConjunctiveRule,
     TerminalRule,
     anbncn_grammar,
     solve_conjunctive_approx,
-    solve_conjunctive_reference,
 )
+from repro.core.matrix_cfpq import solve_matrix
+from repro.grammar.cfg import CFG
+from repro.grammar.cnf import to_cnf
+from repro.grammar.parser import parse_grammar
+from repro.grammar.production import Production
 from repro.grammar.symbols import Nonterminal, Terminal
-from repro.graph.generators import word_chain
+from repro.graph.generators import random_graph, two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
 
 S = Nonterminal("S")
@@ -86,86 +90,57 @@ class TestAnBnCn:
         assert len(set(answers.values())) == 1
 
 
-class TestEngineRouteMatchesReference:
-    """The engine-routed solver reaches the exact fixpoint of the
-    original direct loop — per closure strategy, per backend, on cyclic
-    and acyclic inputs."""
+def _random_cnf(rng: random.Random) -> CFG:
+    """An ε-free CNF grammar over S, A, B, C and labels a, b."""
+    names = [Nonterminal(name) for name in "SABC"]
+    productions = [Production(rng.choice(names), (Terminal(label),))
+                   for label in rng.sample("ab", rng.randint(1, 2))]
+    productions += [Production(rng.choice(names),
+                               (rng.choice(names), rng.choice(names)))
+                    for _ in range(rng.randint(1, 6))]
+    return CFG(productions)
 
-    GRAPHS = {
-        "chain": lambda: word_chain(list("aabbcc")),
-        "cyclic": lambda: LabeledGraph.from_edges(
-            [(0, "a", 0), (0, "b", 0), (0, "c", 0)]
-        ),
-        "branching": lambda: LabeledGraph.from_edges(
-            [(0, "a", 1), (1, "a", 2), (2, "b", 3), (3, "b", 4),
-             (4, "c", 5), (5, "c", 6), (0, "a", 4), (4, "b", 0),
-             (1, "b", 3), (3, "c", 1)],
-            nodes=list(range(7)),
-        ),
-    }
 
-    @pytest.mark.parametrize("strategy", sorted(available_strategies()))
-    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    def test_matches_reference(self, strategy, graph_name, backend_name):
-        grammar = anbncn_grammar()
-        graph = self.GRAPHS[graph_name]()
-        oracle = solve_conjunctive_reference(graph, grammar,
-                                             backend=backend_name)
-        routed = solve_conjunctive_approx(graph, grammar,
-                                          backend=backend_name,
-                                          strategy=strategy)
-        for nt in grammar.nonterminals:
-            assert routed.pairs(nt) == oracle.pairs(nt), (strategy, nt)
+def _single_conjunct(grammar: CFG) -> ConjunctiveGrammar:
+    """The same rules as a conjunctive grammar, one conjunct per rule."""
+    return ConjunctiveGrammar(
+        [TerminalRule(rule.head, rule.body[0])
+         for rule in grammar.terminal_rules]
+        + [ConjunctiveRule(rule.head, (rule.body,))
+           for rule in grammar.binary_rules])
 
-    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    def test_spilled_blocked_matches_reference(self, graph_name,
-                                               backend_name, tmp_path,
-                                               monkeypatch):
-        """Each outer round re-enters ``blocked`` with the head's new
-        cells as a tile frontier; under a one-byte budget every tile of
-        those runs goes through the spill files."""
-        runs = []
 
-        def recording_run_closure(*args, **kwargs):
-            result = run_closure(*args, **kwargs)
-            runs.append(result.details["blocked"])
-            return result
+class TestSingleConjunctMatchesMatrixEngine:
+    """With one conjunct per rule the fixpoint is Algorithm 1: it must
+    equal :func:`solve_matrix` on every non-terminal of ε-free CNF
+    grammars, on random graphs and on every backend."""
 
-        monkeypatch.setattr(closure_module, "run_closure",
-                            recording_run_closure)
-        grammar = anbncn_grammar()
-        graph = self.GRAPHS[graph_name]()
-        oracle = solve_conjunctive_reference(graph, grammar,
-                                             backend=backend_name)
-        routed = solve_conjunctive_approx(graph, grammar,
-                                          backend=backend_name,
-                                          strategy="blocked", tile_size=2,
-                                          memory_budget=1,
-                                          spill_dir=str(tmp_path))
-        for nt in grammar.nonterminals:
-            assert routed.pairs(nt) == oracle.pairs(nt), nt
-        assert runs and all(stats.budget_bytes == 1 for stats in runs)
-        assert sum(stats.tiles_spilled for stats in runs) > 0
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_grammar_and_graph(self, seed, backend_name):
+        rng = random.Random(0xC0DE ^ seed)
+        grammar = _random_cnf(rng)
+        graph = random_graph(rng.randint(1, 8), rng.randint(1, 24),
+                             ["a", "b"], seed=seed)
+        self._assert_same(graph, grammar, backend_name)
 
-    def test_single_conjunct_grammar_matches(self, backend_name):
-        grammar = ConjunctiveGrammar.parse(
-            "S -> A B\nA -> a\nA -> A A\nB -> b", terminals=["a", "b"]
-        )
-        graph = LabeledGraph.from_edges(
-            [(0, "a", 1), (1, "a", 0), (1, "b", 2), (0, "b", 2)]
-        )
-        oracle = solve_conjunctive_reference(graph, grammar,
-                                             backend=backend_name)
-        routed = solve_conjunctive_approx(graph, grammar,
+    @pytest.mark.parametrize("graph_name", ["chain", "two-cycles"])
+    def test_dyck(self, graph_name, backend_name):
+        grammar = to_cnf(parse_grammar("S -> a S b | a b | S S",
+                                       terminals=["a", "b"]))
+        graph = {"chain": word_chain(list("aabbab")),
+                 "two-cycles": two_cycles(2, 3)}[graph_name]
+        self._assert_same(graph, grammar, backend_name)
+
+    @staticmethod
+    def _assert_same(graph, grammar, backend_name):
+        assert grammar.is_cnf
+        expected = solve_matrix(graph, grammar, backend=backend_name,
+                                normalize=False).relations
+        result = solve_conjunctive_approx(graph, _single_conjunct(grammar),
                                           backend=backend_name)
+        assert result.nonterminals == grammar.nonterminals
         for nt in grammar.nonterminals:
-            assert routed.pairs(nt) == oracle.pairs(nt)
-
-    def test_aux_heads_do_not_leak(self):
-        grammar = anbncn_grammar()
-        result = solve_conjunctive_approx(word_chain(list("abc")), grammar)
-        assert not any(nt.name.startswith("__conj")
-                       for nt in result.nonterminals)
+            assert result.pairs(nt) == expected.pairs(nt), nt
 
 
 class TestUpperApproximation:

@@ -592,9 +592,9 @@ def test_union_update_delta_is_new_plus_improved(kind, seed):
     # Mutated in place, to the ⊕ of both operands.
     assert _cells(target) == _cells(oracle) == merged
     assert _cells(other) == incoming
-    assert _cells(target.difference(other)) == {
-        pair: value for pair, value in _cells(target).items()
-        if pair not in incoming
+    assert {pair: value for pair, value in _cells(target).items()
+            if pair not in incoming} == {
+        pair: before[pair] for pair in before.keys() - incoming.keys()
     }
 
 

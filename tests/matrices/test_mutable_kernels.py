@@ -4,9 +4,6 @@ Contracts under test, for every registered backend:
 
 * ``union_update`` mutates the target to the union and returns
   **exactly** the genuinely-new entries (the semi-naive frontier);
-* ``difference`` is plain set difference on coordinates;
-* ``MatrixBackend.mxm_into`` equals multiply-then-union, delta
-  included;
 * each kernel accepts an operand from any other backend, and every
   abstract kernel is mandatory (no generic fallback stands behind it).
 """
@@ -40,39 +37,6 @@ def test_union_update_returns_exact_delta(target_pairs, other_pairs):
         assert other.to_pair_set() == other_pairs, name
 
 
-@given(left_pairs=pair_sets, right_pairs=pair_sets)
-@settings(max_examples=100, deadline=None)
-def test_difference_is_set_difference(left_pairs, right_pairs):
-    for name in available_backends():
-        backend = get_backend(name)
-        left = backend.from_pairs(_SIZE, left_pairs)
-        right = backend.from_pairs(_SIZE, right_pairs)
-        result = left.difference(right)
-        assert result.to_pair_set() == left_pairs - right_pairs, name
-        # Value semantics: neither operand changes.
-        assert left.to_pair_set() == left_pairs, name
-        assert right.to_pair_set() == right_pairs, name
-
-
-@given(left_pairs=pair_sets, right_pairs=pair_sets, accum_pairs=pair_sets)
-@settings(max_examples=100, deadline=None)
-def test_mxm_into_equals_multiply_union(left_pairs, right_pairs, accum_pairs):
-    expected_product = {
-        (i, j)
-        for i, k in left_pairs
-        for k2, j in right_pairs
-        if k == k2
-    }
-    for name in available_backends():
-        backend = get_backend(name)
-        left = backend.from_pairs(_SIZE, left_pairs)
-        right = backend.from_pairs(_SIZE, right_pairs)
-        accum = backend.from_pairs(_SIZE, accum_pairs)
-        merged, delta = backend.mxm_into(left, right, accum)
-        assert merged.to_pair_set() == accum_pairs | expected_product, name
-        assert delta.to_pair_set() == expected_product - accum_pairs, name
-
-
 @given(pairs=pair_sets)
 @settings(max_examples=50, deadline=None)
 def test_clone_is_independent(pairs):
@@ -103,23 +67,11 @@ def test_union_update_shape_mismatch(name):
         backend.union_update(backend.zeros(2), backend.zeros(3))
 
 
-@pytest.mark.parametrize("name", available_backends())
-def test_mxm_into_aliasing_accumulator(name):
-    """accum may be one of the product operands; the kernels must not
-    corrupt the product by mutating mid-multiply."""
-    backend = get_backend(name)
-    # chain 0->1->2->3 squared into itself: adds the distance-2 pairs.
-    matrix = backend.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-    merged, delta = backend.mxm_into(matrix, matrix, matrix)
-    assert merged.to_pair_set() == {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
-    assert delta.to_pair_set() == {(0, 2), (1, 3)}
-
-
 @pytest.mark.parametrize("kernel", sorted(BooleanMatrix.__abstractmethods__))
 def test_every_abstract_kernel_is_required(kernel):
     """A matrix type that leaves any abstract method out cannot be
-    built: there is no generic fallback behind ``difference`` or
-    ``union_update`` (or any other kernel)."""
+    built: there is no generic fallback behind ``union_update`` (or
+    any other kernel)."""
     namespace = {name: (lambda self, *args: None)
                  for name in BooleanMatrix.__abstractmethods__
                  if name != kernel}
@@ -153,32 +105,6 @@ def test_union_update_merges_other_backend_in_place(target_name,
     assert operand.to_pair_set() == set(_OPERAND)
 
 
-@pytest.mark.parametrize("operand_name", available_backends())
-@pytest.mark.parametrize("target_name", available_backends())
-def test_difference_of_other_backend(target_name, operand_name):
-    left = get_backend(target_name).from_pairs(_SIZE, _TARGET)
-    right = get_backend(operand_name).from_pairs(_SIZE, _OPERAND)
-    result = left.difference(right)
-    assert result.to_pair_set() == {(0, 1), (3, 3)}
-    assert left.to_pair_set() == set(_TARGET)
-    assert right.to_pair_set() == set(_OPERAND)
-
-
-@pytest.mark.parametrize("operand_name", available_backends())
-@pytest.mark.parametrize("target_name", available_backends())
-def test_mxm_into_other_backend_operands(target_name, operand_name):
-    backend = get_backend(target_name)
-    other = get_backend(operand_name)
-    left = other.from_pairs(_SIZE, _TARGET)
-    right = other.from_pairs(_SIZE, _OPERAND)
-    accum = backend.from_pairs(_SIZE, [(0, 2)])
-    merged, delta = backend.mxm_into(left, right, accum)
-    # 0->1->2, 1->2->0, 3->3->4
-    assert merged.to_pair_set() == {(0, 2), (1, 0), (3, 4)}
-    assert delta.to_pair_set() == {(1, 0), (3, 4)}
-    assert merged.backend_name == target_name
-
-
 # ----------------------------------------------------------------------
 # Rectangular operands: the kernels keep the shape and check it.
 # ----------------------------------------------------------------------
@@ -196,24 +122,7 @@ def test_union_update_rectangular(name):
 
 
 @pytest.mark.parametrize("name", available_backends())
-def test_difference_rectangular(name):
-    backend = get_backend(name)
-    left = backend.from_pairs(2, [(0, 4), (1, 0), (1, 3)], cols=5)
-    right = backend.from_pairs(2, [(1, 0)], cols=5)
-    result = left.difference(right)
-    assert result.shape == (2, 5)
-    assert result.to_pair_set() == {(0, 4), (1, 3)}
-
-
-@pytest.mark.parametrize("name", available_backends())
 def test_union_update_transposed_shape_mismatch(name):
     backend = get_backend(name)
     with pytest.raises(DimensionMismatchError):
         backend.union_update(backend.zeros(2, 5), backend.zeros(5, 2))
-
-
-@pytest.mark.parametrize("name", available_backends())
-def test_difference_shape_mismatch(name):
-    backend = get_backend(name)
-    with pytest.raises(DimensionMismatchError):
-        backend.zeros(2).difference(backend.zeros(3))

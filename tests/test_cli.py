@@ -318,19 +318,55 @@ class TestSizeFlags:
         assert payload["pairs"] == [["0", "4"], ["1", "3"]]
 
     @pytest.mark.parametrize("strategy", ("delta", "naive"))
-    def test_update_keeps_the_flags_with_any_strategy(
+    def test_update_refuses_the_flag_with_another_strategy(
             self, strategy, chain_file, tmp_path, capsys):
-        """``update`` hands the flags to the incremental solver, whose
-        batch route passes them on; it is not a one-shot solve."""
+        """``update`` runs its initial solve, and nothing else, under the
+        strategy: the flags are refused as for a one-shot solve."""
         insert = tmp_path / "insert.txt"
         insert.write_text("4 a 5\n5 b 6\n")
-        assert main(["update", "--graph", chain_file,
-                     "--grammar-name", "dyck1", "--start", "S",
-                     "--insert", str(insert), "--strategy", strategy,
-                     "--tile-size", "2", "--memory-budget", "1K",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert ["4", "6"] in payload["pairs"]
+        code = main(["update", "--graph", chain_file,
+                     "--grammar-name", "dyck1", "--insert", str(insert),
+                     "--strategy", strategy, "--memory-budget", "8M",
+                     "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --memory-budget applies only to --strategy blocked, "
+            f"not {strategy!r}"]
+
+    @pytest.mark.parametrize("start", ("graph", "snapshot"))
+    @pytest.mark.parametrize("strategy", (None, "delta", "naive"))
+    def test_serve_refuses_the_flag_with_another_strategy(
+            self, strategy, start, tmp_path, capsys):
+        """``serve`` is judged by the ``--strategy`` it was given
+        (``delta`` when none): a snapshot start runs no closure, so the
+        refusal comes before any file is read — neither exists here."""
+        source = {"graph": ("--graph", str(tmp_path / "missing.txt"),
+                            "--grammar-name", "dyck1"),
+                  "snapshot": ("--snapshot",
+                               str(tmp_path / "missing.snapshot"))}[start]
+        chosen = ("--strategy", strategy) if strategy else ()
+        code = main(["serve", *source, *chosen, "--tile-size", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --tile-size applies only to --strategy blocked, "
+            f"not {strategy or 'delta'!r}"]
+
+    def test_serve_keeps_the_flags_with_blocked(self, chain_file,
+                                                monkeypatch, capsys):
+        """With ``--strategy blocked`` the flags reach the solve."""
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"op": "query", "start": "S"}\n'))
+        assert main(["serve", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--strategy", "blocked", "--tile-size", "2",
+                     "--memory-budget", "1K"]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply["ok"] and reply["result"] == [[0, 4], [1, 3]]
 
     def test_budget_suffix_still_parses(self, chain_file, capsys):
         assert main(["query", "--graph", chain_file,
