@@ -143,6 +143,68 @@ class TestSingleConjunctMatchesMatrixEngine:
             assert result.pairs(nt) == expected.pairs(nt), nt
 
 
+def _conjunctive_cyk(word: str, grammar: ConjunctiveGrammar
+                     ) -> dict[tuple[int, int], set[Nonterminal]]:
+    """The non-terminals deriving each span ``word[i:j]``, by CYK over
+    span lengths: both parts of a conjunct are non-empty, so a span
+    depends on shorter spans only and one pass per length is exact."""
+    derives: dict[tuple[int, int], set[Nonterminal]] = {}
+    for i, char in enumerate(word):
+        derives[(i, i + 1)] = {rule.head for rule in grammar.terminal_rules
+                               if rule.terminal.label == char}
+    for length in range(2, len(word) + 1):
+        for i in range(len(word) - length + 1):
+            j = i + length
+            derives[(i, j)] = {
+                rule.head for rule in grammar.conjunctive_rules
+                if all(any(left in derives[(i, k)]
+                           and right in derives[(k, j)]
+                           for k in range(i + 1, j))
+                       for left, right in rule.conjuncts)}
+    return derives
+
+
+def _random_conjunctive(rng: random.Random) -> ConjunctiveGrammar:
+    """Terminal rules for a, b, c and three to eight rules of one to
+    three conjuncts over S, A, B, C."""
+    names = [Nonterminal(name) for name in "SABC"]
+    rules: list = [TerminalRule(head, Terminal(label))
+                   for label in "abc"
+                   for head in rng.sample(names, rng.randint(1, 3))]
+    rules += [ConjunctiveRule(rng.choice(names), tuple(
+                  (rng.choice(names), rng.choice(names))
+                  for _ in range(rng.randint(1, 3))))
+              for _ in range(rng.randint(3, 8))]
+    return ConjunctiveGrammar(rules)
+
+
+class TestChainMatchesConjunctiveCYK:
+    """On a chain each pair of nodes has one path, so the fixpoint is
+    exact: every non-terminal relates ``(i, j)`` iff it derives
+    ``word[i:j]`` by conjunctive CYK."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_grammar_and_word(self, seed, backend_name):
+        rng = random.Random(0xC7C ^ seed)
+        grammar = _random_conjunctive(rng)
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(5, 10)))
+        self._assert_exact(word, grammar, backend_name)
+
+    @pytest.mark.parametrize("word", ["aabbcc", "abcabc", "aaabbbcc"])
+    def test_anbncn(self, word, backend_name):
+        self._assert_exact(word, anbncn_grammar(), backend_name)
+
+    @staticmethod
+    def _assert_exact(word, grammar, backend_name):
+        derives = _conjunctive_cyk(word, grammar)
+        result = solve_conjunctive_approx(word_chain(list(word)), grammar,
+                                          backend=backend_name)
+        for nt in grammar.nonterminals:
+            expected = {span for span, heads in derives.items()
+                        if nt in heads}
+            assert result.pairs(nt) == expected, (word, nt)
+
+
 class TestUpperApproximation:
     def test_approximation_is_sound_on_cyclic_graph(self):
         """Every true pair (witnessed by an actual aⁿbⁿcⁿ path) must be

@@ -1,15 +1,19 @@
 """Tests for the Section 2 closures, including the Theorem 1 equivalence."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.closure import available_strategies
 from repro.core.transitive_closure import (
+    boolean_closure_delta,
     boolean_closure_incremental,
     boolean_closure_naive,
     boolean_closure_warshall,
     closure_cf,
     closure_cf_history,
     closure_valiant,
+    engine_closure,
 )
 from repro.grammar.parser import parse_grammar
 from repro.grammar.symbols import Nonterminal
@@ -114,6 +118,36 @@ class TestBooleanClosures:
         assert closed == {(i, j) for i in range(3) for j in range(3)}
 
 
+class TestEngineClosure:
+    """``A⁺`` as the grammar ``R → R R`` on the closure engine: every
+    strategy on every backend reaches the Floyd–Warshall closure, on
+    acyclic and cyclic inputs."""
+
+    GRAPHS = {
+        "chain": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        "cycle-with-tail": (6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 4)]),
+        "two-components": (7, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2),
+                               (5, 6), (6, 2)]),
+    }
+
+    @pytest.mark.parametrize("strategy", available_strategies())
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    def test_matches_warshall(self, strategy, graph_name, backend_name):
+        size, pairs = self.GRAPHS[graph_name]
+        matrix = get_backend(backend_name).from_pairs(size, pairs)
+        closed = engine_closure(matrix, strategy)
+        expected = boolean_closure_warshall(matrix).to_pair_set()
+        assert closed.to_pair_set() == expected, (strategy, graph_name)
+        assert closed.backend_name == backend_name
+
+    def test_input_is_not_modified(self, backend_name):
+        pairs = {(0, 1), (1, 2), (2, 0)}
+        matrix = get_backend(backend_name).from_pairs(3, pairs)
+        closed = boolean_closure_delta(matrix)
+        assert closed.nnz() == 9
+        assert matrix.to_pair_set() == pairs
+
+
 pair_sets = st.sets(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10
 )
@@ -126,8 +160,9 @@ def test_boolean_closure_strategies_agree_property(pairs):
     matrix = backend.from_pairs(5, pairs)
     naive = boolean_closure_naive(matrix).to_pair_set()
     incremental = boolean_closure_incremental(matrix).to_pair_set()
+    delta = boolean_closure_delta(matrix).to_pair_set()
     warshall = boolean_closure_warshall(matrix).to_pair_set()
-    assert naive == incremental == warshall
+    assert naive == incremental == delta == warshall
 
 
 @given(pairs=pair_sets)

@@ -67,6 +67,20 @@ def test_union_update_shape_mismatch(name):
         backend.union_update(backend.zeros(2), backend.zeros(3))
 
 
+@pytest.mark.parametrize("name", available_backends())
+def test_union_update_with_own_product(name):
+    """The closure step ``R ← R ∪ R×R``: the product is computed
+    before the target is mutated, so merging it into an operand of the
+    product is safe."""
+    backend = get_backend(name)
+    # chain 0->1->2->3 squared into itself: adds the distance-2 pairs.
+    matrix = backend.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
+    merged, delta = backend.union_update(matrix, matrix.multiply(matrix))
+    assert merged is matrix
+    assert merged.to_pair_set() == {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
+    assert delta.to_pair_set() == {(0, 2), (1, 3)}
+
+
 @pytest.mark.parametrize("kernel", sorted(BooleanMatrix.__abstractmethods__))
 def test_every_abstract_kernel_is_required(kernel):
     """A matrix type that leaves any abstract method out cannot be
