@@ -35,14 +35,13 @@ import argparse
 import json
 import sys
 
-from .core.closure import available_strategies
+from .core.closure import TILE_OPTIONS, available_strategies, closure_settings
 from .core.engine import CFPQEngine
-from .core.matrix_cfpq import DEFAULT_STRATEGY
-from .errors import EngineError, ReproError, SemanticsError
+from .errors import ReproError, SemanticsError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
 from .graph.io import load_graph_file
-from .matrices.base import BACKEND_NAMES, backend_installed, default_backend
+from .matrices.base import BACKEND_NAMES, backend_installed
 
 
 def _load_grammar(args: argparse.Namespace):
@@ -109,17 +108,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=sorted(GRAMMAR_REGISTRY),
                         help="built-in grammar")
     parser.add_argument("--start", default="S", help="start non-terminal")
-    parser.add_argument("--backend", type=_backend, default=default_backend(),
-                        choices=BACKEND_NAMES)
-    parser.add_argument("--strategy", default=DEFAULT_STRATEGY,
+    _add_closure_flags(parser)
+    _add_tracing(parser)
+
+
+def _add_closure_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`repro.core.closure.closure_settings` reads."""
+    parser.add_argument("--backend", type=_backend, default=None,
+                        choices=BACKEND_NAMES,
+                        help="matrix backend (default: a served "
+                             "snapshot's, else the best installed)")
+    parser.add_argument("--strategy", default=None,
                         choices=available_strategies(),
-                        help="closure strategy (delta = semi-naive, "
-                             "naive = full re-multiplication, "
+                        help="closure strategy (delta = semi-naive, the "
+                             "default unless a served snapshot names "
+                             "another; naive = full re-multiplication; "
                              "blocked = frontier-aware tiled products); "
                              "does not apply "
                              "to --semiring counting, whose + is not "
                              "idempotent and always closes by Kleene "
-                             "iteration")
+                             "iteration, which refuses the tile flags")
     parser.add_argument("--tile-size", type=_positive_int, default=None,
                         help="tile edge for the blocked strategy "
                              "(default: the largest edge whose 16-tile "
@@ -135,7 +143,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "$REPRO_SPILL_DIR or a private temporary "
                              "directory; cleaned up on success, kept on "
                              "a crash)")
-    _add_tracing(parser)
 
 
 def _add_tracing(parser: argparse.ArgumentParser) -> None:
@@ -171,19 +178,11 @@ def _configure_observability(args: argparse.Namespace) -> None:
         set_slow_query_log(slow_ms, getattr(args, "slow_query_log", None))
 
 
-def _solve_options(args: argparse.Namespace) -> dict:
-    """The closure options the CLI flags give.  Only the blocked
-    strategy reads the tile flags, so one given with another strategy
-    is an error instead of being silently ignored."""
-    options = {name: getattr(args, name)
-               for name in ("tile_size", "memory_budget", "spill_dir")
-               if getattr(args, name) is not None}
-    strategy = args.strategy or DEFAULT_STRATEGY
-    if options and strategy != "blocked":
-        flag = "--" + next(iter(options)).replace("_", "-")
-        raise EngineError(f"{flag} applies only to --strategy blocked, "
-                          f"not {strategy!r}")
-    return options
+def _tile_options(args: argparse.Namespace) -> dict:
+    """The tile flags as closure options (None when not given); the
+    closure refuses one given with a strategy that does not read it
+    (:func:`repro.core.closure.closure_settings`)."""
+    return {name: getattr(args, name) for name in TILE_OPTIONS}
 
 
 def _stats_payload(engine: CFPQEngine) -> dict:
@@ -214,7 +213,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _cmd_query_semiring(args)
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_solve_options(args))
+                        **_tile_options(args))
     start = engine.grammar.resolve_nonterminal(args.start)
     _print_relation(args, engine.graph, engine.relations().rows(start),
                     {"start": args.start}, f"R_{args.start}",
@@ -276,7 +275,7 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
             queries.append(read_query(spec, graph, "batch"))
     answers = solve_batch(graph, grammar, queries, backend=args.backend,
                           strategy=args.strategy,
-                          **_solve_options(args))
+                          **_tile_options(args))
     writer = PairWriter(graph)
     rendered = [writer.json(writer.node_keys(answer))
                 if isinstance(answer, frozenset) else json.dumps(answer)
@@ -305,7 +304,7 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     start = grammar.resolve_nonterminal(args.start)
     result = solve_annotated(graph, grammar, semiring, normalize=False,
                              strategy=args.strategy,
-                             **_solve_options(args))
+                             **_tile_options(args))
     rows = PairWriter(graph).cells(*result.matrices[start].columns())
     if args.json:
         print(json.dumps({"start": args.start, "semiring": semiring.name,
@@ -335,7 +334,7 @@ def _engine_and_query(args: argparse.Namespace):
 
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_solve_options(args))
+                        **_tile_options(args))
     return engine, read_argv(args, engine.graph)
 
 
@@ -396,7 +395,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     start = grammar.resolve_nonterminal(args.start)
     solver = IncrementalCFPQ(_load_graph(args), grammar,
                              backend=args.backend, strategy=args.strategy,
-                             **_solve_options(args))
+                             **_tile_options(args))
 
     def update_edges(path: str):
         # With --rdf the base graph carried the paper's inverse-edge
@@ -425,7 +424,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
     engine = CFPQEngine(_load_graph(args), _load_grammar(args),
                         backend=args.backend, strategy=args.strategy,
-                        **_solve_options(args))
+                        **_tile_options(args))
     size = save_engine_snapshot(args.output, engine,
                                 semantics=tuple(args.semantics))
     print(f"wrote {args.output}: {size} bytes "
@@ -462,7 +461,10 @@ def serve_service(args: argparse.Namespace):
                replicas=_parse_replicas(args.replicas))
     if not (args.snapshot or args.graph):
         raise SystemExit("serve requires --graph or --snapshot")
-    options = _solve_options(args)
+    options = _tile_options(args)
+    # Judged by the --strategy given (delta when none), before any file
+    # is read: a snapshot start would otherwise take the snapshot's.
+    closure_settings(args.backend, args.strategy, **options)
     service_kwargs = dict(
         backend=args.backend, strategy=args.strategy,
         single_path=True if args.single_path else None,
@@ -478,8 +480,7 @@ def serve_service(args: argparse.Namespace):
     else:
         service = QueryService(
             _load_graph(args), _load_grammar(args), backend=args.backend,
-            strategy=args.strategy or DEFAULT_STRATEGY,
-            single_path=args.single_path,
+            strategy=args.strategy, single_path=args.single_path,
             semiring=args.semiring, **options,
         )
     return open_role(args.role, service, snapshot=args.snapshot,
@@ -683,18 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--grammar", help="grammar file in the text DSL")
     serve.add_argument("--grammar-name", choices=sorted(GRAMMAR_REGISTRY),
                        help="built-in grammar")
-    serve.add_argument("--backend", type=_backend, default=None,
-                       choices=BACKEND_NAMES,
-                       help="matrix backend (default: the snapshot's, "
-                            "or the best installed)")
-    serve.add_argument("--strategy", default=None,
-                       choices=available_strategies())
-    serve.add_argument("--tile-size", type=_positive_int, default=None)
-    serve.add_argument("--memory-budget", type=_memory_budget, default=None,
-                       help="resident tile byte budget of a --strategy "
-                            "blocked solve (e.g. '8M')")
-    serve.add_argument("--spill-dir", default=None,
-                       help="directory for spilled tiles")
+    _add_closure_flags(serve)
     serve.add_argument("--single-path", action="store_true",
                        help="maintain length annotations so single-path "
                             "and length queries are served")
@@ -772,8 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="treat the graph file as RDF triples")
     rpq.add_argument("--regex", required=True,
                      help="label regex, e.g. 'subClassOf_r+ subClassOf+'")
-    rpq.add_argument("--backend", type=_backend, default=default_backend(),
-                     choices=BACKEND_NAMES)
+    rpq.add_argument("--backend", type=_backend, default=None,
+                     choices=BACKEND_NAMES,
+                     help="matrix backend (default: the best installed)")
     rpq.add_argument("--json", action="store_true")
     rpq.set_defaults(handler=cmd_rpq)
 

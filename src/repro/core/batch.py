@@ -29,13 +29,8 @@ from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.request import Query, read_query
-from ..matrices.base import (
-    BooleanMatrix,
-    MatrixBackend,
-    default_backend,
-    get_backend,
-)
-from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
+from ..matrices.base import BooleanMatrix, MatrixBackend, get_backend
+from .matrix_cfpq import solve_matrix
 
 __all__ = ["BatchQuery", "as_batch_query", "solve_batch"]
 
@@ -61,25 +56,26 @@ def _present_ids(graph: LabeledGraph, nodes: Iterable) -> "set[int]":
 
 def solve_batch(graph: LabeledGraph, grammar: CFG, queries,
                 backend: "str | MatrixBackend | None" = None,
-                strategy: str = DEFAULT_STRATEGY,
+                strategy: str | None = None,
                 normalize: bool = True,
-                **strategy_options) -> list:
+                **tile_options) -> list:
     """Answer a batch of queries with **one** closure plus reads.
 
     *queries* is a sequence of :class:`BatchQuery` / dict / tuple specs
     (see :func:`as_batch_query`).  Returns one answer per query, in
     order: a ``frozenset`` of ``(source_node, target_node)`` pairs for
-    ``relational`` semantics, a ``bool`` for ``membership``.
+    ``relational`` semantics, a ``bool`` for ``membership``.  *backend*,
+    *strategy* and *tile_options* configure the closure as on
+    :func:`~repro.core.matrix_cfpq.solve_matrix`.
     """
     specs = [as_batch_query(query) for query in queries]
     working = ensure_cnf(grammar) if normalize else grammar
     working.require_cnf("the batched CFPQ engine")
     starts = [working.resolve_nonterminal(spec.start) for spec in specs]
-    backend_obj = get_backend(backend if backend is not None
-                              else default_backend())
+    backend_obj = get_backend(backend)
     matrices = solve_matrix(graph, working, backend=backend_obj,
                             normalize=False, strategy=strategy,
-                            **strategy_options).matrices
+                            **tile_options).matrices
     source_ids = [None if spec.sources is None
                   else _present_ids(graph, spec.sources) for spec in specs]
     wanted: "dict[Nonterminal, set[int]]" = {}

@@ -35,7 +35,8 @@ every query semantics at once (the all-path forest is a view of the
 boolean fixpoint).
 
 ``run_closure`` is the single entry point the solvers route through;
-the strategy table is fixed.
+the strategy table is fixed; it and the long-lived solvers read their
+configuration through :func:`closure_settings` alone.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable
 
-from ..errors import UnknownStrategyError
-from ..matrices.base import BooleanMatrix, MatrixBackend, get_backend
+from ..errors import EngineError, UnknownStrategyError
+from ..matrices.base import (BooleanMatrix, MatrixBackend, default_backend,
+                             get_backend)
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from ..obs.trace import get_tracer, stopwatch
 
@@ -127,18 +129,46 @@ def available_strategies() -> list[str]:
     return sorted(_STRATEGIES)
 
 
+#: The strategy every solver closes with when none is named.
+DEFAULT_STRATEGY = "delta"
+
+#: The closure options only the ``blocked`` strategy reads.
+TILE_OPTIONS = ("tile_size", "memory_budget", "spill_dir")
+
+
+def closure_settings(backend=None, strategy=None, *, tile_size=None,
+                     memory_budget=None, spill_dir=None) -> tuple:
+    """``(backend, strategy, tile_options)`` of a closure: None is
+    :func:`default_backend` (a name; nothing is imported) or
+    :data:`DEFAULT_STRATEGY`, and *tile_options* holds the given
+    :data:`TILE_OPTIONS`.  Only ``blocked`` reads those, so one given to
+    another strategy (the counting semiring's Kleene closure too) is an
+    :class:`EngineError`.  ``$REPRO_MEMORY_BUDGET``/``$REPRO_SPILL_DIR``
+    are not given options but defaults that ``blocked`` reads."""
+    backend = default_backend() if backend is None else backend
+    strategy = DEFAULT_STRATEGY if strategy is None else strategy
+    options = {name: value for name, value in zip(
+        TILE_OPTIONS, (tile_size, memory_budget, spill_dir))
+        if value is not None}
+    if options and strategy != "blocked":
+        name = strategy if isinstance(strategy, str) else strategy.__name__
+        flag = "--" + next(iter(options)).replace("_", "-")
+        raise EngineError(f"{flag} applies only to --strategy blocked, "
+                          f"not {name!r}")
+    return backend, strategy, options
+
+
 def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
-                backend: "str | MatrixBackend",
-                strategy: "str | ClosureStrategy" = "delta",
-                **options) -> ClosureResult:
+                backend: "str | MatrixBackend | None" = None,
+                strategy: "str | ClosureStrategy | None" = None,
+                **tile_options) -> ClosureResult:
     """Close *matrices* under *pair_rules* with the named strategy (or
     a strategy function, traced under its ``__name__``: the counting
     semiring's :func:`repro.core.semiring.kleene_closure`).
 
     The matrices mapping is updated in place (and, for mutation-capable
-    backends, the matrices themselves are grown in place).  Extra
-    keyword options are strategy-specific (``tile_size`` and
-    ``memory_budget`` for ``blocked``).
+    backends, the matrices themselves are grown in place).  *backend*,
+    *strategy* and *tile_options* are read by :func:`closure_settings`.
 
     The mapping is first re-keyed in symbol-name order (in place):
     callers build it by iterating symbol *sets*, whose order follows
@@ -147,6 +177,8 @@ def run_closure(matrices: dict, pair_rules: Iterable[PairRule],
     inside the closed matrices are a function of the input, not of
     where the symbols happen to live.
     """
+    backend, strategy, options = closure_settings(backend, strategy,
+                                                  **tile_options)
     ordered = sorted(matrices.items(), key=lambda item: str(item[0]))
     matrices.clear()
     matrices.update(ordered)
@@ -242,7 +274,7 @@ def fixpoint_history(initial, step: Callable, equal: Callable,
 # ----------------------------------------------------------------------
 
 def closure_naive(matrices: dict, pair_rules: list[PairRule],
-                  backend: MatrixBackend, **_options) -> ClosureResult:
+                  backend: MatrixBackend) -> ClosureResult:
     """Full re-multiplication of every rule each round — Algorithm 1
     verbatim, the differential oracle for the cleverer strategies."""
     tracer = get_tracer()
@@ -277,7 +309,7 @@ def closure_naive(matrices: dict, pair_rules: list[PairRule],
 
 
 def closure_delta(matrices: dict, pair_rules: list[PairRule],
-                  backend: MatrixBackend, **_options) -> ClosureResult:
+                  backend: MatrixBackend) -> ClosureResult:
     """Semi-naive delta propagation over a symbol worklist.
 
     ``frontier[A]`` accumulates the entries added to ``M_A`` since the
@@ -406,8 +438,7 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
                     frontier: bool = True,
                     memory_budget=None,
                     spill_dir: "str | None" = None,
-                    tile_store=None,
-                    **_options) -> ClosureResult:
+                    tile_store=None) -> ClosureResult:
     """Frontier-aware tiled closure with an out-of-core spillable
     working set.
 
@@ -434,7 +465,9 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     and bitset/dense tiles reload zero-copy via ``mmap``.  The spill
     directory is cleaned up on success and kept on a crash.  A
     caller-owned store can be passed as ``tile_store`` (its budget then
-    governs, and it is not closed here).
+    governs, and it is not closed here), and ``frontier=False`` fires
+    every tile product every round: test knobs that only a direct call
+    reaches, as :func:`run_closure` forwards just the tile options.
 
     The least fixpoint equals ``naive``'s: whenever an input tile
     changes at round r, every task reading it re-fires at round r+1

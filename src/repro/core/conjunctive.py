@@ -135,7 +135,7 @@ def _seed_terminal_matrices(graph: LabeledGraph,
 
 
 def solve_conjunctive_approx(graph: LabeledGraph, grammar: ConjunctiveGrammar,
-                             backend: "str | MatrixBackend" = "sparse",
+                             backend: "str | MatrixBackend | None" = None,
                              ) -> ContextFreeRelations:
     """Fixpoint of the conjunctive closure — the paper's hypothesised
     upper approximation of the (undecidable) exact relation.

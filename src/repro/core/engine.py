@@ -28,8 +28,8 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from ..matrices.base import default_backend
-from .matrix_cfpq import DEFAULT_STRATEGY, MatrixCFPQResult, solve_matrix
+from .closure import closure_settings
+from .matrix_cfpq import MatrixCFPQResult, solve_matrix
 from .relations import ContextFreeRelations
 
 if TYPE_CHECKING:
@@ -43,34 +43,23 @@ SEMANTICS = ("relational", "single-path", "all-path")
 class CFPQEngine:
     """A prepared (graph, grammar) pair answering CFPQ queries.
 
-    Parameters
-    ----------
-    graph:
-        The edge-labeled graph ``D = (V, E)``.
-    grammar:
-        Any context-free grammar; normalized to CNF internally.
-    backend:
-        Boolean matrix backend (``"sparse"``, ``"dense"``, ``"bitset"``
-        or ``"setmatrix"``).  None picks the best registered one
-        (``sparse`` when SciPy is installed).
-    strategy:
-        Closure strategy (``"delta"`` / ``"naive"`` / ``"blocked"``).
-    strategy_options:
-        Extra keyword options forwarded to every closure run — e.g.
-        ``tile_size=128, memory_budget="8M"`` for the blocked tile
-        engine.
+    The grammar is normalized to CNF once.  *backend*, *strategy* and
+    the tile options in *strategy_options* (``tile_size=128,
+    memory_budget="8M"``: ``blocked`` only) configure every closure run
+    of the engine; the constructor reads them through
+    :func:`repro.core.closure.closure_settings`, so a bad one raises
+    here.
     """
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
                  backend: str | None = None,
-                 strategy: str = DEFAULT_STRATEGY,
+                 strategy: str | None = None,
                  **strategy_options):
+        self.backend, self.strategy, self.strategy_options = \
+            closure_settings(backend, strategy, **strategy_options)
         self.graph = graph
         self.original_grammar = grammar
         self.grammar = ensure_cnf(grammar)
-        self.backend = backend or default_backend()
-        self.strategy = strategy
-        self.strategy_options = strategy_options
         self._solution: MatrixCFPQResult | None = None
         self._single_path_index: SinglePathIndex | None = None
         self._all_path_index: AllPathIndex | None = None
@@ -268,7 +257,7 @@ class CFPQEngine:
 
 
 def cfpq(graph: LabeledGraph, grammar: CFG, start: Nonterminal | str,
-         backend: str | None = None, strategy: str = DEFAULT_STRATEGY,
+         backend: str | None = None, strategy: str | None = None,
          ) -> frozenset[tuple[Hashable, Hashable]]:
     """One-shot relational CFPQ: ``R_start`` as node-object pairs."""
     return CFPQEngine(graph, grammar, backend=backend,

@@ -64,8 +64,9 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal, as_nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
-from ..matrices.base import BooleanMatrix, default_backend, get_backend
+from ..matrices.base import BooleanMatrix, get_backend
 from ..obs.trace import get_tracer
+from .closure import closure_settings
 from .path_index import (AllPathIndex, Fact, FactMaps, Support, fact_maps,
                          one_step_derivations)
 from .relations import ContextFreeRelations, row_map_pairs
@@ -138,14 +139,13 @@ class IncrementalCFPQ:
     _ROW = set  # the row container: rows[A][i] = {j}
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 backend: str | None = None, strategy: str = "delta",
+                 backend: str | None = None, strategy: str | None = None,
                  warm_state: "dict | None" = None,
                  **strategy_options):
+        self.backend, self.strategy, self.strategy_options = \
+            closure_settings(backend, strategy, **strategy_options)
         self.graph = graph
         self.grammar = ensure_cnf(grammar)
-        self.backend = backend or default_backend()
-        self.strategy = strategy
-        self.strategy_options = strategy_options
 
         nonterminals = self.grammar.nonterminals
         self._rows = fact_maps(nonterminals, self._ROW)
@@ -183,18 +183,18 @@ class IncrementalCFPQ:
         if warm_state is not None:
             self._seed_from_state(warm_state)
         else:
-            self._seed_from_engine(self.backend, strategy)
+            self._seed_from_engine()
         # Keep the stats contract of the worklist-seeded version: every
         # initially derived fact counts as one propagation.
         self._propagated_facts = self._fact_count
 
-    def _seed_from_engine(self, backend: str, strategy: str) -> None:
+    def _seed_from_engine(self) -> None:
         """Initial solve: run the matrix closure engine to the fixpoint
         and seed the fact maps from the closed matrices."""
         from .matrix_cfpq import solve_matrix
 
-        result = solve_matrix(self.graph, self.grammar, backend=backend,
-                              normalize=False, strategy=strategy,
+        result = solve_matrix(self.graph, self.grammar, backend=self.backend,
+                              normalize=False, strategy=self.strategy,
                               **self.strategy_options)
         self._initial_iterations = result.stats.iterations
         self._seed_from_state({"facts": result.matrices})
@@ -528,16 +528,16 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     _ROW = dict
 
     def __init__(self, graph: LabeledGraph, grammar: CFG,
-                 strategy: str = "delta",
+                 strategy: str | None = None,
                  warm_state: "dict | None" = None,
                  **strategy_options):
         super().__init__(graph, grammar, strategy=strategy,
                          warm_state=warm_state, **strategy_options)
 
-    def _seed_from_engine(self, backend: str, strategy: str) -> None:
+    def _seed_from_engine(self) -> None:
         from .semiring import LENGTH_SEMIRING, solve_annotated
         result = solve_annotated(self.graph, self.grammar, LENGTH_SEMIRING,
-                                 strategy=strategy, normalize=False,
+                                 strategy=self.strategy, normalize=False,
                                  **self.strategy_options)
         self._initial_iterations = result.iterations
         self._seed_from_state({"facts": result.matrices})

@@ -31,17 +31,9 @@ from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import LabeledGraph
-from ..matrices.base import (
-    BooleanMatrix,
-    MatrixBackend,
-    default_backend,
-    get_backend,
-)
-from .closure import run_closure
+from ..matrices.base import BooleanMatrix, MatrixBackend, get_backend
+from .closure import closure_settings, run_closure
 from .relations import ContextFreeRelations
-
-#: Default closure strategy for the production solver.
-DEFAULT_STRATEGY = "delta"
 
 
 @dataclass(frozen=True)
@@ -120,33 +112,21 @@ def initial_boolean_matrices(graph: LabeledGraph, grammar: CFG,
 def solve_matrix(graph: LabeledGraph, grammar: CFG,
                  backend: "str | MatrixBackend | None" = None,
                  normalize: bool = True,
-                 strategy: str = DEFAULT_STRATEGY,
-                 **strategy_options) -> MatrixCFPQResult:
-    """Run the boolean-decomposed Algorithm 1.
-
-    Parameters
-    ----------
-    graph:
-        The edge-labeled input graph ``D``.
-    grammar:
-        The query grammar ``G``; normalized to CNF when *normalize*.
-    backend:
-        Boolean matrix backend name or instance (``dense`` / ``sparse``
-        / ``bitset`` / ``setmatrix``); None picks the best
-        registered one (``sparse`` when SciPy is installed).
-    strategy:
-        Closure strategy name (``delta`` / ``naive`` / ``blocked``);
-        extra keyword options (e.g. ``tile_size``) are forwarded to it.
-
-    Returns
-    -------
-    MatrixCFPQResult
-        Per-non-terminal matrices, the relations ``R_A`` and run stats.
+                 strategy: str | None = None,
+                 **tile_options) -> MatrixCFPQResult:
+    """Run the boolean-decomposed Algorithm 1 on *graph* under
+    *grammar* (normalized to CNF when *normalize*): the per-non-terminal
+    matrices, the relations ``R_A`` and run stats.  *backend*
+    (``dense`` / ``sparse`` / ``bitset`` / ``setmatrix`` or an
+    instance), *strategy* (``delta`` / ``naive`` / ``blocked``) and the
+    *tile_options* only ``blocked`` reads go through
+    :func:`repro.core.closure.closure_settings`.
     """
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the matrix CFPQ engine")
-    backend_obj = get_backend(backend if backend is not None
-                              else default_backend())
+    backend, strategy, tile_options = closure_settings(backend, strategy,
+                                                       **tile_options)
+    backend_obj = get_backend(backend)
 
     matrices = initial_boolean_matrices(graph, working_grammar, backend_obj)
     pair_rules = [
@@ -155,7 +135,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
     ]
 
     closure = run_closure(matrices, pair_rules, backend_obj,
-                          strategy=strategy, **strategy_options)
+                          strategy=strategy, **tile_options)
     matrices = closure.matrices
 
     relations = ContextFreeRelations(graph, matrices)
@@ -178,7 +158,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
 def solve_matrix_relations(graph: LabeledGraph, grammar: CFG,
                            backend: "str | MatrixBackend | None" = None,
                            normalize: bool = True,
-                           strategy: str = DEFAULT_STRATEGY,
+                           strategy: str | None = None,
                            ) -> ContextFreeRelations:
     """Convenience wrapper returning only the relations."""
     return solve_matrix(graph, grammar, backend=backend,

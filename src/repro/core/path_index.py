@@ -279,20 +279,19 @@ class AllPathIndex:
     @classmethod
     def build(cls, graph: LabeledGraph, grammar: CFG,
               strategy: str | None = None,
-              **strategy_options) -> "AllPathIndex":
+              **tile_options) -> "AllPathIndex":
         """Run the boolean closure and read its matrices in place.
 
-        *strategy* selects the closure strategy (engine default when
-        None; extra keyword options such as ``tile_size`` / ``memory_budget``
-        are forwarded); the forest depends on the relations alone, so
-        every strategy produces the identical one.
+        *strategy* and *tile_options* configure the closure as on
+        :func:`~repro.core.matrix_cfpq.solve_matrix`; the forest depends
+        on the relations alone, so every strategy produces the identical
+        one.
         """
-        from .matrix_cfpq import DEFAULT_STRATEGY, solve_matrix
+        from .matrix_cfpq import solve_matrix
 
         cnf = ensure_cnf(grammar)
         result = solve_matrix(graph, cnf, normalize=False,
-                              strategy=strategy or DEFAULT_STRATEGY,
-                              **strategy_options)
+                              strategy=strategy, **tile_options)
         return cls(graph, cnf, *matrix_maps(cnf.nonterminals,
                                             result.matrices))
 

@@ -789,35 +789,37 @@ def kleene_closure(matrices: dict, pair_rules: list, backend):
 def solve_annotated(graph, grammar, semiring: Semiring,
                     strategy: str | None = None,
                     normalize: bool = True,
-                    **strategy_options) -> AnnotatedClosureResult:
+                    **tile_options) -> AnnotatedClosureResult:
     """Run the unified closure engine over *semiring*-annotated matrices.
 
     This is the single code path behind the single-path and weighted
     semantics: each strategy (``naive`` / ``delta`` / ``blocked``)
     closes the annotated matrices through
-    exactly the same kernels the relational solver uses.  *strategy*
-    and its options do not apply to a semiring whose ⊕ is not
-    idempotent (counting): :func:`kleene_closure` closes it.  The cell
-    layout is picked once, by :func:`annotated_layout` for *graph*.
+    exactly the same kernels the relational solver uses, configured as
+    :func:`repro.core.closure.run_closure` reads *strategy* and
+    *tile_options*.  *strategy* does not apply to a semiring whose ⊕ is
+    not idempotent (counting): :func:`kleene_closure` closes it, and
+    refuses any tile option.  The cell layout is picked once, by
+    :func:`annotated_layout` for *graph*.
     """
     global _closed_before
     from ..grammar.cnf import ensure_cnf
-    from .closure import run_closure
-    from .matrix_cfpq import DEFAULT_STRATEGY
+    from .closure import closure_settings, run_closure
 
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the annotated CFPQ engine")
-    backend = AnnotatedBackend(semiring, graph.edge_count)
+    if not semiring.idempotent_add:
+        strategy = kleene_closure
+    # Refuse the options before a closure counts as run for the layout.
+    backend, strategy, tile_options = closure_settings(
+        AnnotatedBackend(semiring, graph.edge_count), strategy, **tile_options)
     _closed_before = True
     matrices = initial_annotated_matrices(graph, working_grammar, semiring,
                                           backend)
     pair_rules = [(rule.head, *rule.body)
                   for rule in working_grammar.binary_rules]
-    if not semiring.idempotent_add:
-        strategy, strategy_options = kleene_closure, {}
-    closure = run_closure(matrices, pair_rules, backend,
-                          strategy=strategy or DEFAULT_STRATEGY,
-                          **strategy_options)
+    closure = run_closure(matrices, pair_rules, backend, strategy=strategy,
+                          **tile_options)
     return AnnotatedClosureResult(
         matrices=closure.matrices,
         iterations=closure.iterations,

@@ -160,20 +160,20 @@ class SinglePathIndex:
 def build_single_path_index(graph: LabeledGraph, grammar: CFG,
                             normalize: bool = True,
                             strategy: str | None = None,
-                            **strategy_options) -> SinglePathIndex:
+                            **tile_options) -> SinglePathIndex:
     """Compute the length-annotated transitive closure of Section 5.
 
     The fixpoint runs on :func:`repro.core.closure.run_closure` over the
     length semiring, so every closure *strategy* (``delta`` by
-    default, ``naive``, ``blocked``) applies — extra keyword
-    options (``tile_size``, ``memory_budget``) are forwarded to it; all
-    strategies produce identical annotations.
+    default, ``naive``, ``blocked``) applies, with the *tile_options*
+    only ``blocked`` reads (``tile_size``, ``memory_budget``,
+    ``spill_dir``); all strategies produce identical annotations.
     """
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("single-path CFPQ")
     result = solve_annotated(graph, working_grammar, LENGTH_SEMIRING,
                              strategy=strategy, normalize=False,
-                             **strategy_options)
+                             **tile_options)
     return SinglePathIndex(graph=graph, grammar=working_grammar,
                            matrices=result.matrices,
                            iterations=result.iterations,

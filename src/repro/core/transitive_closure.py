@@ -101,7 +101,7 @@ def boolean_closure_incremental(matrix: BooleanMatrix) -> BooleanMatrix:
 
 
 def engine_closure(matrix: BooleanMatrix,
-                   strategy: str = "delta") -> BooleanMatrix:
+                   strategy: str | None = None) -> BooleanMatrix:
     """Transitive closure ``A⁺`` by the CFPQ closure engine: a closure
     is the one-nonterminal grammar ``R → R R`` whose sole matrix starts
     as *matrix*, so every closure strategy (naive/delta/blocked)

@@ -24,7 +24,7 @@ def label_pair_sets(graph: LabeledGraph) -> dict[str, frozenset[tuple[int, int]]
 
 
 def adjacency_matrices(graph: LabeledGraph,
-                       backend: "str | MatrixBackend" = "sparse",
+                       backend: "str | MatrixBackend | None" = None,
                        ) -> dict[str, BooleanMatrix]:
     """Build one boolean adjacency matrix per label in *backend*.
 
@@ -41,7 +41,7 @@ def adjacency_matrices(graph: LabeledGraph,
 
 
 def boolean_adjacency(graph: LabeledGraph,
-                      backend: "str | MatrixBackend" = "sparse") -> BooleanMatrix:
+                      backend: "str | MatrixBackend | None" = None) -> BooleanMatrix:
     """The label-agnostic adjacency matrix (any-edge reachability)."""
     backend_obj = get_backend(backend)
     pairs = {

@@ -352,13 +352,15 @@ def register_backend(backend: MatrixBackend) -> MatrixBackend:
     return backend
 
 
-def get_backend(name: "str | MatrixBackend") -> MatrixBackend:
-    """Resolve a backend by name (or pass an instance through).  A
-    bundled backend's module is imported on first use; one whose
-    dependency is missing, or found but failing to import (say, SciPy
-    built against another NumPy), is unknown."""
+def get_backend(name: "str | MatrixBackend | None" = None) -> MatrixBackend:
+    """Resolve a backend by name (or pass an instance through; None is
+    :func:`default_backend`).  A bundled backend's module is imported on
+    first use; one whose dependency is missing, or found but failing to
+    import (say, SciPy built against another NumPy), is unknown."""
     if isinstance(name, MatrixBackend):
         return name
+    if name is None:
+        name = default_backend()
     if name not in _REGISTRY and backend_installed(name):
         try:
             importlib.import_module(f".{name}", __package__)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.transitive_closure import engine_closure
 from ..graph.labeled_graph import LabeledGraph
 from ..matrices.base import BooleanMatrix, MatrixBackend, get_backend
@@ -79,8 +78,8 @@ def _node_pairs(graph: LabeledGraph, pairs: Iterable[tuple[int, int]],
 
 
 def solve_rpq(graph: LabeledGraph, query: "str | NFA",
-              backend: "str | MatrixBackend" = "sparse",
-              strategy: str = DEFAULT_STRATEGY,
+              backend: "str | MatrixBackend | None" = None,
+              strategy: str | None = None,
               ) -> frozenset[tuple[Hashable, Hashable]]:
     """Evaluate an RPQ; returns the satisfied (source, target) node
     pairs (as node objects).
@@ -100,8 +99,8 @@ def solve_rpq(graph: LabeledGraph, query: "str | NFA",
 
 def solve_rpq_batch(graph: LabeledGraph,
                     queries: Iterable["str | NFA"],
-                    backend: "str | MatrixBackend" = "sparse",
-                    strategy: str = DEFAULT_STRATEGY,
+                    backend: "str | MatrixBackend | None" = None,
+                    strategy: str | None = None,
                     ) -> list[frozenset[tuple[Hashable, Hashable]]]:
     """Evaluate many RPQs with **one** closure: each query's product
     graph becomes one block of a block-diagonal adjacency (blocks never
@@ -133,7 +132,7 @@ def solve_rpq_batch(graph: LabeledGraph,
 
 
 def solve_rpq_reference(graph: LabeledGraph, query: "str | NFA",
-                        backend: "str | MatrixBackend" = "sparse",
+                        backend: "str | MatrixBackend | None" = None,
                         ) -> frozenset[tuple[Hashable, Hashable]]:
     """The original self-contained evaluation loop (squaring closure +
     Python row filter), kept verbatim as the differential oracle for
@@ -164,8 +163,8 @@ def solve_rpq_reference(graph: LabeledGraph, query: "str | NFA",
 
 
 def rpq_pairs_by_id(graph: LabeledGraph, query: "str | NFA",
-                    backend: "str | MatrixBackend" = "sparse",
-                    strategy: str = DEFAULT_STRATEGY,
+                    backend: "str | MatrixBackend | None" = None,
+                    strategy: str | None = None,
                     ) -> frozenset[tuple[int, int]]:
     """:func:`solve_rpq` with dense node ids: what the CLI prints from."""
     nfa = regex_to_nfa(parse_regex(query)) if isinstance(query, str) else query

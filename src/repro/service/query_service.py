@@ -33,8 +33,8 @@ import os
 from collections import Counter, OrderedDict
 from typing import Callable, Generator, Hashable, Iterable
 
+from ..core.closure import closure_settings
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
-from ..core.matrix_cfpq import DEFAULT_STRATEGY
 from ..core.path_index import LengthRank, ViterbiRank
 from ..core.semiring import LENGTH_SEMIRING
 from ..core.single_path import extract_path
@@ -42,7 +42,7 @@ from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
 from ..graph.labeled_graph import Edge, LabeledGraph
 from ..graph.request import Query, read_query
-from ..matrices.base import default_backend, get_backend
+from ..matrices.base import get_backend
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, get_registry
 from ..obs.trace import get_tracer, stopwatch
 from . import snapshot as snapshot_store
@@ -174,18 +174,17 @@ class QueryService:
     """
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
-                 strategy: str = DEFAULT_STRATEGY,
+                 strategy: str | None = None,
                  single_path: bool = False,
                  warm_state: dict | None = None,
                  semiring: str | None = None,
                  **strategy_options):
-        self.backend = backend or default_backend()
+        self.backend, self.strategy, self.strategy_options = \
+            closure_settings(backend, strategy, **strategy_options)
         # Import the backend now, not on the first tick: a server loads
         # what its requests reach before it listens.
         get_backend(self.backend)
-        self.strategy = strategy
         self.single_path = single_path
-        self.strategy_options = strategy_options
         self.semiring = (semiring
                          or os.environ.get("REPRO_SERVICE_SEMIRING")
                          or "length").strip().lower()
@@ -198,13 +197,14 @@ class QueryService:
                 stopwatch() as startup_timer:
             if single_path:
                 self.solver: IncrementalCFPQ = IncrementalSinglePathCFPQ(
-                    graph, grammar, strategy=strategy,
-                    warm_state=warm_state, **strategy_options,
+                    graph, grammar, strategy=self.strategy,
+                    warm_state=warm_state, **self.strategy_options,
                 )
             else:
                 self.solver = IncrementalCFPQ(
-                    graph, grammar, backend=self.backend, strategy=strategy,
-                    warm_state=warm_state, **strategy_options,
+                    graph, grammar, backend=self.backend,
+                    strategy=self.strategy, warm_state=warm_state,
+                    **self.strategy_options,
                 )
         self._startup_seconds = startup_timer.elapsed
         self._warm_started = warm_state is not None
@@ -259,7 +259,8 @@ class QueryService:
         ``length`` cells (from the ``incremental`` section of a service
         file older than that layout), and either runs **zero** closure
         rounds.  *single_path* defaults to whatever the snapshot can
-        support losslessly.
+        support losslessly, and *backend* and *strategy* to the
+        snapshot's.
         """
         payload = snapshot_store.read_snapshot(path)
         graph, grammar = snapshot_store.decode_problem(payload)
@@ -286,8 +287,7 @@ class QueryService:
                 payload["relational"]["matrices"])}
         service = cls(graph, grammar,
                       backend=backend or payload.get("backend"),
-                      strategy=strategy or payload.get("strategy")
-                      or DEFAULT_STRATEGY,
+                      strategy=strategy or payload.get("strategy"),
                       single_path=single_path,
                       warm_state=warm_state, **strategy_options)
         service._snapshot_bytes = os.path.getsize(path)

@@ -70,7 +70,7 @@ from ..grammar.cfg import CFG
 from ..grammar.production import Production
 from ..grammar.symbols import Nonterminal, Symbol, Terminal
 from ..graph.labeled_graph import LabeledGraph
-from ..matrices.base import BooleanMatrix, default_backend, get_backend
+from ..matrices.base import BooleanMatrix, get_backend
 from ..core.relations import relation_rows
 from ..core.semiring import (
     LENGTH_SEMIRING,
@@ -481,9 +481,10 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
 
     payload = read_snapshot(path)
     graph, grammar = decode_problem(payload)
-    backend = backend or payload.get("backend") or default_backend()
-    strategy = strategy or payload.get("strategy") or "delta"
-    engine = CFPQEngine(graph, grammar, backend=backend, strategy=strategy)
+    engine = CFPQEngine(graph, grammar,
+                        backend=backend or payload.get("backend"),
+                        strategy=strategy or payload.get("strategy"))
+    backend = engine.backend
 
     if "relational" in payload:
         matrices = dict(iter_decoded_matrices(
@@ -496,7 +497,7 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
             backend=get_backend(backend).name,
             nnz_per_nonterminal={nonterminal.name: matrix.nnz()
                                  for nonterminal, matrix in matrices.items()},
-            strategy=strategy,
+            strategy=engine.strategy,
             details={"snapshot": {
                 "warm_start": True,
                 "solved_stats": dict(payload["relational"].get("stats", {})),

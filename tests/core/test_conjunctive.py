@@ -19,6 +19,7 @@ from repro.grammar.production import Production
 from repro.grammar.symbols import Nonterminal, Terminal
 from repro.graph.generators import random_graph, two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
+from repro.matrices.base import available_backends
 
 S = Nonterminal("S")
 
@@ -85,7 +86,7 @@ class TestAnBnCn:
         graph = word_chain(list("aabbcc"))
         answers = {
             name: solve_conjunctive_approx(graph, grammar, backend=name).pairs(S)
-            for name in ["dense", "sparse", "setmatrix"]
+            for name in available_backends()
         }
         assert len(set(answers.values())) == 1
 

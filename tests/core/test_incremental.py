@@ -24,12 +24,19 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.matrices.base import default_backend
 
 
-#: Every closure strategy of the initial solve with its defaults, plus
-#: ``blocked`` under a one-byte budget, so that solve also runs with
-#: every tile spilled.
-STRATEGY_CASES = [pytest.param(strategy, {}, id=strategy)
+def _tiles(strategy: str) -> dict:
+    """Two-cell tiles for ``blocked``, the one strategy that reads a
+    tile option (the others refuse one)."""
+    return {"tile_size": 2} if strategy == "blocked" else {}
+
+
+#: Every closure strategy of the initial solve, ``blocked`` on
+#: two-cell tiles, plus ``blocked`` under a one-byte budget, so that
+#: solve also runs with every tile spilled.
+STRATEGY_CASES = [pytest.param(strategy, _tiles(strategy), id=strategy)
                   for strategy in ("naive", "delta", "blocked")] + [
-    pytest.param("blocked", {"memory_budget": 1}, id="blocked-spilled"),
+    pytest.param("blocked", {"tile_size": 2, "memory_budget": 1},
+                 id="blocked-spilled"),
 ]
 
 
@@ -146,8 +153,7 @@ class TestBatchInsert:
     def test_batch_equals_scratch_across_strategies(self, dyck_grammar,
                                                     strategy, options):
         incremental = IncrementalCFPQ(two_cycles(2, 3), dyck_grammar,
-                                      strategy=strategy, tile_size=2,
-                                      **options)
+                                      strategy=strategy, **options)
         batch = [(0, "a", 3), (3, "b", 4), (4, "a", 0), (1, "b", 1),
                  (2, "a", 2)]
         incremental.add_edges(batch)
@@ -429,7 +435,7 @@ def test_interleaved_updates_equal_scratch_across_strategies(strategy, options,
         [(rng.randrange(5), rng.choice(["a", "b"]), rng.randrange(5))
          for _ in range(6)], nodes=nodes)
     incremental = IncrementalCFPQ(graph, grammar, strategy=strategy,
-                                  tile_size=2, **options)
+                                  **options)
     for delete, edge in _random_sequence(rng, 5, 14):
         if delete:
             incremental.remove_edge(*edge)
@@ -472,7 +478,7 @@ def test_interleaved_single_path_equals_scratch(strategy, seed):
         LabeledGraph.from_edges(
             [(rng.randrange(4), rng.choice(["a", "b"]), rng.randrange(4))
              for _ in range(5)], nodes=list(range(4))),
-        grammar, strategy=strategy, tile_size=2)
+        grammar, strategy=strategy, **_tiles(strategy))
     for step, (delete, edge) in enumerate(_random_sequence(rng, 4, 10)):
         if delete:
             incremental.remove_edge(*edge)
@@ -619,7 +625,7 @@ class TestDRedDifferential:
     @pytest.mark.parametrize("grammar", DIFFERENTIAL_GRAMMARS)
     def test_per_tuple_interleavings(self, cls, strategy, seed, grammar):
         solver = self._solver(cls, strategy=strategy, grammar=grammar,
-                              tile_size=2)
+                              **_tiles(strategy))
         rng = random.Random(0x5EED ^ seed)
         for step, (delete, edge) in enumerate(_random_sequence(rng, 5, 16)):
             self._step(solver, "remove_edge" if delete else "add_edge",
@@ -632,7 +638,7 @@ class TestDRedDifferential:
     @pytest.mark.parametrize("grammar", DIFFERENTIAL_GRAMMARS)
     def test_batched_interleavings(self, cls, strategy, seed, grammar):
         solver = self._solver(cls, strategy=strategy, grammar=grammar,
-                              tile_size=2)
+                              **_tiles(strategy))
         rng = random.Random(0xFACE ^ seed)
         pending: list = []
         for delete, edge in _random_sequence(rng, 5, 14):

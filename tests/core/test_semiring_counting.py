@@ -48,6 +48,7 @@ from repro.core.semiring import (  # noqa: E402
     solve_annotated,
 )
 from repro.datasets.registry import build_graph  # noqa: E402
+from repro.errors import EngineError  # noqa: E402
 from repro.grammar.builders import same_generation_query1  # noqa: E402
 from repro.grammar.cfg import CFG  # noqa: E402
 from repro.grammar.cnf import to_cnf  # noqa: E402
@@ -393,11 +394,15 @@ class TestLayouts:
 
     def test_strategy_does_not_apply(self):
         """⊕ is not idempotent, so no worklist strategy may close the
-        counts: whatever ``strategy`` says, the Kleene loop runs."""
+        counts: whatever ``strategy`` says, the Kleene loop runs, and it
+        refuses the tile options it would not read."""
         graph, grammar = make_case(5)
         default = solve_annotated(graph, grammar, COUNTING_SEMIRING)
         blocked = solve_annotated(graph, grammar, COUNTING_SEMIRING,
-                                  strategy="blocked", tile_size=2)
+                                  strategy="blocked")
+        with pytest.raises(EngineError, match="not 'kleene_closure'"):
+            solve_annotated(graph, grammar, COUNTING_SEMIRING,
+                            strategy="blocked", tile_size=2)
         assert blocked.iterations == default.iterations
         assert blocked.multiplications == default.multiplications
         for nonterminal, matrix in default.matrices.items():

@@ -408,14 +408,19 @@ requires_arrays = pytest.mark.skipif(
     ScalarAnnotatedMatrix is None, reason="array layout needs NumPy")
 
 
-def _closed(graph, grammar, semiring, strategy, **options):
+def _closed(graph, grammar, semiring, strategy, **tile_options):
+    """The closure under *semiring*; the tile options reach ``blocked``
+    over an idempotent ⊕ only, as every other closure refuses them."""
+    if strategy != "blocked" or not semiring.idempotent_add:
+        tile_options = {}
     return solve_annotated(graph, grammar, semiring, strategy=strategy,
-                           normalize=False, **options)
+                           normalize=False, **tile_options)
 
 
 def _assert_layouts_agree(graph, grammar, strategy, **options):
-    """Close under both layouts of every scalar semiring; returns the
-    array-layout length result."""
+    """Close under both layouts of every scalar semiring (*options* as
+    :func:`_closed` passes them on); returns the array-layout length
+    result."""
     results = {}
     for name, (array_semiring, dict_semiring) in LAYOUT_PAIRS.items():
         arrays = _closed(graph, grammar, array_semiring, strategy, **options)

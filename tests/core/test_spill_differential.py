@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.closure import closure_blocked
 from repro.core.matrix_cfpq import solve_matrix
 from repro.core.semiring import (
     BOOLEAN_SEMIRING,
     LENGTH_SEMIRING,
+    AnnotatedBackend,
+    initial_annotated_matrices,
+    merged_cells,
     solve_annotated,
 )
 from repro.core.tilestore import MEMORY_BUDGET_ENV, SPILL_DIR_ENV
@@ -88,8 +92,9 @@ def test_env_budget_reaches_blocked_only(seed, strategy, tmp_path,
     oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
     monkeypatch.setenv(MEMORY_BUDGET_ENV, str(TINY_BUDGET))
     monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
+    tiles = {"tile_size": 2} if strategy == "blocked" else {}
     result = solve_matrix(graph, grammar, backend="bitset",
-                          normalize=False, strategy=strategy, tile_size=2)
+                          normalize=False, strategy=strategy, **tiles)
     assert result.relations.same_as(oracle.relations), strategy
     blocked = result.stats.details.get("blocked")
     if strategy == "blocked":
@@ -156,9 +161,14 @@ def test_length_semiring_budget_spills_on_measured_bytes(tmp_path):
     graph = random_graph(24, 70, ["a", "b"], seed=5)
 
     def closed(store):
-        return solve_annotated(graph, grammar, LENGTH_SEMIRING,
-                               strategy="blocked", normalize=False,
-                               tile_size=4, tile_store=store)
+        # ``tile_store`` is a parameter of closure_blocked, not a closure
+        # option: the annotated closure is set up and run directly.
+        backend = AnnotatedBackend(LENGTH_SEMIRING, graph.edge_count)
+        matrices = initial_annotated_matrices(graph, grammar,
+                                              LENGTH_SEMIRING, backend)
+        rules = [(rule.head, *rule.body) for rule in grammar.binary_rules]
+        return closure_blocked(matrices, rules, backend, tile_size=4,
+                               tile_store=store)
 
     unbounded_store = TileStore()
     unbounded = closed(unbounded_store)
@@ -178,5 +188,5 @@ def test_length_semiring_budget_spills_on_measured_bytes(tmp_path):
         assert stats.peak_resident_bytes <= budget  # within_budget
     finally:
         store.close()
-    assert bounded.cells() == unbounded.cells()
+    assert merged_cells(bounded.matrices) == merged_cells(unbounded.matrices)
     assert bounded.multiplications == unbounded.multiplications

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import chain, cycle, random_graph, word_chain
 from repro.graph.labeled_graph import LabeledGraph
+from repro.matrices.base import available_backends
 from repro.regular.automaton import regex_to_nfa
 from repro.regular.regex import parse_regex
 from repro.regular.rpq import rpq_pairs_by_id, solve_rpq
@@ -108,7 +109,7 @@ class TestRPQ:
         graph = random_graph(6, 15, ["a", "b"], seed=1)
         answers = {
             backend: rpq_pairs_by_id(graph, "(a | b)* a", backend=backend)
-            for backend in ["dense", "sparse", "setmatrix", "bitset"]
+            for backend in available_backends()
         }
         assert len(set(answers.values())) == 1
 

@@ -368,6 +368,22 @@ class TestSizeFlags:
         reply = json.loads(capsys.readouterr().out)
         assert reply["ok"] and reply["result"] == [[0, 4], [1, 3]]
 
+    def test_counting_refuses_the_flags_of_blocked(self, chain_file,
+                                                   capsys):
+        """Counting closes by Kleene iteration, whatever ``--strategy``
+        says, and that closure reads no tile flag: it refuses them
+        instead of running unbounded."""
+        code = main(["query", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--semiring", "counting", "--strategy",
+                     "blocked", "--tile-size", "1", "--memory-budget", "1K",
+                     "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --tile-size applies only to --strategy blocked, "
+            "not 'kleene_closure'"]
+
     def test_budget_suffix_still_parses(self, chain_file, capsys):
         assert main(["query", "--graph", chain_file,
                      "--grammar-name", "dyck1", "--strategy", "blocked",

@@ -116,15 +116,16 @@ def test_cli_semiring_json_values(tmp_path, capsys, name):
 
 
 def test_cli_counting_ignores_the_closure_strategy(tmp_path, capsys):
-    """Counting always closes by Kleene iteration: a strategy and its
-    options must change neither the counts nor their rendering."""
+    """Counting always closes by Kleene iteration: a strategy must change
+    neither the counts nor their rendering (its tile flags are refused,
+    ``tests/test_cli.py``)."""
     path = str(tmp_path / "cycles.txt")
     save_graph_file(two_cycles(2, 3), path)
     query = ["query", "--graph", path, "--grammar-name", "dyck1",
              "--semiring", "counting", "--json"]
     assert main(query) == 0
     default = capsys.readouterr().out
-    assert main([*query, "--strategy", "blocked", "--tile-size", "64"]) == 0
+    assert main([*query, "--strategy", "blocked"]) == 0
     assert capsys.readouterr().out == default
     counts = [count for _s, _t, count in json.loads(default)["pairs"]]
     assert counts and max(counts) == COUNTING_SEMIRING.cap
