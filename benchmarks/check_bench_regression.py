@@ -60,8 +60,17 @@ def unavailable_backends() -> set[str]:
     return {
         backend
         for backend, module in OPTIONAL_BACKEND_MODULES.items()
-        if importlib.util.find_spec(module) is None
+        if not _findable(module)
     }
+
+
+def _findable(module: str) -> bool:
+    """Found, not imported; a finder that refuses the name counts as
+    missing, as in :func:`repro.matrices.base.backend_installed`."""
+    try:
+        return importlib.util.find_spec(module) is not None
+    except (ImportError, ValueError):
+        return False
 
 
 def _names_unavailable_backend(path: tuple, missing: set[str]) -> bool:

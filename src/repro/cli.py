@@ -139,10 +139,9 @@ def _add_closure_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: $REPRO_MEMORY_BUDGET or unbounded; "
                              "'0'/'none' disables)")
     parser.add_argument("--spill-dir", default=None,
-                        help="directory for spilled tiles (default: "
-                             "$REPRO_SPILL_DIR or a private temporary "
-                             "directory; cleaned up on success, kept on "
-                             "a crash)")
+                        help="directory for spilled tiles (default: a "
+                             "private temporary directory; cleaned up on "
+                             "success, kept on a crash)")
 
 
 def _add_tracing(parser: argparse.ArgumentParser) -> None:
@@ -152,11 +151,6 @@ def _add_tracing(parser: argparse.ArgumentParser) -> None:
                              "this JSONL file; inspect with "
                              "'repro-cfpq trace summarize FILE' "
                              "(default: $REPRO_TRACE_FILE or off)")
-    parser.add_argument("--trace-sample", type=int, default=None,
-                        metavar="N",
-                        help="keep every Nth trace root, dropping the "
-                             "whole subtree of sampled-out roots "
-                             "(default: $REPRO_TRACE_SAMPLE or 1)")
 
 
 def _configure_observability(args: argparse.Namespace) -> None:
@@ -165,14 +159,13 @@ def _configure_observability(args: argparse.Namespace) -> None:
     The slow-query log needs live spans even without a trace file, so
     ``--slow-query-ms`` alone turns the tracer on without a sink."""
     trace_file = getattr(args, "trace_file", None)
-    sample = getattr(args, "trace_sample", None)
     slow_ms = getattr(args, "slow_query_ms", None)
     if trace_file:
         from .obs.trace import configure_tracing
-        configure_tracing(trace_file=trace_file, sample_every=sample or 1)
+        configure_tracing(trace_file=trace_file)
     elif slow_ms is not None:
         from .obs.trace import configure_tracing
-        configure_tracing(sample_every=sample or 1, enabled=True)
+        configure_tracing(enabled=True)
     if slow_ms is not None:
         from .service.server import set_slow_query_log
         set_slow_query_log(slow_ms, getattr(args, "slow_query_log", None))
@@ -729,11 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="log any request taking at least MS "
                             "milliseconds, with its full span tree "
-                            "(default: $REPRO_SLOW_QUERY_MS or off)")
+                            "(default: off)")
     serve.add_argument("--slow-query-log", default=None, metavar="FILE",
                        help="JSONL file for slow-query records "
-                            "(default: $REPRO_SLOW_QUERY_LOG or the "
-                            "server log)")
+                            "(default: the server log)")
     _add_tracing(serve)
     serve.set_defaults(handler=cmd_serve)
 

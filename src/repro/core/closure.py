@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable
 
+from .. import settings
 from ..errors import EngineError, UnknownStrategyError
 from ..matrices.base import (BooleanMatrix, MatrixBackend, default_backend,
                              get_backend)
@@ -143,8 +144,8 @@ def closure_settings(backend=None, strategy=None, *, tile_size=None,
     :data:`DEFAULT_STRATEGY`, and *tile_options* holds the given
     :data:`TILE_OPTIONS`.  Only ``blocked`` reads those, so one given to
     another strategy (the counting semiring's Kleene closure too) is an
-    :class:`EngineError`.  ``$REPRO_MEMORY_BUDGET``/``$REPRO_SPILL_DIR``
-    are not given options but defaults that ``blocked`` reads."""
+    :class:`EngineError`.  ``$REPRO_MEMORY_BUDGET`` is not a given
+    option but a default that ``blocked`` reads."""
     backend = default_backend() if backend is None else backend
     strategy = DEFAULT_STRATEGY if strategy is None else strategy
     options = {name: value for name, value in zip(
@@ -460,8 +461,8 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
 
     ``memory_budget`` (bytes; int or ``"64K"``-style string; None
     honours ``$REPRO_MEMORY_BUDGET``) bounds the resident tile bytes:
-    cold tiles spill to ``spill_dir`` (None honours ``$REPRO_SPILL_DIR``,
-    else a fresh temporary directory) through the backend payload codec,
+    cold tiles spill to ``spill_dir`` (None is a fresh temporary
+    directory) through the backend payload codec,
     and bitset/dense tiles reload zero-copy via ``mmap``.  The spill
     directory is cleaned up on success and kept on a crash.  A
     caller-owned store can be passed as ``tile_store`` (its budget then
@@ -478,7 +479,7 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
     device would schedule.  ``details["blocked"]`` carries the run's
     :class:`BlockedStats`.
     """
-    from .tilestore import TileStore, resolve_memory_budget, resolve_spill_dir
+    from .tilestore import TileStore
 
     if tile_size is not None and tile_size < 1:
         raise ValueError(f"tile_size must be a positive integer, "
@@ -490,8 +491,9 @@ def closure_blocked(matrices: dict, pair_rules: list[PairRule],
 
     owns_store = tile_store is None
     store = tile_store if tile_store is not None else TileStore(
-        budget_bytes=resolve_memory_budget(memory_budget),
-        spill_dir=resolve_spill_dir(spill_dir),
+        budget_bytes=settings.memory_budget() if memory_budget is None
+        else memory_budget,
+        spill_dir=spill_dir,
     )
     if tile_size is None:
         tile_size = _pick_tile_size(size, store.budget_bytes,

@@ -8,8 +8,7 @@ set.  This module provides it as a first-class store:
 * **Keyed cache** — tiles live under hashable keys (``(nonterminal, I,
   J)`` for the blocked closure) with LRU residency tracking and a
   configurable byte budget (:func:`parse_memory_budget` accepts ``"64K"``
-  / ``"8M"`` / ``"1G"`` suffixes; ``REPRO_MEMORY_BUDGET`` supplies the
-  default).
+  / ``"8M"`` / ``"1G"`` suffixes).
 * **Spill via the payload codec** — a cold tile is encoded through the
   existing :meth:`MatrixBackend.tile_payload` hook.  Backends whose
   payload is one flat buffer (bitset words, dense bools) spill that
@@ -49,14 +48,6 @@ from typing import Hashable, Iterable, Iterator
 from ..errors import UnknownBackendError
 from ..matrices.base import BooleanMatrix, get_backend
 
-#: Environment variable supplying the default working-set budget
-#: (bytes, with optional K/M/G suffix); empty/unset means unbounded.
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET"
-
-#: Environment variable supplying the default spill directory; unset
-#: means a private temporary directory created on first spill.
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
-
 _SUFFIX_MULTIPLIERS = {
     "": 1, "B": 1,
     "K": 1024, "KB": 1024, "KIB": 1024,
@@ -94,20 +85,6 @@ def parse_memory_budget(value) -> "int | None":
             "K/M/G-suffixed size like '64K' or '8M'"
         ) from None
     return budget if budget > 0 else None
-
-
-def resolve_memory_budget(value=None) -> "int | None":
-    """Budget from *value* when given, else ``$REPRO_MEMORY_BUDGET``."""
-    if value is not None:
-        return parse_memory_budget(value)
-    return parse_memory_budget(os.environ.get(MEMORY_BUDGET_ENV))
-
-
-def resolve_spill_dir(value=None) -> "str | None":
-    """Spill directory from *value* when given, else ``$REPRO_SPILL_DIR``."""
-    if value is not None:
-        return os.fspath(value)
-    return os.environ.get(SPILL_DIR_ENV) or None
 
 
 def tile_payload_of(matrix: BooleanMatrix) -> tuple:

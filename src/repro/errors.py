@@ -113,6 +113,11 @@ class PathNotFoundError(EngineError):
     """Raised when path extraction is asked for a pair not in the relation."""
 
 
+class SettingsError(ReproError, ValueError):
+    """Raised when an environment default (:mod:`repro.settings`) is
+    malformed; the message names the variable."""
+
+
 class DatasetError(ReproError):
     """Raised for unknown dataset names or malformed dataset specs."""
 

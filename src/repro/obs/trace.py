@@ -10,9 +10,7 @@ plain threads that inherit a copied context.
 Disabled tracing is a different *type*, not a flag check per field:
 :data:`NULL_TRACER` returns one shared no-op context manager from
 ``span()``, so an un-traced closure pays a single attribute lookup and
-nothing else.  Root spans can additionally be *sampled*
-(``sample_every=N`` keeps every Nth root's whole tree), which keeps
-``--trace-file`` safe to leave on under serving load.
+nothing else.
 
 :func:`stopwatch` is the one timer primitive — every former ad-hoc
 ``time.perf_counter()`` pair in closure, the query service, and the
@@ -29,6 +27,8 @@ import os
 import threading
 import time
 from contextlib import contextmanager
+
+from .. import settings
 
 __all__ = [
     "NULL_TRACER",
@@ -167,10 +167,6 @@ class _NullSpanContext:
 
 _NULL_SPAN_CONTEXT = _NullSpanContext()
 
-#: Sentinel current-span marking a sampled-out trace: children of a
-#: dropped root must also drop, not become fresh roots.
-_SUPPRESSED = _NullSpan()
-
 
 # --------------------------------------------------------------------------
 # Sinks
@@ -241,18 +237,14 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sink=None, sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, sink=None):
         self.sink = sink
-        self.sample_every = int(sample_every)
         self._current = contextvars.ContextVar("repro_obs_span",
                                                default=None)
         # itertools.count.__next__ is atomic under the GIL; the pid
         # component keeps ids distinct across processes that share a
         # trace file.
         self._ids = itertools.count()
-        self._roots = itertools.count()
         self._pid = os.getpid()
         self._collectors: list[list] = []
         self._collect_lock = threading.Lock()
@@ -266,27 +258,12 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, **attrs):
-        """Open a child of the current span.
-
-        A span without a parent starts a new trace and is subject to
-        root sampling: with ``sample_every=N`` only every Nth root — and
-        its entire subtree — is recorded.
-        """
+        """Open a child of the current span; a span without a parent
+        starts a new trace."""
         current = self._current.get()
-        if current is _SUPPRESSED:
-            yield NULL_SPAN
-            return
         if current is not None:
             trace_id, parent_id = current.trace_id, current.span_id
         else:
-            if self.sample_every > 1 \
-                    and next(self._roots) % self.sample_every != 0:
-                token = self._current.set(_SUPPRESSED)
-                try:
-                    yield NULL_SPAN
-                finally:
-                    self._current.reset(token)
-                return
             trace_id, parent_id = self._next_id(), None
         span = Span(name, trace_id, self._next_id(), parent_id, attrs)
         token = self._current.set(span)
@@ -344,7 +321,6 @@ _GLOBAL_LOCK = threading.Lock()
 
 
 def configure_tracing(trace_file: "str | None" = None,
-                      sample_every: int = 1,
                       sink=None,
                       enabled: "bool | None" = None) -> Tracer:
     """Install the process-wide tracer explicitly.
@@ -361,34 +337,28 @@ def configure_tracing(trace_file: "str | None" = None,
         if enabled is False:
             _GLOBAL_TRACER = NULL_TRACER
         elif sink is not None:
-            _GLOBAL_TRACER = Tracer(sink, sample_every=sample_every)
+            _GLOBAL_TRACER = Tracer(sink)
         elif trace_file:
-            _GLOBAL_TRACER = Tracer(TraceFileSink(trace_file),
-                                    sample_every=sample_every)
+            _GLOBAL_TRACER = Tracer(TraceFileSink(trace_file))
         elif enabled:
-            _GLOBAL_TRACER = Tracer(None, sample_every=sample_every)
+            _GLOBAL_TRACER = Tracer(None)
         else:
             _GLOBAL_TRACER = NULL_TRACER
         return _GLOBAL_TRACER
 
 
 def get_tracer() -> Tracer:
-    """The process-wide tracer; first call resolves ``REPRO_TRACE_FILE``
-    (path) and ``REPRO_TRACE_SAMPLE`` (keep every Nth root) from the
-    environment, later calls are a plain read."""
+    """The process-wide tracer; the first call reads
+    :func:`repro.settings.trace_file`, later calls are a plain read."""
     global _GLOBAL_TRACER
     tracer = _GLOBAL_TRACER
     if tracer is not None:
         return tracer
     with _GLOBAL_LOCK:
         if _GLOBAL_TRACER is None:
-            path = os.environ.get("REPRO_TRACE_FILE", "").strip()
-            sample = int(os.environ.get("REPRO_TRACE_SAMPLE", "1") or 1)
-            if path:
-                _GLOBAL_TRACER = Tracer(TraceFileSink(path),
-                                        sample_every=max(sample, 1))
-            else:
-                _GLOBAL_TRACER = NULL_TRACER
+            path = settings.trace_file()
+            _GLOBAL_TRACER = (Tracer(TraceFileSink(path)) if path
+                              else NULL_TRACER)
         return _GLOBAL_TRACER
 
 

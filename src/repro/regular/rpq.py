@@ -46,24 +46,20 @@ def product_adjacency(nfa: NFA, graph: LabeledGraph,
 
 
 def _demux_rpq(closed: BooleanMatrix, nfa: NFA, graph: LabeledGraph,
-               backend: MatrixBackend, offset: int = 0,
-               ) -> frozenset[tuple[int, int]]:
-    """Read one query's (source, target) id pairs out of a closed product
-    matrix whose block starts at row *offset*: keep only the start-state
-    rows (a :meth:`~repro.matrices.base.MatrixBackend.mask_rows` kernel
-    apply, not a Python filter over the full closure), then accept-state
+               backend: MatrixBackend) -> frozenset[tuple[int, int]]:
+    """Read the (source, target) id pairs out of a closed product
+    matrix: keep only the start-state rows (a
+    :meth:`~repro.matrices.base.MatrixBackend.mask_rows` kernel apply,
+    not a Python filter over the full closure), then accept-state
     columns."""
     node_count = graph.node_count
-    start_rows = [offset + q * node_count + v
+    start_rows = [q * node_count + v
                   for q in nfa.start_states for v in range(node_count)]
     masked = backend.mask_rows(closed, start_rows)
-    span = nfa.state_count * node_count
     answers: set[tuple[int, int]] = set()
     for source_id, target_id in masked.nonzero_pairs():
-        if not offset <= target_id < offset + span:
-            continue
-        _state, source_node = divmod(source_id - offset, node_count)
-        target_state, target_node = divmod(target_id - offset, node_count)
+        _state, source_node = divmod(source_id, node_count)
+        target_state, target_node = divmod(target_id, node_count)
         if target_state in nfa.accept_states:
             answers.add((source_node, target_node))
     if nfa.accepts_empty():
@@ -95,40 +91,6 @@ def solve_rpq(graph: LabeledGraph, query: "str | NFA",
     """
     return _node_pairs(graph, rpq_pairs_by_id(graph, query, backend,
                                               strategy))
-
-
-def solve_rpq_batch(graph: LabeledGraph,
-                    queries: Iterable["str | NFA"],
-                    backend: "str | MatrixBackend | None" = None,
-                    strategy: str | None = None,
-                    ) -> list[frozenset[tuple[Hashable, Hashable]]]:
-    """Evaluate many RPQs with **one** closure: each query's product
-    graph becomes one block of a block-diagonal adjacency (blocks never
-    interact — there are no cross-block edges), the closure runs once
-    over the stacked matrix, and per-query answers demultiplex from
-    each block's start-state rows."""
-    nfas = [regex_to_nfa(parse_regex(query)) if isinstance(query, str)
-            else query for query in queries]
-    backend_obj = get_backend(backend)
-    node_count = graph.node_count
-    if not nfas:
-        return []
-    if node_count == 0:
-        return [frozenset() for _ in nfas]
-    offsets: list[int] = []
-    total = 0
-    for nfa in nfas:
-        offsets.append(total)
-        total += nfa.state_count * node_count
-    pairs: set[tuple[int, int]] = set()
-    for nfa, offset in zip(nfas, offsets):
-        block = product_adjacency(nfa, graph, backend_obj)
-        pairs.update((offset + i, offset + j)
-                     for i, j in block.nonzero_pairs())
-    closed = engine_closure(backend_obj.from_pairs(total, pairs), strategy)
-    return [_node_pairs(graph, _demux_rpq(closed, nfa, graph, backend_obj,
-                                          offset=offset))
-            for nfa, offset in zip(nfas, offsets)]
 
 
 def solve_rpq_reference(graph: LabeledGraph, query: "str | NFA",

@@ -33,6 +33,7 @@ import os
 from collections import Counter, OrderedDict
 from typing import Callable, Generator, Hashable, Iterable
 
+from .. import settings
 from ..core.closure import closure_settings
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
 from ..core.path_index import LengthRank, ViterbiRank
@@ -60,8 +61,18 @@ def _cache_requests_counter():
 #: Ranking semirings :meth:`QueryService.top_k` serves: shortest-first
 #: (length) or most-probable-first (viterbi, max-product over per-label
 #: weights).  Selected per service via the ``semiring`` constructor
-#: argument or the ``REPRO_SERVICE_SEMIRING`` environment variable.
+#: argument, else :func:`repro.settings.service_semiring`.
 SERVICE_SEMIRINGS = ("length", "viterbi")
+
+
+def check_service_semiring(name: str) -> str:
+    """*name* lower-cased, if it is one of :data:`SERVICE_SEMIRINGS`."""
+    semiring = name.strip().lower()
+    if semiring not in SERVICE_SEMIRINGS:
+        raise SemanticsError(
+            f"unknown service semiring {semiring!r}; expected one "
+            f"of {SERVICE_SEMIRINGS}")
+    return semiring
 
 #: Most k-best streams kept; the least recently paged is dropped first.
 KBEST_STREAMS = 1024
@@ -185,13 +196,8 @@ class QueryService:
         # what its requests reach before it listens.
         get_backend(self.backend)
         self.single_path = single_path
-        self.semiring = (semiring
-                         or os.environ.get("REPRO_SERVICE_SEMIRING")
-                         or "length").strip().lower()
-        if self.semiring not in SERVICE_SEMIRINGS:
-            raise SemanticsError(
-                f"unknown service semiring {self.semiring!r}; expected one "
-                f"of {SERVICE_SEMIRINGS}")
+        self.semiring = (settings.service_semiring() if semiring is None
+                         else check_service_semiring(semiring))
         with get_tracer().span("service.startup",
                                warm=warm_state is not None), \
                 stopwatch() as startup_timer:

@@ -116,9 +116,8 @@ PUSH_RETRY_SECONDS = (0.05, 1.0)
 #: distinct across a leader and its replica processes.
 _RID_COUNTER = itertools.count(1)
 
-#: Sentinel: slow-query config not resolved from the environment yet.
-_SLOW_UNSET = object()
-_SLOW_QUERY: "tuple[float, str | None] | None | object" = _SLOW_UNSET
+#: The slow-query log's ``(threshold_ms, log_path)``; None is off.
+_SLOW_QUERY: "tuple[float, str | None] | None" = None
 
 
 def _next_rid() -> str:
@@ -130,23 +129,10 @@ def set_slow_query_log(threshold_ms: "float | None",
     """Configure the slow-query log: requests taking at least
     *threshold_ms* get their full span tree appended to *log_path*
     (JSONL; None logs through the module logger instead).  Pass
-    ``threshold_ms=None`` to disable, after which the environment
-    (``REPRO_SLOW_QUERY_MS`` / ``REPRO_SLOW_QUERY_LOG``) is consulted
-    again on the next request."""
+    ``threshold_ms=None`` to turn the log off."""
     global _SLOW_QUERY
-    if threshold_ms is None:
-        _SLOW_QUERY = _SLOW_UNSET
-    else:
-        _SLOW_QUERY = (float(threshold_ms), log_path)
-
-
-def _slow_query_config() -> "tuple[float, str | None] | None":
-    global _SLOW_QUERY
-    if _SLOW_QUERY is _SLOW_UNSET:
-        raw = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
-        _SLOW_QUERY = (float(raw), os.environ.get("REPRO_SLOW_QUERY_LOG")
-                       or None) if raw else None
-    return _SLOW_QUERY
+    _SLOW_QUERY = (None if threshold_ms is None
+                   else (float(threshold_ms), log_path))
 
 
 def _record_slow_query(log_path: "str | None", op: str, rid: str,
@@ -191,7 +177,7 @@ def _request_scope(request, timer: Stopwatch):
     else:
         rid = (request.get("_rid")
                if isinstance(request, dict) else None) or _next_rid()
-        slow = _slow_query_config()
+        slow = _SLOW_QUERY
         with (tracer.collect() if slow is not None
               else contextlib.nullcontext()) as records, \
                 tracer.span("server.request", op=op, rid=rid) as span:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / \
     "BENCH_backends.json"
 
@@ -47,6 +49,7 @@ def test_bitset_kernel_speedup_live():
     gate skips both sub-floor timings).  Best-of-repeats timing with a
     relaxed 2× bar keeps this robust on noisy CI runners — the real
     margin is ~7×."""
+    pytest.importorskip("numpy")
     import sys
 
     sys.path.insert(0, str(BASELINE.parent))

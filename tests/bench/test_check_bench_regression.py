@@ -9,6 +9,8 @@ becoming a package.
 import importlib.util
 import os
 
+from repro.matrices.base import backend_installed
+
 _MODULE_PATH = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                             "benchmarks", "check_bench_regression.py")
 _spec = importlib.util.spec_from_file_location("check_bench_regression",
@@ -113,11 +115,10 @@ def test_available_backends_still_checked_when_others_missing():
 
 def test_unavailable_backends_reflects_host():
     """On this test host NumPy/SciPy availability decides the set; the
-    function must agree with importlib rather than hardcode."""
+    function must agree with the library's rule rather than hardcode."""
     missing = checker.unavailable_backends()
-    for backend, module in checker.OPTIONAL_BACKEND_MODULES.items():
-        present = importlib.util.find_spec(module) is not None
-        assert (backend in missing) == (not present)
+    for backend in checker.OPTIONAL_BACKEND_MODULES:
+        assert (backend in missing) == (not backend_installed(backend))
 
 
 def test_calibration_absorbs_uniform_slowdown():

@@ -275,6 +275,7 @@ def test_frontier_strictly_fewer_tiles_on_funding_x8():
     """The acceptance workload: on funding×8 (the paper's g1) the
     frontier-aware engine must multiply strictly fewer tiles than the
     all-tiles-every-round blocked loop, for the same answer."""
+    pytest.importorskip("numpy")
     from repro.datasets.registry import build_graph
     from repro.grammar.builders import same_generation_query1
     from repro.grammar.cnf import to_cnf

@@ -19,7 +19,6 @@ from repro.core.incremental import IncrementalCFPQ
 from repro.core.matrix_cfpq import initial_boolean_matrices, solve_matrix
 from repro.core.semiring import LENGTH_SEMIRING, merged_cells, solve_annotated
 from repro.core.single_path import build_single_path_index
-from repro.core.tilestore import MEMORY_BUDGET_ENV
 from repro.errors import EngineError
 from repro.grammar.builders import get_grammar
 from repro.grammar.cnf import ensure_cnf
@@ -107,7 +106,7 @@ def test_blocked_reads_the_tile_options(entry, tmp_path):
 def test_the_environment_budget_is_no_given_option(entry, strategy, tmp_path,
                                                    monkeypatch):
     expected = ENTRY_POINTS[entry](tmp_path)
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1K")
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1K")
     assert ENTRY_POINTS[entry](tmp_path, strategy=strategy) == expected
 
 

@@ -130,7 +130,7 @@ class TestDeltaEfficiency:
         from repro.matrices.base import get_backend
 
         grammar = ensure_cnf(dyck_grammar)
-        seeds = initial_boolean_matrices(graph, grammar, get_backend("sparse"))
+        seeds = initial_boolean_matrices(graph, grammar, get_backend(initial.stats.backend))
         seeded_entries = sum(m.nnz() for m in seeds.values())
         assert (sum(initial.stats.delta_nnz_per_round)
                 == initial.stats.total_entries - seeded_entries)

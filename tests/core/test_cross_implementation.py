@@ -3,7 +3,7 @@
 Solvers under test:
 
 * literal set-matrix Algorithm 1 (`solve_naive`)
-* boolean-decomposed engine × {dense, sparse, setmatrix}
+* boolean-decomposed engine × every available backend
 * Hellings worklist baseline
 * GLL-style top-down baseline
 
@@ -24,6 +24,7 @@ from repro.grammar.recognizer import cyk_recognize
 from repro.grammar.symbols import Nonterminal
 from repro.graph.generators import random_graph, two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
+from repro.matrices.base import available_backends
 
 S = Nonterminal("S")
 
@@ -42,13 +43,9 @@ def all_solver_answers(graph, grammar) -> dict[str, frozenset]:
     cnf = to_cnf(grammar)
     return {
         "naive": solve_naive(graph, cnf, normalize=False).relations.pairs(S),
-        "dense": solve_matrix_relations(graph, cnf, backend="dense",
-                                        normalize=False).pairs(S),
-        "sparse": solve_matrix_relations(graph, cnf, backend="sparse",
-                                         normalize=False).pairs(S),
-        "setmatrix": solve_matrix_relations(graph, cnf,
-                                            backend="setmatrix",
-                                            normalize=False).pairs(S),
+        **{backend: solve_matrix_relations(graph, cnf, backend=backend,
+                                           normalize=False).pairs(S)
+           for backend in available_backends()},
         "hellings": solve_hellings(graph, cnf, normalize=False).pairs(S),
         "gll": solve_gll(graph, grammar, nonterminals=[S]).pairs(S),
     }

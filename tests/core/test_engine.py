@@ -28,6 +28,7 @@ class TestRelational:
             engine.relational("Nope")
 
     def test_one_engine_per_backend(self, anbn_grammar, aabb_chain):
+        pytest.importorskip("scipy")
         sparse = CFPQEngine(aabb_chain, anbn_grammar, backend="sparse")
         dense = CFPQEngine(aabb_chain, anbn_grammar, backend="dense")
         assert sparse.relational("S") == dense.relational("S")

@@ -12,7 +12,7 @@ from repro.grammar.parser import parse_grammar
 from repro.grammar.symbols import Nonterminal
 from repro.graph.generators import two_cycles, word_chain
 from repro.graph.labeled_graph import LabeledGraph
-from repro.matrices.base import get_backend
+from repro.matrices.base import available_backends, get_backend
 
 
 class TestInitialization:
@@ -81,7 +81,7 @@ class TestSolveMatrix:
     def test_backends_identical_results(self, dyck_grammar):
         graph = two_cycles(3, 2)
         reference = None
-        for name in ["setmatrix", "dense", "sparse"]:
+        for name in available_backends():
             relations = solve_matrix(graph, dyck_grammar, backend=name).relations
             if reference is None:
                 reference = relations

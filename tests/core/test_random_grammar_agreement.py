@@ -29,6 +29,7 @@ from repro.grammar.cnf import to_cnf
 from repro.grammar.production import Production
 from repro.grammar.symbols import Nonterminal, Terminal
 from repro.graph.generators import random_graph
+from repro.matrices.base import available_backends
 
 _LABELS = ["a", "b"]
 _NONTERMINALS = ["S", "A", "B"]
@@ -63,10 +64,9 @@ def test_cnf_solvers_agree_on_random_grammars(seed):
 
     reference = solve_naive(graph, cnf, normalize=False).relations
     for name, relations in [
-        ("sparse", solve_matrix_relations(graph, cnf, backend="sparse",
-                                          normalize=False)),
-        ("bitset", solve_matrix_relations(graph, cnf, backend="bitset",
-                                          normalize=False)),
+        *((backend, solve_matrix_relations(graph, cnf, backend=backend,
+                                           normalize=False))
+          for backend in available_backends()),
         ("hellings", solve_hellings(graph, cnf, normalize=False)),
         ("gll", solve_gll(graph, grammar)),
     ]:

@@ -22,7 +22,6 @@ from repro.core.semiring import (
     merged_cells,
     solve_annotated,
 )
-from repro.core.tilestore import MEMORY_BUDGET_ENV, SPILL_DIR_ENV
 from repro.matrices.base import available_backends
 
 from test_semiring_differential import DICT_LENGTH, make_case
@@ -57,6 +56,7 @@ def test_tiny_budget_blocked_matches_oracle_all_backends(seed, tmp_path):
 def test_tiny_budget_tile_edges_byte_identical(seed, tile_size, tmp_path):
     """Spilling composes with every tile edge: single-cell tiles, a
     ragged edge tile, and one tile larger than the graph."""
+    pytest.importorskip("numpy")
     graph, grammar = make_case(seed)
     oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
     result = solve_matrix(graph, grammar, backend="bitset",
@@ -72,6 +72,7 @@ def test_tiny_budget_tile_edges_byte_identical(seed, tile_size, tmp_path):
 @pytest.mark.parametrize("strategy", ("blocked",))
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
+    pytest.importorskip("numpy")
     graph, grammar = make_case(seed)
     oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
     result = solve_matrix(graph, grammar, backend="bitset",
@@ -83,15 +84,14 @@ def test_tiny_budget_strategies_match(seed, strategy, tmp_path):
 
 @pytest.mark.parametrize("strategy", ("naive", "delta", "blocked"))
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_env_budget_reaches_blocked_only(seed, strategy, tmp_path,
-                                         monkeypatch):
+def test_env_budget_reaches_blocked_only(seed, strategy, monkeypatch):
     """``$REPRO_MEMORY_BUDGET`` is set for every strategy in the budgeted
     runs: ``blocked`` spills under it, the in-core strategies ignore it,
     and all three answer the oracle."""
+    pytest.importorskip("numpy")
     graph, grammar = make_case(seed)
     oracle = solve_matrix(graph, grammar, normalize=False, strategy="naive")
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, str(TINY_BUDGET))
-    monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(TINY_BUDGET))
     tiles = {"tile_size": 2} if strategy == "blocked" else {}
     result = solve_matrix(graph, grammar, backend="bitset",
                           normalize=False, strategy=strategy, **tiles)
@@ -124,6 +124,7 @@ def test_tiny_budget_annotations_byte_identical(seed, semiring, tmp_path):
 def test_tiny_budget_actually_spills(tmp_path):
     """Guard: the tiny budget really exercises the spill machinery
     (otherwise this whole module is vacuous)."""
+    pytest.importorskip("numpy")
     graph, grammar = make_case(0)
     result = solve_matrix(graph, grammar, backend="bitset",
                           normalize=False, strategy="blocked",
@@ -139,6 +140,7 @@ def test_tiny_budget_actually_spills(tmp_path):
 def test_spill_dir_cleaned_up_on_success(tmp_path):
     """The closure owns its store: tile files are removed when the run
     succeeds (the caller-provided directory itself survives)."""
+    pytest.importorskip("numpy")
     graph, grammar = make_case(0)
     solve_matrix(graph, grammar, backend="bitset", normalize=False,
                  strategy="blocked", tile_size=2,

@@ -11,20 +11,12 @@ import os
 
 import pytest
 
-from repro.core.tilestore import (
-    MEMORY_BUDGET_ENV,
-    SPILL_DIR_ENV,
-    TileStore,
-    matrix_nbytes,
-    parse_memory_budget,
-    resolve_memory_budget,
-    resolve_spill_dir,
-)
+from repro.core.tilestore import TileStore, matrix_nbytes, parse_memory_budget
 from repro.matrices.base import available_backends, get_backend
 
 
 # ----------------------------------------------------------------------
-# Budget parsing / resolution
+# Budget parsing
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("value,expected", [
@@ -56,22 +48,6 @@ def test_parse_memory_budget(value, expected):
 def test_parse_memory_budget_rejects_garbage(value):
     with pytest.raises(ValueError):
         parse_memory_budget(value)
-
-
-def test_resolve_memory_budget_env(monkeypatch):
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "4M")
-    assert resolve_memory_budget(None) == 4 * 1024 ** 2
-    assert resolve_memory_budget("64K") == 64 * 1024  # explicit wins
-    monkeypatch.delenv(MEMORY_BUDGET_ENV)
-    assert resolve_memory_budget(None) is None
-
-
-def test_resolve_spill_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path))
-    assert resolve_spill_dir(None) == str(tmp_path)
-    assert resolve_spill_dir("elsewhere") == "elsewhere"
-    monkeypatch.delenv(SPILL_DIR_ENV)
-    assert resolve_spill_dir(None) is None
 
 
 @pytest.mark.parametrize("backend_name", available_backends())
@@ -112,6 +88,7 @@ def test_spill_reload_round_trip(backend_name, tmp_path):
 
 
 def test_zero_size_tile_spills_and_reloads(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
     store.put(("Z", 0, 0), backend.zeros(0))
@@ -125,6 +102,7 @@ def test_zero_size_tile_spills_and_reloads(tmp_path):
 def test_reloaded_tile_is_mutable_and_private(tmp_path):
     """The mmap reload must hand back a writable matrix whose mutations
     never leak into later reloads (ACCESS_COPY semantics)."""
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
     store.put(("A", 0, 0), backend.from_pairs(8, [(1, 2)]))
@@ -145,6 +123,7 @@ def test_reloaded_tile_is_mutable_and_private(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_pinned_tiles_never_evicted(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     tiles = _sample_tiles(backend)
     one_tile = matrix_nbytes(next(iter(tiles.values())))
@@ -163,6 +142,7 @@ def test_pinned_tiles_never_evicted(tmp_path):
 
 
 def test_evict_to_budget_unbounded_is_a_noop(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("dense")
     store = TileStore(budget_bytes=None, spill_dir=str(tmp_path))
     for key, tile in _sample_tiles(backend).items():
@@ -179,6 +159,7 @@ def test_evict_to_budget_unbounded_is_a_noop(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_close_removes_spill_files_and_owned_dir(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     target = tmp_path / "spill"
     store = TileStore(budget_bytes=1, spill_dir=str(target))
@@ -190,6 +171,7 @@ def test_close_removes_spill_files_and_owned_dir(tmp_path):
 
 
 def test_close_keep_spill_preserves_files(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     target = tmp_path / "spill"
     store = TileStore(budget_bytes=1, spill_dir=str(target))
@@ -200,6 +182,7 @@ def test_close_keep_spill_preserves_files(tmp_path):
 
 
 def test_preexisting_spill_dir_not_removed(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
     store.put(("A", 0, 0), backend.from_pairs(8, [(0, 1)]))
@@ -210,6 +193,7 @@ def test_preexisting_spill_dir_not_removed(tmp_path):
 
 
 def test_discard_unlinks_spill_file(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
     store.put(("A", 0, 0), backend.from_pairs(8, [(0, 1)]))
@@ -221,6 +205,7 @@ def test_discard_unlinks_spill_file(tmp_path):
 
 
 def test_respill_unlinks_superseded_file(tmp_path):
+    pytest.importorskip("numpy")
     backend = get_backend("bitset")
     store = TileStore(budget_bytes=1, spill_dir=str(tmp_path))
     store.put(("A", 0, 0), backend.from_pairs(8, [(0, 1)]))
@@ -243,6 +228,7 @@ def test_closure_peak_resident_within_budget():
     """The ISSUE's acceptance criterion: a closure whose tiles exceed
     the budget completes, stays within the budget by the store's own
     accounting, and is byte-identical to the unbounded run."""
+    pytest.importorskip("numpy")
     import sys
 
     sys.path.insert(0, os.path.dirname(__file__))

@@ -15,20 +15,24 @@ from repro.matrices.base import available_backends, get_backend
 
 class TestRegistry:
     def test_bundled_backends_registered(self):
+        pytest.importorskip("scipy")
         assert set(available_backends()) >= {"bitset", "dense", "setmatrix",
                                              "sparse"}
 
     def test_get_backend_by_name(self):
+        pytest.importorskip("numpy")
         assert get_backend("dense").name == "dense"
 
     def test_get_backend_passthrough(self):
+        pytest.importorskip("scipy")
         backend = get_backend("sparse")
         assert get_backend(backend) is backend
 
     def test_unknown_backend(self):
         with pytest.raises(UnknownBackendError) as excinfo:
             get_backend("gpu")
-        assert "dense" in str(excinfo.value)
+        assert all(name in str(excinfo.value)
+                   for name in available_backends())
 
     def test_retired_pyset_is_unknown(self):
         with pytest.raises(UnknownBackendError):
@@ -143,11 +147,13 @@ class TestCrossBackendMixing:
     """Operations accept matrices from other backends (conversion)."""
 
     def test_union_mixed(self):
+        pytest.importorskip("scipy")
         dense = get_backend("dense").from_pairs(2, [(0, 0)])
         sparse = get_backend("sparse").from_pairs(2, [(1, 1)])
         assert dense.union(sparse).to_pair_set() == {(0, 0), (1, 1)}
 
     def test_multiply_mixed(self):
+        pytest.importorskip("numpy")
         rowset = get_backend("setmatrix").from_pairs(2, [(0, 1)])
         dense = get_backend("dense").from_pairs(2, [(1, 0)])
         assert rowset.multiply(dense).to_pair_set() == {(0, 0)}

@@ -11,6 +11,8 @@ import pytest
 from repro.core.transitive_closure import boolean_closure_naive
 from repro.matrices.base import get_backend
 
+pytest.importorskip("numpy")  # the bitset backend packs NumPy words
+
 BOUNDARY_SIZES = [1, 63, 64, 65, 127, 128, 130]
 
 

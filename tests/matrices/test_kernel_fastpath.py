@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from repro.matrices.bitset import BACKEND as BITSET, BitsetMatrix
 from repro.matrices.dense import BACKEND as DENSE, DenseMatrix

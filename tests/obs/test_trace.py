@@ -1,5 +1,5 @@
 """Tracing: span nesting (including the blocked closure's tile groups),
-root sampling, sinks, the decorator, and the summarizer."""
+sinks, the decorator, and the summarizer."""
 
 from __future__ import annotations
 
@@ -74,22 +74,6 @@ class TestSpanNesting:
         with tracer.span("after"):
             pass
         assert len(records) == 1  # collector detached
-
-
-class TestSampling:
-    def test_every_nth_root_kept(self):
-        sink = MemorySink()
-        tracer = Tracer(sink, sample_every=3)
-        for _ in range(9):
-            with tracer.span("root"):
-                with tracer.span("child"):
-                    pass
-        records = sink.drain()
-        assert sum(r["name"] == "root" for r in records) == 3
-        # Children of sampled-out roots are suppressed, not new roots.
-        assert sum(r["name"] == "child" for r in records) == 3
-        assert all(r["parent_id"] is None for r in records
-                   if r["name"] == "root")
 
 
 class TestNullTracer:

@@ -4,8 +4,7 @@
 :func:`repro.core.matrix_cfpq.run_closure` (one nonterminal, rule
 ``R -> R R``) and demuxes start rows with ``mask_rows``;
 ``solve_rpq_reference`` keeps the original repeated-squaring loop as
-the test oracle.  ``solve_rpq_batch`` answers many regexes with one
-block-diagonal closure.
+the test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.matrices import available_backends
-from repro.regular.rpq import solve_rpq, solve_rpq_batch, solve_rpq_reference
+from repro.regular.rpq import solve_rpq, solve_rpq_reference
 
 REGEXES = ("a", "a b", "(a | b)+", "a* b a*", "(a b)+")
 STRATEGIES = ("naive", "delta", "blocked")
@@ -49,18 +48,3 @@ class TestClosureRouteMatchesOracle:
         assert solve_rpq(graph, "a+") \
             == solve_rpq_reference(graph, "a+") == frozenset()
 
-
-class TestBatchRPQ:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_block_diagonal_matches_per_query(self, strategy):
-        for graph in _graphs()[:2]:
-            for backend in available_backends():
-                batched = solve_rpq_batch(graph, REGEXES, backend=backend,
-                                          strategy=strategy)
-                assert len(batched) == len(REGEXES)
-                for regex, answer in zip(REGEXES, batched):
-                    assert answer == solve_rpq_reference(
-                        graph, regex, backend=backend), (regex, backend)
-
-    def test_empty_batch(self):
-        assert solve_rpq_batch(_graphs()[0], []) == []

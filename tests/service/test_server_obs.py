@@ -27,9 +27,7 @@ ANBN = parse_grammar("S -> a S b | a b", terminals=["a", "b"])
 
 
 @pytest.fixture(autouse=True)
-def _fresh_observability(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_QUERY_MS", raising=False)
-    monkeypatch.delenv("REPRO_SLOW_QUERY_LOG", raising=False)
+def _fresh_observability():
     reset_metrics()
     reset_tracing()
     set_slow_query_log(None)
@@ -118,17 +116,17 @@ class TestSlowQueryLog:
         handle_request(service, {"op": "query", "start": "S"})
         assert not log_path.exists()
 
-    def test_environment_config_resolved_lazily(self, service, tmp_path,
-                                                monkeypatch):
+    def test_environment_config_resolved_lazily(self, service, tmp_path):
         log_path = tmp_path / "slow.jsonl"
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "0")
-        monkeypatch.setenv("REPRO_SLOW_QUERY_LOG", str(log_path))
         configure_tracing(enabled=True)
-        set_slow_query_log(None)  # force re-read of the environment
+        set_slow_query_log(0, str(log_path))
         handle_request(service, {"op": "ping"})
         entries = log_path.read_text().splitlines()
         assert len(entries) == 1
         assert json.loads(entries[0])["op"] == "ping"
+        set_slow_query_log(None)  # turns the log off
+        handle_request(service, {"op": "ping"})
+        assert log_path.read_text().splitlines() == entries
 
     def test_disabled_without_tracer(self, service, tmp_path):
         # Slow-query needs live spans; with the NULL tracer it is inert.

@@ -7,6 +7,8 @@ import pytest
 from repro.cli import main
 from repro.graph.generators import two_cycles, word_chain
 from repro.graph.io import save_graph_file
+from repro.matrices.base import available_backends
+from repro.obs.trace import reset_tracing
 
 
 @pytest.fixture
@@ -44,7 +46,7 @@ class TestQueryCommand:
         assert ["0", "4"] in payload["pairs"]
 
     def test_backend_flag(self, chain_file, capsys):
-        for backend in ["dense", "sparse", "setmatrix"]:
+        for backend in available_backends():
             assert main(["query", "--graph", chain_file,
                          "--grammar-name", "dyck1",
                          "--backend", backend]) == 0
@@ -420,8 +422,54 @@ class TestServeFlags:
         assert captured.err.splitlines() == [f"error: {error}"]
 
 
+class TestEnvironmentDefaults:
+    """A malformed environment default is one ``error:`` line naming the
+    variable, never a traceback; a variable the library no longer reads
+    changes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_tracer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_FILE", raising=False)
+        reset_tracing()
+        yield
+        reset_tracing()
+
+    def test_retired_trace_sample_is_ignored(self, chain_file, monkeypatch,
+                                             capsys):
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "abc")
+        assert main(["query", "--graph", chain_file,
+                     "--grammar-name", "dyck1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == [["0", "4"], ["1", "3"]]
+
+    def test_malformed_memory_budget(self, chain_file, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "bogus")
+        code = main(["query", "--graph", chain_file, "--grammar-name",
+                     "dyck1", "--strategy", "blocked"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: REPRO_MEMORY_BUDGET: unparseable memory budget "
+            "'bogus'; expected bytes or a K/M/G-suffixed size like '64K' "
+            "or '8M'"]
+
+    def test_malformed_service_semiring(self, chain_file, monkeypatch,
+                                        capsys):
+        monkeypatch.setenv("REPRO_SERVICE_SEMIRING", "bogus")
+        code = main(["serve", "--graph", chain_file,
+                     "--grammar-name", "dyck1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: REPRO_SERVICE_SEMIRING: unknown service semiring "
+            "'bogus'; expected one of ('length', 'viterbi')"]
+
+
 class TestTablesCommand:
     def test_small_table(self, capsys):
+        pytest.importorskip("scipy")  # the paper's dense and sparse columns
         assert main(["tables", "table2", "--max-triples", "260"]) == 0
         out = capsys.readouterr().out
         assert "skos" in out
@@ -451,8 +499,7 @@ class TestBackendsPrintIdenticalAnswers:
     @pytest.mark.parametrize("output", [[], ["--json"]],
                              ids=["text", "json"])
     @pytest.mark.parametrize("strategy", ["naive", "delta", "blocked"])
-    @pytest.mark.parametrize("backend", ["bitset", "dense", "setmatrix",
-                                         "sparse"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_funding_query1(self, funding_file, capsys, backend, strategy,
                             output):
         reference = _query_output(capsys, funding_file, "--backend",

@@ -260,6 +260,7 @@ def test_backend_failing_to_load_is_a_clean_error(graph_file, backend_args):
     """SciPy that is found but fails to import (a broken install) makes
     the ``sparse`` backend, explicit or default, an error line naming
     the cause, not a traceback."""
+    pytest.importorskip("numpy")
     result = _python(textwrap.dedent("""
         import importlib.machinery
         import sys
