@@ -37,6 +37,7 @@ import sys
 
 from .core.closure import TILE_OPTIONS, available_strategies, closure_settings
 from .core.engine import CFPQEngine
+from .core.semiring import RANKING_SEMIRINGS, get_semiring
 from .errors import ReproError, SemanticsError
 from .grammar.builders import GRAMMAR_REGISTRY, get_grammar
 from .grammar.parser import parse_grammar
@@ -288,7 +289,7 @@ def _cmd_query_semiring(args: argparse.Namespace) -> int:
     derivation length, best derivation probability, or (saturating)
     derivation count."""
     from .core.pair_writer import PairWriter
-    from .core.semiring import get_semiring, solve_annotated
+    from .core.semiring import solve_annotated
     from .grammar.cnf import ensure_cnf
 
     graph = _load_graph(args)
@@ -357,14 +358,12 @@ def cmd_all_paths(args: argparse.Namespace) -> int:
                        key=lambda path: (len(path), path))
         title = f"{len(paths)} paths of length <= {max_length}:"
     else:
-        from .core.path_index import LengthRank, ViterbiRank
-
-        viterbi = args.semiring == "viterbi"
         start = engine.grammar.resolve_nonterminal(query.start)
         paths = engine.all_path_index().top_k(
             start, *query.ends, query.k, max_length=query.max_length,
-            rank=ViterbiRank() if viterbi else LengthRank())
-        order = "most probable" if viterbi else "shortest"
+            rank=get_semiring(args.semiring))
+        order = ("most probable" if args.semiring == "viterbi"
+                 else "shortest")
         title = f"top {len(paths)} paths ({order} first):"
     if args.json:
         print(json.dumps([_path_json(graph, path) for path in paths]))
@@ -609,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(best-first over the witness forest; "
                                 "rank order set by --semiring)")
     all_paths.add_argument("--semiring", default="length",
-                           choices=["length", "viterbi"],
+                           choices=RANKING_SEMIRINGS,
                            help="--top-k rank order: shortest first "
                                 "(length) or most probable first "
                                 "(viterbi)")
@@ -681,12 +680,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--single-path", action="store_true",
                        help="maintain length annotations so single-path "
                             "and length queries are served")
-    serve.add_argument("--semiring", default=None,
-                       choices=["length", "viterbi"],
+    serve.add_argument("--semiring", default="length",
+                       choices=RANKING_SEMIRINGS,
                        help="rank order for top_k ops: shortest first "
-                            "(length) or most probable first (viterbi) "
-                            "(default: $REPRO_SERVICE_SEMIRING or "
-                            "length)")
+                            "(length, the default) or most probable "
+                            "first (viterbi)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=None,
                        help="serve TCP on this port (0 = ephemeral; the "

@@ -50,6 +50,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from typing import Callable, Hashable, Iterable, Iterator
 
+from ..errors import SemanticsError
 from ..grammar.cfg import CFG
 from ..grammar.cnf import ensure_cnf
 from ..grammar.symbols import Nonterminal
@@ -58,9 +59,9 @@ from ..graph.request import non_negative_int
 from .relations import ContextFreeRelations
 from .semiring import (
     COUNTING_SEMIRING,
-    VITERBI_SEMIRING,
+    LENGTH_SEMIRING,
     CountingSemiring,
-    ViterbiSemiring,
+    Semiring,
 )
 
 #: A path is a sequence of labeled edges (source_id, label, target_id).
@@ -189,56 +190,6 @@ def one_step_derivations(graph: LabeledGraph, grammar: CFG,
 Split = tuple[Nonterminal, Nonterminal, int]
 
 
-class LengthRank:
-    """Rank paths by length — shortest first (the default k-best order)."""
-
-    name = "length"
-
-    def edge_value(self, label: str) -> int:
-        return 1
-
-    def empty_value(self) -> int:
-        return 0
-
-    def combine(self, left, right):
-        return left + right
-
-    def better(self, left, right) -> bool:
-        return left < right
-
-    def heap_key(self, value):
-        """Map a rank value onto min-heap order (identity for lengths)."""
-        return value
-
-
-class ViterbiRank:
-    """Rank paths by max-product probability — most probable first.
-
-    Wraps a :class:`repro.core.semiring.ViterbiSemiring` for its edge
-    weights; ``combine`` multiplies and ``heap_key`` negates so the
-    min-heap pops the most probable partial derivation first.
-    """
-
-    def __init__(self, semiring: ViterbiSemiring | None = None):
-        self.semiring = semiring or VITERBI_SEMIRING
-        self.name = f"viterbi[{self.semiring.name}]"
-
-    def edge_value(self, label: str) -> float:
-        return self.semiring.edge_weight(label)
-
-    def empty_value(self) -> float:
-        return 1.0
-
-    def combine(self, left, right):
-        return left * right
-
-    def better(self, left, right) -> bool:
-        return left > right
-
-    def heap_key(self, value):
-        return -value
-
-
 class AllPathIndex:
     """The implicit parse forest of one CFPQ evaluation.
 
@@ -260,15 +211,16 @@ class AllPathIndex:
         # Exact-length enumeration memo: (A, i, j, length) -> paths.
         self._length_memo: dict[tuple[Nonterminal, int, int, int],
                                 tuple[Path, ...]] = {}
-        # Best-completion caches shared across queries, one per rank:
-        # one Dijkstra run settles every node of the reachable
+        # Best-completion caches shared across queries, one per ranking
+        # semiring (keyed by the object: two weightings never share
+        # one): one Dijkstra run settles every node of the reachable
         # sub-forest, and the sub-forest is closed under children, so
         # those optima are globally correct and reusable.
-        self._rank_cache: dict[str, dict[tuple[Nonterminal, int, int],
-                                         object]] = {}
+        self._rank_cache: dict[Semiring, dict[tuple[Nonterminal, int, int],
+                                              object]] = {}
         # Ranked-alternative cache per forest node (k-best expansion).
-        self._alternatives_cache: dict[tuple[str, Nonterminal, int, int],
-                                       tuple] = {}
+        self._alternatives_cache: dict[
+            tuple[Semiring, Nonterminal, int, int], tuple] = {}
         #: Instrumentation for the streaming guarantee: heap pops
         #: (expansions) and paths yielded by the k-best enumerator.
         self.kbest_stats = {"expansions": 0, "yielded": 0}
@@ -493,7 +445,7 @@ class AllPathIndex:
     # Lazy k-best (ranked alternatives per node, heap-popped best-first)
     # ------------------------------------------------------------------
     def _ranked_alternatives(self, node: tuple[Nonterminal, int, int],
-                             rank) -> tuple:
+                             rank: Semiring) -> tuple:
         """The node's derivation alternatives, best-first under *rank*.
 
         Each alternative is ``(entry, lower_bound)`` where *entry* is
@@ -505,7 +457,7 @@ class AllPathIndex:
         splits, then label / split identity), so every strategy's forest
         enumerates identically.
         """
-        cache_key = (rank.name,) + node
+        cache_key = (rank,) + node
         cached = self._alternatives_cache.get(cache_key)
         if cached is not None:
             return cached
@@ -513,8 +465,8 @@ class AllPathIndex:
         labels, splits = self._children(head, a, b)
         ranked: list = []
         for label in labels:
-            value = rank.edge_value(label)
-            ranked.append((rank.heap_key(value), 0, label,
+            value = rank.identity(label)
+            ranked.append((rank.rank_key(value), 0, label,
                            (("edge", label, value), value)))
         for left, right, r in splits:
             left_node = (left, a, r)
@@ -523,8 +475,8 @@ class AllPathIndex:
             right_best = self._best_completion(right_node, rank)
             if left_best is None or right_best is None:
                 continue
-            bound = rank.combine(left_best, right_best)
-            ranked.append((rank.heap_key(bound), 1,
+            bound = rank.multiply(left_best, right_best)
+            ranked.append((rank.rank_key(bound), 1,
                            (left.name, right.name, r),
                            (("split", left_node, right_node), bound)))
         ranked.sort(key=lambda alt: alt[:3])
@@ -534,9 +486,15 @@ class AllPathIndex:
 
     def iter_k_best(self, nonterminal: Nonterminal | str, source: Hashable,
                     target: Hashable, max_length: int | None = None,
-                    rank=None) -> Iterator[Path]:
-        """Lazily enumerate paths best-first under *rank* (default:
-        shortest first; :class:`ViterbiRank`: most probable first).
+                    rank: Semiring | None = None) -> Iterator[Path]:
+        """Lazily enumerate paths best-first under the ranking semiring
+        *rank*: an edge is worth ``identity(label)``, the empty path
+        ``empty_path()``, a concatenation the ``multiply`` of its parts,
+        and smaller ``rank_key`` values come first (default
+        :data:`~repro.core.semiring.LENGTH_SEMIRING`, shortest first;
+        a :class:`~repro.core.semiring.ViterbiSemiring`, most probable
+        first).  A semiring without ``rank_key`` is a
+        :class:`~repro.errors.SemanticsError`.
 
         Best-first search over partial derivations: a state is a
         concrete edge prefix plus the pending forest goals (leftmost
@@ -551,13 +509,19 @@ class AllPathIndex:
         sequences from ambiguous derivations are emitted once,
         matching :meth:`iter_paths`.
         """
+        rank = LENGTH_SEMIRING if rank is None else rank
+        if getattr(rank, "rank_key", None) is None:
+            raise SemanticsError(
+                f"semiring {getattr(rank, 'name', rank)!r} does not rank "
+                "paths (it has no rank_key)")
         if max_length is not None:
             non_negative_int(max_length, "max_length")
         return self._iter_k_best(*self._node(nonterminal, source, target),
-                                 max_length, rank or LengthRank())
+                                 max_length, rank)
 
     def _iter_k_best(self, nonterminal: Nonterminal, i: int, j: int,
-                     max_length: int | None, rank) -> Iterator[Path]:
+                     max_length: int | None,
+                     rank: Semiring) -> Iterator[Path]:
         if not self.node_exists(nonterminal, i, j):
             return
         stats = self.kbest_stats
@@ -567,27 +531,26 @@ class AllPathIndex:
         root = (nonterminal, i, j)
         if self._best_completion(root, rank) is None:
             return
-        length_rank = rank if isinstance(rank, LengthRank) else LengthRank()
+        rank_key, multiply = rank.rank_key, rank.multiply
 
         serial = itertools.count()
         heap: list = []
 
         def push(edges: Path, value, goals: tuple, alt_index: int) -> None:
             if not goals:
-                heapq.heappush(heap, (rank.heap_key(value), next(serial),
+                heapq.heappush(heap, (rank_key(value), next(serial),
                                       edges, value, (), 0, True))
                 return
             alternatives = self._ranked_alternatives(goals[0], rank)
             if alt_index >= len(alternatives):
                 return
-            bound = rank.combine(value, alternatives[alt_index][1])
+            bound = multiply(value, alternatives[alt_index][1])
             for goal in goals[1:]:
-                bound = rank.combine(bound,
-                                     self._best_completion(goal, rank))
-            heapq.heappush(heap, (rank.heap_key(bound), next(serial),
+                bound = multiply(bound, self._best_completion(goal, rank))
+            heapq.heappush(heap, (rank_key(bound), next(serial),
                                   edges, value, goals, alt_index, False))
 
-        push((), rank.empty_value(), (root,), 0)
+        push((), rank.empty_path(), (root,), 0)
         emitted: set[Path] = set()
         while heap:
             (_key, _tie, edges, value, goals,
@@ -604,7 +567,7 @@ class AllPathIndex:
             if max_length is not None:
                 floor = len(edges)
                 for goal in goals:
-                    shortest = self._best_completion(goal, length_rank)
+                    shortest = self._best_completion(goal, LENGTH_SEMIRING)
                     floor = (max_length + 1 if shortest is None
                              else floor + shortest)
                 if floor > max_length:
@@ -614,7 +577,7 @@ class AllPathIndex:
             if entry[0] == "edge":
                 _kind, label, weight = entry
                 _head, a, b = goals[0]
-                push(edges + ((a, label, b),), rank.combine(value, weight),
+                push(edges + ((a, label, b),), multiply(value, weight),
                      goals[1:], 0)
             else:
                 _kind, left_node, right_node = entry
@@ -622,7 +585,7 @@ class AllPathIndex:
 
     def top_k(self, nonterminal: Nonterminal | str, source: Hashable,
               target: Hashable, k: int, max_length: int | None = None,
-              rank=None) -> list[Path]:
+              rank: Semiring | None = None) -> list[Path]:
         """The *k* best paths (see :meth:`iter_k_best`); a prefix of
         ``top_k(..., k + 1)`` by construction — one lazy iterator,
         truncated."""
@@ -644,23 +607,25 @@ class AllPathIndex:
             return None
         if self._has_empty_path(nonterminal, i, j):
             return 0
-        return self._best_completion((nonterminal, i, j), LengthRank())
+        return self._best_completion((nonterminal, i, j), LENGTH_SEMIRING)
 
     def _best_completion(self, root: tuple[Nonterminal, int, int],
-                         rank) -> object | None:
+                         rank: Semiring) -> object | None:
         """The best *non-empty* path value of *root* under *rank*
         (length: the minimum; viterbi: the maximum probability), or None
         when only the empty path witnesses it.
 
         Generic Dijkstra over forest nodes: collect the reachable
         sub-forest, then relax from terminal leaves upward with the
-        rank's ``combine``/``better``.  Settled optima are cached per
-        rank and reused — the sub-forest is closed under children, so
-        they are globally correct.
+        semiring's ``multiply``, keeping the value of smaller
+        ``rank_key``.  Settled optima are cached per semiring and
+        reused — the sub-forest is closed under children, so they are
+        globally correct.
         """
-        cache = self._rank_cache.setdefault(rank.name, {})
+        cache = self._rank_cache.setdefault(rank, {})
         if root in cache:
             return cache[root]
+        rank_key = rank.rank_key
 
         best: dict[tuple[Nonterminal, int, int], object] = {}
         dependents: dict[tuple, list[tuple]] = defaultdict(list)
@@ -684,30 +649,30 @@ class AllPathIndex:
             if labels:
                 cost = None
                 for label in labels:
-                    value = rank.edge_value(label)
-                    if cost is None or rank.better(value, cost):
+                    value = rank.identity(label)
+                    if cost is None or rank_key(value) < rank_key(cost):
                         cost = value
                 best[node] = cost
-                heapq.heappush(heap, (rank.heap_key(cost), _node_key(node)))
+                heapq.heappush(heap, (rank_key(cost), _node_key(node)))
 
         keyed = {_node_key(node): node for node in nodes}
         while heap:
             key, node_key = heapq.heappop(heap)
             node = keyed[node_key]
             settled = best.get(node)
-            if settled is None or key > rank.heap_key(settled):
+            if settled is None or key > rank_key(settled):
                 continue
             for parent, left_node, right_node in dependents[node]:
                 left_cost = best.get(left_node)
                 right_cost = best.get(right_node)
                 if left_cost is None or right_cost is None:
                     continue
-                candidate = rank.combine(left_cost, right_cost)
+                candidate = rank.multiply(left_cost, right_cost)
                 current = best.get(parent)
-                if current is None or rank.better(candidate, current):
+                if current is None or rank_key(candidate) < rank_key(current):
                     best[parent] = candidate
                     heapq.heappush(
-                        heap, (rank.heap_key(candidate), _node_key(parent))
+                        heap, (rank_key(candidate), _node_key(parent))
                     )
 
         cache.update(best)

@@ -145,16 +145,6 @@ class ContextFreeRelations:
             for i, j in sorted(self.pairs(nonterminal)):
                 yield (nonterminal, i, j)
 
-    def restrict_to(self, nonterminals: Iterable[Nonterminal | str],
-                    ) -> "ContextFreeRelations":
-        """Keep only the requested relations (e.g. original grammar
-        non-terminals, hiding CNF helper symbols)."""
-        wanted = {as_nonterminal(nt) for nt in nonterminals}
-        return ContextFreeRelations(
-            self._graph,
-            {nt: pairs for nt, pairs in self._relations.items() if nt in wanted},
-        )
-
     # ------------------------------------------------------------------
     # Comparisons (used throughout the cross-implementation tests)
     # ------------------------------------------------------------------

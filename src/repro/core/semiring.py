@@ -18,7 +18,10 @@ annotation at all: its forest is a view of the boolean fixpoint,
   diagonal cell), ``multiply`` (⊗ — combine a left and a right
   sub-derivation) and ``add`` (⊕ — fold competing candidates for one
   cell).  A product landing on an occupied cell is folded by ⊕ too;
-  the cell re-enters the frontier iff the fold moved it.
+  the cell re-enters the frontier iff the fold moved it.  A semiring
+  that orders paths adds ``rank_key`` (length and Viterbi,
+  :data:`RANKING_SEMIRINGS`): the k-best search of
+  :mod:`repro.core.path_index` ranks by the semiring itself.
 * :class:`BooleanSemiring` — relational semantics (presence only).
 * :class:`LengthSemiring` — single-path semantics.  ⊕ = min is the
   canonical, confluent form of the paper's never-update rule: a
@@ -167,6 +170,10 @@ class LengthSemiring(Semiring):
     def empty_path(self) -> int:
         return 0
 
+    def rank_key(self, value: int) -> int:
+        """k-best order (smaller first): shorter paths rank first."""
+        return value
+
 
 #: Default saturation cap for :class:`CountingSemiring`.  Kept small on
 #: purpose: saturating a pump cycle costs O(cap) Kleene rounds (see the
@@ -291,6 +298,11 @@ class ViterbiSemiring(Semiring):
     def add(self, left: float, right: float) -> float:
         return left if left >= right else right
 
+    def rank_key(self, value: float) -> float:
+        """k-best order (smaller first): more probable paths rank
+        first."""
+        return -value
+
 
 #: Shared singleton instances (the semirings are stateless).
 BOOLEAN_SEMIRING = BooleanSemiring()
@@ -305,6 +317,12 @@ SEMIRINGS: dict[str, Semiring] = {
     for semiring in (BOOLEAN_SEMIRING, LENGTH_SEMIRING, COUNTING_SEMIRING,
                      VITERBI_SEMIRING)
 }
+
+
+#: The registered semirings that order paths (they define ``rank_key``,
+#: which :meth:`~repro.core.path_index.AllPathIndex.iter_k_best` sorts
+#: by): the ``--semiring`` choices of ``paths --top-k`` and ``serve``.
+RANKING_SEMIRINGS = ("length", "viterbi")
 
 
 def register_semiring(semiring: Semiring) -> Semiring:

@@ -162,10 +162,6 @@ class CFG:
                 + ("..." if len(offenders) > 5 else "")
             )
 
-    def require_nonterminal(self, symbol: Nonterminal) -> None:
-        """Raise :class:`UnknownSymbolError` when *symbol* is not in ``N``."""
-        self.resolve_nonterminal(symbol)
-
     def resolve_nonterminal(self, symbol: "Nonterminal | str") -> Nonterminal:
         """The element of ``N`` that *symbol* (or its name) denotes.
 

@@ -218,31 +218,6 @@ class LabeledGraph:
                 index[source_id].append((label, target_id))
         return dict(index)
 
-    # ------------------------------------------------------------------
-    # Transformation
-    # ------------------------------------------------------------------
-    def relabel(self, mapping: dict[str, str]) -> "LabeledGraph":
-        """Return a copy with labels substituted via *mapping*
-        (labels absent from the mapping are kept)."""
-        graph = LabeledGraph()
-        for node in self._nodes:
-            graph.add_node(node)
-        for source, label, target in self.edges():
-            graph.add_edge(source, mapping.get(label, label), target)
-        return graph
-
-    def subgraph_labels(self, keep: Iterable[str]) -> "LabeledGraph":
-        """Return a copy containing only edges whose label is in *keep*
-        (node set and enumeration preserved)."""
-        keep_set = set(keep)
-        graph = LabeledGraph()
-        for node in self._nodes:
-            graph.add_node(node)
-        for source, label, target in self.edges():
-            if label in keep_set:
-                graph.add_edge(source, label, target)
-        return graph
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented

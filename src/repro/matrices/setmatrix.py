@@ -152,13 +152,6 @@ class SetMatrix:
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
-    def to_nested_lists(self) -> list[list[frozenset[Nonterminal]]]:
-        """Dense nested-list form (tests against the paper's figures)."""
-        return [
-            [self[(i, j)] for j in range(self._size)]
-            for i in range(self._size)
-        ]
-
     def render(self) -> str:
         """Human-readable rendering in the style of the paper's Figures
         6-8 (∅ for empty cells, `{S1, S}` for subsets)."""

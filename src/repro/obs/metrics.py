@@ -128,9 +128,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         with self._lock:
             return self._values.get(self._key(labels), 0)

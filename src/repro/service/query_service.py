@@ -33,11 +33,9 @@ import os
 from collections import Counter, OrderedDict
 from typing import Callable, Generator, Hashable, Iterable
 
-from .. import settings
 from ..core.closure import closure_settings
 from ..core.incremental import IncrementalCFPQ, IncrementalSinglePathCFPQ
-from ..core.path_index import LengthRank, ViterbiRank
-from ..core.semiring import LENGTH_SEMIRING
+from ..core.semiring import LENGTH_SEMIRING, RANKING_SEMIRINGS, get_semiring
 from ..core.single_path import extract_path
 from ..errors import ReproError, SemanticsError
 from ..grammar.symbols import Nonterminal
@@ -57,22 +55,6 @@ def _cache_requests_counter():
         "Whole-relation cache lookups by outcome",
         ("outcome",),
     )
-
-#: Ranking semirings :meth:`QueryService.top_k` serves: shortest-first
-#: (length) or most-probable-first (viterbi, max-product over per-label
-#: weights).  Selected per service via the ``semiring`` constructor
-#: argument, else :func:`repro.settings.service_semiring`.
-SERVICE_SEMIRINGS = ("length", "viterbi")
-
-
-def check_service_semiring(name: str) -> str:
-    """*name* lower-cased, if it is one of :data:`SERVICE_SEMIRINGS`."""
-    semiring = name.strip().lower()
-    if semiring not in SERVICE_SEMIRINGS:
-        raise SemanticsError(
-            f"unknown service semiring {semiring!r}; expected one "
-            f"of {SERVICE_SEMIRINGS}")
-    return semiring
 
 #: Most k-best streams kept; the least recently paged is dropped first.
 KBEST_STREAMS = 1024
@@ -182,13 +164,17 @@ class QueryService:
         at once.  :meth:`from_engine` passes the engine's matrices,
         :meth:`from_snapshot` the snapshot's as a stream of ``(A,
         relation)`` items; either skips the initial closure entirely.
+    semiring:
+        The ``top_k`` rank order, one of
+        :data:`~repro.core.semiring.RANKING_SEMIRINGS`: shortest first
+        (``length``) or most probable first (``viterbi``).
     """
 
     def __init__(self, graph: LabeledGraph, grammar, backend: str | None = None,
                  strategy: str | None = None,
                  single_path: bool = False,
                  warm_state: dict | None = None,
-                 semiring: str | None = None,
+                 semiring: str = "length",
                  **strategy_options):
         self.backend, self.strategy, self.strategy_options = \
             closure_settings(backend, strategy, **strategy_options)
@@ -196,8 +182,12 @@ class QueryService:
         # what its requests reach before it listens.
         get_backend(self.backend)
         self.single_path = single_path
-        self.semiring = (settings.service_semiring() if semiring is None
-                         else check_service_semiring(semiring))
+        if semiring not in RANKING_SEMIRINGS:
+            raise SemanticsError(
+                f"unknown service semiring {semiring!r}; expected one "
+                f"of {RANKING_SEMIRINGS}")
+        #: The ranking semiring of the k-best streams (``top_k``).
+        self.semiring = get_semiring(semiring)
         with get_tracer().span("service.startup",
                                warm=warm_state is not None), \
                 stopwatch() as startup_timer:
@@ -444,7 +434,7 @@ class QueryService:
                     for path in self._forest.iter_k_best(
                         start_nt, source, target,
                         max_length=query.max_length,
-                        rank=self._rank_adapter()))
+                        rank=self.semiring))
                 self._kbest_cache[key] = stream
                 while len(self._kbest_cache) > KBEST_STREAMS:
                     self._kbest_cache.popitem(last=False)
@@ -469,11 +459,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # k-best paths
     # ------------------------------------------------------------------
-    def _rank_adapter(self):
-        if self.semiring == "viterbi":
-            return ViterbiRank()
-        return LengthRank()
-
     def top_k(self, start, source: Hashable, target: Hashable, k: int,
               max_length: int | None = None) -> list:
         """The *k* best paths from *source* to *target* under the
@@ -657,7 +642,7 @@ class QueryService:
             "backend": self.backend,
             "strategy": self.strategy,
             "single_path": self.single_path,
-            "semiring": self.semiring,
+            "semiring": self.semiring.name,
             "top_k": {
                 "queries": counts["top_k_queries"],
                 "stream_hits": counts["top_k_stream_hits"],

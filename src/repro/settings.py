@@ -34,15 +34,6 @@ def memory_budget() -> "int | None":
     return _environ("REPRO_MEMORY_BUDGET", parse_memory_budget)
 
 
-def service_semiring() -> str:
-    """``$REPRO_SERVICE_SEMIRING``: a query service's ranking semiring
-    when none is given (``serve --semiring``); ``length`` when unset."""
-    from .service.query_service import check_service_semiring
-
-    return _environ("REPRO_SERVICE_SEMIRING",
-                    check_service_semiring) or "length"
-
-
 def trace_file() -> "str | None":
     """``$REPRO_TRACE_FILE``: the JSONL trace sink of a process whose
     tracing nothing configured (``--trace-file``); None is off."""

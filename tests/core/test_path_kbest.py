@@ -12,6 +12,7 @@ acceptance criterion).
 
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -24,12 +25,14 @@ from test_semiring_differential import (  # noqa: E402
     make_case,
 )
 
-from repro.core.path_index import (  # noqa: E402
-    AllPathIndex,
-    LengthRank,
-    ViterbiRank,
+from repro.core.path_index import AllPathIndex  # noqa: E402
+from repro.core.semiring import (  # noqa: E402
+    COUNTING_SEMIRING,
+    LENGTH_SEMIRING,
+    VITERBI_SEMIRING,
+    ViterbiSemiring,
 )
-from repro.core.semiring import ViterbiSemiring  # noqa: E402
+from repro.errors import SemanticsError  # noqa: E402
 from repro.grammar.cfg import CFG  # noqa: E402
 from repro.grammar.cnf import to_cnf  # noqa: E402
 from repro.graph.labeled_graph import LabeledGraph  # noqa: E402
@@ -140,7 +143,10 @@ class TestStreamingGuard:
         assert second - first <= first + 8
 
 
-class TestRankAdapters:
+class TestRankingSemirings:
+    """k-best ranks by a semiring's own ``identity`` / ``multiply`` /
+    ``rank_key``: the length and Viterbi semirings the closures run."""
+
     def test_viterbi_rank_prefers_probable_over_short(self):
         grammar = to_cnf(CFG.from_mapping(
             {"S": [["T"], ["T", "S"]], "T": [["a"], ["b"]]},
@@ -152,17 +158,16 @@ class TestRankAdapters:
         )
         index = AllPathIndex.build(graph, grammar)
         semiring = ViterbiSemiring(weights={"a": 0.9, "b": 0.1})
-        by_probability = index.top_k("S", 0, 2, 2,
-                                     rank=ViterbiRank(semiring))
-        by_length = index.top_k("S", 0, 2, 2, rank=LengthRank())
+        by_probability = index.top_k("S", 0, 2, 2, rank=semiring)
+        by_length = index.top_k("S", 0, 2, 2, rank=LENGTH_SEMIRING)
         assert [len(p) for p in by_length] == [1, 2]
         assert [len(p) for p in by_probability] == [2, 1]
         assert by_probability[0] == ((0, "a", 1), (1, "a", 2))
 
     def test_default_viterbi_rank_matches_length_order_lengths(self):
         """Uniform default weights make most-probable-first coincide
-        with shortest-first at the length level (the invariant the CI
-        viterbi service matrix cell leans on)."""
+        with shortest-first at the length level (the invariant the
+        service suite's length/viterbi parametrization leans on)."""
         graph, grammar = make_case(2)
         index = AllPathIndex.build(graph, grammar)
         for nonterminal in grammar.nonterminals:
@@ -171,6 +176,34 @@ class TestRankAdapters:
                                         max_length=BOUND)
                 by_viterbi = index.top_k(nonterminal, i, j, 6,
                                          max_length=BOUND,
-                                         rank=ViterbiRank())
+                                         rank=VITERBI_SEMIRING)
                 assert [len(p) for p in by_length] \
                     == [len(p) for p in by_viterbi]
+
+    @pytest.mark.parametrize("best", (
+        lambda index, rank: index.top_k("S", 0, 1, 2, rank=rank),
+        lambda index, rank: list(itertools.islice(
+            index.iter_k_best("S", 0, 1, rank=rank), 2)),
+    ), ids=("top_k", "iter_k_best"))
+    def test_two_weightings_share_no_memo(self, best):
+        """One index ranks under one Viterbi weighting, then under the
+        opposite one: each answer is that weighting's own, as from a
+        fresh index (the memo tables are per semiring object, and every
+        ViterbiSemiring is named ``viterbi``)."""
+        graph = LabeledGraph.from_edges([(0, "a", 1), (0, "c", 1)])
+        grammar = to_cnf(CFG.from_mapping(
+            {"S": [["a"], ["b", "S"], ["c"]]}, terminals=["a", "b", "c"]))
+        shared = AllPathIndex.build(graph, grammar)
+        for first, second in (("a", "c"), ("c", "a")):
+            weighting = ViterbiSemiring({first: 0.9, second: 0.1})
+            fresh = best(AllPathIndex.build(graph, grammar), weighting)
+            assert fresh == [((0, first, 1),), ((0, second, 1),)]
+            assert best(shared, weighting) == fresh
+
+    def test_a_semiring_that_ranks_nothing_is_refused(self):
+        graph, grammar = _parallel_chain(1)
+        index = AllPathIndex.build(graph, grammar)
+        with pytest.raises(SemanticsError, match="'counting'.*rank_key"):
+            index.top_k("S", 0, 1, 1, rank=COUNTING_SEMIRING)
+        assert index.top_k("S", 0, 1, 1) \
+            == index.top_k("S", 0, 1, 1, rank=LENGTH_SEMIRING)

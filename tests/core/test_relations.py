@@ -44,13 +44,6 @@ def test_triples_sorted():
     ]
 
 
-def test_restrict_to():
-    relations = ContextFreeRelations(make_graph(), {S: [(0, 1)], A: [(1, 1)]})
-    restricted = relations.restrict_to(["S"])
-    assert restricted.nonterminals == {S}
-    assert restricted.pairs(S) == {(0, 1)}
-
-
 def test_same_as_handles_missing_as_empty():
     graph = make_graph()
     left = ContextFreeRelations(graph, {S: [(0, 1)], A: []})
@@ -156,7 +149,6 @@ def test_callable_relation_runs_once_on_first_read_of_its_symbol():
     relations = ContextFreeRelations(make_graph(), {
         S: producer("S", [(0, 1), (1, 2)]), A: producer("A", [(2, 2)])})
     assert relations.nonterminals == {S, A}
-    assert relations.restrict_to(["A"]).nonterminals == {A}
     assert calls == []
     assert relations.pairs("S") == {(0, 1), (1, 2)}
     assert relations.count(S) == 2 and relations.contains(S, "x", "y")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NotInNormalFormError, UnknownSymbolError
+from repro.errors import NotInNormalFormError
 from repro.grammar.cfg import CFG
 from repro.grammar.parser import parse_grammar
 from repro.grammar.production import production
@@ -84,12 +84,6 @@ def test_require_cnf_raises_with_offenders(anbn_grammar):
     with pytest.raises(NotInNormalFormError) as excinfo:
         anbn_grammar.require_cnf("testing")
     assert "testing" in str(excinfo.value)
-
-
-def test_require_nonterminal(cnf_grammar):
-    cnf_grammar.require_nonterminal(Nonterminal("S"))
-    with pytest.raises(UnknownSymbolError):
-        cnf_grammar.require_nonterminal(Nonterminal("Q"))
 
 
 def test_binary_and_terminal_rule_views(cnf_grammar):

@@ -107,19 +107,6 @@ def test_with_inverse_edges_involution_on_labels():
     assert doubled.has_edge(1, "x", 0)
 
 
-def test_relabel(small_graph):
-    renamed = small_graph.relabel({"knows": "k"})
-    assert renamed.has_edge("u", "k", "v")
-    assert renamed.has_edge("u", "likes", "w")
-    assert not renamed.has_edge("u", "knows", "v")
-
-
-def test_subgraph_labels(small_graph):
-    sub = small_graph.subgraph_labels(["likes"])
-    assert sub.edge_count == 1
-    assert sub.node_count == 3  # nodes preserved
-
-
 def test_equality():
     g1 = LabeledGraph.from_edges([(0, "a", 1)])
     g2 = LabeledGraph.from_edges([(0, "a", 1)])

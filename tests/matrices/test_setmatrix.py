@@ -112,10 +112,3 @@ def test_render_contains_subsets(grammar):
     text = matrix.render()
     assert "{A,S}" in text
     assert "." in text
-
-
-def test_to_nested_lists(grammar):
-    matrix = SetMatrix(2, grammar, {(1, 0): [B]})
-    nested = matrix.to_nested_lists()
-    assert nested[1][0] == {B}
-    assert nested[0][0] == frozenset()

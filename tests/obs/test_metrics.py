@@ -44,11 +44,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         gauge = Gauge("g", "help")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value() == 12
 
 

@@ -349,15 +349,15 @@ class TestTopK:
         return QueryService(LabeledGraph.from_edges(THREE_PATHS),
                             to_cnf(chain_reachability("a")), **kwargs)
 
-    def test_best_first_order_and_prefix(self):
-        service = self._chain_service()
+    def test_best_first_order_and_prefix(self, ranking):
+        service = self._chain_service(semiring=ranking)
         best = service.top_k("S", "s", "t", 3)
         assert [len(path) for path in best] == [1, 2, 3]
         assert best[0] == (("s", "a", "t"),)
         assert service.top_k("S", "s", "t", 2) == best[:2]
 
-    def test_pagination_walks_one_stream(self):
-        service = self._chain_service()
+    def test_pagination_walks_one_stream(self, ranking):
+        service = self._chain_service(semiring=ranking)
         pages = []
         cursor, exhausted = 0, False
         while not exhausted:
@@ -372,8 +372,8 @@ class TestTopK:
         assert stats["cached_streams"] == 1
         assert stats["stream_hits"] == stats["queries"] - 1
 
-    def test_distinct_bounds_are_distinct_streams(self):
-        service = self._chain_service()
+    def test_distinct_bounds_are_distinct_streams(self, ranking):
+        service = self._chain_service(semiring=ranking)
         assert [len(p) for p in service.top_k("S", "s", "t", 3,
                                               max_length=2)] == [1, 2]
         assert [len(p) for p in service.top_k("S", "s", "t", 3)] \
@@ -382,10 +382,10 @@ class TestTopK:
         assert stats["cached_streams"] == 2
         assert stats["stream_hits"] == 0
 
-    def test_insert_invalidates_and_reranks(self):
+    def test_insert_invalidates_and_reranks(self, ranking):
         service = QueryService(
             LabeledGraph.from_edges([("s", "a", "m"), ("m", "a", "t")]),
-            to_cnf(chain_reachability("a")))
+            to_cnf(chain_reachability("a")), semiring=ranking)
         assert service.top_k("S", "s", "t", 2) \
             == [(("s", "a", "m"), ("m", "a", "t"))]
         report = service.update(inserts=[("s", "a", "t")])
@@ -396,8 +396,8 @@ class TestTopK:
         assert len(best) == 2
         assert service.stats["top_k"]["stream_hits"] == 0
 
-    def test_deletion_drops_streams(self):
-        service = self._chain_service()
+    def test_deletion_drops_streams(self, ranking):
+        service = self._chain_service(semiring=ranking)
         service.top_k("S", "s", "t", 3)
         service.update(deletes=[("s", "a", "t")])
         assert service.stats["top_k"]["cached_streams"] == 0
@@ -426,34 +426,31 @@ class TestTopK:
             with pytest.raises(ValueError, match="max_length"):
                 service.top_k("S", "s", "t", 2, max_length=max_length)
 
-    def test_semiring_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVICE_SEMIRING", raising=False)
+    def test_semiring_selection(self):
         assert self._chain_service().stats["semiring"] == "length"
         assert self._chain_service(
             semiring="viterbi").stats["semiring"] == "viterbi"
-        monkeypatch.setenv("REPRO_SERVICE_SEMIRING", "Viterbi")
-        assert self._chain_service().stats["semiring"] == "viterbi"
         with pytest.raises(SemanticsError):
             self._chain_service(semiring="tropical-deluxe")
 
     def test_viterbi_service_agrees_with_length_on_uniform_weights(self):
         """Uniform default weights: most-probable-first coincides with
-        shortest-first — the invariant behind the CI cell that reruns
-        the service suite under REPRO_SERVICE_SEMIRING=viterbi."""
+        shortest-first — the invariant behind the ``ranking`` fixture
+        that runs every k-best service test under both semirings."""
         viterbi = self._chain_service(semiring="viterbi")
         assert [len(p) for p in viterbi.top_k("S", "s", "t", 3)] \
             == [1, 2, 3]
         assert viterbi.top_k("S", "s", "t", 3) \
             == self._chain_service().top_k("S", "s", "t", 3)
 
-    def test_snapshot_warm_start_serves_top_k(self, tmp_path):
-        service = self._chain_service()
+    def test_snapshot_warm_start_serves_top_k(self, tmp_path, ranking):
+        service = self._chain_service(semiring=ranking)
         expected = service.top_k("S", "s", "t", 3)
         path = str(tmp_path / "topk.snapshot")
         service.save_snapshot(path)
-        warm = QueryService.from_snapshot(path, semiring="viterbi")
+        warm = QueryService.from_snapshot(path, semiring=ranking)
         assert warm.stats["startup"]["closure_iterations"] == 0
-        assert warm.stats["semiring"] == "viterbi"
+        assert warm.stats["semiring"] == ranking
         assert warm.top_k("S", "s", "t", 3) == expected
 
 
@@ -497,7 +494,7 @@ class TestPathViewsUnderTicks:
             compared."""
             ranked = [named(path) for path in forest.top_k(
                 start, source, target, cursor + k, max_length=6,
-                rank=service._rank_adapter())]
+                rank=service.semiring)]
             return ranked[cursor:], max(cursor, len(ranked))
 
         return single_path, length, page
@@ -525,6 +522,7 @@ class TestPathViewsUnderTicks:
 
     @pytest.mark.parametrize("seed", [1, 7, 19, 42])
     def test_reads_equal_scratch_and_nothing_is_rebuilt(self, seed,
+                                                        ranking,
                                                         monkeypatch):
         rng = random.Random(seed)
         labels = ("a", "b", "c")
@@ -533,7 +531,7 @@ class TestPathViewsUnderTicks:
                 [(rng.randrange(self.NODES), rng.choice(labels),
                   rng.randrange(self.NODES)) for _ in range(14)],
                 nodes=range(self.NODES)),
-            PATHS_GRAMMAR, single_path=True)
+            PATHS_GRAMMAR, single_path=True, semiring=ranking)
         views = (service._forest, service._single_path_view)
         built = []
         for name in ("all_path_index", "single_path_index"):
@@ -557,7 +555,8 @@ class TestPathViewsUnderTicks:
         assert (service._forest, service._single_path_view) == views
         assert built == []
 
-    def test_cursor_continues_across_a_tick_that_spares_its_symbols(self):
+    def test_cursor_continues_across_a_tick_that_spares_its_symbols(
+            self, ranking):
         """A k-best stream survives a tick only when nothing it can
         reach changed — and then reads the live rows mid-stream."""
         layered = [(s, "c", m) for s in (0,) for m in (1, 2, 3)] \
@@ -565,7 +564,7 @@ class TestPathViewsUnderTicks:
             + [(4, "a", 5), (5, "b", 6)]
         service = QueryService(
             LabeledGraph.from_edges(layered, nodes=range(self.NODES)),
-            PATHS_GRAMMAR, single_path=True)
+            PATHS_GRAMMAR, single_path=True, semiring=ranking)
         first, cursor, exhausted = service.top_k_page("T", 0, 4, 2,
                                                       max_length=6)
         assert [len(path) for path in first] == [1, 2] and not exhausted
@@ -650,7 +649,7 @@ class TestConcurrency:
             assert _relation(ticks) == cut
 
     def test_concurrent_path_reads_after_a_tick_build_nothing(
-            self, monkeypatch, jsonl_connect):
+            self, ranking, monkeypatch, jsonl_connect):
         """The single-path index and the forest are views of the
         solver's live state, made with the service: N path reads from
         concurrent clients after a tick share them (and refill the
@@ -661,7 +660,8 @@ class TestConcurrency:
 
         service = QueryService(
             LabeledGraph.from_edges([(i, "a", i + 1) for i in range(12)]),
-            to_cnf(chain_reachability("a")), single_path=True)
+            to_cnf(chain_reachability("a")), single_path=True,
+            semiring=ranking)
         service.update(inserts=[(12, "a", 13)])
 
         builds = {"forest": 0, "single-path": 0}

@@ -135,11 +135,12 @@ class TestLeader:
 
 
 class TestFollower:
-    def _pair(self, tmp_path):
+    def _pair(self, tmp_path, **follower_kwargs):
         leader = _leader(tmp_path)
         snapshot = str(tmp_path / "index.snapshot")
         leader.save_snapshot(snapshot)
-        follower = FollowerService.from_snapshot(snapshot, leader.log.path)
+        follower = FollowerService.from_snapshot(snapshot, leader.log.path,
+                                                 **follower_kwargs)
         return leader, follower
 
     def test_replay_converges_to_byte_identical_index(self, tmp_path):
@@ -218,8 +219,8 @@ class TestFollower:
         plain = handle_request(_service(), {"op": "sync"})
         assert plain["ok"] is False
 
-    def test_top_k_serves_on_follower(self, tmp_path):
-        leader, follower = self._pair(tmp_path)
+    def test_top_k_serves_on_follower(self, tmp_path, ranking):
+        leader, follower = self._pair(tmp_path, semiring=ranking)
         leader.tick(TICKS[0])
         follower.replay()
         response = handle_request(follower, {

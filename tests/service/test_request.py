@@ -34,8 +34,12 @@ def graph_file(tmp_path) -> str:
 
 @pytest.fixture
 def service(graph_file) -> QueryService:
+    return _service(graph_file)
+
+
+def _service(graph_file, semiring: str = "length") -> QueryService:
     return QueryService(load_graph_file(graph_file), get_grammar("dyck1"),
-                        single_path=True)
+                        single_path=True, semiring=semiring)
 
 
 def _cli(capsys, graph_file, *argv):
@@ -156,10 +160,12 @@ class TestOneAnswer:
         assert json.loads(out) == _strs(response["result"])
 
     def test_paths_argv_answers_as_the_wire(self, capsys, graph_file,
-                                            service):
+                                            ranking):
         code, out, _err = _cli(capsys, graph_file, "paths", "--source", "0",
-                               "--target", "2", "--top-k", "3", "--json")
-        response = _wire(service, "top_k", {**POINT, "k": 3})
+                               "--target", "2", "--top-k", "3",
+                               "--semiring", ranking, "--json")
+        response = _wire(_service(graph_file, ranking), "top_k",
+                         {**POINT, "k": 3})
         assert code == 0 and response["ok"] is True
         assert json.loads(out) == _strs(response["result"]["paths"])
 
@@ -246,12 +252,11 @@ class TestEnvelope:
         reset_tracing()
 
     def test_forwarded_lines_carry_rid_and_are_answered(
-            self, _traced, service, graph_file, jsonl_connect):
+            self, _traced, ranking, graph_file, jsonl_connect):
         """A traced leader stamps ``_rid`` into every read it forwards;
         the follower reads it as the envelope, not as a query key."""
-        leader = QueryService(load_graph_file(graph_file),
-                              get_grammar("dyck1"), single_path=True)
-        with ServerThread(service) as follower, \
+        leader = _service(graph_file, ranking)
+        with ServerThread(_service(graph_file, ranking)) as follower, \
                 ServerThread(leader, replicas=[follower.address]) as front:
             call = jsonl_connect(front.address)
             assert call({"op": "query", **POINT})["result"] is True

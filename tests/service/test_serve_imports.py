@@ -33,10 +33,11 @@ SCRIPT = textwrap.dedent("""
     from repro.cli import build_parser, serve_service
     from repro.service.server import ServerThread
 
-    mode, path, wal = sys.argv[1:4]
+    mode, path, wal, semiring = sys.argv[1:5]
 
     def service(*flags):
-        return serve_service(build_parser().parse_args(["serve", *flags]))
+        return serve_service(build_parser().parse_args(
+            ["serve", *flags, "--semiring", semiring]))
 
     def call(address, request):
         with socket.create_connection(address, timeout=30) as sock:
@@ -92,7 +93,7 @@ SCRIPT = textwrap.dedent("""
 
 
 @pytest.mark.parametrize("mode", ["replicated", "cold"])
-def test_no_module_is_imported_after_listening(tmp_path, mode):
+def test_no_module_is_imported_after_listening(tmp_path, mode, ranking):
     chain = word_chain(["a", "a", "b", "b"])
     if mode == "replicated":
         path = str(tmp_path / "index.snapshot")
@@ -107,7 +108,7 @@ def test_no_module_is_imported_after_listening(tmp_path, mode):
            + os.environ.get("PYTHONPATH", "")}
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT, mode, path,
-         str(tmp_path / "ticks.wal")],
+         str(tmp_path / "ticks.wal"), ranking],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == []

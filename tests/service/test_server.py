@@ -153,7 +153,7 @@ class TestHandleRequest:
 
 class TestTopKOp:
     @pytest.fixture
-    def topk_service(self):
+    def topk_service(self, ranking):
         # Three a-paths 1 -> 5, of lengths 1, 2 and 3.
         graph = LabeledGraph.from_edges([
             (1, "a", 5),
@@ -161,7 +161,7 @@ class TestTopKOp:
             (1, "a", 3), (3, "a", 4), (4, "a", 5),
         ])
         grammar = parse_grammar("S -> a | a S", terminals=["a"])
-        return QueryService(graph, grammar)
+        return QueryService(graph, grammar, semiring=ranking)
 
     def test_best_first_page(self, topk_service):
         response = handle_request(topk_service, {
@@ -531,9 +531,12 @@ class TestOneOwner:
 
     EDGES = [["p", "a", "q"], ["q", "b", "p"]]   # derive S(p, p)
 
-    def test_the_event_loop_owns_the_service(self, service, monkeypatch,
+    def test_the_event_loop_owns_the_service(self, ranking, monkeypatch,
                                              tmp_path, jsonl_connect):
         from repro.core.relations import ContextFreeRelations
+
+        service = QueryService(two_cycles(2, 3), ANBN, single_path=True,
+                               semiring=ranking)
 
         calls: list = []
 

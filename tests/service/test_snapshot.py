@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro import CFPQEngine, QueryService, parse_grammar
+from repro.core.semiring import get_semiring
 from repro.errors import SnapshotError, SnapshotVersionError
 from repro.core.single_path import extract_path, path_is_valid
 from repro.graph.generators import two_cycles, word_chain
@@ -236,13 +237,14 @@ def test_all_path_snapshot_is_its_relational_section(tmp_path):
     assert warm.solve().stats.iterations == 0
 
 
-def test_parent_snapshot_with_witness_section_still_loads():
+def test_parent_snapshot_with_witness_section_still_loads(ranking):
     """``fixtures/engine_allpath_parent.snapshot`` was written by the
     last commit whose ``all-path`` snapshots stored the witness closure
     (``CFPQEngine(two_cycles(2, 3), dyck, backend="pyset")``, all three
     semantics), beside the answers that commit gave.  The section is
     ignored; every answer is unchanged, and the retired ``pyset`` name
-    loads as ``setmatrix``."""
+    loads as ``setmatrix``; the top-k order is the same under both
+    ranking semirings (uniform weights)."""
     snapshot = os.path.join(FIXTURES, "engine_allpath_parent.snapshot")
     with open(os.path.join(FIXTURES, "engine_allpath_parent.json")) as stream:
         expected = json.load(stream)
@@ -264,7 +266,8 @@ def test_parent_snapshot_with_witness_section_still_loads():
         key = f"{i},{j}"
         source, target = graph.node_at(i), graph.node_at(j)
         assert [plain(path) for path in forest.top_k(
-            "S", source, target, 6)] == expected["top_k"][key]
+            "S", source, target, 6, rank=get_semiring(ranking))] \
+            == expected["top_k"][key]
         assert sorted(plain(path) for path in warm.all_paths(
             "S", source, target, 8)) == expected["all_paths"][key]
         assert forest.count_paths("S", source, target, 8) \

@@ -454,18 +454,6 @@ class TestEnvironmentDefaults:
             "'bogus'; expected bytes or a K/M/G-suffixed size like '64K' "
             "or '8M'"]
 
-    def test_malformed_service_semiring(self, chain_file, monkeypatch,
-                                        capsys):
-        monkeypatch.setenv("REPRO_SERVICE_SEMIRING", "bogus")
-        code = main(["serve", "--graph", chain_file,
-                     "--grammar-name", "dyck1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: REPRO_SERVICE_SEMIRING: unknown service semiring "
-            "'bogus'; expected one of ('length', 'viterbi')"]
-
 
 class TestTablesCommand:
     def test_small_table(self, capsys):
